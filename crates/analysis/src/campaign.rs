@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use vw_campaign::CampaignResult;
-use vw_obs::{Histogram, Metric, MetricsRegistry};
+use vw_obs::{json_string, Histogram, Metric, MetricsRegistry};
 
 /// One instance's contribution to the aggregate.
 #[derive(Debug, Clone, Default)]
@@ -401,26 +401,6 @@ impl CampaignReport {
         }
         out
     }
-}
-
-/// Appends `s` as a JSON string literal with minimal escaping (same
-/// rules as the campaign exporter).
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -26,7 +26,6 @@ pub mod classifier_cmp;
 pub mod fig7;
 pub mod fig8;
 pub mod scriptgen;
-pub mod snapshot;
 
 /// Formats a data series as an aligned text table.
 pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {

@@ -72,8 +72,8 @@ pub use exec::{
     run_one_timed, run_shard, run_shard_observed, ExecConfig, Setup, ShardPlan,
 };
 pub use outcome::{
-    CampaignResult, DigestKey, InstanceOutcome, InstanceRecord, MetricsDigest, OutcomeClass,
-    OutcomeDigest,
+    fnv1a64, CampaignResult, DigestKey, InstanceOutcome, InstanceRecord, MetricsDigest,
+    OutcomeClass, OutcomeDigest,
 };
 pub use progress::{NullProgress, PeriodicProgress, ProgressEvent, ProgressFormat, ProgressSink};
 pub use shrink::{shrink, ShrinkOptions, ShrinkResult};

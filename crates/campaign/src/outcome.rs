@@ -16,6 +16,7 @@ use std::fmt::Write as _;
 
 use virtualwire::{EngineStats, Report};
 use vw_obs::{Histogram, Metric, MetricsRegistry};
+use vw_trace::json_string;
 
 use crate::spec::Instance;
 
@@ -686,34 +687,15 @@ impl CampaignResult {
     }
 }
 
-/// FNV-1a over bytes — a stable, dependency-free 64-bit digest for class
-/// display names.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a over bytes — a stable, dependency-free 64-bit digest (class
+/// display names here, checkpoint file names in `vw-serve`).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
-}
-
-/// Appends `s` as a JSON string literal with minimal escaping.
-pub(crate) fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -564,20 +564,7 @@ impl World {
                 None => continue,
             };
             for idx in 0..chain_len {
-                let Some(mut hook) = self.take_hook(node, idx) else {
-                    continue;
-                };
-                let effects = {
-                    let mut ctx = self.make_ctx_for(
-                        node,
-                        CtxOrigin::Hook(idx),
-                        HandlerRef::Hook(HookId::from_index(idx)),
-                    );
-                    hook.on_teardown(&mut ctx);
-                    std::mem::take(&mut ctx.effects)
-                };
-                self.put_hook(node, idx, hook);
-                self.apply_effects(node, CtxOrigin::Hook(idx), effects);
+                self.with_hook(node, idx, |hook, ctx| hook.on_teardown(ctx));
             }
         }
     }
@@ -904,31 +891,10 @@ impl World {
             self.port_send(PortRef::new(node, 0), frame);
             return;
         }
-        let Some(mut hook) = self.take_hook(node, idx) else {
+        if let Some(frame) = self.hook_step(node, idx, frame, ChainDir::Outbound { next: idx + 1 })
+        {
             self.outbound_step(node, idx + 1, frame);
-            return;
-        };
-        let (verdict, effects, charged, name) = {
-            let mut ctx = self.make_ctx(node, CtxOrigin::Hook(idx));
-            let verdict = hook.on_outbound(&mut ctx, frame);
-            // The name is only read by the Consume trace record; skip the
-            // per-frame allocation on the overwhelmingly common paths.
-            let name = if ctx.trace_enabled && matches!(verdict, Verdict::Consume) {
-                hook.name().to_string()
-            } else {
-                String::new()
-            };
-            (verdict, std::mem::take(&mut ctx.effects), ctx.charged, name)
-        };
-        self.put_hook(node, idx, hook);
-        self.apply_effects(node, CtxOrigin::Hook(idx), effects);
-        self.continue_verdict(
-            node,
-            verdict,
-            charged,
-            &name,
-            ChainDir::Outbound { next: idx + 1 },
-        );
+        }
     }
 
     fn inbound_step(&mut self, node: DeviceId, next: usize, frame: Frame) {
@@ -944,29 +910,42 @@ impl World {
             return;
         }
         let idx = next - 1;
-        let Some(mut hook) = self.take_hook(node, idx) else {
+        if let Some(frame) = self.hook_step(node, idx, frame, ChainDir::Inbound { next: idx }) {
             self.inbound_step(node, idx, frame);
-            return;
-        };
-        let (verdict, effects, charged, name) = {
-            let mut ctx = self.make_ctx(node, CtxOrigin::Hook(idx));
-            let verdict = hook.on_inbound(&mut ctx, frame);
+        }
+    }
+
+    /// Hands `frame` to hook `idx` — `on_outbound` or `on_inbound`, by the
+    /// direction `then` continues in — and carries its verdict on down the
+    /// chain. An empty slot gives the frame back for the caller to skip.
+    fn hook_step(
+        &mut self,
+        node: DeviceId,
+        idx: usize,
+        frame: Frame,
+        then: ChainDir,
+    ) -> Option<Frame> {
+        let mut frame = Some(frame);
+        let stepped = self.with_hook(node, idx, |hook, ctx| {
+            let frame = frame.take().expect("the closure runs at most once");
+            let verdict = match then {
+                ChainDir::Outbound { .. } => hook.on_outbound(ctx, frame),
+                ChainDir::Inbound { .. } => hook.on_inbound(ctx, frame),
+            };
+            // The name is only read by the Consume trace record; skip the
+            // per-frame allocation on the overwhelmingly common paths.
             let name = if ctx.trace_enabled && matches!(verdict, Verdict::Consume) {
                 hook.name().to_string()
             } else {
                 String::new()
             };
-            (verdict, std::mem::take(&mut ctx.effects), ctx.charged, name)
+            (verdict, ctx.charged, name)
+        });
+        let Some((verdict, charged, name)) = stepped else {
+            return frame;
         };
-        self.put_hook(node, idx, hook);
-        self.apply_effects(node, CtxOrigin::Hook(idx), effects);
-        self.continue_verdict(
-            node,
-            verdict,
-            charged,
-            &name,
-            ChainDir::Inbound { next: idx },
-        );
+        self.continue_verdict(node, verdict, charged, &name, then);
+        None
     }
 
     fn continue_verdict(
@@ -1061,9 +1040,6 @@ impl World {
             if !matches {
                 continue;
             }
-            let Some(mut proto) = self.take_protocol(node, id) else {
-                continue;
-            };
             remaining -= 1;
             // The last matching protocol takes the frame by move; only
             // fan-out to several protocols pays for clones.
@@ -1072,43 +1048,17 @@ impl World {
             } else {
                 frame.as_ref().expect("frame still present").clone()
             };
-            let effects = {
-                let mut ctx =
-                    self.make_ctx_for(node, CtxOrigin::Protocol, HandlerRef::Protocol(id));
-                proto.on_frame(&mut ctx, this_frame);
-                std::mem::take(&mut ctx.effects)
-            };
-            self.put_protocol(node, id, proto);
-            self.apply_effects(node, CtxOrigin::Protocol, effects);
+            self.with_protocol(node, id, |proto, ctx| proto.on_frame(ctx, this_frame));
         }
     }
 
     fn dispatch_timer(&mut self, node: DeviceId, handler: HandlerRef, token: u64) {
         match handler {
             HandlerRef::Protocol(id) => {
-                let Some(mut proto) = self.take_protocol(node, id) else {
-                    return;
-                };
-                let effects = {
-                    let mut ctx = self.make_ctx_for(node, CtxOrigin::Protocol, handler);
-                    proto.on_timer(&mut ctx, token);
-                    std::mem::take(&mut ctx.effects)
-                };
-                self.put_protocol(node, id, proto);
-                self.apply_effects(node, CtxOrigin::Protocol, effects);
+                self.with_protocol(node, id, |proto, ctx| proto.on_timer(ctx, token));
             }
             HandlerRef::Hook(id) => {
-                let idx = id.index();
-                let Some(mut hook) = self.take_hook(node, idx) else {
-                    return;
-                };
-                let effects = {
-                    let mut ctx = self.make_ctx_for(node, CtxOrigin::Hook(idx), handler);
-                    hook.on_timer(&mut ctx, token);
-                    std::mem::take(&mut ctx.effects)
-                };
-                self.put_hook(node, idx, hook);
-                self.apply_effects(node, CtxOrigin::Hook(idx), effects);
+                self.with_hook(node, id.index(), |hook, ctx| hook.on_timer(ctx, token));
             }
         }
     }
@@ -1116,29 +1066,10 @@ impl World {
     fn dispatch_start(&mut self, node: DeviceId, handler: HandlerRef) {
         match handler {
             HandlerRef::Protocol(id) => {
-                let Some(mut proto) = self.take_protocol(node, id) else {
-                    return;
-                };
-                let effects = {
-                    let mut ctx = self.make_ctx_for(node, CtxOrigin::Protocol, handler);
-                    proto.on_start(&mut ctx);
-                    std::mem::take(&mut ctx.effects)
-                };
-                self.put_protocol(node, id, proto);
-                self.apply_effects(node, CtxOrigin::Protocol, effects);
+                self.with_protocol(node, id, |proto, ctx| proto.on_start(ctx));
             }
             HandlerRef::Hook(id) => {
-                let idx = id.index();
-                let Some(mut hook) = self.take_hook(node, idx) else {
-                    return;
-                };
-                let effects = {
-                    let mut ctx = self.make_ctx_for(node, CtxOrigin::Hook(idx), handler);
-                    hook.on_start(&mut ctx);
-                    std::mem::take(&mut ctx.effects)
-                };
-                self.put_hook(node, idx, hook);
-                self.apply_effects(node, CtxOrigin::Hook(idx), effects);
+                self.with_hook(node, id.index(), |hook, ctx| hook.on_start(ctx));
             }
         }
     }
@@ -1268,20 +1199,46 @@ impl World {
         }
     }
 
-    fn make_ctx(&mut self, node: DeviceId, origin: CtxOrigin) -> Context<'_> {
-        let handler = match origin {
-            CtxOrigin::Protocol => HandlerRef::Protocol(ProtocolId::from_index(0)),
-            CtxOrigin::Hook(i) => HandlerRef::Hook(HookId::from_index(i)),
-        };
-        self.make_ctx_for(node, origin, handler)
-    }
-
-    fn make_ctx_for(
+    /// Runs `f` on hook `idx` of `node` with a fresh [`Context`], then
+    /// applies the effects it queued. The hook leaves its slot for the
+    /// call, so the context can borrow the world beside it; `None` means
+    /// the slot was empty and `f` did not run.
+    fn with_hook<R>(
         &mut self,
         node: DeviceId,
-        origin: CtxOrigin,
-        handler: HandlerRef,
-    ) -> Context<'_> {
+        idx: usize,
+        f: impl FnOnce(&mut dyn Hook, &mut Context<'_>) -> R,
+    ) -> Option<R> {
+        let mut hook = self.take_hook(node, idx)?;
+        let (out, effects) = {
+            let mut ctx = self.make_ctx(node, HandlerRef::Hook(HookId::from_index(idx)));
+            let out = f(hook.as_mut(), &mut ctx);
+            (out, std::mem::take(&mut ctx.effects))
+        };
+        self.put_hook(node, idx, hook);
+        self.apply_effects(node, CtxOrigin::Hook(idx), effects);
+        Some(out)
+    }
+
+    /// [`with_hook`](Self::with_hook) for protocol `id` of `node`.
+    fn with_protocol<R>(
+        &mut self,
+        node: DeviceId,
+        id: ProtocolId,
+        f: impl FnOnce(&mut dyn Protocol, &mut Context<'_>) -> R,
+    ) -> Option<R> {
+        let mut proto = self.take_protocol(node, id)?;
+        let (out, effects) = {
+            let mut ctx = self.make_ctx(node, HandlerRef::Protocol(id));
+            let out = f(proto.as_mut(), &mut ctx);
+            (out, std::mem::take(&mut ctx.effects))
+        };
+        self.put_protocol(node, id, proto);
+        self.apply_effects(node, CtxOrigin::Protocol, effects);
+        Some(out)
+    }
+
+    fn make_ctx(&mut self, node: DeviceId, handler: HandlerRef) -> Context<'_> {
         let (mac, ip) = match self.devices[node.index()].as_host() {
             Some(h) => (h.mac, h.ip),
             None => (MacAddr::ZERO, Ipv4Addr::UNSPECIFIED),
@@ -1294,7 +1251,6 @@ impl World {
             now,
             ..
         } = *self;
-        let _ = origin;
         Context {
             now,
             node,

@@ -38,4 +38,7 @@ pub use event::{
     SymbolTable,
 };
 pub use metrics::{labeled_key, Histogram, Metric, MetricsRegistry};
+/// The workspace's one JSON string escaper, re-exported for crates that
+/// write JSON beside a [`MetricsRegistry`] without a `vw-trace` edge.
+pub use vw_trace::json_string;
 pub use window::{RollingWindow, Sample};

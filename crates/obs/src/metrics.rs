@@ -10,6 +10,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use vw_trace::json_string;
+
 /// A fixed-size log₂-bucketed histogram of `u64` observations.
 ///
 /// Bucket `i` holds values whose bit length is `i` (bucket 0 holds the
@@ -696,23 +698,6 @@ impl fmt::Display for MetricsRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_jsonl())
     }
-}
-
-/// Appends `s` to `out` as a JSON string literal with minimal escaping.
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

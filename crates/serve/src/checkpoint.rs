@@ -26,7 +26,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use vw_campaign::InstanceOutcome;
+use vw_campaign::{fnv1a64, InstanceOutcome};
 
 use crate::frame::crc32;
 use crate::payload::{decode_timed_outcome, encode_timed_outcome, get_u64, put_u64, Submission};
@@ -185,15 +185,6 @@ pub fn log_file_name(campaign: &str) -> String {
     // Distinct raw names must land on distinct files even after
     // sanitization folds characters together.
     format!("{}-{:016x}.vwlog", sanitized, fnv1a64(campaign.as_bytes()))
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -327,23 +327,16 @@ impl JournalEntry {
     /// One JSONL record for this entry (hand-rolled, same dialect as the
     /// campaign JSONL).
     pub fn to_jsonl(&self) -> String {
-        let mut text = String::new();
-        for c in self.event.render().chars() {
-            match c {
-                '"' => text.push_str("\\\""),
-                '\\' => text.push_str("\\\\"),
-                '\n' => text.push_str("\\n"),
-                c => text.push(c),
-            }
-        }
-        format!(
-            "{{\"seq\":{},\"t_ms\":{},\"severity\":\"{}\",\"kind\":\"{}\",\"text\":\"{}\"}}\n",
+        let mut line = format!(
+            "{{\"seq\":{},\"t_ms\":{},\"severity\":\"{}\",\"kind\":\"{}\",\"text\":",
             self.seq,
             self.t_ms,
             self.severity.as_str(),
             self.event.kind(),
-            text
-        )
+        );
+        vw_trace::json_string(&mut line, &self.event.render());
+        line.push_str("}\n");
+        line
     }
 }
 
@@ -628,6 +621,27 @@ mod tests {
         // render() Debug-quotes the name, so the decoded text holds a
         // literal backslash-escaped quote.
         assert!(obj["text"].as_str().unwrap().contains("we\\\"ird"));
+    }
+
+    #[test]
+    fn jsonl_text_round_trips_control_characters() {
+        // `render()` Debug-quotes the campaign name but prints `reason`
+        // and `detail` as they are: only the escaper stands between a
+        // control character there and the line.
+        let journal = Journal::new(8);
+        journal.record(JournalEvent::QuotaBounced {
+            campaign: "a\tb\r\u{1}".into(),
+            reason: "c\td\r\u{1}".into(),
+        });
+        let entry = &journal.tail(1)[0];
+        let line = entry.to_jsonl();
+        let record = line.strip_suffix('\n').expect("one record, one line");
+        assert!(!record.contains(char::is_control), "{record:?}");
+        let doc = vw_trace::Json::parse(record).expect("parses");
+        assert_eq!(
+            doc.as_obj().unwrap()["text"].as_str().unwrap(),
+            entry.event.render()
+        );
     }
 
     #[test]

@@ -75,7 +75,8 @@ impl ErrorCode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Submission {
     /// Campaign name — unique among live campaigns, and the handle
-    /// `Attach` uses after a reconnect.
+    /// `Attach` uses after a reconnect. The daemon accepts
+    /// `[A-Za-z0-9_.-]{1,128}` and rejects anything else as `BadSpec`.
     pub campaign: String,
     /// FSL source of the base program.
     pub program: String,

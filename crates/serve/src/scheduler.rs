@@ -435,6 +435,20 @@ impl Scheduler {
         outbox: &Arc<Outbox>,
         request_id: u64,
     ) -> Result<Accepted, (ErrorCode, String)> {
+        // The name goes on to a file name, journal lines and metric
+        // labels (where `|`, `,` and `=` are syntax); one check here keeps
+        // all three well-formed.
+        let name = &submission.campaign;
+        let well_formed = (1..=128).contains(&name.len())
+            && name
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'-'));
+        if !well_formed {
+            return Err((
+                ErrorCode::BadSpec,
+                format!("campaign name {name:?} must match [A-Za-z0-9_.-]{{1,128}}"),
+            ));
+        }
         let setup = self.registry.get(&submission.setup).ok_or_else(|| {
             (
                 ErrorCode::UnknownSetup,

@@ -48,6 +48,21 @@ fn ping_stats_and_typed_rejections_over_tcp() {
     sub.program = "SCENARIO broken".into();
     expect_server_error(client.submit(&sub), ErrorCode::BadSpec);
 
+    // Names that would break a metric label, a journal line or a path.
+    for name in ["", "a,b=c", "a|b", "tab\tbed", "../up", &"n".repeat(129)] {
+        expect_server_error(
+            client.submit(&common::submission(name, 0)),
+            ErrorCode::BadSpec,
+        );
+    }
+    let stats = client
+        .stats()
+        .expect("the connection survives the rejections");
+    assert!(
+        !stats.contains("a,b=c"),
+        "no series for a refused name:\n{stats}"
+    );
+
     // Attach to a campaign that does not exist.
     expect_server_error(client.attach("ghost"), ErrorCode::UnknownCampaign);
 

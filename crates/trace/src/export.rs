@@ -27,10 +27,11 @@ pub fn chrome_json_many(traces: &[Trace]) -> String {
                 out.push(',');
             }
             first = false;
+            out.push_str("{\"name\":");
+            json_string(&mut out, r.name);
             let _ = write!(
                 out,
-                "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
-                json_string(r.name),
+                ",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
                 r.category.as_str(),
                 trace.tid,
                 r.start_ns as f64 / 1_000.0,
@@ -42,9 +43,11 @@ pub fn chrome_json_many(traces: &[Trace]) -> String {
     out
 }
 
-/// Escapes a string into a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out` as a JSON string literal: quotes, backslashes
+/// and every control character escaped, so the result always parses
+/// back through [`Json::parse`]. The one escaper every hand-rolled JSON
+/// and JSONL writer in the workspace shares.
+pub fn json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -60,7 +63,6 @@ fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// A parsed JSON value (validator-grade: numbers are `f64`, object keys
@@ -284,6 +286,9 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(c) if c < 0x20 => {
+                    return Err(format!("raw control character {c:#04x} in string"));
+                }
                 Some(_) => {
                     // Consume one UTF-8 scalar (input is &str, so slices
                     // at char boundaries are safe to scan byte-wise).
@@ -438,5 +443,6 @@ mod tests {
         assert_eq!(obj["s"].as_str(), Some("A\n"));
         assert!(Json::parse("{\"a\":}").is_err());
         assert!(Json::parse("[1,]").is_err());
+        assert!(Json::parse("\"a\tb\"").is_err(), "RFC 8259: escape it");
     }
 }

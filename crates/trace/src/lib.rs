@@ -13,8 +13,7 @@
 //!   or any folded-stack viewer.
 //! - **[`PhaseBreakdown`]** ([`Trace::phase_breakdown`]) — a per-category
 //!   *self-time* attribution table answering "where do the ns/frame go",
-//!   embeddable in `BENCH_<n>.json` and foldable into
-//!   `vw-obs::MetricsRegistry` histograms.
+//!   foldable into `vw-obs::MetricsRegistry` histograms.
 //!
 //! ## Cost model
 //!
@@ -53,5 +52,5 @@ mod export;
 mod record;
 
 pub use collect::{disable, enable, is_enabled, span, SpanGuard};
-pub use export::{chrome_json_many, validate_chrome_json, Json};
+pub use export::{chrome_json_many, json_string, validate_chrome_json, Json};
 pub use record::{Category, CategoryStats, PhaseBreakdown, SpanRecord, Trace};

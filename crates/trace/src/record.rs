@@ -287,35 +287,6 @@ impl PhaseBreakdown {
         }
         out
     }
-
-    /// JSON object (hand-rolled; the vendored serde stub cannot
-    /// serialize) for embedding in `BENCH_<n>.json`:
-    /// `{"wall_ns":..,"dropped":..,"categories":{"event":{"spans":..,"total_ns":..,"self_ns":..},..}}`
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"wall_ns\":{},\"total_self_ns\":{},\"dropped\":{},\"categories\":{{",
-            self.wall_ns,
-            self.total_self_ns(),
-            self.dropped
-        );
-        for (i, (cat, s)) in self.categories.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"spans\":{},\"total_ns\":{},\"self_ns\":{}}}",
-                cat.as_str(),
-                s.spans,
-                s.total_ns,
-                s.self_ns
-            );
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -402,8 +373,6 @@ mod tests {
             })
         );
         assert_eq!(pb.get(Category::Campaign), None);
-        let json = pb.to_json();
-        assert!(json.contains("\"classify\":{\"spans\":1,\"total_ns\":10,\"self_ns\":10}"));
         let table = pb.to_table();
         assert!(table.contains("classify"));
         assert!(table.contains("wall"));

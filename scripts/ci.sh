@@ -104,15 +104,23 @@ kill "$VW_TELE_PID" 2>/dev/null || true
 wait "$VW_TELE_PID" 2>/dev/null || true
 rm -rf "$VW_TELE_SOCK" target/vw-ci-telemetry-state
 
-# Bench smoke: the perf-trajectory harness must run end to end in quick
-# mode, emit schema-valid JSON, and observe zero frame-conservation
-# diagnostics (no injected fault may lose or garble frames) in the
-# example scenarios it drives.
+# Bench smoke: vwbench (BENCHMARK.json) is the one performance harness.
+# Its own suite pins the seed-1 digests, the paper's Fig 7 / Fig 8 points
+# and the span bookkeeping; then every workload runs once in quick mode
+# and must pass its output checks (fault_storm's include frame
+# conservation) with no failed operation. The result is the last line of
+# standard output.
 echo "==> bench-smoke"
-cargo build -q --release -p vw-bench --bin bench_snapshot
-./target/release/bench_snapshot --quick --enforce-conservation \
-    --label ci-smoke --out target/bench_smoke.json > /dev/null
-./target/release/bench_snapshot --check target/bench_smoke.json
+cargo test --release -q --manifest-path vwbench/Cargo.toml
+for workload in tower_tcp_lossy udp_min_forward paper_overhead fault_storm \
+    campaign_sweep serve_stream; do
+    result=$(cargo run --release --quiet --manifest-path vwbench/Cargo.toml -- \
+        --workload "$workload" --quick --seed 1 --trace 0 | tail -n 1)
+    if ! grep -q '"correct":true' <<<"$result" || ! grep -q '"failed":0' <<<"$result"; then
+        echo "vwbench $workload: $result"
+        exit 1
+    fi
+done
 
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -5,14 +5,28 @@
 //! it shows.
 
 use virtualwire::{compile_script, EngineConfig, Runner, StopReason};
-use vw_netsim::{Binding, ErrorModel, LinkConfig, SimDuration, World};
+use vw_netsim::{
+    Binding, DeviceId, ErrorModel, HookId, LinkConfig, ProtocolId, SimDuration, World,
+};
 use vw_packet::EtherType;
 use vw_rether::{RetherConfig, RetherNode};
 use vw_rll::RllConfig;
 use vw_tcpstack::{Endpoint, SocketHandle, TcpConfig, TcpStack};
+use vw_trace::Category;
 
-#[test]
-fn tcp_over_rether_over_engines_over_rll_on_a_lossy_bus() {
+/// The tower under test, wired and settled, with 60 000 bytes queued on
+/// node1's TCP socket toward node3 and a `STOP` on the 60th data segment.
+struct Tower {
+    world: World,
+    runner: Runner,
+    nodes: Vec<DeviceId>,
+    rether_hooks: Vec<HookId>,
+    sid: ProtocolId,
+    cid: ProtocolId,
+    h: SocketHandle,
+}
+
+fn build_tower() -> Tower {
     // Stack per node: TCP → Rether → VirtualWire engine → RLL → wire.
     // The wire loses 5% of frames; the RLL must mask that entirely, so
     // Rether sees a perfect medium and never reconstructs, and TCP never
@@ -96,7 +110,28 @@ fn tcp_over_rether_over_engines_over_rll_on_a_lossy_bus() {
         Binding::EtherType(EtherType::IPV4),
         Box::new(client),
     );
+    Tower {
+        world,
+        runner,
+        nodes,
+        rether_hooks,
+        sid,
+        cid,
+        h,
+    }
+}
 
+#[test]
+fn tcp_over_rether_over_engines_over_rll_on_a_lossy_bus() {
+    let Tower {
+        mut world,
+        runner,
+        nodes,
+        rether_hooks,
+        sid,
+        cid,
+        h,
+    } = build_tower();
     let report = runner.run(&mut world, SimDuration::from_secs(60));
     assert!(
         matches!(report.stop, StopReason::StopAction(_)),
@@ -146,6 +181,52 @@ fn tcp_over_rether_over_engines_over_rll_on_a_lossy_bus() {
     assert!(
         (floor..=60_000).contains(&received),
         "in-order bytes at the stack: {received} (retransmissions: {retransmissions})"
+    );
+}
+
+/// With one root span bracketing the run, `Σ self_ns == root duration`
+/// holds by construction; the 5% tolerance only absorbs ring evictions and
+/// clock jitter, so a regression in the attribution walk shows at once.
+#[test]
+fn traced_tower_self_times_partition_wall_time() {
+    let Tower {
+        mut world, runner, ..
+    } = build_tower();
+    vw_trace::enable(1 << 19);
+    {
+        let _run = vw_trace::span("run", Category::Run);
+        runner.run(&mut world, SimDuration::from_secs(60));
+    }
+    let trace = vw_trace::disable();
+    vw_trace::validate_chrome_json(&trace.to_chrome_json()).expect("the Chrome export loads");
+    let pb = trace.phase_breakdown();
+    assert!(pb.wall_ns > 0, "the traced run recorded nothing");
+
+    // Every instrumented layer of the tower shows up: the event loop,
+    // the Figure 4(b) engine pipeline, and the TCP stack.
+    for cat in [
+        Category::Run,
+        Category::Event,
+        Category::Classify,
+        Category::Cascade,
+        Category::Action,
+        Category::Tcp,
+    ] {
+        assert!(
+            pb.get(cat).is_some_and(|s| s.spans > 0),
+            "no spans recorded for category {cat}:\n{}",
+            pb.to_table()
+        );
+    }
+
+    let total = pb.total_self_ns() as f64;
+    let wall = pb.wall_ns as f64;
+    let error = (total - wall).abs() / wall;
+    assert!(
+        error < 0.05,
+        "self times sum to {total} but wall is {wall} ({:.1}% off):\n{}",
+        100.0 * error,
+        pb.to_table()
     );
 }
 
