@@ -3,11 +3,11 @@
 //!
 //! The paper's pitch is running "a large number of test cases without
 //! human intervention"; a [`CampaignSpec`] is how those test cases come to
-//! exist without a human writing each one. It takes one hand-written (or
-//! [builder](vw_fsl::builder)-generated) [`Program`] and a list of
-//! [`Axis`] values to sweep — counter thresholds inside rule terms,
-//! `DELAY` hold times, netsim RNG seeds, control-plane impairments — and
-//! enumerates the cross-product into [`Instance`]s. Enumeration is pure
+//! exist without a human writing each one. It takes one hand-written
+//! [`Program`] and a list of [`Axis`] values to sweep — counter
+//! thresholds inside rule terms, `DELAY` hold times, netsim RNG seeds,
+//! control-plane impairments — and enumerates the cross-product into
+//! [`Instance`]s. Enumeration is pure
 //! and deterministic: the same spec always yields the same instances in
 //! the same order, and the budgeted random-sampling mode draws from a
 //! seeded hand-rolled generator so sampled campaigns replay bit-for-bit.

@@ -202,16 +202,6 @@ impl ClassifierIndex {
         index
     }
 
-    /// Number of distinct discriminant key groups.
-    pub fn key_groups(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Number of filters that can only be matched by the residual scan.
-    pub fn residual_len(&self) -> usize {
-        self.residual.len()
-    }
-
     fn classify(
         &self,
         tables: &TableSet,

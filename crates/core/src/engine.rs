@@ -150,71 +150,118 @@ impl Default for EngineConfig {
     }
 }
 
-/// Counters exposed for tests and the evaluation harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
+/// What one [`EngineStats`] field is: how per-node values fold into
+/// [`Report::total_stats`](crate::Report::total_stats) and how the
+/// report's metrics registry exports it as `<node>.<name>`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatKind {
+    /// Summed across nodes; exported as a counter.
+    Counter,
+    /// Maximum across nodes; exported as a gauge.
+    HighWater,
+    /// Summed; exported as a counter only when non-zero, so clean runs
+    /// keep their established metric shape.
+    Diagnostic,
+    /// Summed; not exported (the pinned metric key set predates it).
+    Internal,
+}
+
+/// Declares [`EngineStats`] from its one ordered field table, and from
+/// the same table [`EngineStats::fields`] and its inverse. The order is
+/// the serve checkpoint/frame layout (one `u64` per field): append, never
+/// reorder.
+macro_rules! engine_stats {
+    ($($(#[$doc:meta])* $name:ident: $ty:ty => $kind:ident,)*) => {
+        /// Counters exposed for tests and the evaluation harness.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct EngineStats {
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+
+        impl EngineStats {
+            /// Number of fields.
+            pub const FIELDS: usize = [$(stringify!($name)),*].len();
+
+            /// Every field in declaration order: name, value, kind.
+            pub fn fields(&self) -> [(&'static str, u64, StatKind); Self::FIELDS] {
+                [$((stringify!($name), u64::from(self.$name), StatKind::$kind),)*]
+            }
+
+            /// Inverse of [`fields`](Self::fields): rebuilds the stats
+            /// from values in declaration order. `None` when `values`
+            /// runs short or one does not fit its field.
+            pub fn from_values(mut values: impl Iterator<Item = u64>) -> Option<Self> {
+                Some(EngineStats {
+                    $($name: <$ty>::try_from(values.next()?).ok()?,)*
+                })
+            }
+        }
+    };
+}
+
+engine_stats! {
     /// Frames that went through classification.
-    pub classified: u64,
+    classified: u64 => Counter,
     /// Frames that matched a packet definition.
-    pub matched: u64,
+    matched: u64 => Counter,
     /// Packet-counter increments.
-    pub counter_increments: u64,
+    counter_increments: u64 => Counter,
     /// Control messages sent.
-    pub control_sent: u64,
+    control_sent: u64 => Counter,
     /// Control messages received.
-    pub control_received: u64,
+    control_received: u64 => Counter,
     /// Total bytes of control frames sent (including Ethernet headers).
-    pub control_sent_bytes: u64,
+    control_sent_bytes: u64 => Counter,
     /// Total bytes of control frames received (including Ethernet
     /// headers).
-    pub control_received_bytes: u64,
+    control_received_bytes: u64 => Counter,
     /// Packets consumed by `DROP`.
-    pub drops: u64,
+    drops: u64 => Counter,
     /// Packets duplicated by `DUP`.
-    pub dups: u64,
+    dups: u64 => Counter,
     /// Packets held by `DELAY`.
-    pub delays: u64,
+    delays: u64 => Counter,
     /// Packets buffered by `REORDER`.
-    pub reorders: u64,
+    reorders: u64 => Counter,
     /// Packets mutated by `MODIFY`.
-    pub modifies: u64,
+    modifies: u64 => Counter,
     /// Frames blackholed because this node was `FAIL`ed.
-    pub blackholed: u64,
+    blackholed: u64 => Internal,
     /// Filter-table rules visited across all classifications (candidates
     /// verified, under the indexed classifier).
-    pub rules_scanned: u64,
+    rules_scanned: u64 => Counter,
     /// Classifications whose match came through the dispatch index.
-    pub index_hits: u64,
+    index_hits: u64 => Internal,
     /// Residual-scan rule visits (unindexable filters; under the linear
     /// classifier, every rule visit counts here).
-    pub residual_scans: u64,
+    residual_scans: u64 => Internal,
     /// Deepest evaluation cascade observed (worklist steps triggered by a
     /// single counter mutation).
-    pub max_cascade_depth: u32,
+    max_cascade_depth: u32 => HighWater,
     /// Control messages retransmitted (unacknowledged past their RTO).
-    pub control_retransmits: u64,
+    control_retransmits: u64 => Counter,
     /// Sequenced control messages suppressed as duplicates.
-    pub control_dup_suppressed: u64,
+    control_dup_suppressed: u64 => Counter,
     /// Sequenced control messages parked in the reorder buffer because
     /// they arrived ahead of a gap.
-    pub control_reorder_buffered: u64,
+    control_reorder_buffered: u64 => Counter,
     /// Peers degraded for staleness (remote terms frozen at last-known
     /// status and a diagnostic flagged).
-    pub control_stale_degradations: u64,
+    control_stale_degradations: u64 => Counter,
     /// Frames currently held by an in-flight DELAY or a partially filled
     /// REORDER buffer. Non-zero in a final report means frames were lost
     /// beyond what the scenario injected (a conservation violation).
-    pub faults_in_limbo: u64,
+    faults_in_limbo: u64 => Diagnostic,
     /// REORDER releases whose order was not a permutation of the batch
     /// (out-of-range, duplicated, or missing indices). The frames are
     /// still conserved — unmentioned ones are released in arrival order.
-    pub reorder_malformed: u64,
+    reorder_malformed: u64 => Diagnostic,
     /// Frames still held at run end that engine teardown flushed back
     /// into the chain instead of losing.
-    pub teardown_flushed: u64,
+    teardown_flushed: u64 => Diagnostic,
     /// MODIFY SET writes skipped because the window fell outside the
     /// frame.
-    pub modify_oob: u64,
+    modify_oob: u64 => Diagnostic,
 }
 
 /// Timer token: the control-plane pump (retransmissions + staleness).
@@ -500,25 +547,6 @@ impl Engine {
     // Flight recorder
     // ------------------------------------------------------------------
 
-    /// `true` if the full causal stream is being recorded. With the `obs`
-    /// feature off this constant-folds to `false` and every recording
-    /// site disappears.
-    #[inline]
-    fn obs_full(&self) -> bool {
-        cfg!(feature = "obs") && self.flight.wants_full()
-    }
-
-    /// `true` if fault events (conditions, actions) are being recorded.
-    #[inline]
-    fn obs_faults(&self) -> bool {
-        cfg!(feature = "obs") && self.flight.wants_faults()
-    }
-
-    /// The configured flight-recorder level.
-    pub fn obs_level(&self) -> ObsLevel {
-        self.flight.level()
-    }
-
     /// The recorded causal event stream, in recording order.
     pub fn events(&self) -> &[ObsEvent] {
         self.flight.events()
@@ -577,7 +605,7 @@ impl Engine {
                 // Terms that start out true get a flip record too, so a
                 // replay of the event stream reconstructs the same term
                 // state the engine evaluates conditions against.
-                if status && self.obs_full() {
+                if status && self.flight.wants_full() {
                     self.flight.push(ObsEvent::TermFlipped {
                         time: ctx.now(),
                         node: me,
@@ -635,7 +663,7 @@ impl Engine {
             return;
         }
         self.counter_values[counter.index()] = value;
-        if self.obs_full() {
+        if self.flight.wants_full() {
             self.flight.push(ObsEvent::CounterUpdated {
                 time: ctx.now(),
                 node: self.me.expect("initialized"),
@@ -709,7 +737,7 @@ impl Engine {
                     continue;
                 }
                 self.term_status[term.index()] = status;
-                if self.obs_full() {
+                if self.flight.wants_full() {
                     self.flight.push(ObsEvent::TermFlipped {
                         time: ctx.now(),
                         node: me,
@@ -738,7 +766,7 @@ impl Engine {
             }
         }
         self.stats.max_cascade_depth = self.stats.max_cascade_depth.max(depth);
-        if depth > 0 && self.obs_faults() {
+        if depth > 0 && self.flight.wants_faults() {
             self.cascade_hist.observe(u64::from(depth));
         }
     }
@@ -943,7 +971,7 @@ impl Engine {
     /// distributed timeline; retransmissions repeat the triple, which
     /// downstream merging treats as the same edge.
     fn record_control_sent(&mut self, time: SimTime, dst: MacAddr, seq: u32, ack: u32) {
-        if !self.obs_full() {
+        if !self.flight.wants_full() {
             return;
         }
         if let (Some(me), Some(peer)) = (self.me, self.peer_node_id(dst)) {
@@ -998,7 +1026,7 @@ impl Engine {
         rx.ack_owed = false;
         self.stats.control_stale_degradations += 1;
         let (peer_id, peer_name) = self.peer_identity(peer);
-        if self.obs_faults() {
+        if self.flight.wants_faults() {
             if let (Some(me), Some(peer_id)) = (self.me, peer_id) {
                 self.flight.push(ObsEvent::PeerDegraded {
                     time: ctx.now(),
@@ -1053,7 +1081,7 @@ impl Engine {
         worklist: &mut Vec<CounterId>,
     ) {
         let me = self.me.expect("initialized");
-        if self.obs_faults() {
+        if self.flight.wants_faults() {
             self.flight.push(ObsEvent::ConditionFired {
                 time: ctx.now(),
                 node: me,
@@ -1066,7 +1094,7 @@ impl Engine {
                 continue;
             }
             ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
-            if self.obs_faults() {
+            if self.flight.wants_faults() {
                 if let Some(kind) = edge_action_kind(&tables.actions[action.index()].kind) {
                     self.flight.push(ObsEvent::ActionTriggered {
                         time: ctx.now(),
@@ -1237,7 +1265,7 @@ impl Engine {
             rx.ack_owed = true;
         }
         self.recompute_pump_next();
-        let record_delivery = self.obs_full();
+        let record_delivery = self.flight.wants_full();
         let delivery_identity = if record_delivery {
             self.me.zip(self.peer_node_id(src))
         } else {
@@ -1310,7 +1338,7 @@ impl Engine {
                 }
                 self.term_status[term.index()] = status;
                 let me = self.me.expect("initialized");
-                if self.obs_full() {
+                if self.flight.wants_full() {
                     self.flight.push(ObsEvent::TermFlipped {
                         time: ctx.now(),
                         node: me,
@@ -1480,7 +1508,7 @@ impl Engine {
         if let Some(hits) = self.filter_hits.get_mut(classification.filter.index()) {
             *hits += 1;
         }
-        if self.obs_full() {
+        if self.flight.wants_full() {
             self.flight.push(ObsEvent::Classified {
                 time: ctx.now(),
                 node: self.me.expect("initialized"),
@@ -1518,7 +1546,7 @@ impl Engine {
             ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
             let old = self.counter_values[counter.index()];
             self.counter_values[counter.index()] = old + 1;
-            if self.obs_full() {
+            if self.flight.wants_full() {
                 self.flight.push(ObsEvent::CounterUpdated {
                     time: ctx.now(),
                     node: self.me.expect("initialized"),
@@ -1616,7 +1644,7 @@ impl Engine {
                     continue;
                 }
                 ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
-                if self.obs_faults() {
+                if self.flight.wants_faults() {
                     if let Some(obs_kind) = gate_action_kind(kind) {
                         self.flight.push(ObsEvent::ActionTriggered {
                             time: ctx.now(),

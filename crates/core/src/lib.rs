@@ -91,7 +91,7 @@ pub use classify::{
     classify, Classification, Classifier, ClassifierIndex, ClassifierMode, ClassifierScratch,
     ScanStats,
 };
-pub use engine::{ControlPlaneConfig, CostModel, Engine, EngineConfig, EngineStats};
+pub use engine::{ControlPlaneConfig, CostModel, Engine, EngineConfig, EngineStats, StatKind};
 pub use report::{ConformanceRecord, FlaggedError, Report, StopReason};
 pub use runner::Runner;
 pub use suite::{Suite, SuiteReport};

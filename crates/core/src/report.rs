@@ -6,7 +6,7 @@ use vw_fsl::{CondId, NodeId};
 use vw_netsim::{SimDuration, SimTime};
 use vw_obs::{CausalChain, MetricsRegistry, ObsEvent, SymbolTable};
 
-use crate::engine::EngineStats;
+use crate::engine::{EngineStats, StatKind};
 
 /// One protocol violation flagged by a `FLAG_ERR` action (or by the engine
 /// itself, e.g. on a runaway rule cascade).
@@ -177,24 +177,6 @@ impl Report {
         CausalChain::extract(&self.events, node, frame_seq)
     }
 
-    /// One node's slice of the recorded event stream, in that engine's
-    /// recording (= causal) order. This is the per-node input the
-    /// distributed-timeline merger consumes: the report's merged stream
-    /// is a stable time sort of per-engine streams, so filtering by node
-    /// recovers each engine's original order exactly.
-    pub fn events_at(&self, node: NodeId) -> impl Iterator<Item = &ObsEvent> {
-        self.events.iter().filter(move |e| e.node() == node)
-    }
-
-    /// The nodes that recorded at least one event, ascending — the node
-    /// axis of the distributed timeline.
-    pub fn recorded_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.events.iter().map(|e| e.node()).collect();
-        nodes.sort();
-        nodes.dedup();
-        nodes
-    }
-
     /// The recorded packet-fault applications (`DROP`/`DUP`/`DELAY`/
     /// `REORDER`/`MODIFY` hitting a concrete packet), in time order.
     pub fn fault_events(&self) -> impl Iterator<Item = &ObsEvent> {
@@ -203,37 +185,19 @@ impl Report {
         )
     }
 
-    /// Sums the per-node engine counters into one aggregate.
+    /// Folds the per-node engine counters into one aggregate: each field
+    /// summed, a [`StatKind::HighWater`] one taken at its maximum.
     pub fn total_stats(&self) -> EngineStats {
-        let mut total = EngineStats::default();
+        let mut total = [0u64; EngineStats::FIELDS];
         for (_, s) in &self.stats {
-            total.classified += s.classified;
-            total.matched += s.matched;
-            total.counter_increments += s.counter_increments;
-            total.control_sent += s.control_sent;
-            total.control_received += s.control_received;
-            total.control_sent_bytes += s.control_sent_bytes;
-            total.control_received_bytes += s.control_received_bytes;
-            total.drops += s.drops;
-            total.dups += s.dups;
-            total.delays += s.delays;
-            total.reorders += s.reorders;
-            total.modifies += s.modifies;
-            total.blackholed += s.blackholed;
-            total.rules_scanned += s.rules_scanned;
-            total.index_hits += s.index_hits;
-            total.residual_scans += s.residual_scans;
-            total.control_retransmits += s.control_retransmits;
-            total.control_dup_suppressed += s.control_dup_suppressed;
-            total.control_reorder_buffered += s.control_reorder_buffered;
-            total.control_stale_degradations += s.control_stale_degradations;
-            total.faults_in_limbo += s.faults_in_limbo;
-            total.reorder_malformed += s.reorder_malformed;
-            total.teardown_flushed += s.teardown_flushed;
-            total.modify_oob += s.modify_oob;
-            total.max_cascade_depth = total.max_cascade_depth.max(s.max_cascade_depth);
+            for (t, (_, value, kind)) in total.iter_mut().zip(s.fields()) {
+                *t = match kind {
+                    StatKind::HighWater => (*t).max(value),
+                    _ => *t + value,
+                };
+            }
         }
-        total
+        EngineStats::from_values(total.into_iter()).expect("a maximum of field values fits")
     }
 }
 
@@ -351,13 +315,34 @@ mod tests {
 
     #[test]
     fn stats_aggregation() {
-        let r = report(vec![], StopReason::StopAction("ok".into()));
+        let mut r = report(vec![], StopReason::StopAction("ok".into()));
+        r.stats.push((
+            "node2".into(),
+            EngineStats {
+                classified: 3,
+                max_cascade_depth: 1,
+                modify_oob: 9,
+                ..EngineStats::default()
+            },
+        ));
         let total = r.total_stats();
-        assert_eq!(total.classified, 7);
+        assert_eq!(total.classified, 10);
         assert_eq!(total.rules_scanned, 21);
         assert_eq!(total.index_hits, 4);
         assert_eq!(total.residual_scans, 3);
-        assert_eq!(total.max_cascade_depth, 2);
+        assert_eq!(total.modify_oob, 9);
+        assert_eq!(total.max_cascade_depth, 2, "a high-water mark, not a sum");
+
+        // The field table and its inverse agree; short input and a value
+        // too wide for its field are refused.
+        let values = total.fields().map(|(_, value, _)| value);
+        assert_eq!(EngineStats::from_values(values.into_iter()), Some(total));
+        assert_eq!(EngineStats::from_values(values[1..].iter().copied()), None);
+        let wide = total.fields().map(|(name, value, _)| match name {
+            "max_cascade_depth" => u64::MAX,
+            _ => value,
+        });
+        assert_eq!(EngineStats::from_values(wide.into_iter()), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use vw_netsim::{DeviceId, HookId, SimDuration, SimTime, World};
 use vw_obs::{MetricsRegistry, ObsEvent, SymbolTable};
 use vw_rll::{RllConfig, RllHook};
 
-use crate::engine::{Engine, EngineConfig, EngineStats};
+use crate::engine::{Engine, EngineConfig, EngineStats, StatKind};
 use crate::report::{Report, StopReason};
 use crate::ScriptError;
 
@@ -80,20 +80,6 @@ impl Runner {
         Self::try_install_inner(world, tables, cfg, Some(rll)).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`install_with_rll`](Runner::install_with_rll).
-    ///
-    /// # Errors
-    ///
-    /// One [`ScriptError`] naming every node that failed to bind.
-    pub fn try_install_with_rll(
-        world: &mut World,
-        tables: TableSet,
-        cfg: EngineConfig,
-        rll: RllConfig,
-    ) -> Result<Runner, ScriptError> {
-        Self::try_install_inner(world, tables, cfg, Some(rll))
-    }
-
     fn try_install_inner(
         world: &mut World,
         tables: TableSet,
@@ -159,13 +145,6 @@ impl Runner {
         let idx = self.tables.nodes.iter().position(|n| n.name == node)?;
         let (device, hook) = self.engines[idx];
         world.hook::<Engine>(device, hook)
-    }
-
-    /// Mutable access to the engine installed for a script node name.
-    pub fn engine_mut<'w>(&self, world: &'w mut World, node: &str) -> Option<&'w mut Engine> {
-        let idx = self.tables.nodes.iter().position(|n| n.name == node)?;
-        let (device, hook) = self.engines[idx];
-        world.hook_mut::<Engine>(device, hook)
     }
 
     /// Binds a `VAR` pattern on every engine.
@@ -340,54 +319,17 @@ impl Runner {
     ) -> MetricsRegistry {
         let mut metrics = MetricsRegistry::new();
         for (node, s) in stats {
-            metrics.add_counter(&format!("{node}.classified"), s.classified);
-            metrics.add_counter(&format!("{node}.matched"), s.matched);
-            metrics.add_counter(&format!("{node}.counter_increments"), s.counter_increments);
-            metrics.add_counter(&format!("{node}.control_sent"), s.control_sent);
-            metrics.add_counter(&format!("{node}.control_received"), s.control_received);
-            metrics.add_counter(&format!("{node}.control_sent_bytes"), s.control_sent_bytes);
-            metrics.add_counter(
-                &format!("{node}.control_received_bytes"),
-                s.control_received_bytes,
-            );
-            metrics.add_counter(&format!("{node}.drops"), s.drops);
-            metrics.add_counter(&format!("{node}.dups"), s.dups);
-            metrics.add_counter(&format!("{node}.delays"), s.delays);
-            metrics.add_counter(&format!("{node}.reorders"), s.reorders);
-            metrics.add_counter(&format!("{node}.modifies"), s.modifies);
-            metrics.add_counter(&format!("{node}.rules_scanned"), s.rules_scanned);
-            metrics.add_counter(
-                &format!("{node}.control_retransmits"),
-                s.control_retransmits,
-            );
-            metrics.add_counter(
-                &format!("{node}.control_dup_suppressed"),
-                s.control_dup_suppressed,
-            );
-            metrics.add_counter(
-                &format!("{node}.control_reorder_buffered"),
-                s.control_reorder_buffered,
-            );
-            metrics.add_counter(
-                &format!("{node}.control_stale_degradations"),
-                s.control_stale_degradations,
-            );
-            // Conservation diagnostics: recorded only when non-zero so
-            // clean runs keep their established metric shape.
-            for (key, value) in [
-                ("faults_in_limbo", s.faults_in_limbo),
-                ("reorder_malformed", s.reorder_malformed),
-                ("teardown_flushed", s.teardown_flushed),
-                ("modify_oob", s.modify_oob),
-            ] {
-                if value > 0 {
-                    metrics.add_counter(&format!("{node}.{key}"), value);
+            for (name, value, kind) in s.fields() {
+                let key = || [node, ".", name].concat();
+                match kind {
+                    StatKind::Counter => metrics.add_counter(&key(), value),
+                    StatKind::Diagnostic if value > 0 => metrics.add_counter(&key(), value),
+                    StatKind::HighWater => {
+                        metrics.set_gauge(&key(), i64::try_from(value).unwrap_or(i64::MAX));
+                    }
+                    StatKind::Diagnostic | StatKind::Internal => {}
                 }
             }
-            metrics.set_gauge(
-                &format!("{node}.max_cascade_depth"),
-                i64::from(s.max_cascade_depth),
-            );
         }
         for (node, counter, value) in counters {
             metrics.set_gauge(&format!("{node}.counter.{counter}"), *value);

@@ -137,8 +137,19 @@ impl Writer {
         self.0.extend_from_slice(&v.to_be_bytes());
     }
 
+    /// Writes a `u16` length prefix.
+    ///
+    /// # Panics
+    ///
+    /// If `n` does not fit. `vw_fsl::compile` bounds every name, message
+    /// and order list it emits, so only a hand-built table set gets here;
+    /// wrapping the prefix would decode as a different table set.
+    fn len(&mut self, n: usize) {
+        self.u16(u16::try_from(n).expect("length exceeds the control wire's u16 prefix"));
+    }
+
     fn string(&mut self, s: &str) {
-        self.u16(s.len() as u16);
+        self.len(s.len());
         self.0.extend_from_slice(s.as_bytes());
     }
 
@@ -276,11 +287,12 @@ pub fn encode(msg: &ControlMsg) -> Vec<u8> {
     w.0
 }
 
-/// Decodes a control payload.
+/// Decodes a control payload, which must be exactly one message.
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on truncation or unknown tags.
+/// Returns [`ParseError`] on truncation, unknown tags, or bytes left
+/// over after the message.
 pub fn decode(bytes: &[u8]) -> Result<ControlMsg, ParseError> {
     let mut r = Reader::new(bytes);
     let msg = match r.u8()? {
@@ -319,6 +331,12 @@ pub fn decode(bytes: &[u8]) -> Result<ControlMsg, ParseError> {
             )));
         }
     };
+    if r.pos != bytes.len() {
+        return Err(ParseError::new(format!(
+            "control message carries {} trailing bytes",
+            bytes.len() - r.pos
+        )));
+    }
     Ok(msg)
 }
 
@@ -614,11 +632,11 @@ impl SequenceReceiver {
 fn encode_tables(w: &mut Writer, t: &TableSet) {
     w.string(&t.scenario);
     w.opt_u64(t.timeout_ns);
-    w.u16(t.vars.len() as u16);
+    w.len(t.vars.len());
     for var in &t.vars {
         w.string(var);
     }
-    w.u16(t.filters.len() as u16);
+    w.len(t.filters.len());
     for f in &t.filters {
         w.string(&f.name);
         match f.discriminant {
@@ -628,7 +646,7 @@ fn encode_tables(w: &mut Writer, t: &TableSet) {
             }
             None => w.u8(0),
         }
-        w.u16(f.tuples.len() as u16);
+        w.len(f.tuples.len());
         for tuple in &f.tuples {
             w.u32(tuple.offset);
             w.u32(tuple.len);
@@ -645,13 +663,13 @@ fn encode_tables(w: &mut Writer, t: &TableSet) {
             }
         }
     }
-    w.u16(t.nodes.len() as u16);
+    w.len(t.nodes.len());
     for n in &t.nodes {
         w.string(&n.name);
         w.0.extend_from_slice(&n.mac.octets());
         w.0.extend_from_slice(&n.ip.octets());
     }
-    w.u16(t.counters.len() as u16);
+    w.len(t.counters.len());
     for c in &t.counters {
         w.string(&c.name);
         match c.kind {
@@ -670,45 +688,45 @@ fn encode_tables(w: &mut Writer, t: &TableSet) {
             CompiledCounterKind::Local => w.u8(1),
         }
         w.u16(c.home.0);
-        w.u16(c.affected_terms.len() as u16);
+        w.len(c.affected_terms.len());
         for term in &c.affected_terms {
             w.u16(term.0);
         }
-        w.u16(c.subscribers.len() as u16);
+        w.len(c.subscribers.len());
         for node in &c.subscribers {
             w.u16(node.0);
         }
     }
-    w.u16(t.terms.len() as u16);
+    w.len(t.terms.len());
     for term in &t.terms {
         encode_operand(w, term.lhs);
         encode_relop(w, term.op);
         encode_operand(w, term.rhs);
         w.u16(term.eval_node.0);
-        w.u16(term.conditions.len() as u16);
+        w.len(term.conditions.len());
         for cond in &term.conditions {
             w.u16(cond.0);
         }
     }
-    w.u16(t.conditions.len() as u16);
+    w.len(t.conditions.len());
     for cond in &t.conditions {
         encode_cond_node(w, &cond.expr);
-        w.u16(cond.eval_nodes.len() as u16);
+        w.len(cond.eval_nodes.len());
         for node in &cond.eval_nodes {
             w.u16(node.0);
         }
-        w.u16(cond.triggers.len() as u16);
+        w.len(cond.triggers.len());
         for (node, action) in &cond.triggers {
             w.u16(node.0);
             w.u16(action.0);
         }
-        w.u16(cond.gates.len() as u16);
+        w.len(cond.gates.len());
         for (node, action) in &cond.gates {
             w.u16(node.0);
             w.u16(action.0);
         }
     }
-    w.u16(t.actions.len() as u16);
+    w.len(t.actions.len());
     for action in &t.actions {
         w.u16(action.node.0);
         encode_action_kind(w, &action.kind);
@@ -1047,7 +1065,7 @@ fn encode_action_kind(w: &mut Writer, kind: &CompiledActionKind) {
             w.u16(to.0);
             encode_dir(w, *dir);
             w.u32(*count);
-            w.u16(order.len() as u16);
+            w.len(order.len());
             for o in order {
                 w.u32(*o);
             }

@@ -4,8 +4,6 @@
 //! `classified → counter → term → condition → action`, plus metrics and
 //! pcap assertions over the same run.
 
-#![cfg(feature = "obs")]
-
 use virtualwire::{
     compile_script, pcap, EngineConfig, ObsActionKind, ObsEvent, ObsLevel, Report, Runner,
 };

@@ -3,8 +3,10 @@
 //! including fuzzed mutations of valid encodings.
 
 use proptest::prelude::*;
-use virtualwire::wire::{build_frame, decode, encode, parse_frame, ControlMsg};
-use vw_fsl::{CondId, CounterId, NodeId, TermId};
+use virtualwire::wire::{
+    build_frame, decode, decode_sequenced, encode, encode_sequenced, parse_frame, ControlMsg,
+};
+use vw_fsl::{CompiledActionKind, CondId, CounterId, NodeId, TermId};
 use vw_packet::{EtherType, EthernetBuilder, MacAddr};
 
 fn sample_messages(seed: u16) -> Vec<ControlMsg> {
@@ -63,6 +65,63 @@ fn oversized_interior_length_errors() {
     assert!(decode(&lying_init).is_err());
 }
 
+const OVERLONG_SCRIPT_HEAD: &str = r#"
+    FILTER_TABLE
+    p: (12 2 0x9900)
+    END
+    NODE_TABLE
+    a 02:00:00:00:00:01 10.0.0.1
+    b 02:00:00:00:00:02 10.0.0.2
+    END
+    SCENARIO S
+    C: (p, a, b, RECV)
+"#;
+
+/// Lengths the `u16` prefixes cannot carry are refused where the script
+/// is compiled: a 70 000-byte `FLAG_ERROR` message used to compile, wrap
+/// its prefix to 4 464 and decode as a different table set.
+#[test]
+fn overlong_script_strings_fail_to_compile() {
+    let message = "m".repeat(70_000);
+    let long_message =
+        format!("{OVERLONG_SCRIPT_HEAD} ((C = 1)) >> FLAG_ERROR \"{message}\";\n END");
+    let err = virtualwire::compile_script(&long_message).unwrap_err();
+    assert!(err
+        .to_string()
+        .contains("FLAG_ERROR message of 70000 bytes"));
+
+    let name = "n".repeat(300);
+    let long_name = format!("{OVERLONG_SCRIPT_HEAD} {name}: (a)\n ((C = 1)) >> STOP;\n END");
+    let err = virtualwire::compile_script(&long_name).unwrap_err();
+    assert!(err.to_string().contains("counter name of 300 bytes"));
+
+    let huge_batch = format!(
+        "{OVERLONG_SCRIPT_HEAD} ((C = 1)) >> REORDER(p, a, b, RECV, 4000000000, (0));\n END"
+    );
+    let err = virtualwire::compile_script(&huge_batch).unwrap_err();
+    assert!(err.to_string().contains("REORDER of 4000000000 packets"));
+}
+
+/// A table set built by hand past those bounds cannot reach the wire:
+/// encoding it panics instead of wrapping the prefix.
+#[test]
+#[should_panic(expected = "u16 prefix")]
+fn hand_built_overlong_tables_cannot_be_encoded() {
+    let script = format!("{OVERLONG_SCRIPT_HEAD} ((C = 1)) >> FLAG_ERROR \"m\";\n END");
+    let mut tables = virtualwire::compile_script(&script).unwrap();
+    for action in &mut tables.actions {
+        if let CompiledActionKind::FlagError { message } = &mut action.kind {
+            *message = Some("m".repeat(70_000));
+        }
+    }
+    let sent = ControlMsg::Init {
+        tables: Box::new(tables),
+        you_are: NodeId(1),
+    };
+    // At the parent this returned `Ok` with a different table set.
+    assert_eq!(decode(&encode(&sent)).ok(), Some(sent));
+}
+
 /// A `0x88B5` frame whose payload is empty is an error, and a frame
 /// carrying any other EtherType is rejected before payload inspection.
 #[test]
@@ -114,18 +173,21 @@ proptest! {
         let _ = parse_frame(&frame);
     }
 
-    /// Appending trailing garbage to a valid encoding never changes the
-    /// decoded message (the codec is length-prefixed throughout) and
-    /// never panics.
+    /// A body is exactly one message: bytes left over after it are
+    /// refused, while frame padding past the header's declared body
+    /// length (outside the body) is still tolerated.
     #[test]
-    fn trailing_garbage_is_ignored(
+    fn trailing_garbage_is_refused(
         seed in any::<u16>(),
         tail in proptest::collection::vec(any::<u8>(), 1..64),
     ) {
         for msg in sample_messages(seed) {
             let mut bytes = encode(&msg);
             bytes.extend_from_slice(&tail);
-            prop_assert_eq!(decode(&bytes).unwrap(), msg);
+            prop_assert!(decode(&bytes).is_err());
+            let mut padded = encode_sequenced(7, 3, &msg);
+            padded.extend_from_slice(&tail);
+            prop_assert_eq!(decode_sequenced(&padded).unwrap().msg, msg);
         }
     }
 

@@ -6,6 +6,15 @@ use std::collections::HashSet;
 use crate::ast::*;
 use crate::error::FslError;
 
+/// Longest name a script may declare (scenario, `VAR`, packet definition,
+/// node, counter). The control plane carries strings under a `u16` length
+/// prefix and embeds node names in its own diagnostics, so names stay
+/// well inside it.
+pub const MAX_NAME_LEN: usize = 255;
+/// Longest `FLAG_ERROR` message (bytes) and `REORDER` batch: what the
+/// control plane's `u16` length prefix can carry.
+pub const MAX_WIRE_LEN: usize = u16::MAX as usize;
+
 /// Checks a parsed [`Program`] for semantic errors. Returns every problem
 /// found (not just the first), or `Ok(())` for a valid program.
 ///
@@ -13,9 +22,38 @@ use crate::error::FslError;
 ///
 /// The returned list covers: duplicate definitions; references to
 /// undefined packet types, nodes, counters, or variables; malformed filter
-/// tuples; invalid `REORDER` permutations; and scenarios without rules.
+/// tuples; invalid `REORDER` permutations; scenarios without rules; and
+/// names, messages or `REORDER` batches too long for the control plane
+/// ([`MAX_NAME_LEN`], [`MAX_WIRE_LEN`]).
 pub fn analyze(program: &Program) -> Result<(), Vec<FslError>> {
     let mut errors = Vec::new();
+
+    // ---- declared-name lengths ---------------------------------------
+    let filters = program
+        .filters
+        .iter()
+        .map(|f| ("packet definition", &f.name));
+    let nodes = program.nodes.iter().map(|n| ("node", &n.name));
+    let vars = program.vars.iter().map(|v| ("VAR", v));
+    let scenarios = program.scenarios.iter().map(|s| ("scenario", &s.name));
+    let counters = program
+        .scenarios
+        .iter()
+        .flat_map(|s| s.counters.iter().map(|c| ("counter", &c.name)));
+    let declared = filters
+        .chain(nodes)
+        .chain(vars)
+        .chain(scenarios)
+        .chain(counters);
+    for (what, name) in declared {
+        if name.len() > MAX_NAME_LEN {
+            errors.push(FslError::general(format!(
+                "{what} name of {} bytes exceeds the {MAX_NAME_LEN}-byte limit (`{}…`)",
+                name.len(),
+                name.chars().take(16).collect::<String>()
+            )));
+        }
+    }
 
     // ---- duplicate definitions ---------------------------------------
     let mut seen = HashSet::new();
@@ -231,14 +269,33 @@ fn analyze_scenario(
                     )));
                 }
             }
-            if let Action::Reorder { count, order, .. } = action {
-                let mut sorted: Vec<u32> = order.clone();
-                sorted.sort_unstable();
-                let expected: Vec<u32> = (0..*count).collect();
-                if sorted != expected {
+            if let Action::FlagError {
+                message: Some(message),
+            } = action
+            {
+                if message.len() > MAX_WIRE_LEN {
                     errors.push(FslError::general(format!(
-                        "{scen}: REORDER order {order:?} is not a permutation of 0..{count}"
+                        "{scen}: FLAG_ERROR message of {} bytes exceeds the {MAX_WIRE_LEN}-byte limit",
+                        message.len()
                     )));
+                }
+            }
+            if let Action::Reorder { count, order, .. } = action {
+                // Checked first: the permutation test allocates `count`
+                // entries.
+                if *count as usize > MAX_WIRE_LEN || order.len() > MAX_WIRE_LEN {
+                    errors.push(FslError::general(format!(
+                        "{scen}: REORDER of {count} packets exceeds the {MAX_WIRE_LEN}-packet limit"
+                    )));
+                } else {
+                    let mut sorted: Vec<u32> = order.clone();
+                    sorted.sort_unstable();
+                    let expected: Vec<u32> = (0..*count).collect();
+                    if sorted != expected {
+                        errors.push(FslError::general(format!(
+                            "{scen}: REORDER order {order:?} is not a permutation of 0..{count}"
+                        )));
+                    }
                 }
             }
         }

@@ -52,7 +52,6 @@
 
 mod analyze;
 pub mod ast;
-pub mod builder;
 mod compile;
 mod error;
 mod lexer;
@@ -60,7 +59,7 @@ mod parser;
 mod printer;
 pub mod token;
 
-pub use analyze::analyze;
+pub use analyze::{analyze, MAX_NAME_LEN, MAX_WIRE_LEN};
 pub use ast::{
     Action, CondExpr, CounterDecl, CounterKind, Dir, FilterDef, FilterTuple, ModifyPattern,
     NodeDef, Operand, PatternValue, Program, RelOp, Rule, Scenario, Term,

@@ -163,13 +163,6 @@ impl<'a> Context<'a> {
         self.charged
     }
 
-    /// Whether the world's trace sink is capturing. Callers that would
-    /// allocate to build a note (e.g. `format!`) should check this first —
-    /// or use [`trace_note_lazy`](Context::trace_note_lazy).
-    pub fn trace_active(&self) -> bool {
-        self.trace_enabled
-    }
-
     /// Appends a free-form note to the world trace. No-op (and no
     /// allocation of the effect) when tracing is disabled, but the `note`
     /// argument itself is still built by the caller — use

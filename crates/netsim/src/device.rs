@@ -71,8 +71,6 @@ pub(crate) struct Host {
     /// A failed host neither sends nor receives (used by tests; the FSL
     /// `FAIL` action instead installs a blackhole at the FIE).
     pub failed: bool,
-    /// A promiscuous host accepts frames regardless of destination MAC.
-    pub promiscuous: bool,
 }
 
 impl std::fmt::Debug for Host {
@@ -204,7 +202,6 @@ mod tests {
             hooks: Vec::new(),
             protocols: Vec::new(),
             failed: false,
-            promiscuous: false,
         });
         assert!(host.port(0).is_some());
         assert!(host.port(1).is_none());

@@ -234,21 +234,6 @@ impl ControlImpairment {
         }
     }
 
-    /// Delays each control frame with probability `p` by a fixed
-    /// `delay_ns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn delaying(p: f64, delay_ns: u64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "delay must be a probability");
-        ControlImpairment {
-            delay: p,
-            delay_ns,
-            ..Self::none()
-        }
-    }
-
     /// `true` for an impairment that can never touch a frame.
     pub fn is_inert(&self) -> bool {
         self.drop == 0.0 && self.dup == 0.0 && self.reorder == 0.0 && self.delay == 0.0

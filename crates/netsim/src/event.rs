@@ -203,6 +203,10 @@ enum Lane {
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn start(node: usize) -> EventKind {
@@ -245,5 +249,97 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(3)));
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
+    }
+
+    /// The contract's reference: one plain heap ordered by `(time, seq)`.
+    #[derive(Default)]
+    struct PlainHeap {
+        heap: BinaryHeap<(Reverse<u64>, Reverse<u64>)>,
+        next_seq: u64,
+        /// Time of the most recent pop.
+        now: u64,
+    }
+
+    impl PlainHeap {
+        fn push(&mut self, time: u64) {
+            self.next_seq += 1;
+            self.heap.push((Reverse(time), Reverse(self.next_seq)));
+        }
+
+        fn peek_time(&self) -> Option<u64> {
+            self.heap.peek().map(|&(Reverse(time), _)| time)
+        }
+
+        fn pop(&mut self) -> Option<(u64, u64)> {
+            let (Reverse(time), Reverse(seq)) = self.heap.pop()?;
+            self.now = time;
+            Some((time, seq))
+        }
+    }
+
+    fn key(event: Option<Event>) -> Option<(u64, u64)> {
+        event.map(|e| (e.time.as_nanos(), e.seq))
+    }
+
+    /// Push offsets from the queue's `now`, one range per choice: zero
+    /// (the ready lane), inside each of the wheel's four level spans
+    /// (2^19, 2^25, 2^31, 2^37 ns), and past the deepest span.
+    const OFFSET_BOUNDS: [u64; 7] = [0, 1, 1 << 19, 1 << 25, 1 << 31, 1 << 37, 1 << 40];
+
+    proptest! {
+        /// The three lanes are an optimisation, not a semantics: whatever
+        /// the interleaving of `push`, `push_timer`, `pop` and `pop_at`,
+        /// events leave in the `(time, seq)` order one plain heap gives.
+        /// Times are drawn at or after `now`: the world's clock is
+        /// monotone, and the ready lane's FIFO relies on it.
+        #[test]
+        fn lanes_pop_like_one_plain_heap(
+            ops in proptest::collection::vec((0u8..7, 0usize..7, any::<u64>()), 1..300),
+        ) {
+            let at = SimTime::from_nanos;
+            let mut q = EventQueue::new();
+            let mut reference = PlainHeap::default();
+            let mut last_pushed = 0;
+            for (op, span, r) in ops {
+                match op {
+                    // Pushes: 0 and 1 through the ready lane or the heap,
+                    // 2 and 3 through the wheel.
+                    0..=3 => {
+                        let time = match span {
+                            6 => last_pushed.max(reference.now),
+                            _ => {
+                                let (lo, hi) = (OFFSET_BOUNDS[span], OFFSET_BOUNDS[span + 1]);
+                                reference.now + lo + r % (hi - lo)
+                            }
+                        };
+                        last_pushed = time;
+                        reference.push(time);
+                        if op < 2 {
+                            q.push(at(time), start(0));
+                        } else {
+                            q.push_timer(at(time), start(0));
+                        }
+                    }
+                    4 => prop_assert_eq!(key(q.pop()), reference.pop()),
+                    // `pop_at` pops exactly when the head is due at the
+                    // time asked for, and leaves the queue alone otherwise.
+                    5 => match reference.peek_time() {
+                        Some(head) => prop_assert_eq!(key(q.pop_at(at(head))), reference.pop()),
+                        None => prop_assert!(q.pop_at(at(reference.now)).is_none()),
+                    },
+                    _ => {
+                        let head = reference.peek_time();
+                        prop_assert_eq!(q.peek_time().map(|t| t.as_nanos()), head);
+                        let miss = head.map_or(reference.now, |t| t + 1 + r % 1000);
+                        prop_assert!(q.pop_at(at(miss)).is_none());
+                    }
+                }
+                prop_assert_eq!(q.len(), reference.heap.len());
+            }
+            while let Some(expected) = reference.pop() {
+                prop_assert_eq!(key(q.pop()), Some(expected));
+            }
+            prop_assert!(q.pop().is_none());
+        }
     }
 }

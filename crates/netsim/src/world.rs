@@ -167,7 +167,6 @@ impl World {
             hooks: Vec::new(),
             protocols: Vec::new(),
             failed: false,
-            promiscuous: false,
         }));
         self.trace.register_device(id, name);
         id
@@ -391,18 +390,6 @@ impl World {
             .failed = failed;
     }
 
-    /// Enables or disables promiscuous reception on a host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not a host.
-    pub fn set_promiscuous(&mut self, node: DeviceId, promiscuous: bool) {
-        self.devices[node.index()]
-            .as_host_mut()
-            .expect("host")
-            .promiscuous = promiscuous;
-    }
-
     /// Sets the control-plane impairment: drop/duplicate/reorder/delay
     /// applied to VirtualWire control frames (`0x88B5`) only, on their
     /// final hop to a host, so per-frame rates are exact regardless of
@@ -609,8 +596,7 @@ impl World {
                     );
                     return;
                 }
-                let accept = h.promiscuous
-                    || frame.dst() == h.mac
+                let accept = frame.dst() == h.mac
                     || frame.dst().is_broadcast()
                     || frame.dst().is_multicast();
                 if !accept {

@@ -130,11 +130,6 @@ impl<'a> Ipv4Header<'a> {
         IpProtocol(self.ip()[9])
     }
 
-    /// The header checksum field as transmitted.
-    pub fn header_checksum(&self) -> u16 {
-        u16::from_be_bytes([self.ip()[10], self.ip()[11]])
-    }
-
     /// Source IPv4 address.
     pub fn src(&self) -> Ipv4Addr {
         let b = self.ip();

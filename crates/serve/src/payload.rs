@@ -670,97 +670,15 @@ fn decode_digest(buf: &[u8], pos: &mut usize) -> Option<OutcomeDigest> {
     })
 }
 
+// One `u64` per field, in `EngineStats::fields` order.
 fn encode_engine_stats(w: &mut Vec<u8>, stats: &EngineStats) {
-    // Exhaustive destructuring (no `..`): adding an EngineStats field
-    // breaks this codec at compile time instead of silently dropping the
-    // field from checkpoints.
-    let EngineStats {
-        classified,
-        matched,
-        counter_increments,
-        control_sent,
-        control_received,
-        control_sent_bytes,
-        control_received_bytes,
-        drops,
-        dups,
-        delays,
-        reorders,
-        modifies,
-        blackholed,
-        rules_scanned,
-        index_hits,
-        residual_scans,
-        max_cascade_depth,
-        control_retransmits,
-        control_dup_suppressed,
-        control_reorder_buffered,
-        control_stale_degradations,
-        faults_in_limbo,
-        reorder_malformed,
-        teardown_flushed,
-        modify_oob,
-    } = *stats;
-    for v in [
-        classified,
-        matched,
-        counter_increments,
-        control_sent,
-        control_received,
-        control_sent_bytes,
-        control_received_bytes,
-        drops,
-        dups,
-        delays,
-        reorders,
-        modifies,
-        blackholed,
-        rules_scanned,
-        index_hits,
-        residual_scans,
-        u64::from(max_cascade_depth),
-        control_retransmits,
-        control_dup_suppressed,
-        control_reorder_buffered,
-        control_stale_degradations,
-        faults_in_limbo,
-        reorder_malformed,
-        teardown_flushed,
-        modify_oob,
-    ] {
-        put_u64(w, v);
+    for (_, value, _) in stats.fields() {
+        put_u64(w, value);
     }
 }
 
 fn decode_engine_stats(buf: &[u8], pos: &mut usize) -> Option<EngineStats> {
-    let mut next = || get_u64(buf, pos);
-    Some(EngineStats {
-        classified: next()?,
-        matched: next()?,
-        counter_increments: next()?,
-        control_sent: next()?,
-        control_received: next()?,
-        control_sent_bytes: next()?,
-        control_received_bytes: next()?,
-        drops: next()?,
-        dups: next()?,
-        delays: next()?,
-        reorders: next()?,
-        modifies: next()?,
-        blackholed: next()?,
-        rules_scanned: next()?,
-        index_hits: next()?,
-        residual_scans: next()?,
-        max_cascade_depth: u32::try_from(next()?).ok()?,
-        control_retransmits: next()?,
-        control_dup_suppressed: next()?,
-        control_reorder_buffered: next()?,
-        control_stale_degradations: next()?,
-        faults_in_limbo: next()?,
-        reorder_malformed: next()?,
-        teardown_flushed: next()?,
-        modify_oob: next()?,
-    })
+    EngineStats::from_values(std::iter::from_fn(|| get_u64(buf, pos)))
 }
 
 // ---- little-endian primitive helpers ----

@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -43,6 +43,7 @@ use crate::journal::{Journal, JournalEvent, Severity};
 use crate::payload::{
     encode_outcome_line, Accepted, ErrorCode, Submission, Subscribe, TelemetryDelta,
 };
+use crate::server::DaemonConfig;
 use crate::setup::{SetupHandle, SetupRegistry};
 
 /// Per-connection and daemon-wide submission limits.
@@ -62,36 +63,6 @@ impl Default for QuotaConfig {
             max_active_campaigns: 32,
             max_campaigns_per_conn: 4,
             max_instances_per_campaign: 100_000,
-        }
-    }
-}
-
-/// Knobs the scheduler needs (a subset of the daemon config).
-#[derive(Debug, Clone)]
-pub struct SchedConfig {
-    /// Shard size used when a submission passes `0`.
-    pub default_shard_size: usize,
-    /// Unsent-backlog threshold that pauses a campaign's dispatch.
-    pub max_unsent_instances: usize,
-    /// Submission limits.
-    pub quota: QuotaConfig,
-    /// Floor for subscriber-requested telemetry tick intervals (ms).
-    pub telemetry_min_interval_ms: u64,
-    /// Journal ring capacity (entries).
-    pub journal_capacity: usize,
-    /// A shard running longer than this (ms) journals `WorkerStalled`.
-    pub stall_warn_ms: u64,
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        SchedConfig {
-            default_shard_size: 8,
-            max_unsent_instances: 256,
-            quota: QuotaConfig::default(),
-            telemetry_min_interval_ms: 50,
-            journal_capacity: 1024,
-            stall_warn_ms: 5_000,
         }
     }
 }
@@ -355,8 +326,8 @@ struct Job {
 /// pool, and pumps subscriber emission. Shared behind an `Arc` by the
 /// daemon's worker, acceptor, and connection threads.
 pub(crate) struct Scheduler {
-    cfg: SchedConfig,
-    state_dir: PathBuf,
+    /// As clamped by [`Daemon::start`](crate::Daemon::start).
+    cfg: DaemonConfig,
     registry: SetupRegistry,
     inner: Mutex<Inner>,
     work_cv: Condvar,
@@ -370,11 +341,10 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    pub(crate) fn new(cfg: SchedConfig, state_dir: PathBuf, registry: SetupRegistry) -> Self {
+    pub(crate) fn new(cfg: DaemonConfig, registry: SetupRegistry) -> Self {
         let journal = Journal::new(cfg.journal_capacity);
         let scheduler = Scheduler {
             cfg,
-            state_dir,
             registry,
             inner: Mutex::new(Inner {
                 campaigns: BTreeMap::new(),
@@ -483,7 +453,7 @@ impl Scheduler {
             ));
         }
         let shard_size = if submission.shard_size == 0 {
-            self.cfg.default_shard_size
+            self.cfg.shard_size
         } else {
             submission.shard_size as usize
         };
@@ -523,7 +493,7 @@ impl Scheduler {
             ));
         }
 
-        let log_path = self.state_dir.join(log_file_name(&submission.campaign));
+        let log_path = self.cfg.state_dir.join(log_file_name(&submission.campaign));
         let mut writer = CheckpointWriter::open(&log_path)
             .map_err(|e| (ErrorCode::Internal, format!("checkpoint open: {e}")))?;
         // A submission that stores its shard-size choice resumes under
@@ -635,7 +605,7 @@ impl Scheduler {
     /// stay attachable. Returns how many campaigns were restored.
     pub(crate) fn resume_from_state_dir(&self) -> io::Result<usize> {
         let mut restored = 0;
-        let entries = match std::fs::read_dir(&self.state_dir) {
+        let entries = match std::fs::read_dir(&self.cfg.state_dir) {
             Ok(entries) => entries,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
             Err(e) => return Err(e),

@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use crate::frame::{DecodeBuffer, Frame, FrameType};
 use crate::payload::{encode_error, ErrorCode, Submission};
-use crate::scheduler::{Outbox, Pop, QuotaConfig, SchedConfig, Scheduler};
+use crate::scheduler::{Outbox, Pop, QuotaConfig, Scheduler};
 use crate::setup::SetupRegistry;
 
 /// Daemon configuration.
@@ -144,21 +144,13 @@ impl Daemon {
     /// found there, and starts the worker pool. No listener is bound
     /// yet — call [`bind_unix`](Daemon::bind_unix) /
     /// [`bind_tcp`](Daemon::bind_tcp).
-    pub fn start(config: DaemonConfig, registry: SetupRegistry) -> io::Result<Daemon> {
+    pub fn start(mut config: DaemonConfig, registry: SetupRegistry) -> io::Result<Daemon> {
+        config.workers = config.workers.max(1);
+        config.shard_size = config.shard_size.max(1);
+        config.telemetry_min_interval_ms = config.telemetry_min_interval_ms.max(1);
+        config.stall_warn_ms = config.stall_warn_ms.max(1);
         std::fs::create_dir_all(&config.state_dir)?;
-        let sched_cfg = SchedConfig {
-            default_shard_size: config.shard_size.max(1),
-            max_unsent_instances: config.max_unsent_instances,
-            quota: config.quota,
-            telemetry_min_interval_ms: config.telemetry_min_interval_ms.max(1),
-            journal_capacity: config.journal_capacity,
-            stall_warn_ms: config.stall_warn_ms.max(1),
-        };
-        let scheduler = Arc::new(Scheduler::new(
-            sched_cfg,
-            config.state_dir.clone(),
-            registry,
-        ));
+        let scheduler = Arc::new(Scheduler::new(config.clone(), registry));
         // The journal mirrors to disk next to the checkpoint logs; a
         // sink that can't open is reported but non-fatal.
         if let Err(e) = scheduler
@@ -176,22 +168,21 @@ impl Daemon {
             outbox_frames: config.outbox_frames,
             unix_paths: Mutex::new(Vec::new()),
         };
-        let workers = config.workers.max(1);
         let mut threads = daemon.threads.lock().unwrap();
-        for worker_id in 0..workers {
+        for worker_id in 0..config.workers {
             let scheduler = Arc::clone(&scheduler);
             threads.push(std::thread::spawn(move || {
                 scheduler.worker_loop(worker_id as u64)
             }));
         }
-        scheduler.set_worker_count(workers);
+        scheduler.set_worker_count(config.workers);
         // The telemetry ticker paces subscriber deltas and stall checks;
         // it polls faster than the minimum subscriber interval so due
         // times are honored with little jitter.
         {
             let scheduler = Arc::clone(&scheduler);
             let shutdown = Arc::clone(&daemon.shutdown);
-            let pace = Duration::from_millis(config.telemetry_min_interval_ms.clamp(1, 20));
+            let pace = Duration::from_millis(config.telemetry_min_interval_ms.min(20));
             threads.push(std::thread::spawn(move || {
                 while !shutdown.load(Ordering::Relaxed) {
                     scheduler.telemetry_tick();

@@ -269,11 +269,6 @@ impl TcpSocket {
         self.remote
     }
 
-    /// Bytes queued but not yet acknowledged.
-    pub fn unacked_len(&self) -> usize {
-        self.send_len()
-    }
-
     /// `true` once every queued byte (and FIN, if any) is acknowledged.
     pub fn send_complete(&self) -> bool {
         self.send_len() == 0 && (!self.fin_queued || self.fin_acked())

@@ -19,10 +19,9 @@
 //!
 //! Recording is per-thread and lock-free: a span is two `Instant` reads
 //! and a ring-buffer write. When the collector is not [`enable`]d the
-//! guard constructor is a single thread-local flag read. With the crate's
-//! `trace` feature disabled (`--no-default-features`), [`SpanGuard`] is a
-//! zero-sized type and every call site compiles to nothing — the same
-//! compile-out pattern as the core crate's `obs` feature.
+//! guard constructor is a single thread-local flag read. There is one
+//! build: that check is part of every `vwbench` metric, and
+//! `trace.overhead_pct` is what enabling the collector adds.
 //!
 //! ## Determinism
 //!
@@ -41,7 +40,6 @@
 //!     let _work = span("work", Category::Other);
 //! }
 //! let trace = vw_trace::disable();
-//! # #[cfg(feature = "trace")]
 //! assert_eq!(trace.records.len(), 2);
 //! let json = trace.to_chrome_json();
 //! vw_trace::validate_chrome_json(&json).unwrap();

@@ -8,19 +8,32 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+# Every suite runs here, once. The ones that gate a contract:
+# - control-plane fault matrix (control_plane_reliability): every
+#   distributed scenario converges to the fault-free report under
+#   {drop,dup,reorder,delay} x {0..30%} on the 0x88B5 control frames, with
+#   staleness flagged loudly, never silently;
+# - analysis (vw-analysis, analysis_suite): cross-node timeline merge,
+#   invariant checking (zero violations on clean runs, seeded orphan
+#   detected), campaign analytics determinism + regression diff;
+# - campaign (campaign_smoke, determinism): a small sweep dedups into
+#   several outcome classes, the shrinker halves a failing instance's rule
+#   count, and the JSONL is byte-identical across thread counts;
+# - script + conformance (vw-script, conformance_models,
+#   conformance_determinism): parser and runtime suites with their
+#   round-trip and robustness properties, the reference-model scenarios on
+#   the paper's §6.1/§6.2 testbeds, thread-count determinism of
+#   conformance-keyed digests;
+# - trace (vw-trace): span collection, export and self-time partitioning;
+# - serve (vw-serve, daemon_smoke, kill_resume, telemetry): the protocol
+#   robustness corpus, typed service errors, quota + backpressure, and the
+#   real binary on a unix socket — SIGKILL mid-sweep, restart on the same
+#   state dir, re-streamed JSONL byte-identical to a direct run_campaign at
+#   1/2/8 workers; streaming subscriptions during multi-campaign runs,
+#   slow-subscriber drops, and the determinism pins with a subscriber
+#   attached.
 echo "==> cargo test"
 cargo test -q --workspace --no-fail-fast
-
-# Feature matrix: the obs feature only constant-folds the flight recorder's
-# recording paths — the API must build and test identically without it.
-echo "==> cargo test (no default features)"
-cargo test -q -p virtualwire --no-default-features
-
-# Control-plane fault matrix: every distributed scenario must converge to
-# the fault-free report under {drop,dup,reorder,delay} x {0..30%} on the
-# 0x88B5 control frames, with staleness flagged loudly, never silently.
-echo "==> control-matrix"
-cargo test -q -p virtualwire --test control_plane_reliability
 
 echo "==> example smoke: obs_flight_recorder"
 cargo run -q --release --example obs_flight_recorder > /dev/null
@@ -28,67 +41,34 @@ cargo run -q --release --example obs_flight_recorder > /dev/null
 echo "==> example smoke: trace_dump (pcap export round-trip)"
 cargo run -q --release --example trace_dump > /dev/null
 
-# Fault analysis engine: cross-node timeline merge, invariant checking
-# (zero violations on clean runs, seeded orphan detected), and campaign
-# analytics determinism + regression diff.
-echo "==> analysis"
-cargo test -q -p vw-analysis
-cargo test -q --test analysis_suite
+echo "==> example smoke: fault_analysis"
 cargo run -q --release --example fault_analysis > /dev/null
 
-# Campaign engine: a small sweep must dedup into multiple outcome classes
-# and the shrinker must halve a failing instance's rule count; the
-# determinism suite pins byte-identical JSONL across thread counts. The
-# example then runs the full 216-instance sweep end to end.
-echo "==> campaign-smoke"
-cargo test -q -p vw-campaign --test campaign_smoke --test determinism
+# The full 216-instance sweep end to end.
+echo "==> example smoke: campaign_sweep"
 cargo run -q --release --example campaign_sweep > /dev/null
 
-# Scripted stimulus + protocol conformance: the vw-script parser and
-# runtime suites (round-trip and robustness property tests included),
-# the reference-model scenarios on the paper's §6.1/§6.2 testbeds (clean
-# runs conform; seeded faults produce their documented violation class),
-# the thread-count determinism of conformance-keyed campaign digests,
-# and the end-to-end scripted stimulus + sweep example.
-echo "==> script-smoke"
-cargo test -q -p vw-script
-cargo test -q --test conformance_models
-cargo test -q -p vw-analysis --test conformance_determinism
+# Scripted stimulus + conformance sweep end to end.
+echo "==> example smoke: scripted_conformance"
 cargo run -q --release --example scripted_conformance > /dev/null
 
-# Trace smoke: the span profiler must collect a real run, export Chrome
-# trace JSON that round-trips the vendored parser (the example
-# self-checks both, plus the 5% self-time coverage bound), and the whole
-# feature matrix must build: tracing compiled out (ZST guards), obs off,
-# and both on.
-echo "==> trace-smoke"
-cargo test -q -p vw-trace
-cargo test -q -p vw-trace --no-default-features
+# The span profiler collects a real run and exports Chrome trace JSON that
+# round-trips the vendored parser (the example self-checks both, plus the
+# 5% self-time coverage bound).
+echo "==> example smoke: profile_run"
 cargo run -q --release --example profile_run > /dev/null
-cargo build -q -p virtualwire --no-default-features --features obs
-cargo build -q -p virtualwire --no-default-features --features trace
 
-# Serve smoke: the fault-injection daemon end to end. The protocol
-# robustness corpus, typed service errors, quota + backpressure
-# semantics, and — via the daemon_smoke/kill_resume suites — the real
-# binary on a unix socket: submit through the framed client, SIGKILL it
-# mid-sweep, restart on the same state dir, and diff the re-streamed
-# JSONL byte-for-byte against an uninterrupted direct run_campaign at
-# 1/2/8 workers. The load_test example then drives 9 concurrent clients
-# with a stalled reader and an over-quota rejection.
-echo "==> serve-smoke"
-cargo test -q -p vw-serve
+# 9 concurrent clients with a stalled reader and an over-quota rejection.
+echo "==> example smoke: load_test"
 cargo run -q --release --example load_test > /dev/null
 
-# Telemetry smoke: the live telemetry plane end to end. The integration
-# suite covers streaming subscriptions during multi-campaign runs, the
-# slow-subscriber drop semantics, and the determinism pins with a
-# subscriber attached; the watch_daemon example self-validates a full
-# subscribe -> progress -> journal round trip; and `vw-serve top` runs
-# as a real client against the real binary on a unix socket.
+# Telemetry smoke: the watch_daemon example self-validates a full
+# subscribe -> progress -> journal round trip; then `vw-serve top` runs as
+# a real client against the real binary on a unix socket.
 echo "==> telemetry-smoke"
-cargo test -q -p vw-serve --test telemetry
 cargo run -q --release --example watch_daemon > /dev/null
+# The root package's build covers vw-serve's library only, not its binary.
+cargo build -q --release -p vw-serve
 VW_TELE_SOCK="target/vw-ci-telemetry.sock"
 rm -f "$VW_TELE_SOCK"
 ./target/release/vw-serve --unix "$VW_TELE_SOCK" \
