@@ -158,21 +158,12 @@ impl ShardPlan {
 
 /// Runs a contiguous slice of instances sequentially in order, returning
 /// `(outcome, wall_ns)` per instance — one shard's worth of work for a
-/// pool that schedules [`ShardPlan`] shards across campaigns.
-pub fn run_shard<S: Setup>(
-    instances: &[Instance],
-    setup: &S,
-    deadline: SimDuration,
-) -> Vec<(InstanceOutcome, u64)> {
-    run_shard_observed(instances, setup, deadline, |_, _| {})
-}
-
-/// [`run_shard`] with a per-instance observer called as each instance
-/// finishes, receiving the outcome and its wall time in nanoseconds.
-/// The observer is telemetry-only: it sees copies of facts already on
-/// the result path and cannot perturb outcomes — this is how the
-/// `vw-serve` scheduler feeds per-campaign rate/latency windows without
-/// waiting for whole shards to land.
+/// pool that schedules [`ShardPlan`] shards across campaigns. `observe`
+/// is called as each instance finishes with the outcome and its wall
+/// time in nanoseconds. The observer is telemetry-only: it sees copies of
+/// facts already on the result path and cannot perturb outcomes — this is
+/// how the `vw-serve` scheduler feeds per-campaign rate/latency windows
+/// without waiting for whole shards to land.
 pub fn run_shard_observed<S: Setup>(
     instances: &[Instance],
     setup: &S,
@@ -200,7 +191,7 @@ pub fn run_one<S: Setup>(instance: &Instance, setup: &S, deadline: SimDuration) 
 /// [`run_one`], also measuring the instance's wall-clock duration in
 /// nanoseconds (saturated to `u64`). The duration is diagnostic only —
 /// it never participates in outcome digests.
-pub fn run_one_timed<S: Setup>(
+fn run_one_timed<S: Setup>(
     instance: &Instance,
     setup: &S,
     deadline: SimDuration,
@@ -283,30 +274,16 @@ pub fn run_campaign_with_progress<S: Setup>(
 ) -> Result<CampaignResult, CampaignError> {
     cfg.validate()?;
     let instances = spec.enumerate()?;
-    let timed = run_instances_timed(&instances, setup, cfg, sink);
-    Ok(CampaignResult::build_timed(
+    let timed = run_instances(&instances, setup, cfg, sink);
+    Ok(CampaignResult::build(
         &spec.name, &instances, timed, cfg.key,
     ))
 }
 
-/// Runs an explicit instance list, returning one outcome per instance in
-/// instance-list order. Exposed for the shrinker and for callers that
-/// post-filter the enumeration.
-pub fn run_instances<S: Setup>(
-    instances: &[Instance],
-    setup: &S,
-    cfg: &ExecConfig,
-) -> Vec<InstanceOutcome> {
-    run_instances_timed(instances, setup, cfg, &NullProgress)
-        .into_iter()
-        .map(|(outcome, _)| outcome)
-        .collect()
-}
-
-/// [`run_instances`] with per-instance wall-clock durations (ns) and a
-/// progress sink. Sharding is identical to [`run_instances`]; the sink
-/// and the timings ride alongside the result path without touching it.
-pub fn run_instances_timed<S: Setup>(
+/// Runs an instance list on `cfg.threads` workers, returning one
+/// `(outcome, wall_ns)` per instance in instance-list order. The sink and
+/// the timings ride alongside the result path without touching it.
+fn run_instances<S: Setup>(
     instances: &[Instance],
     setup: &S,
     cfg: &ExecConfig,
@@ -397,6 +374,22 @@ mod tests {
         }
     }
 
+    fn outcomes<S: Setup>(
+        instances: &[Instance],
+        setup: &S,
+        threads: usize,
+    ) -> Vec<InstanceOutcome> {
+        run_instances(
+            instances,
+            setup,
+            &ExecConfig::threads(threads),
+            &NullProgress,
+        )
+        .into_iter()
+        .map(|(outcome, _)| outcome)
+        .collect()
+    }
+
     #[test]
     fn invalid_program_becomes_an_invalid_outcome_not_a_crash() {
         let mut program = parse(SCRIPT).unwrap();
@@ -484,15 +477,15 @@ mod tests {
         let plan = ShardPlan::new(instances.len(), 3);
         let mut stitched = Vec::new();
         for shard in 0..plan.count() {
-            let part = run_shard(
+            let part = run_shard_observed(
                 &instances[plan.range(shard)],
                 &setup,
                 SimDuration::from_secs(1),
+                |_, _| {},
             );
             stitched.extend(part.into_iter().map(|(o, _)| o));
         }
-        let direct = run_instances(&instances, &setup, &ExecConfig::threads(1));
-        assert_eq!(stitched, direct);
+        assert_eq!(stitched, outcomes(&instances, &setup, 1));
     }
 
     #[test]
@@ -507,9 +500,9 @@ mod tests {
         let setup = |_tables: &TableSet, run: &RunConfig| -> Result<(World, Runner), ScriptError> {
             panic!("probe seed {}", run.seed);
         };
-        let solo = run_instances(&instances, &setup, &ExecConfig::threads(1));
+        let solo = outcomes(&instances, &setup, 1);
         for threads in [2, 3, 8, 64] {
-            let pooled = run_instances(&instances, &setup, &ExecConfig::threads(threads));
+            let pooled = outcomes(&instances, &setup, threads);
             assert_eq!(solo, pooled, "thread count {threads} changed results");
         }
     }

@@ -68,8 +68,8 @@ mod shrink;
 mod spec;
 
 pub use exec::{
-    run_campaign, run_campaign_with_progress, run_instances, run_instances_timed, run_one,
-    run_one_timed, run_shard, run_shard_observed, ExecConfig, Setup, ShardPlan,
+    run_campaign, run_campaign_with_progress, run_one, run_shard_observed, ExecConfig, Setup,
+    ShardPlan,
 };
 pub use outcome::{
     fnv1a64, CampaignResult, DigestKey, InstanceOutcome, InstanceRecord, MetricsDigest,

@@ -485,46 +485,17 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
-    /// Groups `(instance, outcome)` pairs into classes. `outcomes` must
-    /// be sorted ascending by instance index (the executor guarantees
-    /// this), which makes class order and membership independent of the
-    /// thread count that produced them.
+    /// Groups instances and their `(outcome, wall_ns)` pairs into
+    /// classes. `outcomes` must be sorted ascending by instance index
+    /// (the executor guarantees this), which makes class order and
+    /// membership independent of the thread count that produced them.
+    /// Wall-clock durations (nanoseconds) never affect class membership;
+    /// they surface in JSONL only behind [`DigestKey::durations`] and feed
+    /// analyzer aggregates.
     pub fn build(
         name: &str,
         instances: &[Instance],
-        outcomes: Vec<InstanceOutcome>,
-        key: DigestKey,
-    ) -> Self {
-        Self::build_inner(
-            name,
-            instances,
-            outcomes.into_iter().map(|o| (o, None)),
-            key,
-        )
-    }
-
-    /// [`build`](Self::build) with per-instance wall-clock durations
-    /// (nanoseconds) carried alongside each outcome. Durations never
-    /// affect class membership; they surface in JSONL only behind
-    /// [`DigestKey::durations`] and feed analyzer aggregates.
-    pub fn build_timed(
-        name: &str,
-        instances: &[Instance],
         outcomes: Vec<(InstanceOutcome, u64)>,
-        key: DigestKey,
-    ) -> Self {
-        Self::build_inner(
-            name,
-            instances,
-            outcomes.into_iter().map(|(o, ns)| (o, Some(ns))),
-            key,
-        )
-    }
-
-    fn build_inner(
-        name: &str,
-        instances: &[Instance],
-        outcomes: impl ExactSizeIterator<Item = (InstanceOutcome, Option<u64>)>,
         key: DigestKey,
     ) -> Self {
         assert_eq!(instances.len(), outcomes.len(), "one outcome per instance");
@@ -549,7 +520,7 @@ impl CampaignResult {
                 index: instance.index,
                 labels: instance.labels.clone(),
                 outcome,
-                wall_ns,
+                wall_ns: Some(wall_ns),
             });
         }
         CampaignResult {
@@ -732,6 +703,18 @@ mod tests {
         }
     }
 
+    /// [`CampaignResult::build`] for tests that do not care about wall
+    /// times.
+    fn build(
+        name: &str,
+        instances: &[Instance],
+        outcomes: Vec<InstanceOutcome>,
+        key: DigestKey,
+    ) -> CampaignResult {
+        let timed = outcomes.into_iter().map(|o| (o, 0)).collect();
+        CampaignResult::build(name, instances, timed, key)
+    }
+
     #[test]
     fn identical_outcomes_collapse_into_one_class() {
         let instances: Vec<Instance> = (0..4).map(instance).collect();
@@ -741,7 +724,7 @@ mod tests {
             InstanceOutcome::Completed(digest(false, 28, vec![("node1", "boom")])),
             InstanceOutcome::Completed(digest(true, 29, vec![])),
         ];
-        let result = CampaignResult::build("t", &instances, outcomes, DigestKey::default());
+        let result = build("t", &instances, outcomes, DigestKey::default());
         assert_eq!(result.classes.len(), 2);
         assert_eq!(result.classes[0].members, vec![0, 1, 3]);
         assert_eq!(result.classes[1].members, vec![2]);
@@ -759,10 +742,10 @@ mod tests {
             InstanceOutcome::Completed(digest(true, 29, vec![])),
             InstanceOutcome::Completed(noisy.clone()),
         ];
-        let result = CampaignResult::build("t", &instances, outcomes.clone(), DigestKey::default());
+        let result = build("t", &instances, outcomes.clone(), DigestKey::default());
         assert_eq!(result.classes.len(), 1);
         // ... but keying on stats does split them.
-        let keyed = CampaignResult::build(
+        let keyed = build(
             "t",
             &instances,
             outcomes,
@@ -782,7 +765,7 @@ mod tests {
             InstanceOutcome::Crashed("worker panic".into()),
             InstanceOutcome::Invalid("no scenario".into()),
         ];
-        let result = CampaignResult::build("t", &instances, outcomes, DigestKey::default());
+        let result = build("t", &instances, outcomes, DigestKey::default());
         assert_eq!(result.classes.len(), 2);
         assert_eq!(result.classes[0].members, vec![0, 2]);
         assert_eq!(result.kind_counts(), (0, 2, 0, 1));
@@ -795,7 +778,7 @@ mod tests {
             InstanceOutcome::Completed(digest(true, 29, vec![])),
             InstanceOutcome::Completed(digest(false, 28, vec![("node1", "two drops")])),
         ];
-        let result = CampaignResult::build("demo", &instances, outcomes, DigestKey::default());
+        let result = build("demo", &instances, outcomes, DigestKey::default());
         let a = result.to_jsonl();
         let b = result.to_jsonl();
         assert_eq!(a, b);
@@ -838,9 +821,9 @@ mod tests {
             InstanceOutcome::Completed(digest(true, 29, vec![])),
             InstanceOutcome::Completed(noisy),
         ];
-        let result = CampaignResult::build("t", &instances, outcomes.clone(), DigestKey::default());
+        let result = build("t", &instances, outcomes.clone(), DigestKey::default());
         assert_eq!(result.classes.len(), 1);
-        let keyed = CampaignResult::build(
+        let keyed = build(
             "t",
             &instances,
             outcomes,
@@ -877,9 +860,9 @@ mod tests {
             InstanceOutcome::Completed(clean),
             InstanceOutcome::Completed(violating),
         ];
-        let result = CampaignResult::build("t", &instances, outcomes.clone(), DigestKey::default());
+        let result = build("t", &instances, outcomes.clone(), DigestKey::default());
         assert_eq!(result.classes.len(), 1, "off by default: one class");
-        let keyed = CampaignResult::build(
+        let keyed = build(
             "t",
             &instances,
             outcomes,
@@ -909,15 +892,14 @@ mod tests {
             (InstanceOutcome::Completed(digest(false, 28, vec![])), 50),
         ];
         // Same digests, wildly different wall times: still one class.
-        let plain =
-            CampaignResult::build_timed("t", &instances, outcomes.clone(), DigestKey::default());
+        let plain = CampaignResult::build("t", &instances, outcomes.clone(), DigestKey::default());
         assert_eq!(plain.classes.len(), 2);
         assert_eq!(plain.wall_ns_aggregates(), Some((300, 150)));
         assert!(
             !plain.to_jsonl().contains("wall_ns"),
             "durations are off by default (byte-stable reports)"
         );
-        let keyed = CampaignResult::build_timed(
+        let keyed = CampaignResult::build(
             "t",
             &instances,
             outcomes,
@@ -945,22 +927,6 @@ mod tests {
     }
 
     #[test]
-    fn untimed_build_renders_no_durations_even_when_keyed() {
-        let instances: Vec<Instance> = (0..1).map(instance).collect();
-        let result = CampaignResult::build(
-            "t",
-            &instances,
-            vec![InstanceOutcome::Completed(digest(true, 29, vec![]))],
-            DigestKey {
-                durations: true,
-                ..DigestKey::default()
-            },
-        );
-        assert_eq!(result.wall_ns_aggregates(), None);
-        assert!(!result.to_jsonl().contains("wall_ns"));
-    }
-
-    #[test]
     fn completed_iterates_digests_in_index_order() {
         let instances: Vec<Instance> = (0..3).map(instance).collect();
         let outcomes = vec![
@@ -968,7 +934,7 @@ mod tests {
             InstanceOutcome::Invalid("no scenario".into()),
             InstanceOutcome::Completed(digest(false, 28, vec![("node1", "boom")])),
         ];
-        let result = CampaignResult::build("t", &instances, outcomes, DigestKey::default());
+        let result = build("t", &instances, outcomes, DigestKey::default());
         let completed: Vec<usize> = result.completed().map(|(r, _)| r.index).collect();
         assert_eq!(completed, vec![0, 2]);
     }

@@ -73,9 +73,9 @@ impl CostModel {
     }
 }
 
-/// Reliability knobs for the control plane: retransmission backoff,
-/// receiver reorder window, and the staleness threshold past which a
-/// peer's updates are frozen and flagged instead of waited for.
+/// Reliability knobs for the control plane: retransmission backoff and
+/// the staleness threshold past which a peer's updates are frozen and
+/// flagged instead of waited for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlPlaneConfig {
     /// First retransmission timeout for an unacknowledged sequenced
@@ -83,23 +83,11 @@ pub struct ControlPlaneConfig {
     pub initial_rto: SimDuration,
     /// Backoff cap: the RTO doubles per retransmission up to this.
     pub max_rto: SimDuration,
-    /// First retransmission timeout for an unacknowledged `Init`. Much
-    /// larger than [`initial_rto`](ControlPlaneConfig::initial_rto):
-    /// `Init` carries the whole table set (kilobytes), so on slow links
-    /// its serialization alone dwarfs a data-frame RTT, and a spurious
-    /// retransmission is expensive.
-    pub init_rto: SimDuration,
     /// Staleness threshold: when the oldest unacknowledged message (or
     /// an unfilled receive-side sequence gap) is older than this, the
     /// engine degrades — remote terms freeze at last-known status and a
     /// diagnostic is flagged — instead of silently evaluating garbage.
     pub staleness: SimDuration,
-    /// Sender-side cap on outstanding unacknowledged messages per peer;
-    /// exceeding it is treated as staleness.
-    pub max_unacked: usize,
-    /// Receiver-side reorder window: sequenced messages more than this
-    /// far ahead of the next expected sequence number are refused.
-    pub reorder_window: u32,
 }
 
 impl Default for ControlPlaneConfig {
@@ -107,10 +95,7 @@ impl Default for ControlPlaneConfig {
         ControlPlaneConfig {
             initial_rto: SimDuration::from_micros(200),
             max_rto: SimDuration::from_millis(5),
-            init_rto: SimDuration::from_millis(8),
             staleness: SimDuration::from_millis(25),
-            max_unacked: 1024,
-            reorder_window: 1024,
         }
     }
 }
@@ -268,6 +253,17 @@ engine_stats! {
 const TIMER_RETX: u64 = 1;
 /// Timer token: control-node `Init` retransmission.
 const TIMER_INIT_RETX: u64 = 2;
+/// First retransmission timeout for an unacknowledged `Init`. Much larger
+/// than [`ControlPlaneConfig::initial_rto`]: `Init` carries the whole
+/// table set (kilobytes), so on slow links its serialization alone dwarfs
+/// a data-frame RTT, and a spurious retransmission is expensive.
+const INIT_RTO: SimDuration = SimDuration::from_millis(8);
+/// Sender-side cap on outstanding unacknowledged messages per peer;
+/// exceeding it is treated as staleness.
+const MAX_UNACKED: usize = 1024;
+/// Receiver-side reorder window: sequenced messages more than this far
+/// ahead of the next expected sequence number are refused.
+const REORDER_WINDOW: u32 = 1024;
 /// DELAY-action tokens live above this base, clear of the control-plane
 /// tokens.
 const TIMER_DELAY_BASE: u64 = 1 << 32;
@@ -811,7 +807,7 @@ impl Engine {
             tx.next_at = Some(now.saturating_add(cfg.initial_rto));
         }
         let next_at = tx.next_at;
-        let overloaded = !tx.stale_flagged && tx.queue.len() > cfg.max_unacked;
+        let overloaded = !tx.stale_flagged && tx.queue.len() > MAX_UNACKED;
         if overloaded {
             tx.stale_flagged = true;
         }
@@ -1229,7 +1225,6 @@ impl Engine {
             // until table distribution catches up.
             return;
         }
-        let cfg = self.cfg.control;
         let now = ctx.now();
         let mut released = std::mem::take(&mut self.scratch_ctrl);
         released.clear();
@@ -1238,7 +1233,7 @@ impl Engine {
             let rx = self
                 .peer_rx
                 .entry(src)
-                .or_insert_with(|| PeerRx::new(cfg.reorder_window));
+                .or_insert_with(|| PeerRx::new(REORDER_WINDOW));
             if rx.frozen {
                 // Degraded peer: its remote terms are frozen; ignore
                 // without acking.
@@ -1414,7 +1409,7 @@ impl Engine {
             self.send_control(ctx, wire::build_frame(ctx.mac(), node.mac, &msg));
         }
         if tables.nodes.len() > 1 {
-            self.init_rto = self.cfg.control.init_rto;
+            self.init_rto = INIT_RTO;
             ctx.set_timer(self.init_rto, TIMER_INIT_RETX);
         }
         // Initialize ourselves directly.
@@ -1448,7 +1443,7 @@ impl Engine {
             self.init_rto = self
                 .init_rto
                 .saturating_add(self.init_rto)
-                .min(self.cfg.control.staleness.max(self.cfg.control.init_rto));
+                .min(self.cfg.control.staleness.max(INIT_RTO));
             ctx.set_timer(self.init_rto, TIMER_INIT_RETX);
         }
     }
@@ -1515,7 +1510,7 @@ impl Engine {
                 frame_seq: self.frame_seq,
                 filter: classification.filter,
                 dir,
-                len: frame.len() as u32,
+                len: u32::try_from(frame.len()).unwrap_or(u32::MAX),
             });
         }
 

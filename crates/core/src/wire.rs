@@ -16,9 +16,10 @@
 //!   the `STOP` action;
 //! * `ACK` — a pure acknowledgment carrier for the reliability layer.
 //!
-//! Everything is encoded with a small hand-rolled big-endian codec so the
+//! Everything is encoded big-endian through [`vw_packet::codec`], so the
 //! tables genuinely travel through the simulated network during
-//! initialization.
+//! initialization. The format's own rules on top of the codec's: every
+//! length and count prefix is a `u16`, and a body is exactly one message.
 //!
 //! ## Versioned reliability header
 //!
@@ -49,6 +50,7 @@ use vw_fsl::{
     CondNode, CounterId, Dir, FilterId, FilterTuple, ModifyPattern, NodeId, PatternValue, RelOp,
     TableSet, TermId,
 };
+use vw_packet::codec::{Reader, Writer};
 use vw_packet::{EtherType, EthernetBuilder, Frame, MacAddr, ParseError};
 
 /// A control-plane message.
@@ -103,134 +105,6 @@ pub enum ControlMsg {
 }
 
 // ---------------------------------------------------------------------
-// Codec plumbing
-// ---------------------------------------------------------------------
-
-struct Writer(Vec<u8>);
-
-impl Writer {
-    fn new() -> Self {
-        Writer(Vec::new())
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.0.push(v as u8);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.0.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Writes a `u16` length prefix.
-    ///
-    /// # Panics
-    ///
-    /// If `n` does not fit. `vw_fsl::compile` bounds every name, message
-    /// and order list it emits, so only a hand-built table set gets here;
-    /// wrapping the prefix would decode as a different table set.
-    fn len(&mut self, n: usize) {
-        self.u16(u16::try_from(n).expect("length exceeds the control wire's u16 prefix"));
-    }
-
-    fn string(&mut self, s: &str) {
-        self.len(s.len());
-        self.0.extend_from_slice(s.as_bytes());
-    }
-
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(v) => {
-                self.bool(true);
-                self.u64(v);
-            }
-            None => self.bool(false),
-        }
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ParseError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| ParseError::new("control message truncated"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ParseError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, ParseError> {
-        Ok(self.u8()? != 0)
-    }
-
-    fn u16(&mut self) -> Result<u16, ParseError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, ParseError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ParseError> {
-        let b = self.take(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(b);
-        Ok(u64::from_be_bytes(arr))
-    }
-
-    fn i64(&mut self) -> Result<i64, ParseError> {
-        Ok(self.u64()? as i64)
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ParseError::new("control message carries invalid UTF-8"))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, ParseError> {
-        Ok(if self.bool()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
 // Message encoding
 // ---------------------------------------------------------------------
 
@@ -243,13 +117,21 @@ const TAG_STOP: u8 = 6;
 const TAG_ACK: u8 = 7;
 
 /// Encodes a control message as a raw payload.
+///
+/// # Panics
+///
+/// If a string or list is too long for its `u16` prefix. `vw_fsl::compile`
+/// bounds every name, message and order list it emits, so only a
+/// hand-built table set gets here; wrapping the prefix would decode as a
+/// different table set.
 pub fn encode(msg: &ControlMsg) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut out = Vec::new();
+    let w = &mut Writer::be(&mut out);
     match msg {
         ControlMsg::Init { tables, you_are } => {
             w.u8(TAG_INIT);
             w.u16(you_are.0);
-            encode_tables(&mut w, tables);
+            encode_tables(w, tables);
         }
         ControlMsg::InitAck { node } => {
             w.u8(TAG_INIT_ACK);
@@ -273,18 +155,18 @@ pub fn encode(msg: &ControlMsg) -> Vec<u8> {
             w.u8(TAG_FLAG_ERROR);
             w.u16(node.0);
             w.u16(condition.0);
-            w.string(message);
+            w.str16(message);
         }
         ControlMsg::Stop { node, reason } => {
             w.u8(TAG_STOP);
             w.u16(node.0);
-            w.string(reason);
+            w.str16(reason);
         }
         ControlMsg::Ack => {
             w.u8(TAG_ACK);
         }
     }
-    w.0
+    out
 }
 
 /// Decodes a control payload, which must be exactly one message.
@@ -294,11 +176,14 @@ pub fn encode(msg: &ControlMsg) -> Vec<u8> {
 /// Returns [`ParseError`] on truncation, unknown tags, or bytes left
 /// over after the message.
 pub fn decode(bytes: &[u8]) -> Result<ControlMsg, ParseError> {
-    let mut r = Reader::new(bytes);
-    let msg = match r.u8()? {
+    Reader::be(bytes).whole(decode_msg)
+}
+
+fn decode_msg(r: &mut Reader<'_>) -> Result<ControlMsg, ParseError> {
+    Ok(match r.u8()? {
         TAG_INIT => {
             let you_are = NodeId(r.u16()?);
-            let tables = decode_tables(&mut r)?;
+            let tables = decode_tables(r)?;
             ControlMsg::Init {
                 tables: Box::new(tables),
                 you_are,
@@ -318,11 +203,11 @@ pub fn decode(bytes: &[u8]) -> Result<ControlMsg, ParseError> {
         TAG_FLAG_ERROR => ControlMsg::FlagError {
             node: NodeId(r.u16()?),
             condition: CondId(r.u16()?),
-            message: r.string()?,
+            message: r.str16()?,
         },
         TAG_STOP => ControlMsg::Stop {
             node: NodeId(r.u16()?),
-            reason: r.string()?,
+            reason: r.str16()?,
         },
         TAG_ACK => ControlMsg::Ack,
         tag => {
@@ -330,14 +215,7 @@ pub fn decode(bytes: &[u8]) -> Result<ControlMsg, ParseError> {
                 "unknown control message tag {tag}"
             )));
         }
-    };
-    if r.pos != bytes.len() {
-        return Err(ParseError::new(format!(
-            "control message carries {} trailing bytes",
-            bytes.len() - r.pos
-        )));
-    }
-    Ok(msg)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -439,12 +317,13 @@ impl From<ControlDecodeError> for ParseError {
 pub fn encode_sequenced(seq: u32, ack: u32, msg: &ControlMsg) -> Vec<u8> {
     let body = encode(msg);
     let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.push(WIRE_MAGIC);
-    out.push(WIRE_VERSION);
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&seq.to_be_bytes());
-    out.extend_from_slice(&ack.to_be_bytes());
-    out.extend_from_slice(&body);
+    let mut w = Writer::be(&mut out);
+    w.u8(WIRE_MAGIC);
+    w.u8(WIRE_VERSION);
+    w.len32(body.len());
+    w.u32(seq);
+    w.u32(ack);
+    w.bytes(&body);
     out
 }
 
@@ -464,26 +343,27 @@ pub fn decode_sequenced(bytes: &[u8]) -> Result<ControlFrame, ControlDecodeError
     if first != WIRE_MAGIC {
         return Err(ControlDecodeError::BadMagic { byte: first });
     }
-    if bytes.len() < HEADER_LEN {
-        return Err(ControlDecodeError::Truncated);
-    }
-    let version = bytes[1];
+    let mut r = Reader::be(bytes);
+    let mut header = || {
+        r.u8()?; // the magic, matched above
+        Ok((r.u8()?, r.u32()?, r.u32()?, r.u32()?))
+    };
+    let (version, declared, seq, ack) =
+        header().map_err(|_: ParseError| ControlDecodeError::Truncated)?;
     if version != WIRE_VERSION {
         return Err(ControlDecodeError::UnsupportedVersion { version });
     }
-    let declared = u32::from_be_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]) as usize;
-    let available = bytes.len() - HEADER_LEN;
-    if declared > available {
-        return Err(ControlDecodeError::LengthMismatch {
+    let declared = declared as usize;
+    let body = r
+        .take(declared)
+        .map_err(|_| ControlDecodeError::LengthMismatch {
             declared,
-            available,
-        });
+            available: r.remaining(),
+        })?;
+    match decode(body) {
+        Ok(msg) => Ok(ControlFrame { seq, ack, msg }),
+        Err(e) => Err(ControlDecodeError::Body(e)),
     }
-    let seq = u32::from_be_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]);
-    let ack = u32::from_be_bytes([bytes[10], bytes[11], bytes[12], bytes[13]]);
-    let msg =
-        decode(&bytes[HEADER_LEN..HEADER_LEN + declared]).map_err(ControlDecodeError::Body)?;
-    Ok(ControlFrame { seq, ack, msg })
 }
 
 /// Wraps an unsequenced control message in an Ethernet frame with the
@@ -629,28 +509,17 @@ impl SequenceReceiver {
 // TableSet codec
 // ---------------------------------------------------------------------
 
-fn encode_tables(w: &mut Writer, t: &TableSet) {
-    w.string(&t.scenario);
-    w.opt_u64(t.timeout_ns);
-    w.len(t.vars.len());
-    for var in &t.vars {
-        w.string(var);
-    }
-    w.len(t.filters.len());
-    for f in &t.filters {
-        w.string(&f.name);
-        match f.discriminant {
-            Some(d) => {
-                w.u8(1);
-                w.u16(d);
-            }
-            None => w.u8(0),
-        }
-        w.len(f.tuples.len());
-        for tuple in &f.tuples {
+fn encode_tables(w: &mut Writer<'_>, t: &TableSet) {
+    w.str16(&t.scenario);
+    w.opt(t.timeout_ns, Writer::u64);
+    w.list16(&t.vars, |w, var| w.str16(var));
+    w.list16(&t.filters, |w, f| {
+        w.str16(&f.name);
+        w.opt(f.discriminant, Writer::u16);
+        w.list16(&f.tuples, |w, tuple| {
             w.u32(tuple.offset);
             w.u32(tuple.len);
-            w.opt_u64(tuple.mask);
+            w.opt(tuple.mask, Writer::u64);
             match &tuple.pattern {
                 PatternValue::Literal(v) => {
                     w.u8(0);
@@ -658,20 +527,18 @@ fn encode_tables(w: &mut Writer, t: &TableSet) {
                 }
                 PatternValue::Var(name) => {
                     w.u8(1);
-                    w.string(name);
+                    w.str16(name);
                 }
             }
-        }
-    }
-    w.len(t.nodes.len());
-    for n in &t.nodes {
-        w.string(&n.name);
-        w.0.extend_from_slice(&n.mac.octets());
-        w.0.extend_from_slice(&n.ip.octets());
-    }
-    w.len(t.counters.len());
-    for c in &t.counters {
-        w.string(&c.name);
+        });
+    });
+    w.list16(&t.nodes, |w, n| {
+        w.str16(&n.name);
+        w.bytes(&n.mac.octets());
+        w.bytes(&n.ip.octets());
+    });
+    w.list16(&t.counters, |w, c| {
+        w.str16(&c.name);
         match c.kind {
             CompiledCounterKind::Packet {
                 filter,
@@ -688,205 +555,124 @@ fn encode_tables(w: &mut Writer, t: &TableSet) {
             CompiledCounterKind::Local => w.u8(1),
         }
         w.u16(c.home.0);
-        w.len(c.affected_terms.len());
-        for term in &c.affected_terms {
-            w.u16(term.0);
-        }
-        w.len(c.subscribers.len());
-        for node in &c.subscribers {
-            w.u16(node.0);
-        }
-    }
-    w.len(t.terms.len());
-    for term in &t.terms {
+        w.list16(&c.affected_terms, |w, term| w.u16(term.0));
+        w.list16(&c.subscribers, |w, node| w.u16(node.0));
+    });
+    w.list16(&t.terms, |w, term| {
         encode_operand(w, term.lhs);
         encode_relop(w, term.op);
         encode_operand(w, term.rhs);
         w.u16(term.eval_node.0);
-        w.len(term.conditions.len());
-        for cond in &term.conditions {
-            w.u16(cond.0);
-        }
-    }
-    w.len(t.conditions.len());
-    for cond in &t.conditions {
+        w.list16(&term.conditions, |w, cond| w.u16(cond.0));
+    });
+    w.list16(&t.conditions, |w, cond| {
         encode_cond_node(w, &cond.expr);
-        w.len(cond.eval_nodes.len());
-        for node in &cond.eval_nodes {
-            w.u16(node.0);
-        }
-        w.len(cond.triggers.len());
-        for (node, action) in &cond.triggers {
-            w.u16(node.0);
-            w.u16(action.0);
-        }
-        w.len(cond.gates.len());
-        for (node, action) in &cond.gates {
-            w.u16(node.0);
-            w.u16(action.0);
-        }
-    }
-    w.len(t.actions.len());
-    for action in &t.actions {
-        w.u16(action.node.0);
-        encode_action_kind(w, &action.kind);
-    }
-}
-
-fn decode_tables(r: &mut Reader<'_>) -> Result<TableSet, ParseError> {
-    let scenario = r.string()?;
-    let timeout_ns = r.opt_u64()?;
-    let vars = (0..r.u16()?)
-        .map(|_| r.string())
-        .collect::<Result<Vec<_>, _>>()?;
-    let nfilters = r.u16()?;
-    let mut filters = Vec::with_capacity(nfilters as usize);
-    for _ in 0..nfilters {
-        let name = r.string()?;
-        let discriminant = match r.u8()? {
-            0 => None,
-            1 => Some(r.u16()?),
-            _ => return Err(ParseError::new("bad discriminant tag")),
-        };
-        let ntuples = r.u16()?;
-        let mut tuples = Vec::with_capacity(ntuples as usize);
-        for _ in 0..ntuples {
-            let offset = r.u32()?;
-            let len = r.u32()?;
-            let mask = r.opt_u64()?;
-            let pattern = match r.u8()? {
-                0 => PatternValue::Literal(r.u64()?),
-                1 => PatternValue::Var(r.string()?),
-                _ => return Err(ParseError::new("bad pattern tag")),
-            };
-            tuples.push(FilterTuple {
-                offset,
-                len,
-                mask,
-                pattern,
+        w.list16(&cond.eval_nodes, |w, node| w.u16(node.0));
+        for pairs in [&cond.triggers, &cond.gates] {
+            w.list16(pairs, |w, (node, action)| {
+                w.u16(node.0);
+                w.u16(action.0);
             });
         }
-        // A forged discriminant must never reach the classifier's index
-        // builder: it has to reference an in-range literal tuple.
-        if let Some(d) = discriminant {
-            let valid = tuples
-                .get(d as usize)
-                .is_some_and(|t| matches!(t.pattern, PatternValue::Literal(_)));
-            if !valid {
-                return Err(ParseError::new("bad filter discriminant"));
-            }
-        }
-        filters.push(CompiledFilter {
-            name,
-            tuples,
-            discriminant,
-        });
-    }
-    let nnodes = r.u16()?;
-    let mut nodes = Vec::with_capacity(nnodes as usize);
-    for _ in 0..nnodes {
-        let name = r.string()?;
-        let mut mac = [0u8; 6];
-        mac.copy_from_slice(r.take(6)?);
-        let ip = r.take(4)?;
-        nodes.push(CompiledNode {
-            name,
-            mac: MacAddr::new(mac),
-            ip: Ipv4Addr::new(ip[0], ip[1], ip[2], ip[3]),
-        });
-    }
-    let ncounters = r.u16()?;
-    let mut counters = Vec::with_capacity(ncounters as usize);
-    for _ in 0..ncounters {
-        let name = r.string()?;
-        let kind = match r.u8()? {
-            0 => CompiledCounterKind::Packet {
-                filter: FilterId(r.u16()?),
-                from: NodeId(r.u16()?),
-                to: NodeId(r.u16()?),
-                dir: decode_dir(r)?,
-            },
-            1 => CompiledCounterKind::Local,
-            _ => return Err(ParseError::new("bad counter kind tag")),
-        };
-        let home = NodeId(r.u16()?);
-        let affected_terms = (0..r.u16()?)
-            .map(|_| r.u16().map(TermId))
-            .collect::<Result<Vec<_>, _>>()?;
-        let subscribers = (0..r.u16()?)
-            .map(|_| r.u16().map(NodeId))
-            .collect::<Result<Vec<_>, _>>()?;
-        counters.push(CompiledCounter {
-            name,
-            kind,
-            home,
-            affected_terms,
-            subscribers,
-        });
-    }
-    let nterms = r.u16()?;
-    let mut terms = Vec::with_capacity(nterms as usize);
-    for _ in 0..nterms {
-        let lhs = decode_operand(r)?;
-        let op = decode_relop(r)?;
-        let rhs = decode_operand(r)?;
-        let eval_node = NodeId(r.u16()?);
-        let conditions = (0..r.u16()?)
-            .map(|_| r.u16().map(CondId))
-            .collect::<Result<Vec<_>, _>>()?;
-        terms.push(CompiledTerm {
-            lhs,
-            op,
-            rhs,
-            eval_node,
-            conditions,
-        });
-    }
-    let nconds = r.u16()?;
-    let mut conditions = Vec::with_capacity(nconds as usize);
-    for _ in 0..nconds {
-        let expr = decode_cond_node(r)?;
-        let eval_nodes = (0..r.u16()?)
-            .map(|_| r.u16().map(NodeId))
-            .collect::<Result<Vec<_>, _>>()?;
-        let ntriggers = r.u16()?;
-        let mut triggers = Vec::with_capacity(ntriggers as usize);
-        for _ in 0..ntriggers {
-            triggers.push((NodeId(r.u16()?), ActionId(r.u16()?)));
-        }
-        let ngates = r.u16()?;
-        let mut gates = Vec::with_capacity(ngates as usize);
-        for _ in 0..ngates {
-            gates.push((NodeId(r.u16()?), ActionId(r.u16()?)));
-        }
-        conditions.push(CompiledCondition {
-            expr,
-            eval_nodes,
-            triggers,
-            gates,
-        });
-    }
-    let nactions = r.u16()?;
-    let mut actions = Vec::with_capacity(nactions as usize);
-    for _ in 0..nactions {
-        let node = NodeId(r.u16()?);
-        let kind = decode_action_kind(r)?;
-        actions.push(CompiledAction { node, kind });
-    }
+    });
+    w.list16(&t.actions, |w, action| {
+        w.u16(action.node.0);
+        encode_action_kind(w, &action.kind);
+    });
+}
+
+// The `list16` minimums below are each element's smallest encoding.
+fn decode_tables(r: &mut Reader<'_>) -> Result<TableSet, ParseError> {
     Ok(TableSet {
-        scenario,
-        timeout_ns,
-        vars,
-        filters,
-        nodes,
-        counters,
-        terms,
-        conditions,
-        actions,
+        scenario: r.str16()?,
+        timeout_ns: r.opt(Reader::u64)?,
+        vars: r.list16(2, Reader::str16)?,
+        filters: r.list16(5, decode_filter)?,
+        nodes: r.list16(12, |r| {
+            Ok(CompiledNode {
+                name: r.str16()?,
+                mac: MacAddr::new(r.array()?),
+                ip: Ipv4Addr::from(r.array::<4>()?),
+            })
+        })?,
+        counters: r.list16(9, |r| {
+            Ok(CompiledCounter {
+                name: r.str16()?,
+                kind: match r.u8()? {
+                    0 => CompiledCounterKind::Packet {
+                        filter: FilterId(r.u16()?),
+                        from: NodeId(r.u16()?),
+                        to: NodeId(r.u16()?),
+                        dir: decode_dir(r)?,
+                    },
+                    1 => CompiledCounterKind::Local,
+                    _ => return Err(ParseError::new("bad counter kind tag")),
+                },
+                home: NodeId(r.u16()?),
+                affected_terms: r.list16(2, |r| r.u16().map(TermId))?,
+                subscribers: r.list16(2, |r| r.u16().map(NodeId))?,
+            })
+        })?,
+        terms: r.list16(11, |r| {
+            Ok(CompiledTerm {
+                lhs: decode_operand(r)?,
+                op: decode_relop(r)?,
+                rhs: decode_operand(r)?,
+                eval_node: NodeId(r.u16()?),
+                conditions: r.list16(2, |r| r.u16().map(CondId))?,
+            })
+        })?,
+        conditions: r.list16(7, |r| {
+            let node_action = |r: &mut Reader<'_>| Ok((NodeId(r.u16()?), ActionId(r.u16()?)));
+            Ok(CompiledCondition {
+                expr: decode_cond_node(r)?,
+                eval_nodes: r.list16(2, |r| r.u16().map(NodeId))?,
+                triggers: r.list16(4, node_action)?,
+                gates: r.list16(4, node_action)?,
+            })
+        })?,
+        actions: r.list16(3, |r| {
+            Ok(CompiledAction {
+                node: NodeId(r.u16()?),
+                kind: decode_action_kind(r)?,
+            })
+        })?,
     })
 }
 
-fn encode_dir(w: &mut Writer, dir: Dir) {
+fn decode_filter(r: &mut Reader<'_>) -> Result<CompiledFilter, ParseError> {
+    let name = r.str16()?;
+    let discriminant = r.opt(Reader::u16)?;
+    let tuples = r.list16(12, |r| {
+        Ok(FilterTuple {
+            offset: r.u32()?,
+            len: r.u32()?,
+            mask: r.opt(Reader::u64)?,
+            pattern: match r.u8()? {
+                0 => PatternValue::Literal(r.u64()?),
+                1 => PatternValue::Var(r.str16()?),
+                _ => return Err(ParseError::new("bad pattern tag")),
+            },
+        })
+    })?;
+    // A forged discriminant must never reach the classifier's index
+    // builder: it has to reference an in-range literal tuple.
+    if let Some(d) = discriminant {
+        let valid = tuples
+            .get(d as usize)
+            .is_some_and(|t| matches!(t.pattern, PatternValue::Literal(_)));
+        if !valid {
+            return Err(ParseError::new("bad filter discriminant"));
+        }
+    }
+    Ok(CompiledFilter {
+        name,
+        tuples,
+        discriminant,
+    })
+}
+
+fn encode_dir(w: &mut Writer<'_>, dir: Dir) {
     w.u8(match dir {
         Dir::Send => 0,
         Dir::Recv => 1,
@@ -901,7 +687,7 @@ fn decode_dir(r: &mut Reader<'_>) -> Result<Dir, ParseError> {
     }
 }
 
-fn encode_relop(w: &mut Writer, op: RelOp) {
+fn encode_relop(w: &mut Writer<'_>, op: RelOp) {
     w.u8(match op {
         RelOp::Gt => 0,
         RelOp::Lt => 1,
@@ -924,7 +710,7 @@ fn decode_relop(r: &mut Reader<'_>) -> Result<RelOp, ParseError> {
     })
 }
 
-fn encode_operand(w: &mut Writer, op: CompiledOperand) {
+fn encode_operand(w: &mut Writer<'_>, op: CompiledOperand) {
     match op {
         CompiledOperand::Counter(c) => {
             w.u8(0);
@@ -945,7 +731,7 @@ fn decode_operand(r: &mut Reader<'_>) -> Result<CompiledOperand, ParseError> {
     }
 }
 
-fn encode_cond_node(w: &mut Writer, node: &CondNode) {
+fn encode_cond_node(w: &mut Writer<'_>, node: &CondNode) {
     match node {
         CondNode::True => w.u8(0),
         CondNode::False => w.u8(1),
@@ -988,7 +774,7 @@ fn decode_cond_node(r: &mut Reader<'_>) -> Result<CondNode, ParseError> {
     })
 }
 
-fn encode_action_kind(w: &mut Writer, kind: &CompiledActionKind) {
+fn encode_action_kind(w: &mut Writer<'_>, kind: &CompiledActionKind) {
     match kind {
         CompiledActionKind::Assign { counter, value } => {
             w.u8(0);
@@ -1065,10 +851,7 @@ fn encode_action_kind(w: &mut Writer, kind: &CompiledActionKind) {
             w.u16(to.0);
             encode_dir(w, *dir);
             w.u32(*count);
-            w.len(order.len());
-            for o in order {
-                w.u32(*o);
-            }
+            w.list16(order, |w, o| w.u32(*o));
         }
         CompiledActionKind::Dup {
             filter,
@@ -1111,13 +894,7 @@ fn encode_action_kind(w: &mut Writer, kind: &CompiledActionKind) {
         CompiledActionKind::Stop => w.u8(14),
         CompiledActionKind::FlagError { message } => {
             w.u8(15);
-            match message {
-                Some(msg) => {
-                    w.bool(true);
-                    w.string(msg);
-                }
-                None => w.bool(false),
-            }
+            w.opt(message.as_deref(), Writer::str16);
         }
     }
 }
@@ -1170,9 +947,7 @@ fn decode_action_kind(r: &mut Reader<'_>) -> Result<CompiledActionKind, ParseErr
             let to = NodeId(r.u16()?);
             let dir = decode_dir(r)?;
             let count = r.u32()?;
-            let order = (0..r.u16()?)
-                .map(|_| r.u32())
-                .collect::<Result<Vec<_>, _>>()?;
+            let order = r.list16(4, Reader::u32)?;
             CompiledActionKind::Reorder {
                 filter,
                 from,
@@ -1215,7 +990,7 @@ fn decode_action_kind(r: &mut Reader<'_>) -> Result<CompiledActionKind, ParseErr
         },
         14 => CompiledActionKind::Stop,
         15 => CompiledActionKind::FlagError {
-            message: if r.bool()? { Some(r.string()?) } else { None },
+            message: r.opt(Reader::str16)?,
         },
         tag => return Err(ParseError::new(format!("unknown action tag {tag}"))),
     })

@@ -249,7 +249,6 @@ fn run_degraded(seed: u64) -> Report {
                 staleness: SimDuration::from_micros(300),
                 initial_rto: SimDuration::from_millis(1),
                 max_rto: SimDuration::from_millis(4),
-                ..virtualwire::ControlPlaneConfig::default()
             },
             ..EngineConfig::default()
         },

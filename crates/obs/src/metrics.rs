@@ -10,6 +10,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use vw_packet::codec::{Reader, Writer};
+use vw_packet::ParseError;
 use vw_trace::json_string;
 
 /// A fixed-size log₂-bucketed histogram of `u64` observations.
@@ -139,56 +141,49 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Appends an exact binary serialization of this histogram to `out`.
+    /// Appends an exact binary serialization of this histogram to `w`.
     ///
-    /// Layout (little-endian): `count u64, sum u128, min u64 (raw,
-    /// including the `u64::MAX` empty sentinel), max u64, nonzero-bucket
-    /// count u8, then (bucket index u8, bucket count u64) pairs`. The
-    /// encoding exists so external stores (the `vw-serve` checkpoint log)
-    /// can round-trip a histogram bit-for-bit; [`Histogram::decode_from`]
-    /// inverts it.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&self.sum.to_le_bytes());
-        out.extend_from_slice(&self.min.to_le_bytes());
-        out.extend_from_slice(&self.max.to_le_bytes());
-        let nonzero = self.buckets.iter().filter(|&&n| n > 0).count() as u8;
-        out.push(nonzero);
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n > 0 {
-                out.push(i as u8);
-                out.extend_from_slice(&n.to_le_bytes());
-            }
+    /// Layout (in the writer's byte order; every user is little-endian):
+    /// `count u64, sum u128, min u64 (raw, including the `u64::MAX` empty
+    /// sentinel), max u64, nonzero-bucket count u8, then (bucket index
+    /// u8, bucket count u64) pairs`. The encoding exists so external
+    /// stores (the `vw-serve` checkpoint log) can round-trip a histogram
+    /// bit-for-bit; [`Histogram::decode_from`] inverts it.
+    pub fn encode_into(&self, w: &mut Writer<'_>) {
+        w.u64(self.count);
+        w.u128(self.sum);
+        w.u64(self.min);
+        w.u64(self.max);
+        let nonzero = self.buckets.iter().enumerate().filter(|(_, &n)| n > 0);
+        w.len8(nonzero.clone().count());
+        for (i, &n) in nonzero {
+            w.u8(i as u8);
+            w.u64(n);
         }
     }
 
-    /// Decodes a histogram written by [`Histogram::encode_into`] from
-    /// `buf` starting at `*pos`, advancing `*pos` past it. Returns `None`
-    /// on truncation or malformed bucket indices; `*pos` is unspecified
-    /// after a failure.
-    pub fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Histogram> {
-        fn take<const N: usize>(buf: &[u8], pos: &mut usize) -> Option<[u8; N]> {
-            let bytes = buf.get(*pos..*pos + N)?;
-            *pos += N;
-            bytes.try_into().ok()
-        }
-        let mut h = Histogram::new();
-        h.count = u64::from_le_bytes(take::<8>(buf, pos)?);
-        h.sum = u128::from_le_bytes(take::<16>(buf, pos)?);
-        h.min = u64::from_le_bytes(take::<8>(buf, pos)?);
-        h.max = u64::from_le_bytes(take::<8>(buf, pos)?);
-        let nonzero = *buf.get(*pos)?;
-        *pos += 1;
-        for _ in 0..nonzero {
-            let idx = *buf.get(*pos)? as usize;
-            *pos += 1;
-            let n = u64::from_le_bytes(take::<8>(buf, pos)?);
-            if idx >= h.buckets.len() || n == 0 {
-                return None;
+    /// Decodes a histogram written by [`Histogram::encode_into`].
+    ///
+    /// # Errors
+    ///
+    /// On truncation, an out-of-range bucket index or an empty bucket.
+    pub fn decode_from(r: &mut Reader<'_>) -> Result<Histogram, ParseError> {
+        let mut h = Histogram {
+            count: r.u64()?,
+            sum: r.u128()?,
+            min: r.u64()?,
+            max: r.u64()?,
+            ..Histogram::default()
+        };
+        r.list8(9, |r| {
+            let slot = h.buckets.get_mut(usize::from(r.u8()?));
+            match (slot, r.u64()?) {
+                (Some(slot), n) if n > 0 => *slot = n,
+                _ => return Err(ParseError::new("bad histogram bucket")),
             }
-            h.buckets[idx] = n;
-        }
-        Some(h)
+            Ok(())
+        })?;
+        Ok(h)
     }
 
     /// Non-empty buckets as `(bucket_floor, count)` pairs, where
@@ -503,10 +498,15 @@ impl MetricsRegistry {
     /// Values are absolute, not arithmetic diffs — a delta is "these
     /// series changed, here are their new states", which keeps a dropped
     /// delta recoverable by the next one.
+    ///
+    /// # Panics
+    ///
+    /// If a key is longer than its `u16` prefix can say (65 535 bytes).
     pub fn encode_delta_from(&self, prev: &MetricsRegistry) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut count = 0u32;
-        out.extend_from_slice(&0u32.to_le_bytes()); // patched below
+        // The count leads the entries, so they are encoded first.
+        let mut body = Vec::new();
+        let mut w = Writer::le(&mut body);
+        let mut count = 0;
         for (name, metric) in &self.entries {
             if prev.entries.get(name) == Some(metric) {
                 continue;
@@ -514,77 +514,62 @@ impl MetricsRegistry {
             count += 1;
             match metric {
                 Metric::Counter(v) => {
-                    out.push(0);
-                    put_delta_key(&mut out, name);
-                    out.extend_from_slice(&v.to_le_bytes());
+                    w.u8(0);
+                    w.str16(name);
+                    w.u64(*v);
                 }
                 Metric::Gauge(v) => {
-                    out.push(1);
-                    put_delta_key(&mut out, name);
-                    out.extend_from_slice(&v.to_le_bytes());
+                    w.u8(1);
+                    w.str16(name);
+                    w.i64(*v);
                 }
                 Metric::Histogram(h) => {
-                    out.push(2);
-                    put_delta_key(&mut out, name);
-                    h.encode_into(&mut out);
+                    w.u8(2);
+                    w.str16(name);
+                    h.encode_into(&mut w);
                 }
             }
         }
         for name in prev.entries.keys() {
             if !self.entries.contains_key(name) {
                 count += 1;
-                out.push(0xFF);
-                put_delta_key(&mut out, name);
+                w.u8(0xFF);
+                w.str16(name);
             }
         }
-        out[..4].copy_from_slice(&count.to_le_bytes());
+        let mut out = Vec::with_capacity(4 + body.len());
+        let mut w = Writer::le(&mut out);
+        w.len32(count);
+        w.bytes(&body);
         out
     }
 
     /// Applies a delta produced by [`MetricsRegistry::encode_delta_from`]
     /// to this registry. Returns `None` (leaving the registry in a
-    /// partially-applied state) on truncation, oversized keys, invalid
-    /// UTF-8 or unknown tags — callers treating the delta as untrusted
+    /// partially-applied state) on truncation, invalid UTF-8, unknown
+    /// tags or trailing bytes — callers treating the delta as untrusted
     /// wire input should discard the registry on failure.
     pub fn apply_delta(&mut self, bytes: &[u8]) -> Option<()> {
-        let mut pos = 0usize;
-        let count = u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?);
-        pos += 4;
-        // Each entry is at least tag + empty key = 3 bytes; a count that
-        // couldn't fit in the buffer is malformed, not a big allocation.
-        if count as usize > bytes.len().saturating_sub(4) / 3 + 1 {
-            return None;
-        }
-        for _ in 0..count {
-            let tag = *bytes.get(pos)?;
-            pos += 1;
-            let name = get_delta_key(bytes, &mut pos)?;
-            match tag {
-                0 => {
-                    let v = u64::from_le_bytes(bytes.get(pos..pos + 8)?.try_into().ok()?);
-                    pos += 8;
-                    self.entries.insert(name, Metric::Counter(v));
-                }
-                1 => {
-                    let v = i64::from_le_bytes(bytes.get(pos..pos + 8)?.try_into().ok()?);
-                    pos += 8;
-                    self.entries.insert(name, Metric::Gauge(v));
-                }
-                2 => {
-                    let h = Histogram::decode_from(bytes, &mut pos)?;
-                    self.entries.insert(name, Metric::Histogram(Box::new(h)));
-                }
-                0xFF => {
-                    self.entries.remove(&name);
-                }
-                _ => return None,
-            }
-        }
-        if pos == bytes.len() {
-            Some(())
-        } else {
-            None
-        }
+        // Each entry is at least tag + empty key = 3 bytes.
+        let entries = |r: &mut Reader<'_>| {
+            r.list32(3, |r| {
+                let tag = r.u8()?;
+                let name = r.str16()?;
+                let metric = match tag {
+                    0 => Metric::Counter(r.u64()?),
+                    1 => Metric::Gauge(r.i64()?),
+                    2 => Metric::Histogram(Box::new(Histogram::decode_from(r)?)),
+                    0xFF => {
+                        self.entries.remove(&name);
+                        return Ok(());
+                    }
+                    _ => return Err(ParseError::new("unknown delta tag")),
+                };
+                self.entries.insert(name, metric);
+                Ok(())
+            })
+        };
+        Reader::le(bytes).whole(entries).ok().map(drop)
     }
 
     /// Folds a self-profiler trace into the registry: every span's *self*
@@ -670,28 +655,6 @@ fn render_labels(suffix: &str) -> String {
     }
     out.push('}');
     out
-}
-
-/// Appends a delta-entry key as `len u16 + bytes`.
-fn put_delta_key(out: &mut Vec<u8>, name: &str) {
-    let bytes = name.as_bytes();
-    debug_assert!(bytes.len() <= u16::MAX as usize, "metric key too long");
-    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-/// Reads a delta-entry key written by [`put_delta_key`]. Rejects keys
-/// longer than 4 KiB (no realistic metric key comes close) so corrupt
-/// lengths can't drive allocations.
-fn get_delta_key(buf: &[u8], pos: &mut usize) -> Option<String> {
-    let len = u16::from_le_bytes(buf.get(*pos..*pos + 2)?.try_into().ok()?) as usize;
-    *pos += 2;
-    if len > 4096 {
-        return None;
-    }
-    let bytes = buf.get(*pos..*pos + len)?;
-    *pos += len;
-    String::from_utf8(bytes.to_vec()).ok()
 }
 
 impl fmt::Display for MetricsRegistry {
@@ -940,24 +903,19 @@ node1_queue_depth -2
         for v in [0u64, 1, 1, 3, 8, 1023, u64::MAX] {
             h.observe(v);
         }
-        let mut buf = vec![0xAA]; // leading junk the codec must skip past
-        h.encode_into(&mut buf);
+        let mut buf = vec![0xAA]; // leading bytes the codec appends after
+        h.encode_into(&mut Writer::le(&mut buf));
         buf.extend_from_slice(&[0xBB, 0xCC]); // trailing bytes left unread
-        let mut pos = 1;
-        let back = Histogram::decode_from(&buf, &mut pos).expect("decodes");
+        let mut r = Reader::le(&buf[1..]);
+        let back = Histogram::decode_from(&mut r).expect("decodes");
         assert_eq!(back, h);
-        assert_eq!(
-            pos,
-            buf.len() - 2,
-            "decode stops exactly after the histogram"
-        );
+        assert_eq!(r.remaining(), 2, "decode stops exactly after the histogram");
 
         // The empty histogram round-trips too (min sentinel preserved).
         let empty = Histogram::new();
         let mut buf = Vec::new();
-        empty.encode_into(&mut buf);
-        let mut pos = 0;
-        let back = Histogram::decode_from(&buf, &mut pos).expect("decodes");
+        empty.encode_into(&mut Writer::le(&mut buf));
+        let back = Histogram::decode_from(&mut Reader::le(&buf)).expect("decodes");
         assert_eq!(back, empty);
         assert_eq!(back.min(), 0);
         assert!(back.is_empty());
@@ -968,11 +926,10 @@ node1_queue_depth -2
         let mut h = Histogram::new();
         h.observe(7);
         let mut buf = Vec::new();
-        h.encode_into(&mut buf);
+        h.encode_into(&mut Writer::le(&mut buf));
         for cut in 0..buf.len() {
-            let mut pos = 0;
             assert!(
-                Histogram::decode_from(&buf[..cut], &mut pos).is_none(),
+                Histogram::decode_from(&mut Reader::le(&buf[..cut])).is_err(),
                 "truncation at {cut} must fail"
             );
         }
@@ -980,8 +937,7 @@ node1_queue_depth -2
         let idx_at = buf.len() - 9;
         let mut bad = buf.clone();
         bad[idx_at] = 65;
-        let mut pos = 0;
-        assert!(Histogram::decode_from(&bad, &mut pos).is_none());
+        assert!(Histogram::decode_from(&mut Reader::le(&bad)).is_err());
     }
 
     #[test]
@@ -1092,6 +1048,19 @@ node1_queue_depth -2
         let delta = cur.encode_delta_from(&MetricsRegistry::new());
         let mut rebuilt = MetricsRegistry::new();
         rebuilt.apply_delta(&delta).expect("applies");
+        assert_eq!(rebuilt, cur);
+    }
+
+    /// Encode and decode share one key rule, the `u16` prefix: a key the
+    /// encoder accepts is a key the decoder accepts.
+    #[test]
+    fn delta_round_trips_a_5000_byte_key() {
+        let mut cur = MetricsRegistry::new();
+        cur.add_counter(&"k".repeat(5000), 7);
+        let mut rebuilt = MetricsRegistry::new();
+        rebuilt
+            .apply_delta(&cur.encode_delta_from(&MetricsRegistry::new()))
+            .expect("applies");
         assert_eq!(rebuilt, cur);
     }
 

@@ -12,6 +12,8 @@
 //! writes).
 
 use vw_netsim::{SimTime, TraceKind, TraceRecord, TraceSink};
+use vw_packet::codec::{Reader, Writer};
+use vw_packet::ParseError;
 
 /// The pcap `network` value for Ethernet captures.
 pub const LINKTYPE_ETHERNET: u32 = 1;
@@ -24,7 +26,6 @@ pub const MAGIC_NANOS: u32 = 0xa1b2_3c4d;
 pub const SNAPLEN: u32 = 65_535;
 
 const FILE_HEADER_LEN: usize = 24;
-const RECORD_HEADER_LEN: usize = 16;
 
 /// The 24-byte pcap global header: nanosecond magic, version 2.4,
 /// UTC (zone 0), snaplen 65535, `LINKTYPE_ETHERNET`.
@@ -44,12 +45,12 @@ pub fn append_frame(out: &mut Vec<u8>, time: SimTime, bytes: &[u8]) {
     let nanos = time.as_nanos();
     let ts_sec = (nanos / 1_000_000_000) as u32;
     let ts_nsec = (nanos % 1_000_000_000) as u32;
-    let len = bytes.len() as u32;
-    out.extend_from_slice(&ts_sec.to_le_bytes());
-    out.extend_from_slice(&ts_nsec.to_le_bytes());
-    out.extend_from_slice(&len.to_le_bytes()); // incl_len: never truncated
-    out.extend_from_slice(&len.to_le_bytes()); // orig_len
-    out.extend_from_slice(bytes);
+    let mut w = Writer::le(out);
+    w.u32(ts_sec);
+    w.u32(ts_nsec);
+    w.len32(bytes.len()); // incl_len: never truncated
+    w.len32(bytes.len()); // orig_len
+    w.bytes(bytes);
 }
 
 /// Serializes `(time, frame-bytes)` pairs into a complete pcap capture.
@@ -128,37 +129,33 @@ impl std::error::Error for PcapError {}
 /// Strict by design: only little-endian nanosecond-magic Ethernet
 /// captures are accepted, which is exactly what [`export_frames`] writes.
 pub fn parse(capture: &[u8]) -> Result<Vec<PcapPacket>, PcapError> {
-    if capture.len() < FILE_HEADER_LEN {
-        return Err(PcapError::TruncatedHeader);
-    }
-    let magic = u32::from_le_bytes(capture[0..4].try_into().unwrap());
+    let mut r = Reader::le(capture);
+    let mut header = || {
+        let magic = r.u32()?;
+        r.take(16)?; // version, zone, sigfigs, snaplen
+        Ok((magic, r.u32()?))
+    };
+    let (magic, network) = header().map_err(|_: ParseError| PcapError::TruncatedHeader)?;
     if magic != MAGIC_NANOS {
         return Err(PcapError::BadMagic(magic));
     }
-    let network = u32::from_le_bytes(capture[20..24].try_into().unwrap());
     if network != LINKTYPE_ETHERNET {
         return Err(PcapError::BadLinkType(network));
     }
     let mut packets = Vec::new();
-    let mut offset = FILE_HEADER_LEN;
-    while offset < capture.len() {
-        if capture.len() - offset < RECORD_HEADER_LEN {
-            return Err(PcapError::TruncatedRecord { offset });
-        }
-        let field =
-            |i: usize| u32::from_le_bytes(capture[offset + i..offset + i + 4].try_into().unwrap());
-        let ts_sec = field(0);
-        let ts_nsec = field(4);
-        let incl_len = field(8) as usize;
-        let body = offset + RECORD_HEADER_LEN;
-        if capture.len() - body < incl_len {
-            return Err(PcapError::TruncatedRecord { offset });
-        }
+    while r.remaining() > 0 {
+        let offset = r.position();
+        let mut record = || {
+            let (ts_sec, ts_nsec, incl_len) = (r.u32()?, r.u32()?, r.u32()?);
+            r.u32()?; // orig_len
+            Ok((ts_sec, ts_nsec, r.take(incl_len as usize)?))
+        };
+        let (ts_sec, ts_nsec, bytes) =
+            record().map_err(|_: ParseError| PcapError::TruncatedRecord { offset })?;
         packets.push(PcapPacket {
             time_ns: u64::from(ts_sec) * 1_000_000_000 + u64::from(ts_nsec),
-            bytes: capture[body..body + incl_len].to_vec(),
+            bytes: bytes.to_vec(),
         });
-        offset = body + incl_len;
     }
     Ok(packets)
 }

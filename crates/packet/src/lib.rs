@@ -7,6 +7,8 @@
 //! * header views and builders for Ethernet, IPv4, TCP and UDP
 //!   ([`EthernetHeader`], [`Ipv4Header`], [`TcpHeader`], [`UdpHeader`]),
 //! * RFC 1071 internet [`checksum`]s including TCP/UDP pseudo-headers,
+//! * the byte [`codec`] (one `Reader`/`Writer` pair) under every binary
+//!   format the other crates define,
 //! * the well-known byte offsets used by the paper's Fault Specification
 //!   Language examples ([`offsets`]).
 //!
@@ -47,6 +49,7 @@
 
 pub mod arena;
 pub mod checksum;
+pub mod codec;
 mod error;
 mod ethernet;
 mod ethertype;

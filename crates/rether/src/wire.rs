@@ -11,6 +11,7 @@
 //! so that a ring reconstructed after a node failure propagates to every
 //! surviving member with the token itself.
 
+use vw_packet::codec::{Reader, Writer};
 use vw_packet::{EtherType, EthernetBuilder, Frame, MacAddr, ParseError};
 
 /// Opcode of a token frame (`(14 2 0x0001)` in Figure 6).
@@ -44,13 +45,11 @@ pub fn build_token_parts(
     ring: &[MacAddr],
 ) -> Frame {
     let mut payload = vw_packet::arena::take_buffer(2 + 4 + 4 + 1 + ring.len() * 6);
-    payload.extend_from_slice(&OPCODE_TOKEN.to_be_bytes());
-    payload.extend_from_slice(&generation.to_be_bytes());
-    payload.extend_from_slice(&cycle.to_be_bytes());
-    payload.push(ring.len() as u8);
-    for mac in ring {
-        payload.extend_from_slice(&mac.octets());
-    }
+    let mut w = Writer::be(&mut payload);
+    w.u16(OPCODE_TOKEN);
+    w.u32(generation);
+    w.u32(cycle);
+    w.list8(ring, |w, mac| w.bytes(&mac.octets()));
     EthernetBuilder::new()
         .src(src)
         .dst(dst)
@@ -62,8 +61,9 @@ pub fn build_token_parts(
 /// Builds a token acknowledgment from `src` to `dst` echoing `generation`.
 pub fn build_token_ack(src: MacAddr, dst: MacAddr, generation: u32) -> Frame {
     let mut payload = vw_packet::arena::take_buffer(6);
-    payload.extend_from_slice(&OPCODE_TOKEN_ACK.to_be_bytes());
-    payload.extend_from_slice(&generation.to_be_bytes());
+    let mut w = Writer::be(&mut payload);
+    w.u16(OPCODE_TOKEN_ACK);
+    w.u32(generation);
     EthernetBuilder::new()
         .src(src)
         .dst(dst)
@@ -94,42 +94,17 @@ pub fn parse(frame: &Frame) -> Result<RetherMessage, ParseError> {
     if frame.ethertype() != EtherType::RETHER {
         return Err(ParseError::new("not a Rether frame"));
     }
-    let p = frame.payload();
-    if p.len() < 2 {
-        return Err(ParseError::new("Rether frame truncated"));
-    }
-    let opcode = u16::from_be_bytes([p[0], p[1]]);
-    match opcode {
-        OPCODE_TOKEN => {
-            if p.len() < 11 {
-                return Err(ParseError::new("token frame truncated"));
-            }
-            let generation = u32::from_be_bytes([p[2], p[3], p[4], p[5]]);
-            let cycle = u32::from_be_bytes([p[6], p[7], p[8], p[9]]);
-            let count = p[10] as usize;
-            if p.len() < 11 + count * 6 {
-                return Err(ParseError::new("token ring list truncated"));
-            }
-            let ring = (0..count)
-                .map(|i| {
-                    let mut o = [0u8; 6];
-                    o.copy_from_slice(&p[11 + i * 6..11 + (i + 1) * 6]);
-                    MacAddr::new(o)
-                })
-                .collect();
-            Ok(RetherMessage::Token(Token {
-                generation,
-                cycle,
-                ring,
-            }))
-        }
-        OPCODE_TOKEN_ACK => {
-            if p.len() < 6 {
-                return Err(ParseError::new("token-ack frame truncated"));
-            }
-            let generation = u32::from_be_bytes([p[2], p[3], p[4], p[5]]);
-            Ok(RetherMessage::TokenAck { generation })
-        }
+    // Bytes past the message (link-layer padding) are tolerated.
+    let mut r = Reader::be(frame.payload());
+    match r.u16()? {
+        OPCODE_TOKEN => Ok(RetherMessage::Token(Token {
+            generation: r.u32()?,
+            cycle: r.u32()?,
+            ring: r.list8(6, |r| r.array().map(MacAddr::new))?,
+        })),
+        OPCODE_TOKEN_ACK => Ok(RetherMessage::TokenAck {
+            generation: r.u32()?,
+        }),
         other => Err(ParseError::new(format!(
             "unknown Rether opcode 0x{other:04x}"
         ))),

@@ -15,7 +15,7 @@
 //! Because shards carry their *full* outcomes — not just watermarks — a
 //! resumed daemon never re-runs completed work, and the final report is
 //! byte-identical by construction: it is built by the same
-//! `CampaignResult::build_timed` over the same per-instance values,
+//! `CampaignResult::build` over the same per-instance values,
 //! whether those values came from execution or from the log. A SIGKILL
 //! can leave a torn record at the tail; the reader stops at the first
 //! short or CRC-failing record and the scheduler simply re-runs that
@@ -27,9 +27,11 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use vw_campaign::{fnv1a64, InstanceOutcome};
+use vw_packet::codec::{Reader, Writer};
+use vw_packet::ParseError;
 
 use crate::frame::crc32;
-use crate::payload::{decode_timed_outcome, encode_timed_outcome, get_u64, put_u64, Submission};
+use crate::payload::{decode_timed_outcome, encode_timed_outcome, Submission};
 
 const REC_HEADER: u8 = 1;
 const REC_SHARD: u8 = 2;
@@ -82,11 +84,9 @@ impl CheckpointWriter {
     ) -> io::Result<()> {
         let _span = vw_trace::span("serve.checkpoint", vw_trace::Category::Serve);
         let mut payload = Vec::new();
-        put_u64(&mut payload, shard);
-        put_u64(&mut payload, outcomes.len() as u64);
-        for (outcome, wall_ns) in outcomes {
-            encode_timed_outcome(&mut payload, outcome, *wall_ns);
-        }
+        let mut w = Writer::le(&mut payload);
+        w.u64(shard);
+        w.list64(outcomes, encode_timed_outcome);
         self.append(REC_SHARD, &payload)
     }
 
@@ -97,10 +97,11 @@ impl CheckpointWriter {
 
     fn append(&mut self, rec_type: u8, payload: &[u8]) -> io::Result<()> {
         let mut record = Vec::with_capacity(9 + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.push(rec_type);
-        record.extend_from_slice(&crc32(payload).to_le_bytes());
-        record.extend_from_slice(payload);
+        let mut w = Writer::le(&mut record);
+        w.len32(payload.len());
+        w.u8(rec_type);
+        w.u32(crc32(payload));
+        w.bytes(payload);
         self.file.write_all(&record)?;
         self.file.sync_data()
     }
@@ -118,52 +119,38 @@ pub fn read_log(path: &Path) -> io::Result<LogContents> {
 /// [`read_log`] over in-memory bytes (exposed for tests).
 pub fn parse_log(bytes: &[u8]) -> LogContents {
     let mut contents = LogContents::default();
-    let mut pos = 0usize;
-    while bytes.len() - pos >= 9 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let rec_type = bytes[pos + 4];
-        let crc = u32::from_le_bytes(bytes[pos + 5..pos + 9].try_into().unwrap());
-        let Some(payload) = bytes.get(pos + 9..pos + 9 + len) else {
-            break; // torn tail: record body never made it to disk
-        };
-        if crc32(payload) != crc {
-            break; // torn tail: record body is partial or corrupt
-        }
-        match rec_type {
-            REC_HEADER => match Submission::decode(payload) {
-                Some(sub) => contents.submission = Some(sub),
-                None => break,
-            },
-            REC_SHARD => {
-                let p = &mut 0;
-                let Some(shard) = get_u64(payload, p) else {
-                    break;
-                };
-                let Some(count) = get_u64(payload, p) else {
-                    break;
-                };
-                let mut outcomes = Vec::new();
-                let mut ok = true;
-                for _ in 0..count {
-                    match decode_timed_outcome(payload, p) {
-                        Some(pair) => outcomes.push(pair),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok || *p != payload.len() {
-                    break;
-                }
-                contents.shards.insert(shard, outcomes);
-            }
-            REC_COMPLETE => contents.complete = true,
-            _ => break, // unknown record type: stop, don't guess
-        }
-        pos += 9 + len;
-    }
+    let mut r = Reader::le(bytes);
+    // The end of the log and a torn tail both read as a record that
+    // fails to parse.
+    while parse_record(&mut r, &mut contents).is_ok() {}
     contents
+}
+
+/// Folds the next record into `contents`. A record that is short, fails
+/// its CRC, does not decode or has an unknown type is an error: the
+/// caller stops there and does not guess at what follows.
+fn parse_record(r: &mut Reader<'_>, contents: &mut LogContents) -> Result<(), ParseError> {
+    let (len, rec_type, crc) = (r.u32()?, r.u8()?, r.u32()?);
+    let payload = r.take(len as usize)?;
+    if crc32(payload) != crc {
+        return Err(ParseError::new("record body is partial or corrupt"));
+    }
+    match rec_type {
+        REC_HEADER => {
+            let submission = Submission::decode(payload);
+            contents.submission = Some(submission.ok_or_else(|| ParseError::new("bad header"))?);
+        }
+        REC_SHARD => {
+            // The smallest outcome is a wall time, a tag and an empty
+            // message.
+            let shard = |r: &mut Reader<'_>| Ok((r.u64()?, r.list64(13, decode_timed_outcome)?));
+            let (shard, outcomes) = Reader::le(payload).whole(shard)?;
+            contents.shards.insert(shard, outcomes);
+        }
+        REC_COMPLETE => contents.complete = true,
+        _ => return Err(ParseError::new("unknown record type")),
+    }
+    Ok(())
 }
 
 /// The log filename for a campaign, with the name sanitized so client

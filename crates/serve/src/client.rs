@@ -18,7 +18,7 @@ use vw_obs::MetricsRegistry;
 use crate::frame::{DecodeBuffer, Frame, FrameError, FrameType};
 use crate::journal::JournalEntry;
 use crate::payload::{
-    decode_error, decode_outcome_line, get_str, put_str, Accepted, ErrorCode, JournalQuery,
+    decode_error, decode_outcome_line, decode_text, encode_text, Accepted, ErrorCode, JournalQuery,
     JournalReply, Submission, Subscribe, TelemetryDelta,
 };
 use crate::server::Sock;
@@ -129,7 +129,7 @@ impl Client {
         let id = self.send(FrameType::Stats, Vec::new())?;
         let reply = self.recv_skipping_telemetry()?;
         match reply.frame_type {
-            FrameType::StatsReply if reply.request_id == id => get_str(&reply.payload, &mut 0)
+            FrameType::StatsReply if reply.request_id == id => decode_text(&reply.payload)
                 .ok_or_else(|| ClientError::Protocol("undecodable StatsReply".into())),
             _ => Err(unexpected(&reply)),
         }
@@ -146,9 +146,7 @@ impl Client {
     /// Attaches to a named campaign (typically after a reconnect or a
     /// daemon restart); the daemon re-streams it from instance 0.
     pub fn attach(&mut self, campaign: &str) -> Result<Accepted, ClientError> {
-        let mut payload = Vec::new();
-        put_str(&mut payload, campaign);
-        let id = self.send(FrameType::Attach, payload)?;
+        let id = self.send(FrameType::Attach, encode_text(campaign))?;
         self.expect_accepted(id)
     }
 

@@ -23,6 +23,8 @@
 use std::error::Error;
 use std::fmt;
 
+use vw_packet::codec::Writer;
+
 /// `"VWS1"` read as a little-endian `u32`.
 pub const MAGIC: u32 = 0x5657_5331;
 
@@ -141,14 +143,15 @@ impl Frame {
     /// Serializes the frame (header + payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.push(VERSION);
-        out.push(self.frame_type.as_u8());
-        out.extend_from_slice(&[0u8; 2]);
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&self.payload).to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut w = Writer::le(&mut out);
+        w.u32(MAGIC);
+        w.u8(VERSION);
+        w.u8(self.frame_type.as_u8());
+        w.u16(0); // reserved
+        w.u64(self.request_id);
+        w.len32(self.payload.len());
+        w.u32(crc32(&self.payload));
+        w.bytes(&self.payload);
         out
     }
 }

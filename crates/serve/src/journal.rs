@@ -20,7 +20,8 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::Mutex;
 
-use crate::payload::{get_str, get_u64, get_u8, put_str, put_u64, put_u8};
+use vw_packet::codec::{Reader, Writer};
+use vw_packet::ParseError;
 
 /// How loudly a journal entry matters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -47,6 +48,12 @@ impl Severity {
             2 => Some(Severity::Error),
             _ => None,
         }
+    }
+
+    /// Reads the one-byte wire form; a byte [`Severity::from_u8`] does
+    /// not know is malformed.
+    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Severity, ParseError> {
+        Severity::from_u8(r.u8()?).ok_or_else(|| ParseError::new("bad severity"))
     }
 
     /// Lowercase label (`info` / `warn` / `error`).
@@ -208,115 +215,112 @@ pub struct JournalEntry {
 }
 
 impl JournalEntry {
-    /// Appends the wire encoding of this entry to `out`: `seq u64,
-    /// t_ms u64, severity u8, kind u8`, then kind-specific fields using
-    /// the shared payload primitives.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.seq);
-        put_u64(out, self.t_ms);
-        put_u8(out, self.severity.as_u8());
+    /// Appends the wire encoding of this entry: `seq u64, t_ms u64,
+    /// severity u8, kind u8`, then kind-specific fields (strings as in
+    /// [`payload`](crate::payload)).
+    pub fn encode_into(&self, w: &mut Writer<'_>) {
+        w.u64(self.seq);
+        w.u64(self.t_ms);
+        w.u8(self.severity.as_u8());
         match &self.event {
             JournalEvent::ConnAccepted { conn } => {
-                put_u8(out, 0);
-                put_u64(out, *conn);
+                w.u8(0);
+                w.u64(*conn);
             }
             JournalEvent::ConnClosed { conn } => {
-                put_u8(out, 1);
-                put_u64(out, *conn);
+                w.u8(1);
+                w.u64(*conn);
             }
             JournalEvent::CampaignSubmitted { campaign, total } => {
-                put_u8(out, 2);
-                put_str(out, campaign);
-                put_u64(out, *total);
+                w.u8(2);
+                w.str32(campaign);
+                w.u64(*total);
             }
             JournalEvent::CampaignPaused { campaign } => {
-                put_u8(out, 3);
-                put_str(out, campaign);
+                w.u8(3);
+                w.str32(campaign);
             }
             JournalEvent::CampaignResumed { campaign } => {
-                put_u8(out, 4);
-                put_str(out, campaign);
+                w.u8(4);
+                w.str32(campaign);
             }
             JournalEvent::CampaignCheckpointed { campaign, shard } => {
-                put_u8(out, 5);
-                put_str(out, campaign);
-                put_u64(out, *shard);
+                w.u8(5);
+                w.str32(campaign);
+                w.u64(*shard);
             }
             JournalEvent::CampaignDone { campaign } => {
-                put_u8(out, 6);
-                put_str(out, campaign);
+                w.u8(6);
+                w.str32(campaign);
             }
             JournalEvent::QuotaBounced { campaign, reason } => {
-                put_u8(out, 7);
-                put_str(out, campaign);
-                put_str(out, reason);
+                w.u8(7);
+                w.str32(campaign);
+                w.str32(reason);
             }
             JournalEvent::WorkerStalled {
                 worker,
                 campaign,
                 running_ms,
             } => {
-                put_u8(out, 8);
-                put_u64(out, *worker);
-                put_str(out, campaign);
-                put_u64(out, *running_ms);
+                w.u8(8);
+                w.u64(*worker);
+                w.str32(campaign);
+                w.u64(*running_ms);
             }
             JournalEvent::FrameError { conn, detail } => {
-                put_u8(out, 9);
-                put_u64(out, *conn);
-                put_str(out, detail);
+                w.u8(9);
+                w.u64(*conn);
+                w.str32(detail);
             }
         }
     }
 
-    /// Decodes an entry written by [`JournalEntry::encode_into`] from
-    /// `buf` at `*pos`. Total: truncation, unknown kinds and unknown
-    /// severities yield `None`.
-    pub fn decode_from(buf: &[u8], pos: &mut usize) -> Option<JournalEntry> {
-        let seq = get_u64(buf, pos)?;
-        let t_ms = get_u64(buf, pos)?;
-        let severity = Severity::from_u8(get_u8(buf, pos)?)?;
-        let kind = get_u8(buf, pos)?;
-        let event = match kind {
-            0 => JournalEvent::ConnAccepted {
-                conn: get_u64(buf, pos)?,
-            },
-            1 => JournalEvent::ConnClosed {
-                conn: get_u64(buf, pos)?,
-            },
+    /// Decodes an entry written by [`JournalEntry::encode_into`].
+    ///
+    /// # Errors
+    ///
+    /// On truncation, an unknown kind or an unknown severity.
+    pub fn decode_from(r: &mut Reader<'_>) -> Result<JournalEntry, ParseError> {
+        let seq = r.u64()?;
+        let t_ms = r.u64()?;
+        let severity = Severity::decode_from(r)?;
+        let event = match r.u8()? {
+            0 => JournalEvent::ConnAccepted { conn: r.u64()? },
+            1 => JournalEvent::ConnClosed { conn: r.u64()? },
             2 => JournalEvent::CampaignSubmitted {
-                campaign: get_str(buf, pos)?,
-                total: get_u64(buf, pos)?,
+                campaign: r.str32()?,
+                total: r.u64()?,
             },
             3 => JournalEvent::CampaignPaused {
-                campaign: get_str(buf, pos)?,
+                campaign: r.str32()?,
             },
             4 => JournalEvent::CampaignResumed {
-                campaign: get_str(buf, pos)?,
+                campaign: r.str32()?,
             },
             5 => JournalEvent::CampaignCheckpointed {
-                campaign: get_str(buf, pos)?,
-                shard: get_u64(buf, pos)?,
+                campaign: r.str32()?,
+                shard: r.u64()?,
             },
             6 => JournalEvent::CampaignDone {
-                campaign: get_str(buf, pos)?,
+                campaign: r.str32()?,
             },
             7 => JournalEvent::QuotaBounced {
-                campaign: get_str(buf, pos)?,
-                reason: get_str(buf, pos)?,
+                campaign: r.str32()?,
+                reason: r.str32()?,
             },
             8 => JournalEvent::WorkerStalled {
-                worker: get_u64(buf, pos)?,
-                campaign: get_str(buf, pos)?,
-                running_ms: get_u64(buf, pos)?,
+                worker: r.u64()?,
+                campaign: r.str32()?,
+                running_ms: r.u64()?,
             },
             9 => JournalEvent::FrameError {
-                conn: get_u64(buf, pos)?,
-                detail: get_str(buf, pos)?,
+                conn: r.u64()?,
+                detail: r.str32()?,
             },
-            _ => return None,
+            kind => return Err(ParseError::new(format!("bad journal kind {kind}"))),
         };
-        Some(JournalEntry {
+        Ok(JournalEntry {
             seq,
             t_ms,
             severity,
@@ -572,15 +576,12 @@ mod tests {
                 event,
             };
             let mut buf = Vec::new();
-            entry.encode_into(&mut buf);
-            let mut pos = 0;
-            let back = JournalEntry::decode_from(&buf, &mut pos).expect("decodes");
-            assert_eq!(back, entry);
-            assert_eq!(pos, buf.len(), "strict framing");
+            entry.encode_into(&mut Writer::le(&mut buf));
+            let back = Reader::le(&buf).whole(JournalEntry::decode_from);
+            assert_eq!(back, Ok(entry), "strict framing");
             // Truncations are total.
             for cut in 0..buf.len() {
-                let mut pos = 0;
-                assert!(JournalEntry::decode_from(&buf[..cut], &mut pos).is_none());
+                assert!(JournalEntry::decode_from(&mut Reader::le(&buf[..cut])).is_err());
             }
         }
     }
@@ -594,15 +595,13 @@ mod tests {
             event: JournalEvent::ConnAccepted { conn: 1 },
         };
         let mut buf = Vec::new();
-        entry.encode_into(&mut buf);
+        entry.encode_into(&mut Writer::le(&mut buf));
         let mut bad_kind = buf.clone();
         bad_kind[17] = 0xEE; // kind byte after seq(8) + t_ms(8) + severity(1)
-        let mut pos = 0;
-        assert!(JournalEntry::decode_from(&bad_kind, &mut pos).is_none());
+        assert!(JournalEntry::decode_from(&mut Reader::le(&bad_kind)).is_err());
         let mut bad_sev = buf.clone();
         bad_sev[16] = 9;
-        let mut pos = 0;
-        assert!(JournalEntry::decode_from(&bad_sev, &mut pos).is_none());
+        assert!(JournalEntry::decode_from(&mut Reader::le(&bad_sev)).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! ```text
 //!   client ──Submit──▶ frame codec ──▶ scheduler ──▶ worker pool
-//!     ▲                 (frame.rs)     (fair RR       (run_shard)
+//!     ▲                 (frame.rs)     (fair RR       (run_shard_observed)
 //!     │                                 over shards)      │
 //!     └──Outcome/Done── bounded outbox ◀── emission ◀─────┤
 //!            (backpressure: full outbox pauses the sweep) │

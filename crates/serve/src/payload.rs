@@ -1,10 +1,10 @@
 //! Binary payload codecs for the frame types in [`frame`](crate::frame).
 //!
-//! Hand-rolled little-endian encoding, same dependency-free discipline
-//! as the rest of the workspace (the vendored `serde` stub cannot
-//! serialize). Every decoder is total: truncated or inconsistent bytes
-//! yield `None`, never a panic — the robustness corpus drives each one
-//! through its truncation points.
+//! Little-endian through [`vw_packet::codec`] (the vendored `serde` stub
+//! cannot serialize); this format's own rules are `u32` length and count
+//! prefixes and "a payload is exactly one value". Every decoder is total:
+//! truncated or inconsistent bytes yield `None`, never a panic — the
+//! robustness corpus drives each one through its truncation points.
 //!
 //! A campaign travels as its FSL *source text* plus structured axes: the
 //! daemon re-parses and re-enumerates, which keeps the wire format
@@ -17,6 +17,10 @@ use vw_campaign::{
 };
 use vw_netsim::ControlImpairment;
 use vw_obs::Histogram;
+use vw_packet::codec::{Reader, Writer};
+use vw_packet::ParseError;
+
+use crate::journal::{JournalEntry, Severity};
 
 /// Typed daemon rejection codes carried by `Error` frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,70 +101,71 @@ pub struct Submission {
     pub shard_size: u32,
 }
 
+/// Builds one payload: `fill` writes it little-endian.
+fn write_payload(fill: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    fill(&mut Writer::le(&mut out));
+    out
+}
+
+/// Decodes a payload that must be exactly one value.
+fn read_payload<'a, T>(
+    buf: &'a [u8],
+    value: impl FnOnce(&mut Reader<'a>) -> Result<T, ParseError>,
+) -> Option<T> {
+    Reader::le(buf).whole(value).ok()
+}
+
+/// The error for a discriminant outside its enum.
+fn bad(what: &str) -> ParseError {
+    ParseError::new(format!("bad {what}"))
+}
+
 impl Submission {
     /// Encodes the submission payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Vec::new();
-        put_str(&mut w, &self.campaign);
-        put_str(&mut w, &self.program);
-        put_str(&mut w, &self.setup);
-        put_u32(&mut w, self.axes.len() as u32);
-        for axis in &self.axes {
-            encode_axis(&mut w, axis);
-        }
-        encode_run_config(&mut w, &self.defaults);
-        match self.sampling {
-            Sampling::Exhaustive => put_u8(&mut w, 0),
-            Sampling::Random { budget, seed } => {
-                put_u8(&mut w, 1);
-                put_u64(&mut w, budget as u64);
-                put_u64(&mut w, seed);
+        write_payload(|w| {
+            w.str32(&self.campaign);
+            w.str32(&self.program);
+            w.str32(&self.setup);
+            w.list32(&self.axes, encode_axis);
+            encode_run_config(w, &self.defaults);
+            match self.sampling {
+                Sampling::Exhaustive => w.u8(0),
+                Sampling::Random { budget, seed } => {
+                    w.u8(1);
+                    w.u64(budget as u64);
+                    w.u64(seed);
+                }
             }
-        }
-        put_u8(&mut w, encode_key(&self.key));
-        put_u64(&mut w, self.deadline_ns);
-        put_u32(&mut w, self.shard_size);
-        w
+            w.u8(encode_key(&self.key));
+            w.u64(self.deadline_ns);
+            w.u32(self.shard_size);
+        })
     }
 
     /// Decodes a submission payload.
     pub fn decode(buf: &[u8]) -> Option<Submission> {
-        let pos = &mut 0;
-        let campaign = get_str(buf, pos)?;
-        let program = get_str(buf, pos)?;
-        let setup = get_str(buf, pos)?;
-        let n_axes = get_u32(buf, pos)?;
-        // An axis encoding is ≥ 5 bytes; reject counts the buffer
-        // cannot possibly hold before allocating.
-        if n_axes as usize > buf.len() {
-            return None;
-        }
-        let mut axes = Vec::with_capacity(n_axes as usize);
-        for _ in 0..n_axes {
-            axes.push(decode_axis(buf, pos)?);
-        }
-        let defaults = decode_run_config(buf, pos)?;
-        let sampling = match get_u8(buf, pos)? {
-            0 => Sampling::Exhaustive,
-            1 => Sampling::Random {
-                budget: get_u64(buf, pos)? as usize,
-                seed: get_u64(buf, pos)?,
-            },
-            _ => return None,
-        };
-        let key = decode_key(get_u8(buf, pos)?)?;
-        let deadline_ns = get_u64(buf, pos)?;
-        let shard_size = get_u32(buf, pos)?;
-        (*pos == buf.len()).then_some(Submission {
-            campaign,
-            program,
-            setup,
-            axes,
-            defaults,
-            sampling,
-            key,
-            deadline_ns,
-            shard_size,
+        read_payload(buf, |r| {
+            Ok(Submission {
+                campaign: r.str32()?,
+                program: r.str32()?,
+                setup: r.str32()?,
+                // The smallest axis is a tag and an empty value list.
+                axes: r.list32(5, decode_axis)?,
+                defaults: decode_run_config(r)?,
+                sampling: match r.u8()? {
+                    0 => Sampling::Exhaustive,
+                    1 => Sampling::Random {
+                        budget: r.u64()? as usize,
+                        seed: r.u64()?,
+                    },
+                    _ => return Err(bad("sampling tag")),
+                },
+                key: decode_key(r.u8()?).ok_or_else(|| bad("digest key"))?,
+                deadline_ns: r.u64()?,
+                shard_size: r.u32()?,
+            })
         })
     }
 }
@@ -182,60 +187,65 @@ pub struct Accepted {
 impl Accepted {
     /// Encodes the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Vec::new();
-        put_str(&mut w, &self.campaign);
-        put_u64(&mut w, self.total);
-        put_u64(&mut w, self.shards);
-        put_u64(&mut w, self.already_done);
-        w
+        write_payload(|w| {
+            w.str32(&self.campaign);
+            w.u64(self.total);
+            w.u64(self.shards);
+            w.u64(self.already_done);
+        })
     }
 
     /// Decodes the payload.
     pub fn decode(buf: &[u8]) -> Option<Accepted> {
-        let pos = &mut 0;
-        let campaign = get_str(buf, pos)?;
-        let total = get_u64(buf, pos)?;
-        let shards = get_u64(buf, pos)?;
-        let already_done = get_u64(buf, pos)?;
-        (*pos == buf.len()).then_some(Accepted {
-            campaign,
-            total,
-            shards,
-            already_done,
+        read_payload(buf, |r| {
+            Ok(Accepted {
+                campaign: r.str32()?,
+                total: r.u64()?,
+                shards: r.u64()?,
+                already_done: r.u64()?,
+            })
         })
     }
 }
 
+/// Encodes a payload that is one string: `Attach`'s campaign name,
+/// `StatsReply`'s Prometheus text.
+pub fn encode_text(text: &str) -> Vec<u8> {
+    write_payload(|w| w.str32(text))
+}
+
+/// Decodes a one-string payload.
+pub fn decode_text(buf: &[u8]) -> Option<String> {
+    read_payload(buf, Reader::str32)
+}
+
 /// Encodes an `Error` payload (code + message).
 pub fn encode_error(code: ErrorCode, message: &str) -> Vec<u8> {
-    let mut w = Vec::new();
-    put_u16(&mut w, code.as_u16());
-    put_str(&mut w, message);
-    w
+    write_payload(|w| {
+        w.u16(code.as_u16());
+        w.str32(message);
+    })
 }
 
 /// Decodes an `Error` payload.
 pub fn decode_error(buf: &[u8]) -> Option<(ErrorCode, String)> {
-    let pos = &mut 0;
-    let code = ErrorCode::from_u16(get_u16(buf, pos)?)?;
-    let message = get_str(buf, pos)?;
-    (*pos == buf.len()).then_some((code, message))
+    read_payload(buf, |r| {
+        let code = ErrorCode::from_u16(r.u16()?).ok_or_else(|| bad("error code"))?;
+        Ok((code, r.str32()?))
+    })
 }
 
 /// Encodes an `Outcome` payload: instance index + rendered JSONL line.
 pub fn encode_outcome_line(instance: u64, line: &str) -> Vec<u8> {
-    let mut w = Vec::new();
-    put_u64(&mut w, instance);
-    put_str(&mut w, line);
-    w
+    write_payload(|w| {
+        w.u64(instance);
+        w.str32(line);
+    })
 }
 
 /// Decodes an `Outcome` payload.
 pub fn decode_outcome_line(buf: &[u8]) -> Option<(u64, String)> {
-    let pos = &mut 0;
-    let instance = get_u64(buf, pos)?;
-    let line = get_str(buf, pos)?;
-    (*pos == buf.len()).then_some((instance, line))
+    read_payload(buf, |r| Ok((r.u64()?, r.str32()?)))
 }
 
 /// `Subscribe` payload: a client's request for a live telemetry stream.
@@ -250,36 +260,29 @@ pub struct Subscribe {
     /// Restrict per-campaign series to this campaign (empty = all).
     pub campaign: String,
     /// Only journal entries at or above this severity ride along.
-    pub journal_min_severity: crate::journal::Severity,
+    pub journal_min_severity: Severity,
 }
 
 impl Subscribe {
     /// Encodes the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Vec::new();
-        put_u32(&mut w, self.interval_ms);
-        put_u8(&mut w, u8::from(self.prometheus_text));
-        put_str(&mut w, &self.campaign);
-        put_u8(&mut w, self.journal_min_severity.as_u8());
-        w
+        write_payload(|w| {
+            w.u32(self.interval_ms);
+            w.bool(self.prometheus_text);
+            w.str32(&self.campaign);
+            w.u8(self.journal_min_severity.as_u8());
+        })
     }
 
     /// Decodes the payload.
     pub fn decode(buf: &[u8]) -> Option<Subscribe> {
-        let pos = &mut 0;
-        let interval_ms = get_u32(buf, pos)?;
-        let prometheus_text = match get_u8(buf, pos)? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let campaign = get_str(buf, pos)?;
-        let journal_min_severity = crate::journal::Severity::from_u8(get_u8(buf, pos)?)?;
-        (*pos == buf.len()).then_some(Subscribe {
-            interval_ms,
-            prometheus_text,
-            campaign,
-            journal_min_severity,
+        read_payload(buf, |r| {
+            Ok(Subscribe {
+                interval_ms: r.u32()?,
+                prometheus_text: r.bool()?,
+                campaign: r.str32()?,
+                journal_min_severity: Severity::decode_from(r)?,
+            })
         })
     }
 }
@@ -295,7 +298,7 @@ pub struct TelemetryDelta {
     /// delivered delta — nothing is lost, only latency.
     pub dropped: u64,
     /// Journal entries since the subscriber's cursor, oldest first.
-    pub journal: Vec<crate::journal::JournalEntry>,
+    pub journal: Vec<JournalEntry>,
     /// Binary registry delta
     /// ([`MetricsRegistry::encode_delta_from`](vw_obs::MetricsRegistry::encode_delta_from))
     /// against the last *delivered* tick; apply in order with
@@ -306,39 +309,31 @@ pub struct TelemetryDelta {
     pub prometheus: String,
 }
 
+/// A journal entry's smallest encoding: seq + t_ms + severity + kind.
+const MIN_JOURNAL_ENTRY: usize = 18;
+
 impl TelemetryDelta {
     /// Encodes the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Vec::new();
-        put_u64(&mut w, self.seq);
-        put_u64(&mut w, self.dropped);
-        put_u32(&mut w, self.journal.len() as u32);
-        for entry in &self.journal {
-            entry.encode_into(&mut w);
-        }
-        put_u32(&mut w, self.delta.len() as u32);
-        w.extend_from_slice(&self.delta);
-        put_str(&mut w, &self.prometheus);
-        w
+        write_payload(|w| {
+            w.u64(self.seq);
+            w.u64(self.dropped);
+            w.list32(&self.journal, |w, entry| entry.encode_into(w));
+            w.bytes32(&self.delta);
+            w.str32(&self.prometheus);
+        })
     }
 
     /// Decodes the payload.
     pub fn decode(buf: &[u8]) -> Option<TelemetryDelta> {
-        let pos = &mut 0;
-        let seq = get_u64(buf, pos)?;
-        let dropped = get_u64(buf, pos)?;
-        // A journal entry is ≥ 18 bytes (seq + t_ms + severity + kind).
-        let journal = get_vec(buf, pos, 18, crate::journal::JournalEntry::decode_from)?;
-        let delta_len = get_u32(buf, pos)? as usize;
-        let delta = buf.get(*pos..pos.checked_add(delta_len)?)?.to_vec();
-        *pos += delta_len;
-        let prometheus = get_str(buf, pos)?;
-        (*pos == buf.len()).then_some(TelemetryDelta {
-            seq,
-            dropped,
-            journal,
-            delta,
-            prometheus,
+        read_payload(buf, |r| {
+            Ok(TelemetryDelta {
+                seq: r.u64()?,
+                dropped: r.u64()?,
+                journal: r.list32(MIN_JOURNAL_ENTRY, JournalEntry::decode_from)?,
+                delta: r.bytes32()?.to_vec(),
+                prometheus: r.str32()?,
+            })
         })
     }
 }
@@ -349,7 +344,7 @@ pub struct JournalQuery {
     /// Return entries with `seq >= since_seq`.
     pub since_seq: u64,
     /// Minimum severity.
-    pub min_severity: crate::journal::Severity,
+    pub min_severity: Severity,
     /// At most this many entries, newest kept (0 = no limit; the daemon
     /// still caps replies to fit a frame).
     pub limit: u32,
@@ -358,23 +353,21 @@ pub struct JournalQuery {
 impl JournalQuery {
     /// Encodes the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Vec::new();
-        put_u64(&mut w, self.since_seq);
-        put_u8(&mut w, self.min_severity.as_u8());
-        put_u32(&mut w, self.limit);
-        w
+        write_payload(|w| {
+            w.u64(self.since_seq);
+            w.u8(self.min_severity.as_u8());
+            w.u32(self.limit);
+        })
     }
 
     /// Decodes the payload.
     pub fn decode(buf: &[u8]) -> Option<JournalQuery> {
-        let pos = &mut 0;
-        let since_seq = get_u64(buf, pos)?;
-        let min_severity = crate::journal::Severity::from_u8(get_u8(buf, pos)?)?;
-        let limit = get_u32(buf, pos)?;
-        (*pos == buf.len()).then_some(JournalQuery {
-            since_seq,
-            min_severity,
-            limit,
+        read_payload(buf, |r| {
+            Ok(JournalQuery {
+                since_seq: r.u64()?,
+                min_severity: Severity::decode_from(r)?,
+                limit: r.u32()?,
+            })
         })
     }
 }
@@ -389,141 +382,107 @@ pub struct JournalReply {
     /// lost `first_seq - since_seq` entries to eviction.
     pub first_seq: u64,
     /// Matching entries, oldest first.
-    pub entries: Vec<crate::journal::JournalEntry>,
+    pub entries: Vec<JournalEntry>,
 }
 
 impl JournalReply {
     /// Encodes the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Vec::new();
-        put_u64(&mut w, self.next_seq);
-        put_u64(&mut w, self.first_seq);
-        put_u32(&mut w, self.entries.len() as u32);
-        for entry in &self.entries {
-            entry.encode_into(&mut w);
-        }
-        w
+        write_payload(|w| {
+            w.u64(self.next_seq);
+            w.u64(self.first_seq);
+            w.list32(&self.entries, |w, entry| entry.encode_into(w));
+        })
     }
 
     /// Decodes the payload.
     pub fn decode(buf: &[u8]) -> Option<JournalReply> {
-        let pos = &mut 0;
-        let next_seq = get_u64(buf, pos)?;
-        let first_seq = get_u64(buf, pos)?;
-        let entries = get_vec(buf, pos, 18, crate::journal::JournalEntry::decode_from)?;
-        (*pos == buf.len()).then_some(JournalReply {
-            next_seq,
-            first_seq,
-            entries,
+        read_payload(buf, |r| {
+            Ok(JournalReply {
+                next_seq: r.u64()?,
+                first_seq: r.u64()?,
+                entries: r.list32(MIN_JOURNAL_ENTRY, JournalEntry::decode_from)?,
+            })
         })
     }
 }
 
-/// Encodes an axis.
-fn encode_axis(w: &mut Vec<u8>, axis: &Axis) {
+fn encode_axis(w: &mut Writer<'_>, axis: &Axis) {
     match axis {
         Axis::Threshold {
             counter,
             occurrence,
             values,
         } => {
-            put_u8(w, 0);
-            put_str(w, counter);
-            match occurrence {
-                None => put_u8(w, 0),
-                Some(n) => {
-                    put_u8(w, 1);
-                    put_u64(w, *n as u64);
-                }
-            }
-            put_u32(w, values.len() as u32);
-            for v in values {
-                put_u64(w, *v as u64);
-            }
+            w.u8(0);
+            w.str32(counter);
+            w.opt(*occurrence, |w, n| w.u64(n as u64));
+            w.list32(values, |w, v| w.i64(*v));
         }
         Axis::DelayNs { values } => {
-            put_u8(w, 1);
-            put_u32(w, values.len() as u32);
-            for v in values {
-                put_u64(w, *v);
-            }
+            w.u8(1);
+            w.list32(values, |w, v| w.u64(*v));
         }
         Axis::Seed { values } => {
-            put_u8(w, 2);
-            put_u32(w, values.len() as u32);
-            for v in values {
-                put_u64(w, *v);
-            }
+            w.u8(2);
+            w.list32(values, |w, v| w.u64(*v));
         }
         Axis::Impairment { values } => {
-            put_u8(w, 3);
-            put_u32(w, values.len() as u32);
-            for v in values {
-                encode_impairment(w, v);
-            }
+            w.u8(3);
+            w.list32(values, encode_impairment);
         }
     }
 }
 
-/// Decodes an axis.
-fn decode_axis(buf: &[u8], pos: &mut usize) -> Option<Axis> {
-    Some(match get_u8(buf, pos)? {
-        0 => {
-            let counter = get_str(buf, pos)?;
-            let occurrence = match get_u8(buf, pos)? {
-                0 => None,
-                1 => Some(get_u64(buf, pos)? as usize),
-                _ => return None,
-            };
-            let values = get_vec(buf, pos, 8, |b, p| Some(get_u64(b, p)? as i64))?;
-            Axis::Threshold {
-                counter,
-                occurrence,
-                values,
-            }
-        }
+fn decode_axis(r: &mut Reader<'_>) -> Result<Axis, ParseError> {
+    Ok(match r.u8()? {
+        0 => Axis::Threshold {
+            counter: r.str32()?,
+            occurrence: r.opt(|r| Ok(r.u64()? as usize))?,
+            values: r.list32(8, Reader::i64)?,
+        },
         1 => Axis::DelayNs {
-            values: get_vec(buf, pos, 8, get_u64)?,
+            values: r.list32(8, Reader::u64)?,
         },
         2 => Axis::Seed {
-            values: get_vec(buf, pos, 8, get_u64)?,
+            values: r.list32(8, Reader::u64)?,
         },
         3 => Axis::Impairment {
-            values: get_vec(buf, pos, 48, decode_impairment)?,
+            values: r.list32(48, decode_impairment)?,
         },
-        _ => return None,
+        _ => return Err(bad("axis tag")),
     })
 }
 
-fn encode_run_config(w: &mut Vec<u8>, run: &RunConfig) {
-    put_u64(w, run.seed);
+fn encode_run_config(w: &mut Writer<'_>, run: &RunConfig) {
+    w.u64(run.seed);
     encode_impairment(w, &run.impairment);
 }
 
-fn decode_run_config(buf: &[u8], pos: &mut usize) -> Option<RunConfig> {
-    Some(RunConfig {
-        seed: get_u64(buf, pos)?,
-        impairment: decode_impairment(buf, pos)?,
+fn decode_run_config(r: &mut Reader<'_>) -> Result<RunConfig, ParseError> {
+    Ok(RunConfig {
+        seed: r.u64()?,
+        impairment: decode_impairment(r)?,
     })
 }
 
-fn encode_impairment(w: &mut Vec<u8>, imp: &ControlImpairment) {
-    put_u64(w, imp.drop.to_bits());
-    put_u64(w, imp.dup.to_bits());
-    put_u64(w, imp.reorder.to_bits());
-    put_u64(w, imp.delay.to_bits());
-    put_u64(w, imp.delay_ns);
-    put_u64(w, imp.reorder_window_ns);
+fn encode_impairment(w: &mut Writer<'_>, imp: &ControlImpairment) {
+    w.u64(imp.drop.to_bits());
+    w.u64(imp.dup.to_bits());
+    w.u64(imp.reorder.to_bits());
+    w.u64(imp.delay.to_bits());
+    w.u64(imp.delay_ns);
+    w.u64(imp.reorder_window_ns);
 }
 
-fn decode_impairment(buf: &[u8], pos: &mut usize) -> Option<ControlImpairment> {
-    Some(ControlImpairment {
-        drop: f64::from_bits(get_u64(buf, pos)?),
-        dup: f64::from_bits(get_u64(buf, pos)?),
-        reorder: f64::from_bits(get_u64(buf, pos)?),
-        delay: f64::from_bits(get_u64(buf, pos)?),
-        delay_ns: get_u64(buf, pos)?,
-        reorder_window_ns: get_u64(buf, pos)?,
+fn decode_impairment(r: &mut Reader<'_>) -> Result<ControlImpairment, ParseError> {
+    Ok(ControlImpairment {
+        drop: f64::from_bits(r.u64()?),
+        dup: f64::from_bits(r.u64()?),
+        reorder: f64::from_bits(r.u64()?),
+        delay: f64::from_bits(r.u64()?),
+        delay_ns: r.u64()?,
+        reorder_window_ns: r.u64()?,
     })
 }
 
@@ -563,196 +522,94 @@ fn decode_key(bits: u8) -> Option<DigestKey> {
 
 /// Encodes one `(outcome, wall_ns)` pair — the checkpoint log's and the
 /// result store's unit of persistence.
-pub fn encode_timed_outcome(w: &mut Vec<u8>, outcome: &InstanceOutcome, wall_ns: u64) {
-    put_u64(w, wall_ns);
+pub fn encode_timed_outcome(w: &mut Writer<'_>, (outcome, wall_ns): &(InstanceOutcome, u64)) {
+    w.u64(*wall_ns);
     match outcome {
         InstanceOutcome::Completed(d) => {
-            put_u8(w, 0);
+            w.u8(0);
             encode_digest(w, d);
         }
         InstanceOutcome::Invalid(m) => {
-            put_u8(w, 1);
-            put_str(w, m);
+            w.u8(1);
+            w.str32(m);
         }
         InstanceOutcome::SetupFailed(m) => {
-            put_u8(w, 2);
-            put_str(w, m);
+            w.u8(2);
+            w.str32(m);
         }
         InstanceOutcome::Crashed(m) => {
-            put_u8(w, 3);
-            put_str(w, m);
+            w.u8(3);
+            w.str32(m);
         }
     }
 }
 
 /// Decodes one `(outcome, wall_ns)` pair.
-pub fn decode_timed_outcome(buf: &[u8], pos: &mut usize) -> Option<(InstanceOutcome, u64)> {
-    let wall_ns = get_u64(buf, pos)?;
-    let outcome = match get_u8(buf, pos)? {
-        0 => InstanceOutcome::Completed(decode_digest(buf, pos)?),
-        1 => InstanceOutcome::Invalid(get_str(buf, pos)?),
-        2 => InstanceOutcome::SetupFailed(get_str(buf, pos)?),
-        3 => InstanceOutcome::Crashed(get_str(buf, pos)?),
-        _ => return None,
+pub fn decode_timed_outcome(r: &mut Reader<'_>) -> Result<(InstanceOutcome, u64), ParseError> {
+    let wall_ns = r.u64()?;
+    let outcome = match r.u8()? {
+        0 => InstanceOutcome::Completed(decode_digest(r)?),
+        1 => InstanceOutcome::Invalid(r.str32()?),
+        2 => InstanceOutcome::SetupFailed(r.str32()?),
+        3 => InstanceOutcome::Crashed(r.str32()?),
+        _ => return Err(bad("outcome tag")),
     };
-    Some((outcome, wall_ns))
+    Ok((outcome, wall_ns))
 }
 
-fn encode_digest(w: &mut Vec<u8>, d: &OutcomeDigest) {
-    put_u8(w, u8::from(d.passed));
-    put_str(w, &d.stop);
-    put_u32(w, d.errors.len() as u32);
-    for (node, message) in &d.errors {
-        put_str(w, node);
-        put_str(w, message);
-    }
-    put_u32(w, d.counters.len() as u32);
-    for (node, counter, value) in &d.counters {
-        put_str(w, node);
-        put_str(w, counter);
-        put_u64(w, *value as u64);
-    }
-    put_u32(w, d.stats.len() as u32);
-    for (node, stats) in &d.stats {
-        put_str(w, node);
-        encode_engine_stats(w, stats);
-    }
-    put_u32(w, d.metrics.counters.len() as u32);
-    for (name, value) in &d.metrics.counters {
-        put_str(w, name);
-        put_u64(w, *value);
-    }
-    put_u32(w, d.metrics.histograms.len() as u32);
-    for (name, h) in &d.metrics.histograms {
-        put_str(w, name);
+fn encode_digest(w: &mut Writer<'_>, d: &OutcomeDigest) {
+    w.bool(d.passed);
+    w.str32(&d.stop);
+    w.list32(&d.errors, |w, (node, message)| {
+        w.str32(node);
+        w.str32(message);
+    });
+    w.list32(&d.counters, |w, (node, counter, value)| {
+        w.str32(node);
+        w.str32(counter);
+        w.i64(*value);
+    });
+    w.list32(&d.stats, |w, (node, stats)| {
+        w.str32(node);
+        // One `u64` per field, in `EngineStats::fields` order.
+        for (_, value, _) in stats.fields() {
+            w.u64(value);
+        }
+    });
+    w.list32(&d.metrics.counters, |w, (name, value)| {
+        w.str32(name);
+        w.u64(*value);
+    });
+    w.list32(&d.metrics.histograms, |w, (name, h)| {
+        w.str32(name);
         h.encode_into(w);
-    }
-    put_u32(w, d.conformance.len() as u32);
-    for (model, node, verdict) in &d.conformance {
-        put_str(w, model);
-        put_str(w, node);
-        put_str(w, verdict);
-    }
+    });
+    w.list32(&d.conformance, |w, (model, node, verdict)| {
+        w.str32(model);
+        w.str32(node);
+        w.str32(verdict);
+    });
 }
 
-fn decode_digest(buf: &[u8], pos: &mut usize) -> Option<OutcomeDigest> {
-    let passed = match get_u8(buf, pos)? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    let stop = get_str(buf, pos)?;
-    let errors = get_vec(buf, pos, 8, |b, p| Some((get_str(b, p)?, get_str(b, p)?)))?;
-    let counters = get_vec(buf, pos, 16, |b, p| {
-        Some((get_str(b, p)?, get_str(b, p)?, get_u64(b, p)? as i64))
-    })?;
-    let stats = get_vec(buf, pos, 8, |b, p| {
-        Some((get_str(b, p)?, decode_engine_stats(b, p)?))
-    })?;
-    let m_counters = get_vec(buf, pos, 12, |b, p| Some((get_str(b, p)?, get_u64(b, p)?)))?;
-    let m_histograms = get_vec(buf, pos, 8, |b, p| {
-        Some((get_str(b, p)?, Histogram::decode_from(b, p)?))
-    })?;
-    let conformance = get_vec(buf, pos, 12, |b, p| {
-        Some((get_str(b, p)?, get_str(b, p)?, get_str(b, p)?))
-    })?;
-    Some(OutcomeDigest {
-        passed,
-        stop,
-        errors,
-        counters,
-        stats,
+// Each `list32` minimum counts the element's empty strings' prefixes
+// plus its fixed-width fields.
+fn decode_digest(r: &mut Reader<'_>) -> Result<OutcomeDigest, ParseError> {
+    Ok(OutcomeDigest {
+        passed: r.bool()?,
+        stop: r.str32()?,
+        errors: r.list32(8, |r| Ok((r.str32()?, r.str32()?)))?,
+        counters: r.list32(16, |r| Ok((r.str32()?, r.str32()?, r.i64()?)))?,
+        stats: r.list32(8, |r| {
+            let node = r.str32()?;
+            let stats = EngineStats::from_values(std::iter::from_fn(|| r.u64().ok()));
+            Ok((node, stats.ok_or_else(|| bad("engine stats"))?))
+        })?,
         metrics: MetricsDigest {
-            counters: m_counters,
-            histograms: m_histograms,
+            counters: r.list32(12, |r| Ok((r.str32()?, r.u64()?)))?,
+            histograms: r.list32(8, |r| Ok((r.str32()?, Histogram::decode_from(r)?)))?,
         },
-        conformance,
+        conformance: r.list32(12, |r| Ok((r.str32()?, r.str32()?, r.str32()?)))?,
     })
-}
-
-// One `u64` per field, in `EngineStats::fields` order.
-fn encode_engine_stats(w: &mut Vec<u8>, stats: &EngineStats) {
-    for (_, value, _) in stats.fields() {
-        put_u64(w, value);
-    }
-}
-
-fn decode_engine_stats(buf: &[u8], pos: &mut usize) -> Option<EngineStats> {
-    EngineStats::from_values(std::iter::from_fn(|| get_u64(buf, pos)))
-}
-
-// ---- little-endian primitive helpers ----
-
-pub(crate) fn put_u8(w: &mut Vec<u8>, v: u8) {
-    w.push(v);
-}
-
-pub(crate) fn put_u16(w: &mut Vec<u8>, v: u16) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u32(w: &mut Vec<u8>, v: u32) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(w: &mut Vec<u8>, v: u64) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(w: &mut Vec<u8>, s: &str) {
-    put_u32(w, s.len() as u32);
-    w.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn get_u8(buf: &[u8], pos: &mut usize) -> Option<u8> {
-    let v = *buf.get(*pos)?;
-    *pos += 1;
-    Some(v)
-}
-
-pub(crate) fn get_u16(buf: &[u8], pos: &mut usize) -> Option<u16> {
-    let bytes = buf.get(*pos..*pos + 2)?;
-    *pos += 2;
-    Some(u16::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-pub(crate) fn get_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
-    let bytes = buf.get(*pos..*pos + 4)?;
-    *pos += 4;
-    Some(u32::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-pub(crate) fn get_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let bytes = buf.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-pub(crate) fn get_str(buf: &[u8], pos: &mut usize) -> Option<String> {
-    let len = get_u32(buf, pos)? as usize;
-    let bytes = buf.get(*pos..pos.checked_add(len)?)?;
-    *pos += len;
-    String::from_utf8(bytes.to_vec()).ok()
-}
-
-/// Length-prefixed vector decode with a per-element minimum size, so a
-/// corrupt count can't trigger a huge allocation before the buffer runs
-/// dry.
-fn get_vec<T>(
-    buf: &[u8],
-    pos: &mut usize,
-    min_elem: usize,
-    mut elem: impl FnMut(&[u8], &mut usize) -> Option<T>,
-) -> Option<Vec<T>> {
-    let n = get_u32(buf, pos)? as usize;
-    if n.checked_mul(min_elem.max(1))? > buf.len().saturating_sub(*pos) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(elem(buf, pos)?);
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -954,13 +811,9 @@ mod tests {
             (InstanceOutcome::SetupFailed("node1 missing".into()), 9),
             (InstanceOutcome::Crashed("probe seed 3".into()), u64::MAX),
         ];
-        for (outcome, wall_ns) in variants {
-            let mut w = Vec::new();
-            encode_timed_outcome(&mut w, &outcome, wall_ns);
-            let pos = &mut 0;
-            let decoded = decode_timed_outcome(&w, pos).expect("round trip");
-            assert_eq!(decoded, (outcome, wall_ns));
-            assert_eq!(*pos, w.len());
+        for timed in variants {
+            let bytes = write_payload(|w| encode_timed_outcome(w, &timed));
+            assert_eq!(read_payload(&bytes, decode_timed_outcome), Some(timed));
         }
     }
 

@@ -200,7 +200,65 @@ struct Campaign {
     paused: bool,
 }
 
+/// The instances a submission's program and axes enumerate to.
+fn enumerate(submission: &Submission) -> Result<Vec<Instance>, String> {
+    let base =
+        vw_fsl::parse(&submission.program).map_err(|e| format!("program parse failed: {e}"))?;
+    let spec = CampaignSpec {
+        name: submission.campaign.clone(),
+        base,
+        axes: submission.axes.clone(),
+        defaults: submission.defaults,
+        sampling: submission.sampling,
+    };
+    spec.enumerate().map_err(|e| e.to_string())
+}
+
 impl Campaign {
+    /// A campaign over `instances` (what [`enumerate`] made of
+    /// `submission`), sharded by the submission's stored shard size, with
+    /// no subscriber yet. `done` holds the shards a checkpoint log already
+    /// has; a log shard must match the plan exactly — anything else is a
+    /// stale or foreign record and gets re-run instead.
+    fn from_submission(
+        submission: &Submission,
+        instances: Vec<Instance>,
+        setup: SetupHandle,
+        writer: CheckpointWriter,
+        done: BTreeMap<u64, Vec<(InstanceOutcome, u64)>>,
+    ) -> Campaign {
+        let plan = ShardPlan::new(instances.len(), submission.shard_size as usize);
+        let mut shards: Vec<ShardSlot> = (0..plan.count()).map(|_| ShardSlot::Pending).collect();
+        let mut completed_shards = 0;
+        for (shard, outcomes) in done {
+            let shard = shard as usize;
+            if shard < plan.count() && outcomes.len() == plan.range(shard).len() {
+                shards[shard] = ShardSlot::Done(outcomes);
+                completed_shards += 1;
+            }
+        }
+        let mut campaign = Campaign {
+            name: submission.campaign.clone(),
+            conn: 0,
+            instances: Arc::new(instances),
+            plan,
+            setup,
+            deadline: SimDuration::from_nanos(submission.deadline_ns),
+            key: submission.key,
+            shards,
+            prefix_shards: 0,
+            prefix_instances: 0,
+            completed_shards,
+            finished: false,
+            summary: None,
+            subscribers: Vec::new(),
+            checkpoint: Arc::new(Mutex::new(writer)),
+            paused: false,
+        };
+        Scheduler::advance_prefix(&mut campaign);
+        campaign
+    }
+
     fn lag(&self) -> usize {
         self.subscribers
             .iter()
@@ -401,7 +459,7 @@ impl Scheduler {
     pub(crate) fn submit(
         &self,
         conn: u64,
-        submission: Submission,
+        mut submission: Submission,
         outbox: &Arc<Outbox>,
         request_id: u64,
     ) -> Result<Accepted, (ErrorCode, String)> {
@@ -429,18 +487,7 @@ impl Scheduler {
                 ),
             )
         })?;
-        let program = vw_fsl::parse(&submission.program)
-            .map_err(|e| (ErrorCode::BadSpec, format!("program parse failed: {e}")))?;
-        let spec = CampaignSpec {
-            name: submission.campaign.clone(),
-            base: program,
-            axes: submission.axes.clone(),
-            defaults: submission.defaults,
-            sampling: submission.sampling,
-        };
-        let instances = spec
-            .enumerate()
-            .map_err(|e| (ErrorCode::BadSpec, e.to_string()))?;
+        let instances = enumerate(&submission).map_err(|e| (ErrorCode::BadSpec, e))?;
         if instances.len() > self.cfg.quota.max_instances_per_campaign {
             self.bounce(&submission.campaign, "max_instances_per_campaign");
             return Err((
@@ -452,12 +499,11 @@ impl Scheduler {
                 ),
             ));
         }
-        let shard_size = if submission.shard_size == 0 {
-            self.cfg.shard_size
-        } else {
-            submission.shard_size as usize
-        };
-        let plan = ShardPlan::new(instances.len(), shard_size);
+        // A submission that stores its shard-size choice resumes under
+        // the same partitioning even if the daemon default changed.
+        if submission.shard_size == 0 {
+            submission.shard_size = self.cfg.shard_size as u32;
+        }
 
         let mut inner = self.inner.lock().unwrap();
         if inner.shutdown {
@@ -496,18 +542,16 @@ impl Scheduler {
         let log_path = self.cfg.state_dir.join(log_file_name(&submission.campaign));
         let mut writer = CheckpointWriter::open(&log_path)
             .map_err(|e| (ErrorCode::Internal, format!("checkpoint open: {e}")))?;
-        // A submission that stores its shard-size choice resumes under
-        // the same partitioning even if the daemon default changed.
-        let mut stored = submission.clone();
-        stored.shard_size = shard_size as u32;
         writer
-            .append_header(&stored)
+            .append_header(&submission)
             .map_err(|e| (ErrorCode::Internal, format!("checkpoint write: {e}")))?;
 
+        let mut campaign =
+            Campaign::from_submission(&submission, instances, setup, writer, BTreeMap::new());
         let accepted = Accepted {
             campaign: submission.campaign.clone(),
-            total: instances.len() as u64,
-            shards: plan.count() as u64,
+            total: campaign.instances.len() as u64,
+            shards: campaign.plan.count() as u64,
             already_done: 0,
         };
         // Accepted goes into the outbox under the scheduler lock, ahead
@@ -515,31 +559,15 @@ impl Scheduler {
         let frame = Frame::new(FrameType::Accepted, request_id, accepted.encode());
         let _ = outbox.try_push(frame.encode());
 
-        let mut campaign = Campaign {
-            name: submission.campaign.clone(),
-            conn,
-            instances: Arc::new(instances),
-            plan,
-            setup,
-            deadline: SimDuration::from_nanos(submission.deadline_ns),
-            key: submission.key,
-            shards: (0..plan.count()).map(|_| ShardSlot::Pending).collect(),
-            prefix_shards: 0,
-            prefix_instances: 0,
-            completed_shards: 0,
-            finished: false,
-            summary: None,
-            subscribers: vec![Subscriber {
-                outbox: Arc::clone(outbox),
-                request_id,
-                sent: 0,
-                done_sent: false,
-            }],
-            checkpoint: Arc::new(Mutex::new(writer)),
-            paused: false,
-        };
+        campaign.conn = conn;
+        campaign.subscribers.push(Subscriber {
+            outbox: Arc::clone(outbox),
+            request_id,
+            sent: 0,
+            done_sent: false,
+        });
         if campaign.plan.count() == 0 {
-            self.finalize_locked(&mut campaign);
+            self.finalize(&mut campaign, false);
         } else {
             inner.active += 1;
             *inner.per_conn.entry(conn).or_insert(0) += 1;
@@ -637,53 +665,14 @@ impl Scheduler {
             );
             return false;
         };
-        let Ok(program) = vw_fsl::parse(&submission.program) else {
+        let Ok(instances) = enumerate(&submission) else {
             return false;
         };
-        let spec = CampaignSpec {
-            name: submission.campaign.clone(),
-            base: program,
-            axes: submission.axes.clone(),
-            defaults: submission.defaults,
-            sampling: submission.sampling,
-        };
-        let Ok(instances) = spec.enumerate() else {
-            return false;
-        };
-        let plan = ShardPlan::new(instances.len(), submission.shard_size as usize);
-        let mut shards: Vec<ShardSlot> = (0..plan.count()).map(|_| ShardSlot::Pending).collect();
-        let mut completed = 0;
-        for (shard, outcomes) in contents.shards {
-            let shard = shard as usize;
-            // A log shard must match the plan exactly; anything else is
-            // a stale or foreign record and gets re-run instead.
-            if shard < plan.count() && outcomes.len() == plan.range(shard).len() {
-                shards[shard] = ShardSlot::Done(outcomes);
-                completed += 1;
-            }
-        }
         let Ok(writer) = CheckpointWriter::open(path) else {
             return false;
         };
-        let mut campaign = Campaign {
-            name: submission.campaign.clone(),
-            conn: 0,
-            instances: Arc::new(instances),
-            plan,
-            setup,
-            deadline: SimDuration::from_nanos(submission.deadline_ns),
-            key: submission.key,
-            shards,
-            prefix_shards: 0,
-            prefix_instances: 0,
-            completed_shards: completed,
-            finished: false,
-            summary: None,
-            subscribers: Vec::new(),
-            checkpoint: Arc::new(Mutex::new(writer)),
-            paused: false,
-        };
-        Self::advance_prefix(&mut campaign);
+        let mut campaign =
+            Campaign::from_submission(&submission, instances, setup, writer, contents.shards);
         let mut inner = self.inner.lock().unwrap();
         if inner.campaigns.contains_key(&campaign.name) {
             return false;
@@ -691,7 +680,7 @@ impl Scheduler {
         if campaign.completed_shards == campaign.plan.count() {
             // Fully executed; rebuild the summary without re-appending
             // the completion marker the log may already hold.
-            self.finalize_resumed(&mut campaign, contents.complete);
+            self.finalize(&mut campaign, contents.complete);
         } else {
             inner.active += 1;
         }
@@ -862,7 +851,7 @@ impl Scheduler {
         Self::advance_prefix(campaign);
         Self::pump_campaign(campaign, &self.metrics);
         if campaign.completed_shards == campaign.plan.count() && !campaign.finished {
-            self.finalize_locked(campaign);
+            self.finalize(campaign, false);
             let conn = campaign.conn;
             inner.active = inner.active.saturating_sub(1);
             if let Some(count) = inner.per_conn.get_mut(&conn) {
@@ -882,7 +871,12 @@ impl Scheduler {
         }
     }
 
-    fn finalize_locked(&self, campaign: &mut Campaign) {
+    /// Renders the summary of a campaign whose shards are all done and
+    /// marks it finished. The completion marker is appended, and the
+    /// completion counted and journalled, unless the log already holds
+    /// the marker (`marker_on_disk`: a campaign that finished before the
+    /// daemon restarted).
+    fn finalize(&self, campaign: &mut Campaign, marker_on_disk: bool) {
         let mut timed = Vec::with_capacity(campaign.instances.len());
         for slot in &campaign.shards {
             match slot {
@@ -891,36 +885,22 @@ impl Scheduler {
             }
         }
         let result =
-            CampaignResult::build_timed(&campaign.name, &campaign.instances, timed, campaign.key);
+            CampaignResult::build(&campaign.name, &campaign.instances, timed, campaign.key);
         campaign.summary = Some(result.to_jsonl());
         campaign.finished = true;
-        if let Err(e) = campaign.checkpoint.lock().unwrap().append_complete() {
-            eprintln!(
-                "vw-serve: completion record failed for `{}`: {e}",
-                campaign.name
-            );
-        }
-        self.count("serve.campaigns_completed", 1);
-        self.journal.record(JournalEvent::CampaignDone {
-            campaign: campaign.name.clone(),
-        });
-        Self::pump_campaign(campaign, &self.metrics);
-    }
-
-    fn finalize_resumed(&self, campaign: &mut Campaign, already_marked: bool) {
-        let mut timed = Vec::with_capacity(campaign.instances.len());
-        for slot in &campaign.shards {
-            if let ShardSlot::Done(outcomes) = slot {
-                timed.extend(outcomes.iter().cloned());
+        if !marker_on_disk {
+            if let Err(e) = campaign.checkpoint.lock().unwrap().append_complete() {
+                eprintln!(
+                    "vw-serve: completion record failed for `{}`: {e}",
+                    campaign.name
+                );
             }
+            self.count("serve.campaigns_completed", 1);
+            self.journal.record(JournalEvent::CampaignDone {
+                campaign: campaign.name.clone(),
+            });
         }
-        let result =
-            CampaignResult::build_timed(&campaign.name, &campaign.instances, timed, campaign.key);
-        campaign.summary = Some(result.to_jsonl());
-        campaign.finished = true;
-        if !already_marked {
-            let _ = campaign.checkpoint.lock().unwrap().append_complete();
-        }
+        Self::pump_campaign(campaign, &self.metrics);
     }
 
     /// Pushes every emittable line (and the final `Done`) to each

@@ -403,8 +403,8 @@ fn handle_frame(frame: Frame, conn: u64, scheduler: &Arc<Scheduler>, outbox: &Ar
             }
             None => reject(ErrorCode::BadFrame, "undecodable Submit payload"),
         },
-        FrameType::Attach => match crate::payload::get_str(&frame.payload, &mut 0) {
-            Some(name) if frame.payload.len() == 4 + name.len() => {
+        FrameType::Attach => match crate::payload::decode_text(&frame.payload) {
+            Some(name) => {
                 if let Err((code, message)) = scheduler.attach(&name, outbox, request_id) {
                     reject(code, &message);
                 }
@@ -412,9 +412,7 @@ fn handle_frame(frame: Frame, conn: u64, scheduler: &Arc<Scheduler>, outbox: &Ar
             _ => reject(ErrorCode::BadFrame, "undecodable Attach payload"),
         },
         FrameType::Stats => {
-            let text = scheduler.prometheus();
-            let mut payload = Vec::new();
-            crate::payload::put_str(&mut payload, &text);
+            let payload = crate::payload::encode_text(&scheduler.prometheus());
             let reply = Frame::new(FrameType::StatsReply, request_id, payload);
             let _ = outbox.try_push(reply.encode());
         }

@@ -14,8 +14,10 @@ use proptest::prelude::*;
 use vw_serve::frame::{
     crc32, DecodeBuffer, Frame, FrameError, FrameType, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
 };
+use vw_serve::payload::decode_error;
 use vw_serve::{
-    Daemon, DaemonConfig, JournalQuery, JournalReply, SetupRegistry, Subscribe, TelemetryDelta,
+    Daemon, DaemonConfig, ErrorCode, JournalQuery, JournalReply, SetupRegistry, Submission,
+    Subscribe, TelemetryDelta,
 };
 
 fn sample_frame() -> Vec<u8> {
@@ -221,6 +223,59 @@ fn malformed_subscribe_and_journal_query_are_rejected_live() {
     client
         .ping()
         .expect("daemon healthy after malformed telemetry");
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A Submit claiming 2^24 axes over a 64-byte body is refused — before
+/// anything is reserved for them — with the typed error every
+/// undecodable Submit gets, and the connection stays usable.
+#[test]
+fn submit_claiming_more_axes_than_its_bytes_is_rejected_live() {
+    let mut payload = vec![0u8; 12]; // three empty strings
+    payload.extend_from_slice(&(1u32 << 24).to_le_bytes());
+    payload.resize(64, 0);
+    assert_eq!(Submission::decode(&payload), None);
+
+    let dir = common::scratch_dir("huge-axes");
+    let config = DaemonConfig {
+        state_dir: dir.join("state"),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(config, SetupRegistry::builtin()).expect("daemon starts");
+    let sock = dir.join("vw.sock");
+    daemon.bind_unix(&sock).expect("bind unix");
+
+    let mut raw = UnixStream::connect(&sock).expect("raw connect");
+    raw.write_all(&Frame::new(FrameType::Submit, 1, payload).encode())
+        .expect("write");
+    raw.write_all(&Frame::new(FrameType::Ping, 2, Vec::new()).encode())
+        .expect("write");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut decoder = DecodeBuffer::new();
+    let mut chunk = [0u8; 4096];
+    let mut replies = Vec::new();
+    while replies.len() < 2 {
+        use std::io::Read;
+        let n = raw.read(&mut chunk).expect("daemon replies");
+        assert_ne!(n, 0, "daemon hung up instead of rejecting");
+        decoder.feed(&chunk[..n]);
+        while let Some(frame) = decoder.next_frame().expect("valid reply framing") {
+            replies.push(frame);
+        }
+    }
+    assert_eq!(
+        (replies[0].frame_type, replies[0].request_id),
+        (FrameType::Error, 1)
+    );
+    let (code, _) = decode_error(&replies[0].payload).expect("typed error");
+    assert_eq!(code, ErrorCode::BadFrame);
+    assert_eq!(
+        (replies[1].frame_type, replies[1].request_id),
+        (FrameType::Pong, 2),
+        "the same connection still answers"
+    );
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

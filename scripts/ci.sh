@@ -5,6 +5,24 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Codec gate: every binary format goes through vw_packet::codec, so the
+# four files that define one convert no integers by hand (test modules may
+# still forge bytes), and no length is cast into a prefix anywhere in the
+# crates that write them.
+echo "==> codec gate"
+for f in crates/core/src/wire.rs crates/serve/src/payload.rs \
+    crates/serve/src/checkpoint.rs crates/obs/src/metrics.rs; do
+    if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" |
+        grep -E '(from|to)_(le|be)_bytes'; then
+        echo "hand-rolled integer conversion outside vw_packet::codec"
+        exit 1
+    fi
+done
+if grep -rnE '\.len\(\) as u(16|32)' crates/core/src crates/obs/src crates/serve/src; then
+    echo "length cast into a prefix: use Writer::len16/len32"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
