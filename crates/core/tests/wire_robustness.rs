@@ -122,6 +122,74 @@ fn hand_built_overlong_tables_cannot_be_encoded() {
     assert_eq!(decode(&encode(&sent)).ok(), Some(sent));
 }
 
+/// Every action keyword (both `MODIFY` patterns, `FLAG_ERR` with and
+/// without a message) and both counter kinds, compiled from text so the
+/// test names no table type.
+const GOLDEN_INIT_SCRIPT: &str = r#"
+    FILTER_TABLE
+    p: (12 2 0x9900)
+    END
+    NODE_TABLE
+    a 02:00:00:00:00:01 10.0.0.1
+    b 02:00:00:00:00:02 10.0.0.2
+    END
+    SCENARIO G 1sec
+    C: (p, a, b, RECV)
+    V: (b)
+    (TRUE) >> ENABLE_CNTR(C); ASSIGN_CNTR(V, -7);
+    ((C = 1)) >>
+        DROP(p, a, b, RECV);
+        DELAY(p, a, b, SEND, 30msec);
+        REORDER(p, a, b, RECV, 3, (2 0 1));
+        DUP(p, a, b, SEND);
+        MODIFY(p, a, b, RECV, (14 2 0xdead));
+        MODIFY(p, a, b, RECV, RANDOM);
+        FAIL(b);
+        SET_CURTIME(V);
+        ELAPSED_TIME(V);
+        INCR_CNTR(V, 2);
+        DECR_CNTR(V, 1);
+        DISABLE_CNTR(C);
+        RESET_CNTR(C);
+        FLAG_ERR "boom";
+        FLAG_ERR;
+        STOP;
+    END
+"#;
+
+const GOLDEN_INIT_HEX: &str = "\
+    01000100014701000000003b9aca000000000100017001000000010000000c00 \
+    0000020000000000000000990000020001610200000000010a00000100016202 \
+    00000000020a0000020002000143000000000000010100010001000000000001 \
+    5601000100000000000100000004010000000000000001000100010001000200 \
+    00010001000200010000000100010000020000000200000001000a0001000800 \
+    0100090001000a0001000b0001000c0001000d0001000e0001000f0001001000 \
+    0100110006000100020000000300010004000000050001000600010007001200 \
+    010100000001000001fffffffffffffff9000108000000000001010000090000 \
+    00000001000000000001c9c38000010a00000000000101000000030003000000 \
+    02000000000000000100000b0000000000010000010c00000000000101010000 \
+    000e00000002000000000000dead00010c000000000001010000010d00010001 \
+    0600010001070001000103000100000000000000020001040001000000000000 \
+    00010001020000000105000000010f010004626f6f6d00010f0000010e \
+";
+
+/// Golden bytes for the table codec: one `Init` carrying all sixteen
+/// action kinds and both counter kinds. The tag numbers and field order
+/// are the deployed format; a reshape of the table types may not move a
+/// byte.
+#[test]
+fn golden_bytes_for_an_init_with_every_action_kind() {
+    let tables = virtualwire::compile_script(GOLDEN_INIT_SCRIPT).unwrap();
+    let msg = ControlMsg::Init {
+        tables: Box::new(tables),
+        you_are: NodeId(1),
+    };
+    let bytes = encode(&msg);
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, GOLDEN_INIT_HEX.split_whitespace().collect::<String>());
+    assert_eq!(decode(&bytes).unwrap(), msg);
+}
+
 /// A `0x88B5` frame whose payload is empty is an error, and a frame
 /// carrying any other EtherType is rejected before payload inspection.
 #[test]
