@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 
 use virtualwire::Report;
-use vw_fsl::{CompiledActionKind, NodeId, TableSet, TermId};
+use vw_fsl::{CompiledActionKind, CounterOp, NodeId, TableSet, TermId};
 use vw_netsim::SimTime;
 use vw_obs::{ObsActionKind, ObsEvent, SymbolTable};
 
@@ -386,16 +386,19 @@ impl Invariant for CounterMonotonic {
     fn check(&self, timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
         let mut monotone = vec![true; tables.counters.len()];
         for action in &tables.actions {
-            let lowering = match action.kind {
-                CompiledActionKind::Assign { counter, .. }
-                | CompiledActionKind::Decr { counter, .. }
-                | CompiledActionKind::Reset { counter }
-                | CompiledActionKind::SetCurTime { counter }
-                | CompiledActionKind::ElapsedTime { counter } => Some(counter),
-                CompiledActionKind::Incr { counter, value } if value < 0 => Some(counter),
-                _ => None,
+            let CompiledActionKind::Counter { counter, op } = action.kind else {
+                continue;
             };
-            if let Some(counter) = lowering {
+            let lowering = match op {
+                CounterOp::Assign(_)
+                | CounterOp::Decr(_)
+                | CounterOp::Reset
+                | CounterOp::SetCurTime
+                | CounterOp::ElapsedTime => true,
+                CounterOp::Incr(value) => value < 0,
+                CounterOp::Enable | CounterOp::Disable => false,
+            };
+            if lowering {
                 if let Some(flag) = monotone.get_mut(counter.index()) {
                     *flag = false;
                 }
@@ -614,9 +617,9 @@ mod tests {
         let mut tables = tiny_tables();
         tables.actions.push(CompiledAction {
             node: NodeId(0),
-            kind: CompiledActionKind::Assign {
+            kind: CompiledActionKind::Counter {
                 counter: CounterId(0),
-                value: 0,
+                op: CounterOp::Assign(0),
             },
         });
         let tl = DistributedTimeline::from_events(&[update(3, 0)]);

@@ -379,7 +379,10 @@ fn find_threshold(
 fn current_delay_ns(p: &Program) -> Option<u64> {
     p.scenarios.iter().flat_map(|s| &s.rules).find_map(|r| {
         r.actions.iter().find_map(|a| match a {
-            vw_fsl::Action::Delay { duration_ns, .. } => Some(*duration_ns),
+            vw_fsl::Action::Fault {
+                fault: vw_fsl::Fault::Delay { duration_ns },
+                ..
+            } => Some(*duration_ns),
             _ => None,
         })
     })

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
-use vw_fsl::{Action, CondExpr, Operand, Program};
+use vw_fsl::{Action, CondExpr, Fault, Operand, Program};
 use vw_netsim::ControlImpairment;
 
 /// What part of a campaign an error came from, so callers (the daemon's
@@ -286,7 +286,11 @@ pub(crate) fn apply_delay_ns(program: &mut Program, ns: u64) -> usize {
     for scenario in &mut program.scenarios {
         for rule in &mut scenario.rules {
             for action in &mut rule.actions {
-                if let Action::Delay { duration_ns, .. } = action {
+                if let Action::Fault {
+                    fault: Fault::Delay { duration_ns },
+                    ..
+                } = action
+                {
                     *duration_ns = ns;
                     touched += 1;
                 }
@@ -628,7 +632,10 @@ mod tests {
             .iter()
             .find_map(|r| {
                 r.actions.iter().find_map(|a| match a {
-                    Action::Delay { duration_ns, .. } => Some(*duration_ns),
+                    Action::Fault {
+                        fault: Fault::Delay { duration_ns },
+                        ..
+                    } => Some(*duration_ns),
                     _ => None,
                 })
             })

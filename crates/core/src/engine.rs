@@ -37,8 +37,8 @@
 use std::collections::{HashMap, HashSet};
 
 use vw_fsl::{
-    ActionId, CompiledActionKind, CompiledCounterKind, CompiledOperand, CondId, CounterId, Dir,
-    FilterId, NodeId, TableSet, TermId,
+    ActionId, CompiledActionKind, CompiledCounterKind, CompiledOperand, CondId, CounterId,
+    CounterOp, Dir, Fault, FilterId, ModifyPattern, NodeId, TableSet, TermId,
 };
 use vw_netsim::{Context, Hook, SimDuration, SimTime, TraceKind, Verdict};
 use vw_obs::{EventLog, Histogram, ObsActionKind, ObsEvent, ObsLevel};
@@ -1090,55 +1090,33 @@ impl Engine {
                 continue;
             }
             ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
+            let kind = &tables.actions[action.index()].kind;
             if self.flight.wants_faults() {
-                if let Some(kind) = edge_action_kind(&tables.actions[action.index()].kind) {
-                    self.flight.push(ObsEvent::ActionTriggered {
-                        time: ctx.now(),
-                        node: me,
-                        frame_seq: self.frame_seq,
-                        action,
-                        kind,
-                    });
-                    self.latency_hist.observe(ctx.charged().as_nanos());
-                }
+                self.record_action(ctx, action, kind);
             }
-            match &tables.actions[action.index()].kind {
-                &CompiledActionKind::Assign { counter, value }
-                    if self.counter_values[counter.index()] != value =>
-                {
-                    self.counter_values[counter.index()] = value;
-                    worklist.push(counter);
-                }
-                &CompiledActionKind::Enable { counter } => {
-                    self.counter_enabled[counter.index()] = true;
-                }
-                &CompiledActionKind::Disable { counter } => {
-                    self.counter_enabled[counter.index()] = false;
-                }
-                &CompiledActionKind::Incr { counter, value } => {
-                    self.counter_values[counter.index()] =
-                        self.counter_values[counter.index()].saturating_add(value);
-                    worklist.push(counter);
-                }
-                &CompiledActionKind::Decr { counter, value } => {
-                    self.counter_values[counter.index()] =
-                        self.counter_values[counter.index()].saturating_sub(value);
-                    worklist.push(counter);
-                }
-                &CompiledActionKind::Reset { counter }
-                    if self.counter_values[counter.index()] != 0 =>
-                {
-                    self.counter_values[counter.index()] = 0;
-                    worklist.push(counter);
-                }
-                &CompiledActionKind::SetCurTime { counter } => {
-                    self.counter_values[counter.index()] = now_ns(ctx);
-                    worklist.push(counter);
-                }
-                &CompiledActionKind::ElapsedTime { counter } => {
-                    let stored = self.counter_values[counter.index()];
-                    self.counter_values[counter.index()] = now_ns(ctx).saturating_sub(stored);
-                    worklist.push(counter);
+            match kind {
+                &CompiledActionKind::Counter { counter, op } => {
+                    let i = counter.index();
+                    let old = self.counter_values[i];
+                    // ASSIGN and RESET to the value already held change
+                    // nothing; arithmetic and time operations always
+                    // re-evaluate the counter's terms.
+                    let (new, requeue) = match op {
+                        CounterOp::Enable | CounterOp::Disable => {
+                            self.counter_enabled[i] = op == CounterOp::Enable;
+                            (old, false)
+                        }
+                        CounterOp::Assign(value) => (value, value != old),
+                        CounterOp::Reset => (0, old != 0),
+                        CounterOp::Incr(value) => (old.saturating_add(value), true),
+                        CounterOp::Decr(value) => (old.saturating_sub(value), true),
+                        CounterOp::SetCurTime => (now_ns(ctx), true),
+                        CounterOp::ElapsedTime => (now_ns(ctx).saturating_sub(old), true),
+                    };
+                    self.counter_values[i] = new;
+                    if requeue {
+                        worklist.push(counter);
+                    }
                 }
                 &CompiledActionKind::Fail { node } => {
                     debug_assert_eq!(node, me, "compiler places FAIL at the victim");
@@ -1189,11 +1167,26 @@ impl Engine {
                         }
                     }
                 }
-                // Packet faults are level-gated, never edge-triggered;
-                // no-op ASSIGN/RESET (value already current) land here too.
-                _ => {}
+                // Packet faults are level-gated, never edge-triggered: the
+                // compiler lists them under `gates`, not here.
+                CompiledActionKind::Fault { .. } => {}
             }
         }
+    }
+
+    /// Records an executed action and its classify-to-action latency.
+    /// Callers gate on `wants_faults` first, so the per-action path with
+    /// the recorder off is one compare and no call.
+    #[inline(never)]
+    fn record_action(&mut self, ctx: &Context<'_>, action: ActionId, kind: &CompiledActionKind) {
+        self.flight.push(ObsEvent::ActionTriggered {
+            time: ctx.now(),
+            node: self.me.expect("initialized"),
+            frame_seq: self.frame_seq,
+            action,
+            kind: obs_action_kind(kind),
+        });
+        self.latency_hist.observe(ctx.charged().as_nanos());
     }
 
     // ------------------------------------------------------------------
@@ -1522,14 +1515,17 @@ impl Engine {
         bump.clear();
         if let Some(candidates) = self.counter_dispatch.get(&(classification.filter, dir)) {
             for &counter in candidates {
-                let CompiledCounterKind::Packet { from, to, .. } =
-                    tables.counters[counter.index()].kind
+                let CompiledCounterKind::Packet(sel) = &tables.counters[counter.index()].kind
                 else {
                     continue;
                 };
                 if self.counter_enabled[counter.index()]
-                    && classification.from == Some(from)
-                    && classification.to == Some(to)
+                    && sel.matches(
+                        classification.filter,
+                        classification.from,
+                        classification.to,
+                        dir,
+                    )
                 {
                     bump.push(counter);
                 }
@@ -1595,76 +1591,35 @@ impl Engine {
                     continue;
                 }
                 let kind = &tables.actions[action.index()].kind;
-                let (filter, from, to, fdir) = match kind {
-                    CompiledActionKind::Drop {
-                        filter,
-                        from,
-                        to,
-                        dir,
-                    }
-                    | CompiledActionKind::Dup {
-                        filter,
-                        from,
-                        to,
-                        dir,
-                    } => (*filter, *from, *to, *dir),
-                    CompiledActionKind::Delay {
-                        filter,
-                        from,
-                        to,
-                        dir,
-                        ..
-                    } => (*filter, *from, *to, *dir),
-                    CompiledActionKind::Reorder {
-                        filter,
-                        from,
-                        to,
-                        dir,
-                        ..
-                    } => (*filter, *from, *to, *dir),
-                    CompiledActionKind::Modify {
-                        filter,
-                        from,
-                        to,
-                        dir,
-                        ..
-                    } => (*filter, *from, *to, *dir),
-                    _ => continue,
+                let CompiledActionKind::Fault { on, fault } = kind else {
+                    continue;
                 };
-                let matches = filter == classification.filter
-                    && fdir == dir
-                    && classification.from == Some(from)
-                    && classification.to == Some(to);
-                if !matches {
+                if !on.matches(
+                    classification.filter,
+                    classification.from,
+                    classification.to,
+                    dir,
+                ) {
                     continue;
                 }
                 ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
                 if self.flight.wants_faults() {
-                    if let Some(obs_kind) = gate_action_kind(kind) {
-                        self.flight.push(ObsEvent::ActionTriggered {
-                            time: ctx.now(),
-                            node: me,
-                            frame_seq: self.frame_seq,
-                            action: *action,
-                            kind: obs_kind,
-                        });
-                        self.latency_hist.observe(ctx.charged().as_nanos());
-                    }
+                    self.record_action(ctx, *action, kind);
                 }
-                match kind {
-                    CompiledActionKind::Drop { .. } => {
+                match fault {
+                    Fault::Drop => {
                         self.stats.drops += 1;
                         ctx.trace_frame(TraceKind::HookConsume, &frame, "virtualwire DROP");
                         return Verdict::Consume;
                     }
-                    CompiledActionKind::Dup { .. } => {
+                    Fault::Dup => {
                         self.stats.dups += 1;
                         duplicate = true;
                     }
-                    CompiledActionKind::Modify { pattern, .. } => {
+                    Fault::Modify(pattern) => {
                         self.stats.modifies += 1;
                         match pattern {
-                            vw_fsl::ModifyPattern::Random => {
+                            ModifyPattern::Random => {
                                 // Random perturbation of payload bytes,
                                 // as Section 5.2 describes.
                                 use rand::Rng;
@@ -1678,7 +1633,7 @@ impl Engine {
                                     }
                                 }
                             }
-                            &vw_fsl::ModifyPattern::Set { offset, len, value } => {
+                            &ModifyPattern::Set { offset, len, value } => {
                                 let bytes = value.to_be_bytes();
                                 let n = (len as usize).min(8);
                                 if !frame.set_bytes(offset as usize, &bytes[8 - n..]) {
@@ -1705,7 +1660,7 @@ impl Engine {
                             }
                         }
                     }
-                    &CompiledActionKind::Delay { duration_ns, .. } => {
+                    &Fault::Delay { duration_ns } => {
                         self.stats.delays += 1;
                         // The paper's delay granularity is one jiffy.
                         let delay = SimDuration::from_nanos(duration_ns).quantize_to_jiffies();
@@ -1716,7 +1671,7 @@ impl Engine {
                         ctx.set_timer(delay, token);
                         return Verdict::Replace(Vec::new());
                     }
-                    CompiledActionKind::Reorder { count, order, .. } => {
+                    Fault::Reorder { count, order } => {
                         self.stats.reorders += 1;
                         self.stats.faults_in_limbo += 1;
                         let buffer = self.reorder_bufs.entry(*action).or_default();
@@ -1743,7 +1698,6 @@ impl Engine {
                         }
                         return Verdict::Replace(Vec::new());
                     }
-                    _ => {}
                 }
             }
         }
@@ -1755,35 +1709,20 @@ impl Engine {
     }
 }
 
-/// Flight-recorder kind of an *edge-triggered* action, or `None` for the
-/// level-gated packet faults (which record at their gate site instead).
-fn edge_action_kind(kind: &CompiledActionKind) -> Option<ObsActionKind> {
+/// Flight-recorder kind of an executed action.
+fn obs_action_kind(kind: &CompiledActionKind) -> ObsActionKind {
     match kind {
-        CompiledActionKind::Assign { .. }
-        | CompiledActionKind::Enable { .. }
-        | CompiledActionKind::Disable { .. }
-        | CompiledActionKind::Incr { .. }
-        | CompiledActionKind::Decr { .. }
-        | CompiledActionKind::Reset { .. }
-        | CompiledActionKind::SetCurTime { .. }
-        | CompiledActionKind::ElapsedTime { .. } => Some(ObsActionKind::CounterOp),
-        CompiledActionKind::Fail { .. } => Some(ObsActionKind::Fail),
-        CompiledActionKind::Stop => Some(ObsActionKind::Stop),
-        CompiledActionKind::FlagError { .. } => Some(ObsActionKind::FlagErr),
-        _ => None,
-    }
-}
-
-/// Flight-recorder kind of a *level-gated* packet fault, or `None` for
-/// edge-triggered kinds (which never appear as gates).
-fn gate_action_kind(kind: &CompiledActionKind) -> Option<ObsActionKind> {
-    match kind {
-        CompiledActionKind::Drop { .. } => Some(ObsActionKind::Drop),
-        CompiledActionKind::Dup { .. } => Some(ObsActionKind::Dup),
-        CompiledActionKind::Delay { .. } => Some(ObsActionKind::Delay),
-        CompiledActionKind::Reorder { .. } => Some(ObsActionKind::Reorder),
-        CompiledActionKind::Modify { .. } => Some(ObsActionKind::Modify),
-        _ => None,
+        CompiledActionKind::Counter { .. } => ObsActionKind::CounterOp,
+        CompiledActionKind::Fault { fault, .. } => match fault {
+            Fault::Drop => ObsActionKind::Drop,
+            Fault::Dup => ObsActionKind::Dup,
+            Fault::Delay { .. } => ObsActionKind::Delay,
+            Fault::Reorder { .. } => ObsActionKind::Reorder,
+            Fault::Modify(_) => ObsActionKind::Modify,
+        },
+        CompiledActionKind::Fail { .. } => ObsActionKind::Fail,
+        CompiledActionKind::Stop => ObsActionKind::Stop,
+        CompiledActionKind::FlagError { .. } => ObsActionKind::FlagErr,
     }
 }
 
@@ -1840,9 +1779,9 @@ fn build_counter_dispatch(
         if c.home != me {
             continue;
         }
-        if let CompiledCounterKind::Packet { filter, dir, .. } = c.kind {
+        if let CompiledCounterKind::Packet(sel) = c.kind {
             dispatch
-                .entry((filter, dir))
+                .entry((sel.filter, sel.dir))
                 .or_default()
                 .push(CounterId(i as u16));
         }

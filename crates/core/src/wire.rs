@@ -47,8 +47,8 @@ use std::net::Ipv4Addr;
 use vw_fsl::{
     ActionId, CompiledAction, CompiledActionKind, CompiledCondition, CompiledCounter,
     CompiledCounterKind, CompiledFilter, CompiledNode, CompiledOperand, CompiledTerm, CondId,
-    CondNode, CounterId, Dir, FilterId, FilterTuple, ModifyPattern, NodeId, PatternValue, RelOp,
-    TableSet, TermId,
+    CondNode, CounterId, CounterOp, Dir, Fault, FilterId, FilterTuple, ModifyPattern, NodeId,
+    PacketSel, PatternValue, RelOp, TableSet, TermId,
 };
 use vw_packet::codec::{Reader, Writer};
 use vw_packet::{EtherType, EthernetBuilder, Frame, MacAddr, ParseError};
@@ -184,6 +184,7 @@ fn decode_msg(r: &mut Reader<'_>) -> Result<ControlMsg, ParseError> {
         TAG_INIT => {
             let you_are = NodeId(r.u16()?);
             let tables = decode_tables(r)?;
+            check_ids(&tables, you_are)?;
             ControlMsg::Init {
                 tables: Box::new(tables),
                 you_are,
@@ -539,18 +540,10 @@ fn encode_tables(w: &mut Writer<'_>, t: &TableSet) {
     });
     w.list16(&t.counters, |w, c| {
         w.str16(&c.name);
-        match c.kind {
-            CompiledCounterKind::Packet {
-                filter,
-                from,
-                to,
-                dir,
-            } => {
+        match &c.kind {
+            CompiledCounterKind::Packet(sel) => {
                 w.u8(0);
-                w.u16(filter.0);
-                w.u16(from.0);
-                w.u16(to.0);
-                encode_dir(w, dir);
+                encode_sel(w, sel);
             }
             CompiledCounterKind::Local => w.u8(1),
         }
@@ -599,12 +592,7 @@ fn decode_tables(r: &mut Reader<'_>) -> Result<TableSet, ParseError> {
             Ok(CompiledCounter {
                 name: r.str16()?,
                 kind: match r.u8()? {
-                    0 => CompiledCounterKind::Packet {
-                        filter: FilterId(r.u16()?),
-                        from: NodeId(r.u16()?),
-                        to: NodeId(r.u16()?),
-                        dir: decode_dir(r)?,
-                    },
+                    0 => CompiledCounterKind::Packet(decode_sel(r)?),
                     1 => CompiledCounterKind::Local,
                     _ => return Err(ParseError::new("bad counter kind tag")),
                 },
@@ -672,19 +660,27 @@ fn decode_filter(r: &mut Reader<'_>) -> Result<CompiledFilter, ParseError> {
     })
 }
 
-fn encode_dir(w: &mut Writer<'_>, dir: Dir) {
-    w.u8(match dir {
+fn encode_sel(w: &mut Writer<'_>, sel: &PacketSel) {
+    w.u16(sel.filter.0);
+    w.u16(sel.from.0);
+    w.u16(sel.to.0);
+    w.u8(match sel.dir {
         Dir::Send => 0,
         Dir::Recv => 1,
     });
 }
 
-fn decode_dir(r: &mut Reader<'_>) -> Result<Dir, ParseError> {
-    match r.u8()? {
-        0 => Ok(Dir::Send),
-        1 => Ok(Dir::Recv),
-        _ => Err(ParseError::new("bad direction tag")),
-    }
+fn decode_sel(r: &mut Reader<'_>) -> Result<PacketSel, ParseError> {
+    Ok(PacketSel {
+        filter: FilterId(r.u16()?),
+        from: NodeId(r.u16()?),
+        to: NodeId(r.u16()?),
+        dir: match r.u8()? {
+            0 => Dir::Send,
+            1 => Dir::Recv,
+            _ => return Err(ParseError::new("bad direction tag")),
+        },
+    })
 }
 
 fn encode_relop(w: &mut Writer<'_>, op: RelOp) {
@@ -774,112 +770,46 @@ fn decode_cond_node(r: &mut Reader<'_>) -> Result<CondNode, ParseError> {
     })
 }
 
+// Action tags: 0-7 are the Table I counter operations, 8-12 the Table II
+// faults, 13-15 FAIL / STOP / FLAG_ERR. After the tag come the family's
+// operand (counter id or packet selector) and the kind's own arguments.
 fn encode_action_kind(w: &mut Writer<'_>, kind: &CompiledActionKind) {
     match kind {
-        CompiledActionKind::Assign { counter, value } => {
-            w.u8(0);
+        CompiledActionKind::Counter { counter, op } => {
+            let (tag, value) = match *op {
+                CounterOp::Assign(v) => (0, Some(v)),
+                CounterOp::Enable => (1, None),
+                CounterOp::Disable => (2, None),
+                CounterOp::Incr(v) => (3, Some(v)),
+                CounterOp::Decr(v) => (4, Some(v)),
+                CounterOp::Reset => (5, None),
+                CounterOp::SetCurTime => (6, None),
+                CounterOp::ElapsedTime => (7, None),
+            };
+            w.u8(tag);
             w.u16(counter.0);
-            w.i64(*value);
+            if let Some(v) = value {
+                w.i64(v);
+            }
         }
-        CompiledActionKind::Enable { counter } => {
-            w.u8(1);
-            w.u16(counter.0);
-        }
-        CompiledActionKind::Disable { counter } => {
-            w.u8(2);
-            w.u16(counter.0);
-        }
-        CompiledActionKind::Incr { counter, value } => {
-            w.u8(3);
-            w.u16(counter.0);
-            w.i64(*value);
-        }
-        CompiledActionKind::Decr { counter, value } => {
-            w.u8(4);
-            w.u16(counter.0);
-            w.i64(*value);
-        }
-        CompiledActionKind::Reset { counter } => {
-            w.u8(5);
-            w.u16(counter.0);
-        }
-        CompiledActionKind::SetCurTime { counter } => {
-            w.u8(6);
-            w.u16(counter.0);
-        }
-        CompiledActionKind::ElapsedTime { counter } => {
-            w.u8(7);
-            w.u16(counter.0);
-        }
-        CompiledActionKind::Drop {
-            filter,
-            from,
-            to,
-            dir,
-        } => {
-            w.u8(8);
-            w.u16(filter.0);
-            w.u16(from.0);
-            w.u16(to.0);
-            encode_dir(w, *dir);
-        }
-        CompiledActionKind::Delay {
-            filter,
-            from,
-            to,
-            dir,
-            duration_ns,
-        } => {
-            w.u8(9);
-            w.u16(filter.0);
-            w.u16(from.0);
-            w.u16(to.0);
-            encode_dir(w, *dir);
-            w.u64(*duration_ns);
-        }
-        CompiledActionKind::Reorder {
-            filter,
-            from,
-            to,
-            dir,
-            count,
-            order,
-        } => {
-            w.u8(10);
-            w.u16(filter.0);
-            w.u16(from.0);
-            w.u16(to.0);
-            encode_dir(w, *dir);
-            w.u32(*count);
-            w.list16(order, |w, o| w.u32(*o));
-        }
-        CompiledActionKind::Dup {
-            filter,
-            from,
-            to,
-            dir,
-        } => {
-            w.u8(11);
-            w.u16(filter.0);
-            w.u16(from.0);
-            w.u16(to.0);
-            encode_dir(w, *dir);
-        }
-        CompiledActionKind::Modify {
-            filter,
-            from,
-            to,
-            dir,
-            pattern,
-        } => {
-            w.u8(12);
-            w.u16(filter.0);
-            w.u16(from.0);
-            w.u16(to.0);
-            encode_dir(w, *dir);
-            match pattern {
-                ModifyPattern::Random => w.u8(0),
-                ModifyPattern::Set { offset, len, value } => {
+        CompiledActionKind::Fault { on, fault } => {
+            w.u8(match fault {
+                Fault::Drop => 8,
+                Fault::Delay { .. } => 9,
+                Fault::Reorder { .. } => 10,
+                Fault::Dup => 11,
+                Fault::Modify(_) => 12,
+            });
+            encode_sel(w, on);
+            match fault {
+                Fault::Drop | Fault::Dup => {}
+                Fault::Delay { duration_ns } => w.u64(*duration_ns),
+                Fault::Reorder { count, order } => {
+                    w.u32(*count);
+                    w.list16(order, |w, o| w.u32(*o));
+                }
+                Fault::Modify(ModifyPattern::Random) => w.u8(0),
+                Fault::Modify(ModifyPattern::Set { offset, len, value }) => {
                     w.u8(1);
                     w.u32(*offset);
                     w.u32(*len);
@@ -900,91 +830,44 @@ fn encode_action_kind(w: &mut Writer<'_>, kind: &CompiledActionKind) {
 }
 
 fn decode_action_kind(r: &mut Reader<'_>) -> Result<CompiledActionKind, ParseError> {
-    Ok(match r.u8()? {
-        0 => CompiledActionKind::Assign {
+    let tag = r.u8()?;
+    Ok(match tag {
+        0..=7 => CompiledActionKind::Counter {
             counter: CounterId(r.u16()?),
-            value: r.i64()?,
+            op: match tag {
+                0 => CounterOp::Assign(r.i64()?),
+                1 => CounterOp::Enable,
+                2 => CounterOp::Disable,
+                3 => CounterOp::Incr(r.i64()?),
+                4 => CounterOp::Decr(r.i64()?),
+                5 => CounterOp::Reset,
+                6 => CounterOp::SetCurTime,
+                _ => CounterOp::ElapsedTime,
+            },
         },
-        1 => CompiledActionKind::Enable {
-            counter: CounterId(r.u16()?),
-        },
-        2 => CompiledActionKind::Disable {
-            counter: CounterId(r.u16()?),
-        },
-        3 => CompiledActionKind::Incr {
-            counter: CounterId(r.u16()?),
-            value: r.i64()?,
-        },
-        4 => CompiledActionKind::Decr {
-            counter: CounterId(r.u16()?),
-            value: r.i64()?,
-        },
-        5 => CompiledActionKind::Reset {
-            counter: CounterId(r.u16()?),
-        },
-        6 => CompiledActionKind::SetCurTime {
-            counter: CounterId(r.u16()?),
-        },
-        7 => CompiledActionKind::ElapsedTime {
-            counter: CounterId(r.u16()?),
-        },
-        8 => CompiledActionKind::Drop {
-            filter: FilterId(r.u16()?),
-            from: NodeId(r.u16()?),
-            to: NodeId(r.u16()?),
-            dir: decode_dir(r)?,
-        },
-        9 => CompiledActionKind::Delay {
-            filter: FilterId(r.u16()?),
-            from: NodeId(r.u16()?),
-            to: NodeId(r.u16()?),
-            dir: decode_dir(r)?,
-            duration_ns: r.u64()?,
-        },
-        10 => {
-            let filter = FilterId(r.u16()?);
-            let from = NodeId(r.u16()?);
-            let to = NodeId(r.u16()?);
-            let dir = decode_dir(r)?;
-            let count = r.u32()?;
-            let order = r.list16(4, Reader::u32)?;
-            CompiledActionKind::Reorder {
-                filter,
-                from,
-                to,
-                dir,
-                count,
-                order,
-            }
-        }
-        11 => CompiledActionKind::Dup {
-            filter: FilterId(r.u16()?),
-            from: NodeId(r.u16()?),
-            to: NodeId(r.u16()?),
-            dir: decode_dir(r)?,
-        },
-        12 => {
-            let filter = FilterId(r.u16()?);
-            let from = NodeId(r.u16()?);
-            let to = NodeId(r.u16()?);
-            let dir = decode_dir(r)?;
-            let pattern = match r.u8()? {
-                0 => ModifyPattern::Random,
-                1 => ModifyPattern::Set {
-                    offset: r.u32()?,
-                    len: r.u32()?,
-                    value: r.u64()?,
+        8..=12 => CompiledActionKind::Fault {
+            on: decode_sel(r)?,
+            fault: match tag {
+                8 => Fault::Drop,
+                9 => Fault::Delay {
+                    duration_ns: r.u64()?,
                 },
-                _ => return Err(ParseError::new("bad modify pattern tag")),
-            };
-            CompiledActionKind::Modify {
-                filter,
-                from,
-                to,
-                dir,
-                pattern,
-            }
-        }
+                10 => Fault::Reorder {
+                    count: r.u32()?,
+                    order: r.list16(4, Reader::u32)?,
+                },
+                11 => Fault::Dup,
+                _ => Fault::Modify(match r.u8()? {
+                    0 => ModifyPattern::Random,
+                    1 => ModifyPattern::Set {
+                        offset: r.u32()?,
+                        len: r.u32()?,
+                        value: r.u64()?,
+                    },
+                    _ => return Err(ParseError::new("bad modify pattern tag")),
+                }),
+            },
+        },
         13 => CompiledActionKind::Fail {
             node: NodeId(r.u16()?),
         },
@@ -994,6 +877,86 @@ fn decode_action_kind(r: &mut Reader<'_>) -> Result<CompiledActionKind, ParseErr
         },
         tag => return Err(ParseError::new(format!("unknown action tag {tag}"))),
     })
+}
+
+/// Refuses a table set in which any id does not index an existing row.
+/// Tables arrive from the wire; once they pass, the engine may index a
+/// table with every id the set holds.
+fn check_ids(t: &TableSet, you_are: NodeId) -> Result<(), ParseError> {
+    type Row = (&'static str, usize);
+    let bound = |row: Row, what: &str, id: usize, len: usize| {
+        if id < len {
+            return Ok(());
+        }
+        Err(ParseError::new(format!(
+            "{} {}: {what} id {id} is outside the {len}-row table",
+            row.0, row.1
+        )))
+    };
+    let node = |row, id: NodeId| bound(row, "node", id.index(), t.nodes.len());
+    let counter = |row, id: CounterId| bound(row, "counter", id.index(), t.counters.len());
+    let term = |row, id: TermId| bound(row, "term", id.index(), t.terms.len());
+    let sel = |row, s: &PacketSel| {
+        bound(row, "filter", s.filter.index(), t.filters.len())?;
+        node(row, s.from)?;
+        node(row, s.to)
+    };
+    fn leaves(
+        expr: &CondNode,
+        check: &dyn Fn(TermId) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        match expr {
+            CondNode::True | CondNode::False => Ok(()),
+            CondNode::Term(id) => check(*id),
+            CondNode::And(a, b) | CondNode::Or(a, b) => {
+                leaves(a, check)?;
+                leaves(b, check)
+            }
+            CondNode::Not(a) => leaves(a, check),
+        }
+    }
+
+    node(("init", 0), you_are)?;
+    for (i, c) in t.counters.iter().enumerate() {
+        let row = ("counter", i);
+        if let CompiledCounterKind::Packet(s) = &c.kind {
+            sel(row, s)?;
+        }
+        node(row, c.home)?;
+        c.affected_terms.iter().try_for_each(|&id| term(row, id))?;
+        c.subscribers.iter().try_for_each(|&id| node(row, id))?;
+    }
+    for (i, tm) in t.terms.iter().enumerate() {
+        let row = ("term", i);
+        for operand in [tm.lhs, tm.rhs] {
+            if let CompiledOperand::Counter(id) = operand {
+                counter(row, id)?;
+            }
+        }
+        node(row, tm.eval_node)?;
+        let nconds = t.conditions.len();
+        (tm.conditions.iter()).try_for_each(|c| bound(row, "condition", c.index(), nconds))?;
+    }
+    for (i, cond) in t.conditions.iter().enumerate() {
+        let row = ("condition", i);
+        leaves(&cond.expr, &|id| term(row, id))?;
+        cond.eval_nodes.iter().try_for_each(|&id| node(row, id))?;
+        for &(at, action) in cond.triggers.iter().chain(&cond.gates) {
+            node(row, at)?;
+            bound(row, "action", action.index(), t.actions.len())?;
+        }
+    }
+    for (i, action) in t.actions.iter().enumerate() {
+        let row = ("action", i);
+        node(row, action.node)?;
+        match &action.kind {
+            CompiledActionKind::Counter { counter: id, .. } => counter(row, *id)?,
+            CompiledActionKind::Fault { on, .. } => sel(row, on)?,
+            CompiledActionKind::Fail { node: id } => node(row, *id)?,
+            CompiledActionKind::Stop | CompiledActionKind::FlagError { .. } => {}
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use virtualwire::{compile_script, EngineConfig, Runner};
-use vw_fsl::CompiledActionKind;
+use vw_fsl::{CompiledActionKind, Fault};
 use vw_netsim::apps::{UdpFlooder, UdpSink};
 use vw_netsim::{Binding, LinkConfig, SimDuration, World};
 use vw_packet::EtherType;
@@ -122,7 +122,11 @@ proptest! {
             200,
             |tables| {
                 for action in &mut tables.actions {
-                    if let CompiledActionKind::Reorder { order: o, .. } = &mut action.kind {
+                    if let CompiledActionKind::Fault {
+                        fault: Fault::Reorder { order: o, .. },
+                        ..
+                    } = &mut action.kind
+                    {
                         *o = order.clone();
                     }
                 }

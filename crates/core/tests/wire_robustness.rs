@@ -6,7 +6,12 @@ use proptest::prelude::*;
 use virtualwire::wire::{
     build_frame, decode, decode_sequenced, encode, encode_sequenced, parse_frame, ControlMsg,
 };
-use vw_fsl::{CompiledActionKind, CondId, CounterId, NodeId, TermId};
+use virtualwire::{Engine, EngineConfig};
+use vw_fsl::{
+    ActionId, CompiledActionKind, CompiledCounterKind, CompiledOperand, CondId, CondNode,
+    CounterId, FilterId, NodeId, TableSet, TermId,
+};
+use vw_netsim::{SimDuration, World};
 use vw_packet::{EtherType, EthernetBuilder, MacAddr};
 
 fn sample_messages(seed: u16) -> Vec<ControlMsg> {
@@ -188,6 +193,140 @@ fn golden_bytes_for_an_init_with_every_action_kind() {
     let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(hex, GOLDEN_INIT_HEX.split_whitespace().collect::<String>());
     assert_eq!(decode(&bytes).unwrap(), msg);
+}
+
+/// An id that indexes no row of any table in [`GOLDEN_INIT_SCRIPT`].
+const BAD: u16 = 999;
+
+fn packet_sel(kind: &mut CompiledCounterKind) -> &mut vw_fsl::PacketSel {
+    match kind {
+        CompiledCounterKind::Packet(sel) => sel,
+        CompiledCounterKind::Local => panic!("counter 0 counts packets"),
+    }
+}
+
+fn fault_sel(tables: &mut TableSet) -> &mut vw_fsl::PacketSel {
+    let fault = tables.actions.iter_mut().find_map(|a| match &mut a.kind {
+        CompiledActionKind::Fault { on, .. } => Some(on),
+        _ => None,
+    });
+    fault.expect("the script has faults")
+}
+
+/// `decode` refuses an `Init` whose table set holds an id past the end of
+/// the table it indexes, whichever row carries it, and the error names
+/// that row. Everything the engine indexes with is covered: an `Init`
+/// that decodes cannot make `tables.x[id.index()]` panic.
+#[test]
+fn init_with_an_out_of_range_id_is_refused() {
+    type Patch = fn(&mut TableSet);
+    let patches: [(&str, Patch); 20] = [
+        ("counter 0: filter", |t| {
+            packet_sel(&mut t.counters[0].kind).filter = FilterId(BAD)
+        }),
+        ("counter 0: node", |t| {
+            packet_sel(&mut t.counters[0].kind).from = NodeId(BAD)
+        }),
+        ("counter 0: node", |t| {
+            packet_sel(&mut t.counters[0].kind).to = NodeId(BAD)
+        }),
+        ("counter 1: node", |t| t.counters[1].home = NodeId(BAD)),
+        ("counter 0: term", |t| {
+            t.counters[0].affected_terms.push(TermId(BAD))
+        }),
+        ("counter 1: node", |t| {
+            t.counters[1].subscribers.push(NodeId(BAD))
+        }),
+        ("term 0: counter", |t| {
+            t.terms[0].lhs = CompiledOperand::Counter(CounterId(BAD))
+        }),
+        ("term 0: counter", |t| {
+            t.terms[0].rhs = CompiledOperand::Counter(CounterId(BAD))
+        }),
+        ("term 0: node", |t| t.terms[0].eval_node = NodeId(BAD)),
+        ("term 0: condition", |t| {
+            t.terms[0].conditions.push(CondId(BAD))
+        }),
+        ("condition 1: term", |t| {
+            let leaf = CondNode::Not(Box::new(CondNode::Term(TermId(BAD))));
+            t.conditions[1].expr = CondNode::And(Box::new(CondNode::True), Box::new(leaf));
+        }),
+        ("condition 0: node", |t| {
+            t.conditions[0].eval_nodes.push(NodeId(BAD))
+        }),
+        ("condition 0: node", |t| {
+            t.conditions[0].triggers[0].0 = NodeId(BAD)
+        }),
+        ("condition 0: action", |t| {
+            t.conditions[0].triggers[0].1 = ActionId(BAD)
+        }),
+        ("condition 1: node", |t| {
+            t.conditions[1].gates[0].0 = NodeId(BAD)
+        }),
+        ("condition 1: action", |t| {
+            t.conditions[1].gates[0].1 = ActionId(BAD)
+        }),
+        ("action 0: node", |t| t.actions[0].node = NodeId(BAD)),
+        ("action 0: counter", |t| {
+            t.actions[0].kind = CompiledActionKind::Counter {
+                counter: CounterId(BAD),
+                op: vw_fsl::CounterOp::Enable,
+            }
+        }),
+        ("action 2: filter", |t| fault_sel(t).filter = FilterId(BAD)),
+        ("action 8: node", |t| {
+            t.actions[8].kind = CompiledActionKind::Fail { node: NodeId(BAD) }
+        }),
+    ];
+    let tables = virtualwire::compile_script(GOLDEN_INIT_SCRIPT).unwrap();
+    let refusal = |tables: TableSet, you_are: NodeId| {
+        let bytes = encode(&ControlMsg::Init {
+            tables: Box::new(tables),
+            you_are,
+        });
+        decode(&bytes)
+            .expect_err("a dangling id must be refused")
+            .to_string()
+    };
+    for (row, patch) in patches {
+        let mut hostile = tables.clone();
+        patch(&mut hostile);
+        let error = refusal(hostile, NodeId(1));
+        assert!(
+            error.contains(row) && error.contains("id 999"),
+            "{row}: {error}"
+        );
+    }
+    let error = refusal(tables, NodeId(BAD));
+    assert!(error.contains("node id 999"), "you_are: {error}");
+}
+
+/// The reproduction behind the id check: a well-formed `Init` whose
+/// action table names a counter that does not exist, sent to an engine
+/// that is waiting for its tables. At the parent the frame decoded,
+/// installed, and the `(TRUE)` rule's first action indexed
+/// `counter_values[999]`; now the frame is dropped like any other
+/// malformed control payload.
+#[test]
+fn hostile_init_from_the_wire_cannot_panic_a_waiting_engine() {
+    let mut tables = virtualwire::compile_script(GOLDEN_INIT_SCRIPT).unwrap();
+    tables.actions[0].kind = CompiledActionKind::Counter {
+        counter: CounterId(BAD),
+        op: vw_fsl::CounterOp::Incr(1),
+    };
+    let mut world = World::new(1);
+    let host = world.add_host("b");
+    let hook = world.add_hook(host, Box::new(Engine::new(EngineConfig::default())));
+    let init = ControlMsg::Init {
+        tables: Box::new(tables),
+        you_are: NodeId(1),
+    };
+    let frame = build_frame(MacAddr::from_index(9), world.host_mac(host), &init);
+    world.inject_from_wire(host, frame);
+    world.run_for(SimDuration::from_millis(1));
+    let engine = world.hook::<Engine>(host, hook).unwrap();
+    assert_eq!(engine.stats().control_received, 1, "the frame arrived");
+    assert!(!engine.initialized(), "and was refused");
 }
 
 /// A `0x88B5` frame whose payload is empty is an error, and a frame

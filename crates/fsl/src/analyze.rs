@@ -172,27 +172,13 @@ fn analyze_scenario(
             )));
         }
         match &decl.kind {
-            CounterKind::PacketEvent {
-                pkt_type, from, to, ..
-            } => {
-                if !filters.contains(pkt_type.as_str()) {
+            CounterKind::PacketEvent(selector) => {
+                let who = format_args!("counter `{}`", decl.name);
+                check_selector(scen, who, selector, filters, nodes, errors);
+                if selector.from == selector.to {
                     errors.push(FslError::general(format!(
-                        "{scen}: counter `{}` references undefined packet type `{pkt_type}`",
-                        decl.name
-                    )));
-                }
-                for node in [from, to] {
-                    if !nodes.contains(node.as_str()) {
-                        errors.push(FslError::general(format!(
-                            "{scen}: counter `{}` references undefined node `{node}`",
-                            decl.name
-                        )));
-                    }
-                }
-                if from == to {
-                    errors.push(FslError::general(format!(
-                        "{scen}: counter `{}` has identical endpoints `{from}`",
-                        decl.name
+                        "{scen}: {who} has identical endpoints `{}`",
+                        selector.from
                     )));
                 }
             }
@@ -229,76 +215,83 @@ fn analyze_scenario(
             )));
         }
         for action in &rule.actions {
-            if let Some(counter) = action.target_counter() {
-                check_counter(counter, errors);
-            }
             match action {
-                Action::Drop { pkt, from, to, .. }
-                | Action::Delay { pkt, from, to, .. }
-                | Action::Dup { pkt, from, to, .. }
-                | Action::Modify { pkt, from, to, .. }
-                | Action::Reorder { pkt, from, to, .. } => {
-                    if !filters.contains(pkt.as_str()) {
-                        errors.push(FslError::general(format!(
-                            "{scen}: fault references undefined packet type `{pkt}`"
-                        )));
-                    }
-                    for node in [from, to] {
-                        if !nodes.contains(node.as_str()) {
-                            errors.push(FslError::general(format!(
-                                "{scen}: fault references undefined node `{node}`"
-                            )));
-                        }
-                    }
+                Action::Counter { counter, .. } => check_counter(counter, errors),
+                Action::Fault { on, fault } => {
+                    check_selector(scen, "fault", on, filters, nodes, errors);
+                    check_fault(scen, fault, errors);
                 }
                 Action::Fail { node } if !nodes.contains(node.as_str()) => {
                     errors.push(FslError::general(format!(
                         "{scen}: FAIL references undefined node `{node}`"
                     )));
                 }
-                _ => {}
-            }
-            if let Action::Modify {
-                pattern: crate::ast::ModifyPattern::Set { len, .. },
-                ..
-            } = action
-            {
-                if *len == 0 || *len > 8 {
-                    errors.push(FslError::general(format!(
-                        "{scen}: MODIFY SET length {len} is outside the supported 1..=8 bytes"
-                    )));
-                }
-            }
-            if let Action::FlagError {
-                message: Some(message),
-            } = action
-            {
-                if message.len() > MAX_WIRE_LEN {
+                Action::FlagError {
+                    message: Some(message),
+                } if message.len() > MAX_WIRE_LEN => {
                     errors.push(FslError::general(format!(
                         "{scen}: FLAG_ERROR message of {} bytes exceeds the {MAX_WIRE_LEN}-byte limit",
                         message.len()
                     )));
                 }
-            }
-            if let Action::Reorder { count, order, .. } = action {
-                // Checked first: the permutation test allocates `count`
-                // entries.
-                if *count as usize > MAX_WIRE_LEN || order.len() > MAX_WIRE_LEN {
-                    errors.push(FslError::general(format!(
-                        "{scen}: REORDER of {count} packets exceeds the {MAX_WIRE_LEN}-packet limit"
-                    )));
-                } else {
-                    let mut sorted: Vec<u32> = order.clone();
-                    sorted.sort_unstable();
-                    let expected: Vec<u32> = (0..*count).collect();
-                    if sorted != expected {
-                        errors.push(FslError::general(format!(
-                            "{scen}: REORDER order {order:?} is not a permutation of 0..{count}"
-                        )));
-                    }
-                }
+                _ => {}
             }
         }
+    }
+}
+
+/// Checks that a selector's packet type and endpoints are defined; `who`
+/// names the counter or fault that carries it.
+fn check_selector(
+    scen: &str,
+    who: impl std::fmt::Display,
+    selector: &PacketSelector,
+    filters: &HashSet<&str>,
+    nodes: &HashSet<&str>,
+    errors: &mut Vec<FslError>,
+) {
+    if !filters.contains(selector.pkt.as_str()) {
+        errors.push(FslError::general(format!(
+            "{scen}: {who} references undefined packet type `{}`",
+            selector.pkt
+        )));
+    }
+    for node in [&selector.from, &selector.to] {
+        if !nodes.contains(node.as_str()) {
+            errors.push(FslError::general(format!(
+                "{scen}: {who} references undefined node `{node}`"
+            )));
+        }
+    }
+}
+
+/// Checks a fault's own arguments.
+fn check_fault(scen: &str, fault: &Fault, errors: &mut Vec<FslError>) {
+    match fault {
+        Fault::Modify(ModifyPattern::Set { len, .. }) if *len == 0 || *len > 8 => {
+            errors.push(FslError::general(format!(
+                "{scen}: MODIFY SET length {len} is outside the supported 1..=8 bytes"
+            )));
+        }
+        // Checked first: the permutation test allocates `count` entries.
+        Fault::Reorder { count, order }
+            if *count as usize > MAX_WIRE_LEN || order.len() > MAX_WIRE_LEN =>
+        {
+            errors.push(FslError::general(format!(
+                "{scen}: REORDER of {count} packets exceeds the {MAX_WIRE_LEN}-packet limit"
+            )));
+        }
+        Fault::Reorder { count, order } => {
+            let mut sorted: Vec<u32> = order.clone();
+            sorted.sort_unstable();
+            let expected: Vec<u32> = (0..*count).collect();
+            if sorted != expected {
+                errors.push(FslError::general(format!(
+                    "{scen}: REORDER order {order:?} is not a permutation of 0..{count}"
+                )));
+            }
+        }
+        _ => {}
     }
 }
 

@@ -98,21 +98,27 @@ pub struct CounterDecl {
     pub kind: CounterKind,
 }
 
+/// Which packets a counter counts or a fault acts on: the
+/// `(pkt_type, from, to, SEND|RECV)` 4-tuple that the paper's counter
+/// declarations and its Table II fault primitives share.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PacketSelector {
+    /// The packet definition name.
+    pub pkt: String,
+    /// Source node name.
+    pub from: String,
+    /// Destination node name.
+    pub to: String,
+    /// Observed on send (at `from`) or on receive (at `to`).
+    pub dir: Dir,
+}
+
 /// What a counter observes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CounterKind {
     /// Counts send/receive events of a packet type between two nodes:
     /// `NAME: (pkt_type, from, to, SEND|RECV)`.
-    PacketEvent {
-        /// The packet definition name.
-        pkt_type: String,
-        /// Source node name.
-        from: String,
-        /// Destination node name.
-        to: String,
-        /// Counted on send (at `from`) or on receive (at `to`).
-        dir: Dir,
-    },
+    PacketEvent(PacketSelector),
     /// A node-local variable: `NAME: (node)`.
     NodeLocal {
         /// The node holding the variable.
@@ -254,117 +260,71 @@ pub enum ModifyPattern {
     },
 }
 
-/// An action (Table I counter manipulations + Table II fault primitives).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Action {
-    /// `ASSIGN_CNTR(counter[, value])` — set a counter (default 0).
-    Assign {
-        /// Target counter.
-        counter: String,
-        /// Value assigned.
-        value: i64,
-    },
+/// A Table I counter manipulation, applied to the counter its action
+/// names. Shared by the AST and the compiled action table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CounterOp {
+    /// `ASSIGN_CNTR(counter[, value])` — set the counter (default 0).
+    Assign(i64),
     /// `ENABLE_CNTR(counter)` — start counting events.
-    Enable {
-        /// Target counter.
-        counter: String,
-    },
+    Enable,
     /// `DISABLE_CNTR(counter)` — stop counting events.
-    Disable {
-        /// Target counter.
-        counter: String,
-    },
+    Disable,
     /// `INCR_CNTR(counter, value)`.
-    Incr {
-        /// Target counter.
-        counter: String,
-        /// Increment amount.
-        value: i64,
-    },
+    Incr(i64),
     /// `DECR_CNTR(counter, value)`.
-    Decr {
-        /// Target counter.
-        counter: String,
-        /// Decrement amount.
-        value: i64,
-    },
+    Decr(i64),
     /// `RESET_CNTR(counter)` — back to zero.
-    Reset {
-        /// Target counter.
-        counter: String,
-    },
+    Reset,
     /// `SET_CURTIME(counter)` — store the current time (ns).
-    SetCurTime {
-        /// Target counter.
-        counter: String,
-    },
+    SetCurTime,
     /// `ELAPSED_TIME(counter)` — replace the stored time with `now - it`.
-    ElapsedTime {
-        /// Target counter.
-        counter: String,
-    },
+    ElapsedTime,
+}
+
+/// A Table II fault primitive, applied to every packet its action's
+/// selector matches while the rule's condition holds. Shared by the AST
+/// and the compiled action table.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Fault {
     /// `DROP(pkt, from, to, SEND|RECV)`.
-    Drop {
-        /// Packet definition name.
-        pkt: String,
-        /// Source node.
-        from: String,
-        /// Destination node.
-        to: String,
-        /// Where the fault acts.
-        dir: Dir,
-    },
+    Drop,
     /// `DELAY(pkt, from, to, SEND|RECV, duration)`.
     Delay {
-        /// Packet definition name.
-        pkt: String,
-        /// Source node.
-        from: String,
-        /// Destination node.
-        to: String,
-        /// Where the fault acts.
-        dir: Dir,
         /// Hold time (quantized to 10 ms jiffies by the engine).
         duration_ns: u64,
     },
     /// `REORDER(pkt, from, to, SEND|RECV, npkts, (order...))`.
     Reorder {
-        /// Packet definition name.
-        pkt: String,
-        /// Source node.
-        from: String,
-        /// Destination node.
-        to: String,
-        /// Where the fault acts.
-        dir: Dir,
         /// How many packets to collect before releasing.
         count: u32,
         /// Release order: a permutation of `0..count`.
         order: Vec<u32>,
     },
     /// `DUP(pkt, from, to, SEND|RECV)`.
-    Dup {
-        /// Packet definition name.
-        pkt: String,
-        /// Source node.
-        from: String,
-        /// Destination node.
-        to: String,
-        /// Where the fault acts.
-        dir: Dir,
-    },
+    Dup,
     /// `MODIFY(pkt, from, to, SEND|RECV, pattern)`.
-    Modify {
-        /// Packet definition name.
-        pkt: String,
-        /// Source node.
-        from: String,
-        /// Destination node.
-        to: String,
-        /// Where the fault acts.
-        dir: Dir,
-        /// The mutation applied.
-        pattern: ModifyPattern,
+    Modify(ModifyPattern),
+}
+
+/// An action: one of the paper's two families — a Table I counter
+/// manipulation or a Table II fault primitive — or one of the three
+/// scenario-level actions.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Action {
+    /// A Table I action on a counter.
+    Counter {
+        /// Target counter.
+        counter: String,
+        /// What to do to it.
+        op: CounterOp,
+    },
+    /// A Table II fault on matching packets.
+    Fault {
+        /// The packets it acts on.
+        on: PacketSelector,
+        /// What happens to them.
+        fault: Fault,
     },
     /// `FAIL(node)` — crash a node (blackhole all its traffic).
     Fail {
@@ -378,37 +338,6 @@ pub enum Action {
         /// Optional message (extension; the paper's form carries none).
         message: Option<String>,
     },
-}
-
-impl Action {
-    /// The counter this action manipulates, if it is a Table-I action.
-    pub fn target_counter(&self) -> Option<&str> {
-        match self {
-            Action::Assign { counter, .. }
-            | Action::Enable { counter }
-            | Action::Disable { counter }
-            | Action::Incr { counter, .. }
-            | Action::Decr { counter, .. }
-            | Action::Reset { counter }
-            | Action::SetCurTime { counter }
-            | Action::ElapsedTime { counter } => Some(counter),
-            _ => None,
-        }
-    }
-
-    /// `true` for the Table-II packet-fault primitives (DROP/DELAY/
-    /// REORDER/DUP/MODIFY) that act on matching packets while their
-    /// condition holds.
-    pub fn is_packet_fault(&self) -> bool {
-        matches!(
-            self,
-            Action::Drop { .. }
-                | Action::Delay { .. }
-                | Action::Reorder { .. }
-                | Action::Dup { .. }
-                | Action::Modify { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -441,24 +370,5 @@ mod tests {
             })))),
         );
         assert_eq!(e.counters(), vec!["A", "B", "C"]);
-    }
-
-    #[test]
-    fn action_classification() {
-        let drop = Action::Drop {
-            pkt: "p".into(),
-            from: "a".into(),
-            to: "b".into(),
-            dir: Dir::Recv,
-        };
-        assert!(drop.is_packet_fault());
-        assert_eq!(drop.target_counter(), None);
-        let incr = Action::Incr {
-            counter: "C".into(),
-            value: 1,
-        };
-        assert!(!incr.is_packet_fault());
-        assert_eq!(incr.target_counter(), Some("C"));
-        assert!(!Action::Stop.is_packet_fault());
     }
 }

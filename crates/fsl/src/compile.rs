@@ -111,20 +111,49 @@ pub struct CompiledNode {
     pub ip: Ipv4Addr,
 }
 
+/// A [`PacketSelector`] after name resolution: the packets a counter
+/// counts or a fault acts on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PacketSel {
+    /// The packet definition.
+    pub filter: FilterId,
+    /// Sending node.
+    pub from: NodeId,
+    /// Receiving node.
+    pub to: NodeId,
+    /// Which side observes.
+    pub dir: Dir,
+}
+
+impl PacketSel {
+    /// The node that observes the selected packets: the sender for
+    /// `SEND`, the receiver for `RECV`.
+    pub fn home(&self) -> NodeId {
+        match self.dir {
+            Dir::Send => self.from,
+            Dir::Recv => self.to,
+        }
+    }
+
+    /// `true` for a packet classified as `filter` between the scripted
+    /// endpoints `from` and `to` (`None` = not in the node table),
+    /// travelling in direction `dir`.
+    pub fn matches(
+        &self,
+        filter: FilterId,
+        from: Option<NodeId>,
+        to: Option<NodeId>,
+        dir: Dir,
+    ) -> bool {
+        self.filter == filter && self.dir == dir && from == Some(self.from) && to == Some(self.to)
+    }
+}
+
 /// What a compiled counter observes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CompiledCounterKind {
     /// Send/receive events of a packet type between two nodes.
-    Packet {
-        /// The packet definition.
-        filter: FilterId,
-        /// Sending node.
-        from: NodeId,
-        /// Receiving node.
-        to: NodeId,
-        /// Which side counts.
-        dir: Dir,
-    },
+    Packet(PacketSel),
     /// A node-local variable.
     Local,
 }
@@ -243,117 +272,22 @@ pub struct CompiledAction {
     pub kind: CompiledActionKind,
 }
 
-/// Resolved action kinds.
+/// Resolved action kinds: [`Action`] with names replaced by table ids.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CompiledActionKind {
-    /// Set a counter.
-    Assign {
+    /// A Table I action on a counter.
+    Counter {
         /// Target counter.
         counter: CounterId,
-        /// New value.
-        value: i64,
+        /// What to do to it.
+        op: CounterOp,
     },
-    /// Start event counting.
-    Enable {
-        /// Target counter.
-        counter: CounterId,
-    },
-    /// Stop event counting.
-    Disable {
-        /// Target counter.
-        counter: CounterId,
-    },
-    /// Add to a counter.
-    Incr {
-        /// Target counter.
-        counter: CounterId,
-        /// Amount.
-        value: i64,
-    },
-    /// Subtract from a counter.
-    Decr {
-        /// Target counter.
-        counter: CounterId,
-        /// Amount.
-        value: i64,
-    },
-    /// Zero a counter.
-    Reset {
-        /// Target counter.
-        counter: CounterId,
-    },
-    /// Store the current time (ns) into a counter.
-    SetCurTime {
-        /// Target counter.
-        counter: CounterId,
-    },
-    /// Replace a stored time with the elapsed time since it.
-    ElapsedTime {
-        /// Target counter.
-        counter: CounterId,
-    },
-    /// Drop matching packets.
-    Drop {
-        /// Packet type.
-        filter: FilterId,
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-        /// Acting side.
-        dir: Dir,
-    },
-    /// Delay matching packets (quantized to 10 ms jiffies).
-    Delay {
-        /// Packet type.
-        filter: FilterId,
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-        /// Acting side.
-        dir: Dir,
-        /// Hold time in nanoseconds.
-        duration_ns: u64,
-    },
-    /// Collect `count` matching packets, release in `order`.
-    Reorder {
-        /// Packet type.
-        filter: FilterId,
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-        /// Acting side.
-        dir: Dir,
-        /// Packets per batch.
-        count: u32,
-        /// Release permutation.
-        order: Vec<u32>,
-    },
-    /// Duplicate matching packets.
-    Dup {
-        /// Packet type.
-        filter: FilterId,
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-        /// Acting side.
-        dir: Dir,
-    },
-    /// Corrupt matching packets.
-    Modify {
-        /// Packet type.
-        filter: FilterId,
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-        /// Acting side.
-        dir: Dir,
-        /// Mutation.
-        pattern: ModifyPattern,
+    /// A Table II fault on matching packets.
+    Fault {
+        /// The packets it acts on.
+        on: PacketSel,
+        /// What happens to them.
+        fault: Fault,
     },
     /// Crash a node.
     Fail {
@@ -469,32 +403,21 @@ fn compile_scenario(program: &Program, scenario: &Scenario) -> TableSet {
         .map(|(i, n)| (n.name.as_str(), NodeId(i as u16)))
         .collect();
 
+    let resolve = |selector: &PacketSelector| PacketSel {
+        filter: filter_ids[selector.pkt.as_str()],
+        from: node_ids[selector.from.as_str()],
+        to: node_ids[selector.to.as_str()],
+        dir: selector.dir,
+    };
+
     // ---- counter table --------------------------------------------
     let mut counters: Vec<CompiledCounter> = Vec::new();
     let mut counter_ids: HashMap<&str, CounterId> = HashMap::new();
     for decl in &scenario.counters {
         let (kind, home) = match &decl.kind {
-            CounterKind::PacketEvent {
-                pkt_type,
-                from,
-                to,
-                dir,
-            } => {
-                let from_id = node_ids[from.as_str()];
-                let to_id = node_ids[to.as_str()];
-                let home = match dir {
-                    Dir::Send => from_id,
-                    Dir::Recv => to_id,
-                };
-                (
-                    CompiledCounterKind::Packet {
-                        filter: filter_ids[pkt_type.as_str()],
-                        from: from_id,
-                        to: to_id,
-                        dir: *dir,
-                    },
-                    home,
-                )
+            CounterKind::PacketEvent(selector) => {
+                let sel = resolve(selector);
+                (CompiledCounterKind::Packet(sel), sel.home())
             }
             CounterKind::NodeLocal { node } => {
                 (CompiledCounterKind::Local, node_ids[node.as_str()])
@@ -540,16 +463,31 @@ fn compile_scenario(program: &Program, scenario: &Scenario) -> TableSet {
         let mut gates = Vec::new();
         for action in &rule.actions {
             let action_id = ActionId(actions.len() as u16);
-            let (node, kind) = compile_action(
-                action,
-                &filter_ids,
-                &node_ids,
-                &counter_ids,
-                &counters,
-                fallback_home,
-            );
+            let (node, kind) = match action {
+                Action::Counter { counter, op } => {
+                    let counter = counter_ids[counter.as_str()];
+                    (
+                        counters[counter.index()].home,
+                        CompiledActionKind::Counter { counter, op: *op },
+                    )
+                }
+                Action::Fault { on, fault } => {
+                    let on = resolve(on);
+                    let fault = fault.clone();
+                    (on.home(), CompiledActionKind::Fault { on, fault })
+                }
+                Action::Fail { node } => {
+                    let node = node_ids[node.as_str()];
+                    (node, CompiledActionKind::Fail { node })
+                }
+                Action::Stop => (fallback_home, CompiledActionKind::Stop),
+                Action::FlagError { message } => {
+                    let message = message.clone();
+                    (fallback_home, CompiledActionKind::FlagError { message })
+                }
+            };
             actions.push(CompiledAction { node, kind });
-            if action.is_packet_fault() {
+            if matches!(action, Action::Fault { .. }) {
                 gates.push((node, action_id));
             } else {
                 triggers.push((node, action_id));
@@ -687,155 +625,6 @@ fn compile_operand(operand: &Operand, counter_ids: &HashMap<&str, CounterId>) ->
     }
 }
 
-fn compile_action(
-    action: &Action,
-    filter_ids: &HashMap<&str, FilterId>,
-    node_ids: &HashMap<&str, NodeId>,
-    counter_ids: &HashMap<&str, CounterId>,
-    counters: &[CompiledCounter],
-    fallback_home: NodeId,
-) -> (NodeId, CompiledActionKind) {
-    let counter_home = |name: &str| counters[counter_ids[name].index()].home;
-    let fault_home = |from: &str, to: &str, dir: Dir| match dir {
-        Dir::Send => node_ids[from],
-        Dir::Recv => node_ids[to],
-    };
-    match action {
-        Action::Assign { counter, value } => (
-            counter_home(counter),
-            CompiledActionKind::Assign {
-                counter: counter_ids[counter.as_str()],
-                value: *value,
-            },
-        ),
-        Action::Enable { counter } => (
-            counter_home(counter),
-            CompiledActionKind::Enable {
-                counter: counter_ids[counter.as_str()],
-            },
-        ),
-        Action::Disable { counter } => (
-            counter_home(counter),
-            CompiledActionKind::Disable {
-                counter: counter_ids[counter.as_str()],
-            },
-        ),
-        Action::Incr { counter, value } => (
-            counter_home(counter),
-            CompiledActionKind::Incr {
-                counter: counter_ids[counter.as_str()],
-                value: *value,
-            },
-        ),
-        Action::Decr { counter, value } => (
-            counter_home(counter),
-            CompiledActionKind::Decr {
-                counter: counter_ids[counter.as_str()],
-                value: *value,
-            },
-        ),
-        Action::Reset { counter } => (
-            counter_home(counter),
-            CompiledActionKind::Reset {
-                counter: counter_ids[counter.as_str()],
-            },
-        ),
-        Action::SetCurTime { counter } => (
-            counter_home(counter),
-            CompiledActionKind::SetCurTime {
-                counter: counter_ids[counter.as_str()],
-            },
-        ),
-        Action::ElapsedTime { counter } => (
-            counter_home(counter),
-            CompiledActionKind::ElapsedTime {
-                counter: counter_ids[counter.as_str()],
-            },
-        ),
-        Action::Drop { pkt, from, to, dir } => (
-            fault_home(from, to, *dir),
-            CompiledActionKind::Drop {
-                filter: filter_ids[pkt.as_str()],
-                from: node_ids[from.as_str()],
-                to: node_ids[to.as_str()],
-                dir: *dir,
-            },
-        ),
-        Action::Delay {
-            pkt,
-            from,
-            to,
-            dir,
-            duration_ns,
-        } => (
-            fault_home(from, to, *dir),
-            CompiledActionKind::Delay {
-                filter: filter_ids[pkt.as_str()],
-                from: node_ids[from.as_str()],
-                to: node_ids[to.as_str()],
-                dir: *dir,
-                duration_ns: *duration_ns,
-            },
-        ),
-        Action::Reorder {
-            pkt,
-            from,
-            to,
-            dir,
-            count,
-            order,
-        } => (
-            fault_home(from, to, *dir),
-            CompiledActionKind::Reorder {
-                filter: filter_ids[pkt.as_str()],
-                from: node_ids[from.as_str()],
-                to: node_ids[to.as_str()],
-                dir: *dir,
-                count: *count,
-                order: order.clone(),
-            },
-        ),
-        Action::Dup { pkt, from, to, dir } => (
-            fault_home(from, to, *dir),
-            CompiledActionKind::Dup {
-                filter: filter_ids[pkt.as_str()],
-                from: node_ids[from.as_str()],
-                to: node_ids[to.as_str()],
-                dir: *dir,
-            },
-        ),
-        Action::Modify {
-            pkt,
-            from,
-            to,
-            dir,
-            pattern,
-        } => (
-            fault_home(from, to, *dir),
-            CompiledActionKind::Modify {
-                filter: filter_ids[pkt.as_str()],
-                from: node_ids[from.as_str()],
-                to: node_ids[to.as_str()],
-                dir: *dir,
-                pattern: pattern.clone(),
-            },
-        ),
-        Action::Fail { node } => (
-            node_ids[node.as_str()],
-            CompiledActionKind::Fail {
-                node: node_ids[node.as_str()],
-            },
-        ),
-        Action::Stop => (fallback_home, CompiledActionKind::Stop),
-        Action::FlagError { message } => (
-            fallback_home,
-            CompiledActionKind::FlagError {
-                message: message.clone(),
-            },
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -894,7 +683,15 @@ mod tests {
         let enable = t
             .actions
             .iter()
-            .find(|a| matches!(a.kind, CompiledActionKind::Enable { .. }))
+            .find(|a| {
+                matches!(
+                    a.kind,
+                    CompiledActionKind::Counter {
+                        op: CounterOp::Enable,
+                        ..
+                    }
+                )
+            })
             .unwrap();
         assert_eq!(enable.node, t.node_by_name("n1").unwrap());
     }

@@ -61,13 +61,14 @@ pub mod token;
 
 pub use analyze::{analyze, MAX_NAME_LEN, MAX_WIRE_LEN};
 pub use ast::{
-    Action, CondExpr, CounterDecl, CounterKind, Dir, FilterDef, FilterTuple, ModifyPattern,
-    NodeDef, Operand, PatternValue, Program, RelOp, Rule, Scenario, Term,
+    Action, CondExpr, CounterDecl, CounterKind, CounterOp, Dir, Fault, FilterDef, FilterTuple,
+    ModifyPattern, NodeDef, Operand, PacketSelector, PatternValue, Program, RelOp, Rule, Scenario,
+    Term,
 };
 pub use compile::{
     compile, ActionId, CompiledAction, CompiledActionKind, CompiledCondition, CompiledCounter,
     CompiledCounterKind, CompiledFilter, CompiledNode, CompiledOperand, CompiledTerm, CondId,
-    CondNode, CounterId, FilterId, NodeId, TableSet, TermId,
+    CondNode, CounterId, FilterId, NodeId, PacketSel, TableSet, TermId,
 };
 pub use error::FslError;
 pub use lexer::lex;

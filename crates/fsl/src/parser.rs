@@ -355,18 +355,7 @@ impl Parser {
         self.expect(&TokenKind::LParen)?;
         let first = self.expect_ident()?;
         let kind = if matches!(self.peek(), TokenKind::Comma) {
-            self.bump();
-            let from = self.expect_ident()?;
-            self.expect(&TokenKind::Comma)?;
-            let to = self.expect_ident()?;
-            self.expect(&TokenKind::Comma)?;
-            let dir = self.direction()?;
-            CounterKind::PacketEvent {
-                pkt_type: first,
-                from,
-                to,
-                dir,
-            }
+            CounterKind::PacketEvent(self.selector_after(first)?)
         } else {
             CounterKind::NodeLocal { node: first }
         };
@@ -509,122 +498,64 @@ impl Parser {
             self.bump();
         }
         let action = match keyword.as_str() {
-            "ASSIGN_CNTR" => {
-                let counter = self.expect_ident()?;
-                let value = if matches!(self.peek(), TokenKind::Comma) {
-                    self.bump();
-                    self.expect_i64("the assigned value")?
+            "ASSIGN_CNTR" => Action::Counter {
+                counter: self.expect_ident()?,
+                op: CounterOp::Assign(if matches!(self.peek(), TokenKind::Comma) {
+                    self.comma_i64("the assigned value")?
                 } else {
                     0
-                };
-                Action::Assign { counter, value }
-            }
-            "ENABLE_CNTR" => Action::Enable {
-                counter: self.expect_ident()?,
+                }),
             },
-            "DISABLE_CNTR" => Action::Disable {
+            "ENABLE_CNTR" => Action::Counter {
                 counter: self.expect_ident()?,
+                op: CounterOp::Enable,
             },
-            "INCR_CNTR" => {
-                let counter = self.expect_ident()?;
-                self.expect(&TokenKind::Comma)?;
-                let value = self.expect_i64("the increment")?;
-                Action::Incr { counter, value }
-            }
-            "DECR_CNTR" => {
-                let counter = self.expect_ident()?;
-                self.expect(&TokenKind::Comma)?;
-                let value = self.expect_i64("the decrement")?;
-                Action::Decr { counter, value }
-            }
-            "RESET_CNTR" => Action::Reset {
+            "DISABLE_CNTR" => Action::Counter {
                 counter: self.expect_ident()?,
+                op: CounterOp::Disable,
             },
-            "SET_CURTIME" => Action::SetCurTime {
+            "INCR_CNTR" => Action::Counter {
                 counter: self.expect_ident()?,
+                op: CounterOp::Incr(self.comma_i64("the increment")?),
             },
-            "ELAPSED_TIME" => Action::ElapsedTime {
+            "DECR_CNTR" => Action::Counter {
                 counter: self.expect_ident()?,
+                op: CounterOp::Decr(self.comma_i64("the decrement")?),
             },
-            "DROP" => {
-                let (pkt, from, to, dir) = self.fault_args()?;
-                Action::Drop { pkt, from, to, dir }
-            }
-            "DELAY" => {
-                let (pkt, from, to, dir) = self.fault_args()?;
-                self.expect(&TokenKind::Comma)?;
-                let duration_ns = self.duration_arg()?;
-                Action::Delay {
-                    pkt,
-                    from,
-                    to,
-                    dir,
-                    duration_ns,
-                }
-            }
-            "REORDER" => {
-                let (pkt, from, to, dir) = self.fault_args()?;
-                self.expect(&TokenKind::Comma)?;
-                let count = self.expect_u32("the packet count")?;
-                self.expect(&TokenKind::Comma)?;
-                self.expect(&TokenKind::LParen)?;
-                let mut order = Vec::new();
-                while !matches!(self.peek(), TokenKind::RParen) {
-                    order.push(self.expect_u32("a position in the release order")?);
-                    if matches!(self.peek(), TokenKind::Comma) {
-                        self.bump();
-                    }
-                }
-                self.expect(&TokenKind::RParen)?;
-                Action::Reorder {
-                    pkt,
-                    from,
-                    to,
-                    dir,
-                    count,
-                    order,
-                }
-            }
-            "DUP" => {
-                let (pkt, from, to, dir) = self.fault_args()?;
-                Action::Dup { pkt, from, to, dir }
-            }
-            "MODIFY" => {
-                let (pkt, from, to, dir) = self.fault_args()?;
-                self.expect(&TokenKind::Comma)?;
-                let pattern = if self.eat_keyword("RANDOM") {
-                    ModifyPattern::Random
-                } else {
-                    self.expect(&TokenKind::LParen)?;
-                    let offset = self.expect_u32("the modify offset")?;
-                    let len = self.expect_u32("the modify length")?;
-                    let value = match self.peek().clone() {
-                        TokenKind::Hex(v) => {
-                            self.bump();
-                            v
-                        }
-                        TokenKind::Int(v) if v >= 0 => {
-                            self.bump();
-                            v as u64
-                        }
-                        other => {
-                            return Err(FslError::at(
-                                self.span(),
-                                format!("expected the modify value, found {other}"),
-                            ));
-                        }
-                    };
-                    self.expect(&TokenKind::RParen)?;
-                    ModifyPattern::Set { offset, len, value }
-                };
-                Action::Modify {
-                    pkt,
-                    from,
-                    to,
-                    dir,
-                    pattern,
-                }
-            }
+            "RESET_CNTR" => Action::Counter {
+                counter: self.expect_ident()?,
+                op: CounterOp::Reset,
+            },
+            "SET_CURTIME" => Action::Counter {
+                counter: self.expect_ident()?,
+                op: CounterOp::SetCurTime,
+            },
+            "ELAPSED_TIME" => Action::Counter {
+                counter: self.expect_ident()?,
+                op: CounterOp::ElapsedTime,
+            },
+            "DROP" => Action::Fault {
+                on: self.selector()?,
+                fault: Fault::Drop,
+            },
+            "DELAY" => Action::Fault {
+                on: self.selector()?,
+                fault: Fault::Delay {
+                    duration_ns: self.duration_arg()?,
+                },
+            },
+            "REORDER" => Action::Fault {
+                on: self.selector()?,
+                fault: self.reorder_args()?,
+            },
+            "DUP" => Action::Fault {
+                on: self.selector()?,
+                fault: Fault::Dup,
+            },
+            "MODIFY" => Action::Fault {
+                on: self.selector()?,
+                fault: Fault::Modify(self.modify_pattern()?),
+            },
             "FAIL" => Action::Fail {
                 node: self.expect_ident()?,
             },
@@ -649,18 +580,75 @@ impl Parser {
         Ok(action)
     }
 
-    fn fault_args(&mut self) -> Result<(String, String, String, Dir), FslError> {
+    /// A fault's `pkt, from, to, SEND|RECV` selector.
+    fn selector(&mut self) -> Result<PacketSelector, FslError> {
         let pkt = self.expect_ident()?;
+        self.selector_after(pkt)
+    }
+
+    /// The rest of a `pkt, from, to, SEND|RECV` selector whose packet
+    /// type name has been read.
+    fn selector_after(&mut self, pkt: String) -> Result<PacketSelector, FslError> {
         self.expect(&TokenKind::Comma)?;
         let from = self.expect_ident()?;
         self.expect(&TokenKind::Comma)?;
         let to = self.expect_ident()?;
         self.expect(&TokenKind::Comma)?;
         let dir = self.direction()?;
-        Ok((pkt, from, to, dir))
+        Ok(PacketSelector { pkt, from, to, dir })
+    }
+
+    fn comma_i64(&mut self, what: &str) -> Result<i64, FslError> {
+        self.expect(&TokenKind::Comma)?;
+        self.expect_i64(what)
+    }
+
+    fn reorder_args(&mut self) -> Result<Fault, FslError> {
+        self.expect(&TokenKind::Comma)?;
+        let count = self.expect_u32("the packet count")?;
+        self.expect(&TokenKind::Comma)?;
+        self.expect(&TokenKind::LParen)?;
+        let mut order = Vec::new();
+        while !matches!(self.peek(), TokenKind::RParen) {
+            order.push(self.expect_u32("a position in the release order")?);
+            if matches!(self.peek(), TokenKind::Comma) {
+                self.bump();
+            }
+        }
+        self.expect(&TokenKind::RParen)?;
+        Ok(Fault::Reorder { count, order })
+    }
+
+    fn modify_pattern(&mut self) -> Result<ModifyPattern, FslError> {
+        self.expect(&TokenKind::Comma)?;
+        if self.eat_keyword("RANDOM") {
+            return Ok(ModifyPattern::Random);
+        }
+        self.expect(&TokenKind::LParen)?;
+        let offset = self.expect_u32("the modify offset")?;
+        let len = self.expect_u32("the modify length")?;
+        let value = match self.peek().clone() {
+            TokenKind::Hex(v) => {
+                self.bump();
+                v
+            }
+            TokenKind::Int(v) if v >= 0 => {
+                self.bump();
+                v as u64
+            }
+            other => {
+                return Err(FslError::at(
+                    self.span(),
+                    format!("expected the modify value, found {other}"),
+                ));
+            }
+        };
+        self.expect(&TokenKind::RParen)?;
+        Ok(ModifyPattern::Set { offset, len, value })
     }
 
     fn duration_arg(&mut self) -> Result<u64, FslError> {
+        self.expect(&TokenKind::Comma)?;
         match self.peek().clone() {
             TokenKind::Duration(ns) => {
                 self.bump();
@@ -736,7 +724,7 @@ mod tests {
         assert_eq!(s.counters.len(), 2);
         assert!(matches!(
             s.counters[0].kind,
-            CounterKind::PacketEvent { dir: Dir::Recv, .. }
+            CounterKind::PacketEvent(PacketSelector { dir: Dir::Recv, .. })
         ));
         assert!(matches!(s.counters[1].kind, CounterKind::NodeLocal { .. }));
         assert_eq!(s.rules.len(), 3);
@@ -745,7 +733,10 @@ mod tests {
         assert!(matches!(s.rules[1].condition, CondExpr::And(_, _)));
         assert!(matches!(
             s.rules[1].actions[0],
-            Action::Drop { dir: Dir::Recv, .. }
+            Action::Fault {
+                on: PacketSelector { dir: Dir::Recv, .. },
+                fault: Fault::Drop,
+            }
         ));
         assert!(matches!(s.rules[2].actions[0], Action::FlagError { .. }));
     }
@@ -781,34 +772,32 @@ mod tests {
         let p = parse(src).unwrap();
         let actions = &p.scenarios[0].rules[0].actions;
         assert_eq!(actions.len(), 6);
-        assert!(matches!(
-            actions[0],
-            Action::Delay {
-                duration_ns: 20_000_000,
-                ..
+        let fault = |i: usize| match &actions[i] {
+            Action::Fault { fault, .. } => fault,
+            other => panic!("action {i} is not a fault: {other:?}"),
+        };
+        assert_eq!(
+            *fault(0),
+            Fault::Delay {
+                duration_ns: 20_000_000
             }
-        ));
-        assert!(
-            matches!(&actions[1], Action::Reorder { count: 3, order, .. } if order == &[2, 0, 1])
         );
-        assert!(matches!(
-            actions[3],
-            Action::Modify {
-                pattern: ModifyPattern::Random,
-                ..
+        assert_eq!(
+            *fault(1),
+            Fault::Reorder {
+                count: 3,
+                order: vec![2, 0, 1]
             }
-        ));
-        assert!(matches!(
-            &actions[4],
-            Action::Modify {
-                pattern: ModifyPattern::Set {
-                    offset: 14,
-                    len: 2,
-                    value: 0xBEEF
-                },
-                ..
-            }
-        ));
+        );
+        assert_eq!(*fault(3), Fault::Modify(ModifyPattern::Random));
+        assert_eq!(
+            *fault(4),
+            Fault::Modify(ModifyPattern::Set {
+                offset: 14,
+                len: 2,
+                value: 0xBEEF
+            })
+        );
         assert_eq!(
             actions[5],
             Action::FlagError {
@@ -836,9 +825,9 @@ mod tests {
         ));
         assert_eq!(
             rule.actions[0],
-            Action::Assign {
+            Action::Counter {
                 counter: "C".into(),
-                value: -1
+                op: CounterOp::Assign(-1)
             }
         );
     }

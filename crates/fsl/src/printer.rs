@@ -6,7 +6,7 @@
 //! from protocol specifications — and for normalizing hand-written
 //! scripts.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::ast::*;
 
@@ -59,18 +59,8 @@ fn print_scenario(out: &mut String, scenario: &Scenario) {
     }
     for decl in &scenario.counters {
         match &decl.kind {
-            CounterKind::PacketEvent {
-                pkt_type,
-                from,
-                to,
-                dir,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{}: ({pkt_type}, {from}, {to}, {})",
-                    decl.name,
-                    print_dir(*dir)
-                );
+            CounterKind::PacketEvent(selector) => {
+                let _ = writeln!(out, "{}: ({selector})", decl.name);
             }
             CounterKind::NodeLocal { node } => {
                 let _ = writeln!(out, "{}: ({node})", decl.name);
@@ -86,10 +76,14 @@ fn print_scenario(out: &mut String, scenario: &Scenario) {
     out.push_str("END\n");
 }
 
-fn print_dir(dir: Dir) -> &'static str {
-    match dir {
-        Dir::Send => "SEND",
-        Dir::Recv => "RECV",
+/// The canonical `pkt, from, to, SEND|RECV` argument list.
+impl fmt::Display for PacketSelector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let dir = match self.dir {
+            Dir::Send => "SEND",
+            Dir::Recv => "RECV",
+        };
+        write!(f, "{}, {}, {}, {dir}", self.pkt, self.from, self.to)
     }
 }
 
@@ -131,64 +125,31 @@ fn print_operand(op: &Operand) -> String {
 
 fn print_action(action: &Action) -> String {
     match action {
-        Action::Assign { counter, value } => format!("ASSIGN_CNTR({counter}, {value})"),
-        Action::Enable { counter } => format!("ENABLE_CNTR({counter})"),
-        Action::Disable { counter } => format!("DISABLE_CNTR({counter})"),
-        Action::Incr { counter, value } => format!("INCR_CNTR({counter}, {value})"),
-        Action::Decr { counter, value } => format!("DECR_CNTR({counter}, {value})"),
-        Action::Reset { counter } => format!("RESET_CNTR({counter})"),
-        Action::SetCurTime { counter } => format!("SET_CURTIME({counter})"),
-        Action::ElapsedTime { counter } => format!("ELAPSED_TIME({counter})"),
-        Action::Drop { pkt, from, to, dir } => {
-            format!("DROP({pkt}, {from}, {to}, {})", print_dir(*dir))
-        }
-        Action::Delay {
-            pkt,
-            from,
-            to,
-            dir,
-            duration_ns,
-        } => format!(
-            "DELAY({pkt}, {from}, {to}, {}, {})",
-            print_dir(*dir),
-            print_duration(*duration_ns)
-        ),
-        Action::Reorder {
-            pkt,
-            from,
-            to,
-            dir,
-            count,
-            order,
-        } => {
-            let order: Vec<String> = order.iter().map(u32::to_string).collect();
-            format!(
-                "REORDER({pkt}, {from}, {to}, {}, {count}, ({}))",
-                print_dir(*dir),
-                order.join(" ")
-            )
-        }
-        Action::Dup { pkt, from, to, dir } => {
-            format!("DUP({pkt}, {from}, {to}, {})", print_dir(*dir))
-        }
-        Action::Modify {
-            pkt,
-            from,
-            to,
-            dir,
-            pattern,
-        } => {
-            let pattern = match pattern {
-                ModifyPattern::Random => "RANDOM".to_string(),
-                ModifyPattern::Set { offset, len, value } => {
-                    format!("({offset} {len} 0x{value:x})")
-                }
-            };
-            format!(
-                "MODIFY({pkt}, {from}, {to}, {}, {pattern})",
-                print_dir(*dir)
-            )
-        }
+        Action::Counter { counter, op } => match op {
+            CounterOp::Assign(value) => format!("ASSIGN_CNTR({counter}, {value})"),
+            CounterOp::Enable => format!("ENABLE_CNTR({counter})"),
+            CounterOp::Disable => format!("DISABLE_CNTR({counter})"),
+            CounterOp::Incr(value) => format!("INCR_CNTR({counter}, {value})"),
+            CounterOp::Decr(value) => format!("DECR_CNTR({counter}, {value})"),
+            CounterOp::Reset => format!("RESET_CNTR({counter})"),
+            CounterOp::SetCurTime => format!("SET_CURTIME({counter})"),
+            CounterOp::ElapsedTime => format!("ELAPSED_TIME({counter})"),
+        },
+        Action::Fault { on, fault } => match fault {
+            Fault::Drop => format!("DROP({on})"),
+            Fault::Delay { duration_ns } => {
+                format!("DELAY({on}, {})", print_duration(*duration_ns))
+            }
+            Fault::Reorder { count, order } => {
+                let order: Vec<String> = order.iter().map(u32::to_string).collect();
+                format!("REORDER({on}, {count}, ({}))", order.join(" "))
+            }
+            Fault::Dup => format!("DUP({on})"),
+            Fault::Modify(ModifyPattern::Random) => format!("MODIFY({on}, RANDOM)"),
+            Fault::Modify(ModifyPattern::Set { offset, len, value }) => {
+                format!("MODIFY({on}, ({offset} {len} 0x{value:x}))")
+            }
+        },
         Action::Fail { node } => format!("FAIL({node})"),
         Action::Stop => "STOP".to_string(),
         Action::FlagError { message } => match message {
@@ -287,6 +248,40 @@ mod tests {
         }
     }
 
+    fn arb_counter_op() -> impl Strategy<Value = CounterOp> {
+        prop_oneof![
+            (-1000i64..1000).prop_map(CounterOp::Assign),
+            Just(CounterOp::Enable),
+            Just(CounterOp::Disable),
+            (-1000i64..1000).prop_map(CounterOp::Incr),
+            (-1000i64..1000).prop_map(CounterOp::Decr),
+            Just(CounterOp::Reset),
+            Just(CounterOp::SetCurTime),
+            Just(CounterOp::ElapsedTime),
+        ]
+    }
+
+    fn arb_fault() -> impl Strategy<Value = Fault> {
+        prop_oneof![
+            Just(Fault::Drop),
+            (0u64..10_000_000_000).prop_map(|duration_ns| Fault::Delay { duration_ns }),
+            // A permutation of 0..n: the indices sorted by random keys.
+            proptest::collection::vec(any::<u32>(), 0..6).prop_map(|keys| {
+                let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+                order.sort_by_key(|&i| keys[i as usize]);
+                Fault::Reorder {
+                    count: keys.len() as u32,
+                    order,
+                }
+            }),
+            Just(Fault::Dup),
+            Just(Fault::Modify(ModifyPattern::Random)),
+            (0u32..2000, 0u32..12, any::<u64>()).prop_map(|(offset, len, value)| {
+                Fault::Modify(ModifyPattern::Set { offset, len, value })
+            }),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
@@ -297,11 +292,29 @@ mod tests {
             offset in 0u32..100,
             len in 1u32..5,
             pattern in 0u64..0xffff,
-            value in -50i64..50,
             term in ident().prop_flat_map(arb_term),
+            ops in proptest::collection::vec(arb_counter_op(), 0..5),
+            faults in proptest::collection::vec((arb_fault(), any::<bool>()), 0..5),
+            message in proptest::option::of("[a-z ]{0,12}"),
         ) {
             prop_assume!(counter != node && counter != pkt && node != pkt);
             let term = Term { lhs: Operand::Counter(counter.clone()), ..term };
+            let selector = |send: bool| PacketSelector {
+                pkt: pkt.clone(),
+                from: node.clone(),
+                to: node.clone(),
+                dir: if send { Dir::Send } else { Dir::Recv },
+            };
+            let mut actions: Vec<Action> = ops
+                .into_iter()
+                .map(|op| Action::Counter { counter: counter.clone(), op })
+                .collect();
+            actions.extend(
+                faults.into_iter().map(|(fault, send)| Action::Fault { on: selector(send), fault }),
+            );
+            actions.push(Action::Fail { node: node.clone() });
+            actions.push(Action::Stop);
+            actions.push(Action::FlagError { message });
             let program = Program {
                 vars: vec![],
                 filters: vec![FilterDef {
@@ -316,14 +329,11 @@ mod tests {
                 scenarios: vec![Scenario {
                     name: "Gen".into(),
                     timeout_ns: Some(250_000_000),
-                    counters: vec![CounterDecl { name: counter.clone(), kind: CounterKind::NodeLocal { node: node.clone() } }],
-                    rules: vec![Rule {
-                        condition: CondExpr::Term(term),
-                        actions: vec![
-                            Action::Assign { counter: counter.clone(), value },
-                            Action::FlagError { message: None },
-                        ],
-                    }],
+                    counters: vec![
+                        CounterDecl { name: counter.clone(), kind: CounterKind::NodeLocal { node: node.clone() } },
+                        CounterDecl { name: format!("{counter}_pkts"), kind: CounterKind::PacketEvent(selector(false)) },
+                    ],
+                    rules: vec![Rule { condition: CondExpr::Term(term), actions }],
                 }],
             };
             let printed = print(&program);

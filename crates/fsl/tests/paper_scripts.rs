@@ -9,7 +9,10 @@
 //! shows only the filter table; the node definitions follow Figure 2's
 //! format).
 
-use vw_fsl::{analyze, compile, parse, print, CounterKind, Dir};
+use vw_fsl::{
+    analyze, compile, parse, print, CompiledActionKind, CounterId, CounterKind, CounterOp, Dir,
+    Fault, FilterId, ModifyPattern, NodeId, PacketSel,
+};
 
 /// Figure 2: the TCP filter and node tables.
 const FIGURE_2: &str = r#"
@@ -158,12 +161,10 @@ fn figure_5_script_parses_analyzes_compiles() {
     assert_eq!(packet, 4);
     // The SYNACK counter counts RECV at node1.
     match &s.counters[0].kind {
-        CounterKind::PacketEvent {
-            pkt_type, to, dir, ..
-        } => {
-            assert_eq!(pkt_type, "TCP_synack");
-            assert_eq!(to, "node1");
-            assert_eq!(*dir, Dir::Recv);
+        CounterKind::PacketEvent(selector) => {
+            assert_eq!(selector.pkt, "TCP_synack");
+            assert_eq!(selector.to, "node1");
+            assert_eq!(selector.dir, Dir::Recv);
         }
         other => panic!("unexpected counter kind {other:?}"),
     }
@@ -197,7 +198,7 @@ fn figure_6_script_parses_analyzes_compiles() {
     let fail = tables
         .actions
         .iter()
-        .find(|a| matches!(a.kind, vw_fsl::CompiledActionKind::Fail { .. }))
+        .find(|a| matches!(a.kind, CompiledActionKind::Fail { .. }))
         .unwrap();
     assert_eq!(fail.node, tables.node_by_name("node3").unwrap());
     // TokensFrom2 counts SENDs at node2.
@@ -206,6 +207,90 @@ fn figure_6_script_parses_analyzes_compiles() {
         tables.counters[tf2.index()].home,
         tables.node_by_name("node2").unwrap()
     );
+}
+
+/// Each of the sixteen action keywords compiles to its family: the eight
+/// Table I keywords to `Counter` with the matching op, edge-triggered;
+/// the five Table II keywords to `Fault` with the matching primitive,
+/// level-gated; `FAIL` / `STOP` / `FLAG_ERR` to themselves.
+#[test]
+fn every_action_keyword_compiles_to_its_family() {
+    let counter = |op| CompiledActionKind::Counter {
+        counter: CounterId(1),
+        op,
+    };
+    let fault = |fault| CompiledActionKind::Fault {
+        on: PacketSel {
+            filter: FilterId(0),
+            from: NodeId(0),
+            to: NodeId(1),
+            dir: Dir::Recv,
+        },
+        fault,
+    };
+    let cases = [
+        ("ASSIGN_CNTR(V, -7)", counter(CounterOp::Assign(-7))),
+        ("ASSIGN_CNTR(V)", counter(CounterOp::Assign(0))),
+        ("ENABLE_CNTR(V)", counter(CounterOp::Enable)),
+        ("DISABLE_CNTR(V)", counter(CounterOp::Disable)),
+        ("INCR_CNTR(V, 2)", counter(CounterOp::Incr(2))),
+        ("DECR_CNTR(V, 1)", counter(CounterOp::Decr(1))),
+        ("RESET_CNTR(V)", counter(CounterOp::Reset)),
+        ("SET_CURTIME(V)", counter(CounterOp::SetCurTime)),
+        ("ELAPSED_TIME(V)", counter(CounterOp::ElapsedTime)),
+        ("DROP(p, a, b, RECV)", fault(Fault::Drop)),
+        (
+            "DELAY(p, a, b, RECV, 30msec)",
+            fault(Fault::Delay {
+                duration_ns: 30_000_000,
+            }),
+        ),
+        (
+            "REORDER(p, a, b, RECV, 3, (2 0 1))",
+            fault(Fault::Reorder {
+                count: 3,
+                order: vec![2, 0, 1],
+            }),
+        ),
+        ("DUP(p, a, b, RECV)", fault(Fault::Dup)),
+        (
+            "MODIFY(p, a, b, RECV, RANDOM)",
+            fault(Fault::Modify(ModifyPattern::Random)),
+        ),
+        (
+            "MODIFY(p, a, b, RECV, (14 2 0xdead))",
+            fault(Fault::Modify(ModifyPattern::Set {
+                offset: 14,
+                len: 2,
+                value: 0xdead,
+            })),
+        ),
+        ("FAIL(a)", CompiledActionKind::Fail { node: NodeId(0) }),
+        ("STOP", CompiledActionKind::Stop),
+        (
+            "FLAG_ERR \"boom\"",
+            CompiledActionKind::FlagError {
+                message: Some("boom".into()),
+            },
+        ),
+        (
+            "FLAG_ERROR",
+            CompiledActionKind::FlagError { message: None },
+        ),
+    ];
+    for (text, want) in cases {
+        let src = format!(
+            "FILTER_TABLE\n p: (12 2 0x9900)\n END\n\
+             NODE_TABLE\n a 02:00:00:00:00:01 10.0.0.1\n b 02:00:00:00:00:02 10.0.0.2\n END\n\
+             SCENARIO K\n C: (p, a, b, RECV)\n V: (a)\n ((C = 1)) >> {text};\n END\n"
+        );
+        let tables = compile(&parse(&src).unwrap()).unwrap().remove(0);
+        let cond = &tables.conditions[0];
+        let gated = matches!(want, CompiledActionKind::Fault { .. });
+        assert_eq!(cond.gates.len(), usize::from(gated), "{text}");
+        assert_eq!(cond.triggers.len(), usize::from(!gated), "{text}");
+        assert_eq!(tables.actions[0].kind, want, "{text}");
+    }
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use vw_packet::{EtherType, Frame, MacAddr};
+use vw_packet::Frame;
 
 use crate::id::DeviceId;
 use crate::time::SimTime;
@@ -97,7 +97,7 @@ impl TraceRecord {
 
     /// Like [`render`](Self::render) but with a caller-resolved device
     /// label (a topology name such as `node2` instead of `dev3`).
-    pub fn render_as(&self, device: &str) -> String {
+    fn render_as(&self, device: &str) -> String {
         match &self.frame {
             Some(f) => format!(
                 "{} {} {} {} > {} type {} len {} {}",
@@ -127,7 +127,6 @@ impl TraceRecord {
 pub struct TraceSink {
     records: Vec<TraceRecord>,
     enabled: bool,
-    capture_frames: bool,
     /// Topology names indexed by [`DeviceId`] index; `""` = unregistered.
     names: Vec<String>,
 }
@@ -138,17 +137,6 @@ impl TraceSink {
         TraceSink {
             records: Vec::new(),
             enabled: true,
-            capture_frames: true,
-            names: Vec::new(),
-        }
-    }
-
-    /// Creates a disabled sink (no overhead; used by benchmarks).
-    pub fn disabled() -> Self {
-        TraceSink {
-            records: Vec::new(),
-            enabled: false,
-            capture_frames: false,
             names: Vec::new(),
         }
     }
@@ -175,7 +163,7 @@ impl TraceSink {
 
     /// The display label for a device: its registered topology name, or
     /// the raw `dev{N}` id when none was registered.
-    pub fn device_label(&self, device: DeviceId) -> String {
+    fn device_label(&self, device: DeviceId) -> String {
         match self.device_name(device) {
             Some(name) => name.to_string(),
             None => device.to_string(),
@@ -213,11 +201,7 @@ impl TraceSink {
             time,
             device,
             kind,
-            frame: if self.capture_frames {
-                frame.cloned()
-            } else {
-                None
-            },
+            frame: frame.cloned(),
             note: note.into(),
         });
     }
@@ -255,22 +239,6 @@ impl TraceSink {
         self.records.iter().filter(move |r| r.kind == kind)
     }
 
-    /// Records at a given device.
-    pub fn at_device(&self, device: DeviceId) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter().filter(move |r| r.device == device)
-    }
-
-    /// Counts frames of `ethertype` sent by MAC `src` (a common analysis
-    /// primitive: "how many tokens did node2 transmit?").
-    pub fn count_sent(&self, src: MacAddr, ethertype: EtherType) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.kind == TraceKind::HostSend)
-            .filter_map(|r| r.frame.as_ref())
-            .filter(|f| f.src() == src && f.ethertype() == ethertype)
-            .count()
-    }
-
     /// Renders the whole capture as text, one record per line, resolving
     /// device ids to registered topology names.
     pub fn render(&self) -> String {
@@ -286,7 +254,7 @@ impl TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vw_packet::EthernetBuilder;
+    use vw_packet::{EtherType, EthernetBuilder, MacAddr};
 
     fn frame(src: u32) -> Frame {
         EthernetBuilder::new()
@@ -313,23 +281,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_sink_captures_nothing() {
-        let mut sink = TraceSink::disabled();
-        sink.record(
-            SimTime::ZERO,
-            DeviceId::from_index(0),
-            TraceKind::HostSend,
-            Some(&frame(1)),
-            "",
-        );
-        assert!(sink.is_empty());
-        assert!(!sink.is_enabled());
-    }
-
-    #[test]
     fn toggling_enabled() {
         let mut sink = TraceSink::new();
         sink.set_enabled(false);
+        assert!(!sink.is_enabled());
         sink.record(
             SimTime::ZERO,
             DeviceId::from_index(0),
@@ -347,43 +302,6 @@ mod tests {
         );
         assert_eq!(sink.len(), 1);
         assert_eq!(sink.records()[0].note, "y");
-    }
-
-    #[test]
-    fn count_sent_filters_by_src_and_type() {
-        let mut sink = TraceSink::new();
-        for i in 0..3 {
-            sink.record(
-                SimTime::from_nanos(i),
-                DeviceId::from_index(0),
-                TraceKind::HostSend,
-                Some(&frame(1)),
-                "",
-            );
-        }
-        sink.record(
-            SimTime::from_nanos(9),
-            DeviceId::from_index(0),
-            TraceKind::HostSend,
-            Some(&frame(2)),
-            "",
-        );
-        sink.record(
-            SimTime::from_nanos(10),
-            DeviceId::from_index(0),
-            TraceKind::HostRecv,
-            Some(&frame(1)),
-            "",
-        );
-        assert_eq!(
-            sink.count_sent(MacAddr::from_index(1), EtherType::RETHER),
-            3
-        );
-        assert_eq!(
-            sink.count_sent(MacAddr::from_index(2), EtherType::RETHER),
-            1
-        );
-        assert_eq!(sink.count_sent(MacAddr::from_index(1), EtherType::IPV4), 0);
     }
 
     #[test]
@@ -440,14 +358,15 @@ mod tests {
 
     #[test]
     fn names_survive_clear_and_disabled_capture() {
-        let mut sink = TraceSink::disabled();
+        let mut sink = TraceSink::new();
+        sink.set_enabled(false);
         sink.register_device(DeviceId::from_index(0), "node1");
         sink.clear();
         assert_eq!(sink.device_name(DeviceId::from_index(0)), Some("node1"));
     }
 
     #[test]
-    fn queries_by_kind_and_device() {
+    fn queries_by_kind() {
         let mut sink = TraceSink::new();
         sink.record(
             SimTime::ZERO,
@@ -464,7 +383,6 @@ mod tests {
             "",
         );
         assert_eq!(sink.of_kind(TraceKind::QueueDrop).count(), 1);
-        assert_eq!(sink.at_device(DeviceId::from_index(0)).count(), 1);
         sink.clear();
         assert!(sink.is_empty());
     }

@@ -23,6 +23,22 @@ if grep -rnE '\.len\(\) as u(16|32)' crates/core/src crates/obs/src crates/serve
     exit 1
 fi
 
+# Action-family gate: vw_fsl::Action and CompiledActionKind have five
+# variants (Counter, Fault, Fail, Stop, FlagError); the per-keyword names
+# live in CounterOp and Fault, declared once and shared by both.
+echo "==> action-family gate"
+if grep -rnE '(CompiledActionKind|Action)::(Assign|Enable|Disable|Incr|Decr|Reset|SetCurTime|ElapsedTime|Drop|Delay|Reorder|Dup|Modify)\b' crates tests examples; then
+    echo "flat action variant: match on the family, then on CounterOp / Fault"
+    exit 1
+fi
+
+# The size simplicity PRs quote: lines of every crates/*/src/**/*.rs up to
+# its first #[cfg(test)].
+echo "==> non-test source lines"
+find crates/*/src -name '*.rs' -print0 | sort -z |
+    xargs -0 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ }
+        END { print n " non-test lines under crates/*/src" }'
+
 echo "==> cargo build --release"
 cargo build --release
 
