@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use vw_campaign::CampaignResult;
-use vw_obs::{json_string, Histogram, Metric, MetricsRegistry};
+use vw_obs::{json_string, Histogram};
 
 /// One instance's contribution to the aggregate.
 #[derive(Debug, Clone, Default)]
@@ -32,32 +32,6 @@ pub struct InstanceMetrics {
     /// deterministic across runs — it feeds the profiling aggregates
     /// ([`CampaignReport::wall_ns`]), never the outcome digests.
     pub wall_ns: Option<u64>,
-}
-
-impl InstanceMetrics {
-    /// Folds a raw [`MetricsRegistry`] (e.g. [`Report::metrics`]
-    /// (virtualwire::Report)) into one instance's contribution, summing
-    /// counters and merging histograms across nodes by leaf name.
-    pub fn from_registry(
-        labels: Vec<(String, String)>,
-        passed: bool,
-        registry: &MetricsRegistry,
-    ) -> Self {
-        let mut instance = InstanceMetrics {
-            labels,
-            passed,
-            ..InstanceMetrics::default()
-        };
-        for (name, metric) in registry.iter() {
-            let leaf = name.rsplit('.').next().unwrap_or(name).to_string();
-            match metric {
-                Metric::Counter(v) => *instance.counters.entry(leaf).or_insert(0) += v,
-                Metric::Histogram(h) => instance.histograms.entry(leaf).or_default().merge(h),
-                Metric::Gauge(_) => {}
-            }
-        }
-        instance
-    }
 }
 
 /// One value-group of an axis breakdown.
@@ -406,6 +380,7 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vw_obs::MetricsRegistry;
 
     fn instance(seed: &str, drops: u64, passed: bool, latencies: &[u64]) -> InstanceMetrics {
         let mut registry = MetricsRegistry::new();
@@ -414,14 +389,17 @@ mod tests {
         for &v in latencies {
             registry.observe("node1.classify_to_action_ns", v);
         }
-        InstanceMetrics::from_registry(
-            vec![
+        let digest = vw_campaign::MetricsDigest::from_registry(&registry);
+        InstanceMetrics {
+            labels: vec![
                 ("seed".into(), seed.into()),
                 ("impairment".into(), "none".into()),
             ],
             passed,
-            &registry,
-        )
+            counters: digest.counters.into_iter().collect(),
+            histograms: digest.histograms.into_iter().collect(),
+            wall_ns: None,
+        }
     }
 
     #[test]

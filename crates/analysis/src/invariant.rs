@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use virtualwire::Report;
 use vw_fsl::{CompiledActionKind, CounterOp, NodeId, TableSet, TermId};
 use vw_netsim::SimTime;
-use vw_obs::{ObsActionKind, ObsEvent, SymbolTable};
+use vw_obs::{ObsActionKind, ObsEvent, ObsKind, SymbolTable};
 
 use crate::timeline::DistributedTimeline;
 
@@ -55,6 +55,24 @@ pub struct Violation {
 }
 
 impl Violation {
+    /// A violation of `invariant` by `event`, carrying the event's causal
+    /// slice from `timeline`.
+    fn at(
+        invariant: &'static str,
+        timeline: &DistributedTimeline,
+        event: &ObsEvent,
+        message: String,
+    ) -> Self {
+        Violation {
+            invariant,
+            node: event.node,
+            frame_seq: event.frame_seq,
+            time: event.time,
+            message,
+            slice: timeline.causal_slice(event.node, event.frame_seq),
+        }
+    }
+
     /// Multi-line human rendering: the verdict line plus the causal
     /// slice, ids resolved through `symbols`.
     pub fn render(&self, symbols: &SymbolTable) -> String {
@@ -182,22 +200,17 @@ impl Invariant for ConditionImpliesTerms {
     fn check(&self, timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
         let mut violations = Vec::new();
         let mut replay: HashMap<NodeId, NodeReplay> = HashMap::new();
-        for entry in timeline.entries() {
+        for event in timeline.events() {
             let state = replay
-                .entry(entry.node)
+                .entry(event.node)
                 .or_insert_with(|| NodeReplay::new(tables.terms.len()));
-            state.enter_frame(entry.event.frame_seq());
-            match entry.event {
-                ObsEvent::TermFlipped { term, status, .. } if term.index() < state.status.len() => {
+            state.enter_frame(event.frame_seq);
+            match event.kind {
+                ObsKind::TermFlipped { term, status } if term.index() < state.status.len() => {
                     state.flips.push((term, status));
                     state.status[term.index()] = status;
                 }
-                ObsEvent::ConditionFired {
-                    cond,
-                    time,
-                    frame_seq,
-                    ..
-                } => {
+                ObsKind::ConditionFired { cond } => {
                     let Some(condition) = tables.conditions.get(cond.index()) else {
                         continue;
                     };
@@ -208,18 +221,12 @@ impl Invariant for ConditionImpliesTerms {
                         continue; // combination space too large to replay
                     }
                     if !satisfiable(&condition.expr, &terms, state) {
-                        violations.push(Violation {
-                            invariant: self.name(),
-                            node: entry.node,
-                            frame_seq,
-                            time,
-                            message: format!(
-                                "condition#{} fired but no recorded term state satisfies \
-                                 its expression",
-                                cond.index()
-                            ),
-                            slice: timeline.causal_slice(entry.node, frame_seq),
-                        });
+                        let message = format!(
+                            "condition#{} fired but no recorded term state satisfies its \
+                             expression",
+                            cond.index()
+                        );
+                        violations.push(Violation::at(self.name(), timeline, event, message));
                     }
                 }
                 _ => {}
@@ -273,41 +280,30 @@ impl Invariant for RemoteTermDelivery {
     fn check(&self, timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
         let mut violations = Vec::new();
         let mut replay: HashMap<NodeId, NodeReplay> = HashMap::new();
-        for entry in timeline.entries() {
+        for event in timeline.events() {
             let state = replay
-                .entry(entry.node)
+                .entry(event.node)
                 .or_insert_with(|| NodeReplay::new(tables.terms.len()));
-            state.enter_frame(entry.event.frame_seq());
-            match entry.event {
-                ObsEvent::ControlDelivered { peer, .. } => {
+            state.enter_frame(event.frame_seq);
+            match event.kind {
+                ObsKind::ControlDelivered { peer, .. } => {
                     state.delivered_from.push(peer);
                 }
-                ObsEvent::TermFlipped {
-                    term,
-                    time,
-                    frame_seq,
-                    ..
-                } => {
+                ObsKind::TermFlipped { term, .. } => {
                     let Some(compiled) = tables.terms.get(term.index()) else {
                         continue;
                     };
-                    if compiled.eval_node == entry.node
+                    if compiled.eval_node == event.node
                         || state.delivered_from.contains(&compiled.eval_node)
                     {
                         continue;
                     }
-                    violations.push(Violation {
-                        invariant: self.name(),
-                        node: entry.node,
-                        frame_seq,
-                        time,
-                        message: format!(
-                            "term#{} flipped remotely with no control delivery from \
-                             its evaluating node in the same cascade",
-                            term.index()
-                        ),
-                        slice: timeline.causal_slice(entry.node, frame_seq),
-                    });
+                    let message = format!(
+                        "term#{} flipped remotely with no control delivery from its \
+                         evaluating node in the same cascade",
+                        term.index()
+                    );
+                    violations.push(Violation::at(self.name(), timeline, event, message));
                 }
                 _ => {}
             }
@@ -328,45 +324,30 @@ impl Invariant for NoActionAfterStop {
 
     fn check(&self, timeline: &DistributedTimeline, _tables: &TableSet) -> Vec<Violation> {
         let mut stopped_at: HashMap<NodeId, u64> = HashMap::new();
-        for entry in timeline.entries() {
-            if let ObsEvent::ActionTriggered {
+        for event in timeline.events() {
+            if let ObsKind::ActionTriggered {
                 kind: ObsActionKind::Stop,
-                frame_seq,
                 ..
-            } = entry.event
+            } = event.kind
             {
-                let at = stopped_at.entry(entry.node).or_insert(frame_seq);
-                *at = (*at).min(frame_seq);
+                let at = stopped_at.entry(event.node).or_insert(event.frame_seq);
+                *at = (*at).min(event.frame_seq);
             }
         }
         let mut violations = Vec::new();
-        for entry in timeline.entries() {
-            let ObsEvent::ActionTriggered {
-                action,
-                kind,
-                time,
-                frame_seq,
-                ..
-            } = entry.event
-            else {
+        for event in timeline.events() {
+            let ObsKind::ActionTriggered { action, kind } = event.kind else {
                 continue;
             };
-            let Some(&stop_frame) = stopped_at.get(&entry.node) else {
+            let Some(&stop_frame) = stopped_at.get(&event.node) else {
                 continue;
             };
-            if frame_seq > stop_frame {
-                violations.push(Violation {
-                    invariant: self.name(),
-                    node: entry.node,
-                    frame_seq,
-                    time,
-                    message: format!(
-                        "action#{} ({kind}) triggered after the node's STOP at cascade \
-                         #{stop_frame}",
-                        action.index()
-                    ),
-                    slice: timeline.causal_slice(entry.node, frame_seq),
-                });
+            if event.frame_seq > stop_frame {
+                let message = format!(
+                    "action#{} ({kind}) triggered after the node's STOP at cascade #{stop_frame}",
+                    action.index()
+                );
+                violations.push(Violation::at(self.name(), timeline, event, message));
             }
         }
         violations
@@ -405,30 +386,16 @@ impl Invariant for CounterMonotonic {
             }
         }
         let mut violations = Vec::new();
-        for entry in timeline.entries() {
-            let ObsEvent::CounterUpdated {
-                counter,
-                old,
-                new,
-                time,
-                frame_seq,
-                ..
-            } = entry.event
-            else {
+        for event in timeline.events() {
+            let ObsKind::CounterUpdated { counter, old, new } = event.kind else {
                 continue;
             };
             if monotone.get(counter.index()).copied().unwrap_or(false) && new < old {
-                violations.push(Violation {
-                    invariant: self.name(),
-                    node: entry.node,
-                    frame_seq,
-                    time,
-                    message: format!(
-                        "monotone counter#{} decreased {old} -> {new}",
-                        counter.index()
-                    ),
-                    slice: timeline.causal_slice(entry.node, frame_seq),
-                });
+                let message = format!(
+                    "monotone counter#{} decreased {old} -> {new}",
+                    counter.index()
+                );
+                violations.push(Violation::at(self.name(), timeline, event, message));
             }
         }
         violations
@@ -476,38 +443,36 @@ mod tests {
         }
     }
 
-    fn t(nanos: u64) -> SimTime {
-        SimTime::from_nanos(nanos)
+    fn ev(node: u16, frame_seq: u64, nanos: u64, kind: ObsKind) -> ObsEvent {
+        ObsEvent {
+            time: SimTime::from_nanos(nanos),
+            node: NodeId(node),
+            frame_seq,
+            kind,
+        }
     }
 
     fn flip(node: u16, seq: u64, nanos: u64, status: bool) -> ObsEvent {
-        ObsEvent::TermFlipped {
-            time: t(nanos),
-            node: NodeId(node),
-            frame_seq: seq,
-            term: TermId(0),
-            status,
-        }
+        let term = TermId(0);
+        ev(node, seq, nanos, ObsKind::TermFlipped { term, status })
     }
 
     fn fired(node: u16, seq: u64, nanos: u64) -> ObsEvent {
-        ObsEvent::ConditionFired {
-            time: t(nanos),
-            node: NodeId(node),
-            frame_seq: seq,
-            cond: CondId(0),
-        }
+        ev(
+            node,
+            seq,
+            nanos,
+            ObsKind::ConditionFired { cond: CondId(0) },
+        )
     }
 
     fn delivered(node: u16, seq: u64, nanos: u64, peer: u16) -> ObsEvent {
-        ObsEvent::ControlDelivered {
-            time: t(nanos),
-            node: NodeId(node),
-            frame_seq: seq,
+        let kind = ObsKind::ControlDelivered {
             peer: NodeId(peer),
             peer_seq: 1,
             ack: 0,
-        }
+        };
+        ev(node, seq, nanos, kind)
     }
 
     #[test]
@@ -573,12 +538,9 @@ mod tests {
     fn action_after_stop_is_flagged() {
         use vw_fsl::ActionId;
         let tables = tiny_tables();
-        let action = |seq: u64, nanos: u64, kind: ObsActionKind| ObsEvent::ActionTriggered {
-            time: t(nanos),
-            node: NodeId(0),
-            frame_seq: seq,
-            action: ActionId(0),
-            kind,
+        let action = |seq: u64, nanos: u64, kind: ObsActionKind| {
+            let action = ActionId(0);
+            ev(0, seq, nanos, ObsKind::ActionTriggered { action, kind })
         };
         let tl = DistributedTimeline::from_events(&[
             action(2, 10, ObsActionKind::Stop),
@@ -598,13 +560,9 @@ mod tests {
     #[test]
     fn monotone_counter_decrease_is_flagged() {
         let tables = tiny_tables();
-        let update = |old: i64, new: i64| ObsEvent::CounterUpdated {
-            time: t(10),
-            node: NodeId(0),
-            frame_seq: 2,
-            counter: CounterId(0),
-            old,
-            new,
+        let update = |old: i64, new: i64| {
+            let counter = CounterId(0);
+            ev(0, 2, 10, ObsKind::CounterUpdated { counter, old, new })
         };
         let tl = DistributedTimeline::from_events(&[update(3, 2)]);
         let violations = CounterMonotonic.check(&tl, &tables);

@@ -18,7 +18,7 @@
 //!   typed [`Violation`]s that embed the offending causal slice.
 //! * **Conformance models** ([`ProtocolModel`]) — declarative FSMs over
 //!   the protocol-state events implementations record
-//!   ([`ObsEvent::StateChanged`](vw_obs::ObsEvent)), checked per node
+//!   ([`ObsKind::StateChanged`](vw_obs::ObsKind)), checked per node
 //!   against the merged timeline. [`tcp_reference`] and
 //!   [`rether_reference`] encode the fault-free behavior of the bundled
 //!   stacks, so injected faults surface as typed violation classes

@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, HashMap};
 use virtualwire::{ConformanceRecord, Report};
 use vw_fsl::{NodeId, TableSet};
 use vw_netsim::{DeviceId, SimTime, World};
-use vw_obs::{ObsEvent, ProtoAspect};
+use vw_obs::{ObsEvent, ObsKind, ProtoAspect};
 use vw_rether::RetherNode;
 use vw_tcpstack::TcpStack;
 
@@ -293,16 +293,13 @@ impl ProtocolModel {
         tables: &TableSet,
     ) -> Vec<ConformanceRecord> {
         let mut per_node: BTreeMap<NodeId, Vec<(ProtoAspect, u64)>> = BTreeMap::new();
-        for entry in timeline.entries() {
-            if let ObsEvent::StateChanged {
-                node,
-                aspect,
-                value,
-                ..
-            } = entry.event
-            {
+        for event in timeline.events() {
+            if let ObsKind::StateChanged { aspect, value } = event.kind {
                 if self.in_alphabet(aspect) {
-                    per_node.entry(node).or_default().push((aspect, value));
+                    per_node
+                        .entry(event.node)
+                        .or_default()
+                        .push((aspect, value));
                 }
             }
         }
@@ -386,17 +383,16 @@ pub fn rether_reference() -> ProtocolModel {
         .forbid(ProtoAspect::TokenRegenerated)
 }
 
-/// Renders a recorded state log as [`ObsEvent::StateChanged`] events
+/// Renders a recorded state log as [`ObsKind::StateChanged`] events
 /// attributed to `node`. `frame_seq` is left 0; see
 /// [`attach_state_events`] for the deterministic assignment.
 pub fn state_events(log: &[StateChange], node: NodeId) -> Vec<ObsEvent> {
     log.iter()
-        .map(|&(time, aspect, value)| ObsEvent::StateChanged {
+        .map(|&(time, aspect, value)| ObsEvent {
             time,
             node,
             frame_seq: 0,
-            aspect,
-            value,
+            kind: ObsKind::StateChanged { aspect, value },
         })
         .collect()
 }
@@ -435,9 +431,9 @@ pub fn attach_state_events(report: &mut Report, events: Vec<ObsEvent>) {
     let mut prefix: HashMap<NodeId, Vec<(u64, u64)>> = HashMap::new();
     for event in &report.events {
         prefix
-            .entry(event.node())
+            .entry(event.node)
             .or_default()
-            .push((event.time().as_nanos(), event.frame_seq()));
+            .push((event.time.as_nanos(), event.frame_seq));
     }
     for points in prefix.values_mut() {
         points.sort_unstable();
@@ -449,17 +445,11 @@ pub fn attach_state_events(report: &mut Report, events: Vec<ObsEvent>) {
     }
     let mut prev: HashMap<NodeId, u64> = HashMap::new();
     for mut event in events {
-        if let ObsEvent::StateChanged {
-            node,
-            time,
-            frame_seq,
-            ..
-        } = &mut event
-        {
+        if matches!(event.kind, ObsKind::StateChanged { .. }) {
             let base = prefix
-                .get(node)
+                .get(&event.node)
                 .map(|points| {
-                    let idx = points.partition_point(|&(t, _)| t <= time.as_nanos());
+                    let idx = points.partition_point(|&(t, _)| t <= event.time.as_nanos());
                     if idx == 0 {
                         0
                     } else {
@@ -467,12 +457,12 @@ pub fn attach_state_events(report: &mut Report, events: Vec<ObsEvent>) {
                     }
                 })
                 .unwrap_or(0);
-            let seq = match prev.get(node) {
+            let seq = match prev.get(&event.node) {
                 Some(&p) => base.max(p + 1),
                 None => base,
             };
-            *frame_seq = seq;
-            prev.insert(*node, seq);
+            event.frame_seq = seq;
+            prev.insert(event.node, seq);
         }
         report.events.push(event);
     }
@@ -667,13 +657,15 @@ mod tests {
             counters: Vec::new(),
             duration: vw_netsim::SimDuration::from_secs(1),
             stats: Vec::new(),
-            events: vec![ObsEvent::Classified {
+            events: vec![ObsEvent {
                 time: SimTime::from_nanos(100),
                 node: NodeId(0),
                 frame_seq: 7,
-                filter: FilterId(0),
-                dir: vw_fsl::Dir::Send,
-                len: 60,
+                kind: ObsKind::Classified {
+                    filter: FilterId(0),
+                    dir: vw_fsl::Dir::Send,
+                    len: 60,
+                },
             }],
             symbols: vw_obs::SymbolTable::default(),
             metrics: vw_obs::MetricsRegistry::new(),
@@ -686,7 +678,7 @@ mod tests {
             (SimTime::from_nanos(200), ProtoAspect::Cwnd, 3),
         ];
         attach_state_events(&mut report, state_events(&state, NodeId(0)));
-        let seqs: Vec<u64> = report.events[1..].iter().map(ObsEvent::frame_seq).collect();
+        let seqs: Vec<u64> = report.events[1..].iter().map(|e| e.frame_seq).collect();
         // Before any engine event: 0; at t=100 anchored to 7, then
         // strictly increasing to preserve recorded order in the merge.
         assert_eq!(seqs, vec![0, 7, 8, 9]);
@@ -694,8 +686,8 @@ mod tests {
         let timeline = DistributedTimeline::from_report(&report);
         let values: Vec<u64> = timeline
             .events()
-            .filter_map(|e| match e {
-                ObsEvent::StateChanged { value, .. } => Some(*value),
+            .filter_map(|e| match e.kind {
+                ObsKind::StateChanged { value, .. } => Some(value),
                 _ => None,
             })
             .collect();

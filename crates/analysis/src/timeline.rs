@@ -8,8 +8,8 @@
 //! 1. **consistent with every node's local order** — a node's events
 //!    appear in their canonical per-node order (see below);
 //! 2. **consistent with happens-before** — every sequenced control
-//!    message's [`ObsEvent::ControlSent`] precedes the matching
-//!    [`ObsEvent::ControlDelivered`] at the peer, with retransmissions
+//!    message's [`ObsKind::ControlSent`] precedes the matching
+//!    [`ObsKind::ControlDelivered`] at the peer, with retransmissions
 //!    deduplicated to the *first* send of a sequence number;
 //! 3. **deterministic** — ties are broken by `(time, node, local
 //!    index)`, and the per-node canonical order is a pure function of
@@ -25,16 +25,14 @@ use std::collections::HashMap;
 
 use virtualwire::Report;
 use vw_fsl::{Dir, NodeId};
-use vw_obs::{CausalChain, ObsEvent, SymbolTable};
+use vw_obs::{CausalChain, ObsEvent, ObsKind, SymbolTable};
 
 /// One event in the merged distributed timeline.
 #[derive(Debug, Clone, Copy)]
 pub struct TimelineEntry {
-    /// The node whose engine recorded the event.
-    pub node: NodeId,
     /// The event's position in its node's canonical local order.
     pub local_index: usize,
-    /// The event itself.
+    /// The event itself (it names its recording node).
     pub event: ObsEvent,
 }
 
@@ -44,59 +42,53 @@ pub struct TimelineEntry {
 /// counter → term → condition → action chain follows in the documented
 /// order, with edge-triggered actions before level-gated packet faults
 /// and outbound control last.
-fn rank(event: &ObsEvent) -> u8 {
-    match event {
-        ObsEvent::ControlDelivered { .. } => 0,
-        ObsEvent::Classified { .. } => 1,
-        ObsEvent::CounterUpdated { .. } => 2,
-        ObsEvent::TermFlipped { .. } => 3,
-        ObsEvent::ConditionFired { .. } => 4,
-        ObsEvent::ActionTriggered { kind, .. } => {
+fn rank(kind: &ObsKind) -> u8 {
+    match kind {
+        ObsKind::ControlDelivered { .. } => 0,
+        ObsKind::Classified { .. } => 1,
+        ObsKind::CounterUpdated { .. } => 2,
+        ObsKind::TermFlipped { .. } => 3,
+        ObsKind::ConditionFired { .. } => 4,
+        ObsKind::ActionTriggered { kind, .. } => {
             if kind.is_packet_fault() {
                 6
             } else {
                 5
             }
         }
-        ObsEvent::ControlSent { .. } => 7,
-        ObsEvent::PeerDegraded { .. } => 8,
+        ObsKind::ControlSent { .. } => 7,
+        ObsKind::PeerDegraded { .. } => 8,
         // Protocol state reported by the implementation under test sorts
         // after everything the engine recorded for the same ordinal.
-        ObsEvent::StateChanged { .. } => 9,
+        ObsKind::StateChanged { .. } => 9,
     }
 }
 
 /// Payload tie-break within one rank, so the canonical order is total.
-fn id_key(event: &ObsEvent) -> (u32, u32, i64, i64) {
-    match *event {
-        ObsEvent::Classified {
-            filter, dir, len, ..
-        } => (
+fn id_key(kind: &ObsKind) -> (u32, u32, i64, i64) {
+    match *kind {
+        ObsKind::Classified { filter, dir, len } => (
             u32::from(filter.0),
             matches!(dir, Dir::Recv) as u32,
             i64::from(len),
             0,
         ),
-        ObsEvent::CounterUpdated {
-            counter, old, new, ..
-        } => (u32::from(counter.0), 0, old, new),
-        ObsEvent::TermFlipped { term, status, .. } => (u32::from(term.0), status as u32, 0, 0),
-        ObsEvent::ConditionFired { cond, .. } => (u32::from(cond.0), 0, 0, 0),
-        ObsEvent::ActionTriggered { action, kind, .. } => (u32::from(action.0), kind as u32, 0, 0),
-        ObsEvent::PeerDegraded { peer, .. } => (u32::from(peer.0), 0, 0, 0),
-        ObsEvent::ControlSent {
+        ObsKind::CounterUpdated { counter, old, new } => (u32::from(counter.0), 0, old, new),
+        ObsKind::TermFlipped { term, status } => (u32::from(term.0), status as u32, 0, 0),
+        ObsKind::ConditionFired { cond } => (u32::from(cond.0), 0, 0, 0),
+        ObsKind::ActionTriggered { action, kind } => (u32::from(action.0), kind as u32, 0, 0),
+        ObsKind::PeerDegraded { peer } => (u32::from(peer.0), 0, 0, 0),
+        ObsKind::ControlSent {
             peer,
             peer_seq,
             ack,
-            ..
         }
-        | ObsEvent::ControlDelivered {
+        | ObsKind::ControlDelivered {
             peer,
             peer_seq,
             ack,
-            ..
         } => (u32::from(peer.0), peer_seq, i64::from(ack), 0),
-        ObsEvent::StateChanged { aspect, value, .. } => (aspect.code(), 0, value as i64, 0),
+        ObsKind::StateChanged { aspect, value } => (aspect.code(), 0, value as i64, 0),
     }
 }
 
@@ -106,10 +98,10 @@ fn id_key(event: &ObsEvent) -> (u32, u32, i64, i64) {
 /// of a node's stream sorts to the same sequence.
 fn canonical_key(event: &ObsEvent) -> (u64, u64, u8, (u32, u32, i64, i64)) {
     (
-        event.frame_seq(),
-        event.time().as_nanos(),
-        rank(event),
-        id_key(event),
+        event.frame_seq,
+        event.time.as_nanos(),
+        rank(&event.kind),
+        id_key(&event.kind),
     )
 }
 
@@ -136,12 +128,12 @@ impl DistributedTimeline {
     /// events are grouped by recording node, normalized to the canonical
     /// per-node order, and merged under happens-before.
     pub fn from_events(events: &[ObsEvent]) -> Self {
-        let mut nodes: Vec<NodeId> = events.iter().map(ObsEvent::node).collect();
+        let mut nodes: Vec<NodeId> = events.iter().map(|e| e.node).collect();
         nodes.sort();
         nodes.dedup();
         let mut streams: Vec<Vec<ObsEvent>> = vec![Vec::new(); nodes.len()];
         for event in events {
-            let slot = nodes.binary_search(&event.node()).expect("grouped");
+            let slot = nodes.binary_search(&event.node).expect("grouped");
             streams[slot].push(*event);
         }
         for stream in &mut streams {
@@ -159,15 +151,9 @@ impl DistributedTimeline {
         let mut first_sent: HashMap<(NodeId, NodeId, u32), (usize, usize)> = HashMap::new();
         for (slot, stream) in streams.iter().enumerate() {
             for (i, event) in stream.iter().enumerate() {
-                if let ObsEvent::ControlSent {
-                    node,
-                    peer,
-                    peer_seq,
-                    ..
-                } = *event
-                {
+                if let ObsKind::ControlSent { peer, peer_seq, .. } = event.kind {
                     first_sent
-                        .entry((node, peer, peer_seq))
+                        .entry((event.node, peer, peer_seq))
                         .or_insert((slot, i));
                 }
             }
@@ -178,14 +164,9 @@ impl DistributedTimeline {
         let mut deps: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
         for (slot, stream) in streams.iter().enumerate() {
             for (i, event) in stream.iter().enumerate() {
-                if let ObsEvent::ControlDelivered {
-                    node,
-                    peer,
-                    peer_seq,
-                    ..
-                } = *event
-                {
-                    if let Some(&(send_slot, send_i)) = first_sent.get(&(peer, node, peer_seq)) {
+                if let ObsKind::ControlDelivered { peer, peer_seq, .. } = event.kind {
+                    let sent = first_sent.get(&(peer, event.node, peer_seq));
+                    if let Some(&(send_slot, send_i)) = sent {
                         if send_slot != slot || send_i < i {
                             deps.insert((slot, i), (send_slot, send_i));
                         }
@@ -205,7 +186,7 @@ impl DistributedTimeline {
                 if h >= stream.len() {
                     continue;
                 }
-                let key = (stream[h].time().as_nanos(), slot, h);
+                let key = (stream[h].time.as_nanos(), slot, h);
                 if fallback.is_none_or(|f| key < f) {
                     fallback = Some(key);
                 }
@@ -223,7 +204,6 @@ impl DistributedTimeline {
             // so the merge always terminates.
             let (_, slot, h) = best.or(fallback).expect("entries remain");
             entries.push(TimelineEntry {
-                node: nodes[slot],
                 local_index: h,
                 event: streams[slot][h],
             });
@@ -262,7 +242,7 @@ impl DistributedTimeline {
         let mut events: Vec<(usize, ObsEvent)> = self
             .entries
             .iter()
-            .filter(|e| e.node == node)
+            .filter(|e| e.event.node == node)
             .map(|e| (e.local_index, e.event))
             .collect();
         events.sort_by_key(|&(i, _)| i);
@@ -272,16 +252,7 @@ impl DistributedTimeline {
     /// The causal chain of one `(node, frame_seq)` cascade, in global
     /// timeline order.
     pub fn chain(&self, node: NodeId, frame_seq: u64) -> CausalChain {
-        let events: Vec<ObsEvent> = self
-            .events()
-            .filter(|e| e.node() == node && e.frame_seq() == frame_seq)
-            .copied()
-            .collect();
-        CausalChain {
-            node,
-            frame_seq,
-            events,
-        }
+        CausalChain::extract(self.events(), node, frame_seq)
     }
 
     /// The cross-node causal slice behind one cascade: the cascade's own
@@ -291,28 +262,25 @@ impl DistributedTimeline {
     /// embeds.
     pub fn causal_slice(&self, node: NodeId, frame_seq: u64) -> Vec<ObsEvent> {
         let mut frames: Vec<(NodeId, u64)> = vec![(node, frame_seq)];
-        for entry in &self.entries {
-            let ObsEvent::ControlDelivered { peer, peer_seq, .. } = entry.event else {
+        for delivery in self.chain(node, frame_seq).events {
+            let ObsKind::ControlDelivered { peer, peer_seq, .. } = delivery.kind else {
                 continue;
             };
-            if entry.node != node || entry.event.frame_seq() != frame_seq {
-                continue;
-            }
             // The first matching send, in timeline order.
-            if let Some(send) = self.entries.iter().find(|e| {
-                matches!(
-                    e.event,
-                    ObsEvent::ControlSent { node: s, peer: p, peer_seq: q, .. }
-                        if s == peer && p == node && q == peer_seq
-                )
+            if let Some(send) = self.events().find(|e| {
+                e.node == peer
+                    && matches!(
+                        e.kind,
+                        ObsKind::ControlSent { peer: p, peer_seq: q, .. }
+                            if p == node && q == peer_seq
+                    )
             }) {
-                frames.push((send.node, send.event.frame_seq()));
+                frames.push((send.node, send.frame_seq));
             }
         }
-        self.entries
-            .iter()
-            .filter(|e| frames.contains(&(e.node, e.event.frame_seq())))
-            .map(|e| e.event)
+        self.events()
+            .filter(|e| frames.contains(&(e.node, e.frame_seq)))
+            .copied()
             .collect()
     }
 
@@ -333,40 +301,36 @@ mod tests {
     use super::*;
     use vw_netsim::SimTime;
 
-    fn t(nanos: u64) -> SimTime {
-        SimTime::from_nanos(nanos)
+    fn ev(node: u16, frame_seq: u64, nanos: u64, kind: ObsKind) -> ObsEvent {
+        ObsEvent {
+            time: SimTime::from_nanos(nanos),
+            node: NodeId(node),
+            frame_seq,
+            kind,
+        }
     }
 
     fn sent(node: u16, seq: u64, nanos: u64, peer: u16, peer_seq: u32) -> ObsEvent {
-        ObsEvent::ControlSent {
-            time: t(nanos),
-            node: NodeId(node),
-            frame_seq: seq,
+        let kind = ObsKind::ControlSent {
             peer: NodeId(peer),
             peer_seq,
             ack: 0,
-        }
+        };
+        ev(node, seq, nanos, kind)
     }
 
     fn delivered(node: u16, seq: u64, nanos: u64, peer: u16, peer_seq: u32) -> ObsEvent {
-        ObsEvent::ControlDelivered {
-            time: t(nanos),
-            node: NodeId(node),
-            frame_seq: seq,
+        let kind = ObsKind::ControlDelivered {
             peer: NodeId(peer),
             peer_seq,
             ack: 0,
-        }
+        };
+        ev(node, seq, nanos, kind)
     }
 
     fn flipped(node: u16, seq: u64, nanos: u64, term: u16) -> ObsEvent {
-        ObsEvent::TermFlipped {
-            time: t(nanos),
-            node: NodeId(node),
-            frame_seq: seq,
-            term: vw_fsl::TermId(term),
-            status: true,
-        }
+        let (term, status) = (vw_fsl::TermId(term), true);
+        ev(node, seq, nanos, ObsKind::TermFlipped { term, status })
     }
 
     #[test]
@@ -391,7 +355,7 @@ mod tests {
             delivered(0, 4, 20, 1, 1),
         ];
         let tl = DistributedTimeline::from_events(&events);
-        let order: Vec<(u16, u64)> = tl.events().map(|e| (e.node().0, e.frame_seq())).collect();
+        let order: Vec<(u16, u64)> = tl.events().map(|e| (e.node.0, e.frame_seq)).collect();
         assert_eq!(order, vec![(1, 2), (0, 4), (1, 5)]);
     }
 
@@ -434,7 +398,7 @@ mod tests {
         let events = [delivered(0, 4, 20, 1, 1), flipped(1, 1, 5, 0)];
         let tl = DistributedTimeline::from_events(&events);
         assert_eq!(tl.len(), 2);
-        assert_eq!(tl.entries()[0].node, NodeId(1));
+        assert_eq!(tl.entries()[0].event.node, NodeId(1));
     }
 
     #[test]

@@ -48,14 +48,22 @@ pub struct MetricsDigest {
 }
 
 impl MetricsDigest {
-    /// Folds a registry into the digest. Gauges are skipped (they carry
-    /// terminal counter values, already digested exactly); counters are
-    /// filtered to the fault-relevant leaves.
+    /// Folds a registry into the digest. Only `<node>.<leaf>` keys fold:
+    /// a deeper key such as `node1.filter_hits.drops` ends in a script
+    /// name, not a metric leaf, and must not be summed into `drops`.
+    /// Gauges are skipped (they carry terminal counter values, already
+    /// digested exactly); counters are filtered to the fault-relevant
+    /// leaves.
     pub fn from_registry(registry: &MetricsRegistry) -> Self {
         let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
         let mut histograms: BTreeMap<&str, Histogram> = BTreeMap::new();
         for (name, metric) in registry.iter() {
-            let leaf = name.rsplit('.').next().unwrap_or(name);
+            let Some((_node, leaf)) = name.split_once('.') else {
+                continue;
+            };
+            if leaf.contains('.') {
+                continue;
+            }
             match metric {
                 Metric::Counter(v) => {
                     if DIGEST_COUNTER_LEAVES.contains(&leaf) {
@@ -801,6 +809,7 @@ mod tests {
         registry.add_counter("node1.drops", 2);
         registry.add_counter("node2.drops", 3);
         registry.add_counter("node1.classified", 999); // not allowlisted
+        registry.add_counter("node1.filter_hits.drops", 40); // a filter named `drops`
         registry.set_gauge("node1.counter.CWND", 5); // gauges skipped
         registry.observe("node1.cascade_depth", 1);
         registry.observe("node2.cascade_depth", 4);

@@ -4,7 +4,7 @@ use std::fmt;
 
 use vw_fsl::{CondId, NodeId};
 use vw_netsim::{SimDuration, SimTime};
-use vw_obs::{CausalChain, MetricsRegistry, ObsEvent, SymbolTable};
+use vw_obs::{CausalChain, MetricsRegistry, ObsEvent, ObsKind, SymbolTable};
 
 use crate::engine::{EngineStats, StatKind};
 
@@ -147,28 +147,20 @@ impl Report {
     ///
     /// Condition-less errors (engine diagnostics such as control-plane
     /// staleness degradations) are matched to the nearest recorded
-    /// [`ObsEvent::PeerDegraded`] at the same node instead.
+    /// [`ObsKind::PeerDegraded`] at the same node instead.
     ///
     /// Returns `None` when no matching event was recorded (e.g. the run
     /// was at [`ObsLevel::Off`](vw_obs::ObsLevel::Off)).
     pub fn explain(&self, error: &FlaggedError) -> Option<CausalChain> {
-        let anchor = match error.condition {
-            Some(cond) => self.events.iter().rev().find(|e| {
-                matches!(
-                    **e,
-                    ObsEvent::ConditionFired { node, cond: c, time, .. }
-                        if node == error.node && c == cond && time <= error.time
-                )
-            })?,
-            None => self.events.iter().rev().find(|e| {
-                matches!(
-                    **e,
-                    ObsEvent::PeerDegraded { node, time, .. }
-                        if node == error.node && time <= error.time
-                )
-            })?,
-        };
-        Some(self.explain_seq(anchor.node(), anchor.frame_seq()))
+        let anchor = self.events.iter().rev().find(|e| {
+            e.node == error.node
+                && e.time <= error.time
+                && match error.condition {
+                    Some(cond) => e.kind == ObsKind::ConditionFired { cond },
+                    None => matches!(e.kind, ObsKind::PeerDegraded { .. }),
+                }
+        })?;
+        Some(self.explain_seq(anchor.node, anchor.frame_seq))
     }
 
     /// The causal chain of one classification at one node — every recorded
@@ -181,7 +173,7 @@ impl Report {
     /// `REORDER`/`MODIFY` hitting a concrete packet), in time order.
     pub fn fault_events(&self) -> impl Iterator<Item = &ObsEvent> {
         self.events.iter().filter(
-            |e| matches!(e, ObsEvent::ActionTriggered { kind, .. } if kind.is_packet_fault()),
+            |e| matches!(e.kind, ObsKind::ActionTriggered { kind, .. } if kind.is_packet_fault()),
         )
     }
 

@@ -106,9 +106,23 @@ impl Run {
     }
 }
 
+/// [`run_cell_with`] under the default engine configuration and a 1 Mb/s
+/// flood.
+fn run_cell(seed: u64, script: &str, flood: u64, impairment: ControlImpairment) -> Run {
+    let cfg = EngineConfig::default();
+    run_cell_with(seed, script, flood, 1_000_000, impairment, cfg)
+}
+
 /// Build the three-node switched world, settle the init handshake on a
 /// clean control plane, then apply `impairment` and run the flood.
-fn run_cell(seed: u64, script: &str, flood: u64, impairment: ControlImpairment) -> Run {
+fn run_cell_with(
+    seed: u64,
+    script: &str,
+    flood: u64,
+    rate_bps: u64,
+    impairment: ControlImpairment,
+    cfg: EngineConfig,
+) -> Run {
     let tables = compile_script(script).unwrap_or_else(|e| panic!("{e}"));
     let mut world = World::new(seed);
     let nodes = Runner::create_hosts(&mut world, &tables);
@@ -116,7 +130,7 @@ fn run_cell(seed: u64, script: &str, flood: u64, impairment: ControlImpairment) 
     for &n in &nodes {
         world.connect(n, sw, LinkConfig::fast_ethernet());
     }
-    let runner = Runner::install(&mut world, tables, EngineConfig::default());
+    let runner = Runner::install(&mut world, tables, cfg);
     assert!(runner.settle(&mut world), "init handshake must complete");
     world.set_control_impairment(impairment);
 
@@ -130,7 +144,7 @@ fn run_cell(seed: u64, script: &str, flood: u64, impairment: ControlImpairment) 
         world.host_ip(nodes[1]),
         0x6363,
         9000,
-        1_000_000,
+        rate_bps,
         200,
         flood * 200,
     );
@@ -314,6 +328,46 @@ fn total_control_blackout_degrades_loudly_never_silently() {
         "a degraded run must never report a clean pass"
     );
     assert!(stats.control_retransmits > 0, "the sender kept trying");
+}
+
+#[test]
+fn sender_overload_is_attributed_to_the_sending_node() {
+    // With the staleness clock out of reach (10 s) the only way to
+    // degrade is the sender-side cap: 1500 unacknowledged CounterUpdates
+    // toward one peer cross MAX_UNACKED inside a cascade, while the
+    // engine's tables are taken. The diagnostic must still name the
+    // sending node and the silent peer, or the report filters it out.
+    let cfg = EngineConfig {
+        control: ControlPlaneConfig {
+            staleness: SimDuration::from_secs(10),
+            ..ControlPlaneConfig::default()
+        },
+        ..EngineConfig::default()
+    };
+    let run = run_cell_with(
+        5100,
+        SCRIPT_CROSS_FLAG,
+        1500,
+        50_000_000,
+        ControlImpairment::dropping(1.0),
+        cfg,
+    );
+    let stats = run.report.total_stats();
+    assert_eq!(stats.control_stale_degradations, 1, "stats: {stats:?}");
+    let stale: Vec<_> = run
+        .report
+        .errors
+        .iter()
+        .filter(|e| e.message.contains("not acknowledging"))
+        .collect();
+    assert_eq!(stale.len(), 1, "errors: {:?}", run.report.errors);
+    assert_eq!(stale[0].node_name, "node2");
+    assert!(
+        stale[0].message.contains("node1 is not acknowledging"),
+        "peer named by script name: {}",
+        stale[0].message
+    );
+    assert!(!run.report.passed());
 }
 
 #[test]

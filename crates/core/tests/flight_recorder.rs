@@ -5,7 +5,7 @@
 //! pcap assertions over the same run.
 
 use virtualwire::{
-    compile_script, pcap, EngineConfig, ObsActionKind, ObsEvent, ObsLevel, Report, Runner,
+    compile_script, pcap, EngineConfig, ObsActionKind, ObsKind, ObsLevel, Report, Runner,
 };
 use vw_netsim::apps::{UdpFlooder, UdpSink};
 use vw_netsim::{Binding, LinkConfig, SimDuration, World};
@@ -100,8 +100,8 @@ fn explain_reconstructs_the_documented_chain() {
     // The chain's content, event by event: the third matched datagram
     // bumped Sent 2 -> 3, the term flipped, the condition fired, FLAG_ERR
     // (edge) ran, then DROP (gate) consumed that very packet.
-    match chain.events[1] {
-        ObsEvent::CounterUpdated { old, new, .. } => {
+    match chain.events[1].kind {
+        ObsKind::CounterUpdated { old, new, .. } => {
             assert_eq!((old, new), (2, 3));
         }
         other => panic!("expected CounterUpdated, got {other:?}"),
@@ -109,8 +109,8 @@ fn explain_reconstructs_the_documented_chain() {
     let kinds: Vec<ObsActionKind> = chain
         .events
         .iter()
-        .filter_map(|e| match e {
-            ObsEvent::ActionTriggered { kind, .. } => Some(*kind),
+        .filter_map(|e| match e.kind {
+            ObsKind::ActionTriggered { kind, .. } => Some(kind),
             _ => None,
         })
         .collect();
@@ -182,8 +182,8 @@ fn faults_level_skips_the_full_stream() {
         "Faults records conditions/actions"
     );
     assert!(report.events.iter().all(|e| matches!(
-        e,
-        ObsEvent::ConditionFired { .. } | ObsEvent::ActionTriggered { .. }
+        e.kind,
+        ObsKind::ConditionFired { .. } | ObsKind::ActionTriggered { .. }
     )));
     // explain still finds the firing, but the chain has no classification
     // prefix.

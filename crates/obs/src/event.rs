@@ -49,7 +49,7 @@ impl ObsLevel {
     }
 }
 
-/// What kind of action an [`ObsEvent::ActionTriggered`] refers to.
+/// What kind of action an [`ObsKind::ActionTriggered`] refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObsActionKind {
     /// `DROP` consumed a packet.
@@ -103,7 +103,7 @@ impl fmt::Display for ObsActionKind {
     }
 }
 
-/// Which protocol-internal quantity a [`ObsEvent::StateChanged`] reports.
+/// Which protocol-internal quantity a [`ObsKind::StateChanged`] reports.
 ///
 /// The TCP aspects are fed by `vw-tcpstack` (congestion-control phase,
 /// window evolution, loss recovery); the token aspects by `vw-rether`
@@ -184,20 +184,28 @@ impl fmt::Display for ProtoAspect {
     }
 }
 
-/// One record in the flight recorder's causal event stream.
-///
-/// The variants mirror the Figure 4(b) packet path in order; all of them
-/// are `Copy` so recording is allocation-free.
+/// One record in the flight recorder's causal event stream: who recorded
+/// it, when, and for which classification, plus what happened. `Copy`, so
+/// recording is allocation-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObsEvent {
+pub struct ObsEvent {
+    /// When the event happened.
+    pub time: SimTime,
+    /// The node whose engine recorded the event.
+    pub node: NodeId,
+    /// The engine's monotone classification ordinal the event is causally
+    /// tied to (0 for protocol state appended post-run).
+    pub frame_seq: u64,
+    /// What happened.
+    pub kind: ObsKind,
+}
+
+/// What an [`ObsEvent`] records. The variants mirror the Figure 4(b)
+/// packet path in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ObsKind {
     /// A frame matched a filter-table entry.
     Classified {
-        /// When.
-        time: SimTime,
-        /// The engine's node.
-        node: NodeId,
-        /// Monotone per-engine classification ordinal.
-        frame_seq: u64,
         /// The filter that matched (first match wins).
         filter: FilterId,
         /// Packet direction at this engine.
@@ -208,12 +216,6 @@ pub enum ObsEvent {
     /// A counter changed value (packet-counter bump, control-plane update,
     /// or a counter-manipulation action).
     CounterUpdated {
-        /// When.
-        time: SimTime,
-        /// The engine's node.
-        node: NodeId,
-        /// Classification ordinal this update is causally tied to.
-        frame_seq: u64,
         /// Which counter.
         counter: CounterId,
         /// Value before.
@@ -223,12 +225,6 @@ pub enum ObsEvent {
     },
     /// A term's truth value flipped.
     TermFlipped {
-        /// When.
-        time: SimTime,
-        /// The engine's node.
-        node: NodeId,
-        /// Classification ordinal this flip is causally tied to.
-        frame_seq: u64,
         /// Which term.
         term: TermId,
         /// Its new status.
@@ -236,24 +232,12 @@ pub enum ObsEvent {
     },
     /// A condition transitioned from false to true.
     ConditionFired {
-        /// When.
-        time: SimTime,
-        /// The engine's node.
-        node: NodeId,
-        /// Classification ordinal this firing is causally tied to.
-        frame_seq: u64,
         /// Which condition.
         cond: CondId,
     },
     /// An action ran — an edge-triggered Table I action or a level-gated
     /// Table II fault applied to a concrete packet.
     ActionTriggered {
-        /// When.
-        time: SimTime,
-        /// The engine's node.
-        node: NodeId,
-        /// Classification ordinal this trigger is causally tied to.
-        frame_seq: u64,
         /// Which action-table entry.
         action: ActionId,
         /// What kind of action.
@@ -261,27 +245,16 @@ pub enum ObsEvent {
     },
     /// A peer's sequenced control-plane updates went stale: its remote
     /// terms were frozen at last-known status and a diagnostic flagged.
+    /// The recording node is the one doing the freezing.
     PeerDegraded {
-        /// When.
-        time: SimTime,
-        /// The node that degraded (the one doing the freezing).
-        node: NodeId,
-        /// Classification ordinal the degradation is causally tied to.
-        frame_seq: u64,
         /// The stale peer.
         peer: NodeId,
     },
     /// A sequenced control-plane message left this node (first send or
-    /// retransmission). Together with [`ObsEvent::ControlDelivered`] at
+    /// retransmission). Together with [`ObsKind::ControlDelivered`] at
     /// the peer, the `(node, peer, seq)` triple forms one happens-before
     /// edge of the distributed timeline.
     ControlSent {
-        /// When.
-        time: SimTime,
-        /// The sending node.
-        node: NodeId,
-        /// Classification ordinal the send is causally tied to.
-        frame_seq: u64,
         /// The destination node.
         peer: NodeId,
         /// The message's sequence number in the per-peer stream (>0).
@@ -293,12 +266,6 @@ pub enum ObsEvent {
     /// applied at this node (reorder-buffered releases included; dups and
     /// rejects never record).
     ControlDelivered {
-        /// When.
-        time: SimTime,
-        /// The receiving node.
-        node: NodeId,
-        /// Classification ordinal the delivery is causally tied to.
-        frame_seq: u64,
         /// The originating node.
         peer: NodeId,
         /// The delivered message's sequence number in the peer's stream.
@@ -309,16 +276,9 @@ pub enum ObsEvent {
     },
     /// A protocol implementation under test reported an internal state
     /// change (congestion-control phase, token circulation, …). These are
-    /// appended to the stream post-run by the conformance layer, with
-    /// `frame_seq = 0` (protocol state is not tied to one engine
-    /// classification).
+    /// appended to the stream post-run by the conformance layer (protocol
+    /// state is not tied to one engine classification).
     StateChanged {
-        /// When.
-        time: SimTime,
-        /// The node whose protocol changed state.
-        node: NodeId,
-        /// Classification ordinal (0 for post-run appended state).
-        frame_seq: u64,
         /// Which protocol quantity changed.
         aspect: ProtoAspect,
         /// The new value (aspect-specific encoding).
@@ -327,170 +287,66 @@ pub enum ObsEvent {
 }
 
 impl ObsEvent {
-    /// When the event happened.
-    pub fn time(&self) -> SimTime {
-        match *self {
-            ObsEvent::Classified { time, .. }
-            | ObsEvent::CounterUpdated { time, .. }
-            | ObsEvent::TermFlipped { time, .. }
-            | ObsEvent::ConditionFired { time, .. }
-            | ObsEvent::ActionTriggered { time, .. }
-            | ObsEvent::PeerDegraded { time, .. }
-            | ObsEvent::ControlSent { time, .. }
-            | ObsEvent::ControlDelivered { time, .. }
-            | ObsEvent::StateChanged { time, .. } => time,
-        }
-    }
-
-    /// The node whose engine recorded the event.
-    pub fn node(&self) -> NodeId {
-        match *self {
-            ObsEvent::Classified { node, .. }
-            | ObsEvent::CounterUpdated { node, .. }
-            | ObsEvent::TermFlipped { node, .. }
-            | ObsEvent::ConditionFired { node, .. }
-            | ObsEvent::ActionTriggered { node, .. }
-            | ObsEvent::PeerDegraded { node, .. }
-            | ObsEvent::ControlSent { node, .. }
-            | ObsEvent::ControlDelivered { node, .. }
-            | ObsEvent::StateChanged { node, .. } => node,
-        }
-    }
-
-    /// The classification ordinal the event is causally tied to.
-    pub fn frame_seq(&self) -> u64 {
-        match *self {
-            ObsEvent::Classified { frame_seq, .. }
-            | ObsEvent::CounterUpdated { frame_seq, .. }
-            | ObsEvent::TermFlipped { frame_seq, .. }
-            | ObsEvent::ConditionFired { frame_seq, .. }
-            | ObsEvent::ActionTriggered { frame_seq, .. }
-            | ObsEvent::PeerDegraded { frame_seq, .. }
-            | ObsEvent::ControlSent { frame_seq, .. }
-            | ObsEvent::ControlDelivered { frame_seq, .. }
-            | ObsEvent::StateChanged { frame_seq, .. } => frame_seq,
-        }
-    }
-
-    /// A short machine-checkable label for the variant.
+    /// A short machine-checkable label for the kind.
     pub fn kind_label(&self) -> &'static str {
-        match self {
-            ObsEvent::Classified { .. } => "classified",
-            ObsEvent::CounterUpdated { .. } => "counter",
-            ObsEvent::TermFlipped { .. } => "term",
-            ObsEvent::ConditionFired { .. } => "condition",
-            ObsEvent::ActionTriggered { .. } => "action",
-            ObsEvent::PeerDegraded { .. } => "degraded",
-            ObsEvent::ControlSent { .. } => "ctrl-sent",
-            ObsEvent::ControlDelivered { .. } => "ctrl-delivered",
-            ObsEvent::StateChanged { .. } => "state",
+        match self.kind {
+            ObsKind::Classified { .. } => "classified",
+            ObsKind::CounterUpdated { .. } => "counter",
+            ObsKind::TermFlipped { .. } => "term",
+            ObsKind::ConditionFired { .. } => "condition",
+            ObsKind::ActionTriggered { .. } => "action",
+            ObsKind::PeerDegraded { .. } => "degraded",
+            ObsKind::ControlSent { .. } => "ctrl-sent",
+            ObsKind::ControlDelivered { .. } => "ctrl-delivered",
+            ObsKind::StateChanged { .. } => "state",
         }
     }
 
     /// One-line human rendering, resolving ids through `symbols`.
     pub fn render(&self, symbols: &SymbolTable) -> String {
-        match *self {
-            ObsEvent::Classified {
-                time,
-                node,
-                frame_seq,
-                filter,
-                dir,
-                len,
-            } => format!(
-                "{time} {} #{frame_seq} classified as {} ({dir:?}, {len} B)",
-                symbols.node(node),
-                symbols.filter(filter),
+        let tail = match self.kind {
+            ObsKind::Classified { filter, dir, len } => {
+                format!(
+                    "classified as {} ({dir:?}, {len} B)",
+                    symbols.filter(filter)
+                )
+            }
+            ObsKind::CounterUpdated { counter, old, new } => {
+                format!("counter {} {old} -> {new}", symbols.counter(counter))
+            }
+            ObsKind::TermFlipped { term, status } => format!("term#{} -> {status}", term.index()),
+            ObsKind::ConditionFired { cond } => format!("condition#{} fired", cond.index()),
+            ObsKind::ActionTriggered { action, kind } => {
+                format!("action#{} {kind} triggered", action.index())
+            }
+            ObsKind::PeerDegraded { peer } => format!(
+                "peer {} stale: remote terms frozen at last-known status",
+                symbols.node(peer)
             ),
-            ObsEvent::CounterUpdated {
-                time,
-                node,
-                frame_seq,
-                counter,
-                old,
-                new,
-            } => format!(
-                "{time} {} #{frame_seq} counter {} {old} -> {new}",
-                symbols.node(node),
-                symbols.counter(counter),
-            ),
-            ObsEvent::TermFlipped {
-                time,
-                node,
-                frame_seq,
-                term,
-                status,
-            } => format!(
-                "{time} {} #{frame_seq} term#{} -> {status}",
-                symbols.node(node),
-                term.index(),
-            ),
-            ObsEvent::ConditionFired {
-                time,
-                node,
-                frame_seq,
-                cond,
-            } => format!(
-                "{time} {} #{frame_seq} condition#{} fired",
-                symbols.node(node),
-                cond.index(),
-            ),
-            ObsEvent::ActionTriggered {
-                time,
-                node,
-                frame_seq,
-                action,
-                kind,
-            } => format!(
-                "{time} {} #{frame_seq} action#{} {kind} triggered",
-                symbols.node(node),
-                action.index(),
-            ),
-            ObsEvent::PeerDegraded {
-                time,
-                node,
-                frame_seq,
-                peer,
-            } => format!(
-                "{time} {} #{frame_seq} peer {} stale: remote terms frozen at last-known status",
-                symbols.node(node),
-                symbols.node(peer),
-            ),
-            ObsEvent::ControlSent {
-                time,
-                node,
-                frame_seq,
+            ObsKind::ControlSent {
                 peer,
                 peer_seq,
                 ack,
             } => format!(
-                "{time} {} #{frame_seq} control seq {peer_seq} (ack {ack}) -> {}",
-                symbols.node(node),
-                symbols.node(peer),
+                "control seq {peer_seq} (ack {ack}) -> {}",
+                symbols.node(peer)
             ),
-            ObsEvent::ControlDelivered {
-                time,
-                node,
-                frame_seq,
+            ObsKind::ControlDelivered {
                 peer,
                 peer_seq,
                 ack,
             } => format!(
-                "{time} {} #{frame_seq} control seq {peer_seq} (ack {ack}) delivered from {}",
-                symbols.node(node),
-                symbols.node(peer),
+                "control seq {peer_seq} (ack {ack}) delivered from {}",
+                symbols.node(peer)
             ),
-            ObsEvent::StateChanged {
-                time,
-                node,
-                frame_seq,
-                aspect,
-                value,
-            } => format!(
-                "{time} {} #{frame_seq} state {aspect} -> {value}",
-                symbols.node(node),
-            ),
-        }
+            ObsKind::StateChanged { aspect, value } => format!("state {aspect} -> {value}"),
+        };
+        format!(
+            "{} {} #{} {tail}",
+            self.time,
+            symbols.node(self.node),
+            self.frame_seq
+        )
     }
 }
 
@@ -611,7 +467,7 @@ impl EventLog {
 /// both views of "the run's events" come from the same merge.
 pub fn merge_by_time(streams: &[&[ObsEvent]]) -> Vec<ObsEvent> {
     let mut merged: Vec<ObsEvent> = streams.iter().flat_map(|s| s.iter().copied()).collect();
-    merged.sort_by_key(|e| e.time());
+    merged.sort_by_key(|e| e.time);
     merged
 }
 
@@ -628,15 +484,20 @@ pub struct CausalChain {
 }
 
 impl CausalChain {
-    /// Extracts the chain for `(node, frame_seq)` from a merged event
-    /// stream.
-    pub fn extract(events: &[ObsEvent], node: NodeId, frame_seq: u64) -> Self {
+    /// Extracts the chain for `(node, frame_seq)` from an event stream,
+    /// keeping the stream's order. Every view of "one frame's cascade"
+    /// (report, timeline, script verdict) is this filter.
+    pub fn extract<'a>(
+        events: impl IntoIterator<Item = &'a ObsEvent>,
+        node: NodeId,
+        frame_seq: u64,
+    ) -> Self {
         CausalChain {
             node,
             frame_seq,
             events: events
-                .iter()
-                .filter(|e| e.node() == node && e.frame_seq() == frame_seq)
+                .into_iter()
+                .filter(|e| e.node == node && e.frame_seq == frame_seq)
                 .copied()
                 .collect(),
         }
@@ -666,11 +527,11 @@ mod tests {
     use super::*;
 
     fn ev(node: u16, seq: u64, t: u64) -> ObsEvent {
-        ObsEvent::ConditionFired {
+        ObsEvent {
             time: SimTime::from_nanos(t),
             node: NodeId(node),
             frame_seq: seq,
-            cond: CondId(0),
+            kind: ObsKind::ConditionFired { cond: CondId(0) },
         }
     }
 
@@ -693,7 +554,7 @@ mod tests {
         assert!(chain
             .events
             .iter()
-            .all(|e| e.node() == NodeId(0) && e.frame_seq() == 3));
+            .all(|e| e.node == NodeId(0) && e.frame_seq == 3));
         assert_eq!(chain.kind_labels(), vec!["condition", "condition"]);
     }
 
@@ -704,23 +565,27 @@ mod tests {
             filters: vec!["udp_data".into()],
             counters: vec!["Sent".into()],
         };
-        let e = ObsEvent::Classified {
+        let e = ObsEvent {
             time: SimTime::ZERO,
             node: NodeId(0),
             frame_seq: 1,
-            filter: FilterId(0),
-            dir: Dir::Send,
-            len: 60,
+            kind: ObsKind::Classified {
+                filter: FilterId(0),
+                dir: Dir::Send,
+                len: 60,
+            },
         };
         let line = e.render(&symbols);
         assert!(line.contains("node1") && line.contains("udp_data"));
-        let unknown = ObsEvent::CounterUpdated {
+        let unknown = ObsEvent {
             time: SimTime::ZERO,
             node: NodeId(9),
             frame_seq: 1,
-            counter: CounterId(7),
-            old: 0,
-            new: 1,
+            kind: ObsKind::CounterUpdated {
+                counter: CounterId(7),
+                old: 0,
+                new: 1,
+            },
         };
         let line = unknown.render(&symbols);
         assert!(line.contains("node#9") && line.contains("counter#7"));
@@ -744,47 +609,49 @@ mod tests {
         let b = [ev(1, 1, 10), ev(1, 2, 20)];
         let merged = merge_by_time(&[&a, &b]);
         assert_eq!(merged.len(), 5);
-        assert!(merged.windows(2).all(|w| w[0].time() <= w[1].time()));
+        assert!(merged.windows(2).all(|w| w[0].time <= w[1].time));
         // Same-time events keep stream order: all of a's t=10 events
         // precede b's, and a's #1 precedes a's #2.
         let seqs_at_10: Vec<(u16, u64)> = merged
             .iter()
-            .filter(|e| e.time() == SimTime::from_nanos(10))
-            .map(|e| (e.node().0, e.frame_seq()))
+            .filter(|e| e.time == SimTime::from_nanos(10))
+            .map(|e| (e.node.0, e.frame_seq))
             .collect();
         assert_eq!(seqs_at_10, vec![(0, 1), (0, 2), (1, 1)]);
     }
 
     #[test]
-    fn control_event_accessors_and_render() {
+    fn control_event_labels_and_render() {
         let symbols = SymbolTable {
             nodes: vec!["node1".into(), "node2".into()],
             filters: vec![],
             counters: vec![],
         };
-        let sent = ObsEvent::ControlSent {
+        let sent = ObsEvent {
             time: SimTime::from_nanos(5),
             node: NodeId(0),
             frame_seq: 7,
-            peer: NodeId(1),
-            peer_seq: 3,
-            ack: 2,
+            kind: ObsKind::ControlSent {
+                peer: NodeId(1),
+                peer_seq: 3,
+                ack: 2,
+            },
         };
         assert_eq!(sent.kind_label(), "ctrl-sent");
-        assert_eq!(sent.node(), NodeId(0));
-        assert_eq!(sent.frame_seq(), 7);
         let line = sent.render(&symbols);
         assert!(
             line.contains("seq 3") && line.contains("-> node2"),
             "{line}"
         );
-        let delivered = ObsEvent::ControlDelivered {
+        let delivered = ObsEvent {
             time: SimTime::from_nanos(9),
             node: NodeId(1),
             frame_seq: 4,
-            peer: NodeId(0),
-            peer_seq: 3,
-            ack: 2,
+            kind: ObsKind::ControlDelivered {
+                peer: NodeId(0),
+                peer_seq: 3,
+                ack: 2,
+            },
         };
         assert_eq!(delivered.kind_label(), "ctrl-delivered");
         let line = delivered.render(&symbols);

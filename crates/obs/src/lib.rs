@@ -34,7 +34,7 @@ pub mod pcap;
 mod window;
 
 pub use event::{
-    merge_by_time, CausalChain, EventLog, ObsActionKind, ObsEvent, ObsLevel, ProtoAspect,
+    merge_by_time, CausalChain, EventLog, ObsActionKind, ObsEvent, ObsKind, ObsLevel, ProtoAspect,
     SymbolTable,
 };
 pub use metrics::{labeled_key, Histogram, Metric, MetricsRegistry};

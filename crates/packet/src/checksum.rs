@@ -74,12 +74,18 @@ pub fn finish(mut sum: u32) -> u16 {
 /// let sum = pseudo_header_checksum(src, dst, 6, &segment);
 /// assert_ne!(sum, 0);
 /// ```
+///
+/// # Panics
+///
+/// Panics if `segment` is longer than the pseudo-header's 16-bit length
+/// can say. A parsed segment never is: it is cut by the IP total-length
+/// field.
 pub fn pseudo_header_checksum(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, segment: &[u8]) -> u16 {
     let mut pseudo = [0u8; 12];
     pseudo[0..4].copy_from_slice(&src.octets());
     pseudo[4..8].copy_from_slice(&dst.octets());
     pseudo[9] = protocol;
-    let len = segment.len() as u16;
+    let len = u16::try_from(segment.len()).expect("segment exceeds the u16 pseudo-header length");
     pseudo[10..12].copy_from_slice(&len.to_be_bytes());
     finish(sum_words(&pseudo) + sum_words(segment))
 }

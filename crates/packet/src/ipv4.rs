@@ -247,9 +247,14 @@ impl Ipv4Builder {
     }
 
     /// Assembles the IP packet (header + payload) with a valid checksum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if header plus payload exceed the 16-bit total-length field.
     pub fn build_packet(&self) -> Vec<u8> {
-        let total_len = (IPV4_HEADER_LEN + self.payload.len()) as u16;
-        let mut packet = crate::arena::take_buffer(total_len as usize);
+        let total_len = u16::try_from(IPV4_HEADER_LEN + self.payload.len())
+            .expect("packet exceeds the u16 IP total-length field");
+        let mut packet = crate::arena::take_buffer(usize::from(total_len));
         packet.push(0x45); // version 4, IHL 5
         packet.push(0x00); // DSCP/ECN
         packet.extend_from_slice(&total_len.to_be_bytes());

@@ -67,4 +67,4 @@ pub use frame::Frame;
 pub use ipv4::{IpProtocol, Ipv4Builder, Ipv4Header, IPV4_HEADER_LEN};
 pub use mac::MacAddr;
 pub use tcp::{TcpBuilder, TcpFlags, TcpHeader, TCP_HEADER_LEN};
-pub use udp::{UdpBuilder, UdpHeader, UDP_HEADER_LEN};
+pub use udp::{UdpBuilder, UdpHeader, MAX_UDP_PAYLOAD, UDP_HEADER_LEN};

@@ -10,6 +10,10 @@ use crate::{EtherType, EthernetBuilder, Frame, MacAddr, ParseError};
 /// Length of the UDP header.
 pub const UDP_HEADER_LEN: usize = 8;
 
+/// The largest UDP payload one IPv4 packet carries: the 16-bit total
+/// length less the IP and UDP headers.
+pub const MAX_UDP_PAYLOAD: usize = u16::MAX as usize - crate::IPV4_HEADER_LEN - UDP_HEADER_LEN;
+
 const UDP_OFF: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
 
 /// Borrowed view of a UDP datagram inside a full Ethernet/IPv4 frame.
@@ -184,9 +188,15 @@ impl UdpBuilder {
     }
 
     /// Assembles the frame, computing IP and UDP checksums.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload is longer than [`MAX_UDP_PAYLOAD`]; callers
+    /// taking lengths from outside check first.
     pub fn build(&self) -> Frame {
-        let udp_len = (UDP_HEADER_LEN + self.payload.len()) as u16;
-        let mut datagram = crate::arena::take_buffer(udp_len as usize);
+        let udp_len = u16::try_from(UDP_HEADER_LEN + self.payload.len())
+            .expect("datagram exceeds the u16 UDP length field");
+        let mut datagram = crate::arena::take_buffer(usize::from(udp_len));
         datagram.extend_from_slice(&self.src_port.to_be_bytes());
         datagram.extend_from_slice(&self.dst_port.to_be_bytes());
         datagram.extend_from_slice(&udp_len.to_be_bytes());
@@ -242,6 +252,25 @@ mod tests {
         assert_eq!(udp.payload(), b"echo me");
         assert!(udp.verify_checksum());
         assert!(frame.ipv4().unwrap().verify_checksum());
+    }
+
+    #[test]
+    fn the_largest_payload_builds_with_honest_lengths() {
+        let frame = UdpBuilder::new()
+            .payload(&vec![0xa5; MAX_UDP_PAYLOAD])
+            .build();
+        assert_eq!(frame.ipv4().unwrap().total_len(), u16::MAX);
+        let udp = frame.udp().unwrap();
+        assert_eq!(udp.payload().len(), MAX_UDP_PAYLOAD);
+        assert!(udp.verify_checksum());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the u16")]
+    fn one_byte_more_panics_instead_of_wrapping() {
+        UdpBuilder::new()
+            .payload(&vec![0; MAX_UDP_PAYLOAD + 1])
+            .build();
     }
 
     #[test]

@@ -16,8 +16,8 @@ use std::fmt;
 use virtualwire::Report;
 use vw_fsl::TableSet;
 use vw_netsim::{SimTime, TraceKind, World};
-use vw_obs::ObsEvent;
-use vw_packet::{Frame, UdpBuilder};
+use vw_obs::{ObsEvent, ObsKind};
+use vw_packet::{Frame, UdpBuilder, MAX_UDP_PAYLOAD};
 
 use crate::ast::{CmpOp, ExpectDir, FrameSpec, Layer, Matcher, Op, Proto, Script};
 
@@ -171,34 +171,36 @@ impl fmt::Display for ScriptVerdict {
 /// # Errors
 ///
 /// Returns a [`ScriptInstallError`] for an unknown node name or a frame
-/// spec that does not build a well-formed frame. Directives before the
-/// failing one stay scheduled.
+/// spec that does not build a well-formed frame. Every injection is
+/// resolved and built before any is scheduled, so a failing script leaves
+/// the world untouched.
 pub fn install(
     script: &Script,
     world: &mut World,
     tables: &TableSet,
 ) -> Result<usize, ScriptInstallError> {
-    let mut scheduled = 0;
+    let mut injections = Vec::new();
     for (i, directive) in script.directives.iter().enumerate() {
         let Op::Inject { layer, node, frame } = &directive.op else {
             continue;
         };
-        let device = world
-            .device_by_name(node)
-            .ok_or_else(|| ScriptInstallError {
-                directive: i,
-                message: format!("unknown node {node:?}"),
-            })?;
-        let frame = build_frame(frame, tables).map_err(|message| ScriptInstallError {
+        let fail = |message| ScriptInstallError {
             directive: i,
             message,
-        })?;
+        };
+        let device = world
+            .device_by_name(node)
+            .ok_or_else(|| fail(format!("unknown node {node:?}")))?;
+        let frame = build_frame(frame, tables).map_err(fail)?;
         let at = SimTime::from_nanos(directive.window.start);
+        injections.push((*layer, device, frame, at));
+    }
+    let scheduled = injections.len();
+    for (layer, device, frame, at) in injections {
         match layer {
             Layer::Stack => world.inject_from_stack_at(device, frame, at),
             Layer::Wire => world.inject_from_wire_at(device, frame, at),
         }
-        scheduled += 1;
     }
     Ok(scheduled)
 }
@@ -217,6 +219,12 @@ fn build_frame(spec: &FrameSpec, tables: &TableSet) -> Result<Frame, String> {
         } => {
             let src = lookup_node(tables, src)?;
             let dst = lookup_node(tables, dst)?;
+            if payload.len() > MAX_UDP_PAYLOAD {
+                return Err(format!(
+                    "{}-byte payload exceeds the {MAX_UDP_PAYLOAD} bytes one UDP datagram carries",
+                    payload.len()
+                ));
+            }
             Ok(UdpBuilder::new()
                 .src_mac(src.0)
                 .src_ip(src.1)
@@ -305,18 +313,11 @@ fn causal_slice(report: &Report, tables: &TableSet, node: &str, time: SimTime) -
     let anchor = report
         .events
         .iter()
-        .filter(|e| e.node() == node_id && e.time() <= time)
-        .max_by_key(|e| (e.time(), e.frame_seq()))
-        .map(ObsEvent::frame_seq);
-    let Some(frame_seq) = anchor else {
-        return Vec::new();
-    };
-    report
-        .events
-        .iter()
-        .filter(|e| e.node() == node_id && e.frame_seq() == frame_seq)
-        .copied()
-        .collect()
+        .filter(|e| e.node == node_id && e.time <= time)
+        .max_by_key(|e| (e.time, e.frame_seq));
+    anchor.map_or_else(Vec::new, |e| {
+        report.explain_seq(node_id, e.frame_seq).events
+    })
 }
 
 /// Evaluates every checking directive of `script` against a finished
@@ -449,14 +450,11 @@ fn eval_counter(
     if let Some(id) = tables.counter_by_name(counter) {
         let mut best: Option<(SimTime, i64)> = None;
         for event in &report.events {
-            if let ObsEvent::CounterUpdated {
-                time, counter, new, ..
-            } = *event
-            {
+            if let ObsKind::CounterUpdated { counter, new, .. } = event.kind {
                 if counter == id {
                     any_update = true;
-                    if time <= at && best.is_none_or(|(t, _)| time >= t) {
-                        best = Some((time, new));
+                    if event.time <= at && best.is_none_or(|(t, _)| event.time >= t) {
+                        best = Some((event.time, new));
                     }
                 }
             }

@@ -145,3 +145,34 @@ fn hex_injections_validate_frames_at_install_time() {
     let err = install(&script, &mut world, &tables).expect_err("short frame");
     assert_eq!(err.directive, 0);
 }
+
+#[test]
+fn oversized_udp_payload_is_refused_and_nothing_is_scheduled() {
+    let tables = virtualwire::compile_script(FSL).expect("FSL compiles");
+    let mut world = World::new(1);
+    let _nodes = Runner::create_hosts(&mut world, &tables);
+    let pending = world.pending_events();
+
+    // 65 507 bytes is the most one datagram carries: one more does not
+    // fit the IP total-length field.
+    let inject = |bytes: usize| {
+        format!(
+            "@2ms inject stack node1 udp node1 -> node2 dport 25443 payload-hex {}\n",
+            "ab".repeat(bytes)
+        )
+    };
+    let good = "@1ms inject stack node1 udp node1 -> node2 dport 25443 payload-hex 6869\n";
+    let script = Script::parse(&format!("{good}{}", inject(65_508))).expect("script parses");
+    let err = install(&script, &mut world, &tables).expect_err("oversized payload");
+    assert_eq!(err.directive, 1);
+    assert!(err.message.contains("65508-byte payload"), "{err}");
+    assert_eq!(
+        world.pending_events(),
+        pending,
+        "the valid directive before the failing one must not stay scheduled"
+    );
+
+    let script = Script::parse(&format!("{good}{}", inject(65_507))).expect("script parses");
+    assert_eq!(install(&script, &mut world, &tables), Ok(2));
+    assert_eq!(world.pending_events(), pending + 2);
+}

@@ -9,7 +9,7 @@
 //! cargo run --example fault_analysis
 //! ```
 
-use virtualwire::{compile_script, EngineConfig, ObsEvent, ObsLevel, Runner};
+use virtualwire::{compile_script, EngineConfig, ObsEvent, ObsKind, ObsLevel, Runner};
 use vw_analysis::{DistributedTimeline, InvariantChecker};
 use vw_netsim::apps::{UdpFlooder, UdpSink};
 use vw_netsim::{Binding, LinkConfig, SimDuration, World};
@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let doctored: Vec<ObsEvent> = report
         .events
         .iter()
-        .filter(|e| !matches!(e, ObsEvent::ControlDelivered { .. }))
+        .filter(|e| !matches!(e.kind, ObsKind::ControlDelivered { .. }))
         .cloned()
         .collect();
     let doctored_timeline = DistributedTimeline::from_events(&doctored);

@@ -32,6 +32,14 @@ if grep -rnE '(CompiledActionKind|Action)::(Assign|Enable|Disable|Incr|Decr|Rese
     exit 1
 fi
 
+# Record-shape gate: vw_obs::ObsEvent is one struct (time, node, frame_seq,
+# kind); the per-kind payloads are ObsKind variants.
+echo "==> obs-record gate"
+if grep -rnE 'ObsEvent::(Classified|CounterUpdated|TermFlipped|ConditionFired|ActionTriggered|PeerDegraded|ControlSent|ControlDelivered|StateChanged)\b' crates tests examples; then
+    echo "flat ObsEvent variant: read the header fields, match on event.kind (ObsKind)"
+    exit 1
+fi
+
 # The size simplicity PRs quote: lines of every crates/*/src/**/*.rs up to
 # its first #[cfg(test)].
 echo "==> non-test source lines"

@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use virtualwire::{
-    compile_script, EngineConfig, ObsActionKind, ObsEvent, ObsLevel, Report, Runner,
+    compile_script, EngineConfig, ObsActionKind, ObsEvent, ObsKind, ObsLevel, Report, Runner,
 };
 use vw_analysis::{CampaignAnalyzer, DistributedTimeline, InvariantChecker};
 use vw_campaign::{run_campaign, Axis, CampaignSpec, ExecConfig, RunConfig};
@@ -98,12 +98,11 @@ fn run_full(script: &str, seed: u64, datagrams: u64) -> (Report, TableSet) {
 fn position(
     timeline: &DistributedTimeline,
     what: &str,
-    pred: impl Fn(NodeId, &ObsEvent) -> bool,
+    pred: impl Fn(NodeId, &ObsKind) -> bool,
 ) -> usize {
     timeline
-        .entries()
-        .iter()
-        .position(|e| pred(e.node, &e.event))
+        .events()
+        .position(|e| pred(e.node, &e.kind))
         .unwrap_or_else(|| panic!("no {what} in timeline"))
 }
 
@@ -119,25 +118,25 @@ fn merged_timeline_orders_the_cross_node_cascade() {
     // hits 3 and flips the term, node2 sends the TERM_STATUS, node3
     // receives it, flips its copy, fires the condition, and FAILs.
     let flip2 = position(&timeline, "node2 term flip", |n, e| {
-        n == node2 && matches!(e, ObsEvent::TermFlipped { status: true, .. })
+        n == node2 && matches!(e, ObsKind::TermFlipped { status: true, .. })
     });
     let sent = position(&timeline, "node2 control send", |n, e| {
-        n == node2 && matches!(e, ObsEvent::ControlSent { peer, .. } if *peer == node3)
+        n == node2 && matches!(e, ObsKind::ControlSent { peer, .. } if *peer == node3)
     });
     let delivered = position(&timeline, "node3 delivery", |n, e| {
-        n == node3 && matches!(e, ObsEvent::ControlDelivered { peer, .. } if *peer == node2)
+        n == node3 && matches!(e, ObsKind::ControlDelivered { peer, .. } if *peer == node2)
     });
     let flip3 = position(&timeline, "node3 term flip", |n, e| {
-        n == node3 && matches!(e, ObsEvent::TermFlipped { status: true, .. })
+        n == node3 && matches!(e, ObsKind::TermFlipped { status: true, .. })
     });
     let fired = position(&timeline, "node3 condition", |n, e| {
-        n == node3 && matches!(e, ObsEvent::ConditionFired { .. })
+        n == node3 && matches!(e, ObsKind::ConditionFired { .. })
     });
     let failed = position(&timeline, "node3 FAIL", |n, e| {
         n == node3
             && matches!(
                 e,
-                ObsEvent::ActionTriggered {
+                ObsKind::ActionTriggered {
                     kind: ObsActionKind::Fail,
                     ..
                 }
@@ -179,8 +178,8 @@ fn golden_chain_reproduced_from_the_merged_timeline() {
     let kinds: Vec<ObsActionKind> = merged_chain
         .events
         .iter()
-        .filter_map(|e| match e {
-            ObsEvent::ActionTriggered { kind, .. } => Some(*kind),
+        .filter_map(|e| match e.kind {
+            ObsKind::ActionTriggered { kind, .. } => Some(kind),
             _ => None,
         })
         .collect();
@@ -210,7 +209,7 @@ fn erasing_deliveries_orphans_the_remote_flip() {
     let doctored: Vec<ObsEvent> = report
         .events
         .iter()
-        .filter(|e| !matches!(e, ObsEvent::ControlDelivered { .. }))
+        .filter(|e| !matches!(e.kind, ObsKind::ControlDelivered { .. }))
         .cloned()
         .collect();
     let timeline = DistributedTimeline::from_events(&doctored);
@@ -229,7 +228,7 @@ fn erasing_deliveries_orphans_the_remote_flip() {
     assert!(
         v.slice
             .iter()
-            .any(|e| matches!(e, ObsEvent::TermFlipped { .. })),
+            .any(|e| matches!(e.kind, ObsKind::TermFlipped { .. })),
         "slice must contain the orphan flip: {v:?}"
     );
 }
@@ -280,10 +279,9 @@ proptest! {
         let merged = DistributedTimeline::from_events(&shuffled);
         for &node in merged.nodes() {
             let seqs: Vec<u64> = merged
-                .entries()
-                .iter()
+                .events()
                 .filter(|e| e.node == node)
-                .map(|e| e.event.frame_seq())
+                .map(|e| e.frame_seq)
                 .collect();
             prop_assert!(
                 seqs.windows(2).all(|w| w[0] <= w[1]),
