@@ -403,6 +403,8 @@ pub struct Engine {
     scratch_bump: Vec<CounterId>,
     /// Reusable buffer for conditions that fired on a control update.
     scratch_fired: Vec<CondId>,
+    /// Reusable slots a full REORDER batch is permuted out of.
+    scratch_reorder: Vec<Option<(Frame, Dir)>>,
 
     /// Flight recorder: typed causal event stream (level-gated *before*
     /// any record is built).
@@ -470,6 +472,7 @@ impl Engine {
             cascade_worklist: Vec::new(),
             scratch_bump: Vec::new(),
             scratch_fired: Vec::new(),
+            scratch_reorder: Vec::new(),
             flight: EventLog::new(cfg.obs),
             frame_seq: 0,
             filter_hits: Vec::new(),
@@ -1340,26 +1343,42 @@ impl Engine {
     /// `on_start` when this engine holds them).
     fn distribute_tables(&mut self, ctx: &mut Context<'_>) {
         let me = self.me.expect("control engine has identity");
+        self.control_mac = Some(ctx.mac());
+        self.send_inits(ctx);
         // Taken, not cloned: `install_tables` below puts them back.
         let tables = self.tables.take().expect("control engine has tables");
-        self.control_mac = Some(ctx.mac());
-        for (i, node) in tables.nodes.iter().enumerate() {
-            let node_id = NodeId(i as u16);
-            if node_id == me {
-                continue;
-            }
-            let msg = ControlMsg::Init {
-                tables: Box::new(tables.clone()),
-                you_are: node_id,
-            };
-            self.send_control(ctx, wire::build_frame(ctx.mac(), node.mac, &msg));
-        }
         if tables.nodes.len() > 1 {
             self.init_rto = INIT_RTO;
             ctx.set_timer(self.init_rto, TIMER_INIT_RETX);
         }
         // Initialize ourselves directly.
         self.install_tables(ctx, tables, me);
+    }
+
+    /// Sends `Init` to every peer (every scripted node but this one) that
+    /// has not acked it, and returns how many that was. The tables are
+    /// taken, boxed once and lent to each message for as long as it takes
+    /// to encode it, then put back: nothing is cloned.
+    fn send_inits(&mut self, ctx: &mut Context<'_>) -> u64 {
+        let me = self.me.expect("control engine has identity");
+        let mut tables = Box::new(self.tables.take().expect("control engine has tables"));
+        let mut sent = 0;
+        for i in 0..tables.nodes.len() {
+            let you_are = NodeId(i as u16);
+            if you_are == me || self.acked.contains(&you_are) {
+                continue;
+            }
+            let mac = tables.nodes[i].mac;
+            let msg = ControlMsg::Init { tables, you_are };
+            self.send_control(ctx, wire::build_frame(ctx.mac(), mac, &msg));
+            let ControlMsg::Init { tables: lent, .. } = msg else {
+                unreachable!("built as Init four lines up");
+            };
+            tables = lent;
+            sent += 1;
+        }
+        self.tables = Some(*tables);
+        sent
     }
 
     /// Retransmits `Init` to peers that have not acknowledged it yet,
@@ -1369,23 +1388,9 @@ impl Engine {
         if !self.is_control || !self.initialized() {
             return;
         }
-        let me = self.me.expect("control engine has identity");
-        let tables = self.tables.clone().expect("initialized");
-        let mut resent = false;
-        for (i, node) in tables.nodes.iter().enumerate() {
-            let node_id = NodeId(i as u16);
-            if node_id == me || self.acked.contains(&node_id) {
-                continue;
-            }
-            let msg = ControlMsg::Init {
-                tables: Box::new(tables.clone()),
-                you_are: node_id,
-            };
-            self.stats.control_retransmits += 1;
-            self.send_control(ctx, wire::build_frame(ctx.mac(), node.mac, &msg));
-            resent = true;
-        }
-        if resent {
+        let resent = self.send_inits(ctx);
+        self.stats.control_retransmits += resent;
+        if resent > 0 {
             self.init_rto = self
                 .init_rto
                 .saturating_add(self.init_rto)
@@ -1616,24 +1621,8 @@ impl Engine {
                         let buffer = self.reorder_bufs.entry(*action).or_default();
                         buffer.push((frame, dir));
                         if buffer.len() >= *count as usize {
-                            let batch = std::mem::take(buffer);
-                            let released = release_reorder_batch(batch, order, &mut self.stats);
-                            let mut pass = Vec::with_capacity(released.len());
-                            for (f, fdir) in released {
-                                if fdir == dir {
-                                    pass.push(f);
-                                } else {
-                                    // A frame buffered while traveling the
-                                    // other direction cannot ride this
-                                    // chain traversal; re-emit it on its
-                                    // own path instead of flipping it.
-                                    match fdir {
-                                        Dir::Send => ctx.send(f),
-                                        Dir::Recv => ctx.deliver_up(f),
-                                    }
-                                }
-                            }
-                            return Verdict::Replace(pass);
+                            let slots = &mut self.scratch_reorder;
+                            release_reorder_batch(ctx, buffer, slots, order, &mut self.stats);
                         }
                         return Verdict::Replace(Vec::new());
                     }
@@ -1641,10 +1630,20 @@ impl Engine {
             }
         }
         if duplicate {
-            Verdict::Replace(vec![frame.clone(), frame])
-        } else {
-            Verdict::Accept(frame)
+            // The copy leaves through the context, a step ahead of the
+            // original; a two-frame `Replace` would allocate its `Vec`.
+            release(ctx, frame.clone(), dir);
         }
+        Verdict::Accept(frame)
+    }
+}
+
+/// Sends a frame the engine held, or made, on along the path it was
+/// travelling, without classifying it again.
+fn release(ctx: &mut Context<'_>, frame: Frame, dir: Dir) {
+    match dir {
+        Dir::Send => ctx.send(frame),
+        Dir::Recv => ctx.deliver_up(frame),
     }
 }
 
@@ -1679,33 +1678,33 @@ fn obs_action_kind(kind: &CompiledActionKind) -> ObsActionKind {
 /// mentioned, in arrival order. A malformed order — out-of-range,
 /// duplicated, or missing indices — is counted, but must never lose a
 /// frame: REORDER permutes traffic, it does not consume it.
+///
+/// The frames leave through the context in that order (the one that
+/// filled the batch included; its verdict is an empty `Replace`), and
+/// `batch` and `slots` — the engine's scratch — keep their capacity.
 fn release_reorder_batch(
-    batch: Vec<(Frame, Dir)>,
+    ctx: &mut Context<'_>,
+    batch: &mut Vec<(Frame, Dir)>,
+    slots: &mut Vec<Option<(Frame, Dir)>>,
     order: &[u32],
     stats: &mut EngineStats,
-) -> Vec<(Frame, Dir)> {
-    let n = batch.len();
-    let mut slots: Vec<Option<(Frame, Dir)>> = batch.into_iter().map(Some).collect();
-    let mut released = Vec::with_capacity(n);
+) {
+    stats.faults_in_limbo = stats.faults_in_limbo.saturating_sub(batch.len() as u64);
+    slots.extend(batch.drain(..).map(Some));
     let mut malformed = false;
     for &i in order {
         match slots.get_mut(i as usize).and_then(Option::take) {
-            Some(entry) => released.push(entry),
+            Some((frame, dir)) => release(ctx, frame, dir),
             None => malformed = true,
         }
     }
-    let mut leftover = false;
-    for slot in &mut slots {
-        if let Some(entry) = slot.take() {
-            released.push(entry);
-            leftover = true;
-        }
+    for (frame, dir) in slots.drain(..).flatten() {
+        release(ctx, frame, dir);
+        malformed = true;
     }
-    if malformed || leftover {
+    if malformed {
         stats.reorder_malformed += 1;
     }
-    stats.faults_in_limbo = stats.faults_in_limbo.saturating_sub(released.len() as u64);
-    released
 }
 
 /// Converts the simulated clock into the engine's signed counter domain
@@ -1792,10 +1791,7 @@ impl Hook for Engine {
                     // Release a delayed packet without re-classifying it
                     // (Figure 4(b): "[released packet]").
                     self.stats.faults_in_limbo = self.stats.faults_in_limbo.saturating_sub(1);
-                    match dir {
-                        Dir::Send => ctx.send(frame),
-                        Dir::Recv => ctx.deliver_up(frame),
-                    }
+                    release(ctx, frame, dir);
                 }
             }
         }
@@ -1812,20 +1808,10 @@ impl Hook for Engine {
         reorders.sort_by_key(|(action, _)| *action);
 
         let mut flushed = 0u64;
-        let mut release = |frame: Frame, dir: Dir, ctx: &mut Context<'_>| {
+        let batches = reorders.into_iter().flat_map(|(_, batch)| batch);
+        for (frame, dir) in held.into_iter().map(|(_, entry)| entry).chain(batches) {
             flushed += 1;
-            match dir {
-                Dir::Send => ctx.send(frame),
-                Dir::Recv => ctx.deliver_up(frame),
-            }
-        };
-        for (_, (frame, dir)) in held {
-            release(frame, dir, ctx);
-        }
-        for (_, batch) in reorders {
-            for (frame, dir) in batch {
-                release(frame, dir, ctx);
-            }
+            release(ctx, frame, dir);
         }
         if flushed > 0 {
             self.stats.teardown_flushed += flushed;

@@ -126,7 +126,11 @@ const TAG_ACK: u8 = 7;
 /// different table set.
 pub fn encode(msg: &ControlMsg) -> Vec<u8> {
     let mut out = Vec::new();
-    let w = &mut Writer::be(&mut out);
+    encode_into(&mut Writer::be(&mut out), msg);
+    out
+}
+
+fn encode_into(w: &mut Writer<'_>, msg: &ControlMsg) {
     match msg {
         ControlMsg::Init { tables, you_are } => {
             w.u8(TAG_INIT);
@@ -166,7 +170,6 @@ pub fn encode(msg: &ControlMsg) -> Vec<u8> {
             w.u8(TAG_ACK);
         }
     }
-    out
 }
 
 /// Decodes a control payload, which must be exactly one message.
@@ -315,16 +318,22 @@ impl From<ControlDecodeError> for ParseError {
 }
 
 /// Encodes a message under the versioned reliability header.
+///
+/// One buffer, from the frame arena ([`build_sequenced_frame`] hands it
+/// back): the header with its length field held open, the body written
+/// straight behind it, then the length filled in.
 pub fn encode_sequenced(seq: u32, ack: u32, msg: &ControlMsg) -> Vec<u8> {
-    let body = encode(msg);
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
+    const LEN_AT: usize = 2;
+    let mut out = vw_packet::arena::take_buffer(HEADER_LEN);
     let mut w = Writer::be(&mut out);
     w.u8(WIRE_MAGIC);
     w.u8(WIRE_VERSION);
-    w.len32(body.len());
+    w.u32(0);
     w.u32(seq);
     w.u32(ack);
-    w.bytes(&body);
+    encode_into(&mut w, msg);
+    let body_len = out.len() - HEADER_LEN;
+    Writer::be(&mut out).patch_len32(LEN_AT, body_len);
     out
 }
 

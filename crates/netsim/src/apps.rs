@@ -64,7 +64,7 @@ impl Protocol for UdpEcho {
             .src_port(udp.dst_port())
             .dst_port(udp.src_port())
             .payload(udp.payload())
-            .build();
+            .build_take();
         self.echoed += 1;
         ctx.send(reply);
     }
@@ -79,7 +79,8 @@ pub struct UdpPinger {
     dst_port: u16,
     src_port: u16,
     interval: SimDuration,
-    payload_len: usize,
+    /// The probe payload, rewritten and reused for every probe.
+    payload: Vec<u8>,
     count: u64,
     sent: u64,
     outstanding: HashMap<u64, SimTime>,
@@ -113,7 +114,7 @@ impl UdpPinger {
             dst_port,
             src_port,
             interval,
-            payload_len,
+            payload: vec![0; payload_len],
             count,
             sent: 0,
             outstanding: HashMap::new(),
@@ -148,8 +149,7 @@ impl UdpPinger {
     fn send_probe(&mut self, ctx: &mut Context<'_>) {
         let seq = self.sent;
         self.sent += 1;
-        let mut payload = vec![0u8; self.payload_len];
-        payload[..8].copy_from_slice(&seq.to_be_bytes());
+        self.payload[..8].copy_from_slice(&seq.to_be_bytes());
         let frame = UdpBuilder::new()
             .src_mac(ctx.mac())
             .dst_mac(self.dst_mac)
@@ -158,8 +158,8 @@ impl UdpPinger {
             .src_port(self.src_port)
             .dst_port(self.dst_port)
             .ident(seq as u16)
-            .payload(&payload)
-            .build();
+            .payload(&self.payload)
+            .build_take();
         self.outstanding.insert(seq, ctx.now());
         ctx.send(frame);
         if self.sent < self.count {
@@ -212,7 +212,8 @@ pub struct UdpFlooder {
     dst_port: u16,
     src_port: u16,
     rate_bps: u64,
-    payload_len: usize,
+    /// The datagram payload, refilled and reused for every datagram.
+    payload: Vec<u8>,
     total_bytes: u64,
     offered_bytes: u64,
     seq: u64,
@@ -242,7 +243,7 @@ impl UdpFlooder {
             dst_port,
             src_port,
             rate_bps,
-            payload_len,
+            payload: vec![0; payload_len],
             total_bytes,
             offered_bytes: 0,
             seq: 0,
@@ -255,11 +256,11 @@ impl UdpFlooder {
     }
 
     fn gap(&self) -> SimDuration {
-        serialization_time(self.payload_len, self.rate_bps)
+        serialization_time(self.payload.len(), self.rate_bps)
     }
 
     fn send_one(&mut self, ctx: &mut Context<'_>) {
-        let payload = vec![(self.seq % 251) as u8; self.payload_len];
+        self.payload.fill((self.seq % 251) as u8);
         let frame = UdpBuilder::new()
             .src_mac(ctx.mac())
             .dst_mac(self.dst_mac)
@@ -268,10 +269,10 @@ impl UdpFlooder {
             .src_port(self.src_port)
             .dst_port(self.dst_port)
             .ident(self.seq as u16)
-            .payload(&payload)
-            .build();
+            .payload(&self.payload)
+            .build_take();
         self.seq += 1;
-        self.offered_bytes += self.payload_len as u64;
+        self.offered_bytes += self.payload.len() as u64;
         ctx.send(frame);
         if self.offered_bytes < self.total_bytes {
             ctx.set_timer(self.gap(), 0);

@@ -6,8 +6,10 @@ use rand::rngs::StdRng;
 
 use vw_packet::{Frame, MacAddr};
 
+use crate::event::TimerFire;
 use crate::id::{DeviceId, HandlerRef, TimerId};
 use crate::time::{SimDuration, SimTime};
+use crate::timer_wheel::TimerWheel;
 use crate::trace::TraceKind;
 
 /// Who is currently being dispatched, which determines how emitted frames
@@ -35,9 +37,8 @@ pub(crate) enum Effect {
     /// Arm a timer for this handler.
     SetTimer {
         id: TimerId,
-        token: u64,
         at: SimTime,
-        handler: HandlerRef,
+        fire: TimerFire,
     },
     /// Disarm a previously set timer.
     CancelTimer(TimerId),
@@ -72,7 +73,8 @@ pub struct Context<'a> {
     pub(crate) ip: Ipv4Addr,
     pub(crate) handler: HandlerRef,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) next_timer: &'a mut u64,
+    /// Where [`set_timer`](Context::set_timer) reserves the timer's cell.
+    pub(crate) timers: &'a mut TimerWheel<TimerFire>,
     pub(crate) effects: Vec<Effect>,
     pub(crate) charged: SimDuration,
     pub(crate) trace_enabled: bool,
@@ -134,13 +136,15 @@ impl<'a> Context<'a> {
     /// after `delay`. Returns an id usable with
     /// [`cancel_timer`](Context::cancel_timer).
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
-        *self.next_timer += 1;
-        let id = TimerId(*self.next_timer);
+        let id = self.timers.reserve();
         self.effects.push(Effect::SetTimer {
             id,
-            token,
             at: self.now.saturating_add(self.charged.saturating_add(delay)),
-            handler: self.handler,
+            fire: TimerFire {
+                node: self.node,
+                handler: self.handler,
+                token,
+            },
         });
         id
     }

@@ -17,12 +17,7 @@ pub(crate) enum EventKind {
     /// A port finished serializing its in-flight frame.
     TxComplete { port: PortRef },
     /// A handler's timer fired.
-    Timer {
-        node: DeviceId,
-        handler: HandlerRef,
-        token: u64,
-        id: TimerId,
-    },
+    Timer(TimerFire),
     /// Deliver a start/poke callback to a handler.
     Start { node: DeviceId, handler: HandlerRef },
     /// Continue an outbound frame at hook index `idx` of `node`'s chain.
@@ -38,6 +33,15 @@ pub(crate) enum EventKind {
         next: usize,
         frame: Frame,
     },
+}
+
+/// What an armed timer delivers when it fires: `handler` on `node` gets
+/// `on_timer(token)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TimerFire {
+    pub node: DeviceId,
+    pub handler: HandlerRef,
+    pub token: u64,
 }
 
 #[derive(Debug)]
@@ -83,13 +87,14 @@ impl Ord for Event {
 ///   instead of churning the heap (pushed times are nondecreasing because
 ///   the clock is monotone, so the front is always the lane's minimum);
 /// - a **timer wheel** for handler timers, which are numerous and almost
-///   always cancelled before firing (see [`TimerWheel`]);
+///   always cancelled before firing, and leave the wheel when they are —
+///   a cancelled timer is never an event (see [`TimerWheel`]);
 /// - the **heap** for everything else in the future.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
     heap: BinaryHeap<Event>,
     ready: VecDeque<Event>,
-    timers: TimerWheel<EventKind>,
+    timers: TimerWheel<TimerFire>,
     next_seq: u64,
     /// Time of the most recent pop: the queue's notion of "now", used to
     /// route at-or-before-now pushes into the ready lane.
@@ -115,19 +120,21 @@ impl EventQueue {
         }
     }
 
-    /// Parks a timer event in the wheel instead of the heap. Pop order is
-    /// unaffected (the lanes share the sequence counter); only the cost
-    /// profile changes.
-    pub fn push_timer(&mut self, time: SimTime, kind: EventKind) {
-        if time <= self.now {
-            // A zero-delay timer is ready now; the wheel's base never
-            // runs ahead of `now`, so the ready lane is both cheaper and
-            // simpler.
-            self.push(time, kind);
-            return;
-        }
+    /// The wheel: where `Context::set_timer` reserves the cell that
+    /// [`arm_timer`](Self::arm_timer) fills in, and where a timer is
+    /// cancelled.
+    pub fn timers_mut(&mut self) -> &mut TimerWheel<TimerFire> {
+        &mut self.timers
+    }
+
+    /// Arms the reserved timer `id` in the wheel instead of pushing an
+    /// event on the heap. Pop order is unaffected (the lanes share the
+    /// sequence counter); the cost profile changes, and the timer can be
+    /// cancelled in place. Every timer goes to the wheel, a zero-delay one
+    /// too, so every timer cancels the same way.
+    pub fn arm_timer(&mut self, id: TimerId, time: SimTime, fire: TimerFire) {
         self.next_seq += 1;
-        self.timers.insert(time, self.next_seq, kind);
+        self.timers.arm(id, time, self.next_seq, fire);
     }
 
     /// Which lane holds the next event, by `(time, seq)`.
@@ -157,7 +164,8 @@ impl EventQueue {
                 // The wheel's pop cascades deep slots toward level 0;
                 // the span makes that (amortized) cost visible.
                 let _span = vw_trace::span("timer_wheel_pop", vw_trace::Category::Event);
-                let (time, seq, kind) = self.timers.pop()?;
+                let (time, seq, fire) = self.timers.pop()?;
+                let kind = EventKind::Timer(fire);
                 Event { time, seq, kind }
             }
         };
@@ -204,6 +212,7 @@ enum Lane {
 #[cfg(test)]
 mod tests {
     use std::cmp::Reverse;
+    use std::collections::HashSet;
 
     use proptest::prelude::*;
 
@@ -213,6 +222,14 @@ mod tests {
         EventKind::Start {
             node: DeviceId::from_index(node),
             handler: HandlerRef::Protocol(crate::id::ProtocolId::from_index(0)),
+        }
+    }
+
+    fn fire() -> TimerFire {
+        TimerFire {
+            node: DeviceId::from_index(0),
+            handler: HandlerRef::Protocol(crate::id::ProtocolId::from_index(0)),
+            token: 0,
         }
     }
 
@@ -252,18 +269,42 @@ mod tests {
     }
 
     /// The contract's reference: one plain heap ordered by `(time, seq)`.
+    /// A cancelled entry stays in the heap as a tombstone, and is skimmed
+    /// off before it can reach the head: it is never popped, peeked or
+    /// counted.
     #[derive(Default)]
     struct PlainHeap {
         heap: BinaryHeap<(Reverse<u64>, Reverse<u64>)>,
+        /// Sequence numbers of the tombstones still in `heap`.
+        cancelled: HashSet<u64>,
         next_seq: u64,
         /// Time of the most recent pop.
         now: u64,
     }
 
     impl PlainHeap {
-        fn push(&mut self, time: u64) {
+        fn push(&mut self, time: u64) -> u64 {
             self.next_seq += 1;
             self.heap.push((Reverse(time), Reverse(self.next_seq)));
+            self.next_seq
+        }
+
+        fn cancel(&mut self, seq: u64) {
+            self.cancelled.insert(seq);
+            self.skim();
+        }
+
+        fn skim(&mut self) {
+            while let Some(&(_, Reverse(seq))) = self.heap.peek() {
+                if !self.cancelled.remove(&seq) {
+                    break;
+                }
+                self.heap.pop();
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len() - self.cancelled.len()
         }
 
         fn peek_time(&self) -> Option<u64> {
@@ -273,12 +314,32 @@ mod tests {
         fn pop(&mut self) -> Option<(u64, u64)> {
             let (Reverse(time), Reverse(seq)) = self.heap.pop()?;
             self.now = time;
+            self.skim();
             Some((time, seq))
         }
     }
 
     fn key(event: Option<Event>) -> Option<(u64, u64)> {
         event.map(|e| (e.time.as_nanos(), e.seq))
+    }
+
+    /// Armed timers as `(seq, id)`, and the ids that fired or were cancelled.
+    #[derive(Default)]
+    struct Timers {
+        live: Vec<(u64, TimerId)>,
+        spent: Vec<TimerId>,
+    }
+
+    impl Timers {
+        /// Passes a popped event's key through; if it was a timer, its id
+        /// is spent.
+        fn popped(&mut self, event: Option<(u64, u64)>) -> Option<(u64, u64)> {
+            let (_, seq) = event?;
+            if let Some(i) = self.live.iter().position(|l| l.0 == seq) {
+                self.spent.push(self.live.swap_remove(i).1);
+            }
+            event
+        }
     }
 
     /// Push offsets from the queue's `now`, one range per choice: zero
@@ -288,18 +349,23 @@ mod tests {
 
     proptest! {
         /// The three lanes are an optimisation, not a semantics: whatever
-        /// the interleaving of `push`, `push_timer`, `pop` and `pop_at`,
-        /// events leave in the `(time, seq)` order one plain heap gives.
+        /// the interleaving of `push`, timer set and cancel, `pop` and
+        /// `pop_at`, events leave in the `(time, seq)` order one plain
+        /// heap gives, and a cancelled timer is neither popped, peeked
+        /// nor counted. Cancels hit live timers, timers that already
+        /// popped, timers already cancelled, and — a vacated cell being
+        /// the next one reserved — ids whose cell has a new tenant.
         /// Times are drawn at or after `now`: the world's clock is
         /// monotone, and the ready lane's FIFO relies on it.
         #[test]
         fn lanes_pop_like_one_plain_heap(
-            ops in proptest::collection::vec((0u8..7, 0usize..7, any::<u64>()), 1..300),
+            ops in proptest::collection::vec((0u8..10, 0usize..7, any::<u64>()), 1..300),
         ) {
             let at = SimTime::from_nanos;
             let mut q = EventQueue::new();
             let mut reference = PlainHeap::default();
             let mut last_pushed = 0;
+            let mut timers = Timers::default();
             for (op, span, r) in ops {
                 match op {
                     // Pushes: 0 and 1 through the ready lane or the heap,
@@ -313,33 +379,55 @@ mod tests {
                             }
                         };
                         last_pushed = time;
-                        reference.push(time);
+                        let seq = reference.push(time);
                         if op < 2 {
                             q.push(at(time), start(0));
                         } else {
-                            q.push_timer(at(time), start(0));
+                            let id = q.timers_mut().reserve();
+                            q.arm_timer(id, at(time), fire());
+                            prop_assert!(
+                                timers.live.iter().all(|l| l.1 != id),
+                                "a live id handed out twice"
+                            );
+                            timers.live.push((seq, id));
                         }
                     }
-                    4 => prop_assert_eq!(key(q.pop()), reference.pop()),
+                    4 => prop_assert_eq!(timers.popped(key(q.pop())), reference.pop()),
                     // `pop_at` pops exactly when the head is due at the
                     // time asked for, and leaves the queue alone otherwise.
                     5 => match reference.peek_time() {
-                        Some(head) => prop_assert_eq!(key(q.pop_at(at(head))), reference.pop()),
+                        Some(head) => {
+                            prop_assert_eq!(timers.popped(key(q.pop_at(at(head)))), reference.pop())
+                        }
                         None => prop_assert!(q.pop_at(at(reference.now)).is_none()),
                     },
-                    _ => {
-                        let head = reference.peek_time();
-                        prop_assert_eq!(q.peek_time().map(|t| t.as_nanos()), head);
-                        let miss = head.map_or(reference.now, |t| t + 1 + r % 1000);
+                    6 => {
+                        let miss = reference.peek_time().map_or(reference.now, |t| t + 1 + r % 1000);
                         prop_assert!(q.pop_at(at(miss)).is_none());
                     }
+                    // Cancel a live timer: its cell is the next reserved.
+                    7 | 8 if !timers.live.is_empty() => {
+                        let (seq, id) = timers.live.swap_remove(r as usize % timers.live.len());
+                        reference.cancel(seq);
+                        q.timers_mut().cancel(id);
+                        timers.spent.push(id);
+                    }
+                    // Cancel a spent id: nothing may change, whoever
+                    // holds the cell now.
+                    _ => {
+                        if !timers.spent.is_empty() {
+                            q.timers_mut().cancel(timers.spent[r as usize % timers.spent.len()]);
+                        }
+                    }
                 }
-                prop_assert_eq!(q.len(), reference.heap.len());
+                prop_assert_eq!(q.len(), reference.len());
+                prop_assert_eq!(q.peek_time().map(|t| t.as_nanos()), reference.peek_time());
             }
             while let Some(expected) = reference.pop() {
                 prop_assert_eq!(key(q.pop()), Some(expected));
             }
             prop_assert!(q.pop().is_none());
+            prop_assert!(q.is_empty());
         }
     }
 }

@@ -63,14 +63,15 @@ id_type!(
 /// Identifies a pending timer; returned by
 /// [`Context::set_timer`](crate::Context::set_timer) and usable with
 /// [`Context::cancel_timer`](crate::Context::cancel_timer).
+///
+/// A handle into the timer wheel's slab: the cell, and which of the
+/// cell's successive tenants this timer is. Once the timer fires or is
+/// cancelled the id matches nothing, so cancelling it again is a no-op
+/// even after the cell is reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct TimerId(pub(crate) u64);
-
-impl TimerId {
-    /// The raw timer sequence number.
-    pub const fn value(self) -> u64 {
-        self.0
-    }
+pub struct TimerId {
+    pub(crate) index: u32,
+    pub(crate) generation: u32,
 }
 
 /// A specific port on a specific device — one end of a link.

@@ -5,8 +5,23 @@
 //! numbers and almost always cancelled before they fire. Keeping them in
 //! the global event [`BinaryHeap`](std::collections::BinaryHeap) means
 //! every set/fire churns an `O(log n)` structure shared with frame
-//! events. The wheel gives timers their own home with `O(log slots)`
-//! insert, `O(1)` peek, and amortized-cheap pop.
+//! events, and a cancelled timer stays there as a tombstone until its
+//! deadline. The wheel gives timers their own home: `O(log slots)` arm,
+//! `O(1)` peek, amortized-cheap pop, and a cancel that removes the timer
+//! on the spot.
+//!
+//! ## Storage
+//!
+//! Every timer lives in one slab: a `Vec` of cells, named by index, with
+//! a free list threaded through the vacant ones. The slab grows only when
+//! every cell is in use, so it is as large as the most timers ever live
+//! at once — not as the slots they ever touched. A [`TimerId`] is a cell
+//! index stamped with the cell's *generation*, bumped each time the cell
+//! is vacated (fired or cancelled): an id whose generation no longer
+//! matches names a past tenant, and cancelling it is a no-op. A timer is
+//! [reserved](TimerWheel::reserve) when `Context::set_timer` hands out its
+//! id and [armed](TimerWheel::arm) when the world applies the `SetTimer`
+//! effect, which is when its sequence number is known.
 //!
 //! ## Structure
 //!
@@ -16,25 +31,29 @@
 //! *absolute* slot number (`deadline >> shift`). Absolute keys sidestep
 //! the wrap-around staleness hazards of a circular wheel: a slot's window
 //! start is recoverable from its key alone, so an entry parked far in the
-//! future is found by `first_key_value` no matter how long it sits.
+//! future is found by `first_key_value` no matter how long it sits. The
+//! map's value heads the slot's list, which is intrusive (`prev` / `next`
+//! indices in the cells): linking and unlinking allocate nothing.
 //!
 //! An entry is placed in the shallowest level whose span covers its
 //! distance from `base` (the time of the last pop); entries beyond the
 //! deepest span simply live in the deepest level, whose absolute keys
 //! have unlimited range. The earliest `(time, seq)` is cached, so peeks
 //! (which the event queue does once per event to merge lanes) are free.
-//! When the cache must be rebuilt after a pop, any deeper-level slot
-//! whose window could precede the level-0 candidate is *cascaded* —
-//! spliced down with its level capped one below the source, so entries
-//! migrate toward level 0 as their deadline nears and each entry moves at
-//! most `levels - 1` times in its lifetime.
+//! When the cache must be rebuilt — after a pop, or after the cached
+//! entry itself was cancelled — any deeper-level slot whose window could
+//! precede the level-0 candidate is *cascaded*: relinked with its level
+//! capped one below the source, so entries migrate toward level 0 as
+//! their deadline nears and each entry moves at most `levels - 1` times
+//! in its lifetime. A cancelled timer is gone before it can cascade.
 //!
 //! Ordering is by `(time, seq)` where `seq` comes from the shared event
-//! sequence counter — merged with heap events, the pop order is identical
-//! to what a single heap would produce.
+//! sequence counter — merged with heap events, the pop order is what a
+//! single heap that never surfaces a cancelled entry would produce.
 
 use std::collections::BTreeMap;
 
+use crate::id::TimerId;
 use crate::time::SimTime;
 
 /// Bit shifts defining each level's slot granularity.
@@ -44,142 +63,228 @@ const SHIFTS: [u32; 4] = [13, 19, 25, 31];
 /// last span still go to the deepest level (absolute keys are unbounded).
 const SPAN_BITS: [u32; 4] = [19, 25, 31, 37];
 
+/// "No cell": the end of a slot's list or of the free list.
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug)]
-struct Entry<T> {
+struct Cell<T> {
     time: SimTime,
     seq: u64,
-    payload: T,
+    /// Bumped when the cell is vacated; see the module docs.
+    generation: u32,
+    /// Neighbours in the slot's list while armed.
+    prev: u32,
+    /// Also threads the free list while the cell is vacant.
+    next: u32,
+    /// The level whose slot `time >> SHIFTS[level]` holds the cell.
+    level: u8,
+    /// `Some` exactly while the cell is armed.
+    payload: Option<T>,
 }
 
 /// A deterministic hierarchical timer wheel; pops in `(time, seq)` order.
 #[derive(Debug)]
 pub(crate) struct TimerWheel<T> {
-    levels: [BTreeMap<u64, Vec<Entry<T>>>; 4],
+    cells: Vec<Cell<T>>,
+    /// Head of the free list.
+    free: u32,
+    /// Per level, absolute slot key → head of that slot's list.
+    levels: [BTreeMap<u64, u32>; 4],
     /// Time of the most recent pop; cascade decisions and level selection
     /// measure distance from here.
     base: SimTime,
+    /// Number of armed cells.
     len: usize,
-    /// The earliest `(time, seq)` parked anywhere in the wheel.
-    cached_min: Option<(SimTime, u64)>,
+    /// The earliest armed `(time, seq)` and the cell that holds it.
+    min: Option<(SimTime, u64, u32)>,
 }
 
 impl<T> Default for TimerWheel<T> {
     fn default() -> Self {
         TimerWheel {
-            levels: [
-                BTreeMap::new(),
-                BTreeMap::new(),
-                BTreeMap::new(),
-                BTreeMap::new(),
-            ],
+            cells: Vec::new(),
+            free: NIL,
+            levels: Default::default(),
             base: SimTime::ZERO,
             len: 0,
-            cached_min: None,
+            min: None,
         }
     }
 }
 
 impl<T> TimerWheel<T> {
-    /// Inserts a timer due at `time` with global sequence number `seq`.
-    pub fn insert(&mut self, time: SimTime, seq: u64, payload: T) {
-        if self.cached_min.is_none_or(|m| (time, seq) < m) {
-            self.cached_min = Some((time, seq));
+    /// Claims a cell for a timer that [`arm`](Self::arm) will fill in.
+    pub fn reserve(&mut self) -> TimerId {
+        if self.free == NIL {
+            // Every cell is in use: grow the slab by one vacant cell.
+            self.free = self.cells.len() as u32;
+            assert!(self.free != NIL, "fewer than 2^32 timers live at once");
+            self.cells.push(Cell {
+                time: SimTime::ZERO,
+                seq: 0,
+                generation: 0,
+                prev: NIL,
+                next: NIL,
+                level: 0,
+                payload: None,
+            });
         }
-        self.insert_capped(time, seq, payload, SHIFTS.len() - 1);
+        let index = self.free;
+        let cell = &self.cells[index as usize];
+        self.free = cell.next;
+        let generation = cell.generation;
+        TimerId { index, generation }
     }
 
-    fn insert_capped(&mut self, time: SimTime, seq: u64, payload: T, max_level: usize) {
-        let delta = time.as_nanos().saturating_sub(self.base.as_nanos());
-        let mut level = max_level;
-        for (l, &bits) in SPAN_BITS.iter().enumerate().take(max_level) {
-            if delta < (1u64 << bits) {
-                level = l;
-                break;
-            }
+    /// Arms the reserved timer `id`: due at `time`, ordered among equal
+    /// times by the global sequence number `seq`.
+    pub fn arm(&mut self, id: TimerId, time: SimTime, seq: u64, payload: T) {
+        let cell = &mut self.cells[id.index as usize];
+        assert!(
+            cell.generation == id.generation && cell.payload.is_none(),
+            "arm takes an id fresh from reserve"
+        );
+        cell.time = time;
+        cell.seq = seq;
+        cell.payload = Some(payload);
+        if self.min.is_none_or(|(t, s, _)| (time, seq) < (t, s)) {
+            self.min = Some((time, seq, id.index));
         }
-        let slot = time.as_nanos() >> SHIFTS[level];
-        self.levels[level]
-            .entry(slot)
-            .or_default()
-            .push(Entry { time, seq, payload });
+        self.link(id.index, SHIFTS.len() - 1);
         self.len += 1;
     }
 
-    /// Number of timers currently parked.
+    /// Removes the timer `id` if it is still armed and reports whether it
+    /// was. An id that already fired or was already cancelled — even one
+    /// whose cell has a new tenant — is left alone.
+    pub fn cancel(&mut self, id: TimerId) -> bool {
+        let live = self
+            .cells
+            .get(id.index as usize)
+            .is_some_and(|c| c.generation == id.generation && c.payload.is_some());
+        if live {
+            self.unlink(id.index);
+            self.vacate(id.index);
+            if self.min.is_some_and(|(_, _, index)| index == id.index) {
+                self.rebuild_min();
+            }
+        }
+        live
+    }
+
+    /// Number of timers currently armed.
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// The `(time, seq)` of the earliest timer, without removing it.
     pub fn peek(&self) -> Option<(SimTime, u64)> {
-        self.cached_min
+        self.min.map(|(time, seq, _)| (time, seq))
     }
 
     /// Removes and returns the earliest timer as `(time, seq, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        let (time, seq) = self.cached_min?;
-        // The globally earliest entry is necessarily in the first slot of
-        // whatever level holds it (slot keys are monotone in time).
-        let mut found: Option<Entry<T>> = None;
-        for level in &mut self.levels {
-            let Some((&slot, entries)) = level.first_key_value() else {
-                continue;
-            };
-            if let Some(pos) = entries.iter().position(|e| e.time == time && e.seq == seq) {
-                let entries = level.get_mut(&slot).expect("slot exists");
-                let entry = entries.swap_remove(pos);
-                if entries.is_empty() {
-                    level.remove(&slot);
-                }
-                found = Some(entry);
-                break;
-            }
-        }
-        let entry = found.expect("cached minimum must be present in a first slot");
-        self.len -= 1;
+        let (time, seq, index) = self.min?;
+        self.unlink(index);
+        let payload = self.vacate(index);
         if time > self.base {
             self.base = time;
         }
         self.rebuild_min();
-        Some((entry.time, entry.seq, entry.payload))
+        Some((time, seq, payload))
     }
 
-    /// Recomputes `cached_min` after a pop. Scans level 0's first slot for
-    /// a candidate, then cascades down any deeper slot whose window start
-    /// could precede it; repeats until no deeper level can compete. Each
-    /// splice moves entries at least one level down, so an entry cascades
-    /// at most `levels - 1` times over its lifetime.
+    /// Links cell `index` at the head of its slot in the shallowest level,
+    /// no deeper than `max_level`, whose span covers its distance from
+    /// `base`.
+    fn link(&mut self, index: u32, max_level: usize) {
+        let time = self.cells[index as usize].time.as_nanos();
+        let delta = time.saturating_sub(self.base.as_nanos());
+        let level = SPAN_BITS[..max_level]
+            .iter()
+            .position(|&bits| delta < (1u64 << bits))
+            .unwrap_or(max_level);
+        let head = self.levels[level]
+            .insert(time >> SHIFTS[level], index)
+            .unwrap_or(NIL);
+        let cell = &mut self.cells[index as usize];
+        cell.level = level as u8;
+        cell.prev = NIL;
+        cell.next = head;
+        if head != NIL {
+            self.cells[head as usize].prev = index;
+        }
+    }
+
+    /// Takes the armed cell `index` out of its slot's list.
+    fn unlink(&mut self, index: u32) {
+        let cell = &self.cells[index as usize];
+        let (prev, next, level) = (cell.prev, cell.next, usize::from(cell.level));
+        let slot = cell.time.as_nanos() >> SHIFTS[level];
+        if next != NIL {
+            self.cells[next as usize].prev = prev;
+        }
+        if prev != NIL {
+            self.cells[prev as usize].next = next;
+        } else if next != NIL {
+            self.levels[level].insert(slot, next);
+        } else {
+            self.levels[level].remove(&slot);
+        }
+    }
+
+    /// Empties the unlinked cell `index` onto the free list, ending its
+    /// tenant's generation.
+    fn vacate(&mut self, index: u32) -> T {
+        let cell = &mut self.cells[index as usize];
+        let payload = cell.payload.take().expect("only armed cells are vacated");
+        cell.generation = cell.generation.wrapping_add(1);
+        cell.next = self.free;
+        self.free = index;
+        self.len -= 1;
+        payload
+    }
+
+    /// Recomputes `min`. Scans level 0's first slot for a candidate, then
+    /// cascades down any deeper slot whose window start could precede it;
+    /// repeats until no deeper level can compete. Each cascade moves
+    /// entries at least one level down, so an entry cascades at most
+    /// `levels - 1` times over its lifetime.
     fn rebuild_min(&mut self) {
         loop {
-            let mut candidate: Option<(SimTime, u64)> = None;
-            if let Some((_, entries)) = self.levels[0].first_key_value() {
-                for e in entries {
-                    if candidate.is_none_or(|c| (e.time, e.seq) < c) {
-                        candidate = Some((e.time, e.seq));
-                    }
+            let mut candidate: Option<(SimTime, u64, u32)> = None;
+            let mut index = self.levels[0]
+                .first_key_value()
+                .map_or(NIL, |(_, &head)| head);
+            while index != NIL {
+                let cell = &self.cells[index as usize];
+                if candidate.is_none_or(|(t, s, _)| (cell.time, cell.seq) < (t, s)) {
+                    candidate = Some((cell.time, cell.seq, index));
                 }
+                index = cell.next;
             }
-            let mut spliced = false;
-            for (level, &shift) in SHIFTS.iter().enumerate().skip(1) {
-                let Some((&slot, _)) = self.levels[level].first_key_value() else {
-                    continue;
-                };
-                let window_start = slot << shift;
-                // `<=` not `<`: an equal-time entry with a smaller seq
-                // may hide in this window.
-                if candidate.is_none_or(|(t, _)| window_start <= t.as_nanos()) {
-                    let entries = self.levels[level].remove(&slot).expect("slot exists");
-                    for e in entries {
-                        self.len -= 1;
-                        self.insert_capped(e.time, e.seq, e.payload, level - 1);
-                    }
-                    spliced = true;
-                    break;
-                }
-            }
-            if !spliced {
-                self.cached_min = candidate;
+            let cascade = SHIFTS
+                .iter()
+                .enumerate()
+                .skip(1)
+                .find_map(|(level, &shift)| {
+                    let (&slot, &head) = self.levels[level].first_key_value()?;
+                    // `<=` not `<`: an equal-time entry with a smaller seq
+                    // may hide in this window.
+                    candidate
+                        .is_none_or(|(t, _, _)| slot << shift <= t.as_nanos())
+                        .then_some((level, slot, head))
+                });
+            let Some((level, slot, head)) = cascade else {
+                self.min = candidate;
                 return;
+            };
+            self.levels[level].remove(&slot);
+            let mut index = head;
+            while index != NIL {
+                let next = self.cells[index as usize].next;
+                self.link(index, level - 1);
+                index = next;
             }
         }
     }
@@ -188,6 +293,15 @@ impl<T> TimerWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> TimerWheel<T> {
+        /// Reserve and arm in one step.
+        fn insert(&mut self, time: SimTime, seq: u64, payload: T) -> TimerId {
+            let id = self.reserve();
+            self.arm(id, time, seq, payload);
+            id
+        }
+    }
 
     /// Tiny deterministic LCG so the model test needs no RNG dependency.
     struct Lcg(u64);
@@ -312,5 +426,98 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 200);
+    }
+    #[test]
+    fn cancels_match_a_sorted_model_that_never_surfaces_them() {
+        let mut rng = Lcg(0xcafe);
+        for round in 0..20 {
+            let mut w = TimerWheel::default();
+            // Live timers as (time, seq, id); `now` follows the pops.
+            let mut model: Vec<(u64, u64, TimerId)> = Vec::new();
+            let (mut seq, mut now) = (0u64, 0u64);
+            for _ in 0..600 {
+                match rng.next() % 5 {
+                    0 | 1 => {
+                        let span = [14, 22, 30, 38][(rng.next() % 4) as usize];
+                        let t = now + rng.next() % (1u64 << span);
+                        seq += 1;
+                        let id = w.insert(SimTime::from_nanos(t), seq, (t, seq));
+                        model.push((t, seq, id));
+                    }
+                    2 | 3 if !model.is_empty() => {
+                        // Half the time the earliest timer, the one whose
+                        // removal must rebuild the cached minimum.
+                        let victim = if rng.next().is_multiple_of(2) {
+                            (0..model.len()).min_by_key(|&i| model[i]).unwrap()
+                        } else {
+                            (rng.next() as usize) % model.len()
+                        };
+                        let (_, _, id) = model.swap_remove(victim);
+                        assert!(w.cancel(id), "round {round}: a live timer cancels");
+                        assert!(!w.cancel(id), "round {round}: and only once");
+                    }
+                    _ => {
+                        let expected = (0..model.len()).min_by_key(|&i| model[i]);
+                        let expected = expected.map(|i| model.swap_remove(i));
+                        let got = w.pop();
+                        assert_eq!(
+                            got.map(|(_, _, p)| p),
+                            expected.map(|(t, s, _)| (t, s)),
+                            "round {round}"
+                        );
+                        if let Some((t, _, id)) = expected {
+                            now = t;
+                            assert!(!w.cancel(id), "a fired timer's id is spent");
+                        }
+                    }
+                }
+                assert_eq!(w.len(), model.len());
+                let head = model.iter().map(|&(t, s, _)| (t, s)).min();
+                assert_eq!(w.peek().map(|(t, s)| (t.as_nanos(), s)), head);
+            }
+        }
+    }
+
+    #[test]
+    fn a_stale_id_never_cancels_the_cells_new_tenant() {
+        let mut w = TimerWheel::default();
+        let first = w.insert(SimTime::from_nanos(100), 1, "first");
+        assert!(w.cancel(first));
+        let second = w.insert(SimTime::from_nanos(200), 2, "second");
+        assert_eq!(first.index, second.index, "the vacated cell is reused");
+        assert_ne!(first, second);
+        assert!(!w.cancel(first));
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.pop().map(|(_, _, p)| p), Some("second"));
+        assert!(!w.cancel(second), "popped: spent as well");
+    }
+
+    #[test]
+    fn set_cancel_cycles_keep_the_slab_at_the_peak_of_live_timers() {
+        let mut rng = Lcg(7);
+        let mut w = TimerWheel::default();
+        let mut live: Vec<TimerId> = Vec::new();
+        let mut peak = 0;
+        for seq in 0..10_000u64 {
+            // Hover around a handful of live timers, across every level.
+            while live.len() > (rng.next() % 8) as usize {
+                let id = live.swap_remove((rng.next() as usize) % live.len());
+                assert!(w.cancel(id));
+            }
+            let t = rng.next() % (1u64 << [14, 22, 30, 38][(seq % 4) as usize]);
+            live.push(w.insert(SimTime::from_nanos(t), seq, ()));
+            peak = peak.max(live.len());
+        }
+        for id in live {
+            assert!(w.cancel(id));
+        }
+        assert_eq!(w.len(), 0);
+        assert_eq!(w.peek(), None);
+        assert!(w.levels.iter().all(BTreeMap::is_empty));
+        assert!(
+            w.cells.len() <= peak,
+            "slab of {} cells for a peak of {peak} live timers",
+            w.cells.len()
+        );
     }
 }

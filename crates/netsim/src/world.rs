@@ -1,7 +1,7 @@
 //! The simulation world: topology, event loop, and dispatch.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -12,9 +12,9 @@ use vw_packet::{EtherType, Frame, MacAddr};
 
 use crate::context::{Context, CtxOrigin, Effect};
 use crate::device::{Device, Host, Hub, Port, PortStats, Switch};
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue, TimerFire};
 use crate::hook::{Hook, Verdict};
-use crate::id::{DeviceId, HandlerRef, HookId, LinkId, PortRef, ProtocolId, TimerId};
+use crate::id::{DeviceId, HandlerRef, HookId, LinkId, PortRef, ProtocolId};
 use crate::link::{Link, LinkConfig};
 use crate::protocol::{Binding, Protocol};
 use crate::time::{serialization_time, SimDuration, SimTime};
@@ -27,28 +27,6 @@ pub const WIRE_OVERHEAD_BYTES: usize = 24;
 /// Minimum Ethernet frame size (before overhead); shorter frames are padded
 /// on the wire.
 pub const MIN_FRAME_BYTES: usize = 60;
-
-/// Multiplicative-mix hasher for dense integer ids. The timer-cancel set
-/// is touched on every timer set/cancel/fire, where sip-hashing a `u64`
-/// is pure overhead; the set is never iterated, so ordering is moot.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl std::hash::Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    fn write_u64(&mut self, x: u64) {
-        self.0 = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type IdBuildHasher = std::hash::BuildHasherDefault<IdHasher>;
 
 /// A deterministic discrete-event simulation of a LAN testbed.
 ///
@@ -82,8 +60,6 @@ pub struct World {
     queue: EventQueue,
     now: SimTime,
     rng: StdRng,
-    next_timer_id: u64,
-    cancelled_timers: HashSet<TimerId, IdBuildHasher>,
     trace: TraceSink,
     stop_reason: Option<String>,
     /// Impairment applied to VirtualWire control frames (`0x88B5`) on
@@ -128,8 +104,6 @@ impl World {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             rng: StdRng::seed_from_u64(seed),
-            next_timer_id: 0,
-            cancelled_timers: HashSet::default(),
             trace: TraceSink::new(),
             stop_reason: None,
             control_impairment: crate::error_model::ControlImpairment::none(),
@@ -564,15 +538,11 @@ impl World {
         match kind {
             EventKind::Arrive { to, frame } => self.handle_arrival(to, frame),
             EventKind::TxComplete { port } => self.handle_tx_complete(port),
-            EventKind::Timer {
+            EventKind::Timer(TimerFire {
                 node,
                 handler,
                 token,
-                id,
-            } => {
-                if self.cancelled_timers.remove(&id) {
-                    return;
-                }
+            }) => {
                 let _span = vw_trace::span("timer_dispatch", vw_trace::Category::Event);
                 self.dispatch_timer(node, handler, token);
             }
@@ -1115,24 +1085,9 @@ impl World {
                         );
                     }
                 }
-                Effect::SetTimer {
-                    id,
-                    token,
-                    at,
-                    handler,
-                } => {
-                    self.queue.push_timer(
-                        at,
-                        EventKind::Timer {
-                            node,
-                            handler,
-                            token,
-                            id,
-                        },
-                    );
-                }
+                Effect::SetTimer { id, at, fire } => self.queue.arm_timer(id, at, fire),
                 Effect::CancelTimer(id) => {
-                    self.cancelled_timers.insert(id);
+                    self.queue.timers_mut().cancel(id);
                 }
                 Effect::Trace { kind, frame, note } => {
                     self.trace
@@ -1232,7 +1187,7 @@ impl World {
         let effects = self.spare_effects.pop().unwrap_or_default();
         let World {
             ref mut rng,
-            ref mut next_timer_id,
+            ref mut queue,
             ref trace,
             now,
             ..
@@ -1244,7 +1199,7 @@ impl World {
             ip,
             handler,
             rng,
-            next_timer: next_timer_id,
+            timers: queue.timers_mut(),
             effects,
             charged: SimDuration::ZERO,
             trace_enabled: trace.is_enabled(),

@@ -28,6 +28,11 @@ const CLASSES: usize = (MAX_CLASS_BITS - MIN_CLASS_BITS + 1) as usize;
 /// Maximum number of buffers retained per class per thread.
 const MAX_POOLED_PER_CLASS: usize = 64;
 
+/// A class whose 64 buffers come to less than this retains this many
+/// bytes instead: minimum-size frames (acknowledgments, tokens) queue by
+/// the hundred behind a data burst on a slow port.
+const MAX_POOLED_SMALL_CLASS_BYTES: usize = 32 * 1024;
+
 struct Pool {
     classes: [Vec<Vec<u8>>; CLASSES],
 }
@@ -67,6 +72,14 @@ pub fn take_buffer(capacity: usize) -> Vec<u8> {
     }
 }
 
+/// [`take_buffer`] filled with a copy of `bytes`: how the builders stage a
+/// payload and how a frame is cloned.
+pub fn buffer_from(bytes: &[u8]) -> Vec<u8> {
+    let mut buf = take_buffer(bytes.len());
+    buf.extend_from_slice(bytes);
+    buf
+}
+
 /// Returns a buffer to its size class. Buffers whose capacity is not an
 /// exact class size (grown, shrunk, or foreign) and overflow beyond the
 /// per-class cap fall through to the allocator.
@@ -75,10 +88,11 @@ pub fn recycle_buffer(mut buf: Vec<u8>) {
     if !((1 << MIN_CLASS_BITS)..=(1 << MAX_CLASS_BITS)).contains(&cap) || !cap.is_power_of_two() {
         return;
     }
-    let class = (cap.trailing_zeros() - MIN_CLASS_BITS) as usize;
+    let bits = cap.trailing_zeros();
+    let class = (bits - MIN_CLASS_BITS) as usize;
     POOL.with(|p| {
         let pool = &mut p.borrow_mut().classes[class];
-        if pool.len() < MAX_POOLED_PER_CLASS {
+        if pool.len() < MAX_POOLED_PER_CLASS.max(MAX_POOLED_SMALL_CLASS_BYTES >> bits) {
             buf.clear();
             pool.push(buf);
         }
@@ -135,6 +149,20 @@ mod tests {
         recycle_buffer(Vec::with_capacity(100)); // not a power of two
         recycle_buffer(Vec::new());
         assert_eq!(pooled_buffers(), 0);
+    }
+
+    #[test]
+    fn retention_is_capped_by_count_or_for_small_classes_by_bytes() {
+        drain_pool();
+        for _ in 0..1000 {
+            recycle_buffer(Vec::with_capacity(64));
+            recycle_buffer(Vec::with_capacity(2048));
+        }
+        assert_eq!(
+            pooled_buffers(),
+            MAX_POOLED_SMALL_CLASS_BYTES / 64 + MAX_POOLED_PER_CLASS
+        );
+        drain_pool();
     }
 
     #[test]

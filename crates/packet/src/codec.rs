@@ -173,6 +173,20 @@ impl<'a> Writer<'a> {
         u64 len64 list64;
     }
 
+    /// Overwrites the four bytes at `at` with `n` as a `u32` length
+    /// prefix: for a length that is known only once what it counts has
+    /// been written behind a placeholder.
+    ///
+    /// # Panics
+    ///
+    /// If `n` does not fit the prefix, or `at..at + 4` was never written.
+    pub fn patch_len32(&mut self, at: usize, n: usize) {
+        let end = self.out.len();
+        self.len32(n);
+        self.out.copy_within(end.., at);
+        self.out.truncate(end);
+    }
+
     /// Appends a presence byte, then the value through `some` if there
     /// is one.
     #[inline]

@@ -108,9 +108,7 @@ impl EthernetBuilder {
 
     /// Sets the payload bytes.
     pub fn payload(mut self, payload: &[u8]) -> Self {
-        let mut buf = crate::arena::take_buffer(payload.len());
-        buf.extend_from_slice(payload);
-        self.payload = buf;
+        self.payload = crate::arena::buffer_from(payload);
         self
     }
 
@@ -135,16 +133,8 @@ impl EthernetBuilder {
     /// encapsulation paths use this so the staging buffer is reused
     /// instead of freed.
     pub fn build_take(mut self) -> Frame {
-        let payload = std::mem::take(&mut self.payload);
-        let frame = {
-            let mut bytes = crate::arena::take_buffer(ETHERNET_HEADER_LEN + payload.len());
-            bytes.extend_from_slice(&self.dst.octets());
-            bytes.extend_from_slice(&self.src.octets());
-            bytes.extend_from_slice(&self.ethertype.value().to_be_bytes());
-            bytes.extend_from_slice(&payload);
-            Frame::from_bytes(bytes).expect("built frame always has a header")
-        };
-        crate::arena::recycle_buffer(payload);
+        let frame = self.build();
+        crate::arena::recycle_buffer(std::mem::take(&mut self.payload));
         frame
     }
 }

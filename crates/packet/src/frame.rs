@@ -44,9 +44,9 @@ impl Clone for Frame {
         // Fan-out points (hub repeat, switch flood, DUP) clone frames on
         // the hot path; take the copy's buffer from the arena instead of
         // the allocator.
-        let mut bytes = crate::arena::take_buffer(self.bytes.len());
-        bytes.extend_from_slice(&self.bytes);
-        Frame { bytes }
+        Frame {
+            bytes: crate::arena::buffer_from(&self.bytes),
+        }
     }
 }
 

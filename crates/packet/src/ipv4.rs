@@ -234,9 +234,7 @@ impl Ipv4Builder {
 
     /// Sets the transport payload.
     pub fn payload(mut self, payload: &[u8]) -> Self {
-        let mut buf = crate::arena::take_buffer(payload.len());
-        buf.extend_from_slice(payload);
-        self.payload = buf;
+        self.payload = crate::arena::buffer_from(payload);
         self
     }
 

@@ -181,10 +181,19 @@ impl UdpBuilder {
         self
     }
 
-    /// Sets the payload.
+    /// Sets the payload, staged in an [`arena`](crate::arena) buffer.
     pub fn payload(mut self, payload: &[u8]) -> Self {
-        self.payload = payload.to_vec();
+        self.payload = crate::arena::buffer_from(payload);
         self
+    }
+
+    /// [`build`](Self::build), consuming the builder and returning its
+    /// payload buffer to the [`arena`](crate::arena): the per-datagram
+    /// form, which leaves nothing for the allocator to free.
+    pub fn build_take(mut self) -> Frame {
+        let frame = self.build();
+        crate::arena::recycle_buffer(std::mem::take(&mut self.payload));
+        frame
     }
 
     /// Assembles the frame, computing IP and UDP checksums.

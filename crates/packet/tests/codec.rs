@@ -121,6 +121,32 @@ fn byte_order_is_the_constructors() {
     assert_eq!(Reader::le(&be).u32(), Ok(0x0403_0201));
 }
 
+/// A placeholder patched once its body is written reads back as the
+/// length a `len32` written up front would have given, in either order.
+#[test]
+fn patch_len32_fills_in_a_placeholder() {
+    for big_endian in [true, false] {
+        fn writer(out: &mut Vec<u8>, big_endian: bool) -> Writer<'_> {
+            if big_endian {
+                Writer::be(out)
+            } else {
+                Writer::le(out)
+            }
+        }
+        let (mut patched, mut direct) = (Vec::new(), Vec::new());
+        let mut w = writer(&mut patched, big_endian);
+        w.u8(0xD7);
+        w.u32(0);
+        w.bytes(b"body");
+        writer(&mut patched, big_endian).patch_len32(1, 4);
+        let mut w = writer(&mut direct, big_endian);
+        w.u8(0xD7);
+        w.len32(4);
+        w.bytes(b"body");
+        assert_eq!(patched, direct);
+    }
+}
+
 /// A count the remaining bytes cannot hold at the stated element size is
 /// refused before the element closure runs once — and so before anything
 /// is reserved for it.

@@ -259,7 +259,7 @@ impl RetherNode {
         };
     }
 
-    fn on_token(&mut self, ctx: &mut Context<'_>, from: MacAddr, token: Token) {
+    fn on_token(&mut self, ctx: &mut Context<'_>, from: MacAddr, token: Token<&[[u8; 6]]>) {
         self.last_token_seen = ctx.now();
         if token.generation < self.generation {
             self.stats.stale_tokens_dropped += 1;
@@ -274,8 +274,10 @@ impl RetherNode {
         // Adopt the token's view of the world.
         self.generation = token.generation;
         self.cycle = token.cycle;
-        if token.ring.contains(&self.mac) {
-            self.ring = token.ring;
+        if token.ring.contains(&self.mac.octets()) {
+            self.ring.clear();
+            self.ring
+                .extend(token.ring.iter().copied().map(MacAddr::new));
         }
         // Cancel any pending ack wait (a newer token supersedes it).
         if let TokenState::AwaitingAck { timer, .. } = &self.state {

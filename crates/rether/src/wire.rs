@@ -19,15 +19,17 @@ pub const OPCODE_TOKEN: u16 = 0x0001;
 /// Opcode of a token acknowledgment (`(14 2 0x0010)` in Figure 6).
 pub const OPCODE_TOKEN_ACK: u16 = 0x0010;
 
-/// The circulating token.
+/// The circulating token. `R` holds the ring: owned MACs for a token to
+/// build; for one [`parse`]d out of a frame, each member's MAC octets
+/// where they sit in it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub struct Token<R = Vec<MacAddr>> {
     /// Regeneration generation: tokens older than a node's view are dead.
     pub generation: u32,
     /// Completed rotations (incremented by the ring's first member).
     pub cycle: u32,
     /// Current ring membership in rotation order.
-    pub ring: Vec<MacAddr>,
+    pub ring: R,
 }
 
 /// Builds a token frame from `src` to `dst`.
@@ -72,11 +74,11 @@ pub fn build_token_ack(src: MacAddr, dst: MacAddr, generation: u32) -> Frame {
         .build_take()
 }
 
-/// A parsed Rether control frame.
+/// A parsed Rether control frame, borrowing from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RetherMessage {
+pub enum RetherMessage<'a> {
     /// The token, with its state.
-    Token(Token),
+    Token(Token<&'a [[u8; 6]]>),
     /// An acknowledgment echoing the token generation.
     TokenAck {
         /// Echoed generation number.
@@ -90,7 +92,7 @@ pub enum RetherMessage {
 ///
 /// Returns [`ParseError`] if the frame is not Rether, is truncated, or has
 /// an unknown opcode.
-pub fn parse(frame: &Frame) -> Result<RetherMessage, ParseError> {
+pub fn parse(frame: &Frame) -> Result<RetherMessage<'_>, ParseError> {
     if frame.ethertype() != EtherType::RETHER {
         return Err(ParseError::new("not a Rether frame"));
     }
@@ -100,7 +102,10 @@ pub fn parse(frame: &Frame) -> Result<RetherMessage, ParseError> {
         OPCODE_TOKEN => Ok(RetherMessage::Token(Token {
             generation: r.u32()?,
             cycle: r.u32()?,
-            ring: r.list8(6, |r| r.array().map(MacAddr::new))?,
+            ring: {
+                let members = usize::from(r.u8()?);
+                r.take(members * 6)?.as_chunks().0
+            },
         })),
         OPCODE_TOKEN_ACK => Ok(RetherMessage::TokenAck {
             generation: r.u32()?,
@@ -120,6 +125,19 @@ mod tests {
         (1..=n).map(MacAddr::from_index).collect()
     }
 
+    fn octets(token: &Token) -> Vec<[u8; 6]> {
+        token.ring.iter().map(|mac| mac.octets()).collect()
+    }
+
+    /// What parsing `token`'s frame gives, `ring` being its octets.
+    fn parsed<'a>(token: &Token, ring: &'a [[u8; 6]]) -> RetherMessage<'a> {
+        RetherMessage::Token(Token {
+            generation: token.generation,
+            cycle: token.cycle,
+            ring,
+        })
+    }
+
     #[test]
     fn token_round_trip() {
         let token = Token {
@@ -129,10 +147,7 @@ mod tests {
         };
         let frame = build_token(MacAddr::from_index(1), MacAddr::from_index(2), &token);
         assert_eq!(frame.ethertype(), EtherType::RETHER);
-        match parse(&frame).unwrap() {
-            RetherMessage::Token(t) => assert_eq!(t, token),
-            other => panic!("wrong message {other:?}"),
-        }
+        assert_eq!(parse(&frame).unwrap(), parsed(&token, &octets(&token)));
     }
 
     #[test]
@@ -197,6 +212,6 @@ mod tests {
             ring: Vec::new(),
         };
         let frame = build_token(MacAddr::from_index(1), MacAddr::from_index(2), &token);
-        assert_eq!(parse(&frame).unwrap(), RetherMessage::Token(token));
+        assert_eq!(parse(&frame).unwrap(), parsed(&token, &[]));
     }
 }

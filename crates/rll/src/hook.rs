@@ -106,13 +106,16 @@ impl RllHook {
         self.stats
     }
 
-    fn peer(&mut self, mac: MacAddr) -> &mut PeerState {
+    /// The session with `mac`, created on first contact, beside `stats`:
+    /// the caller counts while it holds a frame the session's window lent.
+    fn peer(&mut self, mac: MacAddr) -> (&mut PeerState, &mut RllStats) {
         let window = self.config.window;
-        self.peers.entry(mac).or_insert_with(|| PeerState {
+        let peer = self.peers.entry(mac).or_insert_with(|| PeerState {
             sender: SenderWindow::new(window),
             receiver: ReceiverWindow::new(),
             timer: None,
-        })
+        });
+        (peer, &mut self.stats)
     }
 
     /// Timer tokens encode the peer's MAC low bits; since MACs here are
@@ -130,7 +133,7 @@ impl RllHook {
     fn arm_timer(&mut self, ctx: &mut Context<'_>, mac: MacAddr) {
         let rto = self.config.rto;
         let token = Self::token_for(mac);
-        let peer = self.peer(mac);
+        let (peer, _) = self.peer(mac);
         if peer.timer.is_none() {
             peer.timer = Some(ctx.set_timer(rto, token));
         }
@@ -143,17 +146,13 @@ impl RllHook {
             }
         }
     }
+}
 
-    fn transmit_data(&mut self, ctx: &mut Context<'_>, inner: &Frame, seq: u32) {
-        let ack = self
-            .peers
-            .get(&inner.dst())
-            .map(|p| p.receiver.expected())
-            .unwrap_or(0);
-        let data = wire::build_data(inner, seq, ack);
-        self.stats.data_sent += 1;
-        ctx.send(data);
-    }
+/// Puts `inner` on the wire as DATA number `seq`, piggybacking `ack`, the
+/// next sequence number expected from the peer it goes to.
+fn transmit_data(ctx: &mut Context<'_>, stats: &mut RllStats, inner: &Frame, seq: u32, ack: u32) {
+    stats.data_sent += 1;
+    ctx.send(wire::build_data(inner, seq, ack));
 }
 
 impl Hook for RllHook {
@@ -169,9 +168,9 @@ impl Hook for RllHook {
             return Verdict::Accept(frame);
         }
         self.stats.accepted += 1;
-        let action = self.peer(dst).sender.offer(frame);
-        if let SendAction::Transmit { seq, frame } = action {
-            self.transmit_data(ctx, &frame, seq);
+        let (peer, stats) = self.peer(dst);
+        if let SendAction::Transmit { seq, frame } = peer.sender.offer(frame) {
+            transmit_data(ctx, stats, &frame, seq, peer.receiver.expected());
         }
         self.arm_timer(ctx, dst);
         // The original frame never goes out directly; its DATA encapsulation
@@ -197,7 +196,7 @@ impl Hook for RllHook {
         match shim.opcode {
             RllOpcode::Data => {
                 let inner = wire::decapsulate(&frame, &shim, payload);
-                let action = self.peer(peer_mac).receiver.on_data(shim.seq);
+                let action = self.peer(peer_mac).0.receiver.on_data(shim.seq);
                 let ack_no = match action {
                     RecvAction::Deliver { ack } => {
                         self.stats.delivered += 1;
@@ -215,11 +214,12 @@ impl Hook for RllHook {
                 Verdict::Consume
             }
             RllOpcode::Ack => {
-                let released: Vec<(u32, Frame)> = self.peer(peer_mac).sender.on_ack(shim.ack);
-                for (seq, inner) in released {
-                    self.transmit_data(ctx, &inner, seq);
+                let (peer, stats) = self.peer(peer_mac);
+                let ack = peer.receiver.expected();
+                for (seq, inner) in peer.sender.on_ack(shim.ack) {
+                    transmit_data(ctx, stats, inner, seq, ack);
                 }
-                let idle = self.peer(peer_mac).sender.is_idle();
+                let idle = peer.sender.is_idle();
                 self.disarm_timer(ctx, peer_mac);
                 if !idle {
                     self.arm_timer(ctx, peer_mac);
@@ -244,10 +244,10 @@ impl Hook for RllHook {
             ctx.trace_note(format!("rll gave up on {mac}: {lost} frames dropped"));
             return;
         }
-        let retransmit = peer.sender.on_timeout();
-        self.stats.retransmissions += retransmit.len() as u64;
-        for (seq, inner) in retransmit {
-            self.transmit_data(ctx, &inner, seq);
+        let ack = peer.receiver.expected();
+        self.stats.retransmissions += peer.sender.in_flight_len() as u64;
+        for (seq, inner) in peer.sender.on_timeout() {
+            transmit_data(ctx, &mut self.stats, inner, seq, ack);
         }
         self.arm_timer(ctx, mac);
     }

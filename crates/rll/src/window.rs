@@ -1,7 +1,7 @@
 //! Pure sliding-window state machines (go-back-N), independent of the
 //! simulator so they can be tested exhaustively.
 
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 
 use vw_packet::Frame;
 
@@ -20,6 +20,25 @@ pub struct SenderWindow {
     /// Frames waiting for window space.
     backlog: VecDeque<Frame>,
     retries: u32,
+}
+
+/// A run of in-flight frames with their consecutive sequence numbers, as
+/// [`SenderWindow::on_ack`] and [`SenderWindow::on_timeout`] lend them.
+#[derive(Debug, Clone)]
+pub struct Sequenced<'a> {
+    seq: u32,
+    frames: vec_deque::Iter<'a, Frame>,
+}
+
+impl<'a> Iterator for Sequenced<'a> {
+    type Item = (u32, &'a Frame);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let frame = self.frames.next()?;
+        let seq = self.seq;
+        self.seq = seq.wrapping_add(1);
+        Some((seq, frame))
+    }
 }
 
 /// What the sender should do after an event.
@@ -69,48 +88,47 @@ impl SenderWindow {
     }
 
     /// Handles a cumulative acknowledgment (`ack` = next seq the peer
-    /// expects). Returns frames newly released from the backlog, each with
-    /// its assigned sequence number.
-    pub fn on_ack(&mut self, ack: u32) -> Vec<(u32, Frame)> {
-        // Ignore acks outside the sensible range.
+    /// expects): slides the window and moves backlog into the freed room.
+    /// Lends the frames so released, each with its assigned sequence number.
+    pub fn on_ack(&mut self, ack: u32) -> Sequenced<'_> {
+        let before = self.next_seq;
+        // Acks outside the sensible range change nothing.
         let outstanding = self.next_seq.wrapping_sub(self.base);
         let advance = ack.wrapping_sub(self.base);
-        if advance == 0 || advance > outstanding {
-            return Vec::new();
-        }
-        for _ in 0..advance {
-            self.in_flight.pop_front();
-        }
-        self.base = ack;
-        self.retries = 0;
-        // Release backlog into the freed window.
-        let mut released = Vec::new();
-        while self.next_seq.wrapping_sub(self.base) < self.window {
-            match self.backlog.pop_front() {
-                Some(frame) => {
-                    let seq = self.next_seq;
-                    self.next_seq = self.next_seq.wrapping_add(1);
-                    self.in_flight.push_back(frame.clone());
-                    released.push((seq, frame));
-                }
-                None => break,
+        if advance != 0 && advance <= outstanding {
+            for _ in 0..advance {
+                self.in_flight.pop_front();
+            }
+            self.base = ack;
+            self.retries = 0;
+            while self.next_seq.wrapping_sub(self.base) < self.window {
+                let Some(frame) = self.backlog.pop_front() else {
+                    break;
+                };
+                self.next_seq = self.next_seq.wrapping_add(1);
+                self.in_flight.push_back(frame);
             }
         }
-        released
+        self.in_flight_from(before)
     }
 
-    /// Returns every unacknowledged frame (for a go-back-N timeout
+    /// Lends every unacknowledged frame (for a go-back-N timeout
     /// retransmission), with sequence numbers, and counts the retry.
-    pub fn on_timeout(&mut self) -> Vec<(u32, Frame)> {
-        if self.in_flight.is_empty() {
-            return Vec::new();
+    pub fn on_timeout(&mut self) -> Sequenced<'_> {
+        if !self.in_flight.is_empty() {
+            self.retries += 1;
         }
-        self.retries += 1;
-        self.in_flight
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (self.base.wrapping_add(i as u32), f.clone()))
-            .collect()
+        self.in_flight_from(self.base)
+    }
+
+    /// The in-flight frames numbered `first` and up.
+    fn in_flight_from(&self, first: u32) -> Sequenced<'_> {
+        Sequenced {
+            seq: first,
+            frames: self
+                .in_flight
+                .range(first.wrapping_sub(self.base) as usize..),
+        }
     }
 
     /// Consecutive timeouts since the last forward progress.
@@ -223,9 +241,8 @@ mod tests {
         s.offer(frame(0));
         s.offer(frame(1));
         s.offer(frame(2));
-        let released = s.on_ack(1);
-        assert_eq!(released.len(), 1);
-        assert_eq!(released[0].0, 2);
+        let released: Vec<u32> = s.on_ack(1).map(|(seq, _)| seq).collect();
+        assert_eq!(released, vec![2]);
         assert_eq!(s.in_flight_len(), 2);
         assert!(s.backlog_len() == 0);
     }
@@ -235,8 +252,8 @@ mod tests {
         let mut s = SenderWindow::new(4);
         s.offer(frame(0));
         s.offer(frame(1));
-        assert!(s.on_ack(0).is_empty()); // no progress
-        assert!(s.on_ack(7).is_empty()); // beyond next_seq
+        assert_eq!(s.on_ack(0).count(), 0); // no progress
+        assert_eq!(s.on_ack(7).count(), 0); // beyond next_seq
         assert_eq!(s.in_flight_len(), 2);
         s.on_ack(2);
         assert!(s.is_idle());
@@ -248,17 +265,14 @@ mod tests {
         s.offer(frame(0));
         s.offer(frame(1));
         s.offer(frame(2));
-        let rt = s.on_timeout();
-        assert_eq!(
-            rt.iter().map(|(q, _)| *q).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
+        let rt: Vec<u32> = s.on_timeout().map(|(seq, _)| seq).collect();
+        assert_eq!(rt, vec![0, 1, 2]);
         assert_eq!(s.retries(), 1);
         s.on_timeout();
         assert_eq!(s.retries(), 2);
         s.on_ack(3);
         assert_eq!(s.retries(), 0);
-        assert!(s.on_timeout().is_empty());
+        assert_eq!(s.on_timeout().count(), 0);
     }
 
     #[test]
@@ -333,14 +347,14 @@ mod tests {
                 if let Some(ack) = acks.pop_front() {
                     if rng.random_range(0..100u32) >= loss_pct {
                         for (seq, f) in sender.on_ack(ack) {
-                            wire.push_back((seq, f));
+                            wire.push_back((seq, f.clone()));
                         }
                     }
                 }
                 // Periodic timeout when the pipe has drained.
                 if wire.is_empty() && acks.is_empty() && !sender.is_idle() {
                     for (seq, f) in sender.on_timeout() {
-                        wire.push_back((seq, f));
+                        wire.push_back((seq, f.clone()));
                     }
                 }
             }

@@ -5,6 +5,7 @@
 //! comes from opening more clients — the `load_test` example runs
 //! dozens against one daemon.
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -89,6 +90,9 @@ pub struct Client {
     sock: Sock,
     decoder: DecodeBuffer,
     next_request: u64,
+    /// Outcome-stream frames that arrived while a request waited for its
+    /// reply, oldest first; [`stream`](Client::stream) starts here.
+    parked: VecDeque<Frame>,
     /// Client-side mirror of the daemon registry, rebuilt delta by
     /// delta across [`next_telemetry`](Client::next_telemetry) calls.
     telemetry: MetricsRegistry,
@@ -110,6 +114,7 @@ impl Client {
             sock,
             decoder: DecodeBuffer::new(),
             next_request: 1,
+            parked: VecDeque::new(),
             telemetry: MetricsRegistry::new(),
         }
     }
@@ -117,7 +122,7 @@ impl Client {
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
         let id = self.send(FrameType::Ping, Vec::new())?;
-        let reply = self.recv_skipping_telemetry()?;
+        let reply = self.recv_reply()?;
         match reply.frame_type {
             FrameType::Pong if reply.request_id == id => Ok(()),
             _ => Err(unexpected(&reply)),
@@ -127,7 +132,7 @@ impl Client {
     /// Fetches daemon metrics (Prometheus text format).
     pub fn stats(&mut self) -> Result<String, ClientError> {
         let id = self.send(FrameType::Stats, Vec::new())?;
-        let reply = self.recv_skipping_telemetry()?;
+        let reply = self.recv_reply()?;
         match reply.frame_type {
             FrameType::StatsReply if reply.request_id == id => decode_text(&reply.payload)
                 .ok_or_else(|| ClientError::Protocol("undecodable StatsReply".into())),
@@ -158,7 +163,10 @@ impl Client {
     /// spec and key).
     pub fn stream(&mut self, mut on_line: impl FnMut(u64, &str)) -> Result<String, ClientError> {
         loop {
-            let frame = self.recv()?;
+            let frame = match self.parked.pop_front() {
+                Some(frame) => frame,
+                None => self.recv()?,
+            };
             match frame.frame_type {
                 FrameType::Outcome => {
                     let (instance, line) = decode_outcome_line(&frame.payload)
@@ -219,22 +227,18 @@ impl Client {
     /// Queries the daemon's journal ring.
     pub fn journal_query(&mut self, query: &JournalQuery) -> Result<JournalReply, ClientError> {
         let id = self.send(FrameType::JournalQuery, query.encode())?;
-        loop {
-            let reply = self.recv()?;
-            match reply.frame_type {
-                FrameType::JournalReply if reply.request_id == id => {
-                    return JournalReply::decode(&reply.payload)
-                        .ok_or_else(|| ClientError::Protocol("undecodable JournalReply".into()));
-                }
-                // Telemetry keeps flowing during the round-trip.
-                FrameType::TelemetryDelta => continue,
-                _ => return Err(unexpected(&reply)),
+        let reply = self.recv_reply()?;
+        match reply.frame_type {
+            FrameType::JournalReply if reply.request_id == id => {
+                JournalReply::decode(&reply.payload)
+                    .ok_or_else(|| ClientError::Protocol("undecodable JournalReply".into()))
             }
+            _ => Err(unexpected(&reply)),
         }
     }
 
     fn expect_accepted(&mut self, id: u64) -> Result<Accepted, ClientError> {
-        let reply = self.recv_skipping_telemetry()?;
+        let reply = self.recv_reply()?;
         match reply.frame_type {
             FrameType::Accepted if reply.request_id == id => Accepted::decode(&reply.payload)
                 .ok_or_else(|| ClientError::Protocol("undecodable Accepted".into())),
@@ -242,14 +246,18 @@ impl Client {
         }
     }
 
-    /// [`recv`](Client::recv), discarding any interleaved telemetry
-    /// deltas — request/reply calls stay correct while a subscription
-    /// is live.
-    fn recv_skipping_telemetry(&mut self) -> Result<Frame, ClientError> {
+    /// [`recv`](Client::recv) until a frame that can be a reply, so request
+    /// and reply stay matched while the connection carries other traffic:
+    /// telemetry deltas of a live subscription are discarded, `Outcome` /
+    /// `Done` frames of a campaign already streaming here (emitted whenever
+    /// a worker finishes) are parked for [`stream`](Client::stream).
+    fn recv_reply(&mut self) -> Result<Frame, ClientError> {
         loop {
             let frame = self.recv()?;
-            if frame.frame_type != FrameType::TelemetryDelta {
-                return Ok(frame);
+            match frame.frame_type {
+                FrameType::TelemetryDelta => {}
+                FrameType::Outcome | FrameType::Done => self.parked.push_back(frame),
+                _ => return Ok(frame),
             }
         }
     }

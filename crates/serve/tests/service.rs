@@ -125,6 +125,59 @@ fn quotas_reject_with_typed_errors_and_count() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A request made while a campaign streams on the same connection: the
+/// campaign's `Outcome` frames are in the connection's outbox ahead of the
+/// reply (`serve_lines_streamed` counts them once they are), so the client
+/// must read past them to its reply — and then hand them to `stream`, none
+/// lost, in order.
+#[test]
+fn a_reply_behind_stream_frames_is_matched_and_the_stream_survives() {
+    let dir = common::scratch_dir("service-interleave");
+    let config = DaemonConfig {
+        state_dir: dir.join("state"),
+        workers: 1,
+        quota: QuotaConfig {
+            max_instances_per_campaign: 8,
+            ..QuotaConfig::default()
+        },
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(config, SetupRegistry::builtin()).expect("daemon starts");
+    let sock = dir.join("vw.sock");
+    daemon.bind_unix(&sock).expect("bind");
+    let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
+
+    let mut streaming = common::submission("svc-streaming", 2);
+    streaming.axes.truncate(2); // 2 x 2 = 4 instances
+    client.submit(&streaming).expect("within quota");
+
+    let mut probe = common::connect_unix_retry(&sock, Duration::from_secs(5));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while probe
+        .stats()
+        .expect("stats")
+        .contains("serve_lines_streamed 0\n")
+    {
+        assert!(Instant::now() < deadline, "no outcome was ever streamed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // 16 instances > the 8-instance quota, whatever the first campaign
+    // is doing by now.
+    expect_server_error(
+        client.submit(&common::submission("svc-too-big", 0)),
+        ErrorCode::QuotaExceeded,
+    );
+    client.ping().expect("and a second reply behind the stream");
+
+    let (lines, summary) = common::stream_all(&mut client);
+    assert_eq!(lines.len(), 4);
+    assert_eq!(summary, common::direct_summary(&streaming));
+
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A reader that stalls must pause the campaign (bounded daemon memory)
 /// rather than buffer unboundedly — and the sweep must still finish,
 /// bytes intact, once the reader drains.

@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use vw_netsim::{SimDuration, SimTime};
 use vw_packet::{Frame, MacAddr, TcpBuilder, TcpFlags};
@@ -109,9 +110,10 @@ pub struct SocketStats {
     pub bytes_received: u64,
 }
 
-/// The decoded fields of an incoming segment, extracted by the stack.
-#[derive(Debug, Clone)]
-pub struct SegmentIn {
+/// The decoded fields of an incoming segment, extracted by the stack; the
+/// payload stays in the frame it arrived in.
+#[derive(Debug, Clone, Copy)]
+pub struct SegmentIn<'a> {
     /// Sequence number.
     pub seq: u32,
     /// Acknowledgment number.
@@ -121,7 +123,7 @@ pub struct SegmentIn {
     /// Advertised window.
     pub window: u16,
     /// Payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
 /// A single TCP connection.
@@ -172,7 +174,7 @@ impl TcpSocket {
     /// Creates a client socket and queues the initial SYN.
     pub fn connect(cfg: TcpConfig, local: Endpoint, remote: Endpoint) -> Self {
         let mut sock = Self::new(cfg, local, remote, TcpState::SynSent);
-        sock.emit(sock.iss, sock.rcv_nxt, TcpFlags::SYN, &[]);
+        sock.emit(sock.iss, sock.rcv_nxt, TcpFlags::SYN, 0..0);
         sock
     }
 
@@ -181,7 +183,7 @@ impl TcpSocket {
     pub fn accept(cfg: TcpConfig, local: Endpoint, remote: Endpoint, peer_seq: u32) -> Self {
         let mut sock = Self::new(cfg, local, remote, TcpState::SynRcvd);
         sock.rcv_nxt = peer_seq.wrapping_add(1);
-        sock.emit(sock.iss, sock.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK, &[]);
+        sock.emit(sock.iss, sock.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK, 0..0);
         sock
     }
 
@@ -295,6 +297,12 @@ impl TcpSocket {
         self.send_buf.extend_from_slice(data);
     }
 
+    /// [`send_data`](Self::send_data) of `len` times `byte`, with no buffer
+    /// to copy from: for a source whose content does not matter.
+    pub fn send_fill(&mut self, byte: u8, len: usize) {
+        self.send_buf.resize(self.send_buf.len() + len, byte);
+    }
+
     /// Takes everything received in order so far.
     pub fn take_received(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.recv_buf)
@@ -316,9 +324,10 @@ impl TcpSocket {
     // Output
     // ------------------------------------------------------------------
 
-    /// Drains frames queued for transmission.
-    pub fn take_out(&mut self) -> Vec<Frame> {
-        std::mem::take(&mut self.out)
+    /// Drains frames queued for transmission; the queue keeps its
+    /// capacity for the next burst.
+    pub fn take_out(&mut self) -> std::vec::Drain<'_, Frame> {
+        self.out.drain(..)
     }
 
     /// Deadline the stack should arm the retransmission timer for: `Some`
@@ -337,8 +346,12 @@ impl TcpSocket {
         }
     }
 
-    fn emit(&mut self, seq: u32, ack: u32, flags: TcpFlags, payload: &[u8]) {
+    /// Queues a segment carrying the live send-buffer bytes `data` (offsets
+    /// past `buf_seq`; `0..0` for none), which the builder stages in a
+    /// pooled buffer and hands back when the frame is built.
+    fn emit(&mut self, seq: u32, ack: u32, flags: TcpFlags, data: Range<usize>) {
         self.ip_ident = self.ip_ident.wrapping_add(1);
+        let live = &self.send_buf[self.send_head..];
         let frame = TcpBuilder::new()
             .src_mac(self.local.mac)
             .dst_mac(self.remote.mac)
@@ -351,8 +364,8 @@ impl TcpSocket {
             .flags(flags)
             .window(self.cfg.recv_window)
             .ident(self.ip_ident)
-            .payload(payload)
-            .build();
+            .payload(&live[data])
+            .build_take();
         self.stats.segments_sent += 1;
         self.out.push(frame);
     }
@@ -384,10 +397,9 @@ impl TcpSocket {
                 if len == 0 {
                     break;
                 }
-                let payload = self.copy_send_range(sent, len);
                 let seq = self.snd_nxt;
-                self.emit(seq, self.rcv_nxt, TcpFlags::ACK | TcpFlags::PSH, &payload);
-                vw_packet::arena::recycle_buffer(payload);
+                let data = sent..sent + len;
+                self.emit(seq, self.rcv_nxt, TcpFlags::ACK | TcpFlags::PSH, data);
                 self.stats.data_segments_sent += 1;
                 self.snd_nxt = self.snd_nxt.wrapping_add(len as u32);
                 if self.rtt_probe.is_none() {
@@ -400,7 +412,7 @@ impl TcpSocket {
                 }
                 let seq = self.snd_nxt;
                 self.fin_seq = Some(seq);
-                self.emit(seq, self.rcv_nxt, TcpFlags::FIN | TcpFlags::ACK, &[]);
+                self.emit(seq, self.rcv_nxt, TcpFlags::FIN | TcpFlags::ACK, 0..0);
                 self.snd_nxt = self.snd_nxt.wrapping_add(1);
                 self.state = match self.state {
                     TcpState::Established => TcpState::FinWait1,
@@ -428,7 +440,7 @@ impl TcpSocket {
     // ------------------------------------------------------------------
 
     /// Processes an incoming segment.
-    pub fn on_segment(&mut self, now: SimTime, seg: SegmentIn) {
+    pub fn on_segment(&mut self, now: SimTime, seg: SegmentIn<'_>) {
         if seg.flags.contains(TcpFlags::RST) {
             self.state = TcpState::Closed;
             return;
@@ -442,7 +454,7 @@ impl TcpSocket {
         }
     }
 
-    fn on_segment_syn_sent(&mut self, now: SimTime, seg: SegmentIn) {
+    fn on_segment_syn_sent(&mut self, now: SimTime, seg: SegmentIn<'_>) {
         if seg.flags.contains(TcpFlags::SYN) && seg.flags.contains(TcpFlags::ACK) {
             if seg.ack != self.iss.wrapping_add(1) {
                 return; // bogus ack
@@ -451,16 +463,16 @@ impl TcpSocket {
             self.rcv_nxt = seg.seq.wrapping_add(1);
             self.state = TcpState::Established;
             self.rto.on_progress();
-            self.emit(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK, &[]);
+            self.emit(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK, 0..0);
             self.pump(now);
         }
         // A bare SYN (simultaneous open) is not supported by this stack.
     }
 
-    fn on_segment_syn_rcvd(&mut self, now: SimTime, seg: SegmentIn) {
+    fn on_segment_syn_rcvd(&mut self, now: SimTime, seg: SegmentIn<'_>) {
         if seg.flags.contains(TcpFlags::SYN) && !seg.flags.contains(TcpFlags::ACK) {
             // Retransmitted SYN: repeat the SYN+ACK.
-            self.emit(self.iss, self.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK, &[]);
+            self.emit(self.iss, self.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK, 0..0);
             return;
         }
         if seg.flags.contains(TcpFlags::ACK) && seg.ack == self.iss.wrapping_add(1) {
@@ -474,7 +486,7 @@ impl TcpSocket {
         }
     }
 
-    fn on_segment_connected(&mut self, now: SimTime, seg: SegmentIn) {
+    fn on_segment_connected(&mut self, now: SimTime, seg: SegmentIn<'_>) {
         let mut should_ack = false;
 
         // --- ACK processing -------------------------------------------
@@ -538,14 +550,16 @@ impl TcpSocket {
             if seg.seq == self.rcv_nxt {
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(seg.payload.len() as u32);
                 self.stats.bytes_received += seg.payload.len() as u64;
-                self.recv_buf.extend_from_slice(&seg.payload);
+                self.recv_buf.extend_from_slice(seg.payload);
                 if self.first_data_at.is_none() {
                     self.first_data_at = Some(now);
                 }
                 self.last_data_at = Some(now);
                 self.drain_ooo();
             } else if seq_lt(self.rcv_nxt, seg.seq) {
-                self.ooo.entry(seg.seq).or_insert(seg.payload.clone());
+                self.ooo
+                    .entry(seg.seq)
+                    .or_insert_with(|| seg.payload.to_vec());
             }
             // else: old duplicate — just re-ack.
         }
@@ -574,7 +588,7 @@ impl TcpSocket {
         }
 
         if should_ack {
-            self.emit(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK, &[]);
+            self.emit(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK, 0..0);
         }
         self.pump(now);
     }
@@ -610,13 +624,13 @@ impl TcpSocket {
                 self.cc.on_timeout(self.cfg.mss);
                 self.rto.on_timeout();
                 self.rtt_probe = None;
-                self.emit(self.iss, 0, TcpFlags::SYN, &[]);
+                self.emit(self.iss, 0, TcpFlags::SYN, 0..0);
             }
             TcpState::SynRcvd => {
                 self.stats.timeouts += 1;
                 self.stats.retransmissions += 1;
                 self.rto.on_timeout();
-                self.emit(self.iss, self.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK, &[]);
+                self.emit(self.iss, self.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK, 0..0);
             }
             TcpState::TimeWait => {
                 self.state = TcpState::Closed;
@@ -641,7 +655,7 @@ impl TcpSocket {
         self.rtt_probe = None; // Karn's algorithm
         if let Some(fin_seq) = self.fin_seq {
             if fin_seq == self.snd_una {
-                self.emit(fin_seq, self.rcv_nxt, TcpFlags::FIN | TcpFlags::ACK, &[]);
+                self.emit(fin_seq, self.rcv_nxt, TcpFlags::FIN | TcpFlags::ACK, 0..0);
                 return;
             }
         }
@@ -653,23 +667,13 @@ impl TcpSocket {
         if len == 0 {
             return;
         }
-        let payload = self.copy_send_range(offset, len);
+        let data = offset..offset + len;
         self.emit(
             self.snd_una,
             self.rcv_nxt,
             TcpFlags::ACK | TcpFlags::PSH,
-            &payload,
+            data,
         );
-        vw_packet::arena::recycle_buffer(payload);
-    }
-
-    /// Copies `len` live send-buffer bytes starting `offset` bytes past
-    /// `buf_seq` into a pooled buffer with a single memcpy.
-    fn copy_send_range(&self, offset: usize, len: usize) -> Vec<u8> {
-        let mut payload = vw_packet::arena::take_buffer(len);
-        let start = self.send_head + offset;
-        payload.extend_from_slice(&self.send_buf[start..start + len]);
-        payload
     }
 }
 
@@ -695,6 +699,10 @@ mod tests {
         }
     }
 
+    fn out(socket: &mut TcpSocket) -> Vec<Frame> {
+        socket.take_out().collect()
+    }
+
     fn now() -> SimTime {
         SimTime::from_nanos(1_000_000)
     }
@@ -714,7 +722,7 @@ mod tests {
                         ack: tcp.ack(),
                         flags: tcp.flags(),
                         window: tcp.window(),
-                        payload: tcp.payload().to_vec(),
+                        payload: tcp.payload(),
                     },
                 );
             }
@@ -734,7 +742,7 @@ mod tests {
     fn established_pair() -> (TcpSocket, TcpSocket) {
         let mut client = TcpSocket::connect(TcpConfig::default(), ep(1, 24576), ep(2, 16384));
         // Server accepts based on the SYN.
-        let syn = client.take_out().remove(0);
+        let syn = out(&mut client).remove(0);
         let tcp = syn.tcp().unwrap();
         assert!(tcp.flags().contains(TcpFlags::SYN));
         let mut server = TcpSocket::accept(
@@ -798,7 +806,7 @@ mod tests {
         let (mut c, mut s) = established_pair();
         c.send_data(&[7u8; 3000]);
         c.pump(now());
-        let lost = c.take_out(); // all in-flight segments vanish
+        let lost = out(&mut c); // all in-flight segments vanish
         assert_eq!(lost.len(), 1, "initial cwnd of 1 MSS permits one segment");
         assert!(c.timer_wanted().is_some());
         c.on_rto(now());
@@ -814,9 +822,9 @@ mod tests {
         // Section 6.1: drop the SYNACK → SYN retransmission → ssthresh 2
         // MSS, cwnd 1 MSS.
         let mut client = TcpSocket::connect(TcpConfig::default(), ep(1, 24576), ep(2, 16384));
-        let _syn = client.take_out();
+        let _syn = out(&mut client);
         client.on_rto(now()); // SYN timer fires (SYNACK was dropped)
-        let resyn = client.take_out();
+        let resyn = out(&mut client);
         assert_eq!(resyn.len(), 1);
         assert!(resyn[0].tcp().unwrap().flags().contains(TcpFlags::SYN));
         assert_eq!(client.cwnd(), 1000);
@@ -834,7 +842,7 @@ mod tests {
         // Send 5 segments, drop the first, deliver the rest.
         c.send_data(&[2u8; 5000]);
         c.pump(now());
-        let mut frames = c.take_out();
+        let mut frames = out(&mut c);
         assert!(frames.len() >= 4, "window should allow several segments");
         let _dropped = frames.remove(0);
         for frame in frames {
@@ -846,7 +854,7 @@ mod tests {
                     ack: tcp.ack(),
                     flags: tcp.flags(),
                     window: tcp.window(),
-                    payload: tcp.payload().to_vec(),
+                    payload: tcp.payload(),
                 },
             );
         }
@@ -868,7 +876,7 @@ mod tests {
         // Force two tiny segments by pumping between sends... simpler:
         // craft reordering at segment level.
         c.pump(now());
-        let frames = c.take_out();
+        let frames = out(&mut c);
         assert_eq!(frames.len(), 1); // 6 bytes fit one segment; test ooo via direct segments instead
         let tcp = frames[0].tcp().unwrap();
         // Split manually into two SegmentIns delivered out of order.
@@ -879,14 +887,14 @@ mod tests {
             ack: tcp.ack(),
             flags: tcp.flags(),
             window: tcp.window(),
-            payload: p[..3].to_vec(),
+            payload: &p[..3],
         };
         let second = SegmentIn {
             seq: seq.wrapping_add(3),
             ack: tcp.ack(),
             flags: tcp.flags(),
             window: tcp.window(),
-            payload: p[3..].to_vec(),
+            payload: &p[3..],
         };
         s.on_segment(now(), second);
         assert_eq!(s.received_len(), 0, "gap holds delivery back");
@@ -921,7 +929,7 @@ mod tests {
                 ack: 0,
                 flags: TcpFlags::RST,
                 window: 0,
-                payload: Vec::new(),
+                payload: &[],
             },
         );
         assert_eq!(c.state(), TcpState::Closed);
@@ -932,20 +940,20 @@ mod tests {
         let (mut c, mut s) = established_pair();
         c.send_data(b"data!");
         c.pump(now());
-        let frame = c.take_out().remove(0);
+        let frame = out(&mut c).remove(0);
         let tcp = frame.tcp().unwrap();
         let seg = SegmentIn {
             seq: tcp.seq(),
             ack: tcp.ack(),
             flags: tcp.flags(),
             window: tcp.window(),
-            payload: tcp.payload().to_vec(),
+            payload: tcp.payload(),
         };
-        s.on_segment(now(), seg.clone());
+        s.on_segment(now(), seg);
         s.on_segment(now(), seg);
         assert_eq!(s.take_received(), b"data!");
         // Two ACKs were emitted (one per copy).
-        let acks = s.take_out();
+        let acks = out(&mut s);
         assert_eq!(acks.len(), 2);
         assert_eq!(
             acks[0].tcp().unwrap().ack(),
@@ -965,17 +973,17 @@ mod tests {
     #[test]
     fn retransmitted_syn_gets_fresh_synack() {
         let mut client = TcpSocket::connect(TcpConfig::default(), ep(1, 1000), ep(2, 2000));
-        let syn = client.take_out().remove(0);
+        let syn = out(&mut client).remove(0);
         let mut server = TcpSocket::accept(
             TcpConfig::default(),
             ep(2, 2000),
             ep(1, 1000),
             syn.tcp().unwrap().seq(),
         );
-        let _first_synack = server.take_out();
+        let _first_synack = out(&mut server);
         // SYNACK lost; client retransmits its SYN.
         client.on_rto(now());
-        let resyn = client.take_out().remove(0);
+        let resyn = out(&mut client).remove(0);
         let tcp = resyn.tcp().unwrap();
         server.on_segment(
             now(),
@@ -984,10 +992,10 @@ mod tests {
                 ack: tcp.ack(),
                 flags: tcp.flags(),
                 window: tcp.window(),
-                payload: Vec::new(),
+                payload: &[],
             },
         );
-        let synack = server.take_out();
+        let synack = out(&mut server);
         assert_eq!(synack.len(), 1);
         let f = synack[0].tcp().unwrap().flags();
         assert!(f.contains(TcpFlags::SYN) && f.contains(TcpFlags::ACK));

@@ -284,8 +284,7 @@ impl TcpStack {
         }
         let remaining = (source.total_bytes - source.offered) as usize;
         let chunk = source.chunk.min(remaining);
-        let data = vec![0xA5u8; chunk];
-        self.sockets[idx].send_data(&data);
+        self.sockets[idx].send_fill(0xA5, chunk);
         source.offered += chunk as u64;
         let gap = vw_netsim::time::serialization_time(chunk, source.rate_bps);
         if source.offered < source.total_bytes {
@@ -331,7 +330,7 @@ impl Protocol for TcpStack {
             ack: tcp.ack(),
             flags: tcp.flags(),
             window: tcp.window(),
-            payload: tcp.payload().to_vec(),
+            payload: tcp.payload(),
         };
         let (src_ip, dst_port, src_port) = (ip.src(), tcp.dst_port(), tcp.src_port());
 

@@ -1,0 +1,207 @@
+//! Allocation budgets for the steady state. Once buffers, slabs and
+//! scratch have grown to the traffic's working set, carrying a frame —
+//! up and down the whole tower, or through the bare simulator with timers
+//! set and cancelled beside it — is meant to stay off the heap: frames
+//! recycle through the arena, timers through the wheel's slab, effects
+//! and verdict buffers through their owners' scratch.
+//!
+//! The counting allocator lives here, in the test crate, so the libraries
+//! keep their `forbid(unsafe_code)`; it counts per thread, so the two
+//! tests do not see each other's allocations (or the harness's).
+
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use common::{build_tower, Tower};
+use vw_netsim::apps::{UdpFlooder, UdpSink};
+use vw_netsim::{Binding, Context, LinkConfig, Protocol, SimDuration, TimerId, World};
+use vw_packet::{EtherType, Frame};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator outlives a thread's locals.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations (reallocations included) made by this thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter never influences the pointers or
+// layouts passed through, and counting does not allocate (the cell is
+// const-initialised and has no destructor).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The tower of `full_stack.rs` — TCP over Rether over engines over the
+/// RLL on a lossy bus — on a thread that has run it before, as a campaign
+/// worker or a benchmark repetition has: the rehearsal sizes the thread's
+/// frame arena, the first 20 ms (handshake, first token rotations, first
+/// RLL retransmissions) size the new world's queues and scratch. From
+/// there to the script's `STOP`: at most one allocation per two
+/// engine-classified frames. (What remains is not per frame: TCP's
+/// receive buffer and state log doubling, queues reaching a new depth, an
+/// arena miss when a burst outruns what the pool may retain.)
+#[test]
+fn the_tower_stays_under_half_an_allocation_per_classified_frame() {
+    let run_to_stop = |world: &mut World| {
+        world.run_for(SimDuration::from_secs(60));
+        assert!(world.stop_reason().is_some(), "the run reaches its STOP");
+    };
+    let mut rehearsal = build_tower().world;
+    rehearsal.trace_mut().set_enabled(false);
+    run_to_stop(&mut rehearsal);
+    drop(rehearsal);
+
+    let Tower {
+        mut world, runner, ..
+    } = build_tower();
+    world.trace_mut().set_enabled(false);
+    let classified = |world: &World| -> u64 {
+        ["node1", "node2", "node3"]
+            .iter()
+            .map(|node| {
+                let engine = runner.engine(world, node).expect("an engine per node");
+                engine.stats().classified
+            })
+            .sum()
+    };
+
+    world.run_for(SimDuration::from_millis(20));
+    let warm_frames = classified(&world);
+    let before = allocs();
+    run_to_stop(&mut world);
+    let spent = allocs() - before;
+    let frames = classified(&world) - warm_frames;
+
+    assert!(warm_frames > 0, "the warm-up carried no traffic");
+    assert!(
+        frames >= 200,
+        "only {frames} frames after the warm-up: nothing to average over"
+    );
+    assert!(
+        spent * 2 <= frames,
+        "{spent} allocations over {frames} classified frames ({:.3} per frame, budget 0.5)",
+        spent as f64 / frames as f64
+    );
+}
+
+/// Every tick: cancel the guard timer set on the previous tick, set a new
+/// one far enough out that it never fires, and rearm the tick — the
+/// set-and-cancel rhythm of a retransmission timer that is always acked
+/// in time.
+struct Ticker {
+    every: SimDuration,
+    guard: Option<TimerId>,
+    ticks: u64,
+}
+
+impl Protocol for Ticker {
+    fn name(&self) -> &str {
+        "ticker"
+    }
+
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.on_timer(ctx, 0);
+    }
+
+    fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: Frame) {}
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        assert_eq!(token, 0, "a cancelled guard fired");
+        self.ticks += 1;
+        if let Some(guard) = self.guard.take() {
+            ctx.cancel_timer(guard);
+        }
+        self.guard = Some(ctx.set_timer(SimDuration::from_millis(50), 1));
+        ctx.set_timer(self.every, 0);
+    }
+}
+
+/// The simulator alone: a UDP flood between two hosts on a switch, and a
+/// ticker setting and cancelling a timer per tick beside it. After a
+/// warm-up, 10 000 events — frames built, queued, switched, delivered and
+/// dropped; timers armed, fired and cancelled — allocate nothing at all.
+#[test]
+fn the_simulator_carries_frames_and_timers_without_allocating() {
+    let mut world = World::new(3);
+    world.trace_mut().set_enabled(false);
+    let a = world.add_host("a");
+    let b = world.add_host("b");
+    let switch = world.add_switch("sw", 2);
+    world.connect(a, switch, LinkConfig::fast_ethernet());
+    world.connect(b, switch, LinkConfig::fast_ethernet());
+    let ipv4 = Binding::EtherType(EtherType::IPV4);
+    let sink = world.add_protocol(b, ipv4, Box::new(UdpSink::new(7000)));
+    let flooder = UdpFlooder::new(
+        world.host_mac(b),
+        world.host_ip(b),
+        7000,
+        9000,
+        20_000_000,
+        200,
+        u64::MAX,
+    );
+    world.add_protocol(a, ipv4, Box::new(flooder));
+    let ticker = Ticker {
+        every: SimDuration::from_micros(100),
+        guard: None,
+        ticks: 0,
+    };
+    let ticker = world.add_protocol(b, ipv4, Box::new(ticker));
+
+    let steps = |world: &mut World, events: u64| {
+        let until = world.events_processed() + events;
+        while world.events_processed() < until {
+            assert!(world.step(), "the flood and the ticker never run dry");
+        }
+    };
+    steps(&mut world, 2_000);
+    let delivered = |world: &World| world.protocol::<UdpSink>(b, sink).unwrap().frames();
+    let ticks = |world: &World| world.protocol::<Ticker>(b, ticker).unwrap().ticks;
+    let (frames_before, ticks_before) = (delivered(&world), ticks(&world));
+    let before = allocs();
+    steps(&mut world, 10_000);
+    let spent = allocs() - before;
+
+    assert!(
+        delivered(&world) - frames_before > 1_000,
+        "the flood flowed"
+    );
+    assert!(ticks(&world) - ticks_before > 1_000, "the ticker ticked");
+    assert_eq!(spent, 0, "allocations across 10 000 steady-state events");
+}
