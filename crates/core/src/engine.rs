@@ -42,7 +42,7 @@ use vw_fsl::{
 };
 use vw_netsim::{Context, Hook, SimDuration, SimTime, TraceKind, Verdict};
 use vw_obs::{EventLog, Histogram, ObsActionKind, ObsEvent, ObsKind, ObsLevel};
-use vw_packet::{EtherType, Frame, MacAddr};
+use vw_packet::{EtherType, Frame, MacAddr, MacMap};
 
 use crate::classify::{Classification, Classifier, ClassifierMode, ClassifierScratch};
 use crate::report::FlaggedError;
@@ -361,9 +361,9 @@ pub struct Engine {
     init_rto: SimDuration,
 
     /// Sender-side reliability state, per peer MAC.
-    peer_tx: HashMap<MacAddr, PeerTx>,
+    peer_tx: MacMap<PeerTx>,
     /// Receiver-side reliability state, per peer MAC.
-    peer_rx: HashMap<MacAddr, PeerRx>,
+    peer_rx: MacMap<PeerRx>,
     /// Earliest pending control-plane deadline (retransmission or
     /// staleness); the per-frame pump is one compare against this.
     pump_next: Option<SimTime>,
@@ -454,8 +454,8 @@ impl Engine {
             distributed: false,
             acked: Vec::new(),
             init_rto: cfg.control.initial_rto,
-            peer_tx: HashMap::new(),
-            peer_rx: HashMap::new(),
+            peer_tx: MacMap::default(),
+            peer_rx: MacMap::default(),
             pump_next: None,
             pump_armed_for: None,
             scratch_ctrl: Vec::new(),

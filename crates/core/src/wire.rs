@@ -51,7 +51,7 @@ use vw_fsl::{
     PacketSel, PatternValue, RelOp, TableSet, TermId,
 };
 use vw_packet::codec::{Reader, Writer};
-use vw_packet::{EtherType, EthernetBuilder, Frame, MacAddr, ParseError};
+use vw_packet::{EtherType, Frame, MacAddr, ParseError};
 
 /// A control-plane message.
 #[derive(Debug, Clone, PartialEq)]
@@ -318,23 +318,28 @@ impl From<ControlDecodeError> for ParseError {
 }
 
 /// Encodes a message under the versioned reliability header.
-///
-/// One buffer, from the frame arena ([`build_sequenced_frame`] hands it
-/// back): the header with its length field held open, the body written
-/// straight behind it, then the length filled in.
 pub fn encode_sequenced(seq: u32, ack: u32, msg: &ControlMsg) -> Vec<u8> {
-    const LEN_AT: usize = 2;
     let mut out = vw_packet::arena::take_buffer(HEADER_LEN);
-    let mut w = Writer::be(&mut out);
+    encode_sequenced_into(&mut out, seq, ack, msg);
+    out
+}
+
+/// Appends [`encode_sequenced`]'s bytes to whatever `out` already holds
+/// (a frame's Ethernet header): the reliability header with its length
+/// field held open, the body straight behind it, then the length filled
+/// in.
+fn encode_sequenced_into(out: &mut Vec<u8>, seq: u32, ack: u32, msg: &ControlMsg) {
+    const LEN_AT: usize = 2;
+    let start = out.len();
+    let mut w = Writer::be(out);
     w.u8(WIRE_MAGIC);
     w.u8(WIRE_VERSION);
     w.u32(0);
     w.u32(seq);
     w.u32(ack);
     encode_into(&mut w, msg);
-    let body_len = out.len() - HEADER_LEN;
-    Writer::be(&mut out).patch_len32(LEN_AT, body_len);
-    out
+    let body_len = out.len() - start - HEADER_LEN;
+    Writer::be(out).patch_len32(start + LEN_AT, body_len);
 }
 
 /// Decodes a versioned control payload. Bytes past the declared body
@@ -391,12 +396,16 @@ pub fn build_sequenced_frame(
     ack: u32,
     msg: &ControlMsg,
 ) -> Frame {
-    EthernetBuilder::new()
-        .src(src)
-        .dst(dst)
-        .ethertype(EtherType::VW_CONTROL)
-        .payload_owned(encode_sequenced(seq, ack, msg))
-        .build_take()
+    // Exact for every message a running scenario sends; an `Init` (once
+    // per node, while the testbed settles) grows its buffer past it.
+    let body = match msg {
+        ControlMsg::FlagError { message, .. } => 7 + message.len(),
+        ControlMsg::Stop { reason, .. } => 5 + reason.len(),
+        _ => 11,
+    };
+    Frame::assemble(dst, src, EtherType::VW_CONTROL, HEADER_LEN + body, |out| {
+        encode_sequenced_into(out, seq, ack, msg)
+    })
 }
 
 /// Parses a control frame's versioned payload, header included.
@@ -971,6 +980,7 @@ fn check_ids(t: &TableSet, you_are: NodeId) -> Result<(), ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vw_packet::EthernetBuilder;
 
     fn sample_tables() -> TableSet {
         let src = r#"

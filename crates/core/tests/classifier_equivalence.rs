@@ -114,7 +114,7 @@ fn frame_from(mac_sel: u8, payload: &[u8]) -> Frame {
         .dst(pick(mac_sel / 3))
         .ethertype(EtherType(0x0800))
         // Same tiny alphabet as the filter literals.
-        .payload_owned(payload.iter().map(|b| b % 4).collect())
+        .payload(&payload.iter().map(|b| b % 4).collect::<Vec<u8>>())
         .build()
 }
 

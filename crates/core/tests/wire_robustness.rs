@@ -346,7 +346,7 @@ fn control_frame_edge_cases() {
         .src(src)
         .dst(dst)
         .ethertype(EtherType(0x1234))
-        .payload_owned(encode(&ControlMsg::InitAck { node: NodeId(0) }))
+        .payload(&encode(&ControlMsg::InitAck { node: NodeId(0) }))
         .build();
     assert!(parse_frame(&wrong_ethertype).is_err());
 
@@ -375,7 +375,7 @@ proptest! {
             .src(MacAddr::new([2, 0, 0, 0, 0, 1]))
             .dst(MacAddr::new([2, 0, 0, 0, 0, 2]))
             .ethertype(EtherType::VW_CONTROL)
-            .payload_owned(bytes)
+            .payload(&bytes)
             .build();
         let _ = parse_frame(&frame);
     }

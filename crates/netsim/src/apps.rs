@@ -64,7 +64,7 @@ impl Protocol for UdpEcho {
             .src_port(udp.dst_port())
             .dst_port(udp.src_port())
             .payload(udp.payload())
-            .build_take();
+            .build();
         self.echoed += 1;
         ctx.send(reply);
     }
@@ -159,7 +159,7 @@ impl UdpPinger {
             .dst_port(self.dst_port)
             .ident(seq as u16)
             .payload(&self.payload)
-            .build_take();
+            .build();
         self.outstanding.insert(seq, ctx.now());
         ctx.send(frame);
         if self.sent < self.count {
@@ -270,7 +270,7 @@ impl UdpFlooder {
             .dst_port(self.dst_port)
             .ident(self.seq as u16)
             .payload(&self.payload)
-            .build_take();
+            .build();
         self.seq += 1;
         self.offered_bytes += self.payload.len() as u64;
         ctx.send(frame);

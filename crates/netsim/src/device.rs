@@ -1,9 +1,9 @@
 //! Devices: hosts, switches and hubs, and their ports.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
-use vw_packet::{Frame, MacAddr};
+use vw_packet::{Frame, MacAddr, MacMap};
 
 use crate::hook::Hook;
 use crate::id::LinkId;
@@ -92,7 +92,7 @@ pub(crate) struct Switch {
     pub name: String,
     pub ports: Vec<Port>,
     /// MAC learning table: address → port index.
-    pub fdb: HashMap<MacAddr, u16>,
+    pub fdb: MacMap<u16>,
 }
 
 /// A dumb hub: every inbound frame is repeated on all other ports.
@@ -182,7 +182,7 @@ mod tests {
         let mut sw = Device::Switch(Switch {
             name: "sw".into(),
             ports: (0..3).map(|_| Port::new()).collect(),
-            fdb: HashMap::new(),
+            fdb: MacMap::default(),
         });
         assert_eq!(sw.free_port(), Some(0));
         sw.port_mut(0).unwrap().link = Some(LinkId::from_index(0));

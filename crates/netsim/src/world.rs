@@ -1,14 +1,13 @@
 //! The simulation world: topology, event loop, and dispatch.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use vw_packet::{EtherType, Frame, MacAddr};
+use vw_packet::{EtherType, Frame, MacAddr, MacMap};
 
 use crate::context::{Context, CtxOrigin, Effect};
 use crate::device::{Device, Host, Hub, Port, PortStats, Switch};
@@ -67,7 +66,6 @@ pub struct World {
     control_impairment: crate::error_model::ControlImpairment,
     host_count: u32,
     events_processed: u64,
-    last_frame_activity: SimTime,
     /// Recycled effect buffers: every handler invocation needs a
     /// `Vec<Effect>`, and most push at least one effect — reusing the
     /// buffers keeps the per-frame dispatch allocation-free.
@@ -109,7 +107,6 @@ impl World {
             control_impairment: crate::error_model::ControlImpairment::none(),
             host_count: 0,
             events_processed: 0,
-            last_frame_activity: SimTime::ZERO,
             spare_effects: Vec::new(),
         }
     }
@@ -152,7 +149,7 @@ impl World {
         self.devices.push(Device::Switch(Switch {
             name: name.to_string(),
             ports: (0..ports).map(|_| Port::new()).collect(),
-            fdb: HashMap::new(),
+            fdb: MacMap::default(),
         }));
         self.trace.register_device(id, name);
         id
@@ -405,12 +402,6 @@ impl World {
         self.events_processed
     }
 
-    /// The time of the most recent frame-level activity (send, receive,
-    /// link traversal). Scenario inactivity timeouts key off this.
-    pub fn last_frame_activity(&self) -> SimTime {
-        self.last_frame_activity
-    }
-
     /// The read-only packet trace.
     pub fn trace(&self) -> &TraceSink {
         &self.trace
@@ -553,7 +544,6 @@ impl World {
     }
 
     fn handle_arrival(&mut self, to: PortRef, frame: Frame) {
-        self.last_frame_activity = self.now;
         match &self.devices[to.device.index()] {
             Device::Host(h) => {
                 if h.failed {
@@ -652,7 +642,6 @@ impl World {
     }
 
     fn handle_tx_complete(&mut self, at: PortRef) {
-        self.last_frame_activity = self.now;
         let (frame, link_id) = {
             let port = self.devices[at.device.index()]
                 .port_mut(at.port)
@@ -725,13 +714,15 @@ impl World {
                     use crate::error_model::ControlFate;
                     match self.control_impairment.decide(&mut self.rng) {
                         ControlFate::Drop => {
-                            self.trace.record(
-                                self.now,
-                                from.device,
-                                TraceKind::LinkLoss,
-                                Some(&frame),
-                                format!("control impairment drop on {link_id}"),
-                            );
+                            if self.trace.is_enabled() {
+                                self.trace.record(
+                                    self.now,
+                                    from.device,
+                                    TraceKind::LinkLoss,
+                                    Some(&frame),
+                                    format!("control impairment drop on {link_id}"),
+                                );
+                            }
                             return;
                         }
                         ControlFate::Deliver {
@@ -843,7 +834,6 @@ impl World {
         if idx >= chain_len {
             self.trace
                 .record(self.now, node, TraceKind::HostSend, Some(&frame), "");
-            self.last_frame_activity = self.now;
             self.port_send(PortRef::new(node, 0), frame);
             return;
         }
@@ -967,7 +957,6 @@ impl World {
         let _span = vw_trace::span("deliver", vw_trace::Category::Event);
         self.trace
             .record(self.now, node, TraceKind::HostRecv, Some(&frame), "");
-        self.last_frame_activity = self.now;
         let ethertype = frame.ethertype();
         let (slots, remaining) = match self.devices[node.index()].as_host() {
             Some(h) => {
@@ -1069,7 +1058,6 @@ impl World {
                     if after == SimDuration::ZERO {
                         self.trace
                             .record(self.now, node, TraceKind::HookEmit, Some(&frame), "raw");
-                        self.last_frame_activity = self.now;
                         self.port_send(PortRef::new(node, 0), frame);
                     } else {
                         let chain_len = self.devices[node.index()]

@@ -3,9 +3,9 @@
 //! Every frame traversing the simulator is an owned byte buffer, and the
 //! hot path (build → clone at fan-out → drop after delivery) used to hit
 //! the global allocator once per step. The arena recycles those buffers:
-//! [`Frame`](crate::Frame) returns its buffer here on drop, and the
-//! builders (and `Frame::clone`) take buffers from here instead of
-//! allocating fresh ones.
+//! [`Frame`](crate::Frame) returns its buffer here on drop, and
+//! `Frame::assemble` and `Frame::clone` take buffers from here instead
+//! of allocating fresh ones.
 //!
 //! Buffers are segregated into power-of-two size classes and handed out
 //! with their class's full capacity, so a recycled buffer never needs a
@@ -70,14 +70,6 @@ pub fn take_buffer(capacity: usize) -> Vec<u8> {
         }
         None => Vec::with_capacity(capacity),
     }
-}
-
-/// [`take_buffer`] filled with a copy of `bytes`: how the builders stage a
-/// payload and how a frame is cloned.
-pub fn buffer_from(bytes: &[u8]) -> Vec<u8> {
-    let mut buf = take_buffer(bytes.len());
-    buf.extend_from_slice(bytes);
-    buf
 }
 
 /// Returns a buffer to its size class. Buffers whose capacity is not an

@@ -26,28 +26,40 @@ pub fn checksum(data: &[u8]) -> u16 {
 /// assert_eq!(checksum(data), finish(sum_words(a) + sum_words(b)));
 /// ```
 pub fn sum_words(data: &[u8]) -> u32 {
-    // Eight bytes per iteration: each u64 load is four 16-bit words summed
-    // into independent lanes of a u64 accumulator, so the loop runs at
-    // word width instead of byte-pair width. Lane sums cannot overflow:
-    // each addend is < 2^16 and inputs are frame-sized.
-    let mut wide = 0u64;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let w = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
-        wide += (w >> 48) + ((w >> 32) & 0xffff) + ((w >> 16) & 0xffff) + (w & 0xffff);
+    // The one's-complement sum does not depend on byte order (RFC 1071
+    // §2(B)): summing the 16-bit words as the host reads them and swapping
+    // the two bytes of the folded result gives the big-endian sum. So the
+    // loop loads native-endian and swaps nothing per word. Each u64 load
+    // is two 32-bit halves added into one of four independent u64 lanes,
+    // 32 bytes per iteration; a lane gains less than 2^33 per block, so it
+    // cannot overflow below 64 GiB of input.
+    let halves = |w: u64| (w & 0xffff_ffff) + (w >> 32);
+    let load = |word: &[u8]| halves(u64::from_ne_bytes(word.try_into().expect("8-byte chunk")));
+    let mut lanes = [0u64; 4];
+    let mut blocks = data.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane += load(word);
+        }
     }
-    let mut tail = chunks.remainder().chunks_exact(2);
-    for chunk in &mut tail {
-        wide += u64::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+    let mut wide: u64 = lanes.into_iter().map(halves).sum();
+    let mut quads = blocks.remainder().chunks_exact(8);
+    for word in &mut quads {
+        wide += load(word);
     }
-    if let [last] = tail.remainder() {
-        wide += u64::from(u16::from_be_bytes([*last, 0]));
+    let mut words = quads.remainder().chunks_exact(2);
+    for word in &mut words {
+        wide += u64::from(u16::from_ne_bytes([word[0], word[1]]));
     }
-    // Fold to u32 so partial sums still combine with plain `+`.
-    while wide >> 32 != 0 {
-        wide = (wide & 0xffff_ffff) + (wide >> 32);
+    if let [last] = words.remainder() {
+        wide += u64::from(u16::from_ne_bytes([*last, 0]));
     }
-    wide as u32
+    // Fold to 16 bits: a non-zero sum never folds to zero, so a multiple
+    // of 0xffff comes out as 0xffff. Partial sums still combine with `+`.
+    while wide >> 16 != 0 {
+        wide = (wide & 0xffff) + (wide >> 16);
+    }
+    u32::from(u16::from_be(wide as u16))
 }
 
 /// Folds carries and complements a partial sum produced by [`sum_words`].
@@ -81,13 +93,11 @@ pub fn finish(mut sum: u32) -> u16 {
 /// can say. A parsed segment never is: it is cut by the IP total-length
 /// field.
 pub fn pseudo_header_checksum(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, segment: &[u8]) -> u16 {
-    let mut pseudo = [0u8; 12];
-    pseudo[0..4].copy_from_slice(&src.octets());
-    pseudo[4..8].copy_from_slice(&dst.octets());
-    pseudo[9] = protocol;
     let len = u16::try_from(segment.len()).expect("segment exceeds the u16 pseudo-header length");
-    pseudo[10..12].copy_from_slice(&len.to_be_bytes());
-    finish(sum_words(&pseudo) + sum_words(segment))
+    // The twelve pseudo-header bytes as the six words they are.
+    let (src, dst) = (u32::from(src), u32::from(dst));
+    let pseudo = (src >> 16) + (src & 0xffff) + (dst >> 16) + (dst & 0xffff);
+    finish(pseudo + u32::from(protocol) + u32::from(len) + sum_words(segment))
 }
 
 /// Verifies a transport segment whose checksum field is *in place*: the sum
@@ -139,6 +149,88 @@ mod tests {
         assert!(verify_pseudo_header_checksum(src, dst, 17, &segment));
         segment[20] ^= 0x40;
         assert!(!verify_pseudo_header_checksum(src, dst, 17, &segment));
+    }
+
+    /// The definition: big-endian words two bytes at a time, an odd last
+    /// byte padded with zero, carries folded once at the end.
+    fn reference(data: &[u8]) -> u16 {
+        let mut sum = 0u64;
+        for pair in data.chunks(2) {
+            sum += u64::from(u16::from_be_bytes([pair[0], *pair.get(1).unwrap_or(&0)]));
+        }
+        while sum >> 16 != 0 {
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        sum as u16
+    }
+
+    /// `finish` without the complement: what a partial sum folds to.
+    fn folded(sum: u32) -> u16 {
+        !finish(sum)
+    }
+
+    fn noise(len: usize) -> Vec<u8> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_length_at_every_alignment_matches_the_reference() {
+        let buffer = noise(2048 + 8);
+        for start in 0..8 {
+            for len in 0..=2048 {
+                let slice = &buffer[start..start + len];
+                assert_eq!(
+                    folded(sum_words(slice)),
+                    reference(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_even_split_sums_to_the_whole() {
+        let buffer = noise(301);
+        for len in [2, 31, 32, 33, 64, 150, 301] {
+            let data = &buffer[..len];
+            for split in (0..=len).step_by(2) {
+                let (a, b) = data.split_at(split);
+                assert_eq!(
+                    folded(sum_words(a) + sum_words(b)),
+                    reference(data),
+                    "len {len} split {split}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_nonzero_multiple_of_ffff_folds_to_ffff_not_zero() {
+        for data in [
+            &[0xffu8; 6][..],
+            &[0x00, 0x01, 0xff, 0xfe],
+            &[0xff; 64],
+            &[0x12, 0x34, 0xed, 0xcb, 0xff, 0xff],
+        ] {
+            assert_eq!(folded(sum_words(data)), 0xffff, "{data:02x?}");
+            assert_eq!(checksum(data), 0);
+        }
+        assert_eq!(sum_words(&[0; 64]), 0);
+    }
+
+    #[test]
+    fn the_longest_ip_packet_of_ones_does_not_overflow_a_lane() {
+        let data = vec![0xff; 65_535];
+        assert_eq!(folded(sum_words(&data)), reference(&data));
+        assert_eq!(checksum(&data), 0x00ff);
     }
 
     proptest! {

@@ -75,14 +75,14 @@ impl<'a> EthernetHeader<'a> {
 /// assert_eq!(frame.payload(), &[1, 2, 3]);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct EthernetBuilder {
+pub struct EthernetBuilder<'a> {
     dst: MacAddr,
     src: MacAddr,
     ethertype: EtherType,
-    payload: Vec<u8>,
+    payload: &'a [u8],
 }
 
-impl EthernetBuilder {
+impl<'a> EthernetBuilder<'a> {
     /// Creates a builder with zeroed addresses and an IPv4 EtherType.
     pub fn new() -> Self {
         Self::default()
@@ -106,36 +106,22 @@ impl EthernetBuilder {
         self
     }
 
-    /// Sets the payload bytes.
-    pub fn payload(mut self, payload: &[u8]) -> Self {
-        self.payload = crate::arena::buffer_from(payload);
-        self
-    }
-
-    /// Sets the payload from an owned buffer, avoiding a copy.
-    pub fn payload_owned(mut self, payload: Vec<u8>) -> Self {
+    /// Sets the payload bytes, borrowed until [`build`](Self::build)
+    /// copies them into the frame.
+    pub fn payload(mut self, payload: &'a [u8]) -> Self {
         self.payload = payload;
         self
     }
 
     /// Assembles the frame.
     pub fn build(&self) -> Frame {
-        let mut bytes = crate::arena::take_buffer(ETHERNET_HEADER_LEN + self.payload.len());
-        bytes.extend_from_slice(&self.dst.octets());
-        bytes.extend_from_slice(&self.src.octets());
-        bytes.extend_from_slice(&self.ethertype.value().to_be_bytes());
-        bytes.extend_from_slice(&self.payload);
-        Frame::from_bytes(bytes).expect("built frame always has a header")
-    }
-
-    /// Assembles the frame, consuming the builder and returning its
-    /// payload buffer to the [`arena`](crate::arena). Per-frame
-    /// encapsulation paths use this so the staging buffer is reused
-    /// instead of freed.
-    pub fn build_take(mut self) -> Frame {
-        let frame = self.build();
-        crate::arena::recycle_buffer(std::mem::take(&mut self.payload));
-        frame
+        Frame::assemble(
+            self.dst,
+            self.src,
+            self.ethertype,
+            self.payload.len(),
+            |bytes| bytes.extend_from_slice(self.payload),
+        )
     }
 }
 
@@ -162,13 +148,6 @@ mod tests {
         assert_eq!(eth.dst(), MacAddr::from_index(6));
         assert_eq!(eth.ethertype(), EtherType::RETHER);
         assert_eq!(eth.payload(), &[0xAA, 0xBB]);
-    }
-
-    #[test]
-    fn payload_owned_matches_payload() {
-        let a = EthernetBuilder::new().payload(&[1, 2, 3]).build();
-        let b = EthernetBuilder::new().payload_owned(vec![1, 2, 3]).build();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -44,9 +44,9 @@ impl Clone for Frame {
         // Fan-out points (hub repeat, switch flood, DUP) clone frames on
         // the hot path; take the copy's buffer from the arena instead of
         // the allocator.
-        Frame {
-            bytes: crate::arena::buffer_from(&self.bytes),
-        }
+        let mut bytes = crate::arena::take_buffer(self.bytes.len());
+        bytes.extend_from_slice(&self.bytes);
+        Frame { bytes }
     }
 }
 
@@ -71,6 +71,30 @@ impl Frame {
             )));
         }
         Ok(Frame { bytes })
+    }
+
+    /// Assembles a frame in the one buffer it will live in: takes an
+    /// [`arena`](crate::arena) buffer with room for the Ethernet header
+    /// and `capacity` payload bytes, writes the header, and hands the
+    /// buffer to `fill` to append everything behind it. The payload starts
+    /// at [`ETHERNET_HEADER_LEN`], so `fill` can patch a checksum into
+    /// what it has written before it returns. Every builder ends here: a
+    /// payload is copied once, from wherever it lives into the frame
+    /// (example under [`Ipv4Builder`](crate::Ipv4Builder)).
+    pub fn assemble(
+        dst: MacAddr,
+        src: MacAddr,
+        ethertype: EtherType,
+        capacity: usize,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Frame {
+        let mut bytes = crate::arena::take_buffer(ETHERNET_HEADER_LEN + capacity);
+        bytes.extend_from_slice(&dst.octets());
+        bytes.extend_from_slice(&src.octets());
+        bytes.extend_from_slice(&ethertype.value().to_be_bytes());
+        fill(&mut bytes);
+        assert!(bytes.len() >= ETHERNET_HEADER_LEN, "fill cut the header");
+        Frame { bytes }
     }
 
     /// The full frame contents, header included.

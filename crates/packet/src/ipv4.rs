@@ -158,20 +158,23 @@ impl<'a> Ipv4Header<'a> {
     }
 }
 
-/// Builder for the IPv4 portion of a frame. Produces the raw IP packet
-/// bytes; the transport builders compose it under an Ethernet header.
+/// Builder for the IPv4 header of a frame under
+/// [`assembly`](crate::Frame::assemble); the transport builders write
+/// theirs with it.
 ///
 /// ```
 /// use std::net::Ipv4Addr;
-/// use vw_packet::{IpProtocol, Ipv4Builder};
+/// use vw_packet::{EtherType, Frame, IpProtocol, Ipv4Builder, MacAddr};
 ///
-/// let packet = Ipv4Builder::new()
+/// let ip = Ipv4Builder::new()
 ///     .src(Ipv4Addr::new(10, 0, 0, 1))
 ///     .dst(Ipv4Addr::new(10, 0, 0, 2))
-///     .protocol(IpProtocol::UDP)
-///     .payload(&[0u8; 8])
-///     .build_packet();
-/// assert_eq!(packet.len(), 28);
+///     .protocol(IpProtocol::ICMP);
+/// let frame = Frame::assemble(MacAddr::BROADCAST, MacAddr::ZERO, EtherType::IPV4, 28, |out| {
+///     ip.write_header(out, 8);
+///     out.extend_from_slice(&[0u8; 8]);
+/// });
+/// assert_eq!(frame.ipv4().unwrap().total_len(), 28);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ipv4Builder {
@@ -180,7 +183,6 @@ pub struct Ipv4Builder {
     protocol: IpProtocol,
     ttl: u8,
     ident: u16,
-    payload: Vec<u8>,
 }
 
 impl Default for Ipv4Builder {
@@ -191,7 +193,6 @@ impl Default for Ipv4Builder {
             protocol: IpProtocol::UDP,
             ttl: 64,
             ident: 0,
-            payload: Vec::new(),
         }
     }
 }
@@ -232,50 +233,28 @@ impl Ipv4Builder {
         self
     }
 
-    /// Sets the transport payload.
-    pub fn payload(mut self, payload: &[u8]) -> Self {
-        self.payload = crate::arena::buffer_from(payload);
-        self
-    }
-
-    /// Sets the transport payload from an owned buffer, avoiding a copy.
-    pub fn payload_owned(mut self, payload: Vec<u8>) -> Self {
-        self.payload = payload;
-        self
-    }
-
-    /// Assembles the IP packet (header + payload) with a valid checksum.
+    /// Appends the 20-byte header, checksum in place, of a packet that
+    /// carries `payload_len` bytes.
     ///
     /// # Panics
     ///
     /// Panics if header plus payload exceed the 16-bit total-length field.
-    pub fn build_packet(&self) -> Vec<u8> {
-        let total_len = u16::try_from(IPV4_HEADER_LEN + self.payload.len())
+    pub fn write_header(&self, out: &mut Vec<u8>, payload_len: usize) {
+        let total_len = u16::try_from(IPV4_HEADER_LEN + payload_len)
             .expect("packet exceeds the u16 IP total-length field");
-        let mut packet = crate::arena::take_buffer(usize::from(total_len));
-        packet.push(0x45); // version 4, IHL 5
-        packet.push(0x00); // DSCP/ECN
-        packet.extend_from_slice(&total_len.to_be_bytes());
-        packet.extend_from_slice(&self.ident.to_be_bytes());
-        packet.extend_from_slice(&[0x40, 0x00]); // flags: don't fragment
-        packet.push(self.ttl);
-        packet.push(self.protocol.value());
-        packet.extend_from_slice(&[0, 0]); // checksum placeholder
-        packet.extend_from_slice(&self.src.octets());
-        packet.extend_from_slice(&self.dst.octets());
-        let sum = checksum::checksum(&packet[..IPV4_HEADER_LEN]);
-        packet[10..12].copy_from_slice(&sum.to_be_bytes());
-        packet.extend_from_slice(&self.payload);
-        packet
-    }
-
-    /// Assembles the IP packet, consuming the builder and returning its
-    /// payload buffer to the [`arena`](crate::arena). The per-segment
-    /// transport builders use this so the staging buffer is reused.
-    pub fn build_packet_take(mut self) -> Vec<u8> {
-        let packet = self.build_packet();
-        crate::arena::recycle_buffer(std::mem::take(&mut self.payload));
-        packet
+        let start = out.len();
+        out.push(0x45); // version 4, IHL 5
+        out.push(0x00); // DSCP/ECN
+        out.extend_from_slice(&total_len.to_be_bytes());
+        out.extend_from_slice(&self.ident.to_be_bytes());
+        out.extend_from_slice(&[0x40, 0x00]); // flags: don't fragment
+        out.push(self.ttl);
+        out.push(self.protocol.value());
+        out.extend_from_slice(&[0, 0]); // checksum placeholder
+        out.extend_from_slice(&self.src.octets());
+        out.extend_from_slice(&self.dst.octets());
+        let sum = checksum::checksum(&out[start..]);
+        out[start + 10..start + 12].copy_from_slice(&sum.to_be_bytes());
     }
 }
 
@@ -289,22 +268,29 @@ mod tests {
             .src(MacAddr::from_index(1))
             .dst(MacAddr::from_index(2))
             .ethertype(EtherType::IPV4)
-            .payload_owned(packet)
+            .payload(&packet)
             .build()
+    }
+
+    /// The raw IP packet: `ip`'s header, then `payload`.
+    fn packet(ip: Ipv4Builder, payload: &[u8]) -> Vec<u8> {
+        let mut packet = Vec::new();
+        ip.write_header(&mut packet, payload.len());
+        packet.extend_from_slice(payload);
+        packet
     }
 
     #[test]
     fn build_and_parse_round_trip() {
-        let frame = wrap(
+        let frame = wrap(packet(
             Ipv4Builder::new()
                 .src(Ipv4Addr::new(192, 168, 1, 1))
                 .dst(Ipv4Addr::new(192, 168, 1, 2))
                 .protocol(IpProtocol::TCP)
                 .ttl(32)
-                .ident(0xBEEF)
-                .payload(&[7; 11])
-                .build_packet(),
-        );
+                .ident(0xBEEF),
+            &[7; 11],
+        ));
         let ip = frame.ipv4().expect("valid IPv4");
         assert_eq!(ip.src(), Ipv4Addr::new(192, 168, 1, 1));
         assert_eq!(ip.dst(), Ipv4Addr::new(192, 168, 1, 2));
@@ -318,7 +304,7 @@ mod tests {
 
     #[test]
     fn checksum_detects_corruption() {
-        let mut frame = wrap(Ipv4Builder::new().payload(&[1, 2, 3]).build_packet());
+        let mut frame = wrap(packet(Ipv4Builder::new(), &[1, 2, 3]));
         assert!(frame.ipv4().unwrap().verify_checksum());
         frame.flip_bit(crate::offsets::IP_SRC, 0);
         assert!(!frame.ipv4().unwrap().verify_checksum());
@@ -345,7 +331,7 @@ mod tests {
     #[test]
     fn options_rejected() {
         // IHL of 6 (header with options) is unsupported by design.
-        let mut packet = Ipv4Builder::new().build_packet();
+        let mut packet = packet(Ipv4Builder::new(), &[]);
         packet[0] = 0x46;
         let frame = wrap(packet);
         assert!(frame.ipv4().is_none());
@@ -355,7 +341,7 @@ mod tests {
     fn payload_bounded_by_total_len() {
         // Frame padded beyond the IP total length: payload must not include
         // the padding.
-        let mut packet = Ipv4Builder::new().payload(&[9, 9]).build_packet();
+        let mut packet = packet(Ipv4Builder::new(), &[9, 9]);
         packet.extend_from_slice(&[0xEE; 4]); // Ethernet padding
         let frame = wrap(packet);
         assert_eq!(frame.ipv4().unwrap().payload(), &[9, 9]);

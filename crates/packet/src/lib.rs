@@ -2,7 +2,8 @@
 //!
 //! This crate provides the byte-level substrate every other crate builds on:
 //!
-//! * [`MacAddr`] and [`EtherType`] — link-layer addressing,
+//! * [`MacAddr`] and [`EtherType`] — link-layer addressing ([`MacMap`] for
+//!   tables keyed by one),
 //! * [`Frame`] — an owned Ethernet frame with typed header accessors,
 //! * header views and builders for Ethernet, IPv4, TCP and UDP
 //!   ([`EthernetHeader`], [`Ipv4Header`], [`TcpHeader`], [`UdpHeader`]),
@@ -65,6 +66,6 @@ pub use ethernet::{EthernetBuilder, EthernetHeader, ETHERNET_HEADER_LEN};
 pub use ethertype::EtherType;
 pub use frame::Frame;
 pub use ipv4::{IpProtocol, Ipv4Builder, Ipv4Header, IPV4_HEADER_LEN};
-pub use mac::MacAddr;
+pub use mac::{MacAddr, MacHasher, MacMap};
 pub use tcp::{TcpBuilder, TcpFlags, TcpHeader, TCP_HEADER_LEN};
 pub use udp::{UdpBuilder, UdpHeader, MAX_UDP_PAYLOAD, UDP_HEADER_LEN};

@@ -1,6 +1,8 @@
 //! MAC (hardware) addresses.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
@@ -108,6 +110,35 @@ impl fmt::Debug for MacAddr {
     }
 }
 
+/// A `HashMap` keyed by [`MacAddr`] under [`MacHasher`]: the forwarding
+/// and per-peer tables probed once per frame.
+pub type MacMap<V> = HashMap<MacAddr, V, BuildHasherDefault<MacHasher>>;
+
+/// One multiplication in place of SipHash for [`MacMap`] keys. The
+/// addresses are the simulated testbed's own, so there is no flood of
+/// chosen keys to keyed-hash against, and a fixed function gives a map
+/// the same iteration order in every process.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MacHasher(u64);
+
+impl Hasher for MacHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    /// The length prefix of a fixed-size key says nothing.
+    fn write_usize(&mut self, _len: usize) {}
+
+    fn finish(&self) -> u64 {
+        // Fibonacci hashing; the fold brings the well-mixed high half
+        // down to the low bits a table indexes by.
+        let h = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ (h >> 32)
+    }
+}
+
 impl FromStr for MacAddr {
     type Err = ParseError;
 
@@ -166,6 +197,34 @@ mod tests {
                 assert_eq!(i == j, a == b);
             }
         }
+    }
+
+    #[test]
+    fn mac_map_spreads_testbed_addresses_over_buckets_and_tags() {
+        use std::hash::BuildHasher;
+        // hashbrown indexes by the low bits and tags by the top seven.
+        for macs in [
+            (0..64).map(MacAddr::from_index).collect::<Vec<_>>(),
+            (0..64).map(|i| MacAddr::new([2, i, 0, 0, 0, 0])).collect(),
+            (0..64).map(|i| MacAddr::new([2, 0, 0, i, 0, 1])).collect(),
+        ] {
+            let hashes: Vec<u64> = macs
+                .iter()
+                .map(|mac| BuildHasherDefault::<MacHasher>::default().hash_one(mac))
+                .collect();
+            let distinct = |f: fn(u64) -> u64| {
+                let mut seen: Vec<u64> = hashes.iter().map(|&h| f(h)).collect();
+                seen.sort_unstable();
+                seen.dedup();
+                seen.len()
+            };
+            assert!(distinct(|h| h & 127) >= 32, "low bits collide: {macs:?}");
+            assert!(distinct(|h| h >> 57) >= 32, "tags collide: {macs:?}");
+        }
+        let mut map = MacMap::default();
+        map.insert(MacAddr::from_index(1), 1u16);
+        assert_eq!(map.get(&MacAddr::from_index(1)), Some(&1));
+        assert_eq!(map.get(&MacAddr::from_index(2)), None);
     }
 
     #[test]

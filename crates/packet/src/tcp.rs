@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use crate::checksum;
 use crate::ethernet::ETHERNET_HEADER_LEN;
 use crate::ipv4::{IpProtocol, Ipv4Builder, Ipv4Header, IPV4_HEADER_LEN};
-use crate::{EtherType, EthernetBuilder, Frame, MacAddr, ParseError};
+use crate::{EtherType, Frame, MacAddr, ParseError};
 
 /// Length of an option-less TCP header. The simulated stack never emits TCP
 /// options so headers are always 20 bytes, matching the paper's offsets.
@@ -229,7 +229,7 @@ impl<'a> TcpHeader<'a> {
 /// assert!(tcp.verify_checksum());
 /// ```
 #[derive(Debug, Clone)]
-pub struct TcpBuilder {
+pub struct TcpBuilder<'a> {
     src_mac: MacAddr,
     dst_mac: MacAddr,
     src_ip: Ipv4Addr,
@@ -241,10 +241,10 @@ pub struct TcpBuilder {
     flags: TcpFlags,
     window: u16,
     ident: u16,
-    payload: Vec<u8>,
+    payload: &'a [u8],
 }
 
-impl Default for TcpBuilder {
+impl Default for TcpBuilder<'_> {
     fn default() -> Self {
         TcpBuilder {
             src_mac: MacAddr::ZERO,
@@ -258,12 +258,12 @@ impl Default for TcpBuilder {
             flags: TcpFlags::EMPTY,
             window: 65535,
             ident: 0,
-            payload: Vec::new(),
+            payload: &[],
         }
     }
 }
 
-impl TcpBuilder {
+impl<'a> TcpBuilder<'a> {
     /// Creates a builder with all fields zeroed and a 64 KB window.
     pub fn new() -> Self {
         Self::default()
@@ -335,55 +335,51 @@ impl TcpBuilder {
         self
     }
 
-    /// Sets the payload, staged in an [`arena`](crate::arena) buffer.
-    pub fn payload(mut self, payload: &[u8]) -> Self {
-        self.payload = crate::arena::buffer_from(payload);
+    /// Sets the payload, borrowed until [`build`](Self::build) copies it
+    /// into the frame.
+    pub fn payload(mut self, payload: &'a [u8]) -> Self {
+        self.payload = payload;
         self
     }
 
-    /// [`build`](Self::build), consuming the builder and returning its
-    /// payload buffer to the [`arena`](crate::arena): the per-segment
-    /// form, which leaves nothing for the allocator to free.
-    pub fn build_take(mut self) -> Frame {
-        let frame = self.build();
-        crate::arena::recycle_buffer(std::mem::take(&mut self.payload));
-        frame
-    }
-
     /// Assembles the frame, computing IP and TCP checksums.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment is longer than one IPv4 packet carries.
     pub fn build(&self) -> Frame {
-        let mut segment = crate::arena::take_buffer(TCP_HEADER_LEN + self.payload.len());
-        segment.extend_from_slice(&self.src_port.to_be_bytes());
-        segment.extend_from_slice(&self.dst_port.to_be_bytes());
-        segment.extend_from_slice(&self.seq.to_be_bytes());
-        segment.extend_from_slice(&self.ack.to_be_bytes());
-        segment.push(((TCP_HEADER_LEN / 4) as u8) << 4);
-        segment.push(self.flags.bits());
-        segment.extend_from_slice(&self.window.to_be_bytes());
-        segment.extend_from_slice(&[0, 0]); // checksum placeholder
-        segment.extend_from_slice(&[0, 0]); // urgent pointer
-        segment.extend_from_slice(&self.payload);
-        let sum = checksum::pseudo_header_checksum(
-            self.src_ip,
-            self.dst_ip,
-            IpProtocol::TCP.value(),
-            &segment,
-        );
-        segment[16..18].copy_from_slice(&sum.to_be_bytes());
-
-        let packet = Ipv4Builder::new()
-            .src(self.src_ip)
-            .dst(self.dst_ip)
-            .protocol(IpProtocol::TCP)
-            .ident(self.ident)
-            .payload_owned(segment)
-            .build_packet_take();
-        EthernetBuilder::new()
-            .src(self.src_mac)
-            .dst(self.dst_mac)
-            .ethertype(EtherType::IPV4)
-            .payload_owned(packet)
-            .build_take()
+        let segment_len = TCP_HEADER_LEN + self.payload.len();
+        Frame::assemble(
+            self.dst_mac,
+            self.src_mac,
+            EtherType::IPV4,
+            IPV4_HEADER_LEN + segment_len,
+            |out| {
+                Ipv4Builder::new()
+                    .src(self.src_ip)
+                    .dst(self.dst_ip)
+                    .protocol(IpProtocol::TCP)
+                    .ident(self.ident)
+                    .write_header(out, segment_len);
+                out.extend_from_slice(&self.src_port.to_be_bytes());
+                out.extend_from_slice(&self.dst_port.to_be_bytes());
+                out.extend_from_slice(&self.seq.to_be_bytes());
+                out.extend_from_slice(&self.ack.to_be_bytes());
+                out.push(((TCP_HEADER_LEN / 4) as u8) << 4);
+                out.push(self.flags.bits());
+                out.extend_from_slice(&self.window.to_be_bytes());
+                out.extend_from_slice(&[0, 0]); // checksum placeholder
+                out.extend_from_slice(&[0, 0]); // urgent pointer
+                out.extend_from_slice(self.payload);
+                let sum = checksum::pseudo_header_checksum(
+                    self.src_ip,
+                    self.dst_ip,
+                    IpProtocol::TCP.value(),
+                    &out[TCP_OFF..],
+                );
+                out[TCP_OFF + 16..TCP_OFF + 18].copy_from_slice(&sum.to_be_bytes());
+            },
+        )
     }
 }
 

@@ -5,7 +5,7 @@ use std::net::Ipv4Addr;
 use crate::checksum;
 use crate::ethernet::ETHERNET_HEADER_LEN;
 use crate::ipv4::{IpProtocol, Ipv4Builder, Ipv4Header, IPV4_HEADER_LEN};
-use crate::{EtherType, EthernetBuilder, Frame, MacAddr, ParseError};
+use crate::{EtherType, Frame, MacAddr, ParseError};
 
 /// Length of the UDP header.
 pub const UDP_HEADER_LEN: usize = 8;
@@ -107,7 +107,7 @@ impl<'a> UdpHeader<'a> {
 
 /// Builds a complete Ethernet/IPv4/UDP frame with valid checksums.
 #[derive(Debug, Clone)]
-pub struct UdpBuilder {
+pub struct UdpBuilder<'a> {
     src_mac: MacAddr,
     dst_mac: MacAddr,
     src_ip: Ipv4Addr,
@@ -115,10 +115,10 @@ pub struct UdpBuilder {
     src_port: u16,
     dst_port: u16,
     ident: u16,
-    payload: Vec<u8>,
+    payload: &'a [u8],
 }
 
-impl Default for UdpBuilder {
+impl Default for UdpBuilder<'_> {
     fn default() -> Self {
         UdpBuilder {
             src_mac: MacAddr::ZERO,
@@ -128,12 +128,12 @@ impl Default for UdpBuilder {
             src_port: 0,
             dst_port: 0,
             ident: 0,
-            payload: Vec::new(),
+            payload: &[],
         }
     }
 }
 
-impl UdpBuilder {
+impl<'a> UdpBuilder<'a> {
     /// Creates a builder with all fields zeroed.
     pub fn new() -> Self {
         Self::default()
@@ -181,19 +181,11 @@ impl UdpBuilder {
         self
     }
 
-    /// Sets the payload, staged in an [`arena`](crate::arena) buffer.
-    pub fn payload(mut self, payload: &[u8]) -> Self {
-        self.payload = crate::arena::buffer_from(payload);
+    /// Sets the payload, borrowed until [`build`](Self::build) copies it
+    /// into the frame.
+    pub fn payload(mut self, payload: &'a [u8]) -> Self {
+        self.payload = payload;
         self
-    }
-
-    /// [`build`](Self::build), consuming the builder and returning its
-    /// payload buffer to the [`arena`](crate::arena): the per-datagram
-    /// form, which leaves nothing for the allocator to free.
-    pub fn build_take(mut self) -> Frame {
-        let frame = self.build();
-        crate::arena::recycle_buffer(std::mem::take(&mut self.payload));
-        frame
     }
 
     /// Assembles the frame, computing IP and UDP checksums.
@@ -205,36 +197,35 @@ impl UdpBuilder {
     pub fn build(&self) -> Frame {
         let udp_len = u16::try_from(UDP_HEADER_LEN + self.payload.len())
             .expect("datagram exceeds the u16 UDP length field");
-        let mut datagram = crate::arena::take_buffer(usize::from(udp_len));
-        datagram.extend_from_slice(&self.src_port.to_be_bytes());
-        datagram.extend_from_slice(&self.dst_port.to_be_bytes());
-        datagram.extend_from_slice(&udp_len.to_be_bytes());
-        datagram.extend_from_slice(&[0, 0]); // checksum placeholder
-        datagram.extend_from_slice(&self.payload);
-        let mut sum = checksum::pseudo_header_checksum(
-            self.src_ip,
-            self.dst_ip,
-            IpProtocol::UDP.value(),
-            &datagram,
-        );
-        if sum == 0 {
-            sum = 0xffff; // RFC 768: transmitted zero means "no checksum"
-        }
-        datagram[6..8].copy_from_slice(&sum.to_be_bytes());
-
-        let packet = Ipv4Builder::new()
-            .src(self.src_ip)
-            .dst(self.dst_ip)
-            .protocol(IpProtocol::UDP)
-            .ident(self.ident)
-            .payload_owned(datagram)
-            .build_packet_take();
-        EthernetBuilder::new()
-            .src(self.src_mac)
-            .dst(self.dst_mac)
-            .ethertype(EtherType::IPV4)
-            .payload_owned(packet)
-            .build_take()
+        Frame::assemble(
+            self.dst_mac,
+            self.src_mac,
+            EtherType::IPV4,
+            IPV4_HEADER_LEN + usize::from(udp_len),
+            |out| {
+                Ipv4Builder::new()
+                    .src(self.src_ip)
+                    .dst(self.dst_ip)
+                    .protocol(IpProtocol::UDP)
+                    .ident(self.ident)
+                    .write_header(out, usize::from(udp_len));
+                out.extend_from_slice(&self.src_port.to_be_bytes());
+                out.extend_from_slice(&self.dst_port.to_be_bytes());
+                out.extend_from_slice(&udp_len.to_be_bytes());
+                out.extend_from_slice(&[0, 0]); // checksum placeholder
+                out.extend_from_slice(self.payload);
+                let mut sum = checksum::pseudo_header_checksum(
+                    self.src_ip,
+                    self.dst_ip,
+                    IpProtocol::UDP.value(),
+                    &out[UDP_OFF..],
+                );
+                if sum == 0 {
+                    sum = 0xffff; // RFC 768: transmitted zero means "no checksum"
+                }
+                out[UDP_OFF + 6..UDP_OFF + 8].copy_from_slice(&sum.to_be_bytes());
+            },
+        )
     }
 }
 

@@ -12,7 +12,7 @@
 //! surviving member with the token itself.
 
 use vw_packet::codec::{Reader, Writer};
-use vw_packet::{EtherType, EthernetBuilder, Frame, MacAddr, ParseError};
+use vw_packet::{EtherType, Frame, MacAddr, ParseError};
 
 /// Opcode of a token frame (`(14 2 0x0001)` in Figure 6).
 pub const OPCODE_TOKEN: u16 = 0x0001;
@@ -46,32 +46,23 @@ pub fn build_token_parts(
     cycle: u32,
     ring: &[MacAddr],
 ) -> Frame {
-    let mut payload = vw_packet::arena::take_buffer(2 + 4 + 4 + 1 + ring.len() * 6);
-    let mut w = Writer::be(&mut payload);
-    w.u16(OPCODE_TOKEN);
-    w.u32(generation);
-    w.u32(cycle);
-    w.list8(ring, |w, mac| w.bytes(&mac.octets()));
-    EthernetBuilder::new()
-        .src(src)
-        .dst(dst)
-        .ethertype(EtherType::RETHER)
-        .payload_owned(payload)
-        .build_take()
+    let capacity = 2 + 4 + 4 + 1 + ring.len() * 6;
+    Frame::assemble(dst, src, EtherType::RETHER, capacity, |out| {
+        let mut w = Writer::be(out);
+        w.u16(OPCODE_TOKEN);
+        w.u32(generation);
+        w.u32(cycle);
+        w.list8(ring, |w, mac| w.bytes(&mac.octets()));
+    })
 }
 
 /// Builds a token acknowledgment from `src` to `dst` echoing `generation`.
 pub fn build_token_ack(src: MacAddr, dst: MacAddr, generation: u32) -> Frame {
-    let mut payload = vw_packet::arena::take_buffer(6);
-    let mut w = Writer::be(&mut payload);
-    w.u16(OPCODE_TOKEN_ACK);
-    w.u32(generation);
-    EthernetBuilder::new()
-        .src(src)
-        .dst(dst)
-        .ethertype(EtherType::RETHER)
-        .payload_owned(payload)
-        .build_take()
+    Frame::assemble(dst, src, EtherType::RETHER, 6, |out| {
+        let mut w = Writer::be(out);
+        w.u16(OPCODE_TOKEN_ACK);
+        w.u32(generation);
+    })
 }
 
 /// A parsed Rether control frame, borrowing from it.
@@ -119,7 +110,7 @@ pub fn parse(frame: &Frame) -> Result<RetherMessage<'_>, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vw_packet::offsets;
+    use vw_packet::{offsets, EthernetBuilder};
 
     fn macs(n: u32) -> Vec<MacAddr> {
         (1..=n).map(MacAddr::from_index).collect()
@@ -199,7 +190,7 @@ mod tests {
         payload.push(4); // claims 4 members, provides none
         let bad_ring = EthernetBuilder::new()
             .ethertype(EtherType::RETHER)
-            .payload_owned(payload)
+            .payload(&payload)
             .build();
         assert!(parse(&bad_ring).is_err());
     }

@@ -1,9 +1,7 @@
 //! The RLL as a simulator hook.
 
-use std::collections::HashMap;
-
 use vw_netsim::{Context, Hook, SimDuration, TimerId, Verdict};
-use vw_packet::{Frame, MacAddr};
+use vw_packet::{Frame, MacAddr, MacMap};
 
 use crate::window::{ReceiverWindow, RecvAction, SendAction, SenderWindow};
 use crate::wire::{self, RllOpcode};
@@ -77,7 +75,7 @@ struct PeerState {
 /// to acknowledge them) and are passed through unchanged.
 pub struct RllHook {
     config: RllConfig,
-    peers: HashMap<MacAddr, PeerState>,
+    peers: MacMap<PeerState>,
     stats: RllStats,
 }
 
@@ -96,7 +94,7 @@ impl RllHook {
     pub fn new(config: RllConfig) -> Self {
         RllHook {
             config,
-            peers: HashMap::new(),
+            peers: MacMap::default(),
             stats: RllStats::default(),
         }
     }
@@ -169,8 +167,9 @@ impl Hook for RllHook {
         }
         self.stats.accepted += 1;
         let (peer, stats) = self.peer(dst);
-        if let SendAction::Transmit { seq, frame } = peer.sender.offer(frame) {
-            transmit_data(ctx, stats, &frame, seq, peer.receiver.expected());
+        if let SendAction::Transmit { seq } = peer.sender.offer(frame) {
+            let inner = peer.sender.in_flight(seq).expect("offer queued it");
+            transmit_data(ctx, stats, inner, seq, peer.receiver.expected());
         }
         self.arm_timer(ctx, dst);
         // The original frame never goes out directly; its DATA encapsulation
@@ -195,12 +194,11 @@ impl Hook for RllHook {
         let peer_mac = frame.src();
         match shim.opcode {
             RllOpcode::Data => {
-                let inner = wire::decapsulate(&frame, &shim, payload);
                 let action = self.peer(peer_mac).0.receiver.on_data(shim.seq);
                 let ack_no = match action {
                     RecvAction::Deliver { ack } => {
                         self.stats.delivered += 1;
-                        ctx.deliver_up(inner);
+                        ctx.deliver_up(wire::decapsulate(&frame, &shim, payload));
                         ack
                     }
                     RecvAction::AckOnly { ack } => {

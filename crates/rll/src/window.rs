@@ -44,12 +44,11 @@ impl<'a> Iterator for Sequenced<'a> {
 /// What the sender should do after an event.
 #[derive(Debug, PartialEq, Eq)]
 pub enum SendAction {
-    /// Transmit this inner frame with this sequence number.
+    /// Transmit the offered frame, now [`in_flight`](SenderWindow::in_flight)
+    /// under this sequence number.
     Transmit {
         /// Assigned sequence number.
         seq: u32,
-        /// The inner frame to encapsulate and put on the wire.
-        frame: Frame,
     },
     /// Nothing to do right now.
     Nothing,
@@ -73,14 +72,15 @@ impl SenderWindow {
         }
     }
 
-    /// Offers a frame for transmission. Returns the transmit action if the
-    /// window has room, otherwise queues it in the backlog.
+    /// Offers a frame for transmission; the window keeps it either way.
+    /// Returns the transmit action if the window has room, otherwise
+    /// queues the frame in the backlog.
     pub fn offer(&mut self, frame: Frame) -> SendAction {
         if self.next_seq.wrapping_sub(self.base) < self.window {
             let seq = self.next_seq;
             self.next_seq = self.next_seq.wrapping_add(1);
-            self.in_flight.push_back(frame.clone());
-            SendAction::Transmit { seq, frame }
+            self.in_flight.push_back(frame);
+            SendAction::Transmit { seq }
         } else {
             self.backlog.push_back(frame);
             SendAction::Nothing
@@ -119,6 +119,11 @@ impl SenderWindow {
             self.retries += 1;
         }
         self.in_flight_from(self.base)
+    }
+
+    /// The unacknowledged frame numbered `seq`, if there is one.
+    pub fn in_flight(&self, seq: u32) -> Option<&Frame> {
+        self.in_flight.get(seq.wrapping_sub(self.base) as usize)
     }
 
     /// The in-flight frames numbered `first` and up.
@@ -326,8 +331,9 @@ mod tests {
                 prop_assert!(steps < 100_000, "no progress: {} of {}", delivered.len(), nframes);
                 // Offer new frames while any remain.
                 if offered < nframes {
-                    if let SendAction::Transmit { seq, frame } = sender.offer(frame(offered as u8)) {
-                        wire.push_back((seq, frame));
+                    if let SendAction::Transmit { seq } = sender.offer(frame(offered as u8)) {
+                        let queued = sender.in_flight(seq).expect("offer queued it");
+                        wire.push_back((seq, queued.clone()));
                     }
                     offered += 1;
                 }

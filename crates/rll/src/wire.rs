@@ -21,7 +21,9 @@
 //! exactly the guarantee VirtualWire needs — "MAC layer bit errors" must
 //! surface as retransmissions, not silent drops (Section 3.3).
 
-use vw_packet::{checksum, EtherType, EthernetBuilder, Frame, MacAddr, ParseError};
+use vw_packet::{
+    checksum, EtherType, EthernetBuilder, Frame, MacAddr, ParseError, ETHERNET_HEADER_LEN,
+};
 
 /// Length of the RLL shim header.
 pub const SHIM_LEN: usize = 14;
@@ -98,22 +100,18 @@ pub fn build_ack(src: MacAddr, dst: MacAddr, ack: u32) -> Frame {
 }
 
 fn build(src: MacAddr, dst: MacAddr, shim: RllShim, payload: &[u8]) -> Frame {
-    let mut body = vw_packet::arena::take_buffer(SHIM_LEN + payload.len());
-    body.push(shim.opcode.to_byte());
-    body.push(0); // reserved: keeps later fields 16-bit aligned
-    body.extend_from_slice(&shim.seq.to_be_bytes());
-    body.extend_from_slice(&shim.ack.to_be_bytes());
-    body.extend_from_slice(&shim.inner_ethertype.value().to_be_bytes());
-    body.extend_from_slice(&[0, 0]); // checksum placeholder
-    body.extend_from_slice(payload);
-    let sum = checksum::checksum(&body);
-    body[12..14].copy_from_slice(&sum.to_be_bytes());
-    EthernetBuilder::new()
-        .src(src)
-        .dst(dst)
-        .ethertype(EtherType::RLL)
-        .payload_owned(body)
-        .build_take()
+    const SUM_AT: usize = ETHERNET_HEADER_LEN + 12;
+    Frame::assemble(dst, src, EtherType::RLL, SHIM_LEN + payload.len(), |out| {
+        out.push(shim.opcode.to_byte());
+        out.push(0); // reserved: keeps later fields 16-bit aligned
+        out.extend_from_slice(&shim.seq.to_be_bytes());
+        out.extend_from_slice(&shim.ack.to_be_bytes());
+        out.extend_from_slice(&shim.inner_ethertype.value().to_be_bytes());
+        out.extend_from_slice(&[0, 0]); // checksum placeholder
+        out.extend_from_slice(payload);
+        let sum = checksum::checksum(&out[ETHERNET_HEADER_LEN..]);
+        out[SUM_AT..SUM_AT + 2].copy_from_slice(&sum.to_be_bytes());
+    })
 }
 
 /// Parses and integrity-checks an RLL frame, returning the shim and the
@@ -159,7 +157,7 @@ pub fn decapsulate(outer: &Frame, shim: &RllShim, payload: &[u8]) -> Frame {
         .dst(outer.dst())
         .ethertype(shim.inner_ethertype)
         .payload(payload)
-        .build_take()
+        .build()
 }
 
 #[cfg(test)]

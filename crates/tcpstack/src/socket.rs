@@ -347,8 +347,8 @@ impl TcpSocket {
     }
 
     /// Queues a segment carrying the live send-buffer bytes `data` (offsets
-    /// past `buf_seq`; `0..0` for none), which the builder stages in a
-    /// pooled buffer and hands back when the frame is built.
+    /// past `buf_seq`; `0..0` for none), which the builder copies straight
+    /// into the frame.
     fn emit(&mut self, seq: u32, ack: u32, flags: TcpFlags, data: Range<usize>) {
         self.ip_ident = self.ip_ident.wrapping_add(1);
         let live = &self.send_buf[self.send_head..];
@@ -365,7 +365,7 @@ impl TcpSocket {
             .window(self.cfg.recv_window)
             .ident(self.ip_ident)
             .payload(&live[data])
-            .build_take();
+            .build();
         self.stats.segments_sent += 1;
         self.out.push(frame);
     }

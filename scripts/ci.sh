@@ -49,6 +49,15 @@ if grep -nE 'cancelled_timers|HashSet' crates/netsim/src/world.rs; then
     exit 1
 fi
 
+# Frame-assembly gate: a frame is assembled once, in its final arena
+# buffer (vw_packet::Frame::assemble); no builder stages a payload in a
+# buffer of its own or hands one to the next layer.
+echo "==> frame-assembly gate"
+if grep -rnE 'payload_owned|build_take|build_packet_take' crates tests examples; then
+    echo "staging builder API: borrow the payload, build through Frame::assemble"
+    exit 1
+fi
+
 # The size simplicity PRs quote: lines of every crates/*/src/**/*.rs up to
 # its first #[cfg(test)].
 echo "==> non-test source lines"
@@ -88,7 +97,8 @@ cargo test -q --workspace --no-fail-fast
 
 # Allocation budgets, in the build they are about: the full tower at most
 # one allocation per two classified frames once warm, the bare simulator
-# (flood plus a set-and-cancel timer per tick) none in 10 000 events.
+# (flood plus a set-and-cancel timer per tick) none in 10 000 events, and
+# none either when half the control frames crossing it are dropped.
 echo "==> alloc budget"
 cargo test -q --release --test alloc_budget
 

@@ -16,8 +16,10 @@ use std::cell::Cell;
 
 use common::{build_tower, Tower};
 use vw_netsim::apps::{UdpFlooder, UdpSink};
-use vw_netsim::{Binding, Context, LinkConfig, Protocol, SimDuration, TimerId, World};
-use vw_packet::{EtherType, Frame};
+use vw_netsim::{
+    Binding, Context, ControlImpairment, LinkConfig, Protocol, SimDuration, TimerId, World,
+};
+use vw_packet::{EtherType, EthernetBuilder, Frame};
 
 struct Counting;
 
@@ -203,5 +205,82 @@ fn the_simulator_carries_frames_and_timers_without_allocating() {
         "the flood flowed"
     );
     assert!(ticks(&world) - ticks_before > 1_000, "the ticker ticked");
+    assert_eq!(spent, 0, "allocations across 10 000 steady-state events");
+}
+
+/// Sends a copy of `frame` every `every`; counts what comes back its way.
+struct Beacon {
+    frame: Frame,
+    every: SimDuration,
+    heard: u64,
+}
+
+impl Protocol for Beacon {
+    fn name(&self) -> &str {
+        "beacon"
+    }
+
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.on_timer(ctx, 0);
+    }
+
+    fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: Frame) {
+        self.heard += 1;
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
+        ctx.send(self.frame.clone());
+        ctx.set_timer(self.every, 0);
+    }
+}
+
+/// Control frames (`0x88B5`) through a control plane that loses half of
+/// them, trace off: a dropped frame is recycled, not described — losing
+/// one allocates no more than delivering one.
+#[test]
+fn an_impaired_control_plane_drops_frames_without_allocating() {
+    let mut world = World::new(5);
+    world.trace_mut().set_enabled(false);
+    world.set_control_impairment(ControlImpairment::dropping(0.5));
+    let a = world.add_host("a");
+    let b = world.add_host("b");
+    let switch = world.add_switch("sw", 2);
+    world.connect(a, switch, LinkConfig::fast_ethernet());
+    world.connect(b, switch, LinkConfig::fast_ethernet());
+    let control = Binding::EtherType(EtherType::VW_CONTROL);
+    let beacon = |world: &World, from, to| Beacon {
+        frame: EthernetBuilder::new()
+            .src(world.host_mac(from))
+            .dst(world.host_mac(to))
+            .ethertype(EtherType::VW_CONTROL)
+            .payload(&[0xd7; 32])
+            .build(),
+        every: SimDuration::from_micros(100),
+        heard: 0,
+    };
+    let (to_b, to_a) = (beacon(&world, a, b), beacon(&world, b, a));
+    world.add_protocol(a, control, Box::new(to_b));
+    let listener = world.add_protocol(b, control, Box::new(to_a));
+
+    let steps = |world: &mut World, events: u64| {
+        let until = world.events_processed() + events;
+        while world.events_processed() < until {
+            assert!(world.step(), "the beacons never run dry");
+        }
+    };
+    steps(&mut world, 2_000);
+    let heard = |world: &World| world.protocol::<Beacon>(b, listener).unwrap().heard;
+    let (heard_before, sent_before) = (heard(&world), world.now());
+    let before = allocs();
+    steps(&mut world, 10_000);
+    let spent = allocs() - before;
+
+    let sent = (world.now() - sent_before).as_nanos() / 100_000;
+    let heard = heard(&world) - heard_before;
+    assert!(sent > 1_000, "the beacons beat");
+    assert!(
+        heard > sent / 4 && heard < sent * 3 / 4,
+        "{heard} of {sent} control frames arrived through a 50% drop"
+    );
     assert_eq!(spent, 0, "allocations across 10 000 steady-state events");
 }
