@@ -34,7 +34,7 @@
 //!   true exactly while the first SYNACK is being processed, so exactly
 //!   one SYNACK is dropped.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use vw_fsl::{
     ActionId, CompiledActionKind, CompiledCounterKind, CompiledOperand, CondId, CounterId,
@@ -375,11 +375,13 @@ pub struct Engine {
     /// DELAY buffer: timer token → held packet.
     held: HashMap<u64, (Frame, Dir)>,
     next_delay_token: u64,
-    /// REORDER buffers, keyed by action.
-    reorder_bufs: HashMap<ActionId, Vec<(Frame, Dir)>>,
+    /// REORDER buffers, indexed by [`ActionId`]; sized to the action table
+    /// by the first REORDER that fires.
+    reorder_bufs: Vec<Vec<(Frame, Dir)>>,
     /// MODIFY SET actions whose write already fell off the end of a frame
-    /// once — the diagnostic is flagged at most once per action.
-    oob_flagged: HashSet<ActionId>,
+    /// once — the diagnostic is flagged at most once per action. Indexed
+    /// by [`ActionId`]; sized by the first such write.
+    oob_flagged: Vec<bool>,
 
     /// Errors flagged locally, plus (on the control node) remotely.
     errors: Vec<FlaggedError>,
@@ -393,10 +395,11 @@ pub struct Engine {
     classifier: Classifier,
     /// Reusable classification buffers (no per-packet allocation).
     scratch: ClassifierScratch,
-    /// Install-time dispatch: `(filter, dir)` → counters that can match a
-    /// packet so classified *at this node* — replaces the per-packet scan
-    /// of the whole counter table.
-    counter_dispatch: HashMap<(FilterId, Dir), Vec<CounterId>>,
+    /// Install-time dispatch, indexed by [`dispatch_slot`]`(filter, dir)`:
+    /// the counters that can match a packet so classified *at this node* —
+    /// replaces the per-packet scan of the whole counter table. Empty when
+    /// no packet counter is homed here.
+    counter_dispatch: Vec<Vec<CounterId>>,
     /// Reusable evaluation-cascade worklist.
     cascade_worklist: Vec<CounterId>,
     /// Reusable buffer for the counters a packet bumps.
@@ -461,14 +464,14 @@ impl Engine {
             scratch_ctrl: Vec::new(),
             held: HashMap::new(),
             next_delay_token: 0,
-            reorder_bufs: HashMap::new(),
-            oob_flagged: HashSet::new(),
+            reorder_bufs: Vec::new(),
+            oob_flagged: Vec::new(),
             errors: Vec::new(),
             stopped: None,
             last_match: SimTime::ZERO,
             classifier: Classifier::Linear,
             scratch: ClassifierScratch::default(),
-            counter_dispatch: HashMap::new(),
+            counter_dispatch: Vec::new(),
             cascade_worklist: Vec::new(),
             scratch_bump: Vec::new(),
             scratch_fired: Vec::new(),
@@ -1036,7 +1039,7 @@ impl Engine {
 
     /// Records a staleness diagnostic as a flagged error on this node.
     fn push_stale_error(&mut self, ctx: &mut Context<'_>, message: String) {
-        ctx.trace_note_lazy(|| format!("virtualwire: {message}"));
+        ctx.trace_note(|| format!("virtualwire: {message}"));
         self.flag(ctx.now(), None, message);
     }
 
@@ -1099,7 +1102,7 @@ impl Engine {
                 &CompiledActionKind::Fail { node } => {
                     debug_assert_eq!(node, me, "compiler places FAIL at the victim");
                     self.blackholed = true;
-                    ctx.trace_note_lazy(|| {
+                    ctx.trace_note(|| {
                         format!(
                             "virtualwire: FAIL — node {} blackholed",
                             tables.nodes[me.index()].name
@@ -1125,7 +1128,7 @@ impl Engine {
                     let message = message
                         .clone()
                         .unwrap_or_else(|| format!("FLAG_ERR fired (condition {})", cond.index()));
-                    ctx.trace_note_lazy(|| format!("virtualwire: FLAG_ERR: {message}"));
+                    ctx.trace_note(|| format!("virtualwire: FLAG_ERR: {message}"));
                     self.flag(ctx.now(), Some(cond), message.clone());
                     if let Some(control) = self.control_mac {
                         if control != ctx.mac() {
@@ -1464,12 +1467,13 @@ impl Engine {
         }
 
         // ---- counter updates (Figure 4(b): update_counter) ----------
-        // The install-time dispatch map narrows the candidates to the
+        // The install-time dispatch table narrows the candidates to the
         // counters keyed by this packet's (filter, dir); only the
         // enabled/endpoint checks remain per packet.
         let mut bump = std::mem::take(&mut self.scratch_bump);
         bump.clear();
-        if let Some(candidates) = self.counter_dispatch.get(&(classification.filter, dir)) {
+        let slot = dispatch_slot(classification.filter, dir);
+        if let Some(candidates) = self.counter_dispatch.get(slot) {
             for &counter in candidates {
                 let CompiledCounterKind::Packet(sel) = &tables.counters[counter.index()].kind
                 else {
@@ -1559,7 +1563,9 @@ impl Engine {
                 match fault {
                     Fault::Drop => {
                         self.stats.drops += 1;
-                        ctx.trace_frame(TraceKind::HookConsume, &frame, "virtualwire DROP");
+                        ctx.trace_frame(TraceKind::HookConsume, &frame, || {
+                            "virtualwire DROP".into()
+                        });
                         return Verdict::Consume;
                     }
                     Fault::Dup => {
@@ -1592,7 +1598,11 @@ impl Engine {
                                     // per action) rather than truncating
                                     // or panicking.
                                     self.stats.modify_oob += 1;
-                                    if self.oob_flagged.insert(*action) {
+                                    if self.oob_flagged.is_empty() {
+                                        self.oob_flagged.resize(tables.actions.len(), false);
+                                    }
+                                    let flagged = &mut self.oob_flagged[action.index()];
+                                    if !std::mem::replace(flagged, true) {
                                         let message = format!(
                                             "MODIFY SET writes {n} byte(s) at offset {offset}, \
                                              outside the {}-byte frame; write skipped",
@@ -1618,7 +1628,11 @@ impl Engine {
                     Fault::Reorder { count, order } => {
                         self.stats.reorders += 1;
                         self.stats.faults_in_limbo += 1;
-                        let buffer = self.reorder_bufs.entry(*action).or_default();
+                        if self.reorder_bufs.is_empty() {
+                            self.reorder_bufs
+                                .resize_with(tables.actions.len(), Vec::new);
+                        }
+                        let buffer = &mut self.reorder_bufs[action.index()];
                         buffer.push((frame, dir));
                         if buffer.len() >= *count as usize {
                             let slots = &mut self.scratch_reorder;
@@ -1713,24 +1727,26 @@ fn now_ns(ctx: &Context<'_>) -> i64 {
     i64::try_from(ctx.now().as_nanos()).unwrap_or(i64::MAX)
 }
 
+/// Where `(filter, dir)` sits in [`Engine::counter_dispatch`].
+fn dispatch_slot(filter: FilterId, dir: Dir) -> usize {
+    filter.index() * 2 + dir as usize
+}
+
 /// Builds the install-time counter dispatch for `me`: every packet counter
-/// homed here, keyed by its `(filter, dir)` tuple. Lets the packet path
-/// touch only the counters that can possibly match instead of scanning the
-/// whole counter table per frame.
-fn build_counter_dispatch(
-    tables: &TableSet,
-    me: NodeId,
-) -> HashMap<(FilterId, Dir), Vec<CounterId>> {
-    let mut dispatch: HashMap<(FilterId, Dir), Vec<CounterId>> = HashMap::new();
+/// homed here, under its [`dispatch_slot`]. Lets the packet path touch only
+/// the counters that can possibly match instead of scanning the whole
+/// counter table per frame.
+fn build_counter_dispatch(tables: &TableSet, me: NodeId) -> Vec<Vec<CounterId>> {
+    let mut dispatch: Vec<Vec<CounterId>> = Vec::new();
     for (i, c) in tables.counters.iter().enumerate() {
         if c.home != me {
             continue;
         }
         if let CompiledCounterKind::Packet(sel) = c.kind {
-            dispatch
-                .entry((sel.filter, sel.dir))
-                .or_default()
-                .push(CounterId(i as u16));
+            if dispatch.is_empty() {
+                dispatch.resize_with(tables.filters.len() * 2, Vec::new);
+            }
+            dispatch[dispatch_slot(sel.filter, sel.dir)].push(CounterId(i as u16));
         }
     }
     dispatch
@@ -1800,15 +1816,17 @@ impl Hook for Engine {
     fn on_teardown(&mut self, ctx: &mut Context<'_>) {
         // Flush frames still parked by DELAY timers or never-filled
         // REORDER buffers so nothing silently vanishes at run end.
-        // Iteration is sorted (delay tokens allocate monotonically;
-        // action ids are ordered) so the flush order is deterministic.
+        // Iteration is sorted (delay tokens allocate monotonically; the
+        // REORDER buffers are in action-id order) so the flush order is
+        // deterministic.
         let mut held: Vec<(u64, (Frame, Dir))> = self.held.drain().collect();
         held.sort_by_key(|(token, _)| *token);
-        let mut reorders: Vec<(ActionId, Vec<(Frame, Dir)>)> = self.reorder_bufs.drain().collect();
-        reorders.sort_by_key(|(action, _)| *action);
 
         let mut flushed = 0u64;
-        let batches = reorders.into_iter().flat_map(|(_, batch)| batch);
+        let batches = self
+            .reorder_bufs
+            .iter_mut()
+            .flat_map(|batch| batch.drain(..));
         for (frame, dir) in held.into_iter().map(|(_, entry)| entry).chain(batches) {
             flushed += 1;
             release(ctx, frame, dir);
@@ -1816,7 +1834,7 @@ impl Hook for Engine {
         if flushed > 0 {
             self.stats.teardown_flushed += flushed;
             self.stats.faults_in_limbo = self.stats.faults_in_limbo.saturating_sub(flushed);
-            ctx.trace_note_lazy(|| {
+            ctx.trace_note(|| {
                 format!("virtualwire: teardown flushed {flushed} in-flight frame(s)")
             });
         }

@@ -56,8 +56,8 @@ pub(crate) enum Effect {
 /// [`Protocol`](crate::Protocol) callbacks.
 ///
 /// All mutations requested through a `Context` are collected as effects and
-/// applied by the world after the callback returns, which keeps dispatch
-/// free of re-entrancy.
+/// applied by the world after the callback returns, in the order they were
+/// requested, which keeps dispatch free of re-entrancy.
 ///
 /// # Processing cost
 ///
@@ -75,7 +75,8 @@ pub struct Context<'a> {
     pub(crate) rng: &'a mut StdRng,
     /// Where [`set_timer`](Context::set_timer) reserves the timer's cell.
     pub(crate) timers: &'a mut TimerWheel<TimerFire>,
-    pub(crate) effects: Vec<Effect>,
+    /// The world's effect stack; this callback's effects go on top.
+    pub(crate) effects: &'a mut Vec<Option<Effect>>,
     pub(crate) charged: SimDuration,
     pub(crate) trace_enabled: bool,
 }
@@ -106,6 +107,10 @@ impl<'a> Context<'a> {
         self.rng
     }
 
+    fn push(&mut self, effect: Effect) {
+        self.effects.push(Some(effect));
+    }
+
     /// Sends a frame toward the wire.
     ///
     /// From a protocol, the frame enters the hook chain at the stack end
@@ -113,7 +118,7 @@ impl<'a> Context<'a> {
     /// wire-ward from that hook — a hook never re-processes its own output.
     pub fn send(&mut self, frame: Frame) {
         let after = self.charged;
-        self.effects.push(Effect::Send { frame, after });
+        self.push(Effect::Send { frame, after });
     }
 
     /// Delivers a frame toward the protocol stack, continuing stack-ward
@@ -122,14 +127,14 @@ impl<'a> Context<'a> {
     /// re-classifying it.
     pub fn deliver_up(&mut self, frame: Frame) {
         let after = self.charged;
-        self.effects.push(Effect::DeliverUp { frame, after });
+        self.push(Effect::DeliverUp { frame, after });
     }
 
     /// Hands a frame straight to the NIC transmit queue, bypassing all
     /// remaining hooks (link-level messages such as RLL acknowledgments).
     pub fn transmit_raw(&mut self, frame: Frame) {
         let after = self.charged;
-        self.effects.push(Effect::TransmitRaw { frame, after });
+        self.push(Effect::TransmitRaw { frame, after });
     }
 
     /// Arms a timer that will call this handler's `on_timer` with `token`
@@ -137,7 +142,7 @@ impl<'a> Context<'a> {
     /// [`cancel_timer`](Context::cancel_timer).
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
         let id = self.timers.reserve();
-        self.effects.push(Effect::SetTimer {
+        self.push(Effect::SetTimer {
             id,
             at: self.now.saturating_add(self.charged.saturating_add(delay)),
             fire: TimerFire {
@@ -152,7 +157,7 @@ impl<'a> Context<'a> {
     /// Disarms a pending timer. Cancelling an already-fired timer is a
     /// harmless no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.effects.push(Effect::CancelTimer(id));
+        self.push(Effect::CancelTimer(id));
     }
 
     /// Records simulated CPU time spent processing the current frame. The
@@ -167,50 +172,35 @@ impl<'a> Context<'a> {
         self.charged
     }
 
-    /// Appends a free-form note to the world trace. No-op (and no
-    /// allocation of the effect) when tracing is disabled, but the `note`
-    /// argument itself is still built by the caller — use
-    /// [`trace_note_lazy`](Context::trace_note_lazy) on hot paths.
-    pub fn trace_note(&mut self, note: impl Into<String>) {
+    /// Appends a free-form note to the world trace. `note` only runs — and
+    /// its text is only built — while tracing is enabled.
+    pub fn trace_note(&mut self, note: impl FnOnce() -> String) {
         if !self.trace_enabled {
             return;
         }
-        self.effects.push(Effect::Trace {
-            kind: TraceKind::Note,
-            frame: None,
-            note: note.into(),
-        });
-    }
-
-    /// Appends a free-form note whose text is only built if tracing is
-    /// active — the allocation-free way to trace from a hot path.
-    pub fn trace_note_lazy(&mut self, note: impl FnOnce() -> String) {
-        if !self.trace_enabled {
-            return;
-        }
-        self.effects.push(Effect::Trace {
+        self.push(Effect::Trace {
             kind: TraceKind::Note,
             frame: None,
             note: note(),
         });
     }
 
-    /// Appends a trace record carrying a frame. No-op (the frame is not
-    /// cloned) when tracing is disabled.
-    pub fn trace_frame(&mut self, kind: TraceKind, frame: &Frame, note: impl Into<String>) {
+    /// Appends a trace record carrying a frame. With tracing disabled the
+    /// frame is not cloned and `note` does not run.
+    pub fn trace_frame(&mut self, kind: TraceKind, frame: &Frame, note: impl FnOnce() -> String) {
         if !self.trace_enabled {
             return;
         }
-        self.effects.push(Effect::Trace {
+        self.push(Effect::Trace {
             kind,
             frame: Some(frame.clone()),
-            note: note.into(),
+            note: note(),
         });
     }
 
     /// Requests that the whole simulation stop (the FSL `STOP` action).
     pub fn request_stop(&mut self, reason: impl Into<String>) {
-        self.effects.push(Effect::RequestStop {
+        self.push(Effect::RequestStop {
             reason: reason.into(),
         });
     }

@@ -66,8 +66,8 @@ pub(crate) struct Host {
     pub ip: Ipv4Addr,
     pub port: Port,
     /// Hook chain; index 0 is closest to the protocol stack.
-    pub hooks: Vec<Option<Box<dyn Hook>>>,
-    pub protocols: Vec<(Binding, Option<Box<dyn Protocol>>)>,
+    pub hooks: Vec<Box<dyn Hook>>,
+    pub protocols: Vec<(Binding, Box<dyn Protocol>)>,
     /// A failed host neither sends nor receives (used by tests; the FSL
     /// `FAIL` action instead installs a blackhole at the FIE).
     pub failed: bool,

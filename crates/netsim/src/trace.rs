@@ -185,14 +185,15 @@ impl TraceSink {
         self.enabled = enabled;
     }
 
-    /// Appends a record (no-op when disabled).
+    /// Appends a record. When disabled this is a no-op: `note` does not
+    /// run and the frame is not cloned, so a call site pays for neither.
     pub fn record(
         &mut self,
         time: SimTime,
         device: DeviceId,
         kind: TraceKind,
         frame: Option<&Frame>,
-        note: impl Into<String>,
+        note: impl FnOnce() -> String,
     ) {
         if !self.enabled {
             return;
@@ -202,7 +203,7 @@ impl TraceSink {
             device,
             kind,
             frame: frame.cloned(),
-            note: note.into(),
+            note: note(),
         });
     }
 
@@ -273,7 +274,7 @@ mod tests {
                 DeviceId::from_index(0),
                 TraceKind::HostSend,
                 Some(&frame(1)),
-                "t",
+                || "t".into(),
             );
         }
         assert_eq!(sink.len(), 5);
@@ -290,7 +291,7 @@ mod tests {
             DeviceId::from_index(0),
             TraceKind::Note,
             None,
-            "x",
+            || "x".into(),
         );
         sink.set_enabled(true);
         sink.record(
@@ -298,7 +299,7 @@ mod tests {
             DeviceId::from_index(0),
             TraceKind::Note,
             None,
-            "y",
+            || "y".into(),
         );
         assert_eq!(sink.len(), 1);
         assert_eq!(sink.records()[0].note, "y");
@@ -312,14 +313,14 @@ mod tests {
             DeviceId::from_index(2),
             TraceKind::LinkLoss,
             Some(&frame(1)),
-            "unlucky",
+            || "unlucky".into(),
         );
         sink.record(
             SimTime::ZERO,
             DeviceId::from_index(2),
             TraceKind::Note,
             None,
-            "hello",
+            || "hello".into(),
         );
         let text = sink.render();
         assert_eq!(text.lines().count(), 2);
@@ -337,14 +338,14 @@ mod tests {
             DeviceId::from_index(2),
             TraceKind::Note,
             None,
-            "named",
+            || "named".into(),
         );
         sink.record(
             SimTime::ZERO,
             DeviceId::from_index(5),
             TraceKind::Note,
             None,
-            "anon",
+            || "anon".into(),
         );
         assert_eq!(sink.device_name(DeviceId::from_index(2)), Some("node2"));
         assert_eq!(sink.device_name(DeviceId::from_index(5)), None);
@@ -373,14 +374,14 @@ mod tests {
             DeviceId::from_index(0),
             TraceKind::HostSend,
             Some(&frame(1)),
-            "",
+            String::new,
         );
         sink.record(
             SimTime::ZERO,
             DeviceId::from_index(1),
             TraceKind::QueueDrop,
             Some(&frame(1)),
-            "",
+            String::new,
         );
         assert_eq!(sink.of_kind(TraceKind::QueueDrop).count(), 1);
         sink.clear();

@@ -66,10 +66,12 @@ pub struct World {
     control_impairment: crate::error_model::ControlImpairment,
     host_count: u32,
     events_processed: u64,
-    /// Recycled effect buffers: every handler invocation needs a
-    /// `Vec<Effect>`, and most push at least one effect — reusing the
-    /// buffers keeps the per-frame dispatch allocation-free.
-    spare_effects: Vec<Vec<Effect>>,
+    /// Effects queued by the handlers being dispatched, as a stack: a
+    /// dispatch remembers the length it found, its handler pushes above
+    /// that, and the effects are applied from there up — each taken out of
+    /// its slot first, since applying one may dispatch again — before the
+    /// stack is cut back. Empty between events.
+    effects: Vec<Option<Effect>>,
 }
 
 impl fmt::Debug for World {
@@ -107,7 +109,7 @@ impl World {
             control_impairment: crate::error_model::ControlImpairment::none(),
             host_count: 0,
             events_processed: 0,
-            spare_effects: Vec::new(),
+            effects: Vec::new(),
         }
     }
 
@@ -218,7 +220,7 @@ impl World {
         let host = self.devices[node.index()]
             .as_host_mut()
             .expect("protocols attach to hosts");
-        host.protocols.push((binding, Some(protocol)));
+        host.protocols.push((binding, protocol));
         let id = ProtocolId::from_index(host.protocols.len() - 1);
         self.queue.push(
             self.now,
@@ -241,7 +243,7 @@ impl World {
         let host = self.devices[node.index()]
             .as_host_mut()
             .expect("hooks attach to hosts");
-        host.hooks.push(Some(hook));
+        host.hooks.push(hook);
         let id = HookId::from_index(host.hooks.len() - 1);
         self.queue.push(
             self.now,
@@ -257,8 +259,7 @@ impl World {
     /// type. Returns `None` if the id or type does not match.
     pub fn protocol_mut<T: Protocol>(&mut self, node: DeviceId, id: ProtocolId) -> Option<&mut T> {
         let host = self.devices.get_mut(node.index())?.as_host_mut()?;
-        let boxed = host.protocols.get_mut(id.index())?.1.as_mut()?;
-        let any: &mut dyn Any = boxed.as_mut();
+        let any: &mut dyn Any = host.protocols.get_mut(id.index())?.1.as_mut();
         any.downcast_mut::<T>()
     }
 
@@ -266,24 +267,21 @@ impl World {
     /// type.
     pub fn protocol<T: Protocol>(&self, node: DeviceId, id: ProtocolId) -> Option<&T> {
         let host = self.devices.get(node.index())?.as_host()?;
-        let boxed = host.protocols.get(id.index())?.1.as_ref()?;
-        let any: &dyn Any = boxed.as_ref();
+        let any: &dyn Any = host.protocols.get(id.index())?.1.as_ref();
         any.downcast_ref::<T>()
     }
 
     /// Mutable access to an installed hook, downcast to its concrete type.
     pub fn hook_mut<T: Hook>(&mut self, node: DeviceId, id: HookId) -> Option<&mut T> {
         let host = self.devices.get_mut(node.index())?.as_host_mut()?;
-        let boxed = host.hooks.get_mut(id.index())?.as_mut()?;
-        let any: &mut dyn Any = boxed.as_mut();
+        let any: &mut dyn Any = host.hooks.get_mut(id.index())?.as_mut();
         any.downcast_mut::<T>()
     }
 
     /// Shared access to an installed hook, downcast to its concrete type.
     pub fn hook<T: Hook>(&self, node: DeviceId, id: HookId) -> Option<&T> {
         let host = self.devices.get(node.index())?.as_host()?;
-        let boxed = host.hooks.get(id.index())?.as_ref()?;
-        let any: &dyn Any = boxed.as_ref();
+        let any: &dyn Any = host.hooks.get(id.index())?.as_ref();
         any.downcast_ref::<T>()
     }
 
@@ -292,8 +290,8 @@ impl World {
     /// [`ProtocolId`] is out of reach (e.g. a campaign `finish` hook).
     pub fn find_protocol<T: Protocol>(&self, node: DeviceId) -> Option<&T> {
         let host = self.devices.get(node.index())?.as_host()?;
-        host.protocols.iter().find_map(|(_, slot)| {
-            let any: &dyn Any = slot.as_ref()?.as_ref();
+        host.protocols.iter().find_map(|(_, proto)| {
+            let any: &dyn Any = proto.as_ref();
             any.downcast_ref::<T>()
         })
     }
@@ -301,8 +299,8 @@ impl World {
     /// The first installed hook of concrete type `T` on `node`, if any.
     pub fn find_hook<T: Hook>(&self, node: DeviceId) -> Option<&T> {
         let host = self.devices.get(node.index())?.as_host()?;
-        host.hooks.iter().find_map(|slot| {
-            let any: &dyn Any = slot.as_ref()?.as_ref();
+        host.hooks.iter().find_map(|hook| {
+            let any: &dyn Any = hook.as_ref();
             any.downcast_ref::<T>()
         })
     }
@@ -552,7 +550,7 @@ impl World {
                         to.device,
                         TraceKind::AddrFilterDrop,
                         Some(&frame),
-                        "host failed",
+                        || "host failed".into(),
                     );
                     return;
                 }
@@ -565,7 +563,7 @@ impl World {
                         to.device,
                         TraceKind::AddrFilterDrop,
                         Some(&frame),
-                        "not addressed to host",
+                        || "not addressed to host".into(),
                     );
                     return;
                 }
@@ -681,27 +679,23 @@ impl World {
         use crate::error_model::LinkOutcome;
         match error_model.apply(&mut frame, &mut self.rng) {
             LinkOutcome::Lost => {
-                if self.trace.is_enabled() {
-                    self.trace.record(
-                        self.now,
-                        from.device,
-                        TraceKind::LinkLoss,
-                        Some(&frame),
-                        format!("on {link_id}"),
-                    );
-                }
+                self.trace.record(
+                    self.now,
+                    from.device,
+                    TraceKind::LinkLoss,
+                    Some(&frame),
+                    || format!("on {link_id}"),
+                );
             }
             outcome => {
                 if let LinkOutcome::Corrupted { bits_flipped } = outcome {
-                    if self.trace.is_enabled() {
-                        self.trace.record(
-                            self.now,
-                            from.device,
-                            TraceKind::LinkCorrupt,
-                            Some(&frame),
-                            format!("{bits_flipped} bits flipped on {link_id}"),
-                        );
-                    }
+                    self.trace.record(
+                        self.now,
+                        from.device,
+                        TraceKind::LinkCorrupt,
+                        Some(&frame),
+                        || format!("{bits_flipped} bits flipped on {link_id}"),
+                    );
                 }
                 // Control-plane impairment: applied only to 0x88B5 frames
                 // and only on their final hop (the receiving peer is a
@@ -714,15 +708,13 @@ impl World {
                     use crate::error_model::ControlFate;
                     match self.control_impairment.decide(&mut self.rng) {
                         ControlFate::Drop => {
-                            if self.trace.is_enabled() {
-                                self.trace.record(
-                                    self.now,
-                                    from.device,
-                                    TraceKind::LinkLoss,
-                                    Some(&frame),
-                                    format!("control impairment drop on {link_id}"),
-                                );
-                            }
+                            self.trace.record(
+                                self.now,
+                                from.device,
+                                TraceKind::LinkLoss,
+                                Some(&frame),
+                                || format!("control impairment drop on {link_id}"),
+                            );
                             return;
                         }
                         ControlFate::Deliver {
@@ -790,7 +782,7 @@ impl World {
                     at.device,
                     TraceKind::QueueDrop,
                     Some(&frame),
-                    "tx queue overflow",
+                    || "tx queue overflow".into(),
                 );
             }
         }
@@ -832,15 +824,17 @@ impl World {
             return;
         }
         if idx >= chain_len {
-            self.trace
-                .record(self.now, node, TraceKind::HostSend, Some(&frame), "");
+            self.trace.record(
+                self.now,
+                node,
+                TraceKind::HostSend,
+                Some(&frame),
+                String::new,
+            );
             self.port_send(PortRef::new(node, 0), frame);
             return;
         }
-        if let Some(frame) = self.hook_step(node, idx, frame, ChainDir::Outbound { next: idx + 1 })
-        {
-            self.outbound_step(node, idx + 1, frame);
-        }
+        self.hook_step(node, idx, frame, ChainDir::Outbound { next: idx + 1 });
     }
 
     fn inbound_step(&mut self, node: DeviceId, next: usize, frame: Frame) {
@@ -856,42 +850,34 @@ impl World {
             return;
         }
         let idx = next - 1;
-        if let Some(frame) = self.hook_step(node, idx, frame, ChainDir::Inbound { next: idx }) {
-            self.inbound_step(node, idx, frame);
-        }
+        self.hook_step(node, idx, frame, ChainDir::Inbound { next: idx });
     }
 
     /// Hands `frame` to hook `idx` — `on_outbound` or `on_inbound`, by the
-    /// direction `then` continues in — and carries its verdict on down the
-    /// chain. An empty slot gives the frame back for the caller to skip.
-    fn hook_step(
-        &mut self,
-        node: DeviceId,
-        idx: usize,
-        frame: Frame,
-        then: ChainDir,
-    ) -> Option<Frame> {
-        let mut frame = Some(frame);
-        let stepped = self.with_hook(node, idx, |hook, ctx| {
-            let frame = frame.take().expect("the closure runs at most once");
-            let verdict = match then {
-                ChainDir::Outbound { .. } => hook.on_outbound(ctx, frame),
-                ChainDir::Inbound { .. } => hook.on_inbound(ctx, frame),
-            };
-            // The name is only read by the Consume trace record; skip the
-            // per-frame allocation on the overwhelmingly common paths.
-            let name = if ctx.trace_enabled && matches!(verdict, Verdict::Consume) {
-                hook.name().to_string()
-            } else {
-                String::new()
-            };
-            (verdict, ctx.charged, name)
-        });
-        let Some((verdict, charged, name)) = stepped else {
-            return frame;
+    /// direction `then` continues in — applies the effects it queued, then
+    /// carries its verdict on down the chain. The chain steps call it on a
+    /// host, with `idx` inside the chain.
+    fn hook_step(&mut self, node: DeviceId, idx: usize, frame: Frame, then: ChainDir) {
+        let base = self.effects.len();
+        let handler = HandlerRef::Hook(HookId::from_index(idx));
+        let (host, mut ctx) = self
+            .host_ctx(node, handler)
+            .expect("chain steps run on hosts");
+        let hook = host.hooks[idx].as_mut();
+        let verdict = match then {
+            ChainDir::Outbound { .. } => hook.on_outbound(&mut ctx, frame),
+            ChainDir::Inbound { .. } => hook.on_inbound(&mut ctx, frame),
         };
-        self.continue_verdict(node, verdict, charged, &name, then);
-        None
+        let charged = ctx.charged;
+        // The name is only read by the Consume trace record; skip the
+        // per-frame allocation on the overwhelmingly common paths.
+        let name = if ctx.trace_enabled && matches!(verdict, Verdict::Consume) {
+            hook.name().to_string()
+        } else {
+            String::new()
+        };
+        self.apply_effects(node, CtxOrigin::Hook(idx), base);
+        self.continue_verdict(node, verdict, charged, name, then);
     }
 
     fn continue_verdict(
@@ -899,7 +885,7 @@ impl World {
         node: DeviceId,
         verdict: Verdict,
         charged: SimDuration,
-        hook_name: &str,
+        hook_name: String,
         dir: ChainDir,
     ) {
         match verdict {
@@ -908,7 +894,7 @@ impl World {
             Verdict::Accept(f) => self.continue_frame(node, f, charged, dir),
             Verdict::Consume => {
                 self.trace
-                    .record(self.now, node, TraceKind::HookConsume, None, hook_name);
+                    .record(self.now, node, TraceKind::HookConsume, None, || hook_name);
             }
             Verdict::Replace(fs) => {
                 for frame in fs {
@@ -955,15 +941,20 @@ impl World {
 
     fn deliver_to_protocols(&mut self, node: DeviceId, frame: Frame) {
         let _span = vw_trace::span("deliver", vw_trace::Category::Event);
-        self.trace
-            .record(self.now, node, TraceKind::HostRecv, Some(&frame), "");
+        self.trace.record(
+            self.now,
+            node,
+            TraceKind::HostRecv,
+            Some(&frame),
+            String::new,
+        );
         let ethertype = frame.ethertype();
         let (slots, remaining) = match self.devices[node.index()].as_host() {
             Some(h) => {
                 let matching = h
                     .protocols
                     .iter()
-                    .filter(|(binding, slot)| slot.is_some() && binding.matches(ethertype))
+                    .filter(|(binding, _)| binding.matches(ethertype))
                     .count();
                 (h.protocols.len(), matching)
             }
@@ -981,7 +972,7 @@ impl World {
             let matches = self.devices[node.index()]
                 .as_host()
                 .and_then(|h| h.protocols.get(i))
-                .is_some_and(|(binding, slot)| slot.is_some() && binding.matches(ethertype));
+                .is_some_and(|(binding, _)| binding.matches(ethertype));
             if !matches {
                 continue;
             }
@@ -1023,8 +1014,15 @@ impl World {
     // Effects
     // ------------------------------------------------------------------
 
-    fn apply_effects(&mut self, node: DeviceId, origin: CtxOrigin, mut effects: Vec<Effect>) {
-        for effect in effects.drain(..) {
+    /// Applies, in the order they were queued, the effects the handler just
+    /// dispatched left on the stack above `base`, and cuts the stack back.
+    fn apply_effects(&mut self, node: DeviceId, origin: CtxOrigin, base: usize) {
+        // The handler has returned, so the stack no longer grows at this
+        // level: a dispatch nested in an effect pushes above `end` and has
+        // cut the stack back to it by the time it returns.
+        let end = self.effects.len();
+        for i in base..end {
+            let effect = self.effects[i].take().expect("applied once");
             match effect {
                 Effect::Send { frame, after } => {
                     let idx = match origin {
@@ -1056,8 +1054,13 @@ impl World {
                 }
                 Effect::TransmitRaw { frame, after } => {
                     if after == SimDuration::ZERO {
-                        self.trace
-                            .record(self.now, node, TraceKind::HookEmit, Some(&frame), "raw");
+                        self.trace.record(
+                            self.now,
+                            node,
+                            TraceKind::HookEmit,
+                            Some(&frame),
+                            || "raw".into(),
+                        );
                         self.port_send(PortRef::new(node, 0), frame);
                     } else {
                         let chain_len = self.devices[node.index()]
@@ -1079,119 +1082,91 @@ impl World {
                 }
                 Effect::Trace { kind, frame, note } => {
                     self.trace
-                        .record(self.now, node, kind, frame.as_ref(), note);
+                        .record(self.now, node, kind, frame.as_ref(), || note);
                 }
                 Effect::RequestStop { reason } => {
                     self.request_stop(reason);
                 }
             }
         }
-        if self.spare_effects.len() < 64 {
-            self.spare_effects.push(effects);
-        }
+        self.effects.truncate(base);
     }
 
     // ------------------------------------------------------------------
-    // Handler slot helpers
+    // Handler dispatch
     // ------------------------------------------------------------------
 
-    fn take_hook(&mut self, node: DeviceId, idx: usize) -> Option<Box<dyn Hook>> {
-        self.devices[node.index()]
-            .as_host_mut()?
-            .hooks
-            .get_mut(idx)?
-            .take()
-    }
-
-    fn put_hook(&mut self, node: DeviceId, idx: usize, hook: Box<dyn Hook>) {
-        if let Some(h) = self.devices[node.index()].as_host_mut() {
-            if let Some(slot) = h.hooks.get_mut(idx) {
-                *slot = Some(hook);
-            }
-        }
-    }
-
-    fn take_protocol(&mut self, node: DeviceId, id: ProtocolId) -> Option<Box<dyn Protocol>> {
-        self.devices[node.index()]
-            .as_host_mut()?
-            .protocols
-            .get_mut(id.index())?
-            .1
-            .take()
-    }
-
-    fn put_protocol(&mut self, node: DeviceId, id: ProtocolId, proto: Box<dyn Protocol>) {
-        if let Some(h) = self.devices[node.index()].as_host_mut() {
-            if let Some(slot) = h.protocols.get_mut(id.index()) {
-                slot.1 = Some(proto);
-            }
-        }
-    }
-
-    /// Runs `f` on hook `idx` of `node` with a fresh [`Context`], then
-    /// applies the effects it queued. The hook leaves its slot for the
-    /// call, so the context can borrow the world beside it; `None` means
-    /// the slot was empty and `f` did not run.
-    fn with_hook<R>(
+    /// Borrows the host `node` in place, beside a fresh [`Context`] for its
+    /// `handler` over the world's other fields (clock, RNG, timer wheel,
+    /// effect stack): a handler is called where it lives and never leaves
+    /// its slot. `None` if `node` is not a host.
+    fn host_ctx(
         &mut self,
         node: DeviceId,
-        idx: usize,
-        f: impl FnOnce(&mut dyn Hook, &mut Context<'_>) -> R,
-    ) -> Option<R> {
-        let mut hook = self.take_hook(node, idx)?;
-        let (out, effects) = {
-            let mut ctx = self.make_ctx(node, HandlerRef::Hook(HookId::from_index(idx)));
-            let out = f(hook.as_mut(), &mut ctx);
-            (out, std::mem::take(&mut ctx.effects))
-        };
-        self.put_hook(node, idx, hook);
-        self.apply_effects(node, CtxOrigin::Hook(idx), effects);
-        Some(out)
-    }
-
-    /// [`with_hook`](Self::with_hook) for protocol `id` of `node`.
-    fn with_protocol<R>(
-        &mut self,
-        node: DeviceId,
-        id: ProtocolId,
-        f: impl FnOnce(&mut dyn Protocol, &mut Context<'_>) -> R,
-    ) -> Option<R> {
-        let mut proto = self.take_protocol(node, id)?;
-        let (out, effects) = {
-            let mut ctx = self.make_ctx(node, HandlerRef::Protocol(id));
-            let out = f(proto.as_mut(), &mut ctx);
-            (out, std::mem::take(&mut ctx.effects))
-        };
-        self.put_protocol(node, id, proto);
-        self.apply_effects(node, CtxOrigin::Protocol, effects);
-        Some(out)
-    }
-
-    fn make_ctx(&mut self, node: DeviceId, handler: HandlerRef) -> Context<'_> {
-        let (mac, ip) = match self.devices[node.index()].as_host() {
-            Some(h) => (h.mac, h.ip),
-            None => (MacAddr::ZERO, Ipv4Addr::UNSPECIFIED),
-        };
-        let effects = self.spare_effects.pop().unwrap_or_default();
+        handler: HandlerRef,
+    ) -> Option<(&mut Host, Context<'_>)> {
         let World {
-            ref mut rng,
-            ref mut queue,
-            ref trace,
+            devices,
+            queue,
+            rng,
+            trace,
+            effects,
             now,
             ..
-        } = *self;
-        Context {
-            now,
+        } = self;
+        let host = devices.get_mut(node.index())?.as_host_mut()?;
+        let ctx = Context {
+            now: *now,
             node,
-            mac,
-            ip,
+            mac: host.mac,
+            ip: host.ip,
             handler,
             rng,
             timers: queue.timers_mut(),
             effects,
             charged: SimDuration::ZERO,
             trace_enabled: trace.is_enabled(),
-        }
+        };
+        Some((host, ctx))
+    }
+
+    /// Runs `f` on hook `idx` of `node` with a fresh [`Context`], then
+    /// applies the effects it queued — after it returns, in call order.
+    /// Does nothing if there is no such hook.
+    fn with_hook(
+        &mut self,
+        node: DeviceId,
+        idx: usize,
+        f: impl FnOnce(&mut dyn Hook, &mut Context<'_>),
+    ) {
+        let base = self.effects.len();
+        let handler = HandlerRef::Hook(HookId::from_index(idx));
+        let Some((host, mut ctx)) = self.host_ctx(node, handler) else {
+            return;
+        };
+        let Some(hook) = host.hooks.get_mut(idx) else {
+            return;
+        };
+        f(hook.as_mut(), &mut ctx);
+        self.apply_effects(node, CtxOrigin::Hook(idx), base);
+    }
+
+    /// [`with_hook`](Self::with_hook) for protocol `id` of `node`.
+    fn with_protocol(
+        &mut self,
+        node: DeviceId,
+        id: ProtocolId,
+        f: impl FnOnce(&mut dyn Protocol, &mut Context<'_>),
+    ) {
+        let base = self.effects.len();
+        let Some((host, mut ctx)) = self.host_ctx(node, HandlerRef::Protocol(id)) else {
+            return;
+        };
+        let Some((_, proto)) = host.protocols.get_mut(id.index()) else {
+            return;
+        };
+        f(proto.as_mut(), &mut ctx);
+        self.apply_effects(node, CtxOrigin::Protocol, base);
     }
 
     /// Injects a frame as if `node`'s protocol stack had sent it —

@@ -62,7 +62,7 @@ fn trace_sink_round_trip_byte_for_byte() {
                 TraceKind::HostSend
             },
             Some(f),
-            "",
+            String::new,
         );
     }
     // Non-wire records must not appear in the capture.
@@ -71,14 +71,14 @@ fn trace_sink_round_trip_byte_for_byte() {
         DeviceId::from_index(0),
         TraceKind::HostRecv,
         Some(&frames[0]),
-        "delivered",
+        || "delivered".into(),
     );
     sink.record(
         SimTime::from_nanos(10_000),
         DeviceId::from_index(0),
         TraceKind::Note,
         None,
-        "just a note",
+        || "just a note".into(),
     );
 
     let capture = pcap::export_trace(&sink);

@@ -344,11 +344,13 @@ impl RetherNode {
                 ProtoAspect::RingReconfigured,
                 self.ring.len() as u64,
             ));
-            ctx.trace_note(format!(
-                "rether: {} declared {dst} dead; ring now {} nodes",
-                self.mac,
-                self.ring.len()
-            ));
+            ctx.trace_note(|| {
+                format!(
+                    "rether: {} declared {dst} dead; ring now {} nodes",
+                    self.mac,
+                    self.ring.len()
+                )
+            });
             self.state = TokenState::Idle;
             self.pass_token(ctx);
         }
@@ -365,10 +367,12 @@ impl RetherNode {
                 u64::from(self.generation),
             ));
             self.last_token_seen = ctx.now();
-            ctx.trace_note(format!(
-                "rether: {} regenerated token (generation {})",
-                self.mac, self.generation
-            ));
+            ctx.trace_note(|| {
+                format!(
+                    "rether: {} regenerated token (generation {})",
+                    self.mac, self.generation
+                )
+            });
             self.hold_token(ctx);
         }
         ctx.set_timer(self.regen_timeout(), TIMER_REGEN);

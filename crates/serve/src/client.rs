@@ -91,7 +91,8 @@ pub struct Client {
     decoder: DecodeBuffer,
     next_request: u64,
     /// Outcome-stream frames that arrived while a request waited for its
-    /// reply, oldest first; [`stream`](Client::stream) starts here.
+    /// reply or [`next_telemetry`](Client::next_telemetry) for a delta,
+    /// oldest first; [`stream`](Client::stream) starts here.
     parked: VecDeque<Frame>,
     /// Client-side mirror of the daemon registry, rebuilt delta by
     /// delta across [`next_telemetry`](Client::next_telemetry) calls.
@@ -197,8 +198,9 @@ impl Client {
 
     /// Blocks until the next telemetry delta, applies it to the
     /// client-side registry mirror, and returns the decoded update.
-    /// Frames that are not telemetry (e.g. late outcome lines) are
-    /// skipped.
+    /// `Outcome` / `Done` frames of a campaign streaming on this
+    /// connection are parked for [`stream`](Client::stream), as they are
+    /// while a request waits for its reply.
     pub fn next_telemetry(&mut self) -> Result<TelemetryUpdate, ClientError> {
         loop {
             let frame = self.recv()?;
@@ -218,7 +220,7 @@ impl Client {
                         prometheus: delta.prometheus,
                     });
                 }
-                FrameType::Outcome | FrameType::Done => continue,
+                FrameType::Outcome | FrameType::Done => self.parked.push_back(frame),
                 _ => return Err(unexpected(&frame)),
             }
         }

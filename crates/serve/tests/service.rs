@@ -6,7 +6,10 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use vw_serve::{Client, ClientError, Daemon, DaemonConfig, ErrorCode, QuotaConfig, SetupRegistry};
+use vw_serve::{
+    Client, ClientError, Daemon, DaemonConfig, ErrorCode, QuotaConfig, SetupRegistry, Severity,
+    Subscribe,
+};
 
 fn expect_server_error<T: std::fmt::Debug>(result: Result<T, ClientError>, want: ErrorCode) {
     match result {
@@ -173,6 +176,61 @@ fn a_reply_behind_stream_frames_is_matched_and_the_stream_survives() {
     let (lines, summary) = common::stream_all(&mut client);
     assert_eq!(lines.len(), 4);
     assert_eq!(summary, common::direct_summary(&streaming));
+
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A campaign streaming on a connection that also holds a telemetry
+/// subscription: `next_telemetry` reads past `Outcome` frames to reach
+/// each delta, and must keep them for `stream` — all 48 lines and `Done`.
+#[test]
+fn stream_frames_met_while_waiting_for_telemetry_reach_the_stream() {
+    let dir = common::scratch_dir("service-telemetry-park");
+    let config = DaemonConfig {
+        state_dir: dir.join("state"),
+        workers: 1,
+        telemetry_min_interval_ms: 10,
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(config, SetupRegistry::builtin()).expect("daemon starts");
+    let sock = dir.join("vw.sock");
+    daemon.bind_unix(&sock).expect("bind");
+    let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
+    client
+        .subscribe(&Subscribe {
+            interval_ms: 20,
+            prometheus_text: false,
+            campaign: String::new(),
+            journal_min_severity: Severity::Info,
+        })
+        .expect("subscribe");
+
+    let sub = common::padded_submission("svc-tele-stream", 48, 8);
+    client.submit(&sub).expect("submit");
+
+    // A delta that counts all 48 instances complete was built after the
+    // last `Outcome` entered this connection's FIFO outbox: by the time it
+    // is read here, every line has been met on the way to some delta.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        assert!(Instant::now() < deadline, "the campaign never completed");
+        let update = client.next_telemetry().expect("telemetry delta");
+        let completed = "serve.campaign.completed|campaign=svc-tele-stream";
+        if update.metrics.gauge(completed) == Some(48) {
+            break;
+        }
+    }
+
+    // With a line lost, `stream` would wait for it for as long as deltas
+    // keep the connection busy: fail, don't hang.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(common::stream_all(&mut client)));
+    let (lines, summary) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the stream completes");
+    assert_eq!(lines.len(), 48);
+    assert_eq!(summary, common::direct_summary(&sub));
 
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);

@@ -3,8 +3,11 @@
 //! [`span`] stamps a monotone clock and its guard's `Drop` pushes a
 //! [`SpanRecord`] into a thread-local ring buffer; when the ring is full
 //! the oldest record is evicted and counted. While the collector is not
-//! [`enable`]d a span costs one thread-local flag check; what enabling
-//! it adds is `trace.overhead_pct` in `vwbench`.
+//! [`enable`]d a span costs one thread-local flag check — [`span`] reads
+//! `ENABLED` once, and the guard's `Drop` tests only its own `active`
+//! field, inline, so closing a span that never opened touches no
+//! thread-local at all; both recording paths are out of line. What
+//! enabling the collector adds is `trace.overhead_pct` in `vwbench`.
 //!
 //! The collector is strictly per-thread: [`enable`]/[`disable`] pair on
 //! the calling thread, and traces from several threads merge at export
@@ -51,7 +54,8 @@ thread_local! {
 }
 
 /// An RAII span handle; its `Drop` records the completed span.
-/// Inert (a flag check only) when the collector is disabled.
+/// Inert (a test of its own `active` field) when opened with the
+/// collector disabled.
 #[must_use = "a span measures the scope it is bound to; binding to _ drops it immediately"]
 pub struct SpanGuard {
     active: bool,
@@ -63,10 +67,21 @@ pub struct SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
-        if !self.active || !ENABLED.with(|e| e.get()) {
-            return;
+        if self.active {
+            self.record();
         }
+    }
+}
+
+impl SpanGuard {
+    /// The enabled path of `Drop`. If the collector was [`disable`]d since
+    /// the span opened there is nothing to close it into, and the record
+    /// is dropped.
+    #[cold]
+    #[inline(never)]
+    fn record(&self) {
         COLLECTOR.with(|c| {
             let mut slot = c.borrow_mut();
             let Some(col) = slot.as_mut() else { return };
@@ -88,16 +103,23 @@ impl Drop for SpanGuard {
 /// Opens a span; the returned guard records it when dropped.
 #[inline]
 pub fn span(name: &'static str, category: Category) -> SpanGuard {
-    if !ENABLED.with(|e| e.get()) {
-        return SpanGuard {
-            active: false,
-            name,
-            category,
-            start_ns: 0,
-            depth: 0,
-            seq: 0,
-        };
+    if ENABLED.with(|e| e.get()) {
+        return open(name, category);
     }
+    SpanGuard {
+        active: false,
+        name,
+        category,
+        start_ns: 0,
+        depth: 0,
+        seq: 0,
+    }
+}
+
+/// The enabled path of [`span`].
+#[cold]
+#[inline(never)]
+fn open(name: &'static str, category: Category) -> SpanGuard {
     COLLECTOR.with(|c| {
         let mut slot = c.borrow_mut();
         let col = slot.as_mut().expect("enabled implies collector");

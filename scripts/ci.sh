@@ -49,6 +49,20 @@ if grep -nE 'cancelled_timers|HashSet' crates/netsim/src/world.rs; then
     exit 1
 fi
 
+# Dispatch gate: a handler is called where it lives (World::host_ctx
+# borrows it beside the context) and its effects go on the world's one
+# effect stack; nothing takes a handler out of its slot or pools effect
+# buffers. The engine's per-frame counter dispatch is a dense table.
+echo "==> dispatch gate"
+if grep -nE 'take_hook|put_hook|take_protocol|put_protocol|spare_effects' crates/netsim/src; then
+    echo "handler shuffled out of its slot, or pooled effect buffers: dispatch through World::host_ctx"
+    exit 1
+fi
+if grep -rnE 'counter_dispatch: *HashMap' crates/core/src; then
+    echo "hashed counter dispatch: index the dense table by dispatch_slot(filter, dir)"
+    exit 1
+fi
+
 # Frame-assembly gate: a frame is assembled once, in its final arena
 # buffer (vw_packet::Frame::assemble); no builder stages a payload in a
 # buffer of its own or hands one to the next layer.
@@ -97,8 +111,9 @@ cargo test -q --workspace --no-fail-fast
 
 # Allocation budgets, in the build they are about: the full tower at most
 # one allocation per two classified frames once warm, the bare simulator
-# (flood plus a set-and-cancel timer per tick) none in 10 000 events, and
-# none either when half the control frames crossing it are dropped.
+# (flood plus a set-and-cancel timer per tick) none in 10 000 events, none
+# either when half the control frames crossing it are dropped, and none in
+# 10 000 calls through a three-hook chain whose effects nest dispatches.
 echo "==> alloc budget"
 cargo test -q --release --test alloc_budget
 

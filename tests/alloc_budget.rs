@@ -6,8 +6,8 @@
 //! and verdict buffers through their owners' scratch.
 //!
 //! The counting allocator lives here, in the test crate, so the libraries
-//! keep their `forbid(unsafe_code)`; it counts per thread, so the two
-//! tests do not see each other's allocations (or the harness's).
+//! keep their `forbid(unsafe_code)`; it counts per thread, so the tests
+//! do not see each other's allocations (or the harness's).
 
 mod common;
 
@@ -17,7 +17,8 @@ use std::cell::Cell;
 use common::{build_tower, Tower};
 use vw_netsim::apps::{UdpFlooder, UdpSink};
 use vw_netsim::{
-    Binding, Context, ControlImpairment, LinkConfig, Protocol, SimDuration, TimerId, World,
+    Binding, Context, ControlImpairment, DeviceId, Hook, LinkConfig, Protocol, SimDuration,
+    TimerId, Verdict, World,
 };
 use vw_packet::{EtherType, EthernetBuilder, Frame};
 
@@ -215,6 +216,23 @@ struct Beacon {
     heard: u64,
 }
 
+impl Beacon {
+    /// A 32-byte-payload frame of `ethertype` from `from` to `to`, sent
+    /// every 100 µs.
+    fn every_100us(world: &World, from: DeviceId, to: DeviceId, ethertype: EtherType) -> Beacon {
+        Beacon {
+            frame: EthernetBuilder::new()
+                .src(world.host_mac(from))
+                .dst(world.host_mac(to))
+                .ethertype(ethertype)
+                .payload(&[0xd7; 32])
+                .build(),
+            every: SimDuration::from_micros(100),
+            heard: 0,
+        }
+    }
+}
+
 impl Protocol for Beacon {
     fn name(&self) -> &str {
         "beacon"
@@ -248,17 +266,8 @@ fn an_impaired_control_plane_drops_frames_without_allocating() {
     world.connect(a, switch, LinkConfig::fast_ethernet());
     world.connect(b, switch, LinkConfig::fast_ethernet());
     let control = Binding::EtherType(EtherType::VW_CONTROL);
-    let beacon = |world: &World, from, to| Beacon {
-        frame: EthernetBuilder::new()
-            .src(world.host_mac(from))
-            .dst(world.host_mac(to))
-            .ethertype(EtherType::VW_CONTROL)
-            .payload(&[0xd7; 32])
-            .build(),
-        every: SimDuration::from_micros(100),
-        heard: 0,
-    };
-    let (to_b, to_a) = (beacon(&world, a, b), beacon(&world, b, a));
+    let beacon = |from, to| Beacon::every_100us(&world, from, to, EtherType::VW_CONTROL);
+    let (to_b, to_a) = (beacon(a, b), beacon(b, a));
     world.add_protocol(a, control, Box::new(to_b));
     let listener = world.add_protocol(b, control, Box::new(to_a));
 
@@ -283,4 +292,92 @@ fn an_impaired_control_plane_drops_frames_without_allocating() {
         "{heard} of {sent} control frames arrived through a 50% drop"
     );
     assert_eq!(spent, 0, "allocations across 10 000 steady-state events");
+}
+
+/// A hook that makes every call cost the dispatcher something: it cancels
+/// the guard timer it set on its previous call and arms a new one, and on
+/// the way out also puts a raw copy on the wire and hands a copy back up
+/// the chain — a dispatch nested inside the application of its effects.
+#[derive(Default)]
+struct Busy {
+    guard: Option<TimerId>,
+    calls: u64,
+}
+
+impl Busy {
+    fn rearm(&mut self, ctx: &mut Context<'_>) {
+        self.calls += 1;
+        if let Some(guard) = self.guard.take() {
+            ctx.cancel_timer(guard);
+        }
+        self.guard = Some(ctx.set_timer(SimDuration::from_millis(50), 1));
+    }
+}
+
+impl Hook for Busy {
+    fn name(&self) -> &str {
+        "busy"
+    }
+
+    fn on_outbound(&mut self, ctx: &mut Context<'_>, frame: Frame) -> Verdict {
+        self.rearm(ctx);
+        ctx.transmit_raw(frame.clone());
+        ctx.deliver_up(frame.clone());
+        Verdict::Accept(frame)
+    }
+
+    fn on_inbound(&mut self, ctx: &mut Context<'_>, frame: Frame) -> Verdict {
+        self.rearm(ctx);
+        Verdict::Accept(frame)
+    }
+
+    fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: u64) {
+        panic!("a cancelled guard fired");
+    }
+}
+
+/// Dispatch itself: a chain of three hooks that each queue two to four
+/// effects per call, timers among them, with dispatches nesting three deep
+/// while those effects apply. Handlers are called where they live and
+/// their effects share one stack, so once that stack and the timer slab
+/// have reached their depth, 10 000 hook calls allocate nothing.
+#[test]
+fn a_busy_hook_chain_dispatches_without_allocating() {
+    let mut world = World::new(7);
+    world.trace_mut().set_enabled(false);
+    let a = world.add_host("a");
+    let b = world.add_host("b");
+    let switch = world.add_switch("sw", 2);
+    world.connect(a, switch, LinkConfig::fast_ethernet());
+    world.connect(b, switch, LinkConfig::fast_ethernet());
+    let chain = [(); 3].map(|()| world.add_hook(a, Box::new(Busy::default())));
+    let ipv4 = Binding::EtherType(EtherType::IPV4);
+    let beacon = |from, to| Beacon::every_100us(&world, from, to, EtherType::IPV4);
+    let (to_b, to_a) = (beacon(a, b), beacon(b, a));
+    let talker = world.add_protocol(a, ipv4, Box::new(to_b));
+    world.add_protocol(b, ipv4, Box::new(to_a));
+
+    let calls = |world: &World| -> u64 {
+        chain
+            .iter()
+            .map(|&id| world.hook::<Busy>(a, id).unwrap().calls)
+            .sum()
+    };
+    let run_calls = |world: &mut World, more: u64| {
+        let until = calls(world) + more;
+        while calls(world) < until {
+            assert!(world.step(), "the beacons never run dry");
+        }
+    };
+    run_calls(&mut world, 1_000);
+    let heard = |world: &World| world.protocol::<Beacon>(a, talker).unwrap().heard;
+    let heard_before = heard(&world);
+    let before = allocs();
+    run_calls(&mut world, 10_000);
+    let spent = allocs() - before;
+
+    // Per beacon of its own, `a` hears the three copies handed back up;
+    // per beacon of `b`'s, one frame through the whole chain.
+    assert!(heard(&world) - heard_before > 2_000, "copies came back up");
+    assert_eq!(spent, 0, "allocations across 10 000 hook calls");
 }
