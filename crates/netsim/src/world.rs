@@ -949,43 +949,29 @@ impl World {
             String::new,
         );
         let ethertype = frame.ethertype();
-        let (slots, remaining) = match self.devices[node.index()].as_host() {
-            Some(h) => {
-                let matching = h
-                    .protocols
-                    .iter()
-                    .filter(|(binding, _)| binding.matches(ethertype))
-                    .count();
-                (h.protocols.len(), matching)
-            }
-            None => return,
-        };
-        let mut frame = Some(frame);
-        let mut remaining = remaining;
-        for i in 0..slots {
-            if remaining == 0 {
-                break;
-            }
-            let id = ProtocolId::from_index(i);
-            // Re-check the binding each round: handler effects run between
-            // deliveries and the snapshot above must not go stale.
-            let matches = self.devices[node.index()]
+        let bound = |world: &World, i: usize| {
+            world.devices[node.index()]
                 .as_host()
-                .and_then(|h| h.protocols.get(i))
-                .is_some_and(|(binding, _)| binding.matches(ethertype));
-            if !matches {
-                continue;
+                .is_some_and(|h| h.protocols[i].0.matches(ethertype))
+        };
+        let slots = self.devices[node.index()]
+            .as_host()
+            .map_or(0, |h| h.protocols.len());
+        // The last matching protocol takes the frame by move; only fan-out
+        // to several protocols pays for clones. (Bindings do not change
+        // while the world runs, so one scan finds it.)
+        let Some(last) = (0..slots).rev().find(|&i| bound(self, i)) else {
+            return;
+        };
+        for i in 0..last {
+            if bound(self, i) {
+                let copy = frame.clone();
+                let id = ProtocolId::from_index(i);
+                self.with_protocol(node, id, |proto, ctx| proto.on_frame(ctx, copy));
             }
-            remaining -= 1;
-            // The last matching protocol takes the frame by move; only
-            // fan-out to several protocols pays for clones.
-            let this_frame = if remaining == 0 {
-                frame.take().expect("frame moves out exactly once")
-            } else {
-                frame.as_ref().expect("frame still present").clone()
-            };
-            self.with_protocol(node, id, |proto, ctx| proto.on_frame(ctx, this_frame));
         }
+        let id = ProtocolId::from_index(last);
+        self.with_protocol(node, id, |proto, ctx| proto.on_frame(ctx, frame));
     }
 
     fn dispatch_timer(&mut self, node: DeviceId, handler: HandlerRef, token: u64) {
