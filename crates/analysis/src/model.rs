@@ -668,7 +668,7 @@ mod tests {
                 },
             }],
             symbols: vw_obs::SymbolTable::default(),
-            metrics: vw_obs::MetricsRegistry::new(),
+            distributions: Vec::new(),
             conformance: Vec::new(),
         };
         let state = vec![

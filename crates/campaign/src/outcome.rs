@@ -11,79 +11,68 @@
 //! keyed and ordered by cross-product index, so the report is
 //! byte-identical regardless of how many worker threads produced it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use virtualwire::{EngineStats, Report};
-use vw_obs::{Histogram, Metric, MetricsRegistry};
+use vw_obs::Histogram;
 use vw_trace::json_string;
 
 use crate::spec::Instance;
 
-/// Per-node counter leaves worth carrying into the compact metrics
-/// digest: the injected-fault applications and control-plane health
-/// signals a campaign sweeps over. High-churn volume counters
-/// (`classified`, `rules_scanned`, ...) stay out — they already live in
-/// [`EngineStats`].
-const DIGEST_COUNTER_LEAVES: &[&str] = &[
-    "drops",
-    "dups",
-    "delays",
-    "reorders",
-    "modifies",
-    "control_retransmits",
-    "control_stale_degradations",
-];
-
-/// A compact cross-node fold of one run's [`MetricsRegistry`]: the
-/// fault-relevant counters summed across nodes by leaf name, and every
-/// histogram merged across nodes by leaf name. This is the per-instance
+/// A compact cross-node fold of one run's numbers: the injected-fault
+/// applications and control-plane health signals a campaign sweeps over,
+/// summed across nodes, and the engine histograms merged across nodes.
+/// High-churn volume counters (`classified`, `rules_scanned`, ...) stay
+/// out — they already live in [`EngineStats`]. This is the per-instance
 /// input campaign-wide analytics aggregate over.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsDigest {
-    /// `(leaf_name, summed value)`, ascending by name.
+    /// `(name, summed value)`, ascending by name.
     pub counters: Vec<(String, u64)>,
-    /// `(leaf_name, merged histogram)`, ascending by name.
+    /// `(name, merged histogram)`, ascending by name.
     pub histograms: Vec<(String, Histogram)>,
 }
 
 impl MetricsDigest {
-    /// Folds a registry into the digest. Only `<node>.<leaf>` keys fold:
-    /// a deeper key such as `node1.filter_hits.drops` ends in a script
-    /// name, not a metric leaf, and must not be summed into `drops`.
-    /// Gauges are skipped (they carry terminal counter values, already
-    /// digested exactly); counters are filtered to the fault-relevant
-    /// leaves.
-    pub fn from_registry(registry: &MetricsRegistry) -> Self {
-        let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
-        let mut histograms: BTreeMap<&str, Histogram> = BTreeMap::new();
-        for (name, metric) in registry.iter() {
-            let Some((_node, leaf)) = name.split_once('.') else {
-                continue;
-            };
-            if leaf.contains('.') {
-                continue;
-            }
-            match metric {
-                Metric::Counter(v) => {
-                    if DIGEST_COUNTER_LEAVES.contains(&leaf) {
-                        *counters.entry(leaf).or_insert(0) += v;
-                    }
-                }
-                Metric::Histogram(h) => {
-                    histograms.entry(leaf).or_default().merge(h);
-                }
-                Metric::Gauge(_) => {}
-            }
+    /// Folds a report. A report without engines digests to nothing, and
+    /// a histogram no engine filled is left out.
+    pub fn from_report(report: &Report) -> Self {
+        if report.stats.is_empty() {
+            return MetricsDigest::default();
         }
+        let total = report.total_stats();
+        let counters = [
+            ("control_retransmits", total.control_retransmits),
+            (
+                "control_stale_degradations",
+                total.control_stale_degradations,
+            ),
+            ("delays", total.delays),
+            ("drops", total.drops),
+            ("dups", total.dups),
+            ("modifies", total.modifies),
+            ("reorders", total.reorders),
+        ];
+        let mut cascade_depth = Histogram::new();
+        let mut classify_to_action_ns = Histogram::new();
+        for node in &report.distributions {
+            cascade_depth.merge(&node.cascade_depth);
+            classify_to_action_ns.merge(&node.classify_to_action_ns);
+        }
+        let histograms = [
+            ("cascade_depth", cascade_depth),
+            ("classify_to_action_ns", classify_to_action_ns),
+        ];
         MetricsDigest {
             counters: counters
                 .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
+                .map(|(name, value)| (name.to_string(), value))
                 .collect(),
             histograms: histograms
                 .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
+                .filter(|(_, h)| !h.is_empty())
+                .map(|(name, h)| (name.to_string(), h))
                 .collect(),
         }
     }
@@ -124,9 +113,9 @@ pub struct OutcomeDigest {
     pub counters: Vec<(String, String, i64)>,
     /// `(node_name, stats)` per-node engine counters.
     pub stats: Vec<(String, EngineStats)>,
-    /// Compact cross-node fold of the run's metrics registry. Always
-    /// populated; participates in class membership only when
-    /// [`DigestKey::metrics`] is set.
+    /// Compact cross-node fold of the run's fault counters and
+    /// histograms. Always populated; participates in class membership
+    /// only when [`DigestKey::metrics`] is set.
     pub metrics: MetricsDigest,
     /// `(model_name, node_name, verdict)` protocol-conformance verdicts,
     /// in report order. The verdict is `"ok"` for a conforming node or
@@ -150,7 +139,7 @@ impl OutcomeDigest {
                 .collect(),
             counters: report.counters.clone(),
             stats: report.stats.clone(),
-            metrics: MetricsDigest::from_registry(&report.metrics),
+            metrics: MetricsDigest::from_report(report),
             conformance: report
                 .conformance
                 .iter()
@@ -801,24 +790,6 @@ mod tests {
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
-    }
-
-    #[test]
-    fn metrics_digest_folds_across_nodes_by_leaf() {
-        let mut registry = MetricsRegistry::new();
-        registry.add_counter("node1.drops", 2);
-        registry.add_counter("node2.drops", 3);
-        registry.add_counter("node1.classified", 999); // not allowlisted
-        registry.add_counter("node1.filter_hits.drops", 40); // a filter named `drops`
-        registry.set_gauge("node1.counter.CWND", 5); // gauges skipped
-        registry.observe("node1.cascade_depth", 1);
-        registry.observe("node2.cascade_depth", 4);
-        let digest = MetricsDigest::from_registry(&registry);
-        assert_eq!(digest.counter("drops"), Some(5));
-        assert_eq!(digest.counter("classified"), None);
-        let h = digest.histogram("cascade_depth").expect("merged");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), 4);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! End-to-end smoke test: a small sweep produces multiple outcome
 //! classes, and the shrinker reduces a failing instance to a fraction of
-//! its rules while preserving the flagged-error digest.
+//! its rules while preserving the flagged-error digest; the metrics
+//! digest of a real run folds engine numbers, not script names.
 
-use virtualwire::{EngineConfig, Runner, ScriptError};
+use virtualwire::{EngineConfig, ObsLevel, Runner, ScriptError};
 use vw_campaign::{
-    run_campaign, run_one, shrink, Axis, CampaignSpec, ExecConfig, Instance, RunConfig,
-    ShrinkOptions,
+    run_campaign, run_one, shrink, Axis, CampaignSpec, ExecConfig, Instance, OutcomeDigest,
+    RunConfig, ShrinkOptions,
 };
 use vw_fsl::TableSet;
 use vw_netsim::apps::{UdpFlooder, UdpSink};
@@ -43,13 +44,25 @@ const SCRIPT: &str = r#"
 "#;
 
 fn setup(tables: &TableSet, run: &RunConfig) -> Result<(World, Runner), ScriptError> {
+    setup_at(ObsLevel::Off, tables, run)
+}
+
+fn setup_at(
+    obs: ObsLevel,
+    tables: &TableSet,
+    run: &RunConfig,
+) -> Result<(World, Runner), ScriptError> {
     let mut world = World::with_impairment(run.seed, run.impairment);
     let nodes = Runner::create_hosts(&mut world, tables);
     let sw = world.add_switch("sw0", 4);
     for &n in &nodes {
         world.connect(n, sw, LinkConfig::fast_ethernet());
     }
-    let runner = Runner::try_install(&mut world, tables.clone(), EngineConfig::default())?;
+    let cfg = EngineConfig {
+        obs,
+        ..EngineConfig::default()
+    };
+    let runner = Runner::try_install(&mut world, tables.clone(), cfg)?;
     runner.settle(&mut world);
     world.add_protocol(
         nodes[1],
@@ -183,4 +196,71 @@ fn shrink_rejects_an_instance_that_never_failed() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("does not satisfy"));
+}
+
+/// The filter is named like the `drops` metric and a script counter like
+/// the `dups` metric: 30 filter hits and a terminal counter value of 2,
+/// against 2 real drops and no duplication.
+const NAME_CLASH: &str = r#"
+    FILTER_TABLE
+    drops: (23 1 0x11), (36 2 0x6363)
+    END
+    NODE_TABLE
+    node1 02:00:00:00:00:01 192.168.1.2
+    node2 02:00:00:00:00:02 192.168.1.3
+    END
+
+    SCENARIO Name_Clash 500msec
+    Sent: (drops, node1, node2, SEND)
+    Rcvd: (drops, node1, node2, RECV)
+    dups: (node1)
+    (TRUE) >> ENABLE_CNTR(Sent); ENABLE_CNTR(Rcvd);
+    ((Sent = 5)) >> DROP(drops, node1, node2, SEND); INCR_CNTR(dups, 1);
+    ((Sent = 15)) >> DROP(drops, node1, node2, SEND); INCR_CNTR(dups, 1);
+    ((Sent = 30)) >> STOP;
+    END
+"#;
+
+/// Sweeps [`NAME_CLASH`] over two seeds at `obs` and hands each digest to
+/// `check`.
+fn for_each_name_clash_digest(obs: ObsLevel, check: impl Fn(&OutcomeDigest)) {
+    let spec = CampaignSpec::new("clash", vw_fsl::parse(NAME_CLASH).unwrap())
+        .axis(Axis::seeds(vec![1, 2]));
+    let setup = |tables: &TableSet, run: &RunConfig| setup_at(obs, tables, run);
+    let result = run_campaign(&spec, &setup, &ExecConfig::threads(1)).unwrap();
+    assert_eq!(result.completed().count(), 2, "every instance completes");
+    for (_, digest) in result.completed() {
+        check(digest);
+    }
+}
+
+#[test]
+fn metrics_digest_counts_engine_drops_not_the_filter_or_counter_of_that_name() {
+    for_each_name_clash_digest(ObsLevel::Off, |digest| {
+        let dropped: u64 = digest.stats.iter().map(|(_, s)| s.drops).sum();
+        assert_eq!(dropped, 2);
+        assert_eq!(digest.metrics.counter("drops"), Some(dropped));
+        assert_eq!(digest.counter("dups"), Some(2), "the script counter");
+        assert_eq!(digest.metrics.counter("dups"), Some(0), "the engines' DUPs");
+        assert_eq!(digest.metrics.counter("classified"), None);
+        let names: Vec<&str> = digest.metrics.counters.iter().map(|(n, _)| &**n).collect();
+        assert!(names.is_sorted(), "{names:?}");
+        assert!(digest.metrics.histograms.is_empty(), "recorder off");
+    });
+}
+
+#[test]
+fn metrics_digest_merges_cascade_depths_across_nodes() {
+    for_each_name_clash_digest(ObsLevel::Faults, |digest| {
+        // One cascade per counter increment, on either node.
+        let per_node: Vec<u64> = digest
+            .stats
+            .iter()
+            .map(|(_, s)| s.counter_increments)
+            .collect();
+        assert!(per_node.iter().all(|&n| n > 0), "{per_node:?}");
+        let h = digest.metrics.histogram("cascade_depth").expect("merged");
+        assert_eq!(h.count(), per_node.iter().sum::<u64>());
+        assert_eq!(h.max(), 2, "the DROP rules also bump `dups`");
+    });
 }

@@ -534,10 +534,9 @@ impl Engine {
         &self.acked
     }
 
-    /// Reads a counter's current local value by name.
-    pub fn counter_value(&self, name: &str) -> Option<i64> {
-        let tables = self.tables.as_ref()?;
-        let id = tables.counter_by_name(name)?;
+    /// A counter's current local value (`None` before the tables are
+    /// installed).
+    pub fn counter(&self, id: CounterId) -> Option<i64> {
         self.counter_values.get(id.index()).copied()
     }
 

@@ -92,7 +92,7 @@ pub use classify::{
     ScanStats,
 };
 pub use engine::{ControlPlaneConfig, CostModel, Engine, EngineConfig, EngineStats, StatKind};
-pub use report::{ConformanceRecord, FlaggedError, Report, StopReason};
+pub use report::{ConformanceRecord, FlaggedError, NodeDistributions, Report, StopReason};
 pub use runner::Runner;
 pub use suite::{Suite, SuiteReport};
 // Flight-recorder vocabulary, re-exported so downstream code can configure

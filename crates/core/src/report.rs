@@ -4,7 +4,7 @@ use std::fmt;
 
 use vw_fsl::{CondId, NodeId};
 use vw_netsim::{SimDuration, SimTime};
-use vw_obs::{CausalChain, MetricsRegistry, ObsEvent, ObsKind, SymbolTable};
+use vw_obs::{CausalChain, Histogram, MetricsRegistry, ObsEvent, ObsKind, SymbolTable};
 
 use crate::engine::{EngineStats, StatKind};
 
@@ -87,6 +87,19 @@ impl fmt::Display for StopReason {
     }
 }
 
+/// What one engine measured beyond its [`EngineStats`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct NodeDistributions {
+    /// Match counts per filter, indexed by `FilterId`.
+    pub filter_hits: Vec<u64>,
+    /// Evaluation-cascade depths (empty below
+    /// [`ObsLevel::Faults`](vw_obs::ObsLevel::Faults)).
+    pub cascade_depth: Histogram,
+    /// Classify-to-action latency in charged sim nanoseconds (empty below
+    /// [`ObsLevel::Faults`](vw_obs::ObsLevel::Faults)).
+    pub classify_to_action_ns: Histogram,
+}
+
 /// The outcome of one scenario run, assembled by the
 /// [`Runner`](crate::Runner).
 #[derive(Debug, Clone)]
@@ -111,10 +124,9 @@ pub struct Report {
     pub events: Vec<ObsEvent>,
     /// Script names for rendering event ids.
     pub symbols: SymbolTable,
-    /// The run's metrics snapshot (per-node engine counters, filter hit
-    /// counts, cascade-depth and latency histograms); export with
-    /// [`MetricsRegistry::to_jsonl`].
-    pub metrics: MetricsRegistry,
+    /// Per-node filter hit counts and engine histograms, one entry per
+    /// entry of `stats` and in its order.
+    pub distributions: Vec<NodeDistributions>,
     /// Protocol-conformance verdicts, filled in post-run by the analysis
     /// layer (empty unless a `ProtocolModel` checker ran).
     pub conformance: Vec<ConformanceRecord>,
@@ -175,6 +187,51 @@ impl Report {
         self.events.iter().filter(
             |e| matches!(e.kind, ObsKind::ActionTriggered { kind, .. } if kind.is_packet_fault()),
         )
+    }
+
+    /// Renders the run's numbers as a metrics registry, for export with
+    /// [`MetricsRegistry::to_jsonl`] or
+    /// [`to_prometheus`](MetricsRegistry::to_prometheus): `<node>.<field>`
+    /// for each exported [`EngineStats`] field, `<node>.counter.<name>`
+    /// for the authoritative script-counter values,
+    /// `<node>.filter_hits.<filter>` for each filter that matched, and
+    /// the non-empty `<node>.cascade_depth` and
+    /// `<node>.classify_to_action_ns` histograms.
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut metrics = MetricsRegistry::new();
+        for (node, s) in &self.stats {
+            for (name, value, kind) in s.fields() {
+                let key = || [node, ".", name].concat();
+                match kind {
+                    StatKind::Counter => metrics.add_counter(&key(), value),
+                    StatKind::Diagnostic if value > 0 => metrics.add_counter(&key(), value),
+                    StatKind::HighWater => {
+                        metrics.set_gauge(&key(), i64::try_from(value).unwrap_or(i64::MAX));
+                    }
+                    StatKind::Diagnostic | StatKind::Internal => {}
+                }
+            }
+        }
+        for (node, counter, value) in &self.counters {
+            metrics.set_gauge(&format!("{node}.counter.{counter}"), *value);
+        }
+        for ((node, _), d) in self.stats.iter().zip(&self.distributions) {
+            for (filter, &hits) in self.symbols.filters.iter().zip(&d.filter_hits) {
+                if hits > 0 {
+                    metrics.add_counter(&format!("{node}.filter_hits.{filter}"), hits);
+                }
+            }
+            if !d.cascade_depth.is_empty() {
+                metrics.insert_histogram(&format!("{node}.cascade_depth"), d.cascade_depth.clone());
+            }
+            if !d.classify_to_action_ns.is_empty() {
+                metrics.insert_histogram(
+                    &format!("{node}.classify_to_action_ns"),
+                    d.classify_to_action_ns.clone(),
+                );
+            }
+        }
+        metrics
     }
 
     /// Folds the per-node engine counters into one aggregate: each field
@@ -274,7 +331,7 @@ mod tests {
             )],
             events: Vec::new(),
             symbols: SymbolTable::default(),
-            metrics: MetricsRegistry::default(),
+            distributions: Vec::new(),
             conformance: Vec::new(),
         }
     }

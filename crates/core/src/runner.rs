@@ -6,13 +6,13 @@
 //! over the control plane, drives the run (enforcing the scenario's
 //! inactivity timeout), and assembles the final [`Report`].
 
-use vw_fsl::{NodeId, TableSet};
+use vw_fsl::{CounterId, NodeId, TableSet};
 use vw_netsim::{DeviceId, HookId, SimDuration, SimTime, World};
-use vw_obs::{MetricsRegistry, ObsEvent, SymbolTable};
+use vw_obs::{ObsEvent, SymbolTable};
 use vw_rll::{RllConfig, RllHook};
 
-use crate::engine::{Engine, EngineConfig, EngineStats, StatKind};
-use crate::report::{Report, StopReason};
+use crate::engine::{Engine, EngineConfig};
+use crate::report::{NodeDistributions, Report, StopReason};
 use crate::ScriptError;
 
 /// Orchestrates one scenario over a [`World`].
@@ -227,44 +227,48 @@ impl Runner {
     /// control node also holds remotely reported copies) and authoritative
     /// counter values read at each counter's home node.
     fn report(&self, world: &World, stop: StopReason, duration: SimDuration) -> Report {
+        let engines: Vec<Option<&Engine>> = self
+            .engines
+            .iter()
+            .map(|&(device, hook)| world.hook::<Engine>(device, hook))
+            .collect();
+
         let mut errors = Vec::new();
-        for (i, (device, hook)) in self.engines.iter().enumerate() {
-            let Some(engine) = world.hook::<Engine>(*device, *hook) else {
+        let mut stats = Vec::with_capacity(engines.len());
+        let mut distributions = Vec::with_capacity(engines.len());
+        let mut streams: Vec<&[ObsEvent]> = Vec::with_capacity(engines.len());
+        for (i, engine) in engines.iter().enumerate() {
+            let Some(engine) = engine else {
                 continue;
             };
-            for error in engine.errors() {
-                // Keep each error once, attributed by its origin node: the
-                // copy held by the origin itself (skip control-node copies
-                // of remote errors).
-                if error.node == NodeId(i as u16) {
-                    errors.push(error.clone());
-                }
-            }
+            // Keep each error once, attributed by its origin node: the
+            // copy held by the origin itself (skip control-node copies
+            // of remote errors).
+            let own = engine.errors().iter().filter(|e| e.node.index() == i);
+            errors.extend(own.cloned());
+            stats.push((self.tables.nodes[i].name.clone(), engine.stats()));
+            distributions.push(NodeDistributions {
+                filter_hits: engine.filter_hits().to_vec(),
+                cascade_depth: engine.cascade_hist().clone(),
+                classify_to_action_ns: engine.latency_hist().clone(),
+            });
+            streams.push(engine.events());
         }
         errors.sort_by_key(|e| e.time);
 
-        let mut counters = Vec::new();
-        for (ci, counter) in self.tables.counters.iter().enumerate() {
-            let home = counter.home.index();
-            let (device, hook) = self.engines[home];
-            if let Some(engine) = world.hook::<Engine>(device, hook) {
-                if let Some(value) = engine.counter_value(&self.tables.counters[ci].name) {
-                    counters.push((
-                        self.tables.nodes[home].name.clone(),
-                        counter.name.clone(),
-                        value,
-                    ));
-                }
-            }
-        }
-
-        let stats: Vec<(String, EngineStats)> = self
-            .engines
+        let counters = self
+            .tables
+            .counters
             .iter()
             .enumerate()
-            .filter_map(|(i, (device, hook))| {
-                let engine = world.hook::<Engine>(*device, *hook)?;
-                Some((self.tables.nodes[i].name.clone(), engine.stats()))
+            .filter_map(|(ci, counter)| {
+                let home = counter.home.index();
+                let value = engines[home]?.counter(CounterId(ci as u16))?;
+                Some((
+                    self.tables.nodes[home].name.clone(),
+                    counter.name.clone(),
+                    value,
+                ))
             })
             .collect();
 
@@ -279,20 +283,6 @@ impl Runner {
                 .collect(),
         };
 
-        // Merge every engine's flight-recorder stream into one time-ordered
-        // view (the merge is stable, so same-time events keep their per-node
-        // causal order). The analysis layer re-derives per-node streams from
-        // this merge, so both sides must share the same primitive.
-        let streams: Vec<&[ObsEvent]> = self
-            .engines
-            .iter()
-            .filter_map(|(device, hook)| world.hook::<Engine>(*device, *hook))
-            .map(|engine| engine.events())
-            .collect();
-        let events = vw_obs::merge_by_time(&streams);
-
-        let metrics = self.collect_metrics(world, &stats, &counters);
-
         Report {
             scenario: self.tables.scenario.clone(),
             stop,
@@ -300,64 +290,13 @@ impl Runner {
             counters,
             duration,
             stats,
-            events,
+            // The merge is stable, so same-time events keep their per-node
+            // causal order. The analysis layer re-derives per-node streams
+            // from this merge, so both sides must share the same primitive.
+            events: vw_obs::merge_by_time(&streams),
             symbols,
-            metrics,
+            distributions,
             conformance: Vec::new(),
         }
-    }
-
-    /// Snapshots the run's quantitative shape into a metrics registry:
-    /// per-node engine counters, per-filter hit counts, authoritative
-    /// script-counter values, and (when the recorder was on) cascade-depth
-    /// and classify-to-action-latency histograms.
-    fn collect_metrics(
-        &self,
-        world: &World,
-        stats: &[(String, EngineStats)],
-        counters: &[(String, String, i64)],
-    ) -> MetricsRegistry {
-        let mut metrics = MetricsRegistry::new();
-        for (node, s) in stats {
-            for (name, value, kind) in s.fields() {
-                let key = || [node, ".", name].concat();
-                match kind {
-                    StatKind::Counter => metrics.add_counter(&key(), value),
-                    StatKind::Diagnostic if value > 0 => metrics.add_counter(&key(), value),
-                    StatKind::HighWater => {
-                        metrics.set_gauge(&key(), i64::try_from(value).unwrap_or(i64::MAX));
-                    }
-                    StatKind::Diagnostic | StatKind::Internal => {}
-                }
-            }
-        }
-        for (node, counter, value) in counters {
-            metrics.set_gauge(&format!("{node}.counter.{counter}"), *value);
-        }
-        for (i, (device, hook)) in self.engines.iter().enumerate() {
-            let Some(engine) = world.hook::<Engine>(*device, *hook) else {
-                continue;
-            };
-            let node = &self.tables.nodes[i].name;
-            for (fi, &hits) in engine.filter_hits().iter().enumerate() {
-                if hits > 0 {
-                    let filter = &self.tables.filters[fi].name;
-                    metrics.add_counter(&format!("{node}.filter_hits.{filter}"), hits);
-                }
-            }
-            if !engine.cascade_hist().is_empty() {
-                metrics.insert_histogram(
-                    &format!("{node}.cascade_depth"),
-                    engine.cascade_hist().clone(),
-                );
-            }
-            if !engine.latency_hist().is_empty() {
-                metrics.insert_histogram(
-                    &format!("{node}.classify_to_action_ns"),
-                    engine.latency_hist().clone(),
-                );
-            }
-        }
-        metrics
     }
 }

@@ -135,7 +135,7 @@ fn explain_reconstructs_the_documented_chain() {
 #[test]
 fn metrics_snapshot_covers_the_run() {
     let (report, _world) = run_scenario(ObsLevel::Faults);
-    let m = &report.metrics;
+    let m = &report.metrics();
 
     assert_eq!(m.counter("node1.drops"), Some(1));
     assert_eq!(m.counter("node1.filter_hits.udp_data"), Some(6));
@@ -169,9 +169,10 @@ fn off_records_nothing_and_still_reports() {
     );
     // Aggregate metrics still exist (they come from EngineStats, not the
     // event stream) ...
-    assert_eq!(report.metrics.counter("node1.drops"), Some(1));
+    let m = report.metrics();
+    assert_eq!(m.counter("node1.drops"), Some(1));
     // ... but the Faults-level histograms do not.
-    assert!(report.metrics.histogram("node1.cascade_depth").is_none());
+    assert!(m.histogram("node1.cascade_depth").is_none());
 }
 
 #[test]
@@ -318,7 +319,7 @@ fn stale_peer_degradation_is_explainable() {
 #[test]
 fn reliability_counters_appear_in_the_metrics_export() {
     let report = run_degraded(7);
-    let m = &report.metrics;
+    let m = &report.metrics();
 
     // Per-node reliability counters exist for every node ...
     for node in ["node1", "node2"] {

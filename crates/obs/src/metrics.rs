@@ -226,14 +226,21 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The series `name`, created from `init` on first use. The key is
+    /// allocated only then: the daemon bumps existing series under its
+    /// metrics mutex for every decoded frame.
+    fn series(&mut self, name: &str, init: fn() -> Metric) -> &mut Metric {
+        if self.entries.contains_key(name) {
+            self.entries.get_mut(name).expect("just seen")
+        } else {
+            self.entries.entry(name.to_string()).or_insert_with(init)
+        }
+    }
+
     /// Adds `delta` to the counter `name`, creating it at 0 first.
     /// Panics if `name` is registered as a different metric kind.
     pub fn add_counter(&mut self, name: &str, delta: u64) {
-        match self
-            .entries
-            .entry(name.to_string())
-            .or_insert(Metric::Counter(0))
-        {
+        match self.series(name, || Metric::Counter(0)) {
             Metric::Counter(v) => *v += delta,
             other => panic!("metric {name:?} is not a counter: {other:?}"),
         }
@@ -242,11 +249,7 @@ impl MetricsRegistry {
     /// Sets the gauge `name`, creating it if needed.
     /// Panics if `name` is registered as a different metric kind.
     pub fn set_gauge(&mut self, name: &str, value: i64) {
-        match self
-            .entries
-            .entry(name.to_string())
-            .or_insert(Metric::Gauge(0))
-        {
+        match self.series(name, || Metric::Gauge(0)) {
             Metric::Gauge(v) => *v = value,
             other => panic!("metric {name:?} is not a gauge: {other:?}"),
         }
@@ -255,11 +258,7 @@ impl MetricsRegistry {
     /// Records one observation into the histogram `name`, creating it if
     /// needed. Panics if `name` is registered as a different metric kind.
     pub fn observe(&mut self, name: &str, value: u64) {
-        match self
-            .entries
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Box::new(Histogram::new())))
-        {
+        match self.series(name, || Metric::Histogram(Box::default())) {
             Metric::Histogram(h) => h.observe(value),
             other => panic!("metric {name:?} is not a histogram: {other:?}"),
         }

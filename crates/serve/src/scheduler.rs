@@ -71,6 +71,8 @@ impl Default for QuotaConfig {
 const WINDOW_HORIZON_NS: u64 = 5_000_000_000;
 /// Samples kept per rolling window.
 const WINDOW_CAPACITY: usize = 512;
+/// In-memory journal ring capacity, in entries.
+const JOURNAL_CAPACITY: usize = 1024;
 /// Journal entries shipped per telemetry tick / query reply at most.
 const JOURNAL_BATCH: usize = 512;
 
@@ -400,7 +402,7 @@ pub(crate) struct Scheduler {
 
 impl Scheduler {
     pub(crate) fn new(cfg: DaemonConfig, registry: SetupRegistry) -> Self {
-        let journal = Journal::new(cfg.journal_capacity);
+        let journal = Journal::new(JOURNAL_CAPACITY);
         let scheduler = Scheduler {
             cfg,
             registry,

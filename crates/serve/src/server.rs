@@ -48,8 +48,6 @@ pub struct DaemonConfig {
     /// Floor for subscriber-requested telemetry intervals (ms); also
     /// paces the daemon's internal telemetry ticker.
     pub telemetry_min_interval_ms: u64,
-    /// In-memory journal ring capacity (entries).
-    pub journal_capacity: usize,
     /// A shard running longer than this (ms) journals `WorkerStalled`.
     pub stall_warn_ms: u64,
 }
@@ -64,7 +62,6 @@ impl Default for DaemonConfig {
             outbox_frames: 64,
             max_unsent_instances: 256,
             telemetry_min_interval_ms: 50,
-            journal_capacity: 1024,
             stall_warn_ms: 5_000,
         }
     }

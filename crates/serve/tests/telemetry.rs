@@ -8,7 +8,9 @@ mod common;
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-use vw_serve::{Client, Daemon, DaemonConfig, JournalQuery, SetupRegistry, Severity, Subscribe};
+use vw_serve::{
+    Client, Daemon, DaemonConfig, JournalEvent, JournalQuery, SetupRegistry, Severity, Subscribe,
+};
 
 fn subscribe_all(client: &mut Client, interval_ms: u32) {
     client
@@ -273,4 +275,60 @@ fn determinism_pins_hold_with_live_subscriber() {
         daemon.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Stall detection, end to end: a shard that outlives `stall_warn_ms`
+/// journals one `WorkerStalled` however many ticks pass while it runs,
+/// counts it, and still completes with the direct-run bytes.
+#[test]
+fn a_shard_past_the_stall_threshold_is_journaled_once_and_completes() {
+    let dir = common::scratch_dir("telemetry-stall");
+    let config = DaemonConfig {
+        state_dir: dir.join("state"),
+        workers: 1,
+        stall_warn_ms: 1,
+        ..DaemonConfig::default()
+    };
+    // Each instance sleeps through several 20 ms ticker passes.
+    let mut registry = SetupRegistry::builtin();
+    registry.register(
+        "slow_flood",
+        |tables: &vw_fsl::TableSet, run: &vw_campaign::RunConfig| {
+            std::thread::sleep(Duration::from_millis(60));
+            common::flood_setup(tables, run)
+        },
+    );
+    let daemon = Daemon::start(config, registry).expect("daemon starts");
+    let sock = dir.join("vw.sock");
+    daemon.bind_unix(&sock).expect("bind");
+
+    // Two instances in one shard.
+    let mut sub = common::padded_submission("tele-stall", 2, 8);
+    sub.setup = "slow_flood".to_string();
+    let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
+    client.submit(&sub).expect("submit");
+    let (lines, summary) = common::stream_all(&mut client);
+    assert_eq!(lines.len(), 2);
+    assert_eq!(summary, common::direct_summary(&sub));
+
+    let warnings = client
+        .journal_query(&JournalQuery {
+            since_seq: 0,
+            min_severity: Severity::Warn,
+            limit: 0,
+        })
+        .expect("journal query");
+    let stalls: Vec<&JournalEvent> = warnings.entries.iter().map(|e| &e.event).collect();
+    assert!(
+        matches!(
+            stalls[..],
+            [JournalEvent::WorkerStalled { worker: 0, campaign, .. }] if campaign == "tele-stall"
+        ),
+        "one per shard: {stalls:?}"
+    );
+    let stats = client.stats().expect("stats");
+    assert!(stats.contains("serve_worker_stalls 1\n"), "{stats}");
+
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }

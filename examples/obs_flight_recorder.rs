@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n=== metrics snapshot (JSON lines) ===");
-    print!("{}", report.metrics.to_jsonl());
+    print!("{}", report.metrics().to_jsonl());
 
     let capture = pcap::export_trace(world.trace());
     let packets = pcap::parse(&capture)?;

@@ -381,3 +381,26 @@ fn a_busy_hook_chain_dispatches_without_allocating() {
     assert!(heard(&world) - heard_before > 2_000, "copies came back up");
     assert_eq!(spent, 0, "allocations across 10 000 hook calls");
 }
+
+/// Bumping a series the registry already holds — what the daemon does
+/// under its metrics mutex for every decoded frame — allocates no key.
+#[test]
+fn updating_existing_registry_series_does_not_allocate() {
+    let mut metrics = vw_obs::MetricsRegistry::new();
+    metrics.add_counter("serve.frames_decoded", 1);
+    metrics.set_gauge("serve.workers_busy", 1);
+    metrics.observe("serve.first_outcome_ms", 1);
+    let before = allocs();
+    for i in 0..10_000 {
+        metrics.add_counter("serve.frames_decoded", 1);
+        metrics.set_gauge("serve.workers_busy", i);
+        metrics.observe("serve.first_outcome_ms", i as u64);
+    }
+    let spent = allocs() - before;
+
+    assert_eq!(metrics.counter("serve.frames_decoded"), Some(10_001));
+    assert_eq!(metrics.gauge("serve.workers_busy"), Some(9_999));
+    let observed = metrics.histogram("serve.first_outcome_ms").unwrap().count();
+    assert_eq!(observed, 10_001);
+    assert_eq!(spent, 0, "allocations across 30 000 updates");
+}

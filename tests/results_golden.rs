@@ -35,7 +35,7 @@ const SCRIPT: &str = r#"
 
 /// The run's metrics registry.
 fn registry(report: &Report) -> MetricsRegistry {
-    report.metrics.clone()
+    report.metrics()
 }
 
 /// Two hosts on a switch, engines at `obs`, 20 datagrams from the first
