@@ -221,22 +221,20 @@ const NAME_CLASH: &str = r#"
     END
 "#;
 
-/// Sweeps [`NAME_CLASH`] over two seeds at `obs` and hands each digest to
-/// `check`.
-fn for_each_name_clash_digest(obs: ObsLevel, check: impl Fn(&OutcomeDigest)) {
+/// The digests of [`NAME_CLASH`] swept over two seeds at `obs`.
+fn name_clash_digests(obs: ObsLevel) -> Vec<OutcomeDigest> {
     let spec = CampaignSpec::new("clash", vw_fsl::parse(NAME_CLASH).unwrap())
         .axis(Axis::seeds(vec![1, 2]));
     let setup = |tables: &TableSet, run: &RunConfig| setup_at(obs, tables, run);
     let result = run_campaign(&spec, &setup, &ExecConfig::threads(1)).unwrap();
-    assert_eq!(result.completed().count(), 2, "every instance completes");
-    for (_, digest) in result.completed() {
-        check(digest);
-    }
+    let digests: Vec<OutcomeDigest> = result.completed().map(|(_, d)| d.clone()).collect();
+    assert_eq!(digests.len(), 2, "every instance completes");
+    digests
 }
 
 #[test]
 fn metrics_digest_counts_engine_drops_not_the_filter_or_counter_of_that_name() {
-    for_each_name_clash_digest(ObsLevel::Off, |digest| {
+    for digest in name_clash_digests(ObsLevel::Off) {
         let dropped: u64 = digest.stats.iter().map(|(_, s)| s.drops).sum();
         assert_eq!(dropped, 2);
         assert_eq!(digest.metrics.counter("drops"), Some(dropped));
@@ -246,12 +244,12 @@ fn metrics_digest_counts_engine_drops_not_the_filter_or_counter_of_that_name() {
         let names: Vec<&str> = digest.metrics.counters.iter().map(|(n, _)| &**n).collect();
         assert!(names.is_sorted(), "{names:?}");
         assert!(digest.metrics.histograms.is_empty(), "recorder off");
-    });
+    }
 }
 
 #[test]
 fn metrics_digest_merges_cascade_depths_across_nodes() {
-    for_each_name_clash_digest(ObsLevel::Faults, |digest| {
+    for digest in name_clash_digests(ObsLevel::Faults) {
         // One cascade per counter increment, on either node.
         let per_node: Vec<u64> = digest
             .stats
@@ -262,5 +260,5 @@ fn metrics_digest_merges_cascade_depths_across_nodes() {
         let h = digest.metrics.histogram("cascade_depth").expect("merged");
         assert_eq!(h.count(), per_node.iter().sum::<u64>());
         assert_eq!(h.max(), 2, "the DROP rules also bump `dups`");
-    });
+    }
 }
