@@ -123,7 +123,11 @@ impl CampaignAnalyzer {
     pub fn push_result(&mut self, result: &CampaignResult) -> &mut Self {
         for (record, digest) in result.completed() {
             self.instances.push(InstanceMetrics {
-                labels: record.labels.clone(),
+                labels: record
+                    .labels
+                    .iter()
+                    .map(|(axis, value)| (axis.to_string(), value.to_string()))
+                    .collect(),
                 passed: digest.passed,
                 counters: digest.metrics.counters.iter().cloned().collect(),
                 histograms: digest.metrics.histograms.iter().cloned().collect(),

@@ -413,7 +413,7 @@ mod tests {
     /// Two nodes, one counter homed at node0, one term evaluated at
     /// node0, one condition on that term acting at node1.
     fn tiny_tables() -> TableSet {
-        TableSet {
+        vw_fsl::Tables {
             scenario: "tiny".into(),
             timeout_ns: None,
             vars: Vec::new(),
@@ -441,6 +441,7 @@ mod tests {
             }],
             actions: Vec::new(),
         }
+        .into()
     }
 
     fn ev(node: u16, frame_seq: u64, nanos: u64, kind: ObsKind) -> ObsEvent {

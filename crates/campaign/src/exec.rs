@@ -180,7 +180,8 @@ pub fn run_shard_observed<S: Setup>(
         .collect()
 }
 
-/// Compiles and runs a single instance to an outcome. Never panics:
+/// Runs a single instance to an outcome, on its program point's tables
+/// (compiled by the first instance of the point to get here). Never panics:
 /// compile errors, setup errors, and panics inside the simulation all
 /// become outcome variants so one bad point in the sweep can't take the
 /// pool down.
@@ -208,26 +209,12 @@ fn run_one_inner<S: Setup>(
     setup: &S,
     deadline: SimDuration,
 ) -> InstanceOutcome {
-    let tables = match vw_fsl::compile(&instance.program) {
-        Ok(mut sets) if sets.len() == 1 => sets.remove(0),
-        Ok(sets) => {
-            return InstanceOutcome::Invalid(format!(
-                "campaign programs must hold exactly one scenario, got {}",
-                sets.len()
-            ))
-        }
-        Err(errors) => {
-            return InstanceOutcome::Invalid(
-                errors
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            )
-        }
+    let tables = match instance.tables() {
+        Ok(tables) => tables,
+        Err(message) => return InstanceOutcome::Invalid(message.to_string()),
     };
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let (mut world, runner) = match setup.build(&tables, &instance.run) {
+        let (mut world, runner) = match setup.build(tables, &instance.run) {
             Ok(pair) => pair,
             Err(e) => return InstanceOutcome::SetupFailed(e.to_string()),
         };
@@ -394,24 +381,14 @@ mod tests {
     fn invalid_program_becomes_an_invalid_outcome_not_a_crash() {
         let mut program = parse(SCRIPT).unwrap();
         program.scenarios[0].rules.clear();
-        let instance = Instance {
-            index: 0,
-            labels: vec![],
-            program,
-            run: RunConfig::default(),
-        };
+        let instance = Instance::new(0, vec![], program, RunConfig::default());
         let outcome = run_one(&instance, &NoSetup, SimDuration::from_secs(1));
         assert!(matches!(outcome, InstanceOutcome::Invalid(_)));
     }
 
     #[test]
     fn setup_panic_becomes_a_crashed_outcome() {
-        let instance = Instance {
-            index: 0,
-            labels: vec![],
-            program: parse(SCRIPT).unwrap(),
-            run: RunConfig::default(),
-        };
+        let instance = Instance::new(0, vec![], parse(SCRIPT).unwrap(), RunConfig::default());
         let outcome = run_one(&instance, &NoSetup, SimDuration::from_secs(1));
         match outcome {
             InstanceOutcome::Crashed(m) => assert!(m.contains("setup reached")),
@@ -427,12 +404,7 @@ mod tests {
             Runner::try_install(&mut world, tables.clone(), Default::default())
                 .map(|runner| (world, runner))
         };
-        let instance = Instance {
-            index: 0,
-            labels: vec![],
-            program: parse(SCRIPT).unwrap(),
-            run: RunConfig::default(),
-        };
+        let instance = Instance::new(0, vec![], parse(SCRIPT).unwrap(), RunConfig::default());
         let outcome = run_one(&instance, &setup, SimDuration::from_secs(1));
         match outcome {
             InstanceOutcome::SetupFailed(m) => assert!(m.contains("node1")),

@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use virtualwire::{EngineStats, Report};
 use vw_obs::Histogram;
@@ -335,8 +336,8 @@ impl InstanceOutcome {
 pub struct InstanceRecord {
     /// Cross-product index.
     pub index: usize,
-    /// `(axis, value)` labels.
-    pub labels: Vec<(String, String)>,
+    /// `(axis, value)` labels, sharing their strings with the instance's.
+    pub labels: Vec<(Arc<str>, Arc<str>)>,
     /// The outcome.
     pub outcome: InstanceOutcome,
     /// Wall-clock duration of the run in nanoseconds, when the executor
@@ -692,12 +693,12 @@ mod tests {
     }
 
     fn instance(index: usize) -> Instance {
-        Instance {
+        Instance::new(
             index,
-            labels: vec![("seed".into(), index.to_string())],
-            program: Program::default(),
-            run: RunConfig::default(),
-        }
+            vec![("seed".into(), index.to_string().into())],
+            Program::default(),
+            RunConfig::default(),
+        )
     }
 
     /// [`CampaignResult::build`] for tests that do not care about wall

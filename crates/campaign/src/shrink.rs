@@ -94,8 +94,8 @@ impl<'a, S: Setup, P: Fn(&OutcomeDigest) -> bool> Oracle<'a, S, P> {
         if self.runs >= self.max_runs {
             return false;
         }
-        let compiles = matches!(vw_fsl::compile(candidate), Ok(sets) if sets.len() == 1);
-        if !compiles {
+        let probe = Instance::new(0, Vec::new(), candidate.clone(), self.run);
+        if probe.tables().is_err() {
             return false;
         }
         let round_trips = vw_fsl::parse(&vw_fsl::print(candidate))
@@ -105,12 +105,6 @@ impl<'a, S: Setup, P: Fn(&OutcomeDigest) -> bool> Oracle<'a, S, P> {
             return false;
         }
         self.runs += 1;
-        let probe = Instance {
-            index: 0,
-            labels: Vec::new(),
-            program: candidate.clone(),
-            run: self.run,
-        };
         run_one(&probe, self.setup, self.deadline)
             .digest()
             .is_some_and(|d| (self.predicate)(d))
@@ -138,7 +132,7 @@ pub fn shrink<S: Setup, P: Fn(&OutcomeDigest) -> bool>(
         max_runs: opts.max_runs,
         runs: 0,
     };
-    let mut best = instance.program.clone();
+    let mut best = instance.program().clone();
     if !oracle.accepts(&best) {
         return Err(CampaignError::new(
             "shrink: the starting instance does not satisfy the predicate",

@@ -12,11 +12,12 @@
 //! the same order, and the budgeted random-sampling mode draws from a
 //! seeded hand-rolled generator so sampled campaigns replay bit-for-bit.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use vw_fsl::{Action, CondExpr, Fault, Operand, Program};
+use vw_fsl::{Action, CondExpr, Fault, Operand, Program, TableSet};
 use vw_netsim::ControlImpairment;
 
 /// What part of a campaign an error came from, so callers (the daemon's
@@ -160,27 +161,11 @@ impl Axis {
         Axis::Impairment { values }
     }
 
-    /// The axis name without allocating, for the axes whose name is a
-    /// fixed string (every axis except [`Axis::Threshold`], whose name
-    /// embeds the counter). Hot paths check this before falling back to
-    /// [`Axis::name`].
-    pub fn static_name(&self) -> Option<&'static str> {
-        match self {
-            Axis::Threshold { .. } => None,
-            Axis::DelayNs { .. } => Some("delay_ns"),
-            Axis::Seed { .. } => Some("seed"),
-            Axis::Impairment { .. } => Some("impairment"),
-        }
-    }
-
     /// The axis name used in instance labels and reports.
     ///
-    /// Allocates; enumeration precomputes one name per axis (not per
-    /// instance) via the label table, so this is a cold path.
+    /// Allocates; enumeration renders one name per axis (not per
+    /// instance) into the label table, so this is a cold path.
     pub fn name(&self) -> String {
-        if let Some(name) = self.static_name() {
-            return name.to_string();
-        }
         match self {
             Axis::Threshold {
                 counter,
@@ -217,8 +202,8 @@ impl Axis {
     /// A stable label for point `i`, used in reports.
     ///
     /// Allocates (impairment labels format a whole summary); enumeration
-    /// precomputes each axis's labels once and clones them per instance,
-    /// so this too is a cold path.
+    /// renders each axis's labels once and every instance shares them, so
+    /// this too is a cold path.
     pub fn value_label(&self, i: usize) -> String {
         match self {
             Axis::Threshold { values, .. } => values[i].to_string(),
@@ -228,10 +213,9 @@ impl Axis {
         }
     }
 
-    /// Applies point `i` to a program + run configuration. Returns how
-    /// many spots in the program were touched (0 for run-config axes is
-    /// fine; 0 for program axes means the axis is dead).
-    fn apply(&self, i: usize, program: &mut Program, run: &mut RunConfig) -> usize {
+    /// Applies point `i` of a program axis to a program. Returns how many
+    /// spots were touched: 0 means the axis is dead (or a run-config axis).
+    fn apply_program(&self, i: usize, program: &mut Program) -> usize {
         match self {
             Axis::Threshold {
                 counter,
@@ -239,14 +223,17 @@ impl Axis {
                 values,
             } => apply_threshold(program, counter, *occurrence, values[i]),
             Axis::DelayNs { values } => apply_delay_ns(program, values[i]),
-            Axis::Seed { values } => {
-                run.seed = values[i];
-                0
-            }
-            Axis::Impairment { values } => {
-                run.impairment = values[i];
-                0
-            }
+            Axis::Seed { .. } | Axis::Impairment { .. } => 0,
+        }
+    }
+
+    /// Applies point `i` of a run-config axis; a program axis leaves the
+    /// configuration alone.
+    fn apply_run(&self, i: usize, run: &mut RunConfig) {
+        match self {
+            Axis::Seed { values } => run.seed = values[i],
+            Axis::Impairment { values } => run.impairment = values[i],
+            Axis::Threshold { .. } | Axis::DelayNs { .. } => {}
         }
     }
 
@@ -435,8 +422,7 @@ impl CampaignSpec {
                 // rewrites nothing is a dead dimension (usually a typo'd
                 // counter name) and would silently multiply the campaign.
                 let mut probe = self.base.clone();
-                let mut run = self.defaults;
-                if axis.apply(0, &mut probe, &mut run) == 0 {
+                if axis.apply_program(0, &mut probe) == 0 {
                     return Err(CampaignError::new(format!(
                         "axis `{}` does not touch the base program",
                         axis.name()
@@ -465,48 +451,68 @@ impl CampaignSpec {
         // re-rendering `impairment.summary()` per instance was the hot
         // allocation in enumeration.
         let labels = self.label_table();
+        let mut strides = vec![1usize; self.axes.len()];
+        for i in (0..self.axes.len().saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1] * self.axes[i + 1].len();
+        }
+        // One program point per distinct setting of the program axes, built
+        // by the first instance that lands on it and shared by the rest.
+        let mut points = HashMap::new();
         Ok(indices
             .into_iter()
-            .map(|index| self.instantiate(index, &labels))
+            .map(|index| self.instantiate(index, &labels, &strides, &mut points))
             .collect())
     }
 
     /// Precomputed `(axis name, per-point value labels)` for every axis,
-    /// in axis order — the strings [`Instance::labels`] clones from.
-    fn label_table(&self) -> Vec<(String, Vec<String>)> {
+    /// in axis order — the strings every [`Instance::labels`] shares.
+    fn label_table(&self) -> Vec<(Arc<str>, Vec<Arc<str>>)> {
         self.axes
             .iter()
             .map(|axis| {
                 (
-                    axis.name(),
-                    (0..axis.len()).map(|i| axis.value_label(i)).collect(),
+                    axis.name().into(),
+                    (0..axis.len())
+                        .map(|i| axis.value_label(i).into())
+                        .collect(),
                 )
             })
             .collect()
     }
 
     /// Materializes cross-product point `index` (last axis fastest).
-    fn instantiate(&self, index: usize, label_table: &[(String, Vec<String>)]) -> Instance {
-        let mut program = self.base.clone();
+    /// `points` is keyed by the program axes' own cross-product position.
+    fn instantiate(
+        &self,
+        index: usize,
+        label_table: &[(Arc<str>, Vec<Arc<str>>)],
+        strides: &[usize],
+        points: &mut HashMap<usize, Arc<ProgramPoint>>,
+    ) -> Instance {
+        let pick = |a: usize| (index / strides[a]) % self.axes[a].len();
         let mut run = self.defaults;
         let mut labels = Vec::with_capacity(self.axes.len());
-        let mut rem = index;
-        let mut strides = vec![1usize; self.axes.len()];
-        for i in (0..self.axes.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.axes[i + 1].len();
+        let mut key = 0;
+        for (a, (axis, (name, values))) in self.axes.iter().zip(label_table).enumerate() {
+            let i = pick(a);
+            if axis.mutates_program() {
+                key = key * axis.len() + i;
+            }
+            axis.apply_run(i, &mut run);
+            labels.push((Arc::clone(name), Arc::clone(&values[i])));
         }
-        for (axis, stride) in self.axes.iter().zip(&strides) {
-            let i = rem / stride;
-            rem %= stride;
-            axis.apply(i, &mut program, &mut run);
-            let (name, values) = &label_table[labels.len()];
-            labels.push((name.clone(), values[i].clone()));
-        }
+        let point = points.entry(key).or_insert_with(|| {
+            let mut program = self.base.clone();
+            for (a, axis) in self.axes.iter().enumerate() {
+                axis.apply_program(pick(a), &mut program);
+            }
+            ProgramPoint::new(program)
+        });
         Instance {
             index,
             labels,
-            program,
             run,
+            point: Arc::clone(point),
         }
     }
 }
@@ -533,6 +539,33 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One setting of a campaign's program axes: the mutated program, and its
+/// compiled tables once some instance has needed them. Shared by every
+/// instance that differs from it only in run-config axes, so a sweep
+/// compiles each distinct program once, whichever worker gets there first.
+/// Points compare by program: whether two instances share one is not part
+/// of what they run.
+#[derive(Debug)]
+struct ProgramPoint {
+    program: Program,
+    compiled: OnceLock<Result<TableSet, String>>,
+}
+
+impl PartialEq for ProgramPoint {
+    fn eq(&self, other: &Self) -> bool {
+        self.program == other.program
+    }
+}
+
+impl ProgramPoint {
+    fn new(program: Program) -> Arc<Self> {
+        Arc::new(ProgramPoint {
+            program,
+            compiled: OnceLock::new(),
+        })
+    }
+}
+
 /// One concrete point of the fault space: a fully mutated program plus
 /// its run configuration, tagged with where in the sweep it came from.
 #[derive(Debug, Clone, PartialEq)]
@@ -541,11 +574,59 @@ pub struct Instance {
     /// thread counts).
     pub index: usize,
     /// `(axis name, value label)` pairs, in axis order.
-    pub labels: Vec<(String, String)>,
-    /// The mutated program.
-    pub program: Program,
+    pub labels: Vec<(Arc<str>, Arc<str>)>,
     /// Seed and impairment for this run.
     pub run: RunConfig,
+    /// The mutated program and its tables, shared with the instances that
+    /// differ from this one only in `run`.
+    point: Arc<ProgramPoint>,
+}
+
+impl Instance {
+    /// An instance with a program point of its own — a shrink candidate, a
+    /// replay of a reproducer.
+    pub fn new(
+        index: usize,
+        labels: Vec<(Arc<str>, Arc<str>)>,
+        program: Program,
+        run: RunConfig,
+    ) -> Self {
+        Instance {
+            index,
+            labels,
+            run,
+            point: ProgramPoint::new(program),
+        }
+    }
+
+    /// The mutated program.
+    pub fn program(&self) -> &Program {
+        &self.point.program
+    }
+
+    /// The program's compiled tables, or why it has none: the message of
+    /// the [`InstanceOutcome::Invalid`](crate::InstanceOutcome::Invalid)
+    /// every instance of the point ends in. Compiled once per program
+    /// point, by whichever instance asks first.
+    pub(crate) fn tables(&self) -> Result<&TableSet, &str> {
+        let point = &*self.point;
+        point
+            .compiled
+            .get_or_init(|| match vw_fsl::compile(&point.program) {
+                Ok(mut sets) if sets.len() == 1 => Ok(sets.remove(0)),
+                Ok(sets) => Err(format!(
+                    "campaign programs must hold exactly one scenario, got {}",
+                    sets.len()
+                )),
+                Err(errors) => Err(errors
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join("; ")),
+            })
+            .as_ref()
+            .map_err(String::as_str)
+    }
 }
 
 #[cfg(test)]
@@ -588,14 +669,8 @@ mod tests {
         assert_eq!(a[1].run.seed, 8);
         assert_eq!(a[2].run.seed, 9);
         assert_eq!(a[3].run.seed, 7);
-        assert_eq!(
-            a[0].labels[0],
-            ("threshold.C#0".to_string(), "1".to_string())
-        );
-        assert_eq!(
-            a[3].labels[0],
-            ("threshold.C#0".to_string(), "2".to_string())
-        );
+        assert_eq!(a[0].labels[0], ("threshold.C#0".into(), "1".into()));
+        assert_eq!(a[3].labels[0], ("threshold.C#0".into(), "2".into()));
         // Indices are cross-product positions.
         assert_eq!(
             a.iter().map(|i| i.index).collect::<Vec<_>>(),
@@ -607,7 +682,7 @@ mod tests {
     fn threshold_rewrites_the_right_occurrence() {
         let spec = CampaignSpec::new("t", base()).axis(Axis::threshold_at("C", 1, vec![42]));
         let inst = spec.enumerate().unwrap().remove(0);
-        let printed = vw_fsl::print(&inst.program);
+        let printed = vw_fsl::print(inst.program());
         assert!(printed.contains("C = 3"), "{printed}");
         assert!(printed.contains("C = 42"), "{printed}");
         assert!(!printed.contains("C = 9"), "{printed}");
@@ -617,7 +692,7 @@ mod tests {
     fn threshold_all_occurrences() {
         let spec = CampaignSpec::new("t", base()).axis(Axis::threshold("C", vec![5]));
         let inst = spec.enumerate().unwrap().remove(0);
-        let printed = vw_fsl::print(&inst.program);
+        let printed = vw_fsl::print(inst.program());
         assert!(!printed.contains("C = 3"));
         assert!(!printed.contains("C = 9"));
         assert_eq!(printed.matches("C = 5").count(), 2, "{printed}");
@@ -627,7 +702,7 @@ mod tests {
     fn delay_axis_rewrites_hold_time() {
         let spec = CampaignSpec::new("t", base()).axis(Axis::delay_ns(vec![5_000_000]));
         let inst = spec.enumerate().unwrap().remove(0);
-        let delay = inst.program.scenarios[0]
+        let delay = inst.program().scenarios[0]
             .rules
             .iter()
             .find_map(|r| {
@@ -712,9 +787,12 @@ mod tests {
             .axis(Axis::threshold_at("C", 0, vec![1, 4, 100]))
             .axis(Axis::delay_ns(vec![0, 1_000_000]));
         for inst in spec.enumerate().unwrap() {
-            vw_fsl::compile(&inst.program).unwrap();
+            vw_fsl::compile(inst.program()).unwrap();
             // And the mutated program stays printable/parsable.
-            assert_eq!(parse(&vw_fsl::print(&inst.program)).unwrap(), inst.program);
+            assert_eq!(
+                &parse(&vw_fsl::print(inst.program())).unwrap(),
+                inst.program()
+            );
         }
     }
 }

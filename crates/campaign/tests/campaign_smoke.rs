@@ -115,7 +115,7 @@ fn sweep_dedups_into_multiple_classes_and_shrinks_a_failure() {
     let failing = result
         .matching(|d| d.has_error_containing("double fault"))
         .iter()
-        .find(|r| r.labels[0].1 == "10")
+        .find(|r| &*r.labels[0].1 == "10")
         .map(|r| r.index)
         .expect("a double-fault instance at threshold 10 exists");
     let instance: Instance = spec
@@ -164,12 +164,7 @@ fn sweep_dedups_into_multiple_classes_and_shrinks_a_failure() {
     assert_eq!(reparsed, shrunk.program);
 
     // And it still reproduces the same flagged-error digest.
-    let replay = Instance {
-        index: 0,
-        labels: Vec::new(),
-        program: shrunk.program.clone(),
-        run: shrunk.run,
-    };
+    let replay = Instance::new(0, Vec::new(), shrunk.program.clone(), shrunk.run);
     let outcome = run_one(&replay, &setup, SimDuration::from_secs(60));
     assert_eq!(
         outcome.digest().expect("replay completes").errors,
@@ -186,7 +181,7 @@ fn shrink_rejects_an_instance_that_never_failed() {
         .enumerate()
         .unwrap()
         .into_iter()
-        .find(|i| i.labels[0].1 == "40" && i.labels[1].1 == "45")
+        .find(|i| &*i.labels[0].1 == "40" && &*i.labels[1].1 == "45")
         .unwrap();
     let err = shrink(
         &healthy,

@@ -17,7 +17,7 @@ use vw_netsim::{ControlImpairment, World};
 
 /// The one expression that reaches an instance's program.
 fn program(instance: &Instance) -> &Program {
-    &instance.program
+    instance.program()
 }
 
 const BASE: &str = r#"

@@ -351,10 +351,9 @@ pub struct Engine {
     blackholed: bool,
     /// Where to report errors (learned from the Init frame's source).
     control_mac: Option<MacAddr>,
-    /// Am I the control node?
-    is_control: bool,
-    /// Tables already distributed (control node only).
-    distributed: bool,
+    /// On the control node: the identity it installs itself under when the
+    /// world starts. `me` stays unset until then, as on any other node.
+    control_id: Option<NodeId>,
     /// Init acks received (control node only).
     acked: Vec<NodeId>,
     /// Current `Init` retransmission timeout (control node only).
@@ -453,8 +452,7 @@ impl Engine {
             cond_status: Vec::new(),
             blackholed: false,
             control_mac: None,
-            is_control: false,
-            distributed: false,
+            control_id: None,
             acked: Vec::new(),
             init_rto: cfg.control.initial_rto,
             peer_tx: MacMap::default(),
@@ -486,14 +484,11 @@ impl Engine {
     }
 
     /// Marks this engine as the control node: it distributes tables on
-    /// start and collects error reports.
+    /// start and collects error reports. Until then it only holds them: it
+    /// installs itself, like its peers, when distribution begins.
     pub fn control(cfg: EngineConfig, tables: TableSet, me: NodeId) -> Self {
         let mut engine = Engine::new(cfg);
-        engine.is_control = true;
-        engine.me = Some(me);
-        engine.classifier = Classifier::build(cfg.classifier, &tables);
-        engine.counter_dispatch = build_counter_dispatch(&tables, me);
-        engine.nodes = node_identities(&tables);
+        engine.control_id = Some(me);
         engine.tables = Some(tables);
         engine
     }
@@ -524,7 +519,9 @@ impl Engine {
         self.last_match
     }
 
-    /// `true` once the tables are installed (directly or via `Init`).
+    /// `true` once the tables are installed (directly or via `Init`): the
+    /// classifier, the counter and status vectors and this node's identity
+    /// all exist. Frames pass through untouched until then.
     pub fn initialized(&self) -> bool {
         self.tables.is_some() && self.me.is_some()
     }
@@ -1260,7 +1257,7 @@ impl Engine {
             ControlMsg::Init { tables, you_are } => {
                 self.control_mac = Some(src);
                 if !self.initialized() {
-                    self.install_tables(ctx, *tables, you_are);
+                    self.install_tables(ctx, tables, you_are);
                 }
                 // A retransmitted Init never reinstalls (that would reset
                 // counters) but always re-acks, in case the first InitAck
@@ -1269,7 +1266,7 @@ impl Engine {
                 self.send_control(ctx, wire::build_frame(ctx.mac(), src, &ack));
             }
             ControlMsg::InitAck { node } => {
-                if self.is_control && !self.acked.contains(&node) {
+                if self.control_id.is_some() && !self.acked.contains(&node) {
                     self.acked.push(node);
                 }
             }
@@ -1344,10 +1341,9 @@ impl Engine {
     /// Distributes the tables from the control node (called from
     /// `on_start` when this engine holds them).
     fn distribute_tables(&mut self, ctx: &mut Context<'_>) {
-        let me = self.me.expect("control engine has identity");
+        let me = self.control_id.expect("control engine has identity");
         self.control_mac = Some(ctx.mac());
         self.send_inits(ctx);
-        // Taken, not cloned: `install_tables` below puts them back.
         let tables = self.tables.take().expect("control engine has tables");
         if tables.nodes.len() > 1 {
             self.init_rto = INIT_RTO;
@@ -1358,28 +1354,26 @@ impl Engine {
     }
 
     /// Sends `Init` to every peer (every scripted node but this one) that
-    /// has not acked it, and returns how many that was. The tables are
-    /// taken, boxed once and lent to each message for as long as it takes
-    /// to encode it, then put back: nothing is cloned.
+    /// has not acked it, and returns how many that was. Every message
+    /// holds this engine's own table allocation; the receiver's copy is the
+    /// one it decodes off the wire.
     fn send_inits(&mut self, ctx: &mut Context<'_>) -> u64 {
-        let me = self.me.expect("control engine has identity");
-        let mut tables = Box::new(self.tables.take().expect("control engine has tables"));
+        let me = self.control_id.expect("control engine has identity");
+        let tables = self.tables.take().expect("control engine has tables");
         let mut sent = 0;
-        for i in 0..tables.nodes.len() {
+        for (i, node) in tables.nodes.iter().enumerate() {
             let you_are = NodeId(i as u16);
             if you_are == me || self.acked.contains(&you_are) {
                 continue;
             }
-            let mac = tables.nodes[i].mac;
-            let msg = ControlMsg::Init { tables, you_are };
-            self.send_control(ctx, wire::build_frame(ctx.mac(), mac, &msg));
-            let ControlMsg::Init { tables: lent, .. } = msg else {
-                unreachable!("built as Init four lines up");
+            let msg = ControlMsg::Init {
+                tables: TableSet::clone(&tables),
+                you_are,
             };
-            tables = lent;
+            self.send_control(ctx, wire::build_frame(ctx.mac(), node.mac, &msg));
             sent += 1;
         }
-        self.tables = Some(*tables);
+        self.tables = Some(tables);
         sent
     }
 
@@ -1387,7 +1381,7 @@ impl Engine {
     /// backing off up to the RTO cap; stops rearming once every peer has
     /// acked.
     fn retransmit_inits(&mut self, ctx: &mut Context<'_>) {
-        if !self.is_control || !self.initialized() {
+        if self.control_id.is_none() || !self.initialized() {
             return;
         }
         let resent = self.send_inits(ctx);
@@ -1757,8 +1751,7 @@ impl Hook for Engine {
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        if self.is_control && !self.distributed {
-            self.distributed = true;
+        if self.control_id.is_some() && self.me.is_none() {
             self.distribute_tables(ctx);
         }
     }

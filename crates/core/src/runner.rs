@@ -116,7 +116,7 @@ impl Runner {
         let mut engines = Vec::new();
         for (i, &device) in devices.iter().enumerate() {
             let engine = if i == 0 {
-                Engine::control(cfg, tables.clone(), NodeId(0))
+                Engine::control(cfg, TableSet::clone(&tables), NodeId(0))
             } else {
                 Engine::new(cfg)
             };

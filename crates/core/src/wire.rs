@@ -48,7 +48,7 @@ use vw_fsl::{
     ActionId, CompiledAction, CompiledActionKind, CompiledCondition, CompiledCounter,
     CompiledCounterKind, CompiledFilter, CompiledNode, CompiledOperand, CompiledTerm, CondId,
     CondNode, CounterId, CounterOp, Dir, Fault, FilterId, FilterTuple, ModifyPattern, NodeId,
-    PacketSel, PatternValue, RelOp, TableSet, TermId,
+    PacketSel, PatternValue, RelOp, TableSet, Tables, TermId,
 };
 use vw_packet::codec::{Reader, Writer};
 use vw_packet::{EtherType, Frame, MacAddr, ParseError};
@@ -58,8 +58,8 @@ use vw_packet::{EtherType, Frame, MacAddr, ParseError};
 pub enum ControlMsg {
     /// Table distribution from the control node.
     Init {
-        /// The compiled scenario.
-        tables: Box<TableSet>,
+        /// The compiled scenario: the sender's own handle, not a copy.
+        tables: TableSet,
         /// Which node id the receiver plays in the scenario.
         you_are: NodeId,
     },
@@ -188,10 +188,7 @@ fn decode_msg(r: &mut Reader<'_>) -> Result<ControlMsg, ParseError> {
             let you_are = NodeId(r.u16()?);
             let tables = decode_tables(r)?;
             check_ids(&tables, you_are)?;
-            ControlMsg::Init {
-                tables: Box::new(tables),
-                you_are,
-            }
+            ControlMsg::Init { tables, you_are }
         }
         TAG_INIT_ACK => ControlMsg::InitAck {
             node: NodeId(r.u16()?),
@@ -594,7 +591,7 @@ fn encode_tables(w: &mut Writer<'_>, t: &TableSet) {
 
 // The `list16` minimums below are each element's smallest encoding.
 fn decode_tables(r: &mut Reader<'_>) -> Result<TableSet, ParseError> {
-    Ok(TableSet {
+    Ok(Tables {
         scenario: r.str16()?,
         timeout_ns: r.opt(Reader::u64)?,
         vars: r.list16(2, Reader::str16)?,
@@ -643,7 +640,8 @@ fn decode_tables(r: &mut Reader<'_>) -> Result<TableSet, ParseError> {
                 kind: decode_action_kind(r)?,
             })
         })?,
-    })
+    }
+    .into())
 }
 
 fn decode_filter(r: &mut Reader<'_>) -> Result<CompiledFilter, ParseError> {
@@ -1026,7 +1024,7 @@ mod tests {
     fn init_round_trips_the_full_table_set() {
         let tables = sample_tables();
         let msg = ControlMsg::Init {
-            tables: Box::new(tables.clone()),
+            tables: tables.clone(),
             you_are: NodeId(2),
         };
         let decoded = decode(&encode(&msg)).unwrap();
@@ -1035,7 +1033,7 @@ mod tests {
                 tables: got,
                 you_are,
             } => {
-                assert_eq!(*got, tables);
+                assert_eq!(got, tables);
                 assert_eq!(you_are, NodeId(2));
             }
             other => panic!("wrong decode {other:?}"),
@@ -1097,7 +1095,7 @@ mod tests {
         // Truncate an init message at every length and make sure decoding
         // fails rather than panics.
         let full = encode(&ControlMsg::Init {
-            tables: Box::new(sample_tables()),
+            tables: sample_tables(),
             you_are: NodeId(0),
         });
         for cut in 0..full.len() {

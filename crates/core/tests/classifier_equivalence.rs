@@ -79,7 +79,7 @@ fn tables_from(words: &[u64]) -> TableSet {
             }
         })
         .collect();
-    TableSet {
+    vw_fsl::Tables {
         scenario: "EQ".into(),
         timeout_ns: None,
         vars: VAR_NAMES.iter().map(|v| v.to_string()).collect(),
@@ -101,6 +101,7 @@ fn tables_from(words: &[u64]) -> TableSet {
         conditions: Vec::new(),
         actions: Vec::new(),
     }
+    .into()
 }
 
 fn frame_from(mac_sel: u8, payload: &[u8]) -> Frame {

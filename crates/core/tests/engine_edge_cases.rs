@@ -307,6 +307,85 @@ fn report_counters_read_at_home_nodes() {
     assert_eq!(rcvd_row.2, 10);
 }
 
+/// Sends one 0x4242 frame to `send_to` the moment it starts, and counts
+/// the frames it is handed.
+struct Eager {
+    send_to: Option<vw_packet::MacAddr>,
+    seen: u64,
+}
+
+impl vw_netsim::Protocol for Eager {
+    fn name(&self) -> &str {
+        "eager"
+    }
+
+    fn on_start(&mut self, ctx: &mut vw_netsim::Context<'_>) {
+        let Some(dst) = self.send_to else {
+            return;
+        };
+        let frame = vw_packet::EthernetBuilder::new()
+            .dst(dst)
+            .src(ctx.mac())
+            .ethertype(EtherType(0x4242))
+            .payload(&[0; 46])
+            .build();
+        ctx.send(frame);
+    }
+
+    fn on_frame(&mut self, _: &mut vw_netsim::Context<'_>, _: vw_packet::Frame) {
+        self.seen += 1;
+    }
+}
+
+#[test]
+fn a_frame_sent_before_the_control_engine_starts_passes_through() {
+    // The protocol is added before the engines, so its `Start` is delivered
+    // first: its frame meets a control engine that holds the tables but has
+    // not installed them. It must pass, uncounted, as it would on any node
+    // still waiting for its `Init` (it used to index an empty counter
+    // vector and panic).
+    let tables = compile_script(
+        "FILTER_TABLE
+        p: (12 2 0x4242)
+        END
+        NODE_TABLE
+        node1 02:00:00:00:00:01 192.168.1.2
+        node2 02:00:00:00:00:02 192.168.1.3
+        END
+        SCENARIO Early 10msec
+        C: (p, node1, node2, SEND)
+        (TRUE) >> ENABLE_CNTR(C);
+        END",
+    )
+    .unwrap();
+    let mut world = World::new(3);
+    let nodes = Runner::create_hosts(&mut world, &tables);
+    let sw = world.add_switch("sw0", 4);
+    for &n in &nodes {
+        world.connect(n, sw, LinkConfig::fast_ethernet());
+    }
+    let eager = |send_to| Box::new(Eager { send_to, seen: 0 });
+    let node2_mac = world.host_mac(nodes[1]);
+    world.add_protocol(nodes[0], Binding::All, eager(Some(node2_mac)));
+    let listener = world.add_protocol(nodes[1], Binding::All, eager(None));
+    let runner = Runner::try_install(&mut world, tables, EngineConfig::default()).unwrap();
+    assert!(!runner.engine(&world, "node1").unwrap().initialized());
+
+    let report = runner.run(&mut world, SimDuration::from_millis(50));
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(
+        report.counter("C"),
+        Some(0),
+        "the early frame is not counted"
+    );
+    assert_eq!(report.total_stats().classified, 0);
+    for node in ["node1", "node2"] {
+        assert!(runner.engine(&world, node).unwrap().initialized(), "{node}");
+    }
+    let listener = world.protocol::<Eager>(nodes[1], listener).unwrap();
+    assert_eq!(listener.seen, 1, "the early frame reached node2");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     /// Property: for any single scripted DROP position within a flow, the

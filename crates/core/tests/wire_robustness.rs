@@ -120,7 +120,7 @@ fn hand_built_overlong_tables_cannot_be_encoded() {
         }
     }
     let sent = ControlMsg::Init {
-        tables: Box::new(tables),
+        tables,
         you_are: NodeId(1),
     };
     // At the parent this returned `Ok` with a different table set.
@@ -186,7 +186,7 @@ const GOLDEN_INIT_HEX: &str = "\
 fn golden_bytes_for_an_init_with_every_action_kind() {
     let tables = virtualwire::compile_script(GOLDEN_INIT_SCRIPT).unwrap();
     let msg = ControlMsg::Init {
-        tables: Box::new(tables),
+        tables,
         you_are: NodeId(1),
     };
     let bytes = encode(&msg);
@@ -280,10 +280,7 @@ fn init_with_an_out_of_range_id_is_refused() {
     ];
     let tables = virtualwire::compile_script(GOLDEN_INIT_SCRIPT).unwrap();
     let refusal = |tables: TableSet, you_are: NodeId| {
-        let bytes = encode(&ControlMsg::Init {
-            tables: Box::new(tables),
-            you_are,
-        });
+        let bytes = encode(&ControlMsg::Init { tables, you_are });
         decode(&bytes)
             .expect_err("a dangling id must be refused")
             .to_string()
@@ -318,7 +315,7 @@ fn hostile_init_from_the_wire_cannot_panic_a_waiting_engine() {
     let host = world.add_host("b");
     let hook = world.add_hook(host, Box::new(Engine::new(EngineConfig::default())));
     let init = ControlMsg::Init {
-        tables: Box::new(tables),
+        tables,
         you_are: NodeId(1),
     };
     let frame = build_frame(MacAddr::from_index(9), world.host_mac(host), &init);
@@ -459,7 +456,7 @@ proptest! {
             END
             "#,
         ).unwrap();
-        let bytes = encode(&ControlMsg::Init { tables: Box::new(tables), you_are: NodeId(1) });
+        let bytes = encode(&ControlMsg::Init { tables, you_are: NodeId(1) });
         let cut = (bytes.len() as f64 * cut_frac) as usize;
         prop_assert!(decode(&bytes[..cut]).is_err() || cut == bytes.len());
     }

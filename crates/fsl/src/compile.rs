@@ -18,6 +18,8 @@
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -307,8 +309,38 @@ pub enum CompiledActionKind {
 /// Injection/Analysis Engine needs, shipped to every node over the control
 /// plane ("all FIEs and FAEs are sent the entire set of tables",
 /// Section 5.1).
+///
+/// A handle on one shared, immutable [`Tables`]: a clone is a reference
+/// count, so the set a compile produced is the allocation the runner, the
+/// control engine and every `Init` it sends hold. Reads go through
+/// `Deref`; a write through `DerefMut` first copies the tables if another
+/// handle shares them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TableSet {
+pub struct TableSet(Arc<Tables>);
+
+impl From<Tables> for TableSet {
+    fn from(tables: Tables) -> Self {
+        TableSet(Arc::new(tables))
+    }
+}
+
+impl Deref for TableSet {
+    type Target = Tables;
+
+    fn deref(&self) -> &Tables {
+        &self.0
+    }
+}
+
+impl DerefMut for TableSet {
+    fn deref_mut(&mut self) -> &mut Tables {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+/// The six tables (and the scenario header) behind a [`TableSet`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Tables {
     /// Scenario name.
     pub scenario: String,
     /// Optional inactivity timeout in nanoseconds.
@@ -329,7 +361,7 @@ pub struct TableSet {
     pub actions: Vec<CompiledAction>,
 }
 
-impl TableSet {
+impl Tables {
     /// Finds a node id by name.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.nodes
@@ -522,7 +554,7 @@ fn compile_scenario(program: &Program, scenario: &Scenario) -> TableSet {
         }
     }
 
-    TableSet {
+    Tables {
         scenario: scenario.name.clone(),
         timeout_ns: scenario.timeout_ns,
         vars: program.vars.clone(),
@@ -533,6 +565,7 @@ fn compile_scenario(program: &Program, scenario: &Scenario) -> TableSet {
         conditions,
         actions,
     }
+    .into()
 }
 
 fn compile_cond(

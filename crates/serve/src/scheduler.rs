@@ -90,8 +90,8 @@ pub(crate) enum Push {
 /// Result of a blocking outbox pop.
 #[derive(Debug)]
 pub(crate) enum Pop {
-    /// One frame's encoded bytes.
-    Frame(Vec<u8>),
+    /// Every queued frame's encoded bytes were appended to the batch.
+    Frames,
     /// Timed out with nothing queued.
     Empty,
     /// Closed and drained.
@@ -137,11 +137,17 @@ impl Outbox {
         Push::Ok
     }
 
-    pub(crate) fn pop_timeout(&self, timeout: Duration) -> Pop {
+    /// Waits for a frame, then moves everything queued onto the end of
+    /// `batch` in queue order: one write, and one drain notification, per
+    /// wake-up of the writer however many frames it slept through.
+    pub(crate) fn pop_timeout(&self, timeout: Duration, batch: &mut Vec<u8>) -> Pop {
         let mut state = self.state.lock().unwrap();
         loop {
-            if let Some(bytes) = state.queue.pop_front() {
-                return Pop::Frame(bytes);
+            if !state.queue.is_empty() {
+                for bytes in state.queue.drain(..) {
+                    batch.extend_from_slice(&bytes);
+                }
+                return Pop::Frames;
             }
             if state.closed {
                 return Pop::Closed;
@@ -987,7 +993,7 @@ impl Scheduler {
         }
     }
 
-    /// Called by connection writer threads after draining a frame:
+    /// Called by connection writer threads after writing a batch:
     /// re-pump emission (outboxes have room again) and wake workers
     /// (a paused campaign may be dispatchable again).
     pub(crate) fn on_drain(&self) {

@@ -297,14 +297,16 @@ fn serve_connection(
     let writer_outbox = Arc::clone(&outbox);
     let writer_sched = Arc::clone(&scheduler);
     let writer = std::thread::spawn(move || {
+        let mut batch = Vec::new();
         loop {
-            match writer_outbox.pop_timeout(Duration::from_millis(100)) {
-                Pop::Frame(bytes) => {
-                    if write_half.write_all(&bytes).is_err() {
+            batch.clear();
+            match writer_outbox.pop_timeout(Duration::from_millis(100), &mut batch) {
+                Pop::Frames => {
+                    if write_half.write_all(&batch).is_err() {
                         writer_outbox.close();
                         break;
                     }
-                    writer_sched.note_bytes_out(bytes.len() as u64);
+                    writer_sched.note_bytes_out(batch.len() as u64);
                     // Room just opened up: resume emission and wake any
                     // worker whose campaign was paused on this client.
                     writer_sched.on_drain();

@@ -90,6 +90,24 @@ if grep -n 'pub metrics:' crates/core/src/report.rs; then
     exit 1
 fi
 
+# Campaign gate: a campaign compiles each program point once, in the
+# point's own initialiser (vw_campaign::spec), and that table allocation is
+# the one the runner, the control engine and every Init hold: TableSet is a
+# shared handle, so nothing boxes it or deep-copies it on the way.
+echo "==> campaign gate"
+if grep -rn 'Box<TableSet>' crates/core/src; then
+    echo "boxed tables: ControlMsg::Init carries the TableSet handle itself"
+    exit 1
+fi
+if grep -n 'tables\.clone()' crates/core/src/runner.rs crates/core/src/engine.rs; then
+    echo "tables copied between runner and engine: share the handle (TableSet::clone(&tables))"
+    exit 1
+fi
+if grep -n 'vw_fsl::compile(' crates/campaign/src/exec.rs; then
+    echo "per-instance compile: run on Instance::tables(), compiled once per program point"
+    exit 1
+fi
+
 # The size simplicity PRs quote: lines of every crates/*/src/**/*.rs up to
 # its first #[cfg(test)].
 echo "==> non-test source lines"
@@ -132,7 +150,9 @@ cargo test -q --workspace --no-fail-fast
 # (flood plus a set-and-cancel timer per tick) none in 10 000 events, none
 # either when half the control frames crossing it are dropped, none in
 # 10 000 calls through a three-hook chain whose effects nest dispatches,
-# and none in 30 000 updates of metrics-registry series that exist.
+# none in 30 000 updates of metrics-registry series that exist; and the
+# campaign gate's number: a 48-instance sweep at most 190 allocations per
+# instance and exactly 6 compiles.
 echo "==> alloc budget"
 cargo test -q --release --test alloc_budget
 

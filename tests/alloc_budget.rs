@@ -404,3 +404,99 @@ fn updating_existing_registry_series_does_not_allocate() {
     assert_eq!(observed, 10_001);
     assert_eq!(spent, 0, "allocations across 30 000 updates");
 }
+
+/// The two-host flood bed a campaign instance runs on: what the
+/// benchmark's sweep builds per instance, and which table allocations the
+/// executor handed it.
+#[derive(Default)]
+struct FloodBed {
+    tables_seen: std::sync::Mutex<std::collections::BTreeSet<usize>>,
+}
+
+impl vw_campaign::Setup for FloodBed {
+    fn build(
+        &self,
+        tables: &vw_fsl::TableSet,
+        run: &vw_campaign::RunConfig,
+    ) -> Result<(World, virtualwire::Runner), virtualwire::ScriptError> {
+        use virtualwire::{EngineConfig, Runner};
+
+        let address = std::ptr::from_ref::<vw_fsl::Tables>(tables) as usize;
+        self.tables_seen.lock().unwrap().insert(address);
+        let mut world = World::with_impairment(run.seed, run.impairment);
+        world.trace_mut().set_enabled(false);
+        let nodes = Runner::create_hosts(&mut world, tables);
+        let sw = world.add_switch("sw0", 4);
+        for &n in &nodes {
+            world.connect(n, sw, LinkConfig::fast_ethernet());
+        }
+        let runner = Runner::try_install(&mut world, tables.clone(), EngineConfig::default())?;
+        runner.settle(&mut world);
+        let ipv4 = Binding::EtherType(EtherType::IPV4);
+        world.add_protocol(nodes[1], ipv4, Box::new(UdpSink::new(0x6363)));
+        let (mac, ip) = (world.host_mac(nodes[1]), world.host_ip(nodes[1]));
+        let flooder = UdpFlooder::new(mac, ip, 0x6363, 9000, 2_000_000, 200, 240 * 200);
+        world.add_protocol(nodes[0], ipv4, Box::new(flooder));
+        Ok((world, runner))
+    }
+}
+
+/// A 48-instance sweep — 6 thresholds × 4 seeds × 2 control impairments of
+/// a 240-datagram flood, the benchmark's `campaign_sweep` block — on a
+/// thread that has run it before: `run_campaign` end to end (enumerate,
+/// every instance, the classed result) spends at most 190 allocations per
+/// instance, and compiles each of the 6 programs once. (The parent of this
+/// budget read 295: a `Program` clone and a compile per instance, and three
+/// deep copies of the tables on their way to the engines.)
+#[test]
+fn a_sweep_compiles_each_program_once_and_stays_under_190_allocations_per_instance() {
+    use vw_campaign::{run_campaign, Axis, CampaignSpec, ExecConfig};
+
+    let program = vw_fsl::parse(
+        "FILTER_TABLE
+        udp_data: (23 1 0x11), (36 2 0x6363)
+        END
+        NODE_TABLE
+        node1 02:00:00:00:00:01 192.168.1.2
+        node2 02:00:00:00:00:02 192.168.1.3
+        END
+        SCENARIO SweepDrop 500msec
+        Sent: (udp_data, node1, node2, SEND)
+        Rcvd: (udp_data, node1, node2, RECV)
+        (TRUE) >> ENABLE_CNTR(Sent);
+        (TRUE) >> ENABLE_CNTR(Rcvd);
+        ((Sent = 40)) >> DROP(udp_data, node1, node2, SEND);
+        ((Sent = 240)) >> STOP;
+        END",
+    )
+    .unwrap();
+    let spec = CampaignSpec::new("sweep", program)
+        .axis(Axis::threshold_at(
+            "Sent",
+            0,
+            vec![20, 40, 60, 80, 100, 160],
+        ))
+        .axis(Axis::seeds(vec![11, 12, 13, 14]))
+        .axis(Axis::impairments(vec![
+            ControlImpairment::none(),
+            ControlImpairment::dropping(0.05),
+        ]));
+    let cfg = ExecConfig::threads(1);
+
+    let rehearsal = run_campaign(&spec, &FloodBed::default(), &cfg).unwrap();
+    assert_eq!(rehearsal.kind_counts().0, 48, "every instance completes");
+    drop(rehearsal);
+
+    let bed = FloodBed::default();
+    let before = allocs();
+    let result = run_campaign(&spec, &bed, &cfg).unwrap();
+    let spent = allocs() - before;
+
+    assert_eq!(result.kind_counts().0, 48, "every instance completes");
+    assert_eq!(bed.tables_seen.lock().unwrap().len(), 6, "compiles");
+    assert!(
+        spent <= 190 * 48,
+        "{spent} allocations over 48 instances ({:.1} per instance, budget 190)",
+        spent as f64 / 48.0
+    );
+}
