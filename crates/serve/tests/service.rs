@@ -238,9 +238,16 @@ fn stream_frames_met_while_waiting_for_telemetry_reach_the_stream() {
 
 /// A reader that stalls must pause the campaign (bounded daemon memory)
 /// rather than buffer unboundedly — and the sweep must still finish,
-/// bytes intact, once the reader drains.
+/// bytes intact, once the reader drains. The writer thread hands the
+/// socket everything its outbox holds in one write and reports one drain
+/// for it: the paused campaign must resume from that one report, a pause
+/// must still cost a shard (so `n` shards pause at most `n` times), and a
+/// telemetry subscriber that keeps reading beside it loses no tick.
 #[test]
 fn slow_reader_triggers_backpressure_then_completes() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
     let dir = common::scratch_dir("service-backpressure");
     let config = DaemonConfig {
         state_dir: dir.join("state"),
@@ -255,9 +262,31 @@ fn slow_reader_triggers_backpressure_then_completes() {
     let sock = dir.join("vw.sock");
     daemon.bind_unix(&sock).expect("bind");
 
+    let mut watcher = common::connect_unix_retry(&sock, Duration::from_secs(5));
+    watcher
+        .subscribe(&Subscribe {
+            interval_ms: 20,
+            prometheus_text: false,
+            campaign: String::new(),
+            journal_min_severity: Severity::Info,
+        })
+        .expect("subscribe");
+    let watching = Arc::new(AtomicBool::new(true));
+    let watch = {
+        let watching = Arc::clone(&watching);
+        std::thread::spawn(move || {
+            let mut dropped = 0;
+            while watching.load(Ordering::SeqCst) {
+                dropped += watcher.next_telemetry().expect("telemetry").dropped;
+            }
+            dropped
+        })
+    };
+
     // ~600 KiB of outcome lines — far more than a kernel socket buffer
     // plus the outbox can absorb while the client refuses to read.
     let sub = common::padded_submission("svc-slow", 1024, 8);
+    let shards = 1024 / 8;
     let mut slow = common::connect_unix_retry(&sock, Duration::from_secs(5));
     slow.submit(&sub).expect("submit");
 
@@ -290,77 +319,6 @@ fn slow_reader_triggers_backpressure_then_completes() {
     assert_eq!(lines.len(), 1024);
     assert_eq!(summary, common::direct_summary(&sub));
 
-    daemon.stop();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The value of an unlabelled series in the daemon's Prometheus text.
-fn stat(stats: &str, name: &str) -> u64 {
-    stats
-        .lines()
-        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
-        .unwrap_or_else(|| panic!("no `{name}` series in:\n{stats}"))
-}
-
-/// The writer thread hands the socket everything its outbox holds in one
-/// write and reports one drain for it. A campaign paused on a stalled
-/// reader must still resume from that one report, a pause must still cost
-/// a shard (so a sweep of `n` shards pauses at most `n` times), and a
-/// telemetry subscriber that keeps reading beside it loses no tick.
-#[test]
-fn a_paused_campaign_resumes_from_one_drain_per_batch() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let dir = common::scratch_dir("service-batched-drain");
-    let config = DaemonConfig {
-        state_dir: dir.join("state"),
-        outbox_frames: 4,
-        max_unsent_instances: 16,
-        shard_size: 8,
-        ..DaemonConfig::default()
-    };
-    let daemon = Daemon::start(config, SetupRegistry::builtin()).expect("daemon starts");
-    let sock = dir.join("vw.sock");
-    daemon.bind_unix(&sock).expect("bind");
-
-    let mut watcher = common::connect_unix_retry(&sock, Duration::from_secs(5));
-    watcher
-        .subscribe(&Subscribe {
-            interval_ms: 20,
-            prometheus_text: false,
-            campaign: String::new(),
-            journal_min_severity: Severity::Info,
-        })
-        .expect("subscribe");
-    let watching = Arc::new(AtomicBool::new(true));
-    let watch = {
-        let watching = Arc::clone(&watching);
-        std::thread::spawn(move || {
-            let mut dropped = 0;
-            while watching.load(Ordering::SeqCst) {
-                dropped += watcher.next_telemetry().expect("telemetry").dropped;
-            }
-            dropped
-        })
-    };
-
-    let sub = common::padded_submission("svc-batch", 1024, 8);
-    let shards = 1024 / 8;
-    let mut slow = common::connect_unix_retry(&sock, Duration::from_secs(5));
-    slow.submit(&sub).expect("submit");
-
-    let mut probe = common::connect_unix_retry(&sock, Duration::from_secs(5));
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while stat(&probe.stats().expect("stats"), "serve_paused_campaigns") != 1 {
-        assert!(Instant::now() < deadline, "backpressure never engaged");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    let (lines, summary) = common::stream_all(&mut slow);
-    assert_eq!(lines.len(), 1024);
-    assert_eq!(summary, common::direct_summary(&sub));
-
     watching.store(false, Ordering::SeqCst);
     let seen_dropped = watch.join().expect("watcher thread");
     let stats = probe.stats().expect("stats");
@@ -372,6 +330,14 @@ fn a_paused_campaign_resumes_from_one_drain_per_batch() {
 
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The value of an unlabelled series in the daemon's Prometheus text.
+fn stat(stats: &str, name: &str) -> u64 {
+    stats
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no `{name}` series in:\n{stats}"))
 }
 
 /// Losing the submitting connection detaches the subscriber but does not
