@@ -72,8 +72,8 @@ pub use exec::{
     ShardPlan,
 };
 pub use outcome::{
-    fnv1a64, CampaignResult, DigestKey, InstanceOutcome, InstanceRecord, MetricsDigest,
-    OutcomeClass, OutcomeDigest,
+    fnv1a64, instance_jsonl_line, CampaignResult, DigestKey, InstanceOutcome, InstanceRecord,
+    MetricsDigest, OutcomeClass, OutcomeDigest,
 };
 pub use progress::{NullProgress, PeriodicProgress, ProgressEvent, ProgressFormat, ProgressSink};
 pub use shrink::{shrink, ShrinkOptions, ShrinkResult};

@@ -353,21 +353,34 @@ impl InstanceRecord {
     /// emits one of these per instance as shards complete, so the shape
     /// depends only on the record and the key, never on scheduling.
     pub fn to_jsonl_line(&self, key: &DigestKey) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"instance\":{},\"labels\":{{", self.index);
-        for (j, (axis, value)) in self.labels.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            json_string(&mut out, axis);
-            out.push(':');
-            json_string(&mut out, value);
-        }
-        out.push('}');
-        write_outcome_fields(&mut out, &self.outcome, key);
-        out.push('}');
-        out
+        instance_jsonl_line(self.index, &self.labels, &self.outcome, key)
     }
+}
+
+/// [`InstanceRecord::to_jsonl_line`] over borrowed parts, for a caller
+/// that holds an instance and its outcome and would build a record only
+/// to render it.
+pub fn instance_jsonl_line(
+    index: usize,
+    labels: &[(Arc<str>, Arc<str>)],
+    outcome: &InstanceOutcome,
+    key: &DigestKey,
+) -> String {
+    // A line of the default key runs to 200-300 bytes.
+    let mut out = String::with_capacity(256);
+    let _ = write!(out, "{{\"instance\":{index},\"labels\":{{");
+    for (j, (axis, value)) in labels.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        json_string(&mut out, axis);
+        out.push(':');
+        json_string(&mut out, value);
+    }
+    out.push('}');
+    write_outcome_fields(&mut out, outcome, key);
+    out.push('}');
+    out
 }
 
 /// Appends `,"kind":...` plus the outcome's variant fields (digest

@@ -2,7 +2,7 @@
 //! sweep exactly where it left off.
 //!
 //! One log per campaign, living under the daemon's state directory as
-//! `<name>.vwlog`. Records are appended and fsynced as shards complete:
+//! `<name>.vwlog`. Records are appended and synced as shards complete:
 //!
 //! ```text
 //!   [len u32][type u8][crc32 u32][payload; len bytes]
@@ -48,8 +48,10 @@ pub struct LogContents {
     pub complete: bool,
 }
 
-/// Appends checkpoint records for one campaign, fsyncing each so the
-/// record survives a SIGKILL that lands right after the shard finished.
+/// Appends checkpoint records for one campaign. A record survives a
+/// SIGKILL once [`sync`](CheckpointWriter::sync) has returned after its
+/// write; the `append_*` methods do both, the `write_*` methods leave the
+/// sync to a caller that has more records to put behind one.
 #[derive(Debug)]
 pub struct CheckpointWriter {
     file: File,
@@ -71,13 +73,24 @@ impl CheckpointWriter {
         &self.path
     }
 
-    /// Writes the campaign-header record (once, at submission).
+    /// Writes and syncs the campaign-header record (once, at submission).
     pub fn append_header(&mut self, submission: &Submission) -> io::Result<()> {
-        self.append(REC_HEADER, &submission.encode())
+        self.write(REC_HEADER, &submission.encode())?;
+        self.sync()
     }
 
-    /// Writes one completed shard's outcomes.
+    /// Writes and syncs one completed shard's outcomes.
     pub fn append_shard(
+        &mut self,
+        shard: u64,
+        outcomes: &[(InstanceOutcome, u64)],
+    ) -> io::Result<()> {
+        self.write_shard(shard, outcomes)?;
+        self.sync()
+    }
+
+    /// Writes one completed shard's outcomes, not yet durable.
+    pub fn write_shard(
         &mut self,
         shard: u64,
         outcomes: &[(InstanceOutcome, u64)],
@@ -87,23 +100,33 @@ impl CheckpointWriter {
         let mut w = Writer::le(&mut payload);
         w.u64(shard);
         w.list64(outcomes, encode_timed_outcome);
-        self.append(REC_SHARD, &payload)
+        self.write(REC_SHARD, &payload)
     }
 
-    /// Writes the completion marker.
+    /// Writes and syncs the completion marker.
     pub fn append_complete(&mut self) -> io::Result<()> {
-        self.append(REC_COMPLETE, &[])
+        self.write_complete()?;
+        self.sync()
     }
 
-    fn append(&mut self, rec_type: u8, payload: &[u8]) -> io::Result<()> {
+    /// Writes the completion marker, not yet durable.
+    pub fn write_complete(&mut self) -> io::Result<()> {
+        self.write(REC_COMPLETE, &[])
+    }
+
+    /// Makes every record written so far durable.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.file.sync_data()
+    }
+
+    fn write(&mut self, rec_type: u8, payload: &[u8]) -> io::Result<()> {
         let mut record = Vec::with_capacity(9 + payload.len());
         let mut w = Writer::le(&mut record);
         w.len32(payload.len());
         w.u8(rec_type);
         w.u32(crc32(payload));
         w.bytes(payload);
-        self.file.write_all(&record)?;
-        self.file.sync_data()
+        self.file.write_all(&record)
     }
 }
 

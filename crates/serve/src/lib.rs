@@ -15,11 +15,14 @@
 //! ```text
 //!   client ──Submit──▶ frame codec ──▶ scheduler ──▶ worker pool
 //!     ▲                 (frame.rs)     (fair RR       (run_shard_observed)
-//!     │                                 over shards)      │
-//!     └──Outcome/Done── bounded outbox ◀── emission ◀─────┤
-//!            (backpressure: full outbox pauses the sweep) │
-//!                                                         ▼
-//!                                       checkpoint log (<name>.vwlog)
+//!     │                                 over shards)      │ finished shards
+//!     │                                                   ▼
+//!     │                                              log writer ──▶ checkpoint log
+//!     │                                   (append + sync, then     (<name>.vwlog)
+//!     │                                    announce the shard)
+//!     │                                                   │
+//!     └──Outcome/Done── bounded outbox ◀── emission ◀─────┘
+//!            (backpressure: full outbox pauses the sweep)
 //! ```
 //!
 //! Determinism carries over from `vw-campaign` end to end: shard

@@ -23,16 +23,24 @@
 //! becomes ineligible for new shard dispatch — the sweep *pauses*
 //! instead of buffering unboundedly. When the client's writer drains a
 //! frame it re-pumps emission and wakes the pool.
+//!
+//! ## Durability
+//!
+//! Workers never touch the disk: a finished shard goes to the one log
+//! writer ([`Scheduler::log_writer_loop`]), which announces it only once
+//! its record is synced; the completion marker follows `Done` through the
+//! same queue. No scheduler lock is held across a disk operation.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use vw_campaign::{
-    run_shard_observed, CampaignResult, CampaignSpec, DigestKey, Instance, InstanceOutcome,
-    InstanceRecord, ShardPlan,
+    instance_jsonl_line, run_shard_observed, CampaignResult, CampaignSpec, DigestKey, Instance,
+    InstanceOutcome, ShardPlan,
 };
 use vw_netsim::SimDuration;
 use vw_obs::{labeled_key, MetricsRegistry, RollingWindow};
@@ -282,10 +290,23 @@ impl Campaign {
 
 struct Inner {
     campaigns: BTreeMap<String, Campaign>,
+    /// Names `submit` is writing a header for: taken, not yet a campaign.
+    reserved: BTreeSet<String>,
     cursor: Option<String>,
     shutdown: bool,
+    /// Unfinished campaigns, reserved ones included.
     active: usize,
     per_conn: HashMap<u64, usize>,
+}
+
+impl Inner {
+    /// Gives back the `active` / `per_conn` slot a campaign of `conn` held.
+    fn release(&mut self, conn: u64) {
+        self.active = self.active.saturating_sub(1);
+        if let Some(count) = self.per_conn.get_mut(&conn) {
+            *count = count.saturating_sub(1);
+        }
+    }
 }
 
 /// One live telemetry subscription. Telemetry subscribers are tracked
@@ -388,6 +409,21 @@ struct Job {
     checkpoint: Arc<Mutex<CheckpointWriter>>,
 }
 
+/// One record for the log writer: a finished shard with its outcomes, or
+/// (`shard: None`) the completion marker of a finished campaign.
+struct LogJob {
+    name: String,
+    checkpoint: Arc<Mutex<CheckpointWriter>>,
+    shard: Option<(usize, Vec<(InstanceOutcome, u64)>)>,
+}
+
+struct LogQueue {
+    jobs: Vec<LogJob>,
+    /// Workers that may still hand a shard over; the log writer exits
+    /// once this is zero and `jobs` is empty.
+    workers_live: usize,
+}
+
 /// The campaign scheduler: owns all campaign state, feeds the worker
 /// pool, and pumps subscriber emission. Shared behind an `Arc` by the
 /// daemon's worker, acceptor, and connection threads.
@@ -402,6 +438,12 @@ pub(crate) struct Scheduler {
     pub(crate) journal: Journal,
     /// Live-telemetry state (own lock; never held across `inner`).
     tele: Mutex<TeleState>,
+    /// Records on their way to disk (own lock; taken under `inner` by
+    /// `finalize`, never the other way round).
+    log: Mutex<LogQueue>,
+    log_cv: Condvar,
+    /// Shards handed to the log writer and not yet announced.
+    unannounced: AtomicUsize,
     /// Daemon start — the epoch for window timestamps and uptime.
     started: Instant,
 }
@@ -409,11 +451,16 @@ pub(crate) struct Scheduler {
 impl Scheduler {
     pub(crate) fn new(cfg: DaemonConfig, registry: SetupRegistry) -> Self {
         let journal = Journal::new(JOURNAL_CAPACITY);
+        let log = LogQueue {
+            jobs: Vec::new(),
+            workers_live: cfg.workers,
+        };
         let scheduler = Scheduler {
             cfg,
             registry,
             inner: Mutex::new(Inner {
                 campaigns: BTreeMap::new(),
+                reserved: BTreeSet::new(),
                 cursor: None,
                 shutdown: false,
                 active: 0,
@@ -423,6 +470,9 @@ impl Scheduler {
             metrics: Mutex::new(MetricsRegistry::new()),
             journal,
             tele: Mutex::new(TeleState::new()),
+            log: Mutex::new(log),
+            log_cv: Condvar::new(),
+            unannounced: AtomicUsize::new(0),
             started: Instant::now(),
         };
         // Pre-register every counter so the stats surface is stable from
@@ -513,11 +563,16 @@ impl Scheduler {
             submission.shard_size = self.cfg.shard_size as u32;
         }
 
+        // Reserve the name and the quota slots, then do the disk work
+        // with the lock released: another tenant's drain, attach or stats
+        // never waits for this one's disk.
         let mut inner = self.inner.lock().unwrap();
         if inner.shutdown {
             return Err((ErrorCode::ShuttingDown, "daemon is stopping".into()));
         }
-        if inner.campaigns.contains_key(&submission.campaign) {
+        if inner.campaigns.contains_key(&submission.campaign)
+            || inner.reserved.contains(&submission.campaign)
+        {
             return Err((
                 ErrorCode::AlreadyExists,
                 format!("campaign `{}` already exists", submission.campaign),
@@ -546,14 +601,27 @@ impl Scheduler {
                 ),
             ));
         }
+        inner.reserved.insert(submission.campaign.clone());
+        inner.active += 1;
+        *inner.per_conn.entry(conn).or_insert(0) += 1;
+        drop(inner);
 
         let log_path = self.cfg.state_dir.join(log_file_name(&submission.campaign));
-        let mut writer = CheckpointWriter::open(&log_path)
-            .map_err(|e| (ErrorCode::Internal, format!("checkpoint open: {e}")))?;
-        writer
-            .append_header(&submission)
-            .map_err(|e| (ErrorCode::Internal, format!("checkpoint write: {e}")))?;
+        let opened = CheckpointWriter::open(&log_path).and_then(|mut writer| {
+            writer.append_header(&submission)?;
+            Ok(writer)
+        });
+        let writer = match opened {
+            Ok(writer) => writer,
+            Err(e) => {
+                let mut inner = self.inner.lock().unwrap();
+                inner.reserved.remove(&submission.campaign);
+                inner.release(conn);
+                return Err((ErrorCode::Internal, format!("checkpoint log: {e}")));
+            }
+        };
 
+        // At least one shard: `enumerate` refuses an empty axis.
         let mut campaign =
             Campaign::from_submission(&submission, instances, setup, writer, BTreeMap::new());
         let accepted = Accepted {
@@ -562,11 +630,7 @@ impl Scheduler {
             shards: campaign.plan.count() as u64,
             already_done: 0,
         };
-        // Accepted goes into the outbox under the scheduler lock, ahead
-        // of any outcome line a worker could pump afterwards.
-        let frame = Frame::new(FrameType::Accepted, request_id, accepted.encode());
-        let _ = outbox.try_push(frame.encode());
-
+        let frame = Frame::new(FrameType::Accepted, request_id, accepted.encode()).encode();
         campaign.conn = conn;
         campaign.subscribers.push(Subscriber {
             outbox: Arc::clone(outbox),
@@ -574,21 +638,20 @@ impl Scheduler {
             sent: 0,
             done_sent: false,
         });
-        if campaign.plan.count() == 0 {
-            self.finalize(&mut campaign, false);
-        } else {
-            inner.active += 1;
-            *inner.per_conn.entry(conn).or_insert(0) += 1;
-        }
-        inner
-            .campaigns
-            .insert(submission.campaign.clone(), campaign);
-        drop(inner);
         self.count("serve.campaigns_submitted", 1);
         self.journal.record(JournalEvent::CampaignSubmitted {
-            campaign: submission.campaign,
+            campaign: submission.campaign.clone(),
             total: accepted.total,
         });
+
+        // Accepted goes into the outbox under the scheduler lock that
+        // publishes the campaign, ahead of any outcome line a worker could
+        // pump afterwards.
+        let mut inner = self.inner.lock().unwrap();
+        let _ = outbox.try_push(frame);
+        inner.reserved.remove(&submission.campaign);
+        inner.campaigns.insert(submission.campaign, campaign);
+        drop(inner);
         self.work_cv.notify_all();
         Ok(accepted)
     }
@@ -686,8 +749,8 @@ impl Scheduler {
             return false;
         }
         if campaign.completed_shards == campaign.plan.count() {
-            // Fully executed; rebuild the summary without re-appending
-            // the completion marker the log may already hold.
+            // Fully executed; rebuild the summary without queueing the
+            // completion marker the log may already hold.
             self.finalize(&mut campaign, contents.complete);
         } else {
             inner.active += 1;
@@ -697,12 +760,23 @@ impl Scheduler {
         true
     }
 
-    /// One worker thread's life: pick a shard fairly, run it, checkpoint
-    /// it, record it, repeat until shutdown. `worker_id` identifies this
+    /// One worker thread's life: pick a shard fairly, run it, hand it to
+    /// the log writer, repeat until shutdown. `worker_id` identifies this
     /// worker in utilization gauges and stall reports.
+    ///
+    /// On one CPU a woken thread does not run until the running one blocks
+    /// or its slice ends, so a worker that kept computing would hold every
+    /// finished shard back from the disk and the client for milliseconds.
+    /// It yields once when it hands a shard over and once after each
+    /// instance while a shard is handed over and not yet announced; with a
+    /// CPU to spare the yield returns at once.
     pub(crate) fn worker_loop(&self, worker_id: u64) {
         loop {
-            let Some(job) = self.next_job() else { return };
+            let Some(job) = self.next_job() else {
+                self.log.lock().unwrap().workers_live -= 1;
+                self.log_cv.notify_one();
+                return;
+            };
             let _span = vw_trace::span("serve.shard", vw_trace::Category::Serve);
             let started = Instant::now();
             {
@@ -736,28 +810,13 @@ impl Scheduler {
                         .or_insert_with(CampWindows::new);
                     camp.inst.push(now, 1);
                     camp.wall.push(now, wall_ns);
+                    drop(tele);
+                    if self.unannounced.load(Ordering::Relaxed) > 0 {
+                        std::thread::yield_now();
+                    }
                 },
             );
             let shard_wall = started.elapsed();
-            // Checkpoint before announcing completion: once the record
-            // is on disk the shard will never re-run, even if the
-            // process dies before the in-memory state updates.
-            match job
-                .checkpoint
-                .lock()
-                .unwrap()
-                .append_shard(job.shard as u64, &outcomes)
-            {
-                Ok(()) => {
-                    self.journal.record(JournalEvent::CampaignCheckpointed {
-                        campaign: job.name.clone(),
-                        shard: job.shard as u64,
-                    });
-                }
-                Err(e) => {
-                    eprintln!("vw-serve: checkpoint append failed for `{}`: {e}", job.name);
-                }
-            }
             local.add_counter("serve.shards_completed", 1);
             local.add_counter("serve.instances_completed", outcomes.len() as u64);
             local.observe(
@@ -770,7 +829,64 @@ impl Scheduler {
                 tele.workers_busy -= 1;
                 tele.running.remove(&worker_id);
             }
-            self.complete_shard(&job.name, job.shard, outcomes);
+            self.unannounced.fetch_add(1, Ordering::Relaxed);
+            self.log.lock().unwrap().jobs.push(LogJob {
+                name: job.name,
+                checkpoint: job.checkpoint,
+                shard: Some((job.shard, outcomes)),
+            });
+            self.log_cv.notify_one();
+            std::thread::yield_now();
+        }
+    }
+
+    /// The log writer thread's life, and the only place a checkpoint log
+    /// is written after its header: take everything queued, write it,
+    /// sync each log once, then announce the shards. A write or sync that
+    /// fails is reported and the shard announced all the same (the
+    /// campaign completes, a restart re-runs what the log lacks). Returns
+    /// when every worker has exited and the queue is empty.
+    pub(crate) fn log_writer_loop(&self) {
+        loop {
+            let mut batch = {
+                let mut log = self.log.lock().unwrap();
+                while log.jobs.is_empty() && log.workers_live > 0 {
+                    log = self.log_cv.wait(log).unwrap();
+                }
+                std::mem::take(&mut log.jobs)
+            };
+            if batch.is_empty() {
+                return;
+            }
+            // Records of one log side by side, still in hand-over order.
+            batch.sort_by_key(|job| Arc::as_ptr(&job.checkpoint));
+            for group in batch.chunk_by(|a, b| Arc::ptr_eq(&a.checkpoint, &b.checkpoint)) {
+                let mut writer = group[0].checkpoint.lock().unwrap();
+                let written = group.iter().try_for_each(|job| match &job.shard {
+                    Some((shard, outcomes)) => writer.write_shard(*shard as u64, outcomes),
+                    None => writer.write_complete(),
+                });
+                let synced = writer.sync();
+                if let Err(e) = written.and(synced) {
+                    let name = &group[0].name;
+                    eprintln!("vw-serve: checkpoint append failed for `{name}`: {e}");
+                    continue;
+                }
+                for job in group {
+                    if let Some((shard, _)) = &job.shard {
+                        self.journal.record(JournalEvent::CampaignCheckpointed {
+                            campaign: job.name.clone(),
+                            shard: *shard as u64,
+                        });
+                    }
+                }
+            }
+            for job in batch {
+                if let Some((shard, outcomes)) = job.shard {
+                    self.complete_shard(&job.name, shard, outcomes);
+                    self.unannounced.fetch_sub(1, Ordering::Relaxed);
+                }
+            }
         }
     }
 
@@ -861,10 +977,7 @@ impl Scheduler {
         if campaign.completed_shards == campaign.plan.count() && !campaign.finished {
             self.finalize(campaign, false);
             let conn = campaign.conn;
-            inner.active = inner.active.saturating_sub(1);
-            if let Some(count) = inner.per_conn.get_mut(&conn) {
-                *count = count.saturating_sub(1);
-            }
+            inner.release(conn);
         }
         drop(inner);
         self.work_cv.notify_all();
@@ -879,11 +992,13 @@ impl Scheduler {
         }
     }
 
-    /// Renders the summary of a campaign whose shards are all done and
-    /// marks it finished. The completion marker is appended, and the
-    /// completion counted and journalled, unless the log already holds
-    /// the marker (`marker_on_disk`: a campaign that finished before the
-    /// daemon restarted).
+    /// Renders the summary of a campaign whose shards are all done, marks
+    /// it finished and queues `Done`. The completion marker is handed to
+    /// the log writer, and the completion counted and journalled, unless
+    /// the log already holds the marker (`marker_on_disk`: a campaign that
+    /// finished before the daemon restarted). The marker reaches the disk
+    /// after `Done` is queued: a crash in between only makes the restart
+    /// finalize again.
     fn finalize(&self, campaign: &mut Campaign, marker_on_disk: bool) {
         let mut timed = Vec::with_capacity(campaign.instances.len());
         for slot in &campaign.shards {
@@ -897,12 +1012,12 @@ impl Scheduler {
         campaign.summary = Some(result.to_jsonl());
         campaign.finished = true;
         if !marker_on_disk {
-            if let Err(e) = campaign.checkpoint.lock().unwrap().append_complete() {
-                eprintln!(
-                    "vw-serve: completion record failed for `{}`: {e}",
-                    campaign.name
-                );
-            }
+            self.log.lock().unwrap().jobs.push(LogJob {
+                name: campaign.name.clone(),
+                checkpoint: Arc::clone(&campaign.checkpoint),
+                shard: None,
+            });
+            self.log_cv.notify_one();
             self.count("serve.campaigns_completed", 1);
             self.journal.record(JournalEvent::CampaignDone {
                 campaign: campaign.name.clone(),
@@ -942,15 +1057,9 @@ impl Scheduler {
         for (i, sub) in subscribers.iter_mut().enumerate() {
             'emit: while sub.sent < *prefix_instances {
                 let pos = sub.sent;
-                let (outcome, wall_ns) = outcome_at(pos);
+                let (outcome, _wall_ns) = outcome_at(pos);
                 let instance = &instances[pos];
-                let record = InstanceRecord {
-                    index: instance.index,
-                    labels: instance.labels.clone(),
-                    outcome: outcome.clone(),
-                    wall_ns: Some(*wall_ns),
-                };
-                let line = record.to_jsonl_line(key);
+                let line = instance_jsonl_line(instance.index, &instance.labels, outcome, key);
                 let frame = Frame::new(
                     FrameType::Outcome,
                     sub.request_id,

@@ -5,11 +5,21 @@
 //! Thread model per daemon:
 //!
 //! ```text
-//!   N worker threads      run shards, checkpoint, pump emission
+//!   N worker threads      run shards, hand each finished one to the
+//!                         log writer and take the next
+//!   1 log writer          every checkpoint append after the header:
+//!                         write what is queued, sync each log once,
+//!                         then announce the shards and pump emission
+//!   1 telemetry ticker    subscriber deltas, stall checks
 //!   1 acceptor / listener nonblocking accept + shutdown poll
-//!   2 threads / client    reader (decode + dispatch) and writer
+//!   2 threads / client    reader (decode + dispatch; a Submit writes
+//!                         and syncs its header here) and writer
 //!                         (drain the bounded outbox to the socket)
 //! ```
+//!
+//! What is durable before what: a header before `Accepted`; a shard's
+//! record before any of its `Outcome` lines; the completion marker after
+//! `Done` (without it a restart finalizes the campaign again).
 //!
 //! Every daemon→client byte goes through the connection's bounded
 //! [`Outbox`] — replies and streamed outcomes share one ordered queue,
@@ -173,6 +183,10 @@ impl Daemon {
             }));
         }
         scheduler.set_worker_count(config.workers);
+        {
+            let scheduler = Arc::clone(&scheduler);
+            threads.push(std::thread::spawn(move || scheduler.log_writer_loop()));
+        }
         // The telemetry ticker paces subscriber deltas and stall checks;
         // it polls faster than the minimum subscriber interval so due
         // times are honored with little jitter.
@@ -266,7 +280,8 @@ impl Daemon {
     }
 
     /// Graceful stop: no new connections or shards; in-flight shards
-    /// finish and checkpoint; all daemon-owned threads join.
+    /// finish and the log writer checkpoints them before it exits; all
+    /// daemon-owned threads join.
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
         self.scheduler.stop();

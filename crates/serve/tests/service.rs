@@ -4,11 +4,15 @@
 
 mod common;
 
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use vw_serve::checkpoint::{log_file_name, read_log};
 use vw_serve::{
-    Client, ClientError, Daemon, DaemonConfig, ErrorCode, QuotaConfig, SetupRegistry, Severity,
-    Subscribe,
+    Accepted, Client, ClientError, Daemon, DaemonConfig, ErrorCode, QuotaConfig, SetupRegistry,
+    Severity, Submission, Subscribe,
 };
 
 fn expect_server_error<T: std::fmt::Debug>(result: Result<T, ClientError>, want: ErrorCode) {
@@ -385,5 +389,323 @@ fn disconnect_detaches_subscriber_but_campaign_finishes() {
     assert_eq!(summary, common::direct_summary(&sub));
 
     daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both clients submit at once (a barrier, then the socket write).
+fn race(clients: &mut [Client; 2], subs: [&Submission; 2]) -> [Result<Accepted, ClientError>; 2] {
+    let barrier = Barrier::new(2);
+    let [a, b] = clients;
+    std::thread::scope(|s| {
+        let first = s.spawn(|| {
+            barrier.wait();
+            a.submit(subs[0])
+        });
+        let second = s.spawn(|| {
+            barrier.wait();
+            b.submit(subs[1])
+        });
+        [first.join().unwrap(), second.join().unwrap()]
+    })
+}
+
+/// 50 rounds of two racing submissions: each round exactly one is
+/// accepted and the other gets `loser`. The winner's instances wait at a
+/// gate until both answers are in, so it cannot finish (and free its
+/// slot) under the loser's feet; then it streams to `Done`.
+fn race_rounds(tag: &str, quota: QuotaConfig, same_name: bool, loser: ErrorCode) {
+    let dir = common::scratch_dir(tag);
+    let config = DaemonConfig {
+        state_dir: dir.join("state"),
+        quota,
+        ..DaemonConfig::default()
+    };
+    let (gate, waiting) = std::sync::mpsc::channel::<()>();
+    let waiting = std::sync::Mutex::new(waiting);
+    let mut registry = SetupRegistry::builtin();
+    registry.register(
+        "gated_flood",
+        move |tables: &vw_fsl::TableSet, run: &vw_campaign::RunConfig| {
+            let _ = waiting.lock().unwrap().recv();
+            common::flood_setup(tables, run)
+        },
+    );
+    let daemon = Daemon::start(config, registry).expect("daemon starts");
+    let sock = dir.join("vw.sock");
+    daemon.bind_unix(&sock).expect("bind");
+    let mut clients = [
+        common::connect_unix_retry(&sock, Duration::from_secs(5)),
+        common::connect_unix_retry(&sock, Duration::from_secs(5)),
+    ];
+    for round in 0..50 {
+        let mut first = common::padded_submission(&format!("{tag}-{round}-a"), 2, 2);
+        first.setup = "gated_flood".to_string();
+        let mut second = first.clone();
+        if !same_name {
+            second.campaign = format!("{tag}-{round}-b");
+        }
+        let results = race(&mut clients, [&first, &second]);
+        let winners: Vec<usize> = (0..2).filter(|&i| results[i].is_ok()).collect();
+        assert_eq!(winners.len(), 1, "round {round}: {results:?}");
+        let [a, b] = results;
+        expect_server_error(if winners[0] == 0 { b } else { a }, loser);
+        gate.send(()).expect("first instance released");
+        gate.send(()).expect("second instance released");
+        let (lines, _) = common::stream_all(&mut clients[winners[0]]);
+        assert_eq!(lines.len(), 2);
+    }
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `submit` writes its header with the scheduler lock released; the name
+/// is reserved across that window.
+#[test]
+fn two_connections_racing_one_name_get_one_accepted_and_one_already_exists() {
+    race_rounds(
+        "svc-race-name",
+        QuotaConfig::default(),
+        true,
+        ErrorCode::AlreadyExists,
+    );
+}
+
+/// ...and so is the `active` slot.
+#[test]
+fn two_submissions_racing_the_last_active_slot_get_one_accepted_and_one_quota_exceeded() {
+    let quota = QuotaConfig {
+        max_active_campaigns: 1,
+        ..QuotaConfig::default()
+    };
+    race_rounds("svc-race-quota", quota, false, ErrorCode::QuotaExceeded);
+}
+
+/// A submission whose header cannot be written answers `Internal` and
+/// gives its name and its quota slot back.
+#[test]
+fn a_header_that_cannot_be_written_is_internal_and_releases_the_reservation() {
+    let dir = common::scratch_dir("service-header-fails");
+    let state = dir.join("state");
+    let config = DaemonConfig {
+        state_dir: state.clone(),
+        quota: QuotaConfig {
+            max_active_campaigns: 1,
+            ..QuotaConfig::default()
+        },
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(config, SetupRegistry::builtin()).expect("daemon starts");
+    let sock = dir.join("vw.sock");
+    daemon.bind_unix(&sock).expect("bind");
+    let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
+
+    // The log opens and every write to it fails.
+    let sub = common::padded_submission("svc-full-disk", 2, 2);
+    let log = state.join(log_file_name(&sub.campaign));
+    std::os::unix::fs::symlink("/dev/full", &log).expect("symlink");
+    expect_server_error(client.submit(&sub), ErrorCode::Internal);
+
+    std::fs::remove_file(&log).expect("remove symlink");
+    client
+        .submit(&sub)
+        .expect("the name and the only slot are free again");
+    assert_eq!(common::stream_all(&mut client).0.len(), 2);
+
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A line reaches the client only once its shard's record is in the log.
+#[test]
+fn every_streamed_line_is_already_in_the_log() {
+    let dir = common::scratch_dir("service-durable-first");
+    let state = dir.join("state");
+    let config = DaemonConfig {
+        state_dir: state.clone(),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(config, SetupRegistry::builtin()).expect("daemon starts");
+    let sock = dir.join("vw.sock");
+    daemon.bind_unix(&sock).expect("bind");
+    let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
+
+    let sub = common::submission("svc-durable", 2);
+    let log = state.join(log_file_name(&sub.campaign));
+    client.submit(&sub).expect("submit");
+    let mut lines = 0;
+    client
+        .stream(|index, _| {
+            let on_disk = read_log(&log).expect("log reads");
+            assert!(
+                on_disk.shards.contains_key(&(index / 2)),
+                "line {index} ahead of its record: {:?}",
+                on_disk.shards.keys()
+            );
+            lines += 1;
+        })
+        .expect("stream to completion");
+    assert_eq!(lines, 16);
+    assert_eq!(read_log(&log).expect("log reads").shards.len(), 8);
+
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `[len u32][type u8][crc u32][payload]` record types of a log file.
+fn record_types(log: &Path) -> Vec<u8> {
+    let bytes = std::fs::read(log).expect("log reads");
+    let mut types = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        types.push(bytes[at + 4]);
+        at += 9 + len as usize;
+    }
+    assert_eq!(at, bytes.len(), "torn tail");
+    types
+}
+
+/// Eight workers hand 64 one-instance shards to the one log writer: each
+/// is written once, announced once and streamed in order.
+#[test]
+fn sixty_four_shards_from_eight_workers_are_each_logged_once() {
+    let dir = common::scratch_dir("service-64-shards");
+    let state = dir.join("state");
+    let config = DaemonConfig {
+        state_dir: state.clone(),
+        workers: 8,
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(config, SetupRegistry::builtin()).expect("daemon starts");
+    let sock = dir.join("vw.sock");
+    daemon.bind_unix(&sock).expect("bind");
+    let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
+
+    let sub = common::padded_submission("svc-64", 64, 1);
+    client.submit(&sub).expect("submit");
+    let (lines, summary) = common::stream_all(&mut client);
+    assert_eq!(lines.len(), 64);
+    assert_eq!(summary, common::direct_summary(&sub));
+    let stats = client.stats().expect("stats");
+    assert_eq!(stat(&stats, "serve_shards_completed"), 64, "{stats}");
+
+    // Stopped, the log writer has written the marker too.
+    daemon.stop();
+    let mut expected = vec![2u8; 64];
+    expected.insert(0, 1);
+    expected.push(3);
+    let log = state.join(log_file_name(&sub.campaign));
+    assert_eq!(record_types(&log), expected);
+    assert_eq!(read_log(&log).expect("log reads").shards.len(), 64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Daemon::stop` leaves no finished shard unlogged: stopped as the last
+/// line arrives, then restarted on the same state directory, the daemon
+/// runs nothing again.
+#[test]
+fn a_stop_at_the_last_line_leaves_nothing_to_re_run() {
+    let dir = common::scratch_dir("service-stop-at-done");
+    let state = dir.join("state");
+    let built = Arc::new(AtomicUsize::new(0));
+    let start = |sock: &Path| {
+        let built = Arc::clone(&built);
+        let mut registry = SetupRegistry::builtin();
+        registry.register(
+            "counted_flood",
+            move |tables: &vw_fsl::TableSet, run: &vw_campaign::RunConfig| {
+                built.fetch_add(1, Ordering::SeqCst);
+                common::flood_setup(tables, run)
+            },
+        );
+        let config = DaemonConfig {
+            state_dir: state.clone(),
+            shard_size: 2,
+            ..DaemonConfig::default()
+        };
+        let daemon = Daemon::start(config, registry).expect("daemon starts");
+        daemon.bind_unix(sock).expect("bind");
+        daemon
+    };
+
+    let mut sub = common::submission("svc-stop-at-done", 2);
+    sub.setup = "counted_flood".to_string();
+    let sock = dir.join("one.sock");
+    let daemon = start(&sock);
+    let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
+    client.submit(&sub).expect("submit");
+    let mut lines = Vec::new();
+    let summary = client
+        .stream(|index, line| {
+            lines.push(line.to_string());
+            if index == 15 {
+                daemon.stop();
+            }
+        })
+        .expect("`Done` was queued with the last line");
+    assert_eq!(built.load(Ordering::SeqCst), 16);
+    let log = read_log(&state.join(log_file_name(&sub.campaign))).expect("log reads");
+    assert_eq!(log.shards.len(), 8);
+    assert!(
+        log.complete,
+        "the marker was still queued when stop returned"
+    );
+
+    let sock = dir.join("two.sock");
+    let daemon = start(&sock);
+    let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
+    let accepted = client.attach(&sub.campaign).expect("attach after restart");
+    assert_eq!(accepted.already_done, 16);
+    let (again, summary_again) = common::stream_all(&mut client);
+    assert_eq!(again, lines);
+    assert_eq!(summary_again, summary);
+    assert_eq!(built.load(Ordering::SeqCst), 16, "an instance ran again");
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Appends that start failing mid-campaign cost durability, not the
+/// campaign: the real binary under a file-size limit (`EFBIG` once the
+/// log reaches it, `SIGXFSZ` ignored) still streams every line and the
+/// exact summary, with a log that holds the header and only some shards.
+#[test]
+fn appends_failing_mid_campaign_still_stream_to_done() {
+    let dir = common::scratch_dir("service-efbig");
+    let state = dir.join("state");
+    let sock = dir.join("vw.sock");
+    // `ulimit -f` counts 512-byte blocks in dash and 1024-byte ones in
+    // bash: 4 or 8 KiB, above the 1.2 KiB header and far below the 40 KiB
+    // the 32 shard records come to.
+    let mut child = std::process::Command::new("sh")
+        .arg("-c")
+        .arg("trap '' XFSZ; ulimit -f 8; exec \"$0\" \"$@\"")
+        .arg(env!("CARGO_BIN_EXE_vw-serve"))
+        .arg("--unix")
+        .arg(&sock)
+        .arg("--state-dir")
+        .arg(&state)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn vw-serve under a file-size limit");
+    let mut client = common::connect_unix_retry(&sock, Duration::from_secs(10));
+
+    let sub = common::padded_submission("svc-efbig", 64, 2);
+    client.submit(&sub).expect("the header fits");
+    let (lines, summary) = common::stream_all(&mut client);
+    assert_eq!(lines.len(), 64);
+    assert_eq!(summary, common::direct_summary(&sub));
+
+    let log = read_log(&state.join(log_file_name(&sub.campaign))).expect("log reads");
+    assert_eq!(log.submission, Some(sub));
+    assert!(
+        (1..32).contains(&log.shards.len()),
+        "the limit never bit: {} shards on disk",
+        log.shards.len()
+    );
+    assert!(!log.complete);
+
+    child.kill().expect("kill");
+    child.wait().expect("reap");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -65,7 +65,6 @@ fn live_subscription_reports_campaigns_workers_and_journal() {
     // Watch deltas until both campaigns report complete, collecting
     // evidence along the way.
     let gauge = |m: &vw_obs::MetricsRegistry, name: &str| m.gauge(name).unwrap_or(-1);
-    let mut saw_busy_worker = false;
     let mut saw_rate_a = false;
     let mut kinds: BTreeSet<String> = BTreeSet::new();
     let mut last_journal_seq: Option<u64> = None;
@@ -84,9 +83,7 @@ fn live_subscription_reports_campaigns_workers_and_journal() {
         }
         let m = &update.metrics;
         assert_eq!(gauge(m, "serve.workers"), 2);
-        if gauge(m, "serve.workers_busy") > 0 {
-            saw_busy_worker = true;
-        }
+        assert!((0..=2).contains(&gauge(m, "serve.workers_busy")));
         if gauge(m, "serve.campaign.inst_per_sec_milli|campaign=tele-a") > 0 {
             saw_rate_a = true;
         }
@@ -98,10 +95,17 @@ fn live_subscription_reports_campaigns_workers_and_journal() {
             assert_eq!(gauge(m, "serve.campaign.state|campaign=tele-b"), 2);
             // Counters rode along with the gauges in the same delta.
             assert_eq!(m.counter("serve.instances_completed"), Some(256 + 16));
+            // Worker utilization as a cumulative fact, which this delta
+            // must carry (a `serve.workers_busy` sample above zero is luck
+            // at 20 ms ticks over a 70 ms run): 32 + 4 shards were timed.
+            let busy = m
+                .histogram("serve.shard_wall_us")
+                .expect("shard wall times");
+            assert_eq!(busy.count(), 256 / 8 + 16 / 4);
+            assert!(busy.sum() > 0, "workers were never busy");
             break;
         }
     }
-    assert!(saw_busy_worker, "worker utilization never observed");
     assert!(saw_rate_a, "per-campaign rate never observed");
     for kind in [
         "conn_accepted",

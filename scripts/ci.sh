@@ -108,6 +108,31 @@ if grep -n 'vw_fsl::compile(' crates/campaign/src/exec.rs; then
     exit 1
 fi
 
+# Log-writer gate: the disk is off every shared path of the daemon. Only
+# checkpoint.rs syncs; the scheduler writes a header in `submit` (holding
+# no lock) and every later record in the log writer's own function, so
+# neither a worker nor a holder of the scheduler lock waits for the disk.
+# Its two suites run below, after the build.
+echo "==> log-writer gate"
+if grep -rn 'sync_data' crates/serve/src | grep -v '^crates/serve/src/checkpoint.rs:'; then
+    echo "sync_data outside checkpoint.rs: go through CheckpointWriter"
+    exit 1
+fi
+if ! awk '
+    /^    (pub(\(crate\))? )?fn [a-z_]+/ {
+        match($0, /fn [a-z_]+/); fn = substr($0, RSTART + 3, RLENGTH - 3)
+    }
+    /^[ \t]*\/\// { next }
+    /append_shard|append_complete|write_shard|write_complete|\.sync\(\)/ && fn != "log_writer_loop" {
+        print FILENAME ":" FNR ": " $0; bad = 1
+    }
+    /append_header/ && fn != "submit" { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit bad }
+' crates/serve/src/scheduler.rs; then
+    echo "checkpoint I/O outside Scheduler::log_writer_loop (header: outside submit)"
+    exit 1
+fi
+
 # The size simplicity PRs quote: lines of every crates/*/src/**/*.rs up to
 # its first #[cfg(test)].
 echo "==> non-test source lines"
@@ -141,7 +166,10 @@ cargo build --release
 #   state dir, re-streamed JSONL byte-identical to a direct run_campaign at
 #   1/2/8 workers; streaming subscriptions during multi-campaign runs,
 #   slow-subscriber drops, one WorkerStalled per shard past the stall
-#   threshold, and the determinism pins with a subscriber attached.
+#   threshold, and the determinism pins with a subscriber attached; racing
+#   submissions (one name, the last active slot), every streamed line
+#   already in the log, 64 shards from 8 workers each logged once, a stop
+#   at the last line that leaves nothing to re-run, appends that fail.
 echo "==> cargo test"
 cargo test -q --workspace --no-fail-fast
 
@@ -152,9 +180,20 @@ cargo test -q --workspace --no-fail-fast
 # 10 000 calls through a three-hook chain whose effects nest dispatches,
 # none in 30 000 updates of metrics-registry series that exist; and the
 # campaign gate's number: a 48-instance sweep at most 190 allocations per
-# instance and exactly 6 compiles.
+# instance and exactly 6 compiles, and at most 6 to render one of its
+# streaming JSONL lines.
 echo "==> alloc budget"
 cargo test -q --release --test alloc_budget
+
+# Log-writer gate, the runs: the golden text of one campaign seen from
+# outside (frames, log records, journal), and the telemetry suite ten
+# times over — its live-subscription case used to assert a sampled gauge
+# and failed about one run in thirteen; it asserts a cumulative count now.
+echo "==> log-writer gate: stream_golden, telemetry x10"
+cargo test -q --release -p vw-serve --test stream_golden
+for _ in $(seq 1 10); do
+    cargo test -q --release -p vw-serve --test telemetry
+done
 
 echo "==> example smoke: obs_flight_recorder"
 cargo run -q --release --example obs_flight_recorder > /dev/null

@@ -447,7 +447,8 @@ impl vw_campaign::Setup for FloodBed {
 /// every instance, the classed result) spends at most 190 allocations per
 /// instance, and compiles each of the 6 programs once. (The parent of this
 /// budget read 295: a `Program` clone and a compile per instance, and three
-/// deep copies of the tables on their way to the engines.)
+/// deep copies of the tables on their way to the engines.) Rendering an
+/// instance's JSONL line then costs at most 6.
 #[test]
 fn a_sweep_compiles_each_program_once_and_stays_under_190_allocations_per_instance() {
     use vw_campaign::{run_campaign, Axis, CampaignSpec, ExecConfig};
@@ -499,4 +500,16 @@ fn a_sweep_compiles_each_program_once_and_stays_under_190_allocations_per_instan
         "{spent} allocations over 48 instances ({:.1} per instance, budget 190)",
         spent as f64 / 48.0
     );
+
+    // Each instance's streaming line, rendered from borrowed parts as the
+    // daemon renders it: the line and one key per counter, no copy of the
+    // labels or the digest (32 allocations a line when it built a record).
+    let key = vw_campaign::DigestKey::default();
+    let before = allocs();
+    for r in &result.instances {
+        let line = vw_campaign::instance_jsonl_line(r.index, &r.labels, &r.outcome, &key);
+        std::hint::black_box(line);
+    }
+    let spent = allocs() - before;
+    assert!(spent <= 6 * 48, "{spent} allocations for 48 lines");
 }
