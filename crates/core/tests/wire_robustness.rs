@@ -326,6 +326,184 @@ fn hostile_init_from_the_wire_cannot_panic_a_waiting_engine() {
     assert!(!engine.initialized(), "and was refused");
 }
 
+// ---------------------------------------------------------------------
+// The same table bytes decoded again on one thread
+// ---------------------------------------------------------------------
+
+/// Two small table sets that share their node table and differ in the rest.
+const REPEAT_SCRIPT_A: &str = r#"
+    FILTER_TABLE
+    p: (12 2 0x9900)
+    END
+    NODE_TABLE
+    a 02:00:00:00:00:01 10.0.0.1
+    b 02:00:00:00:00:02 10.0.0.2
+    END
+    SCENARIO A 1sec
+    C: (p, a, b, RECV)
+    ((C = 2)) >> DROP(p, a, b, RECV);
+    END
+"#;
+
+const REPEAT_SCRIPT_B: &str = r#"
+    FILTER_TABLE
+    q: (23 1 0x11), (36 2 0x6363)
+    END
+    NODE_TABLE
+    a 02:00:00:00:00:01 10.0.0.1
+    b 02:00:00:00:00:02 10.0.0.2
+    END
+    SCENARIO B
+    S: (q, a, b, SEND)
+    (TRUE) >> ENABLE_CNTR(S);
+    ((S = 5)) >> STOP;
+    END
+"#;
+
+/// The `Init` of `script` for node `you_are`, encoded.
+fn init_bytes(script: &str, you_are: u16) -> Vec<u8> {
+    let tables = virtualwire::compile_script(script).unwrap();
+    encode(&ControlMsg::Init {
+        tables,
+        you_are: NodeId(you_are),
+    })
+}
+
+/// What one decode returned: the message re-encoded as hex and its
+/// `Debug` text, or the error.
+fn decoded(bytes: &[u8]) -> String {
+    match decode(bytes) {
+        Ok(msg) => {
+            let hex: String = encode(&msg).iter().map(|b| format!("{b:02x}")).collect();
+            format!("ok {hex}\n{msg:?}")
+        }
+        Err(e) => format!("err {e}"),
+    }
+}
+
+/// [`decoded`] on a thread of its own, which has decoded nothing before.
+fn decoded_on_a_fresh_thread(bytes: &[u8]) -> String {
+    let bytes = bytes.to_vec();
+    std::thread::spawn(move || decoded(&bytes)).join().unwrap()
+}
+
+/// One thread decodes the `Init` of table set A, then B's, then A's
+/// twice more: every decode gives the message a thread that never decoded
+/// anything gives, and re-encodes to the bytes it came from.
+#[test]
+fn inits_of_two_table_sets_decoded_a_b_a_a_on_one_thread() {
+    let a = (init_bytes(REPEAT_SCRIPT_A, 1), GOLDEN_REPEAT_A);
+    let b = (init_bytes(REPEAT_SCRIPT_B, 1), GOLDEN_REPEAT_B);
+    for (name, (bytes, golden)) in [("A", &a), ("B", &b), ("A", &a), ("A", &a)] {
+        let got = decoded(bytes);
+        assert_eq!(got, format!("ok {golden}"), "{name}");
+        assert_eq!(got, decoded_on_a_fresh_thread(bytes), "{name}");
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert!(golden.starts_with(&format!("{hex}\n")), "{name}");
+    }
+}
+
+const GOLDEN_REPEAT_A: &str = "\
+    01000100014101000000003b9aca000000000100017001000000010000000c00\
+    0000020000000000000000990000020001610200000000010a00000100016202\
+    00000000020a0000020001000143000000000000010100010001000000000001\
+    0000000401000000000000000200010001000000010200000001000100000001\
+    00010000000100010800000000000101\
+    \n\
+    Init { tables: TableSet(Tables { scenario: \"A\", timeout_ns: Some(1000000000), vars: [], \
+    filters: [CompiledFilter { name: \"p\", tuples: [FilterTuple { offset: 12, len: 2, \
+    mask: None, pattern: Literal(39168) }], discriminant: Some(0) }], \
+    nodes: [CompiledNode { name: \"a\", mac: MacAddr(02:00:00:00:00:01), ip: 10.0.0.1 }, \
+    CompiledNode { name: \"b\", mac: MacAddr(02:00:00:00:00:02), ip: 10.0.0.2 }], \
+    counters: [CompiledCounter { name: \"C\", kind: Packet(PacketSel { filter: FilterId(0), \
+    from: NodeId(0), to: NodeId(1), dir: Recv }), home: NodeId(1), affected_terms: [TermId(0)], \
+    subscribers: [] }], terms: [CompiledTerm { lhs: Counter(CounterId(0)), op: Eq, \
+    rhs: Const(2), eval_node: NodeId(1), conditions: [CondId(0)] }], \
+    conditions: [CompiledCondition { expr: Term(TermId(0)), eval_nodes: [NodeId(1)], \
+    triggers: [], gates: [(NodeId(1), ActionId(0))] }], \
+    actions: [CompiledAction { node: NodeId(1), \
+    kind: Fault { on: PacketSel { filter: FilterId(0), from: NodeId(0), to: NodeId(1), \
+    dir: Recv }, fault: Drop } }] }), you_are: NodeId(1) }\
+";
+
+const GOLDEN_REPEAT_B: &str = "\
+    0100010001420000000001000171010000000200000017000000010000000000\
+    0000000011000000240000000200000000000000006363000200016102000000\
+    00010a0000010001620200000000020a00000200010001530000000000000100\
+    0000000100000000000100000004010000000000000005000000010001000200\
+    0001000000010000000000000200000001000000010000000100000002000001\
+    000000000e\
+    \n\
+    Init { tables: TableSet(Tables { scenario: \"B\", timeout_ns: None, vars: [], \
+    filters: [CompiledFilter { name: \"q\", tuples: [FilterTuple { offset: 23, len: 1, \
+    mask: None, pattern: Literal(17) }, FilterTuple { offset: 36, len: 2, mask: None, \
+    pattern: Literal(25443) }], discriminant: Some(0) }], nodes: [CompiledNode { name: \"a\", \
+    mac: MacAddr(02:00:00:00:00:01), ip: 10.0.0.1 }, CompiledNode { name: \"b\", \
+    mac: MacAddr(02:00:00:00:00:02), ip: 10.0.0.2 }], counters: [CompiledCounter { name: \"S\", \
+    kind: Packet(PacketSel { filter: FilterId(0), from: NodeId(0), to: NodeId(1), dir: Send }), \
+    home: NodeId(0), affected_terms: [TermId(0)], subscribers: [] }], \
+    terms: [CompiledTerm { lhs: Counter(CounterId(0)), op: Eq, rhs: Const(5), \
+    eval_node: NodeId(0), conditions: [CondId(1)] }], \
+    conditions: [CompiledCondition { expr: True, eval_nodes: [NodeId(0)], \
+    triggers: [(NodeId(0), ActionId(0))], gates: [] }, \
+    CompiledCondition { expr: Term(TermId(0)), eval_nodes: [NodeId(0)], triggers: [(NodeId(0), \
+    ActionId(1))], gates: [] }], actions: [CompiledAction { node: NodeId(0), \
+    kind: Counter { counter: CounterId(0), op: Enable } }, CompiledAction { node: NodeId(0), \
+    kind: Stop }] }), you_are: NodeId(1) }\
+";
+
+/// An `Init` repeating the table bytes the thread decoded last, addressed
+/// to a node the tables do not have: refused with the message a fresh
+/// decode gives, and a waiting engine that receives it stays waiting.
+#[test]
+fn an_init_repeating_the_last_tables_for_an_unknown_node_is_refused() {
+    let good = init_bytes(REPEAT_SCRIPT_A, 1);
+    let hostile = init_bytes(REPEAT_SCRIPT_A, BAD);
+    assert!(decoded(&good).starts_with("ok "));
+    let refusal = decoded(&hostile);
+    assert_eq!(refusal, decoded_on_a_fresh_thread(&hostile));
+    assert_eq!(
+        refusal,
+        "err init 0: node id 999 is outside the 2-row table"
+    );
+
+    let mut world = World::new(1);
+    let host = world.add_host("b");
+    let hook = world.add_hook(host, Box::new(Engine::new(EngineConfig::default())));
+    let init = ControlMsg::Init {
+        tables: virtualwire::compile_script(REPEAT_SCRIPT_A).unwrap(),
+        you_are: NodeId(BAD),
+    };
+    for _ in 0..2 {
+        assert!(decoded(&good).starts_with("ok "));
+        let frame = build_frame(MacAddr::from_index(9), world.host_mac(host), &init);
+        world.inject_from_wire(host, frame);
+        world.run_for(SimDuration::from_millis(1));
+    }
+    let engine = world.hook::<Engine>(host, hook).unwrap();
+    assert_eq!(engine.stats().control_received, 2, "both frames arrived");
+    assert!(!engine.initialized(), "and both were refused");
+}
+
+/// Valid table bytes followed by one stray byte: refused whether or not
+/// the thread has just decoded the same tables, with one message.
+#[test]
+fn an_init_with_a_stray_byte_after_its_tables_is_refused() {
+    let good = init_bytes(REPEAT_SCRIPT_A, 1);
+    let mut stray = good.clone();
+    stray.push(0);
+    let fresh = decoded_on_a_fresh_thread(&stray);
+    assert_eq!(fresh, "err 1 trailing bytes");
+    assert_eq!(decoded(&stray), fresh, "before a good decode");
+    assert!(decoded(&good).starts_with("ok "));
+    assert_eq!(decoded(&stray), fresh, "right after one");
+    assert_eq!(decoded(&stray), fresh, "right after a refusal");
+    assert!(
+        decoded(&good).starts_with("ok "),
+        "and the tables still decode"
+    );
+}
+
 /// A `0x88B5` frame whose payload is empty is an error, and a frame
 /// carrying any other EtherType is rejected before payload inspection.
 #[test]
