@@ -35,16 +35,18 @@
 //!   one SYNACK is dropped.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use vw_fsl::{
     ActionId, CompiledActionKind, CompiledCounterKind, CompiledOperand, CondId, CounterId,
-    CounterOp, Dir, Fault, FilterId, ModifyPattern, NodeId, TableSet, TermId,
+    CounterOp, Dir, Fault, ModifyPattern, NodeId, TableSet, TermId,
 };
 use vw_netsim::{Context, Hook, SimDuration, SimTime, TraceKind, Verdict};
 use vw_obs::{EventLog, Histogram, ObsActionKind, ObsEvent, ObsKind, ObsLevel};
 use vw_packet::{EtherType, Frame, MacAddr, MacMap};
 
-use crate::classify::{Classification, Classifier, ClassifierMode, ClassifierScratch};
+use crate::classify::{Classification, ClassifierMode, ClassifierScratch};
+use crate::plan::{dispatch_slot, InstallPlan};
 use crate::report::FlaggedError;
 use crate::wire::{self, ControlMsg};
 
@@ -334,12 +336,15 @@ impl PeerRx {
 pub struct Engine {
     cfg: EngineConfig,
     tables: Option<TableSet>,
-    /// This engine's identity: its own node id and, indexed by [`NodeId`],
-    /// every scripted node's MAC and name. Kept outside `tables`, which is
+    /// What the engine built from its tables at install — the classifier,
+    /// the counter dispatch and, indexed by [`NodeId`], every scripted
+    /// node's MAC and name — shared with every engine this thread installs
+    /// on the same tables as the same node. Kept outside `tables`, which is
     /// `take`n while a cascade runs — exactly when events are stamped,
     /// control sends resolve their peer and diagnostics name their node.
+    plan: Option<Rc<InstallPlan>>,
+    /// This engine's own node id.
     me: Option<NodeId>,
-    nodes: Vec<(MacAddr, String)>,
     vars: HashMap<String, u64>,
 
     counter_values: Vec<i64>,
@@ -390,15 +395,8 @@ pub struct Engine {
     /// timeouts key off this.
     last_match: SimTime,
 
-    /// Compiled classifier for the installed tables.
-    classifier: Classifier,
     /// Reusable classification buffers (no per-packet allocation).
     scratch: ClassifierScratch,
-    /// Install-time dispatch, indexed by [`dispatch_slot`]`(filter, dir)`:
-    /// the counters that can match a packet so classified *at this node* —
-    /// replaces the per-packet scan of the whole counter table. Empty when
-    /// no packet counter is homed here.
-    counter_dispatch: Vec<Vec<CounterId>>,
     /// Reusable evaluation-cascade worklist.
     cascade_worklist: Vec<CounterId>,
     /// Reusable buffer for the counters a packet bumps.
@@ -443,8 +441,8 @@ impl Engine {
         Engine {
             cfg,
             tables: None,
+            plan: None,
             me: None,
-            nodes: Vec::new(),
             vars: HashMap::new(),
             counter_values: Vec::new(),
             counter_enabled: Vec::new(),
@@ -467,9 +465,7 @@ impl Engine {
             errors: Vec::new(),
             stopped: None,
             last_match: SimTime::ZERO,
-            classifier: Classifier::Linear,
             scratch: ClassifierScratch::default(),
-            counter_dispatch: Vec::new(),
             cascade_worklist: Vec::new(),
             scratch_bump: Vec::new(),
             scratch_fired: Vec::new(),
@@ -564,12 +560,18 @@ impl Engine {
         });
     }
 
+    /// Every scripted node's MAC and name, indexed by [`NodeId`]; empty
+    /// before the tables are installed.
+    fn nodes(&self) -> &[(MacAddr, String)] {
+        self.plan.as_ref().map_or(&[], |plan| &plan.nodes)
+    }
+
     /// Flags an error at this node, named from the engine's identity.
     fn flag(&mut self, time: SimTime, condition: Option<CondId>, message: String) {
         let node = self.me.expect("initialized");
         self.errors.push(FlaggedError {
             node,
-            node_name: self.nodes[node.index()].1.clone(),
+            node_name: self.nodes()[node.index()].1.clone(),
             condition,
             message,
             time,
@@ -598,14 +600,19 @@ impl Engine {
     // Initialization
     // ------------------------------------------------------------------
 
-    fn install_tables(&mut self, ctx: &mut Context<'_>, tables: TableSet, me: NodeId) {
+    /// Installs `tables` as node `me`, with the `plan` built for them.
+    fn install_tables(
+        &mut self,
+        ctx: &mut Context<'_>,
+        tables: TableSet,
+        me: NodeId,
+        plan: Rc<InstallPlan>,
+    ) {
         let ncounters = tables.counters.len();
         let nterms = tables.terms.len();
         let nconds = tables.conditions.len();
         let nfilters = tables.filters.len();
-        self.classifier = Classifier::build(self.cfg.classifier, &tables);
-        self.counter_dispatch = build_counter_dispatch(&tables, me);
-        self.nodes = node_identities(&tables);
+        self.plan = Some(plan);
         self.tables = Some(tables);
         self.me = Some(me);
         self.counter_values = vec![0; ncounters];
@@ -958,7 +965,7 @@ impl Engine {
     /// Resolves a peer MAC to its script node id without allocating, if
     /// the MAC belongs to a scripted node.
     fn peer_node_id(&self, mac: MacAddr) -> Option<NodeId> {
-        self.nodes
+        self.nodes()
             .iter()
             .position(|&(m, _)| m == mac)
             .map(|i| NodeId(i as u16))
@@ -987,7 +994,7 @@ impl Engine {
     /// MAC is named by its address.
     fn peer_identity(&self, mac: MacAddr) -> (Option<NodeId>, String) {
         let id = self.peer_node_id(mac);
-        let name = id.map_or_else(|| mac.to_string(), |id| self.nodes[id.index()].1.clone());
+        let name = id.map_or_else(|| mac.to_string(), |id| self.nodes()[id.index()].1.clone());
         (id, name)
     }
 
@@ -1257,7 +1264,8 @@ impl Engine {
             ControlMsg::Init { tables, you_are } => {
                 self.control_mac = Some(src);
                 if !self.initialized() {
-                    self.install_tables(ctx, tables, you_are);
+                    let plan = InstallPlan::cached(&tables, self.cfg.classifier, you_are);
+                    self.install_tables(ctx, tables, you_are, plan);
                 }
                 // A retransmitted Init never reinstalls (that would reset
                 // counters) but always re-acks, in case the first InitAck
@@ -1317,7 +1325,7 @@ impl Engine {
                 condition,
                 message,
             } => {
-                let node_name = self.nodes.get(node.index()).map_or_else(
+                let node_name = self.nodes().get(node.index()).map_or_else(
                     || format!("node#{}", node.index()),
                     |(_, name)| name.clone(),
                 );
@@ -1343,23 +1351,24 @@ impl Engine {
     fn distribute_tables(&mut self, ctx: &mut Context<'_>) {
         let me = self.control_id.expect("control engine has identity");
         self.control_mac = Some(ctx.mac());
-        self.send_inits(ctx);
         let tables = self.tables.take().expect("control engine has tables");
+        let plan = InstallPlan::cached(&tables, self.cfg.classifier, me);
+        self.send_inits(ctx, &tables, &plan);
         if tables.nodes.len() > 1 {
             self.init_rto = INIT_RTO;
             ctx.set_timer(self.init_rto, TIMER_INIT_RETX);
         }
         // Initialize ourselves directly.
-        self.install_tables(ctx, tables, me);
+        self.install_tables(ctx, tables, me, plan);
     }
 
     /// Sends `Init` to every peer (every scripted node but this one) that
     /// has not acked it, and returns how many that was. Every message
     /// holds this engine's own table allocation; the receiver's copy is the
-    /// one it decodes off the wire.
-    fn send_inits(&mut self, ctx: &mut Context<'_>) -> u64 {
+    /// one it decodes off the wire. The frames are sized by the `plan`,
+    /// which remembers how long the first one built from `tables` was.
+    fn send_inits(&mut self, ctx: &mut Context<'_>, tables: &TableSet, plan: &InstallPlan) -> u64 {
         let me = self.control_id.expect("control engine has identity");
-        let tables = self.tables.take().expect("control engine has tables");
         let mut sent = 0;
         for (i, node) in tables.nodes.iter().enumerate() {
             let you_are = NodeId(i as u16);
@@ -1367,13 +1376,15 @@ impl Engine {
                 continue;
             }
             let msg = ControlMsg::Init {
-                tables: TableSet::clone(&tables),
+                tables: TableSet::clone(tables),
                 you_are,
             };
-            self.send_control(ctx, wire::build_frame(ctx.mac(), node.mac, &msg));
+            let frame_len = plan.init_frame_len.get();
+            let frame = wire::build_init_frame(ctx.mac(), node.mac, &msg, frame_len);
+            plan.init_frame_len.set(frame.len());
+            self.send_control(ctx, frame);
             sent += 1;
         }
-        self.tables = Some(tables);
         sent
     }
 
@@ -1384,7 +1395,11 @@ impl Engine {
         if self.control_id.is_none() || !self.initialized() {
             return;
         }
-        let resent = self.send_inits(ctx);
+        let tables = self.tables.take().expect("initialized");
+        let plan = self.plan.take().expect("initialized");
+        let resent = self.send_inits(ctx, &tables, &plan);
+        self.tables = Some(tables);
+        self.plan = Some(plan);
         self.stats.control_retransmits += resent;
         if resent > 0 {
             self.init_rto = self
@@ -1429,7 +1444,8 @@ impl Engine {
                 },
                 vw_trace::Category::Classify,
             );
-            self.classifier
+            let plan = self.plan.as_deref().expect("initialized");
+            plan.classifier
                 .classify(tables, &self.vars, &frame, &mut self.scratch)
         };
         let scan = self.scratch.last;
@@ -1466,7 +1482,8 @@ impl Engine {
         let mut bump = std::mem::take(&mut self.scratch_bump);
         bump.clear();
         let slot = dispatch_slot(classification.filter, dir);
-        if let Some(candidates) = self.counter_dispatch.get(slot) {
+        let plan = self.plan.as_deref().expect("initialized");
+        if let Some(candidates) = plan.counter_dispatch.get(slot) {
             for &counter in candidates {
                 let CompiledCounterKind::Packet(sel) = &tables.counters[counter.index()].kind
                 else {
@@ -1654,15 +1671,6 @@ fn release(ctx: &mut Context<'_>, frame: Frame, dir: Dir) {
     }
 }
 
-/// Every scripted node's MAC and name, in node-table order.
-fn node_identities(tables: &TableSet) -> Vec<(MacAddr, String)> {
-    tables
-        .nodes
-        .iter()
-        .map(|n| (n.mac, n.name.clone()))
-        .collect()
-}
-
 /// Flight-recorder kind of an executed action.
 fn obs_action_kind(kind: &CompiledActionKind) -> ObsActionKind {
     match kind {
@@ -1718,31 +1726,6 @@ fn release_reorder_batch(
 /// without wrapping; times past `i64::MAX` nanoseconds saturate.
 fn now_ns(ctx: &Context<'_>) -> i64 {
     i64::try_from(ctx.now().as_nanos()).unwrap_or(i64::MAX)
-}
-
-/// Where `(filter, dir)` sits in [`Engine::counter_dispatch`].
-fn dispatch_slot(filter: FilterId, dir: Dir) -> usize {
-    filter.index() * 2 + dir as usize
-}
-
-/// Builds the install-time counter dispatch for `me`: every packet counter
-/// homed here, under its [`dispatch_slot`]. Lets the packet path touch only
-/// the counters that can possibly match instead of scanning the whole
-/// counter table per frame.
-fn build_counter_dispatch(tables: &TableSet, me: NodeId) -> Vec<Vec<CounterId>> {
-    let mut dispatch: Vec<Vec<CounterId>> = Vec::new();
-    for (i, c) in tables.counters.iter().enumerate() {
-        if c.home != me {
-            continue;
-        }
-        if let CompiledCounterKind::Packet(sel) = c.kind {
-            if dispatch.is_empty() {
-                dispatch.resize_with(tables.filters.len() * 2, Vec::new);
-            }
-            dispatch[dispatch_slot(sel.filter, sel.dir)].push(CounterId(i as u16));
-        }
-    }
-    dispatch
 }
 
 impl Hook for Engine {

@@ -79,6 +79,7 @@
 
 mod classify;
 mod engine;
+mod plan;
 mod report;
 mod runner;
 mod suite;

@@ -40,6 +40,7 @@
 //! `1..=7` and are rejected with the typed
 //! [`ControlDecodeError::Legacy`] instead of being misparsed.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -51,7 +52,7 @@ use vw_fsl::{
     PacketSel, PatternValue, RelOp, TableSet, Tables, TermId,
 };
 use vw_packet::codec::{Reader, Writer};
-use vw_packet::{EtherType, Frame, MacAddr, ParseError};
+use vw_packet::{EtherType, Frame, MacAddr, ParseError, ETHERNET_HEADER_LEN};
 
 /// A control-plane message.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,15 +180,15 @@ fn encode_into(w: &mut Writer<'_>, msg: &ControlMsg) {
 /// Returns [`ParseError`] on truncation, unknown tags, or bytes left
 /// over after the message.
 pub fn decode(bytes: &[u8]) -> Result<ControlMsg, ParseError> {
-    Reader::be(bytes).whole(decode_msg)
+    Reader::be(bytes).whole(|r| decode_msg(r, bytes))
 }
 
-fn decode_msg(r: &mut Reader<'_>) -> Result<ControlMsg, ParseError> {
+/// Decodes the message `r` reads out of `bytes`.
+fn decode_msg(r: &mut Reader<'_>, bytes: &[u8]) -> Result<ControlMsg, ParseError> {
     Ok(match r.u8()? {
         TAG_INIT => {
             let you_are = NodeId(r.u16()?);
-            let tables = decode_tables(r)?;
-            check_ids(&tables, you_are)?;
+            let tables = decode_init_tables(r, &bytes[r.position()..], you_are)?;
             ControlMsg::Init { tables, you_are }
         }
         TAG_INIT_ACK => ControlMsg::InitAck {
@@ -216,6 +217,44 @@ fn decode_msg(r: &mut Reader<'_>) -> Result<ControlMsg, ParseError> {
                 "unknown control message tag {tag}"
             )));
         }
+    })
+}
+
+thread_local! {
+    /// The table bytes of the last `Init` this thread decoded whole, and
+    /// the tables they decoded to.
+    static LAST_INIT: RefCell<(Vec<u8>, Option<TableSet>)> =
+        const { RefCell::new((Vec::new(), None)) };
+}
+
+/// Decodes an `Init`'s tables, the last field of its body; `rest` is
+/// what `r` has left. Every peer of a campaign's instances is sent the
+/// same tables, so when `rest` begins with the table bytes this thread
+/// decoded last, the result is the set those bytes decoded to, shared:
+/// the encoding is deterministic and self-delimiting, so equal bytes
+/// decode to equal tables and span the same length. The ids are checked
+/// against `you_are` either way, and only an `Init` that decodes whole
+/// is remembered.
+fn decode_init_tables(
+    r: &mut Reader<'_>,
+    rest: &[u8],
+    you_are: NodeId,
+) -> Result<TableSet, ParseError> {
+    LAST_INIT.with_borrow_mut(|(last_bytes, last)| {
+        if let Some(tables) = last.as_ref().filter(|_| rest.starts_with(last_bytes)) {
+            r.take(last_bytes.len())?;
+            check_ids(tables, you_are)?;
+            return Ok(TableSet::clone(tables));
+        }
+        let tables = decode_tables(r)?;
+        check_ids(&tables, you_are)?;
+        // With bytes left over, `decode` refuses the message.
+        if r.remaining() == 0 {
+            last_bytes.clear();
+            last_bytes.extend_from_slice(rest);
+            *last = Some(TableSet::clone(&tables));
+        }
+        Ok(tables)
     })
 }
 
@@ -394,7 +433,8 @@ pub fn build_sequenced_frame(
     msg: &ControlMsg,
 ) -> Frame {
     // Exact for every message a running scenario sends; an `Init` (once
-    // per node, while the testbed settles) grows its buffer past it.
+    // per node, while the testbed settles) grows its buffer past it unless
+    // it is built by `build_init_frame`.
     let body = match msg {
         ControlMsg::FlagError { message, .. } => 7 + message.len(),
         ControlMsg::Stop { reason, .. } => 5 + reason.len(),
@@ -402,6 +442,22 @@ pub fn build_sequenced_frame(
     };
     Frame::assemble(dst, src, EtherType::VW_CONTROL, HEADER_LEN + body, |out| {
         encode_sequenced_into(out, seq, ack, msg)
+    })
+}
+
+/// [`build_frame`] for an `Init`, whose length depends on its tables:
+/// the buffer is sized for `frame_len` bytes, the length of an `Init`
+/// frame built before from the same tables (every one of them has it), or
+/// grows as the tables are written when that is 0.
+pub(crate) fn build_init_frame(
+    src: MacAddr,
+    dst: MacAddr,
+    msg: &ControlMsg,
+    frame_len: usize,
+) -> Frame {
+    let payload = frame_len.saturating_sub(ETHERNET_HEADER_LEN);
+    Frame::assemble(dst, src, EtherType::VW_CONTROL, payload, |out| {
+        encode_sequenced_into(out, 0, 0, msg)
     })
 }
 
@@ -1100,6 +1156,68 @@ mod tests {
         });
         for cut in 0..full.len() {
             assert!(decode(&full[..cut]).is_err(), "cut at {cut} should fail");
+        }
+    }
+
+    /// A script of `filters` packet definitions and `nodes` nodes whose
+    /// two counters fire `fault` (one of five actions) at `threshold`.
+    fn random_script(filters: usize, nodes: usize, threshold: u8, fault: usize) -> TableSet {
+        let mut src = String::from("FILTER_TABLE\n");
+        for f in 0..filters {
+            src += &format!("f{f}: (23 1 0x11), (36 2 0x{:04x})\n", 0x6300 + f);
+        }
+        src += "END\nNODE_TABLE\n";
+        for n in 0..nodes {
+            src += &format!("n{n} 02:00:00:00:00:{:02x} 10.0.0.{}\n", n + 1, n + 1);
+        }
+        src += &format!("END\nSCENARIO P{threshold}\n");
+        src += &format!("C: (f{}, n0, n1, SEND)\n", filters - 1);
+        src += &format!("D: (f0, n0, n{}, RECV)\n", nodes - 1);
+        src += "(TRUE) >> ENABLE_CNTR(C); ENABLE_CNTR(D);\n";
+        let fault = [
+            "DROP(f0, n0, n1, RECV)",
+            "DUP(f0, n0, n1, SEND)",
+            "DELAY(f0, n0, n1, SEND, 2msec)",
+            "FAIL(n1)",
+            "STOP",
+        ][fault];
+        src += &format!("((C = {threshold}) && (D < C)) >> {fault};\nEND\n");
+        vw_fsl::compile(&vw_fsl::parse(&src).unwrap())
+            .unwrap()
+            .remove(0)
+    }
+
+    fn table_set() -> impl proptest::strategy::Strategy<Value = TableSet> {
+        use proptest::strategy::Strategy;
+        (1usize..4, 2usize..5, 0u8..40, 0usize..5)
+            .prop_map(|(f, n, threshold, fault)| random_script(f, n, threshold, fault))
+    }
+
+    proptest::proptest! {
+        /// Two table sets' `Init`s decoded on one thread in any order, each
+        /// repeat of the last set included: every decode is what a fresh
+        /// `decode_tables` of the same bytes gives.
+        #[test]
+        fn interleaved_init_decodes_equal_fresh_decodes(
+            a in table_set(),
+            b in table_set(),
+            order in proptest::collection::vec((0usize..2, 0u16..4), 1..12),
+        ) {
+            let sets = [a, b];
+            for (pick, you_are) in order {
+                let tables = &sets[pick];
+                let you_are = NodeId(you_are % u16::try_from(tables.nodes.len()).unwrap());
+                let msg = ControlMsg::Init { tables: TableSet::clone(tables), you_are };
+                let bytes = encode(&msg);
+                let fresh = Reader::be(&bytes[3..]).whole(decode_tables).unwrap();
+                let ControlMsg::Init { tables: got, you_are: got_you_are } = decode(&bytes).unwrap()
+                else {
+                    panic!("an Init decodes to an Init");
+                };
+                proptest::prop_assert_eq!(&got, &fresh);
+                proptest::prop_assert_eq!(&got, tables);
+                proptest::prop_assert_eq!(got_you_are, you_are);
+            }
         }
     }
 }

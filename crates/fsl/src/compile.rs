@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use serde::{Deserialize, Serialize};
 
@@ -313,10 +313,39 @@ pub enum CompiledActionKind {
 /// A handle on one shared, immutable [`Tables`]: a clone is a reference
 /// count, so the set a compile produced is the allocation the runner, the
 /// control engine and every `Init` it sends hold. Reads go through
-/// `Deref`; a write through `DerefMut` first copies the tables if another
-/// handle shares them.
+/// `Deref`; a write through `DerefMut` first moves the tables to an
+/// allocation of their own if another handle, strong or
+/// [weak](TableSet::downgrade), names this one — so whatever was derived
+/// from a set and keyed by its allocation never describes a changed set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TableSet(Arc<Tables>);
+
+impl TableSet {
+    /// A handle that names this set's allocation without keeping the
+    /// tables alive.
+    pub fn downgrade(&self) -> WeakTableSet {
+        WeakTableSet(Arc::downgrade(&self.0))
+    }
+}
+
+/// A [`TableSet`]'s allocation, named without being owned: the tables
+/// drop with their last `TableSet`, and the allocation is not reused
+/// while this handle lives, so it never names a different set.
+#[derive(Debug, Clone)]
+pub struct WeakTableSet(Weak<Tables>);
+
+impl WeakTableSet {
+    /// `true` when `tables` is a handle on the allocation this was taken
+    /// from.
+    pub fn names(&self, tables: &TableSet) -> bool {
+        std::ptr::eq(self.0.as_ptr(), Arc::as_ptr(&tables.0))
+    }
+
+    /// `true` while some [`TableSet`] still holds the tables.
+    pub fn is_live(&self) -> bool {
+        self.0.strong_count() > 0
+    }
+}
 
 impl From<Tables> for TableSet {
     fn from(tables: Tables) -> Self {
@@ -686,6 +715,25 @@ mod tests {
 
     fn tables() -> TableSet {
         compile(&parse(SRC).unwrap()).unwrap().remove(0)
+    }
+
+    /// A weak handle names its set until a write through `DerefMut` — by
+    /// the sole owner or beside another handle — leaves it naming none.
+    #[test]
+    fn a_write_moves_the_tables_away_from_every_weak_handle() {
+        let mut t = tables();
+        let weak = t.downgrade();
+        assert!(weak.names(&t) && weak.names(&TableSet::clone(&t)));
+        t.scenario.push('!');
+        assert!(!weak.names(&t) && !weak.is_live(), "sole owner");
+
+        let weak = t.downgrade();
+        let other = TableSet::clone(&t);
+        t.scenario.push('!');
+        assert!(!weak.names(&t) && weak.names(&other), "shared");
+        assert!(weak.is_live());
+        drop(other);
+        assert!(!weak.is_live());
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use ast::{
 pub use compile::{
     compile, ActionId, CompiledAction, CompiledActionKind, CompiledCondition, CompiledCounter,
     CompiledCounterKind, CompiledFilter, CompiledNode, CompiledOperand, CompiledTerm, CondId,
-    CondNode, CounterId, FilterId, NodeId, PacketSel, TableSet, Tables, TermId,
+    CondNode, CounterId, FilterId, NodeId, PacketSel, TableSet, Tables, TermId, WeakTableSet,
 };
 pub use error::FslError;
 pub use lexer::lex;

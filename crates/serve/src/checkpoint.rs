@@ -18,8 +18,8 @@
 //! `CampaignResult::build` over the same per-instance values,
 //! whether those values came from execution or from the log. A SIGKILL
 //! can leave a torn record at the tail; the reader stops at the first
-//! short or CRC-failing record and the scheduler simply re-runs that
-//! shard.
+//! short or CRC-failing record, and the scheduler cuts the log back to
+//! the records before it and re-runs that shard.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -46,6 +46,10 @@ pub struct LogContents {
     pub shards: BTreeMap<u64, Vec<(InstanceOutcome, u64)>>,
     /// Whether a completion record was seen.
     pub complete: bool,
+    /// Length of the bytes those records span. A reader accepts nothing
+    /// past it (a torn record, say), so whoever appends to the log cuts the
+    /// file back to here first ([`CheckpointWriter::reopen`]).
+    pub valid_len: u64,
 }
 
 /// Appends checkpoint records for one campaign. A record survives a
@@ -66,6 +70,15 @@ impl CheckpointWriter {
             file,
             path: path.to_path_buf(),
         })
+    }
+
+    /// Opens the log at `path` to continue it after [`read_log`] returned
+    /// `valid_len`: the bytes past it are cut off first, so what is
+    /// appended next follows the last record a reader accepts.
+    pub(crate) fn reopen(path: &Path, valid_len: u64) -> io::Result<CheckpointWriter> {
+        let writer = CheckpointWriter::open(path)?;
+        writer.file.set_len(valid_len)?;
+        Ok(writer)
     }
 
     /// The log's path.
@@ -145,7 +158,9 @@ pub fn parse_log(bytes: &[u8]) -> LogContents {
     let mut r = Reader::le(bytes);
     // The end of the log and a torn tail both read as a record that
     // fails to parse.
-    while parse_record(&mut r, &mut contents).is_ok() {}
+    while parse_record(&mut r, &mut contents).is_ok() {
+        contents.valid_len = r.position() as u64;
+    }
     contents
 }
 
@@ -269,7 +284,19 @@ mod tests {
                 "cut at {cut}"
             );
             assert!(contents.submission.is_some());
+            assert_eq!(contents.valid_len, intact.len() as u64, "cut at {cut}");
         }
+        // Reopened at the valid length, the log drops the torn bytes and
+        // what is appended next is read back.
+        std::fs::write(&path, &full[..full.len() - 1]).unwrap();
+        let torn = read_log(&path).unwrap();
+        let mut w = CheckpointWriter::reopen(&path, torn.valid_len).unwrap();
+        w.append_shard(1, &shard("b")).unwrap();
+        w.append_complete().unwrap();
+        let healed = read_log(&path).unwrap();
+        assert_eq!(healed.shards.len(), 2);
+        assert!(healed.complete);
+        assert_eq!(healed.valid_len, std::fs::metadata(&path).unwrap().len());
         // And flipping a payload byte in the middle drops that record
         // and everything after it.
         let mut corrupt = full.clone();

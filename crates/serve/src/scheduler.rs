@@ -739,7 +739,7 @@ impl Scheduler {
         let Ok(instances) = enumerate(&submission) else {
             return false;
         };
-        let Ok(writer) = CheckpointWriter::open(path) else {
+        let Ok(writer) = CheckpointWriter::reopen(path, contents.valid_len) else {
             return false;
         };
         let mut campaign =

@@ -551,18 +551,20 @@ fn every_streamed_line_is_already_in_the_log() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `[len u32][type u8][crc u32][payload]` record types of a log file.
-fn record_types(log: &Path) -> Vec<u8> {
+/// The `[len u32][type u8][crc u32][payload]` records of a log file: each
+/// one's type and the offset it ends at.
+fn records(log: &Path) -> Vec<(u8, usize)> {
     let bytes = std::fs::read(log).expect("log reads");
-    let mut types = Vec::new();
+    let mut records = Vec::new();
     let mut at = 0;
     while at < bytes.len() {
         let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        types.push(bytes[at + 4]);
+        let rec_type = bytes[at + 4];
         at += 9 + len as usize;
+        records.push((rec_type, at));
     }
     assert_eq!(at, bytes.len(), "torn tail");
-    types
+    records
 }
 
 /// Eight workers hand 64 one-instance shards to the one log writer: each
@@ -595,7 +597,8 @@ fn sixty_four_shards_from_eight_workers_are_each_logged_once() {
     expected.insert(0, 1);
     expected.push(3);
     let log = state.join(log_file_name(&sub.campaign));
-    assert_eq!(record_types(&log), expected);
+    let types: Vec<u8> = records(&log).iter().map(|&(t, _)| t).collect();
+    assert_eq!(types, expected);
     assert_eq!(read_log(&log).expect("log reads").shards.len(), 64);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -661,6 +664,90 @@ fn a_stop_at_the_last_line_leaves_nothing_to_re_run() {
     assert_eq!(summary_again, summary);
     assert_eq!(built.load(Ordering::SeqCst), 16, "an instance ran again");
     daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon on `state` with one worker, 2-instance shards, and a
+/// `counted_flood` setup that counts the worlds it builds in `built`.
+fn counted_daemon(state: &Path, sock: &Path, built: &Arc<AtomicUsize>) -> Daemon {
+    let built = Arc::clone(built);
+    let mut registry = SetupRegistry::builtin();
+    registry.register(
+        "counted_flood",
+        move |tables: &vw_fsl::TableSet, run: &vw_campaign::RunConfig| {
+            built.fetch_add(1, Ordering::SeqCst);
+            common::flood_setup(tables, run)
+        },
+    );
+    let config = DaemonConfig {
+        state_dir: state.to_path_buf(),
+        workers: 1,
+        shard_size: 2,
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(config, registry).expect("daemon starts");
+    daemon.bind_unix(sock).expect("bind");
+    daemon
+}
+
+/// A campaign whose log was torn inside its second shard record finishes
+/// once after the restart that resumes it: the resumed daemon cuts the
+/// torn bytes before it appends, so the next restart reads every shard
+/// and the completion marker, and runs nothing. (At the parent the
+/// resumed records sat behind the torn ones, invisible to every reader.)
+#[test]
+fn a_campaign_resumed_after_a_torn_tail_is_complete_on_the_next_restart() {
+    let dir = common::scratch_dir("service-torn-tail");
+    let state = dir.join("state");
+    let built = Arc::new(AtomicUsize::new(0));
+    let mut sub = common::submission("svc-torn-tail", 2);
+    sub.setup = "counted_flood".to_string();
+    let log = state.join(log_file_name(&sub.campaign));
+
+    let sock = dir.join("one.sock");
+    let daemon = counted_daemon(&state, &sock, &built);
+    let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
+    client.submit(&sub).expect("submit");
+    let (lines, summary) = common::stream_all(&mut client);
+    daemon.stop();
+    assert_eq!(built.load(Ordering::SeqCst), 16);
+
+    // Keep the header, shard 0 and half of shard 1.
+    let ends: Vec<usize> = records(&log).iter().map(|&(_, end)| end).collect();
+    let bytes = std::fs::read(&log).expect("log reads");
+    std::fs::write(&log, &bytes[..(ends[1] + ends[2]) / 2]).expect("tear the log");
+    let torn = read_log(&log).expect("log reads");
+    assert_eq!(torn.shards.keys().copied().collect::<Vec<_>>(), vec![0]);
+    assert!(!torn.complete);
+
+    let sock = dir.join("two.sock");
+    let daemon = counted_daemon(&state, &sock, &built);
+    let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
+    client.attach(&sub.campaign).expect("attach");
+    assert_eq!(
+        common::stream_all(&mut client),
+        (lines.clone(), summary.clone())
+    );
+    daemon.stop();
+    assert_eq!(
+        built.load(Ordering::SeqCst),
+        16 + 14,
+        "shards 1 to 7 ran again"
+    );
+    let resumed = read_log(&log).expect("log reads");
+    assert_eq!(resumed.shards.len(), 8);
+    assert!(resumed.complete);
+
+    let sock = dir.join("three.sock");
+    let daemon = counted_daemon(&state, &sock, &built);
+    let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
+    assert_eq!(
+        client.attach(&sub.campaign).expect("attach").already_done,
+        16
+    );
+    assert_eq!(common::stream_all(&mut client), (lines, summary));
+    daemon.stop();
+    assert_eq!(built.load(Ordering::SeqCst), 30, "an instance ran again");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

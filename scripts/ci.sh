@@ -108,6 +108,39 @@ if grep -n 'vw_fsl::compile(' crates/campaign/src/exec.rs; then
     exit 1
 fi
 
+# Install gate: an engine installs what its thread already built for the
+# same tables. Outside test modules, the table decoder runs only in the
+# `Init` memo (wire::decode_init_tables), and the classifier, the counter
+# dispatch and the node identities are built only by the thread's plan
+# cache (InstallPlan::cached in plan.rs). The core reads no environment:
+# there is no switch for any of it. Its two suites run below, after the
+# build.
+echo "==> install gate"
+if ! awk '
+    FNR == 1 { test = 0 }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    test || /^[ \t]*\/\// { next }
+    /^ *(pub(\(crate\))? )?fn [a-z_]+/ {
+        match($0, /fn [a-z_]+/); fn = substr($0, RSTART + 3, RLENGTH - 3)
+    }
+    /decode_tables\(/ && !/fn decode_tables\(/ && fn != "decode_init_tables" {
+        print FILENAME ":" FNR ": " $0; bad = 1
+    }
+    /Classifier::build\(|build_counter_dispatch\(|node_identities\(/ &&
+        !/fn (build_counter_dispatch|node_identities)\(/ &&
+        !(FILENAME ~ /\/plan\.rs$/ && fn == "cached") {
+        print FILENAME ":" FNR ": " $0; bad = 1
+    }
+    END { exit bad }
+' crates/core/src/*.rs; then
+    echo "tables decoded or install state built outside the Init memo / InstallPlan::cached"
+    exit 1
+fi
+if grep -rn 'env::var' crates/core/src; then
+    echo "the core reads the environment: no switches, one build"
+    exit 1
+fi
+
 # Log-writer gate: the disk is off every shared path of the daemon. Only
 # checkpoint.rs syncs; the scheduler writes a header in `submit` (holding
 # no lock) and every later record in the log writer's own function, so
@@ -179,11 +212,14 @@ cargo test -q --workspace --no-fail-fast
 # either when half the control frames crossing it are dropped, none in
 # 10 000 calls through a three-hook chain whose effects nest dispatches,
 # none in 30 000 updates of metrics-registry series that exist; and the
-# campaign gate's number: a 48-instance sweep at most 190 allocations per
-# instance and exactly 6 compiles, and at most 6 to render one of its
-# streaming JSONL lines.
-echo "==> alloc budget"
+# campaign and install gates' numbers: a 48-instance sweep at most 130
+# allocations per instance and exactly 6 compiles, at most 6 to render one
+# of its streaming JSONL lines, and at most 25 to settle the same tables
+# a second time on one thread. With them, the install gate's other suite:
+# the codec's goldens, the A/B/A/A decode order among them.
+echo "==> alloc budget, install gate: alloc_budget, wire_robustness"
 cargo test -q --release --test alloc_budget
+cargo test -q --release -p virtualwire --test wire_robustness
 
 # Log-writer gate, the runs: the golden text of one campaign seen from
 # outside (frames, log records, journal), and the telemetry suite ten

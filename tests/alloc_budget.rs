@@ -413,24 +413,34 @@ struct FloodBed {
     tables_seen: std::sync::Mutex<std::collections::BTreeSet<usize>>,
 }
 
+/// The flood bed's two hosts on a switch, with an engine installed on
+/// each: the world `settle` runs in, and the hosts.
+fn flood_bed_world(
+    tables: &vw_fsl::TableSet,
+    run: &vw_campaign::RunConfig,
+) -> Result<(World, virtualwire::Runner, Vec<DeviceId>), virtualwire::ScriptError> {
+    use virtualwire::{EngineConfig, Runner};
+
+    let mut world = World::with_impairment(run.seed, run.impairment);
+    world.trace_mut().set_enabled(false);
+    let nodes = Runner::create_hosts(&mut world, tables);
+    let sw = world.add_switch("sw0", 4);
+    for &n in &nodes {
+        world.connect(n, sw, LinkConfig::fast_ethernet());
+    }
+    let runner = Runner::try_install(&mut world, tables.clone(), EngineConfig::default())?;
+    Ok((world, runner, nodes))
+}
+
 impl vw_campaign::Setup for FloodBed {
     fn build(
         &self,
         tables: &vw_fsl::TableSet,
         run: &vw_campaign::RunConfig,
     ) -> Result<(World, virtualwire::Runner), virtualwire::ScriptError> {
-        use virtualwire::{EngineConfig, Runner};
-
         let address = std::ptr::from_ref::<vw_fsl::Tables>(tables) as usize;
         self.tables_seen.lock().unwrap().insert(address);
-        let mut world = World::with_impairment(run.seed, run.impairment);
-        world.trace_mut().set_enabled(false);
-        let nodes = Runner::create_hosts(&mut world, tables);
-        let sw = world.add_switch("sw0", 4);
-        for &n in &nodes {
-            world.connect(n, sw, LinkConfig::fast_ethernet());
-        }
-        let runner = Runner::try_install(&mut world, tables.clone(), EngineConfig::default())?;
+        let (mut world, runner, nodes) = flood_bed_world(tables, run)?;
         runner.settle(&mut world);
         let ipv4 = Binding::EtherType(EtherType::IPV4);
         world.add_protocol(nodes[1], ipv4, Box::new(UdpSink::new(0x6363)));
@@ -441,19 +451,10 @@ impl vw_campaign::Setup for FloodBed {
     }
 }
 
-/// A 48-instance sweep — 6 thresholds × 4 seeds × 2 control impairments of
-/// a 240-datagram flood, the benchmark's `campaign_sweep` block — on a
-/// thread that has run it before: `run_campaign` end to end (enumerate,
-/// every instance, the classed result) spends at most 190 allocations per
-/// instance, and compiles each of the 6 programs once. (The parent of this
-/// budget read 295: a `Program` clone and a compile per instance, and three
-/// deep copies of the tables on their way to the engines.) Rendering an
-/// instance's JSONL line then costs at most 6.
-#[test]
-fn a_sweep_compiles_each_program_once_and_stays_under_190_allocations_per_instance() {
-    use vw_campaign::{run_campaign, Axis, CampaignSpec, ExecConfig};
-
-    let program = vw_fsl::parse(
+/// The program of the benchmark's `campaign_sweep`: drop the 40th of 240
+/// datagrams.
+fn sweep_program() -> vw_fsl::Program {
+    vw_fsl::parse(
         "FILTER_TABLE
         udp_data: (23 1 0x11), (36 2 0x6363)
         END
@@ -470,8 +471,24 @@ fn a_sweep_compiles_each_program_once_and_stays_under_190_allocations_per_instan
         ((Sent = 240)) >> STOP;
         END",
     )
-    .unwrap();
-    let spec = CampaignSpec::new("sweep", program)
+    .unwrap()
+}
+
+/// A 48-instance sweep — 6 thresholds × 4 seeds × 2 control impairments of
+/// a 240-datagram flood, the benchmark's `campaign_sweep` block — on a
+/// thread that has run it before: `run_campaign` end to end (enumerate,
+/// every instance, the classed result) spends at most 130 allocations per
+/// instance, and compiles each of the 6 programs once. (The history of
+/// this budget: 295 with a `Program` clone and a compile per instance and
+/// three deep copies of the tables on their way to the engines; then 190,
+/// with each peer decoding its own copy of the tables and both engines
+/// building their classifier, counter dispatch and node names per
+/// instance.) Rendering an instance's JSONL line then costs at most 6.
+#[test]
+fn a_sweep_compiles_each_program_once_and_stays_under_130_allocations_per_instance() {
+    use vw_campaign::{run_campaign, Axis, CampaignSpec, ExecConfig};
+
+    let spec = CampaignSpec::new("sweep", sweep_program())
         .axis(Axis::threshold_at(
             "Sent",
             0,
@@ -496,8 +513,8 @@ fn a_sweep_compiles_each_program_once_and_stays_under_190_allocations_per_instan
     assert_eq!(result.kind_counts().0, 48, "every instance completes");
     assert_eq!(bed.tables_seen.lock().unwrap().len(), 6, "compiles");
     assert!(
-        spent <= 190 * 48,
-        "{spent} allocations over 48 instances ({:.1} per instance, budget 190)",
+        spent <= 130 * 48,
+        "{spent} allocations over 48 instances ({:.1} per instance, budget 130)",
         spent as f64 / 48.0
     );
 
@@ -512,4 +529,29 @@ fn a_sweep_compiles_each_program_once_and_stays_under_190_allocations_per_instan
     }
     let spent = allocs() - before;
     assert!(spent <= 6 * 48, "{spent} allocations for 48 lines");
+}
+
+/// Settling the flood bed a second time on one thread, with the same
+/// tables: the peer's `Init` decodes to the set the first settle decoded,
+/// and both engines install the plans built then, so what is left is the
+/// `Init` round trip and each engine's own state — at most 25 allocations.
+/// (At the parent this settle allocated 63.5 per sweep instance: a fresh
+/// decode of the tables, and the classifier, counter dispatch and node
+/// names built again by both engines.)
+#[test]
+fn settling_the_same_tables_a_second_time_allocates_at_most_25() {
+    let tables = vw_fsl::compile(&sweep_program()).unwrap().remove(0);
+    let run = vw_campaign::RunConfig::default();
+    let settle = || {
+        let (mut world, runner, _) = flood_bed_world(&tables, &run).unwrap();
+        let before = allocs();
+        assert!(runner.settle(&mut world), "both engines installed");
+        allocs() - before
+    };
+    let first = settle();
+    let second = settle();
+    assert!(
+        second <= 25,
+        "{second} allocations settling the same tables again (the first settle: {first})"
+    );
 }
