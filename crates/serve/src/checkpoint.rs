@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use vw_campaign::{fnv1a64, InstanceOutcome};
 use vw_packet::codec::{Reader, Writer};
@@ -59,17 +59,13 @@ pub struct LogContents {
 #[derive(Debug)]
 pub struct CheckpointWriter {
     file: File,
-    path: PathBuf,
 }
 
 impl CheckpointWriter {
     /// Opens (or creates) the log at `path` for appending.
     pub fn open(path: &Path) -> io::Result<CheckpointWriter> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(CheckpointWriter {
-            file,
-            path: path.to_path_buf(),
-        })
+        Ok(CheckpointWriter { file })
     }
 
     /// Opens the log at `path` to continue it after [`read_log`] returned
@@ -79,11 +75,6 @@ impl CheckpointWriter {
         let writer = CheckpointWriter::open(path)?;
         writer.file.set_len(valid_len)?;
         Ok(writer)
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Writes and syncs the campaign-header record (once, at submission).
@@ -114,12 +105,6 @@ impl CheckpointWriter {
         w.u64(shard);
         w.list64(outcomes, encode_timed_outcome);
         self.write(REC_SHARD, &payload)
-    }
-
-    /// Writes and syncs the completion marker.
-    pub fn append_complete(&mut self) -> io::Result<()> {
-        self.write_complete()?;
-        self.sync()
     }
 
     /// Writes the completion marker, not yet durable.
@@ -254,7 +239,7 @@ mod tests {
         assert_eq!(mid.shards.keys().copied().collect::<Vec<_>>(), vec![0, 2]);
         assert!(!mid.complete);
         w.append_shard(1, &shard("b")).unwrap();
-        w.append_complete().unwrap();
+        w.write_complete().and_then(|()| w.sync()).unwrap();
         let done = read_log(&path).unwrap();
         assert_eq!(done.shards.len(), 3);
         assert_eq!(done.shards[&1], shard("b"));
@@ -292,7 +277,7 @@ mod tests {
         let torn = read_log(&path).unwrap();
         let mut w = CheckpointWriter::reopen(&path, torn.valid_len).unwrap();
         w.append_shard(1, &shard("b")).unwrap();
-        w.append_complete().unwrap();
+        w.write_complete().and_then(|()| w.sync()).unwrap();
         let healed = read_log(&path).unwrap();
         assert_eq!(healed.shards.len(), 2);
         assert!(healed.complete);

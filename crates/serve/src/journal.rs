@@ -8,8 +8,8 @@
 //! workers, frame errors), each stamped with a [`Severity`] and a
 //! sequence number that keeps counting across eviction, so a client can
 //! ask "everything since seq N" and *know* whether it missed events.
-//! An optional JSONL disk sink mirrors every entry into the state
-//! directory for post-mortems.
+//! The daemon appends every entry's JSONL line to `journal.jsonl` in its
+//! state directory for post-mortems; that file keeps what the ring evicts.
 //!
 //! Entries also travel over the wire (inside `TelemetryDelta` and
 //! `JournalReply` frames) via an exact binary codec; like every other
@@ -17,8 +17,6 @@
 //! garbage yields `None`, never a panic.
 
 use std::collections::VecDeque;
-use std::io::Write;
-use std::sync::Mutex;
 
 use vw_packet::codec::{Reader, Writer};
 use vw_packet::ParseError;
@@ -344,23 +342,18 @@ impl JournalEntry {
     }
 }
 
-/// A bounded, thread-safe ring of journal entries with an optional JSONL
-/// disk mirror.
+/// A bounded ring of journal entries, owned by the daemon's scheduler.
 ///
 /// Sequence numbers are assigned at record time and keep counting as the
 /// ring evicts: `first_seq()..next_seq()` is always exactly what a query
 /// can still see, so a reader comparing its cursor against `first_seq`
-/// knows how many entries it lost.
+/// knows how many entries it lost. The journal reads no clock: an entry
+/// is stamped with the time last given to [`Journal::set_now_ms`].
 pub struct Journal {
-    inner: Mutex<JournalInner>,
-}
-
-struct JournalInner {
     ring: VecDeque<JournalEntry>,
     capacity: usize,
     next_seq: u64,
-    started: std::time::Instant,
-    disk: Option<std::io::BufWriter<std::fs::File>>,
+    now_ms: u64,
 }
 
 impl Journal {
@@ -368,61 +361,50 @@ impl Journal {
     /// (clamped to at least 1).
     pub fn new(capacity: usize) -> Journal {
         Journal {
-            inner: Mutex::new(JournalInner {
-                ring: VecDeque::with_capacity(capacity.max(1)),
-                capacity: capacity.max(1),
-                next_seq: 0,
-                started: std::time::Instant::now(),
-                disk: None,
-            }),
+            ring: VecDeque::with_capacity(capacity.max(1)),
+            capacity: capacity.max(1),
+            next_seq: 0,
+            now_ms: 0,
         }
     }
 
-    /// Attaches a JSONL disk sink at `path` (appending; the file is
-    /// created if missing). Every subsequent entry is mirrored there.
-    /// Returns any open error instead of recording to a broken sink.
-    pub fn attach_disk_sink(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        self.inner.lock().unwrap().disk = Some(std::io::BufWriter::new(file));
-        Ok(())
+    /// Sets the time, in milliseconds since the daemon started, that
+    /// entries recorded from now on carry.
+    pub fn set_now_ms(&mut self, now_ms: u64) {
+        self.now_ms = now_ms;
     }
 
     /// Records `event`, assigning the next sequence number. Returns the
     /// entry's seq.
-    pub fn record(&self, event: JournalEvent) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let entry = JournalEntry {
+    pub fn record(&mut self, event: JournalEvent) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(JournalEntry {
             seq,
-            t_ms: u64::try_from(inner.started.elapsed().as_millis()).unwrap_or(u64::MAX),
+            t_ms: self.now_ms,
             severity: event.severity(),
             event,
-        };
-        if let Some(disk) = inner.disk.as_mut() {
-            let _ = disk.write_all(entry.to_jsonl().as_bytes());
-            let _ = disk.flush();
-        }
-        if inner.ring.len() == inner.capacity {
-            inner.ring.pop_front();
-        }
-        inner.ring.push_back(entry);
+        });
         seq
+    }
+
+    /// The entry recorded last, if the journal holds any.
+    pub fn latest(&self) -> Option<&JournalEntry> {
+        self.ring.back()
     }
 
     /// The sequence number the next entry will get (equivalently, total
     /// entries ever recorded).
     pub fn next_seq(&self) -> u64 {
-        self.inner.lock().unwrap().next_seq
+        self.next_seq
     }
 
     /// The oldest sequence number still held, or `next_seq` when empty.
     pub fn first_seq(&self) -> u64 {
-        let inner = self.inner.lock().unwrap();
-        inner.ring.front().map_or(inner.next_seq, |e| e.seq)
+        self.ring.front().map_or(self.next_seq, |e| e.seq)
     }
 
     /// Entries with `seq >= since_seq` and `severity >= min_severity`,
@@ -430,8 +412,7 @@ impl Journal {
     /// are silently absent — compare the first returned seq against the
     /// request to detect loss.
     pub fn query(&self, since_seq: u64, min_severity: Severity, limit: usize) -> Vec<JournalEntry> {
-        let inner = self.inner.lock().unwrap();
-        let mut out: Vec<JournalEntry> = inner
+        let mut out: Vec<JournalEntry> = self
             .ring
             .iter()
             .filter(|e| e.seq >= since_seq && e.severity >= min_severity)
@@ -461,7 +442,7 @@ mod tests {
 
     #[test]
     fn seq_is_monotone_and_survives_eviction() {
-        let journal = Journal::new(4);
+        let mut journal = Journal::new(4);
         for i in 0..10 {
             assert_eq!(journal.record(conn(i)), i);
         }
@@ -476,7 +457,7 @@ mod tests {
 
     #[test]
     fn wraparound_preserves_order_and_capacity() {
-        let journal = Journal::new(3);
+        let mut journal = Journal::new(3);
         for i in 0..100 {
             journal.record(conn(i));
         }
@@ -488,7 +469,7 @@ mod tests {
 
     #[test]
     fn query_filters_by_severity_and_since_seq() {
-        let journal = Journal::new(64);
+        let mut journal = Journal::new(64);
         journal.record(conn(1)); // seq 0, info
         journal.record(JournalEvent::QuotaBounced {
             campaign: "c".into(),
@@ -514,7 +495,7 @@ mod tests {
 
     #[test]
     fn limit_keeps_the_newest_entries() {
-        let journal = Journal::new(64);
+        let mut journal = Journal::new(64);
         for i in 0..10 {
             journal.record(conn(i));
         }
@@ -606,7 +587,7 @@ mod tests {
 
     #[test]
     fn jsonl_lines_parse_and_escape() {
-        let journal = Journal::new(8);
+        let mut journal = Journal::new(8);
         journal.record(JournalEvent::QuotaBounced {
             campaign: "we\"ird".into(),
             reason: "r".into(),
@@ -627,7 +608,7 @@ mod tests {
         // `render()` Debug-quotes the campaign name but prints `reason`
         // and `detail` as they are: only the escaper stands between a
         // control character there and the line.
-        let journal = Journal::new(8);
+        let mut journal = Journal::new(8);
         journal.record(JournalEvent::QuotaBounced {
             campaign: "a\tb\r\u{1}".into(),
             reason: "c\td\r\u{1}".into(),
@@ -641,22 +622,5 @@ mod tests {
             doc.as_obj().unwrap()["text"].as_str().unwrap(),
             entry.event.render()
         );
-    }
-
-    #[test]
-    fn disk_sink_mirrors_entries() {
-        let dir = std::env::temp_dir().join(format!("vw-journal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.jsonl");
-        let journal = Journal::new(2);
-        journal.attach_disk_sink(&path).expect("sink opens");
-        for i in 0..5 {
-            journal.record(conn(i));
-        }
-        // Ring kept 2, disk kept all 5.
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 5);
-        assert!(text.lines().next().unwrap().contains("\"seq\":0"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,16 +13,16 @@
 //! The moving parts:
 //!
 //! ```text
-//!   client ──Submit──▶ frame codec ──▶ scheduler ──▶ worker pool
-//!     ▲                 (frame.rs)     (fair RR       (run_shard_observed)
-//!     │                                 over shards)      │ finished shards
-//!     │                                                   ▼
-//!     │                                              log writer ──▶ checkpoint log
-//!     │                                   (append + sync, then     (<name>.vwlog)
-//!     │                                    announce the shard)
-//!     │                                                   │
-//!     └──Outcome/Done── bounded outbox ◀── emission ◀─────┘
-//!            (backpressure: full outbox pauses the sweep)
+//!   client ──Submit──▶ reader ──input──▶ owner: scheduler ──Run──▶ worker pool
+//!     ▲               (frame.rs,         (fair RR over      (run_shard_observed)
+//!     │                enumerate)         shards, credits)           │ ShardRan
+//!     │                                   │  ▲ ◀─────────────────────┘
+//!     │                   OpenLog, Append ▼  │ LogOpened, Durable
+//!     │                                  log writer ──▶ checkpoint log
+//!     │                               (append + sync)   (<name>.vwlog)
+//!     │
+//!     └──Outcome/Done── conn writer ◀──Send── owner
+//!            (backpressure: spent credits pause the sweep)
 //! ```
 //!
 //! Determinism carries over from `vw-campaign` end to end: shard

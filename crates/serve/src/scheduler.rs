@@ -1,11 +1,17 @@
-//! The shared worker pool that interleaves shards from many concurrent
-//! campaigns, streams outcomes in order, and checkpoints progress.
+//! The daemon's decisions, in one place: which shard runs next, which
+//! line goes to which connection and when, when a campaign pauses, what
+//! the journal says. [`Scheduler`] is a plain struct that one thread owns
+//! (the owner loop in `server.rs`): [`Scheduler::handle`] takes one
+//! [`Input`] and appends the [`Effect`]s it decided, which the owner
+//! carries out in order after it returns. It reads no clock, takes no lock
+//! and touches no socket or file; the workers, the log writer and the
+//! connection threads only carry out effects and post inputs back.
 //!
 //! ## Fairness
 //!
-//! All campaigns share one pool. A worker picks the next *eligible*
-//! campaign in round-robin order (a cursor over campaign names) and
-//! takes exactly one shard from it, so a million-instance sweep cannot
+//! All campaigns share one pool. An idle worker gets a shard of the next
+//! *eligible* campaign in round-robin order (a cursor over campaign
+//! names), exactly one shard per pick, so a million-instance sweep cannot
 //! starve a ten-instance one: interleaving granularity is the shard.
 //!
 //! ## In-order streaming
@@ -13,43 +19,43 @@
 //! Shards are contiguous ([`ShardPlan`]), so the campaign's *completed
 //! prefix* — the leading run of finished shards — is exactly the set of
 //! instances whose outcomes are final and emittable. Each subscriber
-//! has a `sent` watermark into that prefix; emission pushes rendered
-//! JSONL lines into the subscriber's bounded outbox until it is full.
+//! has a `sent` watermark into that prefix.
 //!
 //! ## Backpressure
 //!
-//! A slow client fills its outbox; its `sent` watermark stalls; once the
-//! campaign's unsent backlog exceeds `max_unsent_instances` the campaign
-//! becomes ineligible for new shard dispatch — the sweep *pauses*
-//! instead of buffering unboundedly. When the client's writer drains a
-//! frame it re-pumps emission and wakes the pool.
+//! A connection has `outbox_frames` credits: each frame sent takes one,
+//! and its writer gives them back as it puts frames on the socket
+//! ([`Input::Drained`]). A slow client's `sent` watermark stalls once its
+//! credits are spent; once the campaign's unsent backlog exceeds
+//! `max_unsent_instances` the campaign is skipped by dispatch — the sweep
+//! *pauses* instead of buffering unboundedly — until a drain lets the
+//! subscriber catch up. A telemetry tick without credit is dropped and
+//! counted, never waited for. Replies are sent whatever the credit.
 //!
 //! ## Durability
 //!
-//! Workers never touch the disk: a finished shard goes to the one log
-//! writer ([`Scheduler::log_writer_loop`]), which announces it only once
-//! its record is synced; the completion marker follows `Done` through the
-//! same queue. No scheduler lock is held across a disk operation.
+//! A campaign's header is durable before `Accepted` ([`Effect::OpenLog`],
+//! [`Input::LogOpened`]); a finished shard is announced, and its lines
+//! sent, only once its record is synced ([`Effect::Append`],
+//! [`Input::Durable`]); the completion marker follows `Done`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::io;
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::collections::BTreeMap;
+use std::ops::{Bound, Range};
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 
 use vw_campaign::{
-    instance_jsonl_line, run_shard_observed, CampaignResult, CampaignSpec, DigestKey, Instance,
-    InstanceOutcome, ShardPlan,
+    instance_jsonl_line, CampaignResult, CampaignSpec, DigestKey, Instance, InstanceOutcome,
+    ShardPlan,
 };
 use vw_netsim::SimDuration;
 use vw_obs::{labeled_key, MetricsRegistry, RollingWindow};
 
-use crate::checkpoint::{log_file_name, read_log, CheckpointWriter, LogContents};
 use crate::frame::{Frame, FrameType};
-use crate::journal::{Journal, JournalEvent, Severity};
+use crate::journal::{Journal, JournalEvent};
 use crate::payload::{
-    encode_outcome_line, Accepted, ErrorCode, Submission, Subscribe, TelemetryDelta,
+    decode_text, encode_error, encode_outcome_line, encode_text, Accepted, ErrorCode, JournalQuery,
+    JournalReply, Submission, Subscribe, TelemetryDelta,
 };
 use crate::server::DaemonConfig;
 use crate::setup::{SetupHandle, SetupRegistry};
@@ -84,443 +90,26 @@ const JOURNAL_CAPACITY: usize = 1024;
 /// Journal entries shipped per telemetry tick / query reply at most.
 const JOURNAL_BATCH: usize = 512;
 
-/// Result of a non-blocking outbox push.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Push {
-    /// Enqueued.
-    Ok,
-    /// Queue at capacity — caller retries after a drain.
-    Full,
-    /// Receiver is gone; drop the subscriber.
-    Closed,
-}
+/// A shard's outcomes, each with its wall time in nanoseconds.
+pub(crate) type Outcomes = Vec<(InstanceOutcome, u64)>;
 
-/// Result of a blocking outbox pop.
-#[derive(Debug)]
-pub(crate) enum Pop {
-    /// Every queued frame's encoded bytes were appended to the batch.
-    Frames,
-    /// Timed out with nothing queued.
-    Empty,
-    /// Closed and drained.
-    Closed,
-}
-
-struct OutboxState {
-    queue: VecDeque<Vec<u8>>,
-    closed: bool,
-}
-
-/// A bounded frame queue between the scheduler and one connection's
-/// writer thread — the backpressure boundary. The scheduler only ever
-/// `try_push`es; blocking lives on the writer side.
-pub(crate) struct Outbox {
-    cap: usize,
-    state: Mutex<OutboxState>,
-    cv: Condvar,
-}
-
-impl Outbox {
-    pub(crate) fn new(cap: usize) -> Self {
-        Outbox {
-            cap: cap.max(1),
-            state: Mutex::new(OutboxState {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn try_push(&self, bytes: Vec<u8>) -> Push {
-        let mut state = self.state.lock().unwrap();
-        if state.closed {
-            return Push::Closed;
-        }
-        if state.queue.len() >= self.cap {
-            return Push::Full;
-        }
-        state.queue.push_back(bytes);
-        self.cv.notify_one();
-        Push::Ok
-    }
-
-    /// Waits for a frame, then moves everything queued onto the end of
-    /// `batch` in queue order: one write, and one drain notification, per
-    /// wake-up of the writer however many frames it slept through.
-    pub(crate) fn pop_timeout(&self, timeout: Duration, batch: &mut Vec<u8>) -> Pop {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if !state.queue.is_empty() {
-                for bytes in state.queue.drain(..) {
-                    batch.extend_from_slice(&bytes);
-                }
-                return Pop::Frames;
-            }
-            if state.closed {
-                return Pop::Closed;
-            }
-            let (next, result) = self.cv.wait_timeout(state, timeout).unwrap();
-            state = next;
-            if result.timed_out() && state.queue.is_empty() {
-                return if state.closed {
-                    Pop::Closed
-                } else {
-                    Pop::Empty
-                };
-            }
-        }
-    }
-
-    pub(crate) fn close(&self) {
-        let mut state = self.state.lock().unwrap();
-        state.closed = true;
-        self.cv.notify_all();
-    }
-}
-
-struct Subscriber {
-    outbox: Arc<Outbox>,
-    request_id: u64,
-    /// Instances already enqueued to this subscriber.
-    sent: usize,
-    done_sent: bool,
-}
-
-enum ShardSlot {
-    Pending,
-    Running,
-    Done(Vec<(InstanceOutcome, u64)>),
-}
-
-struct Campaign {
-    name: String,
-    conn: u64,
-    instances: Arc<Vec<Instance>>,
-    plan: ShardPlan,
+/// A submission checked as far as it can be without the daemon's state:
+/// its name, its setup and the instances it enumerates to.
+pub(crate) struct Prepared {
+    submission: Submission,
+    instances: Vec<Instance>,
     setup: SetupHandle,
-    deadline: SimDuration,
-    key: DigestKey,
-    shards: Vec<ShardSlot>,
-    /// Leading run of completed shards.
-    prefix_shards: usize,
-    /// Instances covered by the completed prefix (final + emittable).
-    prefix_instances: usize,
-    completed_shards: usize,
-    finished: bool,
-    /// Rendered summary JSONL, set at finalization.
-    summary: Option<String>,
-    subscribers: Vec<Subscriber>,
-    checkpoint: Arc<Mutex<CheckpointWriter>>,
-    /// Currently skipped by dispatch because a subscriber lags.
-    paused: bool,
 }
 
-/// The instances a submission's program and axes enumerate to.
-fn enumerate(submission: &Submission) -> Result<Vec<Instance>, String> {
-    let base =
-        vw_fsl::parse(&submission.program).map_err(|e| format!("program parse failed: {e}"))?;
-    let spec = CampaignSpec {
-        name: submission.campaign.clone(),
-        base,
-        axes: submission.axes.clone(),
-        defaults: submission.defaults,
-        sampling: submission.sampling,
-    };
-    spec.enumerate().map_err(|e| e.to_string())
-}
-
-impl Campaign {
-    /// A campaign over `instances` (what [`enumerate`] made of
-    /// `submission`), sharded by the submission's stored shard size, with
-    /// no subscriber yet. `done` holds the shards a checkpoint log already
-    /// has; a log shard must match the plan exactly — anything else is a
-    /// stale or foreign record and gets re-run instead.
-    fn from_submission(
-        submission: &Submission,
-        instances: Vec<Instance>,
-        setup: SetupHandle,
-        writer: CheckpointWriter,
-        done: BTreeMap<u64, Vec<(InstanceOutcome, u64)>>,
-    ) -> Campaign {
-        let plan = ShardPlan::new(instances.len(), submission.shard_size as usize);
-        let mut shards: Vec<ShardSlot> = (0..plan.count()).map(|_| ShardSlot::Pending).collect();
-        let mut completed_shards = 0;
-        for (shard, outcomes) in done {
-            let shard = shard as usize;
-            if shard < plan.count() && outcomes.len() == plan.range(shard).len() {
-                shards[shard] = ShardSlot::Done(outcomes);
-                completed_shards += 1;
-            }
-        }
-        let mut campaign = Campaign {
-            name: submission.campaign.clone(),
-            conn: 0,
-            instances: Arc::new(instances),
-            plan,
-            setup,
-            deadline: SimDuration::from_nanos(submission.deadline_ns),
-            key: submission.key,
-            shards,
-            prefix_shards: 0,
-            prefix_instances: 0,
-            completed_shards,
-            finished: false,
-            summary: None,
-            subscribers: Vec::new(),
-            checkpoint: Arc::new(Mutex::new(writer)),
-            paused: false,
-        };
-        Scheduler::advance_prefix(&mut campaign);
-        campaign
-    }
-
-    fn lag(&self) -> usize {
-        self.subscribers
-            .iter()
-            .map(|s| self.prefix_instances.saturating_sub(s.sent))
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn has_pending(&self) -> bool {
-        self.shards.iter().any(|s| matches!(s, ShardSlot::Pending))
-    }
-}
-
-struct Inner {
-    campaigns: BTreeMap<String, Campaign>,
-    /// Names `submit` is writing a header for: taken, not yet a campaign.
-    reserved: BTreeSet<String>,
-    cursor: Option<String>,
-    shutdown: bool,
-    /// Unfinished campaigns, reserved ones included.
-    active: usize,
-    per_conn: HashMap<u64, usize>,
-}
-
-impl Inner {
-    /// Gives back the `active` / `per_conn` slot a campaign of `conn` held.
-    fn release(&mut self, conn: u64) {
-        self.active = self.active.saturating_sub(1);
-        if let Some(count) = self.per_conn.get_mut(&conn) {
-            *count = count.saturating_sub(1);
-        }
-    }
-}
-
-/// One live telemetry subscription. Telemetry subscribers are tracked
-/// apart from campaign [`Subscriber`]s on purpose: they never enter
-/// `Campaign::lag()`, so a slow telemetry client *cannot* pause a sweep
-/// — its ticks are dropped (and counted) instead.
-struct TeleSub {
-    outbox: Arc<Outbox>,
-    request_id: u64,
-    interval: Duration,
-    next_due: Instant,
-    prometheus_text: bool,
-    /// Campaign filter (empty = all campaigns).
-    campaign: String,
-    min_severity: Severity,
-    /// Next journal seq this subscriber has not yet received.
-    journal_cursor: u64,
-    /// The registry state as of the last *delivered* tick — the delta
-    /// baseline. Only committed on a successful push, so changes carried
-    /// by a dropped tick fold into the next delivered one.
-    last_sent: MetricsRegistry,
-    seq: u64,
-    dropped: u64,
-}
-
-/// Per-campaign sliding windows, fed by workers as instances finish.
-struct CampWindows {
-    /// Completion deltas (one sample per finished instance).
-    inst: RollingWindow,
-    /// Per-instance wall time in nanoseconds.
-    wall: RollingWindow,
-}
-
-impl CampWindows {
-    fn new() -> Self {
-        CampWindows {
-            inst: RollingWindow::new(WINDOW_CAPACITY),
-            wall: RollingWindow::new(WINDOW_CAPACITY),
-        }
-    }
-}
-
-/// What a worker is running right now (stall detection).
-struct RunningShard {
-    campaign: String,
-    started: Instant,
-    stall_reported: bool,
-}
-
-/// All live-telemetry state, behind its own lock so the instance-grain
-/// feed from workers never contends with the scheduler's campaign lock.
-struct TeleState {
-    subs: Vec<TeleSub>,
-    camp: BTreeMap<String, CampWindows>,
-    /// Daemon-wide instance completions.
-    inst: RollingWindow,
-    /// Frames decoded off client connections.
-    frames: RollingWindow,
-    bytes_in: RollingWindow,
-    bytes_out: RollingWindow,
-    workers_total: i64,
-    workers_busy: i64,
-    running: HashMap<u64, RunningShard>,
-}
-
-impl TeleState {
-    fn new() -> Self {
-        TeleState {
-            subs: Vec::new(),
-            camp: BTreeMap::new(),
-            inst: RollingWindow::new(WINDOW_CAPACITY),
-            frames: RollingWindow::new(WINDOW_CAPACITY),
-            bytes_in: RollingWindow::new(WINDOW_CAPACITY),
-            bytes_out: RollingWindow::new(WINDOW_CAPACITY),
-            workers_total: 0,
-            workers_busy: 0,
-            running: HashMap::new(),
-        }
-    }
-}
-
-/// A point-in-time fact sheet about one campaign, read under the
-/// campaign lock and released before any telemetry work happens.
-struct CampaignFact {
-    name: String,
-    total: usize,
-    done_instances: usize,
-    /// 0 = running, 1 = paused (backpressure), 2 = finished.
-    state: i64,
-    subscribers: usize,
-}
-
-struct Job {
-    name: String,
-    shard: usize,
-    instances: Arc<Vec<Instance>>,
-    range: std::ops::Range<usize>,
-    setup: SetupHandle,
-    deadline: SimDuration,
-    checkpoint: Arc<Mutex<CheckpointWriter>>,
-}
-
-/// One record for the log writer: a finished shard with its outcomes, or
-/// (`shard: None`) the completion marker of a finished campaign.
-struct LogJob {
-    name: String,
-    checkpoint: Arc<Mutex<CheckpointWriter>>,
-    shard: Option<(usize, Vec<(InstanceOutcome, u64)>)>,
-}
-
-struct LogQueue {
-    jobs: Vec<LogJob>,
-    /// Workers that may still hand a shard over; the log writer exits
-    /// once this is zero and `jobs` is empty.
-    workers_live: usize,
-}
-
-/// The campaign scheduler: owns all campaign state, feeds the worker
-/// pool, and pumps subscriber emission. Shared behind an `Arc` by the
-/// daemon's worker, acceptor, and connection threads.
-pub(crate) struct Scheduler {
-    /// As clamped by [`Daemon::start`](crate::Daemon::start).
-    cfg: DaemonConfig,
-    registry: SetupRegistry,
-    inner: Mutex<Inner>,
-    work_cv: Condvar,
-    pub(crate) metrics: Mutex<MetricsRegistry>,
-    /// Structured daemon journal (own internal lock).
-    pub(crate) journal: Journal,
-    /// Live-telemetry state (own lock; never held across `inner`).
-    tele: Mutex<TeleState>,
-    /// Records on their way to disk (own lock; taken under `inner` by
-    /// `finalize`, never the other way round).
-    log: Mutex<LogQueue>,
-    log_cv: Condvar,
-    /// Shards handed to the log writer and not yet announced.
-    unannounced: AtomicUsize,
-    /// Daemon start — the epoch for window timestamps and uptime.
-    started: Instant,
-}
-
-impl Scheduler {
-    pub(crate) fn new(cfg: DaemonConfig, registry: SetupRegistry) -> Self {
-        let journal = Journal::new(JOURNAL_CAPACITY);
-        let log = LogQueue {
-            jobs: Vec::new(),
-            workers_live: cfg.workers,
-        };
-        let scheduler = Scheduler {
-            cfg,
-            registry,
-            inner: Mutex::new(Inner {
-                campaigns: BTreeMap::new(),
-                reserved: BTreeSet::new(),
-                cursor: None,
-                shutdown: false,
-                active: 0,
-                per_conn: HashMap::new(),
-            }),
-            work_cv: Condvar::new(),
-            metrics: Mutex::new(MetricsRegistry::new()),
-            journal,
-            tele: Mutex::new(TeleState::new()),
-            log: Mutex::new(log),
-            log_cv: Condvar::new(),
-            unannounced: AtomicUsize::new(0),
-            started: Instant::now(),
-        };
-        // Pre-register every counter so the stats surface is stable from
-        // boot — scrapers see zeros, not absent series.
-        {
-            let mut metrics = scheduler.metrics.lock().unwrap();
-            for name in [
-                "serve.campaigns_submitted",
-                "serve.campaigns_completed",
-                "serve.campaigns_resumed",
-                "serve.shards_completed",
-                "serve.instances_completed",
-                "serve.lines_streamed",
-                "serve.quota_rejections",
-                "serve.backpressure_pauses",
-                "serve.bad_frames",
-                "serve.frames_decoded",
-                "serve.bytes_in",
-                "serve.bytes_out",
-                "serve.telemetry_ticks",
-                "serve.telemetry_dropped",
-                "serve.worker_stalls",
-            ] {
-                metrics.add_counter(name, 0);
-            }
-        }
-        scheduler
-    }
-
-    /// Nanoseconds since the daemon started (window timestamp epoch).
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    fn count(&self, name: &str, delta: u64) {
-        self.metrics.lock().unwrap().add_counter(name, delta);
-    }
-
-    /// Validates and registers a submission; on success the submitting
-    /// connection's outbox receives the `Accepted` frame and becomes a
-    /// subscriber before any outcome can be emitted.
-    pub(crate) fn submit(
-        &self,
-        conn: u64,
+impl Prepared {
+    /// Checks `submission` against `registry` and enumerates it. A
+    /// submission that leaves the shard size to the daemon gets
+    /// `shard_size`, stored with it so a resume partitions the same way.
+    pub(crate) fn new(
         mut submission: Submission,
-        outbox: &Arc<Outbox>,
-        request_id: u64,
-    ) -> Result<Accepted, (ErrorCode, String)> {
+        registry: &SetupRegistry,
+        shard_size: usize,
+    ) -> Result<Prepared, (ErrorCode, String)> {
         // The name goes on to a file name, journal lines and metric
         // labels (where `|`, `,` and `=` are syntax); one check here keeps
         // all three well-formed.
@@ -535,886 +124,1349 @@ impl Scheduler {
                 format!("campaign name {name:?} must match [A-Za-z0-9_.-]{{1,128}}"),
             ));
         }
-        let setup = self.registry.get(&submission.setup).ok_or_else(|| {
+        let setup = registry.get(&submission.setup).ok_or_else(|| {
             (
                 ErrorCode::UnknownSetup,
                 format!(
                     "unknown setup `{}` (registered: {})",
                     submission.setup,
-                    self.registry.names().join(", ")
+                    registry.names().join(", ")
                 ),
             )
         })?;
-        let instances = enumerate(&submission).map_err(|e| (ErrorCode::BadSpec, e))?;
-        if instances.len() > self.cfg.quota.max_instances_per_campaign {
-            self.bounce(&submission.campaign, "max_instances_per_campaign");
-            return Err((
-                ErrorCode::QuotaExceeded,
-                format!(
-                    "campaign enumerates {} instances, quota is {}",
-                    instances.len(),
-                    self.cfg.quota.max_instances_per_campaign
-                ),
-            ));
-        }
-        // A submission that stores its shard-size choice resumes under
-        // the same partitioning even if the daemon default changed.
+        let base = vw_fsl::parse(&submission.program)
+            .map_err(|e| (ErrorCode::BadSpec, format!("program parse failed: {e}")))?;
+        let spec = CampaignSpec {
+            name: submission.campaign.clone(),
+            base,
+            axes: submission.axes.clone(),
+            defaults: submission.defaults,
+            sampling: submission.sampling,
+        };
+        let instances = spec
+            .enumerate()
+            .map_err(|e| (ErrorCode::BadSpec, e.to_string()))?;
         if submission.shard_size == 0 {
-            submission.shard_size = self.cfg.shard_size as u32;
+            submission.shard_size = shard_size as u32;
         }
+        Ok(Prepared {
+            submission,
+            instances,
+            setup,
+        })
+    }
+}
 
-        // Reserve the name and the quota slots, then do the disk work
-        // with the lock released: another tenant's drain, attach or stats
-        // never waits for this one's disk.
-        let mut inner = self.inner.lock().unwrap();
-        if inner.shutdown {
-            return Err((ErrorCode::ShuttingDown, "daemon is stopping".into()));
+/// A client request, decoded and checked on its connection's reader.
+pub(crate) enum Request {
+    Submit(Box<Prepared>),
+    Attach(String),
+    Stats,
+    Ping,
+    Subscribe(Subscribe),
+    JournalQuery(JournalQuery),
+    /// Refused where it was read: an undecodable payload, a reply type, or
+    /// a submission [`Prepared::new`] turned down.
+    Refused(ErrorCode, String),
+}
+
+impl Request {
+    /// The request `frame` makes; a submission is prepared here, on the
+    /// calling thread.
+    pub(crate) fn read(frame: &Frame, registry: &SetupRegistry, shard_size: usize) -> Request {
+        let undecodable = |what: &str| {
+            Request::Refused(ErrorCode::BadFrame, format!("undecodable {what} payload"))
+        };
+        let payload = &frame.payload;
+        match frame.frame_type {
+            FrameType::Submit => match Submission::decode(payload) {
+                Some(submission) => match Prepared::new(submission, registry, shard_size) {
+                    Ok(prepared) => Request::Submit(Box::new(prepared)),
+                    Err((code, message)) => Request::Refused(code, message),
+                },
+                None => undecodable("Submit"),
+            },
+            FrameType::Attach => {
+                decode_text(payload).map_or_else(|| undecodable("Attach"), Request::Attach)
+            }
+            FrameType::Stats => Request::Stats,
+            FrameType::Ping => Request::Ping,
+            FrameType::Subscribe => Subscribe::decode(payload)
+                .map_or_else(|| undecodable("Subscribe"), Request::Subscribe),
+            FrameType::JournalQuery => JournalQuery::decode(payload)
+                .map_or_else(|| undecodable("JournalQuery"), Request::JournalQuery),
+            // Every other type is a reply: protocol misuse at the daemon.
+            _ => Request::Refused(
+                ErrorCode::BadFrame,
+                "reply frame type sent to daemon".into(),
+            ),
         }
-        if inner.campaigns.contains_key(&submission.campaign)
-            || inner.reserved.contains(&submission.campaign)
+    }
+}
+
+/// One shard for a worker to run.
+pub(crate) struct Job {
+    pub(crate) instances: Arc<Vec<Instance>>,
+    pub(crate) range: Range<usize>,
+    pub(crate) setup: SetupHandle,
+    pub(crate) deadline: SimDuration,
+}
+
+/// A finished shard's record; once the log writer has written it, `synced`
+/// unless the write or the sync after it failed.
+pub(crate) struct Record {
+    pub(crate) name: String,
+    pub(crate) shard: usize,
+    pub(crate) outcomes: Outcomes,
+    pub(crate) synced: bool,
+}
+
+/// Everything the scheduler is told.
+pub(crate) enum Input {
+    /// A client connected; its writer thread sends what arrives on `writer`.
+    ConnOpened { conn: u64, writer: Sender<Vec<u8>> },
+    /// A connection's reader took `bytes` off its socket.
+    Read { bytes: u64 },
+    /// A request decoded off a connection, to be answered under `id`.
+    Request {
+        conn: u64,
+        id: u64,
+        request: Request,
+    },
+    /// A connection sent bytes that do not frame; its reader closes it next.
+    BadFrame { conn: u64, detail: String },
+    /// A connection's reader is gone: EOF, an error, or the daemon stopping.
+    ConnClosed { conn: u64 },
+    /// A connection's writer put `frames` frames, `bytes` bytes, on its
+    /// socket.
+    Drained {
+        conn: u64,
+        frames: usize,
+        bytes: u64,
+    },
+    /// The log writer opened a submission's log and synced its header.
+    LogOpened {
+        name: String,
+        result: Result<(), String>,
+    },
+    /// A worker finished its shard: the outcomes, its worker-local metrics,
+    /// and per instance `(t_ns, wall_ns)`.
+    ShardRan {
+        worker: usize,
+        outcomes: Outcomes,
+        metrics: MetricsRegistry,
+        samples: Vec<(u64, u64)>,
+    },
+    /// The log writer wrote these shard records and synced their logs.
+    Durable { records: Vec<Record> },
+    /// A campaign read back from its log at start-up, with the shards the
+    /// log holds and whether it holds the completion marker.
+    Resumed {
+        campaign: Box<Prepared>,
+        shards: BTreeMap<u64, Outcomes>,
+        complete: bool,
+    },
+    /// The daemon's metrics as Prometheus text, wanted on `reply`.
+    Metrics(Sender<String>),
+    /// Telemetry pacing and stall checks.
+    Tick,
+    /// Dispatch nothing more; exit once no shard is running or unsynced.
+    Stop,
+}
+
+/// Everything the scheduler decides, for the owner to carry out in order.
+pub(crate) enum Effect {
+    /// Run `job` on the idle worker `worker`.
+    Run { worker: usize, job: Job },
+    /// Open a new campaign's log and sync its header; answer `LogOpened`.
+    OpenLog {
+        name: String,
+        submission: Submission,
+    },
+    /// Write a finished shard's record; it comes back in `Durable`.
+    Append(Record),
+    /// Write a finished campaign's completion marker.
+    Complete { name: String },
+    /// Queue encoded frames for a connection's writer.
+    Send { conn: u64, bytes: Vec<u8> },
+    /// Let a connection's writer finish what is queued and close.
+    Close { conn: u64 },
+    /// Append a line to the state directory's `journal.jsonl`.
+    JournalLine(String),
+    /// Stopped, and nothing is running or unsynced: the owner exits.
+    Exit,
+}
+
+impl Effect {
+    /// A frame for `conn`.
+    fn send(conn: u64, frame_type: FrameType, id: u64, payload: Vec<u8>) -> Effect {
+        let bytes = Frame::new(frame_type, id, payload).encode();
+        Effect::Send { conn, bytes }
+    }
+}
+
+struct Subscriber {
+    conn: u64,
+    id: u64,
+    /// Instances already sent to this subscriber.
+    sent: usize,
+    done_sent: bool,
+}
+
+enum ShardSlot {
+    Pending,
+    Running,
+    Done(Outcomes),
+}
+
+enum Phase {
+    /// The log writer is making the header durable; `Accepted` answers
+    /// request `id` of the submitting connection then.
+    Opening {
+        id: u64,
+    },
+    Running,
+    /// Every outcome has moved into the result, which later subscribers
+    /// stream from.
+    Finished(CampaignResult),
+}
+
+/// Per-campaign sliding windows, fed as shards finish.
+struct CampWindows {
+    /// Completion deltas (one sample per finished instance).
+    inst: RollingWindow,
+    /// Per-instance wall time in nanoseconds.
+    wall: RollingWindow,
+}
+
+struct Campaign {
+    name: String,
+    /// The submitting connection, for its quota (0 when resumed).
+    conn: u64,
+    instances: Arc<Vec<Instance>>,
+    plan: ShardPlan,
+    setup: SetupHandle,
+    deadline: SimDuration,
+    key: DigestKey,
+    /// Emptied when the campaign finishes.
+    shards: Vec<ShardSlot>,
+    /// Leading run of completed shards.
+    prefix_shards: usize,
+    /// Instances covered by the completed prefix (final + emittable).
+    prefix_instances: usize,
+    /// Instances in completed shards.
+    completed: usize,
+    phase: Phase,
+    subscribers: Vec<Subscriber>,
+    /// Currently skipped by dispatch because a subscriber lags.
+    paused: bool,
+    windows: Option<CampWindows>,
+}
+
+impl Campaign {
+    /// A campaign over what `prepared` enumerates to, sharded by the
+    /// submission's stored shard size, with no subscriber yet; the
+    /// submission comes back for the log header. `done` holds the shards a
+    /// checkpoint log already has; a log shard must match the plan exactly
+    /// — anything else is a stale or foreign record and gets re-run.
+    fn new(
+        prepared: Box<Prepared>,
+        conn: u64,
+        phase: Phase,
+        done: BTreeMap<u64, Outcomes>,
+    ) -> (Campaign, Submission) {
+        let Prepared {
+            submission,
+            instances,
+            setup,
+        } = *prepared;
+        let plan = ShardPlan::new(instances.len(), submission.shard_size as usize);
+        let mut campaign = Campaign {
+            name: submission.campaign.clone(),
+            conn,
+            instances: Arc::new(instances),
+            shards: (0..plan.count()).map(|_| ShardSlot::Pending).collect(),
+            plan,
+            setup,
+            deadline: SimDuration::from_nanos(submission.deadline_ns),
+            key: submission.key,
+            prefix_shards: 0,
+            prefix_instances: 0,
+            completed: 0,
+            phase,
+            subscribers: Vec::new(),
+            paused: false,
+            windows: None,
+        };
+        for (shard, outcomes) in done {
+            let shard = shard as usize;
+            if shard < campaign.plan.count() && outcomes.len() == campaign.plan.range(shard).len() {
+                campaign.complete(shard, outcomes);
+            }
+        }
+        (campaign, submission)
+    }
+
+    fn finished(&self) -> bool {
+        matches!(self.phase, Phase::Finished(_))
+    }
+
+    fn lag(&self) -> usize {
+        self.subscribers
+            .iter()
+            .map(|s| self.prefix_instances.saturating_sub(s.sent))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Stores a shard's outcomes and advances the completed prefix; with the
+    /// last shard, moves every outcome into the campaign's result. Returns
+    /// whether the campaign finished.
+    fn complete(&mut self, shard: usize, outcomes: Outcomes) -> bool {
+        self.completed += outcomes.len();
+        self.shards[shard] = ShardSlot::Done(outcomes);
+        while self.prefix_shards < self.plan.count()
+            && matches!(self.shards[self.prefix_shards], ShardSlot::Done(_))
         {
+            self.prefix_instances = self.plan.range(self.prefix_shards).end;
+            self.prefix_shards += 1;
+        }
+        if self.completed < self.instances.len() {
+            return false;
+        }
+        let timed = self
+            .shards
+            .drain(..)
+            .flat_map(|slot| match slot {
+                ShardSlot::Done(outcomes) => outcomes,
+                _ => unreachable!("finishing with a shard not done"),
+            })
+            .collect();
+        let result = CampaignResult::build(&self.name, &self.instances, timed, self.key);
+        self.phase = Phase::Finished(result);
+        true
+    }
+
+    /// The `Outcome` payload of instance `pos` of the completed prefix.
+    fn line(&self, pos: usize) -> Vec<u8> {
+        let outcome = match &self.phase {
+            Phase::Finished(result) => &result.instances[pos].outcome,
+            _ => match &self.shards[pos / self.plan.shard_size()] {
+                ShardSlot::Done(outcomes) => &outcomes[pos % self.plan.shard_size()].0,
+                _ => unreachable!("emitting instance {pos} before its shard"),
+            },
+        };
+        let instance = &self.instances[pos];
+        let line = instance_jsonl_line(instance.index, &instance.labels, outcome, &self.key);
+        encode_outcome_line(instance.index as u64, &line)
+    }
+
+    /// Sends each subscriber, in instance order, the lines its connection
+    /// has credit for, then `Done` once the campaign is finished. Returns
+    /// how many lines went out.
+    fn pump(
+        &mut self,
+        conns: &mut BTreeMap<u64, usize>,
+        credit: usize,
+        out: &mut Vec<Effect>,
+    ) -> u64 {
+        let _span = vw_trace::span("serve.emit", vw_trace::Category::Serve);
+        let mut streamed = 0;
+        let mut subscribers = std::mem::take(&mut self.subscribers);
+        for sub in &mut subscribers {
+            let Some(spent) = conns.get_mut(&sub.conn) else {
+                continue;
+            };
+            while sub.sent < self.prefix_instances && *spent < credit {
+                let line = self.line(sub.sent);
+                out.push(Effect::send(sub.conn, FrameType::Outcome, sub.id, line));
+                *spent += 1;
+                sub.sent += 1;
+                streamed += 1;
+            }
+            if let Phase::Finished(result) = &self.phase {
+                if sub.sent == self.instances.len() && !sub.done_sent && *spent < credit {
+                    let total = self.instances.len() as u64;
+                    let summary = encode_outcome_line(total, &result.to_jsonl());
+                    out.push(Effect::send(sub.conn, FrameType::Done, sub.id, summary));
+                    *spent += 1;
+                    sub.done_sent = true;
+                }
+            }
+        }
+        self.subscribers = subscribers;
+        streamed
+    }
+}
+
+/// What a worker is running (stall detection, and where its outcomes go).
+struct RunningShard {
+    campaign: String,
+    shard: usize,
+    started_ns: u64,
+    stall_reported: bool,
+}
+
+/// One live telemetry subscription. Telemetry subscribers are tracked
+/// apart from campaign [`Subscriber`]s on purpose: they never enter
+/// `Campaign::lag()`, so a slow telemetry client *cannot* pause a sweep
+/// — its ticks are dropped (and counted) instead.
+struct TeleSub {
+    conn: u64,
+    id: u64,
+    /// Its interval already clamped.
+    sub: Subscribe,
+    next_due_ns: u64,
+    /// Next journal seq this subscriber has not yet received.
+    journal_cursor: u64,
+    /// The registry state as of the last *delivered* tick — the delta
+    /// baseline. Only committed on a send, so changes carried by a dropped
+    /// tick fold into the next delivered one.
+    last_sent: MetricsRegistry,
+    seq: u64,
+    dropped: u64,
+}
+
+/// Records `event` and hands its JSONL line to the log writer.
+fn note(journal: &mut Journal, event: JournalEvent, out: &mut Vec<Effect>) {
+    journal.record(event);
+    if let Some(entry) = journal.latest() {
+        out.push(Effect::JournalLine(entry.to_jsonl()));
+    }
+}
+
+/// A refused request's code and message.
+type Refusal = (ErrorCode, String);
+
+/// The campaign scheduler: all campaign, connection and telemetry state.
+pub(crate) struct Scheduler {
+    /// As clamped by [`Daemon::start`](crate::Daemon::start).
+    cfg: DaemonConfig,
+    campaigns: BTreeMap<String, Campaign>,
+    /// Dispatch resumes after this campaign name ("" before the first).
+    cursor: String,
+    /// Per worker, the shard it runs.
+    running: Vec<Option<RunningShard>>,
+    /// Per open connection, frames sent and not yet drained.
+    conns: BTreeMap<u64, usize>,
+    /// Shard records handed to the log writer and not yet durable.
+    unsynced: usize,
+    stopping: bool,
+    metrics: MetricsRegistry,
+    journal: Journal,
+    tele: Vec<TeleSub>,
+    /// Daemon-wide instance completions.
+    inst: RollingWindow,
+    /// Frames decoded off client connections.
+    frames: RollingWindow,
+    bytes_in: RollingWindow,
+    bytes_out: RollingWindow,
+}
+
+impl Scheduler {
+    pub(crate) fn new(cfg: DaemonConfig) -> Self {
+        let mut metrics = MetricsRegistry::new();
+        // Pre-register every counter so the stats surface is stable from
+        // boot — scrapers see zeros, not absent series.
+        for name in [
+            "serve.campaigns_submitted",
+            "serve.campaigns_completed",
+            "serve.campaigns_resumed",
+            "serve.shards_completed",
+            "serve.instances_completed",
+            "serve.lines_streamed",
+            "serve.quota_rejections",
+            "serve.backpressure_pauses",
+            "serve.bad_frames",
+            "serve.frames_decoded",
+            "serve.bytes_in",
+            "serve.bytes_out",
+            "serve.telemetry_ticks",
+            "serve.telemetry_dropped",
+            "serve.worker_stalls",
+        ] {
+            metrics.add_counter(name, 0);
+        }
+        Scheduler {
+            running: (0..cfg.workers).map(|_| None).collect(),
+            cfg,
+            campaigns: BTreeMap::new(),
+            cursor: String::new(),
+            conns: BTreeMap::new(),
+            unsynced: 0,
+            stopping: false,
+            metrics,
+            journal: Journal::new(JOURNAL_CAPACITY),
+            tele: Vec::new(),
+            inst: RollingWindow::new(WINDOW_CAPACITY),
+            frames: RollingWindow::new(WINDOW_CAPACITY),
+            bytes_in: RollingWindow::new(WINDOW_CAPACITY),
+            bytes_out: RollingWindow::new(WINDOW_CAPACITY),
+        }
+    }
+
+    /// Takes `input` at `now_ns` (nanoseconds since the daemon started) and
+    /// appends what it decided to `out`, in the order it must happen. Any
+    /// idle worker gets a shard before it returns.
+    pub(crate) fn handle(&mut self, now_ns: u64, input: Input, out: &mut Vec<Effect>) {
+        self.journal.set_now_ms(now_ns / 1_000_000);
+        match input {
+            Input::ConnOpened { conn, .. } => {
+                self.conns.insert(conn, 0);
+                self.note(JournalEvent::ConnAccepted { conn }, out);
+            }
+            Input::Read { bytes } => {
+                self.bytes_in.push(now_ns, bytes);
+                self.metrics.add_counter("serve.bytes_in", bytes);
+            }
+            Input::Request { conn, id, request } => {
+                self.frames.push(now_ns, 1);
+                self.metrics.add_counter("serve.frames_decoded", 1);
+                self.request(now_ns, conn, id, request, out);
+            }
+            Input::BadFrame { conn, detail } => {
+                self.metrics.add_counter("serve.bad_frames", 1);
+                self.refuse(conn, 0, (ErrorCode::BadFrame, detail.clone()), out);
+                self.note(JournalEvent::FrameError { conn, detail }, out);
+            }
+            Input::ConnClosed { conn } => {
+                // Campaigns keep running — results stay checkpointed and
+                // re-attachable.
+                if self.conns.remove(&conn).is_some() {
+                    for campaign in self.campaigns.values_mut() {
+                        campaign.subscribers.retain(|s| s.conn != conn);
+                    }
+                    self.tele.retain(|s| s.conn != conn);
+                    self.note(JournalEvent::ConnClosed { conn }, out);
+                    out.push(Effect::Close { conn });
+                }
+            }
+            Input::Drained {
+                conn,
+                frames,
+                bytes,
+            } => {
+                if let Some(spent) = self.conns.get_mut(&conn) {
+                    *spent = spent.saturating_sub(frames);
+                }
+                self.bytes_out.push(now_ns, bytes);
+                self.metrics.add_counter("serve.bytes_out", bytes);
+                let mut streamed = 0;
+                for campaign in self.campaigns.values_mut() {
+                    streamed += campaign.pump(&mut self.conns, self.cfg.outbox_frames, out);
+                }
+                self.metrics.add_counter("serve.lines_streamed", streamed);
+            }
+            Input::LogOpened { name, result } => self.log_opened(name, result, out),
+            Input::ShardRan {
+                worker,
+                outcomes,
+                metrics,
+                samples,
+            } => {
+                let run = self.running[worker]
+                    .take()
+                    .expect("a worker reports its shard");
+                self.metrics.merge_from(&metrics);
+                let campaign = self
+                    .campaigns
+                    .get_mut(&run.campaign)
+                    .expect("a running campaign");
+                let windows = campaign.windows.get_or_insert_with(|| CampWindows {
+                    inst: RollingWindow::new(WINDOW_CAPACITY),
+                    wall: RollingWindow::new(WINDOW_CAPACITY),
+                });
+                for &(t_ns, wall_ns) in &samples {
+                    self.inst.push(t_ns, 1);
+                    windows.inst.push(t_ns, 1);
+                    windows.wall.push(t_ns, wall_ns);
+                }
+                self.unsynced += 1;
+                out.push(Effect::Append(Record {
+                    name: run.campaign,
+                    shard: run.shard,
+                    outcomes,
+                    synced: false,
+                }));
+            }
+            Input::Durable { records } => {
+                for record in &records {
+                    self.unsynced -= 1;
+                    if record.synced {
+                        let campaign = record.name.clone();
+                        let shard = record.shard as u64;
+                        self.note(JournalEvent::CampaignCheckpointed { campaign, shard }, out);
+                    }
+                }
+                for record in records {
+                    // Announced: stream what it completes, finish on the
+                    // last shard.
+                    let campaign = self.campaigns.get_mut(&record.name).expect("running");
+                    let finished = campaign.complete(record.shard, record.outcomes);
+                    self.pump(&record.name, out);
+                    if finished {
+                        self.finished(record.name, out);
+                    }
+                }
+            }
+            Input::Resumed {
+                campaign,
+                shards,
+                complete,
+            } => {
+                let (campaign, _) = Campaign::new(campaign, 0, Phase::Running, shards);
+                let (name, finished) = (campaign.name.clone(), campaign.finished());
+                self.campaigns.insert(name.clone(), campaign);
+                self.metrics.add_counter("serve.campaigns_resumed", 1);
+                // A marker the log already holds is not written again.
+                if finished && !complete {
+                    self.finished(name, out);
+                }
+            }
+            Input::Metrics(text) => {
+                let _ = text.send(self.snapshot(now_ns, "").to_prometheus());
+            }
+            Input::Tick => self.tick(now_ns, out),
+            Input::Stop => self.stopping = true,
+        }
+        self.dispatch(now_ns, out);
+        if self.stopping && self.unsynced == 0 && self.running.iter().all(Option::is_none) {
+            out.push(Effect::Exit);
+        }
+    }
+
+    fn request(&mut self, now_ns: u64, conn: u64, id: u64, req: Request, out: &mut Vec<Effect>) {
+        match req {
+            Request::Submit(prepared) => {
+                if let Err(refusal) = self.admit(conn, &prepared, out) {
+                    return self.refuse(conn, id, refusal, out);
+                }
+                let phase = Phase::Opening { id };
+                let (campaign, submission) = Campaign::new(prepared, conn, phase, BTreeMap::new());
+                let name = campaign.name.clone();
+                self.campaigns.insert(name.clone(), campaign);
+                out.push(Effect::OpenLog { name, submission });
+            }
+            Request::Attach(name) => match self.campaigns.get(&name) {
+                Some(c) if !matches!(c.phase, Phase::Opening { .. }) => {
+                    let accepted = self.subscribe(conn, id, &name);
+                    self.send(conn, FrameType::Accepted, id, accepted, out);
+                    self.pump(&name, out);
+                }
+                _ => {
+                    let refusal = (ErrorCode::UnknownCampaign, format!("no campaign `{name}`"));
+                    self.refuse(conn, id, refusal, out);
+                }
+            },
+            Request::Stats => {
+                let text = encode_text(&self.snapshot(now_ns, "").to_prometheus());
+                self.send(conn, FrameType::StatsReply, id, text, out);
+            }
+            Request::Ping => self.send(conn, FrameType::Pong, id, Vec::new(), out),
+            Request::Subscribe(mut sub) => {
+                // The first delta (a full snapshot, since the baseline is
+                // empty) goes out on the next tick and doubles as the
+                // acknowledgement.
+                let floor = self.cfg.telemetry_min_interval_ms.min(60_000) as u32;
+                sub.interval_ms = sub.interval_ms.clamp(floor, 60_000);
+                self.tele.push(TeleSub {
+                    conn,
+                    id,
+                    sub,
+                    next_due_ns: now_ns,
+                    journal_cursor: 0,
+                    last_sent: MetricsRegistry::new(),
+                    seq: 0,
+                    dropped: 0,
+                });
+            }
+            Request::JournalQuery(query) => {
+                // 0 means "no limit", still bounded to keep the reply
+                // inside one frame.
+                let limit = match query.limit {
+                    0 => 4096,
+                    n => (n as usize).min(4096),
+                };
+                let entries = self
+                    .journal
+                    .query(query.since_seq, query.min_severity, limit);
+                let next_seq = self.journal.next_seq();
+                let first_seq = self.journal.first_seq();
+                let reply = JournalReply {
+                    next_seq,
+                    first_seq,
+                    entries,
+                };
+                self.send(conn, FrameType::JournalReply, id, reply.encode(), out);
+            }
+            Request::Refused(code, message) => self.refuse(conn, id, (code, message), out),
+        }
+    }
+
+    /// Queues a reply on `conn`, if it is still open, whatever its credit.
+    fn send(&mut self, conn: u64, kind: FrameType, id: u64, body: Vec<u8>, out: &mut Vec<Effect>) {
+        if let Some(spent) = self.conns.get_mut(&conn) {
+            *spent += 1;
+            out.push(Effect::send(conn, kind, id, body));
+        }
+    }
+
+    fn note(&mut self, event: JournalEvent, out: &mut Vec<Effect>) {
+        note(&mut self.journal, event, out);
+    }
+
+    fn refuse(&mut self, conn: u64, id: u64, (code, message): Refusal, out: &mut Vec<Effect>) {
+        self.send(
+            conn,
+            FrameType::Error,
+            id,
+            encode_error(code, &message),
+            out,
+        );
+    }
+
+    /// Whether a submission from `conn` may become a campaign: the quotas,
+    /// the name, and the daemon not stopping. A campaign still opening its
+    /// log holds its name and counts toward both quotas. A quota refusal is
+    /// counted and journalled.
+    fn admit(
+        &mut self,
+        conn: u64,
+        prepared: &Prepared,
+        out: &mut Vec<Effect>,
+    ) -> Result<(), Refusal> {
+        let quota = self.cfg.quota;
+        let name = &prepared.submission.campaign;
+        let total = prepared.instances.len();
+        let live = || self.campaigns.values().filter(|c| !c.finished());
+        let conn_active = live().filter(|c| c.conn == conn).count();
+        let (reason, message) = if total > quota.max_instances_per_campaign {
+            let max = quota.max_instances_per_campaign;
+            (
+                "max_instances_per_campaign",
+                format!("campaign enumerates {total} instances, quota is {max}"),
+            )
+        } else if self.stopping {
+            return Err((ErrorCode::ShuttingDown, "daemon is stopping".into()));
+        } else if self.campaigns.contains_key(name) {
             return Err((
                 ErrorCode::AlreadyExists,
-                format!("campaign `{}` already exists", submission.campaign),
+                format!("campaign `{name}` already exists"),
             ));
-        }
-        if inner.active >= self.cfg.quota.max_active_campaigns {
-            drop(inner);
-            self.bounce(&submission.campaign, "max_active_campaigns");
-            return Err((
-                ErrorCode::QuotaExceeded,
-                format!(
-                    "daemon already runs {} active campaigns",
-                    self.cfg.quota.max_active_campaigns
-                ),
-            ));
-        }
-        let conn_active = inner.per_conn.get(&conn).copied().unwrap_or(0);
-        if conn_active >= self.cfg.quota.max_campaigns_per_conn {
-            drop(inner);
-            self.bounce(&submission.campaign, "max_campaigns_per_conn");
-            return Err((
-                ErrorCode::QuotaExceeded,
-                format!(
-                    "connection already runs {conn_active} active campaigns (quota {})",
-                    self.cfg.quota.max_campaigns_per_conn
-                ),
-            ));
-        }
-        inner.reserved.insert(submission.campaign.clone());
-        inner.active += 1;
-        *inner.per_conn.entry(conn).or_insert(0) += 1;
-        drop(inner);
-
-        let log_path = self.cfg.state_dir.join(log_file_name(&submission.campaign));
-        let opened = CheckpointWriter::open(&log_path).and_then(|mut writer| {
-            writer.append_header(&submission)?;
-            Ok(writer)
-        });
-        let writer = match opened {
-            Ok(writer) => writer,
-            Err(e) => {
-                let mut inner = self.inner.lock().unwrap();
-                inner.reserved.remove(&submission.campaign);
-                inner.release(conn);
-                return Err((ErrorCode::Internal, format!("checkpoint log: {e}")));
-            }
+        } else if live().count() >= quota.max_active_campaigns {
+            let max = quota.max_active_campaigns;
+            (
+                "max_active_campaigns",
+                format!("daemon already runs {max} active campaigns"),
+            )
+        } else if conn_active >= quota.max_campaigns_per_conn {
+            let max = quota.max_campaigns_per_conn;
+            let message =
+                format!("connection already runs {conn_active} active campaigns (quota {max})");
+            ("max_campaigns_per_conn", message)
+        } else {
+            return Ok(());
         };
-
-        // At least one shard: `enumerate` refuses an empty axis.
-        let mut campaign =
-            Campaign::from_submission(&submission, instances, setup, writer, BTreeMap::new());
-        let accepted = Accepted {
-            campaign: submission.campaign.clone(),
-            total: campaign.instances.len() as u64,
-            shards: campaign.plan.count() as u64,
-            already_done: 0,
-        };
-        let frame = Frame::new(FrameType::Accepted, request_id, accepted.encode()).encode();
-        campaign.conn = conn;
-        campaign.subscribers.push(Subscriber {
-            outbox: Arc::clone(outbox),
-            request_id,
-            sent: 0,
-            done_sent: false,
-        });
-        self.count("serve.campaigns_submitted", 1);
-        self.journal.record(JournalEvent::CampaignSubmitted {
-            campaign: submission.campaign.clone(),
-            total: accepted.total,
-        });
-
-        // Accepted goes into the outbox under the scheduler lock that
-        // publishes the campaign, ahead of any outcome line a worker could
-        // pump afterwards.
-        let mut inner = self.inner.lock().unwrap();
-        let _ = outbox.try_push(frame);
-        inner.reserved.remove(&submission.campaign);
-        inner.campaigns.insert(submission.campaign, campaign);
-        drop(inner);
-        self.work_cv.notify_all();
-        Ok(accepted)
+        self.metrics.add_counter("serve.quota_rejections", 1);
+        let (campaign, reason) = (name.clone(), reason.to_string());
+        self.note(JournalEvent::QuotaBounced { campaign, reason }, out);
+        Err((ErrorCode::QuotaExceeded, message))
     }
 
-    /// Counts and journals a quota rejection.
-    fn bounce(&self, campaign: &str, reason: &str) {
-        self.count("serve.quota_rejections", 1);
-        self.journal.record(JournalEvent::QuotaBounced {
-            campaign: campaign.to_string(),
-            reason: reason.to_string(),
-        });
+    /// A new campaign's header is durable: it is accepted, and its
+    /// submitter subscribed, before any outcome can be emitted. If the
+    /// log could not be written, the name and the quota slots are free
+    /// again.
+    fn log_opened(&mut self, name: String, result: Result<(), String>, out: &mut Vec<Effect>) {
+        let campaign = self.campaigns.get_mut(&name).expect("an opening campaign");
+        let (Phase::Opening { id }, conn) = (&campaign.phase, campaign.conn) else {
+            unreachable!("a log opens once");
+        };
+        let id = *id;
+        if let Err(e) = result {
+            self.campaigns.remove(&name);
+            let refusal = (ErrorCode::Internal, format!("checkpoint log: {e}"));
+            return self.refuse(conn, id, refusal, out);
+        }
+        campaign.phase = Phase::Running;
+        let total = campaign.instances.len() as u64;
+        let accepted = self.subscribe(conn, id, &name);
+        self.metrics.add_counter("serve.campaigns_submitted", 1);
+        self.note(
+            JournalEvent::CampaignSubmitted {
+                campaign: name,
+                total,
+            },
+            out,
+        );
+        self.send(conn, FrameType::Accepted, id, accepted, out);
     }
 
-    /// Subscribes `outbox` to a named campaign, re-streaming it from
-    /// instance 0 — the recovery path after a reconnect or daemon
-    /// restart.
-    pub(crate) fn attach(
-        &self,
-        name: &str,
-        outbox: &Arc<Outbox>,
-        request_id: u64,
-    ) -> Result<Accepted, (ErrorCode, String)> {
-        let mut inner = self.inner.lock().unwrap();
-        let campaign = inner
-            .campaigns
-            .get_mut(name)
-            .ok_or_else(|| (ErrorCode::UnknownCampaign, format!("no campaign `{name}`")))?;
+    /// Subscribes `conn`, if it is still open, to the campaign `name` from
+    /// instance 0 — also the recovery path after a reconnect or a restart;
+    /// returns the `Accepted` payload that answers request `id`.
+    fn subscribe(&mut self, conn: u64, id: u64, name: &str) -> Vec<u8> {
+        let campaign = self.campaigns.get_mut(name).expect("a known campaign");
+        if self.conns.contains_key(&conn) {
+            campaign.subscribers.push(Subscriber {
+                conn,
+                id,
+                sent: 0,
+                done_sent: false,
+            });
+        }
         let accepted = Accepted {
             campaign: name.to_string(),
             total: campaign.instances.len() as u64,
             shards: campaign.plan.count() as u64,
             already_done: campaign.prefix_instances as u64,
         };
-        let frame = Frame::new(FrameType::Accepted, request_id, accepted.encode());
-        let _ = outbox.try_push(frame.encode());
-        campaign.subscribers.push(Subscriber {
-            outbox: Arc::clone(outbox),
-            request_id,
-            sent: 0,
-            done_sent: false,
-        });
-        Self::pump_campaign(campaign, &self.metrics);
-        drop(inner);
-        self.work_cv.notify_all();
-        Ok(accepted)
+        accepted.encode()
     }
 
-    /// Replays every checkpoint log under the state directory, rebuilding
-    /// campaign state so unfinished sweeps continue and finished ones
-    /// stay attachable. Returns how many campaigns were restored.
-    pub(crate) fn resume_from_state_dir(&self) -> io::Result<usize> {
-        let mut restored = 0;
-        let entries = match std::fs::read_dir(&self.cfg.state_dir) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e),
-        };
-        for entry in entries {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("vwlog") {
-                continue;
-            }
-            let contents = read_log(&path)?;
-            if self.resume_one(&path, contents) {
-                restored += 1;
-            }
-        }
-        if restored > 0 {
-            self.work_cv.notify_all();
-        }
-        Ok(restored)
+    /// Streams what campaign `name` has for its subscribers' credit.
+    fn pump(&mut self, name: &str, out: &mut Vec<Effect>) {
+        let campaign = self.campaigns.get_mut(name).expect("a known campaign");
+        let streamed = campaign.pump(&mut self.conns, self.cfg.outbox_frames, out);
+        self.metrics.add_counter("serve.lines_streamed", streamed);
     }
 
-    fn resume_one(&self, path: &Path, contents: LogContents) -> bool {
-        let Some(submission) = contents.submission else {
-            return false;
-        };
-        let Some(setup) = self.registry.get(&submission.setup) else {
-            eprintln!(
-                "vw-serve: skipping resume of `{}`: setup `{}` is not registered",
-                submission.campaign, submission.setup
-            );
-            return false;
-        };
-        let Ok(instances) = enumerate(&submission) else {
-            return false;
-        };
-        let Ok(writer) = CheckpointWriter::reopen(path, contents.valid_len) else {
-            return false;
-        };
-        let mut campaign =
-            Campaign::from_submission(&submission, instances, setup, writer, contents.shards);
-        let mut inner = self.inner.lock().unwrap();
-        if inner.campaigns.contains_key(&campaign.name) {
-            return false;
-        }
-        if campaign.completed_shards == campaign.plan.count() {
-            // Fully executed; rebuild the summary without queueing the
-            // completion marker the log may already hold.
-            self.finalize(&mut campaign, contents.complete);
-        } else {
-            inner.active += 1;
-        }
-        self.count("serve.campaigns_resumed", 1);
-        inner.campaigns.insert(campaign.name.clone(), campaign);
-        true
+    /// Writes the completion marker of a campaign that just finished (after
+    /// its `Done` went out: a crash in between only makes the restart
+    /// finish it again), and counts and journals it.
+    fn finished(&mut self, name: String, out: &mut Vec<Effect>) {
+        out.push(Effect::Complete { name: name.clone() });
+        self.metrics.add_counter("serve.campaigns_completed", 1);
+        self.note(JournalEvent::CampaignDone { campaign: name }, out);
     }
 
-    /// One worker thread's life: pick a shard fairly, run it, hand it to
-    /// the log writer, repeat until shutdown. `worker_id` identifies this
-    /// worker in utilization gauges and stall reports.
-    ///
-    /// On one CPU a woken thread does not run until the running one blocks
-    /// or its slice ends, so a worker that kept computing would hold every
-    /// finished shard back from the disk and the client for milliseconds.
-    /// It yields once when it hands a shard over and once after each
-    /// instance while a shard is handed over and not yet announced; with a
-    /// CPU to spare the yield returns at once.
-    pub(crate) fn worker_loop(&self, worker_id: u64) {
-        loop {
-            let Some(job) = self.next_job() else {
-                self.log.lock().unwrap().workers_live -= 1;
-                self.log_cv.notify_one();
+    /// Gives every idle worker a shard while there is one to give.
+    fn dispatch(&mut self, now_ns: u64, out: &mut Vec<Effect>) {
+        while !self.stopping {
+            let Some(worker) = self.running.iter().position(Option::is_none) else {
                 return;
             };
-            let _span = vw_trace::span("serve.shard", vw_trace::Category::Serve);
-            let started = Instant::now();
-            {
-                let mut tele = self.tele.lock().unwrap();
-                tele.workers_busy += 1;
-                tele.running.insert(
-                    worker_id,
-                    RunningShard {
-                        campaign: job.name.clone(),
-                        started,
-                        stall_reported: false,
-                    },
-                );
-            }
-            // Shard-grain metrics accumulate in a worker-local registry
-            // and fold into the shared one once per shard, so the
-            // per-instance observer only touches the telemetry lock.
-            let mut local = MetricsRegistry::new();
-            let outcomes = run_shard_observed(
-                &job.instances[job.range.clone()],
-                &job.setup,
-                job.deadline,
-                |_outcome, wall_ns| {
-                    local.observe("serve.instance_wall_us", wall_ns / 1_000);
-                    let now = self.now_ns();
-                    let mut tele = self.tele.lock().unwrap();
-                    tele.inst.push(now, 1);
-                    let camp = tele
-                        .camp
-                        .entry(job.name.clone())
-                        .or_insert_with(CampWindows::new);
-                    camp.inst.push(now, 1);
-                    camp.wall.push(now, wall_ns);
-                    drop(tele);
-                    if self.unannounced.load(Ordering::Relaxed) > 0 {
-                        std::thread::yield_now();
-                    }
-                },
-            );
-            let shard_wall = started.elapsed();
-            local.add_counter("serve.shards_completed", 1);
-            local.add_counter("serve.instances_completed", outcomes.len() as u64);
-            local.observe(
-                "serve.shard_wall_us",
-                u64::try_from(shard_wall.as_micros()).unwrap_or(u64::MAX),
-            );
-            self.metrics.lock().unwrap().merge_from(&local);
-            {
-                let mut tele = self.tele.lock().unwrap();
-                tele.workers_busy -= 1;
-                tele.running.remove(&worker_id);
-            }
-            self.unannounced.fetch_add(1, Ordering::Relaxed);
-            self.log.lock().unwrap().jobs.push(LogJob {
-                name: job.name,
-                checkpoint: job.checkpoint,
-                shard: Some((job.shard, outcomes)),
-            });
-            self.log_cv.notify_one();
-            std::thread::yield_now();
-        }
-    }
-
-    /// The log writer thread's life, and the only place a checkpoint log
-    /// is written after its header: take everything queued, write it,
-    /// sync each log once, then announce the shards. A write or sync that
-    /// fails is reported and the shard announced all the same (the
-    /// campaign completes, a restart re-runs what the log lacks). Returns
-    /// when every worker has exited and the queue is empty.
-    pub(crate) fn log_writer_loop(&self) {
-        loop {
-            let mut batch = {
-                let mut log = self.log.lock().unwrap();
-                while log.jobs.is_empty() && log.workers_live > 0 {
-                    log = self.log_cv.wait(log).unwrap();
-                }
-                std::mem::take(&mut log.jobs)
-            };
-            if batch.is_empty() {
+            let Some(name) = self.pick(out) else {
                 return;
-            }
-            // Records of one log side by side, still in hand-over order.
-            batch.sort_by_key(|job| Arc::as_ptr(&job.checkpoint));
-            for group in batch.chunk_by(|a, b| Arc::ptr_eq(&a.checkpoint, &b.checkpoint)) {
-                let mut writer = group[0].checkpoint.lock().unwrap();
-                let written = group.iter().try_for_each(|job| match &job.shard {
-                    Some((shard, outcomes)) => writer.write_shard(*shard as u64, outcomes),
-                    None => writer.write_complete(),
-                });
-                let synced = writer.sync();
-                if let Err(e) = written.and(synced) {
-                    let name = &group[0].name;
-                    eprintln!("vw-serve: checkpoint append failed for `{name}`: {e}");
-                    continue;
-                }
-                for job in group {
-                    if let Some((shard, _)) = &job.shard {
-                        self.journal.record(JournalEvent::CampaignCheckpointed {
-                            campaign: job.name.clone(),
-                            shard: *shard as u64,
-                        });
-                    }
-                }
-            }
-            for job in batch {
-                if let Some((shard, outcomes)) = job.shard {
-                    self.complete_shard(&job.name, shard, outcomes);
-                    self.unannounced.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    fn next_job(&self) -> Option<Job> {
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if inner.shutdown {
-                return None;
-            }
-            if let Some(job) = self.pick_locked(&mut inner) {
-                return Some(job);
-            }
-            inner = self
-                .work_cv
-                .wait_timeout(inner, Duration::from_millis(100))
-                .unwrap()
-                .0;
-        }
-    }
-
-    fn pick_locked(&self, inner: &mut Inner) -> Option<Job> {
-        let names: Vec<String> = inner.campaigns.keys().cloned().collect();
-        if names.is_empty() {
-            return None;
-        }
-        let start = match &inner.cursor {
-            Some(cursor) => names.iter().position(|n| n > cursor).unwrap_or(0),
-            None => 0,
-        };
-        for i in 0..names.len() {
-            let name = &names[(start + i) % names.len()];
-            let max_unsent = self.cfg.max_unsent_instances;
-            let campaign = inner.campaigns.get_mut(name).unwrap();
-            if campaign.finished || !campaign.has_pending() {
-                continue;
-            }
-            if campaign.lag() > max_unsent {
-                // Backpressure: a subscriber is too far behind; leave
-                // the campaign's remaining shards for later.
-                if !campaign.paused {
-                    campaign.paused = true;
-                    self.metrics
-                        .lock()
-                        .unwrap()
-                        .add_counter("serve.backpressure_pauses", 1);
-                    self.journal.record(JournalEvent::CampaignPaused {
-                        campaign: campaign.name.clone(),
-                    });
-                }
-                continue;
-            }
-            if campaign.paused {
-                campaign.paused = false;
-                self.journal.record(JournalEvent::CampaignResumed {
-                    campaign: campaign.name.clone(),
-                });
-            }
+            };
+            let campaign = self.campaigns.get_mut(&name).expect("a picked campaign");
             let shard = campaign
                 .shards
                 .iter()
-                .position(|s| matches!(s, ShardSlot::Pending))
-                .unwrap();
+                .position(|s| matches!(s, ShardSlot::Pending));
+            let shard = shard.expect("a picked campaign has a pending shard");
             campaign.shards[shard] = ShardSlot::Running;
             let job = Job {
-                name: campaign.name.clone(),
-                shard,
                 instances: Arc::clone(&campaign.instances),
                 range: campaign.plan.range(shard),
                 setup: campaign.setup.clone(),
                 deadline: campaign.deadline,
-                checkpoint: Arc::clone(&campaign.checkpoint),
             };
-            inner.cursor = Some(job.name.clone());
-            return Some(job);
-        }
-        None
-    }
-
-    fn complete_shard(&self, name: &str, shard: usize, outcomes: Vec<(InstanceOutcome, u64)>) {
-        let mut inner = self.inner.lock().unwrap();
-        let Some(campaign) = inner.campaigns.get_mut(name) else {
-            return;
-        };
-        campaign.shards[shard] = ShardSlot::Done(outcomes);
-        campaign.completed_shards += 1;
-        Self::advance_prefix(campaign);
-        Self::pump_campaign(campaign, &self.metrics);
-        if campaign.completed_shards == campaign.plan.count() && !campaign.finished {
-            self.finalize(campaign, false);
-            let conn = campaign.conn;
-            inner.release(conn);
-        }
-        drop(inner);
-        self.work_cv.notify_all();
-    }
-
-    fn advance_prefix(campaign: &mut Campaign) {
-        while campaign.prefix_shards < campaign.plan.count()
-            && matches!(campaign.shards[campaign.prefix_shards], ShardSlot::Done(_))
-        {
-            campaign.prefix_instances = campaign.plan.range(campaign.prefix_shards).end;
-            campaign.prefix_shards += 1;
-        }
-    }
-
-    /// Renders the summary of a campaign whose shards are all done, marks
-    /// it finished and queues `Done`. The completion marker is handed to
-    /// the log writer, and the completion counted and journalled, unless
-    /// the log already holds the marker (`marker_on_disk`: a campaign that
-    /// finished before the daemon restarted). The marker reaches the disk
-    /// after `Done` is queued: a crash in between only makes the restart
-    /// finalize again.
-    fn finalize(&self, campaign: &mut Campaign, marker_on_disk: bool) {
-        let mut timed = Vec::with_capacity(campaign.instances.len());
-        for slot in &campaign.shards {
-            match slot {
-                ShardSlot::Done(outcomes) => timed.extend(outcomes.iter().cloned()),
-                _ => unreachable!("finalize with incomplete shards"),
-            }
-        }
-        let result =
-            CampaignResult::build(&campaign.name, &campaign.instances, timed, campaign.key);
-        campaign.summary = Some(result.to_jsonl());
-        campaign.finished = true;
-        if !marker_on_disk {
-            self.log.lock().unwrap().jobs.push(LogJob {
-                name: campaign.name.clone(),
-                checkpoint: Arc::clone(&campaign.checkpoint),
-                shard: None,
+            out.push(Effect::Run { worker, job });
+            let (campaign, started_ns, stall_reported) = (name.clone(), now_ns, false);
+            self.running[worker] = Some(RunningShard {
+                campaign,
+                shard,
+                started_ns,
+                stall_reported,
             });
-            self.log_cv.notify_one();
-            self.count("serve.campaigns_completed", 1);
-            self.journal.record(JournalEvent::CampaignDone {
-                campaign: campaign.name.clone(),
-            });
+            self.cursor = name;
         }
-        Self::pump_campaign(campaign, &self.metrics);
     }
 
-    /// Pushes every emittable line (and the final `Done`) to each
-    /// subscriber, stopping per-subscriber at a full outbox and dropping
-    /// subscribers whose connection is gone.
-    fn pump_campaign(campaign: &mut Campaign, metrics: &Mutex<MetricsRegistry>) {
-        let _span = vw_trace::span("serve.emit", vw_trace::Category::Serve);
-        let mut streamed = 0u64;
-        let mut closed: Vec<usize> = Vec::new();
-        // Disjoint field borrows: subscribers mutably, result state
-        // immutably.
-        let Campaign {
-            subscribers,
-            instances,
-            plan,
-            shards,
-            key,
-            prefix_instances,
-            finished,
-            summary,
+    /// The first campaign after the cursor, round the names in order, that
+    /// has a shard to run and no subscriber too far behind. One it skips for
+    /// its lag is paused; the one it picks is paused no longer.
+    fn pick(&mut self, out: &mut Vec<Effect>) -> Option<String> {
+        let Scheduler {
+            cfg,
+            campaigns,
+            cursor,
+            metrics,
+            journal,
             ..
-        } = campaign;
-        let outcome_at = |pos: usize| -> &(InstanceOutcome, u64) {
-            let shard = pos / plan.shard_size();
-            let offset = pos - plan.range(shard).start;
-            match &shards[shard] {
-                ShardSlot::Done(outcomes) => &outcomes[offset],
-                _ => unreachable!("emitting instance {pos} before shard {shard} completed"),
+        } = self;
+        let mut ready = |name: &String, c: &mut Campaign| {
+            let pending = c.shards.iter().any(|s| matches!(s, ShardSlot::Pending));
+            if !matches!(c.phase, Phase::Running) || !pending {
+                return None;
             }
+            let campaign = name.clone();
+            if c.lag() > cfg.max_unsent_instances {
+                // Backpressure: a subscriber is too far behind; leave the
+                // campaign's remaining shards for later.
+                if !c.paused {
+                    c.paused = true;
+                    metrics.add_counter("serve.backpressure_pauses", 1);
+                    note(journal, JournalEvent::CampaignPaused { campaign }, out);
+                }
+                return None;
+            }
+            if c.paused {
+                c.paused = false;
+                note(journal, JournalEvent::CampaignResumed { campaign }, out);
+            }
+            Some(name.clone())
         };
-        for (i, sub) in subscribers.iter_mut().enumerate() {
-            'emit: while sub.sent < *prefix_instances {
-                let pos = sub.sent;
-                let (outcome, _wall_ns) = outcome_at(pos);
-                let instance = &instances[pos];
-                let line = instance_jsonl_line(instance.index, &instance.labels, outcome, key);
-                let frame = Frame::new(
-                    FrameType::Outcome,
-                    sub.request_id,
-                    encode_outcome_line(instance.index as u64, &line),
-                );
-                match sub.outbox.try_push(frame.encode()) {
-                    Push::Ok => {
-                        sub.sent += 1;
-                        streamed += 1;
-                    }
-                    Push::Full => break 'emit,
-                    Push::Closed => {
-                        closed.push(i);
-                        break 'emit;
-                    }
-                }
-            }
-            if *finished && sub.sent == instances.len() && !sub.done_sent && !closed.contains(&i) {
-                let summary = summary.clone().unwrap_or_default();
-                let frame = Frame::new(
-                    FrameType::Done,
-                    sub.request_id,
-                    crate::payload::encode_outcome_line(instances.len() as u64, &summary),
-                );
-                match sub.outbox.try_push(frame.encode()) {
-                    Push::Ok => sub.done_sent = true,
-                    Push::Full => {}
-                    Push::Closed => closed.push(i),
-                }
-            }
-        }
-        for &i in closed.iter().rev() {
-            subscribers.remove(i);
-        }
-        if streamed > 0 {
-            metrics
-                .lock()
-                .unwrap()
-                .add_counter("serve.lines_streamed", streamed);
-        }
+        let after = (Bound::Excluded(cursor.as_str()), Bound::Unbounded);
+        let up_to = (Bound::Unbounded, Bound::Included(cursor.as_str()));
+        let picked = campaigns
+            .range_mut::<str, _>(after)
+            .find_map(|(n, c)| ready(n, c));
+        picked.or_else(|| {
+            campaigns
+                .range_mut::<str, _>(up_to)
+                .find_map(|(n, c)| ready(n, c))
+        })
     }
 
-    /// Called by connection writer threads after writing a batch:
-    /// re-pump emission (outboxes have room again) and wake workers
-    /// (a paused campaign may be dispatchable again).
-    pub(crate) fn on_drain(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        for campaign in inner.campaigns.values_mut() {
-            if campaign.subscribers.is_empty() {
+    /// One telemetry pass: stall detection, then a delta to every due
+    /// subscriber. A subscriber without credit has its tick *dropped*
+    /// (counted, baseline uncommitted) — telemetry can never stall a sweep
+    /// the way a slow campaign subscriber deliberately does.
+    fn tick(&mut self, now_ns: u64, out: &mut Vec<Effect>) {
+        let threshold_ns = self.cfg.stall_warn_ms.saturating_mul(1_000_000);
+        for (worker, run) in self.running.iter_mut().enumerate() {
+            let Some(run) = run else { continue };
+            let running_ns = now_ns.saturating_sub(run.started_ns);
+            if running_ns >= threshold_ns && !run.stall_reported {
+                run.stall_reported = true;
+                self.metrics.add_counter("serve.worker_stalls", 1);
+                let event = JournalEvent::WorkerStalled {
+                    worker: worker as u64,
+                    campaign: run.campaign.clone(),
+                    running_ms: running_ns / 1_000_000,
+                };
+                note(&mut self.journal, event, out);
+            }
+        }
+
+        // One snapshot per distinct campaign filter, shared by the due
+        // subscribers using it.
+        let mut snaps: BTreeMap<String, MetricsRegistry> = BTreeMap::new();
+        for tele in self.tele.iter().filter(|s| s.next_due_ns <= now_ns) {
+            let filter = &tele.sub.campaign;
+            if !snaps.contains_key(filter) {
+                snaps.insert(filter.clone(), self.snapshot(now_ns, filter));
+            }
+        }
+        let (mut delivered, mut dropped) = (0, 0);
+        for tele in self.tele.iter_mut().filter(|s| s.next_due_ns <= now_ns) {
+            tele.next_due_ns = now_ns + u64::from(tele.sub.interval_ms) * 1_000_000;
+            let snap = &snaps[tele.sub.campaign.as_str()];
+            let Some(spent) = self.conns.get_mut(&tele.conn) else {
+                continue;
+            };
+            if *spent >= self.cfg.outbox_frames {
+                tele.dropped += 1;
+                dropped += 1;
                 continue;
             }
-            Self::pump_campaign(campaign, &self.metrics);
-        }
-        drop(inner);
-        self.work_cv.notify_all();
-    }
-
-    /// Renders the daemon metrics in Prometheus text format, refreshing
-    /// the live gauges first.
-    pub(crate) fn prometheus(&self) -> String {
-        self.build_snapshot(None).to_prometheus()
-    }
-
-    /// A coherent point-in-time registry: the shared counters plus
-    /// freshly computed gauges (campaign facts, window rates, worker
-    /// utilization, build info). `filter` restricts the per-campaign
-    /// series to one campaign; daemon-wide series always appear.
-    ///
-    /// Locks are taken strictly one at a time — `inner`, then `metrics`,
-    /// then `tele` — never nested, so this can run on any thread.
-    fn build_snapshot(&self, filter: Option<&str>) -> MetricsRegistry {
-        let inner = self.inner.lock().unwrap();
-        let active = inner.active;
-        let paused = inner.campaigns.values().filter(|c| c.paused).count();
-        let subscribers: usize = inner.campaigns.values().map(|c| c.subscribers.len()).sum();
-        let known = inner.campaigns.len();
-        let facts: Vec<CampaignFact> = inner
-            .campaigns
-            .values()
-            .filter(|c| filter.is_none_or(|f| c.name == f))
-            .map(|c| CampaignFact {
-                name: c.name.clone(),
-                total: c.instances.len(),
-                done_instances: c
-                    .shards
-                    .iter()
-                    .map(|s| match s {
-                        ShardSlot::Done(outcomes) => outcomes.len(),
-                        _ => 0,
-                    })
-                    .sum(),
-                state: if c.finished {
-                    2
-                } else if c.paused {
-                    1
-                } else {
-                    0
+            let (since, floor) = (tele.journal_cursor, tele.sub.journal_min_severity);
+            let journal = self.journal.query(since, floor, JOURNAL_BATCH);
+            if let Some(last) = journal.last() {
+                tele.journal_cursor = last.seq + 1;
+            }
+            let payload = TelemetryDelta {
+                seq: tele.seq,
+                dropped: tele.dropped,
+                journal,
+                delta: snap.encode_delta_from(&tele.last_sent),
+                prometheus: match tele.sub.prometheus_text {
+                    true => snap.to_prometheus(),
+                    false => String::new(),
                 },
-                subscribers: c.subscribers.len(),
-            })
-            .collect();
-        drop(inner);
+            };
+            let kind = FrameType::TelemetryDelta;
+            out.push(Effect::send(tele.conn, kind, tele.id, payload.encode()));
+            *spent += 1;
+            tele.last_sent = snap.clone();
+            tele.seq += 1;
+            delivered += 1;
+        }
+        self.metrics.add_counter("serve.telemetry_ticks", delivered);
+        self.metrics.add_counter("serve.telemetry_dropped", dropped);
+    }
 
-        let mut snap = self.metrics.lock().unwrap().clone();
-
-        snap.set_gauge("serve.active_campaigns", active as i64);
-        snap.set_gauge("serve.paused_campaigns", paused as i64);
-        snap.set_gauge("serve.subscribers", subscribers as i64);
-        snap.set_gauge("serve.known_campaigns", known as i64);
-        snap.set_gauge(
-            "vw.uptime_seconds",
-            i64::try_from(self.started.elapsed().as_secs()).unwrap_or(i64::MAX),
-        );
-        snap.set_gauge(
-            &labeled_key("vw.build_info", &[("version", env!("CARGO_PKG_VERSION"))]),
-            1,
-        );
-
-        let now = self.now_ns();
-        let tele = self.tele.lock().unwrap();
-        snap.set_gauge("serve.workers", tele.workers_total);
-        snap.set_gauge("serve.workers_busy", tele.workers_busy);
-        snap.set_gauge("serve.telemetry_subscribers", tele.subs.len() as i64);
+    /// A point-in-time registry: the counters plus freshly computed gauges
+    /// (campaign facts, window rates, worker utilization, build info).
+    /// `filter` restricts the per-campaign series to one campaign ("" for
+    /// all); daemon-wide series always appear.
+    fn snapshot(&self, now_ns: u64, filter: &str) -> MetricsRegistry {
+        let mut snap = self.metrics.clone();
+        let campaigns = self.campaigns.values();
         // Rates are gauges in milli-units (f64 rate × 1000, truncated):
         // the registry is integer-only and inst/sec under 1.0 matters.
-        snap.set_gauge(
-            "serve.inst_per_sec_milli",
-            (tele.inst.rate_per_sec(now, WINDOW_HORIZON_NS) * 1000.0) as i64,
-        );
-        snap.set_gauge(
-            "serve.frames_per_sec_milli",
-            (tele.frames.rate_per_sec(now, WINDOW_HORIZON_NS) * 1000.0) as i64,
-        );
-        snap.set_gauge(
-            "serve.bytes_in_per_sec",
-            tele.bytes_in.rate_per_sec(now, WINDOW_HORIZON_NS) as i64,
-        );
-        snap.set_gauge(
-            "serve.bytes_out_per_sec",
-            tele.bytes_out.rate_per_sec(now, WINDOW_HORIZON_NS) as i64,
-        );
-        for fact in &facts {
-            let labels = [("campaign", fact.name.as_str())];
-            snap.set_gauge(
-                &labeled_key("serve.campaign.total", &labels),
-                fact.total as i64,
-            );
-            snap.set_gauge(
-                &labeled_key("serve.campaign.completed", &labels),
-                fact.done_instances as i64,
-            );
-            snap.set_gauge(&labeled_key("serve.campaign.state", &labels), fact.state);
-            snap.set_gauge(
-                &labeled_key("serve.campaign.subscribers", &labels),
-                fact.subscribers as i64,
-            );
-            if let Some(windows) = tele.camp.get(&fact.name) {
-                snap.set_gauge(
-                    &labeled_key("serve.campaign.inst_per_sec_milli", &labels),
-                    (windows.inst.rate_per_sec(now, WINDOW_HORIZON_NS) * 1000.0) as i64,
-                );
-                if let Some(p50) = windows.wall.percentile(now, WINDOW_HORIZON_NS, 50.0) {
-                    snap.set_gauge(
-                        &labeled_key("serve.campaign.wall_p50_ns", &labels),
-                        i64::try_from(p50).unwrap_or(i64::MAX),
-                    );
+        let rate = |w: &RollingWindow| w.rate_per_sec(now_ns, WINDOW_HORIZON_NS);
+        let version = labeled_key("vw.build_info", &[("version", env!("CARGO_PKG_VERSION"))]);
+        for (name, value) in [
+            (
+                "serve.active_campaigns",
+                campaigns.clone().filter(|c| !c.finished()).count() as i64,
+            ),
+            (
+                "serve.paused_campaigns",
+                campaigns.clone().filter(|c| c.paused).count() as i64,
+            ),
+            (
+                "serve.subscribers",
+                campaigns
+                    .clone()
+                    .map(|c| c.subscribers.len())
+                    .sum::<usize>() as i64,
+            ),
+            ("serve.known_campaigns", self.campaigns.len() as i64),
+            ("vw.uptime_seconds", (now_ns / 1_000_000_000) as i64),
+            (&version, 1),
+            ("serve.workers", self.running.len() as i64),
+            (
+                "serve.workers_busy",
+                self.running.iter().flatten().count() as i64,
+            ),
+            ("serve.telemetry_subscribers", self.tele.len() as i64),
+            (
+                "serve.inst_per_sec_milli",
+                (rate(&self.inst) * 1000.0) as i64,
+            ),
+            (
+                "serve.frames_per_sec_milli",
+                (rate(&self.frames) * 1000.0) as i64,
+            ),
+            ("serve.bytes_in_per_sec", rate(&self.bytes_in) as i64),
+            ("serve.bytes_out_per_sec", rate(&self.bytes_out) as i64),
+        ] {
+            snap.set_gauge(name, value);
+        }
+        for c in campaigns.filter(|c| filter.is_empty() || c.name == filter) {
+            let state = if c.finished() { 2 } else { i64::from(c.paused) };
+            let mut gauges = vec![
+                ("serve.campaign.total", c.instances.len() as i64),
+                ("serve.campaign.completed", c.completed as i64),
+                ("serve.campaign.state", state),
+                ("serve.campaign.subscribers", c.subscribers.len() as i64),
+            ];
+            if let Some(windows) = &c.windows {
+                let milli = (rate(&windows.inst) * 1000.0) as i64;
+                gauges.push(("serve.campaign.inst_per_sec_milli", milli));
+                let percentile = |p| windows.wall.percentile(now_ns, WINDOW_HORIZON_NS, p);
+                if let Some(p50) = percentile(50.0) {
+                    gauges.push(("serve.campaign.wall_p50_ns", p50 as i64));
                 }
-                if let Some(p99) = windows.wall.percentile(now, WINDOW_HORIZON_NS, 99.0) {
-                    snap.set_gauge(
-                        &labeled_key("serve.campaign.wall_p99_ns", &labels),
-                        i64::try_from(p99).unwrap_or(i64::MAX),
-                    );
+                if let Some(p99) = percentile(99.0) {
+                    gauges.push(("serve.campaign.wall_p99_ns", p99 as i64));
                 }
+            }
+            for (name, value) in gauges {
+                snap.set_gauge(&labeled_key(name, &[("campaign", c.name.as_str())]), value);
             }
         }
         snap
     }
+}
 
-    /// Registers a live telemetry subscription on `outbox`. The first
-    /// delta (a full snapshot, since the baseline is empty) arrives on
-    /// the next ticker pass and doubles as the acknowledgement.
-    pub(crate) fn subscribe(&self, sub: Subscribe, outbox: &Arc<Outbox>, request_id: u64) {
-        let interval_ms =
-            u64::from(sub.interval_ms).clamp(self.cfg.telemetry_min_interval_ms, 60_000);
-        let mut tele = self.tele.lock().unwrap();
-        tele.subs.push(TeleSub {
-            outbox: Arc::clone(outbox),
-            request_id,
-            interval: Duration::from_millis(interval_ms),
-            next_due: Instant::now(),
-            prometheus_text: sub.prometheus_text,
-            campaign: sub.campaign,
-            min_severity: sub.journal_min_severity,
-            journal_cursor: 0,
-            last_sent: MetricsRegistry::new(),
-            seq: 0,
-            dropped: 0,
-        });
+#[cfg(test)]
+mod tests {
+    //! The scheduler alone: scripted inputs in, the effects it decides out,
+    //! with no thread, socket or disk.
+
+    use std::sync::mpsc;
+
+    use vw_campaign::{Axis, RunConfig, Sampling};
+
+    use super::*;
+    use crate::frame::DecodeBuffer;
+    use crate::payload::{decode_error, decode_outcome_line};
+
+    const PROGRAM: &str = "
+        FILTER_TABLE
+        udp_data: (23 1 0x11)
+        END
+        NODE_TABLE
+        node1 02:00:00:00:00:01 192.168.1.2
+        node2 02:00:00:00:00:02 192.168.1.3
+        END
+        SCENARIO S 10msec
+        Sent: (udp_data, node1, node2, SEND)
+        (TRUE) >> ENABLE_CNTR(Sent);
+        END
+    ";
+
+    /// `workers` workers, and room for 64 frames per connection.
+    fn config(workers: usize) -> DaemonConfig {
+        DaemonConfig {
+            workers,
+            ..DaemonConfig::default()
+        }
     }
 
-    /// One pass of the daemon's telemetry ticker: stall detection plus a
-    /// delta push to every due subscriber. A full outbox *drops* the
-    /// tick (counted, baseline uncommitted) — telemetry can never stall
-    /// a sweep the way a slow campaign subscriber deliberately does.
-    pub(crate) fn telemetry_tick(&self) {
-        self.check_stalls();
-        let now = Instant::now();
-        let filters: Vec<String> = {
-            let tele = self.tele.lock().unwrap();
-            let mut filters: Vec<String> = tele
-                .subs
-                .iter()
-                .filter(|s| s.next_due <= now)
-                .map(|s| s.campaign.clone())
+    struct Sim {
+        scheduler: Scheduler,
+        now_ns: u64,
+    }
+
+    impl Sim {
+        fn new(cfg: DaemonConfig) -> Sim {
+            Sim {
+                scheduler: Scheduler::new(cfg),
+                now_ns: 0,
+            }
+        }
+
+        fn step(&mut self, input: Input) -> Vec<Effect> {
+            let mut out = Vec::new();
+            self.scheduler.handle(self.now_ns, input, &mut out);
+            self.now_ns += 1_000_000;
+            out
+        }
+
+        /// `step`, the effects rendered by [`show`].
+        fn run(&mut self, input: Input) -> Vec<String> {
+            self.step(input).iter().map(show).collect()
+        }
+
+        fn connect(&mut self, conn: u64) {
+            let writer = mpsc::channel().0;
+            assert_eq!(
+                self.run(Input::ConnOpened { conn, writer }),
+                ["journal conn_accepted"]
+            );
+        }
+
+        /// A worker's report on the shard it ran: its record, as the log
+        /// writer posts it back, and the effects after the append.
+        fn ran(&mut self, worker: usize, instances: usize) -> (Record, Vec<String>) {
+            let outcomes = (0..instances)
+                .map(|i| (InstanceOutcome::Crashed(format!("probe {i}")), 1))
                 .collect();
-            filters.sort();
-            filters.dedup();
-            filters
-        };
-        if filters.is_empty() {
-            return;
-        }
-        // Snapshots build outside the telemetry lock; one per distinct
-        // campaign filter, shared by all subscribers using it.
-        let snaps: Vec<(String, MetricsRegistry)> = filters
-            .into_iter()
-            .map(|f| {
-                let snap = self.build_snapshot(if f.is_empty() { None } else { Some(&f) });
-                (f, snap)
-            })
-            .collect();
-
-        let mut delivered = 0u64;
-        let mut dropped = 0u64;
-        let mut tele = self.tele.lock().unwrap();
-        let subs = std::mem::take(&mut tele.subs);
-        let mut kept = Vec::with_capacity(subs.len());
-        for mut sub in subs {
-            if sub.next_due > now {
-                kept.push(sub);
-                continue;
-            }
-            let Some((_, snap)) = snaps.iter().find(|(f, _)| *f == sub.campaign) else {
-                kept.push(sub);
-                continue;
-            };
-            let entries = self
-                .journal
-                .query(sub.journal_cursor, sub.min_severity, JOURNAL_BATCH);
-            let payload = TelemetryDelta {
-                seq: sub.seq,
-                dropped: sub.dropped,
-                journal: entries,
-                delta: snap.encode_delta_from(&sub.last_sent),
-                prometheus: if sub.prometheus_text {
-                    snap.to_prometheus()
-                } else {
-                    String::new()
-                },
-            };
-            let frame = Frame::new(FrameType::TelemetryDelta, sub.request_id, payload.encode());
-            sub.next_due = now + sub.interval;
-            match sub.outbox.try_push(frame.encode()) {
-                Push::Ok => {
-                    // Baseline commits only on delivery: changes carried
-                    // by a dropped tick fold into the next delivered one.
-                    sub.last_sent = snap.clone();
-                    if let Some(last) = payload.journal.last() {
-                        sub.journal_cursor = last.seq + 1;
-                    }
-                    sub.seq += 1;
-                    delivered += 1;
-                    kept.push(sub);
-                }
-                Push::Full => {
-                    sub.dropped += 1;
-                    dropped += 1;
-                    kept.push(sub);
-                }
-                Push::Closed => {}
-            }
-        }
-        tele.subs = kept;
-        drop(tele);
-        if delivered > 0 {
-            self.count("serve.telemetry_ticks", delivered);
-        }
-        if dropped > 0 {
-            self.count("serve.telemetry_dropped", dropped);
-        }
-    }
-
-    /// Journals a `WorkerStalled` warning — once per shard — for any
-    /// worker whose current shard has run longer than `stall_warn_ms`.
-    fn check_stalls(&self) {
-        let threshold = Duration::from_millis(self.cfg.stall_warn_ms);
-        let mut stalled: Vec<(u64, String, u64)> = Vec::new();
-        {
-            let mut tele = self.tele.lock().unwrap();
-            for (worker, shard) in tele.running.iter_mut() {
-                let running = shard.started.elapsed();
-                if running >= threshold && !shard.stall_reported {
-                    shard.stall_reported = true;
-                    stalled.push((
-                        *worker,
-                        shard.campaign.clone(),
-                        u64::try_from(running.as_millis()).unwrap_or(u64::MAX),
-                    ));
-                }
-            }
-        }
-        for (worker, campaign, running_ms) in stalled {
-            self.count("serve.worker_stalls", 1);
-            self.journal.record(JournalEvent::WorkerStalled {
+            let input = Input::ShardRan {
                 worker,
-                campaign,
-                running_ms,
-            });
+                outcomes,
+                metrics: MetricsRegistry::new(),
+                samples: Vec::new(),
+            };
+            let mut effects = self.step(input).into_iter();
+            let Some(Effect::Append(record)) = effects.next() else {
+                panic!("a finished shard goes to the log writer first");
+            };
+            let record = Record {
+                synced: true,
+                ..record
+            };
+            (record, effects.map(|e| show(&e)).collect())
+        }
+
+        fn durable(&mut self, records: Vec<Record>) -> Vec<String> {
+            self.run(Input::Durable { records })
         }
     }
 
-    /// Records `n` frames decoded off a connection.
-    pub(crate) fn note_frames(&self, n: u64) {
-        let now = self.now_ns();
-        self.tele.lock().unwrap().frames.push(now, n);
-        self.count("serve.frames_decoded", n);
+    /// A submission of `instances` seeds named `name` on `conn`, in shards
+    /// of 2.
+    fn submit(conn: u64, id: u64, name: &str, instances: u64) -> Input {
+        let submission = Submission {
+            campaign: name.to_string(),
+            program: PROGRAM.to_string(),
+            setup: "udp_flood".to_string(),
+            axes: vec![Axis::seeds((1..=instances).collect())],
+            defaults: RunConfig::default(),
+            sampling: Sampling::Exhaustive,
+            key: DigestKey::default(),
+            deadline_ns: 1_000_000_000,
+            shard_size: 2,
+        };
+        let prepared = Prepared::new(submission, &SetupRegistry::builtin(), 2);
+        let request = Request::Submit(Box::new(prepared.expect("the submission prepares")));
+        Input::Request { conn, id, request }
     }
 
-    /// Records `n` bytes read from a connection.
-    pub(crate) fn note_bytes_in(&self, n: u64) {
-        let now = self.now_ns();
-        self.tele.lock().unwrap().bytes_in.push(now, n);
-        self.count("serve.bytes_in", n);
+    fn opened(name: &str, result: Result<(), String>) -> Input {
+        let name = name.to_string();
+        Input::LogOpened { name, result }
     }
 
-    /// Records `n` bytes written to a connection.
-    pub(crate) fn note_bytes_out(&self, n: u64) {
-        let now = self.now_ns();
-        self.tele.lock().unwrap().bytes_out.push(now, n);
-        self.count("serve.bytes_out", n);
+    /// One line per effect: what it does and to what.
+    fn show(effect: &Effect) -> String {
+        match effect {
+            Effect::Run { worker, job } => format!("run {worker} {:?}", job.range),
+            Effect::OpenLog { name, .. } => format!("open {name}"),
+            Effect::Append(record) => format!("append {} {}", record.name, record.shard),
+            Effect::Complete { name } => format!("complete {name}"),
+            Effect::Send { conn, bytes } => {
+                let mut decoder = DecodeBuffer::new();
+                decoder.feed(bytes);
+                let frame = decoder.next_frame().expect("frames").expect("one frame");
+                let detail = match frame.frame_type {
+                    FrameType::Outcome | FrameType::Done => {
+                        let (n, _) = decode_outcome_line(&frame.payload).expect("a line");
+                        format!(" {n}")
+                    }
+                    FrameType::Error => {
+                        let (code, _) = decode_error(&frame.payload).expect("an error");
+                        format!(" {code:?}")
+                    }
+                    _ => String::new(),
+                };
+                format!("send {conn} {:?}{detail}", frame.frame_type)
+            }
+            Effect::Close { conn } => format!("close {conn}"),
+            Effect::JournalLine(line) => {
+                let kind = line.split("\"kind\":\"").nth(1).expect("a kind");
+                format!(
+                    "journal {}",
+                    &kind[..kind.find('"').expect("a quoted kind")]
+                )
+            }
+            Effect::Exit => "exit".to_string(),
+        }
     }
 
-    /// Sets the worker-pool size gauge (called once at daemon start).
-    pub(crate) fn set_worker_count(&self, n: usize) {
-        self.tele.lock().unwrap().workers_total = n as i64;
+    #[test]
+    fn two_submits_of_one_name_before_its_log_opens_get_one_already_exists() {
+        let mut sim = Sim::new(config(2));
+        sim.connect(1);
+        sim.connect(2);
+        assert_eq!(sim.run(submit(1, 7, "twin", 4)), ["open twin"]);
+        assert_eq!(
+            sim.run(submit(2, 9, "twin", 4)),
+            ["send 2 Error AlreadyExists"]
+        );
+        assert_eq!(
+            sim.run(opened("twin", Ok(()))),
+            [
+                "journal campaign_submitted",
+                "send 1 Accepted",
+                "run 0 0..2",
+                "run 1 2..4"
+            ]
+        );
     }
 
-    /// Graceful stop: workers finish their in-flight shard (which still
-    /// checkpoints) and exit; no new shards dispatch.
-    pub(crate) fn stop(&self) {
-        self.inner.lock().unwrap().shutdown = true;
-        self.work_cv.notify_all();
+    #[test]
+    fn two_submissions_racing_the_last_active_slot_get_one_quota_exceeded() {
+        let mut cfg = config(1);
+        cfg.quota.max_active_campaigns = 1;
+        let mut sim = Sim::new(cfg);
+        sim.connect(1);
+        sim.connect(2);
+        assert_eq!(sim.run(submit(1, 7, "first", 2)), ["open first"]);
+        assert_eq!(
+            sim.run(submit(2, 9, "second", 2)),
+            ["journal quota_bounced", "send 2 Error QuotaExceeded"]
+        );
     }
 
-    pub(crate) fn is_shutdown(&self) -> bool {
-        self.inner.lock().unwrap().shutdown
+    #[test]
+    fn a_log_that_fails_to_open_answers_internal_and_frees_the_slot() {
+        let mut cfg = config(1);
+        cfg.quota.max_active_campaigns = 1;
+        let mut sim = Sim::new(cfg);
+        sim.connect(1);
+        assert_eq!(sim.run(submit(1, 7, "full", 2)), ["open full"]);
+        let failed = opened("full", Err("no space left on device".into()));
+        assert_eq!(sim.run(failed), ["send 1 Error Internal"]);
+        assert_eq!(sim.run(submit(1, 8, "full", 2)), ["open full"]);
+    }
+
+    #[test]
+    fn lines_wait_for_every_earlier_shard_to_be_durable_then_stream_in_order() {
+        let mut sim = Sim::new(config(2));
+        sim.connect(1);
+        sim.run(submit(1, 7, "order", 4));
+        sim.run(opened("order", Ok(())));
+        let (second, _) = sim.ran(1, 2);
+        let (first, _) = sim.ran(0, 2);
+        assert_eq!(sim.durable(vec![second]), ["journal campaign_checkpointed"]);
+        assert_eq!(
+            sim.durable(vec![first]),
+            [
+                "journal campaign_checkpointed",
+                "send 1 Outcome 0",
+                "send 1 Outcome 1",
+                "send 1 Outcome 2",
+                "send 1 Outcome 3",
+                "send 1 Done 4",
+                "complete order",
+                "journal campaign_done"
+            ]
+        );
+    }
+
+    #[test]
+    fn spent_credits_pause_the_campaign_and_one_drain_resumes_it_once() {
+        let mut cfg = config(1);
+        cfg.outbox_frames = 2;
+        cfg.max_unsent_instances = 2;
+        let mut sim = Sim::new(cfg);
+        sim.connect(1);
+        sim.run(submit(1, 7, "slow", 12));
+        let accepted = sim.run(opened("slow", Ok(())));
+        assert_eq!(accepted[1..], ["send 1 Accepted", "run 0 0..2"]);
+        let (shard, next) = sim.ran(0, 2);
+        assert_eq!(next, ["run 0 2..4"]);
+        // The second line waits: `Accepted` and the first line hold both
+        // credits, and nothing has drained.
+        assert_eq!(
+            sim.durable(vec![shard]),
+            ["journal campaign_checkpointed", "send 1 Outcome 0"]
+        );
+        let (shard, next) = sim.ran(0, 2);
+        assert_eq!(next, ["run 0 4..6"]);
+        assert_eq!(sim.durable(vec![shard]), ["journal campaign_checkpointed"]);
+        // Three lines unsent, over the limit of two.
+        let (shard, next) = sim.ran(0, 2);
+        assert_eq!(next, ["journal campaign_paused"]);
+        let drained = || Input::Drained {
+            conn: 1,
+            frames: 2,
+            bytes: 0,
+        };
+        assert_eq!(
+            sim.run(drained()),
+            [
+                "send 1 Outcome 1",
+                "send 1 Outcome 2",
+                "journal campaign_resumed",
+                "run 0 6..8"
+            ]
+        );
+        assert_eq!(sim.run(drained()), ["send 1 Outcome 3"]);
+        assert_eq!(
+            sim.durable(vec![shard]),
+            ["journal campaign_checkpointed", "send 1 Outcome 4"]
+        );
+        let pauses = sim.scheduler.metrics.counter("serve.backpressure_pauses");
+        assert_eq!(pauses, Some(1));
+    }
+
+    #[test]
+    fn a_connection_closed_mid_stream_loses_its_subscriber_not_the_campaign() {
+        let mut sim = Sim::new(config(1));
+        sim.connect(1);
+        sim.run(submit(1, 7, "orphan", 4));
+        sim.run(opened("orphan", Ok(())));
+        let (shard, next) = sim.ran(0, 2);
+        assert_eq!(next, ["run 0 2..4"]);
+        assert_eq!(
+            sim.durable(vec![shard]),
+            [
+                "journal campaign_checkpointed",
+                "send 1 Outcome 0",
+                "send 1 Outcome 1"
+            ]
+        );
+        assert_eq!(
+            sim.run(Input::ConnClosed { conn: 1 }),
+            ["journal conn_closed", "close 1"]
+        );
+        let (shard, _) = sim.ran(0, 2);
+        assert_eq!(
+            sim.durable(vec![shard]),
+            [
+                "journal campaign_checkpointed",
+                "complete orphan",
+                "journal campaign_done"
+            ]
+        );
+        assert_eq!(sim.run(Input::Stop), ["exit"]);
     }
 }

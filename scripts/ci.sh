@@ -141,28 +141,25 @@ if grep -rn 'env::var' crates/core/src; then
     exit 1
 fi
 
-# Log-writer gate: the disk is off every shared path of the daemon. Only
-# checkpoint.rs syncs; the scheduler writes a header in `submit` (holding
-# no lock) and every later record in the log writer's own function, so
-# neither a worker nor a holder of the scheduler lock waits for the disk.
-# Its two suites run below, after the build.
-echo "==> log-writer gate"
+# Sans-IO gate: the daemon's decisions have one owner. Outside its test
+# module, scheduler.rs names no lock, thread, file, clock or checkpoint call —
+# the owner thread in server.rs carries out what it decides, and only
+# checkpoint.rs syncs. Its suites run below, after the build.
+echo "==> sans-io gate"
 if grep -rn 'sync_data' crates/serve/src | grep -v '^crates/serve/src/checkpoint.rs:'; then
     echo "sync_data outside checkpoint.rs: go through CheckpointWriter"
     exit 1
 fi
-if ! awk '
-    /^    (pub(\(crate\))? )?fn [a-z_]+/ {
-        match($0, /fn [a-z_]+/); fn = substr($0, RSTART + 3, RLENGTH - 3)
-    }
-    /^[ \t]*\/\// { next }
-    /append_shard|append_complete|write_shard|write_complete|\.sync\(\)/ && fn != "log_writer_loop" {
-        print FILENAME ":" FNR ": " $0; bad = 1
-    }
-    /append_header/ && fn != "submit" { print FILENAME ":" FNR ": " $0; bad = 1 }
-    END { exit bad }
-' crates/serve/src/scheduler.rs; then
-    echo "checkpoint I/O outside Scheduler::log_writer_loop (header: outside submit)"
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+    crates/serve/src/scheduler.rs |
+    grep -E 'Mutex|Condvar|lock\(\)|std::thread|std::fs|Instant::now|CheckpointWriter|\.(open|reopen|append_header|append_shard|write_shard|write_complete|sync)\('; then
+    echo "a lock, a thread, the disk or the clock in the scheduler: post an input, return an effect"
+    exit 1
+fi
+serve_locks=$(grep -rn 'lock()' crates/serve/src | wc -l)
+serve_condvars=$(grep -rn 'Condvar' crates/serve/src | wc -l)
+if [ "$serve_condvars" -ne 0 ] || [ "$serve_locks" -gt 7 ]; then
+    echo "crates/serve/src: $serve_locks lock(), $serve_condvars Condvar (at most 7, none)"
     exit 1
 fi
 
@@ -172,6 +169,9 @@ echo "==> non-test source lines"
 find crates/*/src -name '*.rs' -print0 | sort -z |
     xargs -0 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ }
         END { print n " non-test lines under crates/*/src" }'
+find crates/serve/src -name '*.rs' -print0 | sort -z |
+    xargs -0 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ }
+        END { print n " under crates/serve/src, with '"$serve_locks"' lock() and '"$serve_condvars"' Condvar" }'
 
 echo "==> cargo build --release"
 cargo build --release
@@ -221,12 +221,14 @@ echo "==> alloc budget, install gate: alloc_budget, wire_robustness"
 cargo test -q --release --test alloc_budget
 cargo test -q --release -p virtualwire --test wire_robustness
 
-# Log-writer gate, the runs: the golden text of one campaign seen from
-# outside (frames, log records, journal), and the telemetry suite ten
-# times over — its live-subscription case used to assert a sampled gauge
-# and failed about one run in thirteen; it asserts a cumulative count now.
-echo "==> log-writer gate: stream_golden, telemetry x10"
+# Sans-IO gate, the runs: the golden text of one campaign seen from outside
+# (frames, log records, journal) and of one session seen from the daemon
+# (counters, journal file), and the telemetry suite ten times over — its
+# live-subscription case used to assert a sampled gauge and failed about one
+# run in thirteen; it asserts a cumulative count now.
+echo "==> sans-io gate: stream_golden, daemon_golden, telemetry x10"
 cargo test -q --release -p vw-serve --test stream_golden
+cargo test -q --release -p vw-serve --test daemon_golden
 for _ in $(seq 1 10); do
     cargo test -q --release -p vw-serve --test telemetry
 done
