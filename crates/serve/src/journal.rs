@@ -375,8 +375,8 @@ impl Journal {
     }
 
     /// Records `event`, assigning the next sequence number. Returns the
-    /// entry's seq.
-    pub fn record(&mut self, event: JournalEvent) -> u64 {
+    /// entry as recorded.
+    pub fn record(&mut self, event: JournalEvent) -> &JournalEntry {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.ring.len() == self.capacity {
@@ -388,12 +388,7 @@ impl Journal {
             severity: event.severity(),
             event,
         });
-        seq
-    }
-
-    /// The entry recorded last, if the journal holds any.
-    pub fn latest(&self) -> Option<&JournalEntry> {
-        self.ring.back()
+        &self.ring[self.ring.len() - 1]
     }
 
     /// The sequence number the next entry will get (equivalently, total
@@ -444,7 +439,7 @@ mod tests {
     fn seq_is_monotone_and_survives_eviction() {
         let mut journal = Journal::new(4);
         for i in 0..10 {
-            assert_eq!(journal.record(conn(i)), i);
+            assert_eq!(journal.record(conn(i)).seq, i);
         }
         assert_eq!(journal.next_seq(), 10);
         // Ring holds the last 4 entries; seq picks up where eviction left.

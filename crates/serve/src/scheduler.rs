@@ -26,11 +26,13 @@
 //! A connection has `outbox_frames` credits: each frame sent takes one,
 //! and its writer gives them back as it puts frames on the socket
 //! ([`Input::Drained`]). A slow client's `sent` watermark stalls once its
-//! credits are spent; once the campaign's unsent backlog exceeds
+//! credits are spent; once the campaign's unsent backlog (outcomes a
+//! worker has reported, durable or not, less those sent) exceeds
 //! `max_unsent_instances` the campaign is skipped by dispatch — the sweep
 //! *pauses* instead of buffering unboundedly — until a drain lets the
 //! subscriber catch up. A telemetry tick without credit is dropped and
-//! counted, never waited for. Replies are sent whatever the credit.
+//! counted, never waited for. Replies may run past the credit to
+//! [`REPLY_HEADROOM`], and are dropped beyond it.
 //!
 //! ## Durability
 //!
@@ -89,6 +91,9 @@ const WINDOW_CAPACITY: usize = 512;
 const JOURNAL_CAPACITY: usize = 1024;
 /// Journal entries shipped per telemetry tick / query reply at most.
 const JOURNAL_BATCH: usize = 512;
+/// Undrained frames, in multiples of `outbox_frames`, past which a reply is
+/// dropped: a client that never reads its socket holds bounded memory.
+const REPLY_HEADROOM: usize = 2;
 
 /// A shard's outcomes, each with its wall time in nanoseconds.
 pub(crate) type Outcomes = Vec<(InstanceOutcome, u64)>;
@@ -270,7 +275,7 @@ pub(crate) enum Input {
     Metrics(Sender<String>),
     /// Telemetry pacing and stall checks.
     Tick,
-    /// Dispatch nothing more; exit once no shard is running or unsynced.
+    /// Dispatch nothing more; exit once no shard runs or syncs, no log opens.
     Stop,
 }
 
@@ -293,7 +298,7 @@ pub(crate) enum Effect {
     Close { conn: u64 },
     /// Append a line to the state directory's `journal.jsonl`.
     JournalLine(String),
-    /// Stopped, and nothing is running or unsynced: the owner exits.
+    /// Stopped, and nothing runs, syncs or opens: the owner exits.
     Exit,
 }
 
@@ -356,6 +361,8 @@ struct Campaign {
     prefix_instances: usize,
     /// Instances in completed shards.
     completed: usize,
+    /// Instances in shards a worker has reported, durable or not.
+    reported: usize,
     phase: Phase,
     subscribers: Vec<Subscriber>,
     /// Currently skipped by dispatch because a subscriber lags.
@@ -393,6 +400,7 @@ impl Campaign {
             prefix_shards: 0,
             prefix_instances: 0,
             completed: 0,
+            reported: 0,
             phase,
             subscribers: Vec::new(),
             paused: false,
@@ -404,6 +412,7 @@ impl Campaign {
                 campaign.complete(shard, outcomes);
             }
         }
+        campaign.reported = campaign.completed;
         (campaign, submission)
     }
 
@@ -411,10 +420,12 @@ impl Campaign {
         matches!(self.phase, Phase::Finished(_))
     }
 
+    /// The largest unsent backlog of a subscriber, shards not yet durable
+    /// included: workers that outrun the disk still pause for it.
     fn lag(&self) -> usize {
         self.subscribers
             .iter()
-            .map(|s| self.prefix_instances.saturating_sub(s.sent))
+            .map(|s| self.reported.saturating_sub(s.sent))
             .max()
             .unwrap_or(0)
     }
@@ -529,10 +540,7 @@ struct TeleSub {
 
 /// Records `event` and hands its JSONL line to the log writer.
 fn note(journal: &mut Journal, event: JournalEvent, out: &mut Vec<Effect>) {
-    journal.record(event);
-    if let Some(entry) = journal.latest() {
-        out.push(Effect::JournalLine(entry.to_jsonl()));
-    }
+    out.push(Effect::JournalLine(journal.record(event).to_jsonl()));
 }
 
 /// A refused request's code and message.
@@ -664,18 +672,14 @@ impl Scheduler {
                 metrics,
                 samples,
             } => {
-                let run = self.running[worker]
-                    .take()
-                    .expect("a worker reports its shard");
+                let run = self.running[worker].take().expect("a running shard");
                 self.metrics.merge_from(&metrics);
-                let campaign = self
-                    .campaigns
-                    .get_mut(&run.campaign)
-                    .expect("a running campaign");
+                let campaign = self.campaigns.get_mut(&run.campaign).expect("running");
                 let windows = campaign.windows.get_or_insert_with(|| CampWindows {
                     inst: RollingWindow::new(WINDOW_CAPACITY),
                     wall: RollingWindow::new(WINDOW_CAPACITY),
                 });
+                campaign.reported += outcomes.len();
                 for &(t_ns, wall_ns) in &samples {
                     self.inst.push(t_ns, 1);
                     windows.inst.push(t_ns, 1);
@@ -730,7 +734,11 @@ impl Scheduler {
             Input::Stop => self.stopping = true,
         }
         self.dispatch(now_ns, out);
-        if self.stopping && self.unsynced == 0 && self.running.iter().all(Option::is_none) {
+        // A log being opened is answered before exit: its header lands
+        // either way, so its submitter is owed `Accepted`.
+        let opening = |c: &Campaign| matches!(c.phase, Phase::Opening { .. });
+        let idle = self.unsynced == 0 && self.running.iter().all(Option::is_none);
+        if self.stopping && idle && !self.campaigns.values().any(opening) {
             out.push(Effect::Exit);
         }
     }
@@ -803,9 +811,11 @@ impl Scheduler {
         }
     }
 
-    /// Queues a reply on `conn`, if it is still open, whatever its credit.
+    /// Queues a reply on `conn`, if it is still open and within
+    /// [`REPLY_HEADROOM`].
     fn send(&mut self, conn: u64, kind: FrameType, id: u64, body: Vec<u8>, out: &mut Vec<Effect>) {
-        if let Some(spent) = self.conns.get_mut(&conn) {
+        let most = REPLY_HEADROOM * self.cfg.outbox_frames;
+        if let Some(spent) = self.conns.get_mut(&conn).filter(|spent| **spent < most) {
             *spent += 1;
             out.push(Effect::send(conn, kind, id, body));
         }
@@ -1409,10 +1419,9 @@ mod tests {
             sim.durable(vec![shard]),
             ["journal campaign_checkpointed", "send 1 Outcome 0"]
         );
-        let (shard, next) = sim.ran(0, 2);
-        assert_eq!(next, ["run 0 4..6"]);
-        assert_eq!(sim.durable(vec![shard]), ["journal campaign_checkpointed"]);
-        // Three lines unsent, over the limit of two.
+        // Three lines unsent, over the limit of two: the two of the shard
+        // not yet durable count, so a worker cannot outrun the disk past a
+        // stalled subscriber.
         let (shard, next) = sim.ran(0, 2);
         assert_eq!(next, ["journal campaign_paused"]);
         let drained = || Input::Drained {
@@ -1422,20 +1431,52 @@ mod tests {
         };
         assert_eq!(
             sim.run(drained()),
-            [
-                "send 1 Outcome 1",
-                "send 1 Outcome 2",
-                "journal campaign_resumed",
-                "run 0 6..8"
-            ]
+            ["send 1 Outcome 1", "journal campaign_resumed", "run 0 4..6"]
         );
-        assert_eq!(sim.run(drained()), ["send 1 Outcome 3"]);
         assert_eq!(
             sim.durable(vec![shard]),
-            ["journal campaign_checkpointed", "send 1 Outcome 4"]
+            ["journal campaign_checkpointed", "send 1 Outcome 2"]
         );
+        assert_eq!(sim.run(drained()), ["send 1 Outcome 3"]);
         let pauses = sim.scheduler.metrics.counter("serve.backpressure_pauses");
         assert_eq!(pauses, Some(1));
+    }
+
+    #[test]
+    fn replies_to_a_client_that_never_reads_stop_at_the_headroom() {
+        let mut cfg = config(1);
+        cfg.outbox_frames = 4;
+        let mut sim = Sim::new(cfg);
+        sim.connect(1);
+        let ping = |id| {
+            let request = Request::Ping;
+            Input::Request {
+                conn: 1,
+                id,
+                request,
+            }
+        };
+        let sends: usize = (0..100).map(|id| sim.run(ping(id)).len()).sum();
+        assert_eq!(sends, REPLY_HEADROOM * 4);
+        let drained = Input::Drained {
+            conn: 1,
+            frames: 1,
+            bytes: 0,
+        };
+        assert!(sim.run(drained).is_empty());
+        assert_eq!(sim.run(ping(100)), ["send 1 Pong"]);
+    }
+
+    #[test]
+    fn a_stop_while_a_log_opens_waits_to_answer_accepted() {
+        let mut sim = Sim::new(config(1));
+        sim.connect(1);
+        assert_eq!(sim.run(submit(1, 7, "late", 2)), ["open late"]);
+        assert!(sim.run(Input::Stop).is_empty());
+        assert_eq!(
+            sim.run(opened("late", Ok(()))),
+            ["journal campaign_submitted", "send 1 Accepted", "exit"]
+        );
     }
 
     #[test]

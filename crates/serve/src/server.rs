@@ -167,6 +167,7 @@ impl Daemon {
     pub fn start(mut config: DaemonConfig, registry: SetupRegistry) -> io::Result<Daemon> {
         config.workers = config.workers.max(1);
         config.shard_size = config.shard_size.max(1);
+        config.outbox_frames = config.outbox_frames.max(1);
         config.telemetry_min_interval_ms = config.telemetry_min_interval_ms.max(1);
         config.stall_warn_ms = config.stall_warn_ms.max(1);
         std::fs::create_dir_all(&config.state_dir)?;
@@ -403,11 +404,8 @@ fn resume(
 /// One worker thread's life: run each shard the owner sends and post its
 /// outcomes back, until the owner is gone.
 ///
-/// On one CPU a woken thread does not run until the running one blocks or
-/// its slice ends, so a worker that kept computing would hold a finished
-/// shard back from the log writer, the owner and the client for
-/// milliseconds. It yields after each instance; with nothing else runnable
-/// the yield returns at once.
+/// It yields after each instance, so that with more threads runnable than
+/// CPUs it does not hold the owner and the connection threads back a slice.
 fn worker_loop(worker: usize, jobs: Receiver<Job>, inputs: &Sender<Input>, epoch: Instant) {
     for job in jobs {
         let _span = vw_trace::span("serve.shard", vw_trace::Category::Serve);
