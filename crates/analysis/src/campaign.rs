@@ -16,24 +16,6 @@ use std::fmt::Write as _;
 use vw_campaign::CampaignResult;
 use vw_obs::{json_string, Histogram};
 
-/// One instance's contribution to the aggregate.
-#[derive(Debug, Clone, Default)]
-pub struct InstanceMetrics {
-    /// `(axis, value)` labels, in sweep-axis order.
-    pub labels: Vec<(String, String)>,
-    /// Whether the instance's scenario passed.
-    pub passed: bool,
-    /// Counter totals by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Histograms by name.
-    pub histograms: BTreeMap<String, Histogram>,
-    /// Host wall-clock time the instance took to execute, if the
-    /// executor measured it. Unlike every other field this is *not*
-    /// deterministic across runs — it feeds the profiling aggregates
-    /// ([`CampaignReport::wall_ns`]), never the outcome digests.
-    pub wall_ns: Option<u64>,
-}
-
 /// One value-group of an axis breakdown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AxisGroup {
@@ -100,116 +82,76 @@ pub struct CampaignReport {
     pub wall_ns: Histogram,
 }
 
-/// Folds per-instance metrics into a [`CampaignReport`].
-#[derive(Debug, Clone, Default)]
-pub struct CampaignAnalyzer {
-    instances: Vec<InstanceMetrics>,
-}
-
-impl CampaignAnalyzer {
-    /// An empty analyzer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one instance's metrics.
-    pub fn push(&mut self, instance: InstanceMetrics) -> &mut Self {
-        self.instances.push(instance);
-        self
-    }
-
-    /// Loads every completed instance of a campaign result (the entry
-    /// point after [`run_campaign`](vw_campaign::run_campaign)).
-    pub fn push_result(&mut self, result: &CampaignResult) -> &mut Self {
-        for (record, digest) in result.completed() {
-            self.instances.push(InstanceMetrics {
-                labels: record
-                    .labels
-                    .iter()
-                    .map(|(axis, value)| (axis.to_string(), value.to_string()))
-                    .collect(),
-                passed: digest.passed,
-                counters: digest.metrics.counters.iter().cloned().collect(),
-                histograms: digest.metrics.histograms.iter().cloned().collect(),
-                wall_ns: record.wall_ns,
-            });
-        }
-        self
-    }
-
-    /// Folds everything pushed so far into the aggregate report.
-    pub fn analyze(&self) -> CampaignReport {
-        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
-        let mut passed = 0;
+impl CampaignReport {
+    /// Folds every completed instance of a campaign result (the entry
+    /// point after [`run_campaign`](vw_campaign::run_campaign)) into the
+    /// aggregate report.
+    pub fn of(result: &CampaignResult) -> CampaignReport {
+        let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut histograms: BTreeMap<&str, Histogram> = BTreeMap::new();
+        let mut report = CampaignReport::default();
         // Axis order follows the first instance's labels; group order is
         // first appearance, which for a cross-product sweep is the axis's
         // declared value order.
-        let mut axes: Vec<AxisBreakdown> = Vec::new();
-        let mut wall_ns = Histogram::default();
-        for instance in &self.instances {
-            if instance.passed {
-                passed += 1;
+        for (record, digest) in result.completed() {
+            report.instances += 1;
+            report.passed += usize::from(digest.passed);
+            if let Some(ns) = record.wall_ns {
+                report.wall_ns.observe(ns);
             }
-            if let Some(ns) = instance.wall_ns {
-                wall_ns.observe(ns);
+            let metrics = &digest.metrics;
+            for (name, v) in &metrics.counters {
+                *counters.entry(name).or_insert(0) += v;
             }
-            for (name, v) in &instance.counters {
-                *counters.entry(name.clone()).or_insert(0) += v;
+            for (name, h) in &metrics.histograms {
+                histograms.entry(name).or_default().merge(h);
             }
-            for (name, h) in &instance.histograms {
-                histograms.entry(name.clone()).or_default().merge(h);
-            }
-            for (axis, value) in &instance.labels {
-                let breakdown = match axes.iter_mut().find(|b| &b.axis == axis) {
-                    Some(b) => b,
+            for (axis, value) in &record.labels {
+                let axes = &mut report.breakdowns;
+                let breakdown = match axes.iter().position(|b| *b.axis == **axis) {
+                    Some(b) => &mut axes[b],
                     None => {
                         axes.push(AxisBreakdown {
-                            axis: axis.clone(),
+                            axis: axis.to_string(),
                             groups: Vec::new(),
                         });
                         axes.last_mut().expect("pushed")
                     }
                 };
-                let group = match breakdown.groups.iter_mut().find(|g| &g.value == value) {
-                    Some(g) => g,
+                let groups = &mut breakdown.groups;
+                let group = match groups.iter().position(|g| *g.value == **value) {
+                    Some(g) => &mut groups[g],
                     None => {
-                        breakdown.groups.push(AxisGroup {
-                            value: value.clone(),
+                        groups.push(AxisGroup {
+                            value: value.to_string(),
                             instances: 0,
                             passed: 0,
                             counters: Vec::new(),
                         });
-                        breakdown.groups.last_mut().expect("pushed")
+                        groups.last_mut().expect("pushed")
                     }
                 };
                 group.instances += 1;
-                if instance.passed {
-                    group.passed += 1;
-                }
-                for (name, v) in &instance.counters {
-                    match group
-                        .counters
-                        .binary_search_by(|(n, _)| n.as_str().cmp(name))
-                    {
+                group.passed += usize::from(digest.passed);
+                for (name, v) in &metrics.counters {
+                    match group.counters.binary_search_by(|(n, _)| n.cmp(name)) {
                         Ok(i) => group.counters[i].1 += v,
                         Err(i) => group.counters.insert(i, (name.clone(), *v)),
                     }
                 }
             }
         }
-        CampaignReport {
-            instances: self.instances.len(),
-            passed,
-            counters: counters.into_iter().collect(),
-            histograms: histograms.into_iter().collect(),
-            breakdowns: axes,
-            wall_ns,
-        }
+        report.counters = counters
+            .into_iter()
+            .map(|(name, v)| (name.to_string(), v))
+            .collect();
+        report.histograms = histograms
+            .into_iter()
+            .map(|(name, h)| (name.to_string(), h))
+            .collect();
+        report
     }
-}
 
-impl CampaignReport {
     /// A campaign-wide counter total, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
@@ -384,34 +326,59 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vw_campaign::{DigestKey, InstanceOutcome, InstanceRecord, MetricsDigest, OutcomeDigest};
 
-    /// An instance whose two nodes dropped `drops` and 1.
-    fn instance(seed: &str, drops: u64, passed: bool, latencies: &[u64]) -> InstanceMetrics {
-        let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
+    /// A completed instance whose two nodes dropped `drops` and 1.
+    fn instance(seed: &str, drops: u64, passed: bool, latencies: &[u64]) -> InstanceRecord {
+        let mut latency = Histogram::default();
         for &v in latencies {
-            histograms
-                .entry("classify_to_action_ns".into())
-                .or_default()
-                .observe(v);
+            latency.observe(v);
         }
-        InstanceMetrics {
+        let histograms = if latency.is_empty() {
+            Vec::new()
+        } else {
+            vec![("classify_to_action_ns".to_string(), latency)]
+        };
+        let digest = OutcomeDigest {
+            passed,
+            stop: "deadline reached".into(),
+            errors: Vec::new(),
+            counters: Vec::new(),
+            stats: Vec::new(),
+            metrics: MetricsDigest {
+                counters: vec![("drops".to_string(), drops + 1)],
+                histograms,
+            },
+            conformance: Vec::new(),
+        };
+        InstanceRecord {
+            index: 0,
             labels: vec![
                 ("seed".into(), seed.into()),
                 ("impairment".into(), "none".into()),
             ],
-            passed,
-            counters: [("drops".to_string(), drops + 1)].into(),
-            histograms,
+            outcome: InstanceOutcome::Completed(digest),
             wall_ns: None,
         }
     }
 
+    /// The report of a campaign whose instances are `records`.
+    fn report(records: Vec<InstanceRecord>) -> CampaignReport {
+        let result = CampaignResult {
+            name: "unit".into(),
+            key: DigestKey::default(),
+            instances: records,
+            classes: Vec::new(),
+        };
+        CampaignReport::of(&result)
+    }
+
     #[test]
     fn aggregate_sums_counters_and_merges_histograms() {
-        let mut analyzer = CampaignAnalyzer::new();
-        analyzer.push(instance("1", 2, true, &[100, 200]));
-        analyzer.push(instance("2", 3, false, &[400]));
-        let report = analyzer.analyze();
+        let report = report(vec![
+            instance("1", 2, true, &[100, 200]),
+            instance("2", 3, false, &[400]),
+        ]);
         assert_eq!(report.instances, 2);
         assert_eq!(report.passed, 1);
         assert_eq!(report.counter("drops"), Some(7)); // 2+1 + 3+1
@@ -421,12 +388,21 @@ mod tests {
     }
 
     #[test]
+    fn only_completed_instances_are_folded() {
+        let mut crashed = instance("3", 0, true, &[]);
+        crashed.outcome = InstanceOutcome::Crashed("boom".into());
+        let report = report(vec![instance("1", 2, true, &[]), crashed]);
+        assert_eq!(report.instances, 1);
+        assert_eq!(report.breakdown("seed").expect("axis").groups.len(), 1);
+    }
+
+    #[test]
     fn breakdowns_group_by_axis_value() {
-        let mut analyzer = CampaignAnalyzer::new();
-        analyzer.push(instance("1", 2, true, &[]));
-        analyzer.push(instance("1", 4, true, &[]));
-        analyzer.push(instance("2", 8, false, &[]));
-        let report = analyzer.analyze();
+        let report = report(vec![
+            instance("1", 2, true, &[]),
+            instance("1", 4, true, &[]),
+            instance("2", 8, false, &[]),
+        ]);
         let by_seed = report.breakdown("seed").expect("axis");
         assert_eq!(by_seed.groups.len(), 2);
         assert_eq!(by_seed.groups[0].value, "1");
@@ -446,12 +422,8 @@ mod tests {
 
     #[test]
     fn diff_flags_regressions_beyond_threshold() {
-        let mut base = CampaignAnalyzer::new();
-        base.push(instance("1", 10, true, &[100, 100, 100]));
-        let baseline = base.analyze();
-        let mut cur = CampaignAnalyzer::new();
-        cur.push(instance("1", 11, true, &[100, 100, 100_000]));
-        let current = cur.analyze();
+        let baseline = report(vec![instance("1", 10, true, &[100, 100, 100])]);
+        let current = report(vec![instance("1", 11, true, &[100, 100, 100_000])]);
         let regressions = current.diff(&baseline, 0.2);
         // drops grew 10 -> 12 (20%): not beyond threshold; p99 exploded.
         assert_eq!(regressions.len(), 1);
@@ -464,14 +436,12 @@ mod tests {
 
     #[test]
     fn wall_clock_aggregates_surface_max_and_mean() {
-        let mut analyzer = CampaignAnalyzer::new();
         let mut a = instance("1", 0, true, &[]);
         a.wall_ns = Some(1_000);
         let mut b = instance("2", 0, true, &[]);
         b.wall_ns = Some(3_000);
         let c = instance("3", 0, true, &[]); // untimed: skipped, not zero
-        analyzer.push(a).push(b).push(c);
-        let report = analyzer.analyze();
+        let report = report(vec![a, b, c]);
         assert_eq!(report.wall_ns.count(), 2);
         assert_eq!(report.wall_ns_aggregates(), Some((3_000, 2_000)));
         assert!(report
@@ -484,9 +454,7 @@ mod tests {
 
     #[test]
     fn untimed_campaigns_omit_wall_aggregates() {
-        let mut analyzer = CampaignAnalyzer::new();
-        analyzer.push(instance("1", 0, true, &[]));
-        let report = analyzer.analyze();
+        let report = report(vec![instance("1", 0, true, &[])]);
         assert_eq!(report.wall_ns_aggregates(), None);
         assert!(!report.render().contains("instance wall"));
     }
@@ -494,10 +462,10 @@ mod tests {
     #[test]
     fn exports_are_deterministic() {
         let build = || {
-            let mut analyzer = CampaignAnalyzer::new();
-            analyzer.push(instance("1", 2, true, &[100]));
-            analyzer.push(instance("2", 3, true, &[200]));
-            analyzer.analyze()
+            report(vec![
+                instance("1", 2, true, &[100]),
+                instance("2", 3, true, &[200]),
+            ])
         };
         let (a, b) = (build(), build());
         assert_eq!(a.to_jsonl(), b.to_jsonl());

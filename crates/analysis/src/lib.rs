@@ -23,10 +23,10 @@
 //!   [`rether_reference`] encode the fault-free behavior of the bundled
 //!   stacks, so injected faults surface as typed violation classes
 //!   ([`conformance_pass`] is the one-call campaign hook).
-//! * **Campaign analytics** ([`CampaignAnalyzer`]) — folds per-instance
-//!   metrics into campaign-wide totals, merged histograms and per-axis
-//!   breakdowns, with [`CampaignReport::diff`] flagging regressions
-//!   against a baseline.
+//! * **Campaign analytics** ([`CampaignReport::of`]) — folds each
+//!   completed instance's metrics digest into campaign-wide totals,
+//!   merged histograms and per-axis breakdowns, with
+//!   [`CampaignReport::diff`] flagging regressions against a baseline.
 //!
 //! See DESIGN.md §5.11 for the merge order's correctness argument.
 
@@ -38,9 +38,7 @@ mod invariant;
 mod model;
 mod timeline;
 
-pub use campaign::{
-    AxisBreakdown, AxisGroup, CampaignAnalyzer, CampaignReport, InstanceMetrics, Regression,
-};
+pub use campaign::{AxisBreakdown, AxisGroup, CampaignReport, Regression};
 pub use invariant::{
     builtins, ConditionImpliesTerms, CounterMonotonic, Invariant, InvariantChecker,
     NoActionAfterStop, RemoteTermDelivery, Violation,

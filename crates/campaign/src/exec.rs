@@ -1,18 +1,18 @@
-//! The parallel campaign executor.
+//! The campaign executor.
 //!
-//! Instances are sharded round-robin across a configurable pool of OS
-//! threads (`std::thread::scope` — no external runtime). Each worker
-//! builds its own [`World`]/[`Runner`] through the caller's setup
-//! closure, so nothing that lives inside a simulation ever crosses a
-//! thread boundary; the only thing that moves between threads is the
-//! immutable instance list going out and `(index, outcome)` pairs coming
-//! back. Results are merged and sorted by cross-product index before
-//! dedup, which is what makes the final report byte-identical at any
-//! thread count.
+//! A campaign's instances are split into [`ShardPlan`] shards, the same
+//! unit the `vw-serve` daemon schedules, checkpoints and resumes. Workers
+//! pull shard indices from one counter and run each shard with
+//! [`run_shard_observed`]; the calling thread is worker 0, the rest are
+//! scoped OS threads (`std::thread::scope`, no external runtime). Each
+//! worker builds its own [`World`]/[`Runner`] through the caller's setup
+//! closure, so nothing that lives inside a simulation crosses a thread
+//! boundary. Shards are concatenated in plan order, which is what makes
+//! the final report byte-identical at any thread count.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use virtualwire::{Runner, ScriptError};
@@ -20,7 +20,6 @@ use vw_fsl::TableSet;
 use vw_netsim::{SimDuration, World};
 
 use crate::outcome::{CampaignResult, DigestKey, InstanceOutcome, OutcomeDigest};
-use crate::progress::{NullProgress, ProgressEvent, ProgressSink};
 use crate::spec::{CampaignError, CampaignSpec, Instance, RunConfig};
 
 /// A per-instance testbed factory.
@@ -91,8 +90,8 @@ impl ExecConfig {
 
     /// Checks the configuration, returning a
     /// [`CampaignErrorKind::Config`](crate::CampaignErrorKind::Config)-kinded
-    /// error for a zero worker count. Called by [`run_campaign`] /
-    /// [`run_campaign_with_progress`] before any work starts.
+    /// error for a zero worker count. Called by [`run_campaign`] before
+    /// any work starts.
     pub fn validate(&self) -> Result<(), CampaignError> {
         if self.threads == 0 {
             return Err(CampaignError::config(
@@ -102,6 +101,10 @@ impl ExecConfig {
         Ok(())
     }
 }
+
+/// Instances per shard: the grain [`run_campaign`] hands to a worker, and
+/// the `vw-serve` daemon's default for submissions that leave it open.
+pub const SHARD_SIZE: usize = 8;
 
 /// A deterministic decomposition of an instance list into contiguous,
 /// equal-sized shards — the unit of scheduling, checkpointing, and
@@ -127,11 +130,6 @@ impl ShardPlan {
             total,
             shard_size: shard_size.max(1),
         }
-    }
-
-    /// Total instances covered.
-    pub fn total(&self) -> usize {
-        self.total
     }
 
     /// Instances per shard (the last shard may be shorter).
@@ -235,98 +233,54 @@ fn run_one_inner<S: Setup>(
 /// Runs every instance of `spec` through `setup` and aggregates the
 /// deduped [`CampaignResult`].
 ///
-/// Sharding is deterministic — worker `w` of `n` takes instances whose
-/// position is `≡ w (mod n)` — and outcomes are re-sorted by instance
-/// index before classing, so the result (and its JSONL rendering) is
-/// identical for any `cfg.threads`.
+/// The instances are cut into [`SHARD_SIZE`] shards; `cfg.threads`
+/// workers (the caller's thread among them) each take the next unclaimed
+/// shard until none is left. Shards land in plan order whoever ran them,
+/// so the result (and its JSONL rendering) is identical for any
+/// `cfg.threads`.
 pub fn run_campaign<S: Setup>(
     spec: &CampaignSpec,
     setup: &S,
     cfg: &ExecConfig,
 ) -> Result<CampaignResult, CampaignError> {
-    run_campaign_with_progress(spec, setup, cfg, &NullProgress)
-}
-
-/// [`run_campaign`] with a live [`ProgressSink`] observing the workers.
-///
-/// The sink sees instances as they finish on their worker threads — in
-/// scheduling order, which is *not* deterministic across runs — but it
-/// only ever observes: the returned [`CampaignResult`] (and its JSONL)
-/// is bit-for-bit the one `run_campaign` would have produced.
-pub fn run_campaign_with_progress<S: Setup>(
-    spec: &CampaignSpec,
-    setup: &S,
-    cfg: &ExecConfig,
-    sink: &dyn ProgressSink,
-) -> Result<CampaignResult, CampaignError> {
     cfg.validate()?;
     let instances = spec.enumerate()?;
-    let timed = run_instances(&instances, setup, cfg, sink);
+    let timed = run_instances(&instances, setup, cfg);
     Ok(CampaignResult::build(
         &spec.name, &instances, timed, cfg.key,
     ))
 }
 
 /// Runs an instance list on `cfg.threads` workers, returning one
-/// `(outcome, wall_ns)` per instance in instance-list order. The sink and
-/// the timings ride alongside the result path without touching it.
+/// `(outcome, wall_ns)` per instance in instance-list order.
 fn run_instances<S: Setup>(
     instances: &[Instance],
     setup: &S,
     cfg: &ExecConfig,
-    sink: &dyn ProgressSink,
 ) -> Vec<(InstanceOutcome, u64)> {
-    let threads = cfg.threads.max(1).min(instances.len().max(1));
-    let started = Instant::now();
-    let finished = AtomicUsize::new(0);
-    let total = instances.len();
-    let notify = |shard: usize, index: usize, outcome: &InstanceOutcome, wall_ns: u64| {
-        let completed = finished.fetch_add(1, Ordering::Relaxed) + 1;
-        sink.on_instance(&ProgressEvent {
-            shard,
-            index,
-            kind: outcome.kind(),
-            wall: std::time::Duration::from_nanos(wall_ns),
-            completed,
-            total,
-            elapsed: started.elapsed(),
-        });
+    let plan = ShardPlan::new(instances.len(), SHARD_SIZE);
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<Vec<(InstanceOutcome, u64)>>> =
+        (0..plan.count()).map(|_| OnceLock::new()).collect();
+    // One worker: claim shards until the plan runs out, each into its slot.
+    let work = || loop {
+        let shard = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(shard) else { return };
+        let range = plan.range(shard);
+        let outcomes = run_shard_observed(&instances[range], setup, cfg.deadline, |_, _| {});
+        let _ = slot.set(outcomes);
     };
-    let result = if threads <= 1 {
-        instances
-            .iter()
-            .map(|i| {
-                let (outcome, wall_ns) = run_one_timed(i, setup, cfg.deadline);
-                notify(0, i.index, &outcome, wall_ns);
-                (outcome, wall_ns)
-            })
-            .collect()
-    } else {
-        let collected: Mutex<Vec<(usize, (InstanceOutcome, u64))>> =
-            Mutex::new(Vec::with_capacity(instances.len()));
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let collected = &collected;
-                let setup = &setup;
-                let notify = &notify;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    for (pos, instance) in instances.iter().enumerate().skip(w).step_by(threads) {
-                        let (outcome, wall_ns) = run_one_timed(instance, *setup, cfg.deadline);
-                        notify(w, instance.index, &outcome, wall_ns);
-                        local.push((pos, (outcome, wall_ns)));
-                    }
-                    collected.lock().unwrap().extend(local);
-                });
-            }
-        });
-        let mut pairs = collected.into_inner().unwrap();
-        pairs.sort_by_key(|(pos, _)| *pos);
-        debug_assert_eq!(pairs.len(), instances.len());
-        pairs.into_iter().map(|(_, timed)| timed).collect()
-    };
-    sink.on_finish(total, started.elapsed());
-    result
+    std::thread::scope(|scope| {
+        for _ in 1..cfg.threads.min(plan.count()) {
+            scope.spawn(work);
+        }
+        work();
+    });
+    let mut timed = Vec::with_capacity(instances.len());
+    for slot in slots {
+        timed.extend(slot.into_inner().expect("every shard ran"));
+    }
+    timed
 }
 
 #[cfg(test)]
@@ -366,15 +320,10 @@ mod tests {
         setup: &S,
         threads: usize,
     ) -> Vec<InstanceOutcome> {
-        run_instances(
-            instances,
-            setup,
-            &ExecConfig::threads(threads),
-            &NullProgress,
-        )
-        .into_iter()
-        .map(|(outcome, _)| outcome)
-        .collect()
+        run_instances(instances, setup, &ExecConfig::threads(threads))
+            .into_iter()
+            .map(|(outcome, _)| outcome)
+            .collect()
     }
 
     #[test]
@@ -464,7 +413,7 @@ mod tests {
     fn sharding_preserves_instance_order_at_any_thread_count() {
         let program = parse(SCRIPT).unwrap();
         let spec =
-            CampaignSpec::new("order", program).axis(Axis::seeds((0..13).collect::<Vec<u64>>()));
+            CampaignSpec::new("order", program).axis(Axis::seeds((0..37).collect::<Vec<u64>>()));
         let instances = spec.enumerate().unwrap();
         // Intentionally panicking setup whose message embeds the instance
         // seed, so every outcome is distinct and any merge-order mistake

@@ -4,9 +4,11 @@
 //! of test cases without human intervention"; this crate is the engine
 //! that makes the large number practical. It turns one base FSL program
 //! plus a set of swept axes into a *campaign*: a deterministic
-//! enumeration of the fault space, executed across a pool of OS threads,
-//! deduplicated into outcome equivalence classes, and — when an instance
-//! does something interesting — shrunk down to a minimal reproducer.
+//! enumeration of the fault space, executed in shards across a pool of OS
+//! threads, deduplicated into outcome equivalence classes, and — when an
+//! instance does something interesting — shrunk down to a minimal
+//! reproducer. The `vw-serve` daemon runs the same shards; its telemetry
+//! (`vw-serve top`) is how a long sweep is watched while it runs.
 //!
 //! The pipeline, end to end:
 //!
@@ -14,7 +16,7 @@
 //!   CampaignSpec ──enumerate()──▶ [Instance; N]       (spec)
 //!        │                             │
 //!        │                     run_campaign(setup)    (exec)
-//!        │                             │  round-robin shards,
+//!        │                             │  ShardPlan shards,
 //!        │                             ▼  one World per worker
 //!                               [InstanceOutcome; N]
 //!                                      │
@@ -63,19 +65,16 @@
 
 mod exec;
 mod outcome;
-mod progress;
 mod shrink;
 mod spec;
 
 pub use exec::{
-    run_campaign, run_campaign_with_progress, run_one, run_shard_observed, ExecConfig, Setup,
-    ShardPlan,
+    run_campaign, run_one, run_shard_observed, ExecConfig, Setup, ShardPlan, SHARD_SIZE,
 };
 pub use outcome::{
     fnv1a64, instance_jsonl_line, CampaignResult, DigestKey, InstanceOutcome, InstanceRecord,
     MetricsDigest, OutcomeClass, OutcomeDigest,
 };
-pub use progress::{NullProgress, PeriodicProgress, ProgressEvent, ProgressFormat, ProgressSink};
 pub use shrink::{shrink, ShrinkOptions, ShrinkResult};
 pub use spec::{
     Axis, CampaignError, CampaignErrorKind, CampaignSpec, Instance, RunConfig, Sampling,

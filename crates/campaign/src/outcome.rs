@@ -502,7 +502,7 @@ impl CampaignResult {
     /// membership independent of the thread count that produced them.
     /// Wall-clock durations (nanoseconds) never affect class membership;
     /// they surface in JSONL only behind [`DigestKey::durations`] and feed
-    /// analyzer aggregates.
+    /// campaign analytics (`vw_analysis::CampaignReport::of`).
     pub fn build(
         name: &str,
         instances: &[Instance],
@@ -540,23 +540,6 @@ impl CampaignResult {
             instances: records,
             classes,
         }
-    }
-
-    /// `(max, mean)` wall-clock nanoseconds over instances that carry a
-    /// duration, or `None` if none do — the "is something wedged" signal
-    /// for long sweeps.
-    pub fn wall_ns_aggregates(&self) -> Option<(u64, u64)> {
-        let mut max = 0u64;
-        let mut sum = 0u128;
-        let mut n = 0u64;
-        for r in &self.instances {
-            if let Some(ns) = r.wall_ns {
-                max = max.max(ns);
-                sum += u128::from(ns);
-                n += 1;
-            }
-        }
-        (n > 0).then(|| (max, (sum / u128::from(n)) as u64))
     }
 
     /// Completed instances with their digests, ascending by index — the
@@ -608,9 +591,7 @@ impl CampaignResult {
             self.classes.len(),
         );
         if self.key.durations {
-            if let Some((max, mean)) = self.wall_ns_aggregates() {
-                let _ = write!(out, ",\"wall_ns\":{{\"max\":{max},\"mean\":{mean}}}");
-            }
+            write_wall_ns(&mut out, &self.instances);
         }
         out.push_str("}\n");
         for (i, class) in self.classes.iter().enumerate() {
@@ -638,34 +619,35 @@ impl CampaignResult {
                 out.push('}');
             }
             if self.key.durations {
-                // Max/mean wall time over the class's members. Members
-                // are a subset of `instances` (ascending by index, as is
-                // `instances` itself), so one merged walk suffices.
-                let mut max = 0u64;
-                let mut sum = 0u128;
-                let mut n = 0u64;
+                // Members are a subset of `instances`, both ascending by
+                // index, so one merged walk finds them all.
                 let mut records = self.instances.iter();
-                for &member in &class.members {
-                    if let Some(r) = records.find(|r| r.index == member) {
-                        if let Some(ns) = r.wall_ns {
-                            max = max.max(ns);
-                            sum += u128::from(ns);
-                            n += 1;
-                        }
-                    }
-                }
-                if n > 0 {
-                    let _ = write!(
-                        out,
-                        ",\"wall_ns\":{{\"max\":{max},\"mean\":{}}}",
-                        (sum / u128::from(n)) as u64
-                    );
-                }
+                let members = class
+                    .members
+                    .iter()
+                    .filter_map(|&member| records.find(|r| r.index == member));
+                write_wall_ns(&mut out, members);
             }
             write_outcome_fields(&mut out, &class.outcome, &self.key);
             out.push_str("}\n");
         }
         out
+    }
+}
+
+/// The `"wall_ns":{max,mean}` field over the `records` that carry a
+/// duration — the "is something wedged" signal for long sweeps — or
+/// nothing if none do.
+fn write_wall_ns<'a>(out: &mut String, records: impl IntoIterator<Item = &'a InstanceRecord>) {
+    let (mut max, mut sum, mut n) = (0u64, 0u128, 0u64);
+    for ns in records.into_iter().filter_map(|r| r.wall_ns) {
+        max = max.max(ns);
+        sum += u128::from(ns);
+        n += 1;
+    }
+    if n > 0 {
+        let mean = (sum / u128::from(n)) as u64;
+        let _ = write!(out, ",\"wall_ns\":{{\"max\":{max},\"mean\":{mean}}}");
     }
 }
 
@@ -888,7 +870,6 @@ mod tests {
         // Same digests, wildly different wall times: still one class.
         let plain = CampaignResult::build("t", &instances, outcomes.clone(), DigestKey::default());
         assert_eq!(plain.classes.len(), 2);
-        assert_eq!(plain.wall_ns_aggregates(), Some((300, 150)));
         assert!(
             !plain.to_jsonl().contains("wall_ns"),
             "durations are off by default (byte-stable reports)"

@@ -387,9 +387,38 @@ impl CampaignSpec {
         self
     }
 
-    /// Size of the full cross-product (before sampling).
+    /// Size of the full cross-product (before sampling), saturating at
+    /// `usize::MAX`, which [`enumerate`](Self::enumerate) refuses.
     pub fn total(&self) -> usize {
-        self.axes.iter().map(Axis::len).product()
+        self.axes
+            .iter()
+            .try_fold(1usize, |n, axis| n.checked_mul(axis.len()))
+            .unwrap_or(usize::MAX)
+    }
+
+    /// How many instances [`enumerate`](Self::enumerate) expands the spec
+    /// to: the cross-product, or the sampling budget when that is smaller.
+    /// Only the count is checked and nothing is expanded, so a caller can
+    /// refuse an oversized sweep before paying for it.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a cross-product too large to count and a zero sampling
+    /// budget.
+    pub fn instance_count(&self) -> Result<usize, CampaignError> {
+        let total = self.total();
+        if total == usize::MAX {
+            return Err(CampaignError::new(
+                "the axes' cross-product has more points than usize can count",
+            ));
+        }
+        match self.sampling {
+            Sampling::Exhaustive => Ok(total),
+            Sampling::Random { budget: 0, .. } => {
+                Err(CampaignError::new("sampling budget is zero"))
+            }
+            Sampling::Random { budget, .. } => Ok(budget.min(total)),
+        }
     }
 
     /// Expands the spec into concrete instances.
@@ -397,8 +426,8 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// Rejects an invalid base program (via [`vw_fsl::analyze`]), an
-    /// empty axis, a program-mutating axis that touches nothing, and a
-    /// zero sampling budget.
+    /// empty axis, a program-mutating axis that touches nothing, and
+    /// whatever [`instance_count`](Self::instance_count) rejects.
     pub fn enumerate(&self) -> Result<Vec<Instance>, CampaignError> {
         if let Err(errors) = vw_fsl::analyze(&self.base) {
             return Err(CampaignError::new(format!(
@@ -430,20 +459,11 @@ impl CampaignSpec {
                 }
             }
         }
-
+        let count = self.instance_count()?;
         let total = self.total();
         let indices: Vec<usize> = match self.sampling {
-            Sampling::Exhaustive => (0..total).collect(),
-            Sampling::Random { budget, seed } => {
-                if budget == 0 {
-                    return Err(CampaignError::new("sampling budget is zero"));
-                }
-                if budget >= total {
-                    (0..total).collect()
-                } else {
-                    sample_indices(total, budget, seed)
-                }
-            }
+            Sampling::Random { seed, .. } if count < total => sample_indices(total, count, seed),
+            _ => (0..total).collect(),
         };
 
         // Labels are formatted once per *axis point* here, not once per

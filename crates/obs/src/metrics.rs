@@ -479,11 +479,6 @@ impl MetricsRegistry {
         self.entries.remove(name).is_some()
     }
 
-    /// Removes every metric whose key starts with `prefix`.
-    pub fn remove_prefix(&mut self, prefix: &str) {
-        self.entries.retain(|k, _| !k.starts_with(prefix));
-    }
-
     /// Encodes the entries of `self` that are **new or changed** relative
     /// to `prev`, plus tombstones for entries `prev` has but `self`
     /// doesn't, as a compact binary delta. Applying the result to a copy
@@ -569,21 +564,6 @@ impl MetricsRegistry {
             })
         };
         Reader::le(bytes).whole(entries).ok().map(drop)
-    }
-
-    /// Folds a self-profiler trace into the registry: every span's *self*
-    /// time lands in a `trace.self_ns.<category>` histogram and bumps a
-    /// `trace.spans.<category>` counter, so phase attribution travels
-    /// with the run's other metrics (JSONL and Prometheus alike).
-    pub fn record_trace(&mut self, trace: &vw_trace::Trace) {
-        let selfs = trace.self_times();
-        for (r, &s) in trace.records.iter().zip(&selfs) {
-            self.observe(&format!("trace.self_ns.{}", r.category.as_str()), s);
-            self.add_counter(&format!("trace.spans.{}", r.category.as_str()), 1);
-        }
-        if trace.dropped > 0 {
-            self.add_counter("trace.dropped", trace.dropped);
-        }
     }
 }
 
@@ -863,40 +843,6 @@ node1_queue_depth -2
     }
 
     #[test]
-    fn record_trace_folds_self_times_into_histograms() {
-        use vw_trace::{Category, SpanRecord, Trace};
-        let trace = Trace {
-            records: vec![
-                SpanRecord {
-                    name: "run",
-                    category: Category::Run,
-                    start_ns: 0,
-                    dur_ns: 100,
-                    depth: 0,
-                    seq: 0,
-                },
-                SpanRecord {
-                    name: "classify_in",
-                    category: Category::Classify,
-                    start_ns: 10,
-                    dur_ns: 40,
-                    depth: 1,
-                    seq: 1,
-                },
-            ],
-            dropped: 2,
-            tid: 1,
-        };
-        let mut reg = MetricsRegistry::new();
-        reg.record_trace(&trace);
-        // run's self time is 100 - 40 = 60; classify keeps its full 40.
-        assert_eq!(reg.histogram("trace.self_ns.run").unwrap().sum(), 60);
-        assert_eq!(reg.histogram("trace.self_ns.classify").unwrap().sum(), 40);
-        assert_eq!(reg.counter("trace.spans.classify"), Some(1));
-        assert_eq!(reg.counter("trace.dropped"), Some(2));
-    }
-
-    #[test]
     fn histogram_codec_round_trips_exactly() {
         let mut h = Histogram::new();
         for v in [0u64, 1, 1, 3, 8, 1023, u64::MAX] {
@@ -1089,18 +1035,6 @@ node1_queue_depth -2
         let mut huge = good.clone();
         huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(MetricsRegistry::new().apply_delta(&huge).is_none());
-    }
-
-    #[test]
-    fn remove_prefix_retires_series() {
-        let mut reg = MetricsRegistry::new();
-        reg.add_counter(&labeled_key("c.total", &[("campaign", "x")]), 1);
-        reg.add_counter(&labeled_key("c.total", &[("campaign", "y")]), 1);
-        reg.add_counter("c.totally_different", 1);
-        reg.remove_prefix("c.total|");
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.counter("c.totally_different"), Some(1));
-        assert!(!reg.remove("c.total|campaign=x"));
     }
 
     #[test]

@@ -47,8 +47,8 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use vw_campaign::{
-    instance_jsonl_line, CampaignResult, CampaignSpec, DigestKey, Instance, InstanceOutcome,
-    ShardPlan,
+    instance_jsonl_line, CampaignError, CampaignResult, CampaignSpec, DigestKey, Instance,
+    InstanceOutcome, ShardPlan,
 };
 use vw_netsim::SimDuration;
 use vw_obs::{labeled_key, MetricsRegistry, RollingWindow};
@@ -99,21 +99,26 @@ const REPLY_HEADROOM: usize = 2;
 pub(crate) type Outcomes = Vec<(InstanceOutcome, u64)>;
 
 /// A submission checked as far as it can be without the daemon's state:
-/// its name, its setup and the instances it enumerates to.
+/// its name, its setup, how many instances it enumerates to, and those
+/// instances unless there are more than the quota allows.
 pub(crate) struct Prepared {
     submission: Submission,
+    size: usize,
     instances: Vec<Instance>,
     setup: SetupHandle,
 }
 
 impl Prepared {
-    /// Checks `submission` against `registry` and enumerates it. A
-    /// submission that leaves the shard size to the daemon gets
-    /// `shard_size`, stored with it so a resume partitions the same way.
+    /// Checks `submission` against `registry` and enumerates it if it has
+    /// at most `max_instances` instances; a larger one is left for
+    /// [`Scheduler`]'s quota check to refuse. A submission that leaves
+    /// the shard size to the daemon gets `shard_size`, stored with it so a
+    /// resume partitions the same way.
     pub(crate) fn new(
         mut submission: Submission,
         registry: &SetupRegistry,
         shard_size: usize,
+        max_instances: usize,
     ) -> Result<Prepared, (ErrorCode, String)> {
         // The name goes on to a file name, journal lines and metric
         // labels (where `|`, `,` and `=` are syntax); one check here keeps
@@ -148,14 +153,19 @@ impl Prepared {
             defaults: submission.defaults,
             sampling: submission.sampling,
         };
-        let instances = spec
-            .enumerate()
-            .map_err(|e| (ErrorCode::BadSpec, e.to_string()))?;
+        let bad_spec = |e: CampaignError| (ErrorCode::BadSpec, e.to_string());
+        let size = spec.instance_count().map_err(bad_spec)?;
+        let instances = if size <= max_instances {
+            spec.enumerate().map_err(bad_spec)?
+        } else {
+            Vec::new()
+        };
         if submission.shard_size == 0 {
             submission.shard_size = shard_size as u32;
         }
         Ok(Prepared {
             submission,
+            size,
             instances,
             setup,
         })
@@ -178,17 +188,24 @@ pub(crate) enum Request {
 impl Request {
     /// The request `frame` makes; a submission is prepared here, on the
     /// calling thread.
-    pub(crate) fn read(frame: &Frame, registry: &SetupRegistry, shard_size: usize) -> Request {
+    pub(crate) fn read(
+        frame: &Frame,
+        registry: &SetupRegistry,
+        shard_size: usize,
+        max_instances: usize,
+    ) -> Request {
         let undecodable = |what: &str| {
             Request::Refused(ErrorCode::BadFrame, format!("undecodable {what} payload"))
         };
         let payload = &frame.payload;
         match frame.frame_type {
             FrameType::Submit => match Submission::decode(payload) {
-                Some(submission) => match Prepared::new(submission, registry, shard_size) {
-                    Ok(prepared) => Request::Submit(Box::new(prepared)),
-                    Err((code, message)) => Request::Refused(code, message),
-                },
+                Some(submission) => {
+                    match Prepared::new(submission, registry, shard_size, max_instances) {
+                        Ok(prepared) => Request::Submit(Box::new(prepared)),
+                        Err((code, message)) => Request::Refused(code, message),
+                    }
+                }
                 None => undecodable("Submit"),
             },
             FrameType::Attach => {
@@ -386,6 +403,7 @@ impl Campaign {
             submission,
             instances,
             setup,
+            ..
         } = *prepared;
         let plan = ShardPlan::new(instances.len(), submission.shard_size as usize);
         let mut campaign = Campaign {
@@ -847,7 +865,7 @@ impl Scheduler {
     ) -> Result<(), Refusal> {
         let quota = self.cfg.quota;
         let name = &prepared.submission.campaign;
-        let total = prepared.instances.len();
+        let total = prepared.size;
         let live = || self.campaigns.values().filter(|c| !c.finished());
         let conn_active = live().filter(|c| c.conn == conn).count();
         let (reason, message) = if total > quota.max_instances_per_campaign {
@@ -1270,21 +1288,26 @@ mod tests {
         }
     }
 
-    /// A submission of `instances` seeds named `name` on `conn`, in shards
-    /// of 2.
-    fn submit(conn: u64, id: u64, name: &str, instances: u64) -> Input {
-        let submission = Submission {
+    /// A submission named `name` sweeping `axes`, in shards of 2.
+    fn submission(name: &str, axes: Vec<Axis>) -> Submission {
+        Submission {
             campaign: name.to_string(),
             program: PROGRAM.to_string(),
             setup: "udp_flood".to_string(),
-            axes: vec![Axis::seeds((1..=instances).collect())],
+            axes,
             defaults: RunConfig::default(),
             sampling: Sampling::Exhaustive,
             key: DigestKey::default(),
             deadline_ns: 1_000_000_000,
             shard_size: 2,
-        };
-        let prepared = Prepared::new(submission, &SetupRegistry::builtin(), 2);
+        }
+    }
+
+    /// A submission of `instances` seeds named `name` on `conn`, in shards
+    /// of 2.
+    fn submit(conn: u64, id: u64, name: &str, instances: u64) -> Input {
+        let submission = submission(name, vec![Axis::seeds((1..=instances).collect())]);
+        let prepared = Prepared::new(submission, &SetupRegistry::builtin(), 2, usize::MAX);
         let request = Request::Submit(Box::new(prepared.expect("the submission prepares")));
         Input::Request { conn, id, request }
     }
@@ -1362,6 +1385,29 @@ mod tests {
         assert_eq!(
             sim.run(submit(2, 9, "second", 2)),
             ["journal quota_bounced", "send 2 Error QuotaExceeded"]
+        );
+    }
+
+    #[test]
+    fn an_over_quota_submission_is_refused_without_being_enumerated() {
+        let seeds = || Axis::seeds((0..2_000).collect());
+        let submission = submission("huge", vec![seeds(), seeds()]);
+        let prepared = Prepared::new(submission, &SetupRegistry::builtin(), 2, 8)
+            .expect("a well-formed submission prepares");
+        assert_eq!(prepared.size, 4_000_000);
+        assert!(prepared.instances.is_empty(), "nothing enumerated");
+        let mut cfg = config(1);
+        cfg.quota.max_instances_per_campaign = 8;
+        let mut sim = Sim::new(cfg);
+        sim.connect(1);
+        let request = Request::Submit(Box::new(prepared));
+        assert_eq!(
+            sim.run(Input::Request {
+                conn: 1,
+                id: 7,
+                request
+            }),
+            ["journal quota_bounced", "send 1 Error QuotaExceeded"]
         );
     }
 

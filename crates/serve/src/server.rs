@@ -51,7 +51,8 @@ use crate::setup::SetupRegistry;
 pub struct DaemonConfig {
     /// Worker threads in the shared shard pool.
     pub workers: usize,
-    /// Default shard size for submissions that pass `0`.
+    /// Default shard size for submissions that pass `0`
+    /// ([`vw_campaign::SHARD_SIZE`]).
     pub shard_size: usize,
     /// Directory for checkpoint logs (created if missing).
     pub state_dir: PathBuf,
@@ -72,7 +73,7 @@ impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
             workers: 2,
-            shard_size: 8,
+            shard_size: vw_campaign::SHARD_SIZE,
             state_dir: PathBuf::from("vw-serve-state"),
             quota: QuotaConfig::default(),
             outbox_frames: 64,
@@ -145,6 +146,7 @@ struct Shared {
     conn_seq: Arc<AtomicU64>,
     registry: Arc<SetupRegistry>,
     shard_size: usize,
+    max_instances: usize,
 }
 
 /// The fault-injection service daemon.
@@ -208,6 +210,7 @@ impl Daemon {
                 conn_seq: Arc::new(AtomicU64::new(1)),
                 registry: Arc::new(registry),
                 shard_size: config.shard_size,
+                max_instances: config.quota.max_instances_per_campaign,
             },
             threads: Mutex::new(threads),
             unix_paths: Mutex::new(Vec::new()),
@@ -381,7 +384,10 @@ fn resume(
         if logs.contains_key(&name) {
             continue;
         }
-        let campaign = match Prepared::new(submission, registry, config.shard_size) {
+        // A logged campaign was admitted once: it resumes whatever the
+        // instance quota is now.
+        let prepared = Prepared::new(submission, registry, config.shard_size, usize::MAX);
+        let campaign = match prepared {
             Ok(campaign) => campaign,
             Err((_, message)) => {
                 eprintln!("vw-serve: skipping resume of `{name}`: {message}");
@@ -584,7 +590,12 @@ fn serve_connection(mut sock: Sock, conn: u64, shared: &Shared) {
                 Ok(Some(frame)) => Input::Request {
                     conn,
                     id: frame.request_id,
-                    request: Request::read(&frame, &shared.registry, shared.shard_size),
+                    request: Request::read(
+                        &frame,
+                        &shared.registry,
+                        shared.shard_size,
+                        shared.max_instances,
+                    ),
                 },
                 Ok(None) => break,
                 Err(e) => {

@@ -62,6 +62,11 @@ fn ping_stats_and_typed_rejections_over_tcp() {
             ErrorCode::BadSpec,
         );
     }
+    // Four 65,536-seed axes: a 2 MiB payload whose cross-product (2^64)
+    // no usize can count. Refused before anything is enumerated.
+    let mut sub = common::submission("svc-overflow", 0);
+    sub.axes = vec![vw_campaign::Axis::seeds((0..1 << 16).collect()); 4];
+    expect_server_error(client.submit(&sub), ErrorCode::BadSpec);
     let stats = client
         .stats()
         .expect("the connection survives the rejections");

@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use virtualwire::{CostModel, EngineConfig, ObsLevel, Runner, ScriptError};
-use vw_analysis::CampaignAnalyzer;
+use vw_analysis::CampaignReport;
 use vw_campaign::{
     run_campaign, shrink, Axis, CampaignSpec, ExecConfig, Instance, RunConfig, ShrinkOptions,
 };
@@ -70,7 +70,7 @@ fn setup(tables: &TableSet, run: &RunConfig) -> Result<(World, Runner), ScriptEr
     }
     // Faults-level recording keeps the per-packet hot path untouched but
     // populates the cascade-depth and classify-to-action histograms the
-    // campaign analyzer aggregates below; the calibrated cost model gives
+    // campaign analytics aggregate below; the calibrated cost model gives
     // those latencies the paper-testbed scale instead of all-zeros.
     let runner = Runner::try_install(
         &mut world,
@@ -131,7 +131,7 @@ fn main() {
 
     // Sweep the thread counts, checking both the speedup and the
     // determinism story: every pool size must render identical JSONL —
-    // for the deduped outcomes AND for the analyzer's aggregate.
+    // for the deduped outcomes AND for the analytics aggregate.
     let mut baseline: Option<(String, f64)> = None;
     let mut aggregate_baseline: Option<String> = None;
     for threads in [1usize, 2, 4, 8] {
@@ -140,10 +140,7 @@ fn main() {
             run_campaign(&spec, &setup, &ExecConfig::threads(threads)).expect("campaign runs");
         let elapsed = started.elapsed().as_secs_f64();
         let jsonl = result.to_jsonl();
-        let aggregate = CampaignAnalyzer::new()
-            .push_result(&result)
-            .analyze()
-            .to_jsonl();
+        let aggregate = CampaignReport::of(&result).to_jsonl();
         match &aggregate_baseline {
             None => aggregate_baseline = Some(aggregate),
             Some(reference) => assert_eq!(
@@ -185,7 +182,7 @@ fn main() {
 
     // Campaign-wide analytics: fold all 216 instances into one aggregate
     // with per-axis breakdowns and merged latency distributions.
-    let report = CampaignAnalyzer::new().push_result(&result).analyze();
+    let report = CampaignReport::of(&result);
     println!("\n--- campaign analytics ---");
     print!("{}", report.render());
     assert!(

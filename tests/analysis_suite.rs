@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use virtualwire::{
     compile_script, EngineConfig, ObsActionKind, ObsEvent, ObsKind, ObsLevel, Report, Runner,
 };
-use vw_analysis::{CampaignAnalyzer, DistributedTimeline, InvariantChecker};
+use vw_analysis::{CampaignReport, DistributedTimeline, InvariantChecker};
 use vw_campaign::{run_campaign, Axis, CampaignSpec, ExecConfig, RunConfig};
 use vw_fsl::{NodeId, TableSet};
 use vw_netsim::apps::{UdpFlooder, UdpSink};
@@ -362,9 +362,9 @@ fn analyzer_aggregate_is_schedule_independent_and_diff_flags_regressions() {
     assert_eq!(spec.total(), 4);
 
     let solo = run_campaign(&spec, &sweep_setup, &ExecConfig::threads(1)).unwrap();
-    let report = CampaignAnalyzer::new().push_result(&solo).analyze();
+    let report = CampaignReport::of(&solo);
     let pooled = run_campaign(&spec, &sweep_setup, &ExecConfig::threads(4)).unwrap();
-    let pooled_report = CampaignAnalyzer::new().push_result(&pooled).analyze();
+    let pooled_report = CampaignReport::of(&pooled);
     assert_eq!(
         report.to_jsonl(),
         pooled_report.to_jsonl(),
