@@ -9,7 +9,7 @@ use vw_packet::{Frame, MacAddr};
 use crate::event::TimerFire;
 use crate::id::{DeviceId, HandlerRef, TimerId};
 use crate::time::{SimDuration, SimTime};
-use crate::timer_wheel::TimerWheel;
+use crate::timer_heap::TimerHeap;
 use crate::trace::TraceKind;
 
 /// Who is currently being dispatched, which determines how emitted frames
@@ -74,7 +74,7 @@ pub struct Context<'a> {
     pub(crate) handler: HandlerRef,
     pub(crate) rng: &'a mut StdRng,
     /// Where [`set_timer`](Context::set_timer) reserves the timer's cell.
-    pub(crate) timers: &'a mut TimerWheel<TimerFire>,
+    pub(crate) timers: &'a mut TimerHeap<TimerFire>,
     /// The world's effect stack; this callback's effects go on top.
     pub(crate) effects: &'a mut Vec<Option<Effect>>,
     pub(crate) charged: SimDuration,

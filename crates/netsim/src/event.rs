@@ -7,7 +7,7 @@ use vw_packet::Frame;
 
 use crate::id::{DeviceId, HandlerRef, PortRef, TimerId};
 use crate::time::SimTime;
-use crate::timer_wheel::TimerWheel;
+use crate::timer_heap::TimerHeap;
 
 /// The kinds of events the simulator processes.
 #[derive(Debug)]
@@ -86,15 +86,15 @@ impl Ord for Event {
 ///   current time — zero-delay injections land here with O(1) push/pop
 ///   instead of churning the heap (pushed times are nondecreasing because
 ///   the clock is monotone, so the front is always the lane's minimum);
-/// - a **timer wheel** for handler timers, which are numerous and almost
-///   always cancelled before firing, and leave the wheel when they are —
-///   a cancelled timer is never an event (see [`TimerWheel`]);
+/// - a **timer heap** for handler timers, which are numerous and almost
+///   always cancelled before firing, and leave the timer heap when they
+///   are — a cancelled timer is never an event (see [`TimerHeap`]);
 /// - the **heap** for everything else in the future.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
     heap: BinaryHeap<Event>,
     ready: VecDeque<Event>,
-    timers: TimerWheel<TimerFire>,
+    timers: TimerHeap<TimerFire>,
     next_seq: u64,
     /// Time of the most recent pop: the queue's notion of "now", used to
     /// route at-or-before-now pushes into the ready lane.
@@ -120,18 +120,18 @@ impl EventQueue {
         }
     }
 
-    /// The wheel: where `Context::set_timer` reserves the cell that
+    /// The timer heap: where `Context::set_timer` reserves the cell that
     /// [`arm_timer`](Self::arm_timer) fills in, and where a timer is
     /// cancelled.
-    pub fn timers_mut(&mut self) -> &mut TimerWheel<TimerFire> {
+    pub fn timers_mut(&mut self) -> &mut TimerHeap<TimerFire> {
         &mut self.timers
     }
 
-    /// Arms the reserved timer `id` in the wheel instead of pushing an
-    /// event on the heap. Pop order is unaffected (the lanes share the
-    /// sequence counter); the cost profile changes, and the timer can be
-    /// cancelled in place. Every timer goes to the wheel, a zero-delay one
-    /// too, so every timer cancels the same way.
+    /// Arms the reserved timer `id` in the timer heap instead of pushing
+    /// an event on the event heap. Pop order is unaffected (the lanes share
+    /// the sequence counter); the timer can be cancelled in place. Every
+    /// timer goes to the timer heap, a zero-delay one too, so every timer
+    /// cancels the same way.
     pub fn arm_timer(&mut self, id: TimerId, time: SimTime, fire: TimerFire) {
         self.next_seq += 1;
         self.timers.arm(id, time, self.next_seq, fire);
@@ -150,7 +150,7 @@ impl EventQueue {
         }
         if let Some((time, seq)) = self.timers.peek() {
             if best.is_none_or(|(_, t, s)| (time, seq) < (t, s)) {
-                best = Some((Lane::Wheel, time, seq));
+                best = Some((Lane::Timers, time, seq));
             }
         }
         best.map(|(lane, t, _)| (lane, t))
@@ -160,10 +160,7 @@ impl EventQueue {
         let event = match lane {
             Lane::Ready => self.ready.pop_front()?,
             Lane::Heap => self.heap.pop()?,
-            Lane::Wheel => {
-                // The wheel's pop cascades deep slots toward level 0;
-                // the span makes that (amortized) cost visible.
-                let _span = vw_trace::span("timer_wheel_pop", vw_trace::Category::Event);
+            Lane::Timers => {
                 let (time, seq, fire) = self.timers.pop()?;
                 let kind = EventKind::Timer(fire);
                 Event { time, seq, kind }
@@ -206,7 +203,7 @@ impl EventQueue {
 enum Lane {
     Ready,
     Heap,
-    Wheel,
+    Timers,
 }
 
 #[cfg(test)]
@@ -343,8 +340,8 @@ mod tests {
     }
 
     /// Push offsets from the queue's `now`, one range per choice: zero
-    /// (the ready lane), inside each of the wheel's four level spans
-    /// (2^19, 2^25, 2^31, 2^37 ns), and past the deepest span.
+    /// (the ready lane), then ranges from 1 ns up to 2^40 ns (≈18 min), so
+    /// deadlines near and far mix in every lane.
     const OFFSET_BOUNDS: [u64; 7] = [0, 1, 1 << 19, 1 << 25, 1 << 31, 1 << 37, 1 << 40];
 
     proptest! {

@@ -57,7 +57,7 @@ mod id;
 mod link;
 mod protocol;
 pub mod time;
-mod timer_wheel;
+mod timer_heap;
 mod trace;
 mod world;
 

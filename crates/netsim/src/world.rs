@@ -1083,7 +1083,7 @@ impl World {
     // ------------------------------------------------------------------
 
     /// Borrows the host `node` in place, beside a fresh [`Context`] for its
-    /// `handler` over the world's other fields (clock, RNG, timer wheel,
+    /// `handler` over the world's other fields (clock, RNG, timer heap,
     /// effect stack): a handler is called where it lives and never leaves
     /// its slot. `None` if `node` is not a host.
     fn host_ctx(

@@ -40,12 +40,17 @@ if grep -rnE 'ObsEvent::(Classified|CounterUpdated|TermFlipped|ConditionFired|Ac
     exit 1
 fi
 
-# Timer gate: a cancelled timer leaves the wheel when it is cancelled
-# (vw-netsim's timer_wheel.rs); the world keeps no tombstone set to check
-# fired timers against.
+# Timer gate: a cancelled timer leaves the timer heap when it is cancelled
+# (vw-netsim's timer_heap.rs); the world keeps no tombstone set to check
+# fired timers against, and the hierarchical wheel the heap replaced
+# (BTreeMap levels, a cached minimum) does not come back.
 echo "==> timer gate"
 if grep -nE 'cancelled_timers|HashSet' crates/netsim/src/world.rs; then
-    echo "timer tombstones in World: cancel in the wheel (TimerWheel::cancel)"
+    echo "timer tombstones in World: cancel in the timer heap (TimerHeap::cancel)"
+    exit 1
+fi
+if grep -rnE 'BTreeMap|TimerWheel|rebuild_min' crates/netsim/src; then
+    echo "timer wheel in vw-netsim: handler timers live in the indexed heap (timer_heap.rs)"
     exit 1
 fi
 
@@ -176,7 +181,7 @@ fi
 # The size simplicity PRs quote, and its ratchet: lines of every
 # crates/*/src/**/*.rs up to its first #[cfg(test)]. A change that needs
 # more raises the ceiling in its own diff.
-NON_TEST_LINES_CEILING=27911
+NON_TEST_LINES_CEILING=27835
 echo "==> non-test source lines"
 non_test_lines=$(find crates/*/src -name '*.rs' -print0 | sort -z |
     xargs -0 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ }

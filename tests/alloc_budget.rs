@@ -2,7 +2,7 @@
 //! scratch have grown to the traffic's working set, carrying a frame —
 //! up and down the whole tower, or through the bare simulator with timers
 //! set and cancelled beside it — is meant to stay off the heap: frames
-//! recycle through the arena, timers through the wheel's slab, effects
+//! recycle through the arena, timers through the timer heap's slab, effects
 //! and verdict buffers through their owners' scratch.
 //!
 //! The counting allocator lives here, in the test crate, so the libraries
