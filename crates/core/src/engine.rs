@@ -41,8 +41,8 @@ use vw_fsl::{
     ActionId, CompiledActionKind, CompiledCounterKind, CompiledOperand, CondId, CounterId,
     CounterOp, Dir, Fault, ModifyPattern, NodeId, TableSet, TermId,
 };
-use vw_netsim::{Context, Hook, SimDuration, SimTime, TraceKind, Verdict};
-use vw_obs::{EventLog, Histogram, ObsActionKind, ObsEvent, ObsKind, ObsLevel};
+use vw_netsim::{Context, Hook, SimDuration, SimTime, Verdict};
+use vw_obs::{Histogram, ObsActionKind, ObsEvent, ObsKind, ObsLevel};
 use vw_packet::{EtherType, Frame, MacAddr, MacMap};
 
 use crate::classify::{Classification, ClassifierMode, ClassifierScratch};
@@ -389,8 +389,6 @@ pub struct Engine {
 
     /// Errors flagged locally, plus (on the control node) remotely.
     errors: Vec<FlaggedError>,
-    /// STOP reason, once seen.
-    stopped: Option<String>,
     /// Time of the most recent packet-definition match — inactivity
     /// timeouts key off this.
     last_match: SimTime,
@@ -406,9 +404,9 @@ pub struct Engine {
     /// Reusable slots a full REORDER batch is permuted out of.
     scratch_reorder: Vec<Option<(Frame, Dir)>>,
 
-    /// Flight recorder: typed causal event stream (level-gated *before*
-    /// any record is built).
-    flight: EventLog,
+    /// Flight recorder: typed causal event stream, gated on `cfg.obs`
+    /// *before* any record is built.
+    events: Vec<ObsEvent>,
     /// Monotone ordinal of classification attempts; ties every recorded
     /// event to the frame whose processing caused it.
     frame_seq: u64,
@@ -463,14 +461,13 @@ impl Engine {
             reorder_bufs: Vec::new(),
             oob_flagged: Vec::new(),
             errors: Vec::new(),
-            stopped: None,
             last_match: SimTime::ZERO,
             scratch: ClassifierScratch::default(),
             cascade_worklist: Vec::new(),
             scratch_bump: Vec::new(),
             scratch_fired: Vec::new(),
             scratch_reorder: Vec::new(),
-            flight: EventLog::new(cfg.obs),
+            events: Vec::new(),
             frame_seq: 0,
             filter_hits: Vec::new(),
             cascade_hist: Histogram::new(),
@@ -503,11 +500,6 @@ impl Engine {
     /// reports).
     pub fn errors(&self) -> &[FlaggedError] {
         &self.errors
-    }
-
-    /// The STOP reason, if a STOP action has fired.
-    pub fn stopped(&self) -> Option<&str> {
-        self.stopped.as_deref()
     }
 
     /// Time of the most recent packet-definition match.
@@ -544,15 +536,15 @@ impl Engine {
 
     /// The recorded causal event stream, in recording order.
     pub fn events(&self) -> &[ObsEvent] {
-        self.flight.events()
+        &self.events
     }
 
     /// Appends one event stamped with this engine's node and the current
-    /// `frame_seq`. Every caller checks `wants_full()` / `wants_faults()`
+    /// `frame_seq`. Every caller checks `cfg.obs.full()` / `.faults()`
     /// itself, so a site costs one compare and no call with the recorder
     /// off (checking in here read ~25 ns on `core.cascade_action25_ns`).
     fn record(&mut self, time: SimTime, kind: ObsKind) {
-        self.flight.push(ObsEvent {
+        self.events.push(ObsEvent {
             time,
             node: self.me.expect("initialized"),
             frame_seq: self.frame_seq,
@@ -636,7 +628,7 @@ impl Engine {
                 // Terms that start out true get a flip record too, so a
                 // replay of the event stream reconstructs the same term
                 // state the engine evaluates conditions against.
-                if status && self.flight.wants_full() {
+                if status && self.cfg.obs.full() {
                     let term = TermId(i as u16);
                     self.record(ctx.now(), ObsKind::TermFlipped { term, status });
                 }
@@ -689,7 +681,7 @@ impl Engine {
             return;
         }
         self.counter_values[counter.index()] = value;
-        if self.flight.wants_full() {
+        if self.cfg.obs.full() {
             let new = value;
             self.record(ctx.now(), ObsKind::CounterUpdated { counter, old, new });
         }
@@ -752,7 +744,7 @@ impl Engine {
                     continue;
                 }
                 self.term_status[term.index()] = status;
-                if self.flight.wants_full() {
+                if self.cfg.obs.full() {
                     self.record(ctx.now(), ObsKind::TermFlipped { term, status });
                 }
                 // Propagate the term status to interested parties.
@@ -775,7 +767,7 @@ impl Engine {
             }
         }
         self.stats.max_cascade_depth = self.stats.max_cascade_depth.max(depth);
-        if depth > 0 && self.flight.wants_faults() {
+        if depth > 0 && self.cfg.obs.faults() {
             self.cascade_hist.observe(u64::from(depth));
         }
     }
@@ -977,7 +969,7 @@ impl Engine {
     /// distributed timeline; retransmissions repeat the triple, which
     /// downstream merging treats as the same edge.
     fn record_control_sent(&mut self, time: SimTime, dst: MacAddr, peer_seq: u32, ack: u32) {
-        if !self.flight.wants_full() {
+        if !self.cfg.obs.full() {
             return;
         }
         if let Some(peer) = self.peer_node_id(dst) {
@@ -1004,8 +996,9 @@ impl Engine {
     fn flag_stale_sender(&mut self, ctx: &mut Context<'_>, peer: MacAddr) {
         let (_, peer_name) = self.peer_identity(peer);
         self.stats.control_stale_degradations += 1;
-        self.push_stale_error(
-            ctx,
+        self.flag(
+            ctx.now(),
+            None,
             format!(
                 "control-plane staleness: {peer_name} is not acknowledging sequenced \
                  updates; its view of remote terms may lag (still retransmitting)"
@@ -1026,24 +1019,19 @@ impl Engine {
         rx.ack_owed = false;
         self.stats.control_stale_degradations += 1;
         let (peer_id, peer_name) = self.peer_identity(peer);
-        if self.flight.wants_faults() {
+        if self.cfg.obs.faults() {
             if let Some(peer) = peer_id {
                 self.record(ctx.now(), ObsKind::PeerDegraded { peer });
             }
         }
-        self.push_stale_error(
-            ctx,
+        self.flag(
+            ctx.now(),
+            None,
             format!(
                 "control-plane staleness: sequenced updates from {peer_name} stalled on a \
                  sequence gap; remote terms frozen at last-known status"
             ),
         );
-    }
-
-    /// Records a staleness diagnostic as a flagged error on this node.
-    fn push_stale_error(&mut self, ctx: &mut Context<'_>, message: String) {
-        ctx.trace_note(|| format!("virtualwire: {message}"));
-        self.flag(ctx.now(), None, message);
     }
 
     /// Re-evaluates one condition; returns it if it transitioned to true.
@@ -1066,7 +1054,7 @@ impl Engine {
         worklist: &mut Vec<CounterId>,
     ) {
         let me = self.me.expect("initialized");
-        if self.flight.wants_faults() {
+        if self.cfg.obs.faults() {
             self.record(ctx.now(), ObsKind::ConditionFired { cond });
         }
         for &(node, action) in &tables.conditions[cond.index()].triggers {
@@ -1075,7 +1063,7 @@ impl Engine {
             }
             ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
             let kind = &tables.actions[action.index()].kind;
-            if self.flight.wants_faults() {
+            if self.cfg.obs.faults() {
                 self.record_action(ctx, action, kind);
             }
             match kind {
@@ -1105,12 +1093,6 @@ impl Engine {
                 &CompiledActionKind::Fail { node } => {
                     debug_assert_eq!(node, me, "compiler places FAIL at the victim");
                     self.blackholed = true;
-                    ctx.trace_note(|| {
-                        format!(
-                            "virtualwire: FAIL — node {} blackholed",
-                            tables.nodes[me.index()].name
-                        )
-                    });
                 }
                 CompiledActionKind::Stop => {
                     let reason = format!(
@@ -1118,7 +1100,6 @@ impl Engine {
                         tables.nodes[me.index()].name,
                         cond.index()
                     );
-                    self.stopped = Some(reason.clone());
                     // Tell everyone, then halt the run.
                     let msg = ControlMsg::Stop {
                         node: me,
@@ -1131,7 +1112,6 @@ impl Engine {
                     let message = message
                         .clone()
                         .unwrap_or_else(|| format!("FLAG_ERR fired (condition {})", cond.index()));
-                    ctx.trace_note(|| format!("virtualwire: FLAG_ERR: {message}"));
                     self.flag(ctx.now(), Some(cond), message.clone());
                     if let Some(control) = self.control_mac {
                         if control != ctx.mac() {
@@ -1152,7 +1132,7 @@ impl Engine {
     }
 
     /// Records an executed action and its classify-to-action latency.
-    /// Callers gate on `wants_faults` first, so the per-action path with
+    /// Callers gate on `cfg.obs.faults()` first, so the per-action path with
     /// the recorder off is one compare and no call.
     #[inline(never)]
     fn record_action(&mut self, ctx: &Context<'_>, action: ActionId, kind: &CompiledActionKind) {
@@ -1225,7 +1205,7 @@ impl Engine {
             rx.ack_owed = true;
         }
         self.recompute_pump_next();
-        let recorded_peer = if self.flight.wants_full() {
+        let recorded_peer = if self.cfg.obs.full() {
             self.peer_node_id(src)
         } else {
             None
@@ -1296,7 +1276,7 @@ impl Engine {
                 }
                 self.term_status[term.index()] = status;
                 let me = self.me.expect("initialized");
-                if self.flight.wants_full() {
+                if self.cfg.obs.full() {
                     self.record(ctx.now(), ObsKind::TermFlipped { term, status });
                 }
                 let tables = self.tables.take().expect("initialized");
@@ -1338,9 +1318,6 @@ impl Engine {
                 });
             }
             ControlMsg::Stop { reason, .. } => {
-                if self.stopped.is_none() {
-                    self.stopped = Some(reason.clone());
-                }
                 ctx.request_stop(reason);
             }
         }
@@ -1466,7 +1443,7 @@ impl Engine {
         if let Some(hits) = self.filter_hits.get_mut(classification.filter.index()) {
             *hits += 1;
         }
-        if self.flight.wants_full() {
+        if self.cfg.obs.full() {
             let kind = ObsKind::Classified {
                 filter: classification.filter,
                 dir,
@@ -1507,7 +1484,7 @@ impl Engine {
             ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
             let old = self.counter_values[counter.index()];
             self.counter_values[counter.index()] = old + 1;
-            if self.flight.wants_full() {
+            if self.cfg.obs.full() {
                 let new = old + 1;
                 self.record(ctx.now(), ObsKind::CounterUpdated { counter, old, new });
             }
@@ -1567,15 +1544,12 @@ impl Engine {
                     continue;
                 }
                 ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
-                if self.flight.wants_faults() {
+                if self.cfg.obs.faults() {
                     self.record_action(ctx, *action, kind);
                 }
                 match fault {
                     Fault::Drop => {
                         self.stats.drops += 1;
-                        ctx.trace_frame(TraceKind::HookConsume, &frame, || {
-                            "virtualwire DROP".into()
-                        });
                         return Verdict::Consume;
                     }
                     Fault::Dup => {
@@ -1809,9 +1783,6 @@ impl Hook for Engine {
         if flushed > 0 {
             self.stats.teardown_flushed += flushed;
             self.stats.faults_in_limbo = self.stats.faults_in_limbo.saturating_sub(flushed);
-            ctx.trace_note(|| {
-                format!("virtualwire: teardown flushed {flushed} in-flight frame(s)")
-            });
         }
     }
 }

@@ -101,8 +101,8 @@ pub use suite::{Suite, SuiteReport};
 // direct vw-obs dependency.
 pub use vw_obs::pcap;
 pub use vw_obs::{
-    CausalChain, EventLog, Histogram, Metric, MetricsRegistry, ObsActionKind, ObsEvent, ObsKind,
-    ObsLevel, ProtoAspect, SymbolTable,
+    CausalChain, Histogram, Metric, MetricsRegistry, ObsActionKind, ObsEvent, ObsKind, ObsLevel,
+    ProtoAspect, SymbolTable,
 };
 
 /// Error compiling a script source: a parse error or semantic errors.

@@ -3,7 +3,7 @@
 
 use virtualwire::{compile_script, EngineConfig, Runner};
 use vw_netsim::apps::{UdpFlooder, UdpPinger, UdpSink};
-use vw_netsim::{Binding, Context, LinkConfig, Protocol, SimDuration, World};
+use vw_netsim::{Binding, Context, LinkConfig, Protocol, SimDuration, TraceKind, World};
 use vw_packet::{EtherType, Frame, UdpBuilder};
 
 const PREAMBLE: &str = r#"
@@ -91,6 +91,43 @@ fn drop_consumes_exactly_the_gated_window() {
     assert_eq!(sink_frames(bed), 17, "datagrams 3,4,5 were eaten");
     let engine = bed.runner.engine(&bed.world, "node1").unwrap();
     assert_eq!(engine.stats().drops, 3);
+}
+
+/// The packet trace holds one `HookConsume` record per injected DROP: the
+/// world's record of the hook's verdict, and no second copy from the engine.
+#[test]
+fn an_injected_drop_is_traced_once() {
+    let bed = &mut testbed(
+        1,
+        r#"
+        SCENARIO DropWindow
+        Sent: (udp_data, node1, node2, SEND)
+        (TRUE) >> ENABLE_CNTR(Sent);
+        ((Sent > 2) && (Sent <= 5)) >> DROP(udp_data, node1, node2, SEND);
+        END
+        "#,
+        20,
+        200,
+    );
+    // The control plane's own consumed frames belong to the settle.
+    bed.runner.settle(&mut bed.world);
+    bed.world.trace_mut().clear();
+    bed.runner.run(&mut bed.world, SimDuration::from_secs(2));
+    let node1 = bed.nodes[0];
+    let consumed = bed
+        .world
+        .trace()
+        .of_kind(TraceKind::HookConsume)
+        .filter(|record| record.device == node1)
+        .count() as u64;
+    let drops = bed
+        .runner
+        .engine(&bed.world, "node1")
+        .unwrap()
+        .stats()
+        .drops;
+    assert_eq!(drops, 3);
+    assert_eq!(consumed, drops, "one trace record per DROP");
 }
 
 #[test]

@@ -10,7 +10,6 @@ use crate::event::TimerFire;
 use crate::id::{DeviceId, HandlerRef, TimerId};
 use crate::time::{SimDuration, SimTime};
 use crate::timer_heap::TimerHeap;
-use crate::trace::TraceKind;
 
 /// Who is currently being dispatched, which determines how emitted frames
 /// are routed through the hook chain.
@@ -42,12 +41,6 @@ pub(crate) enum Effect {
     },
     /// Disarm a previously set timer.
     CancelTimer(TimerId),
-    /// Append a trace record.
-    Trace {
-        kind: TraceKind,
-        frame: Option<Frame>,
-        note: String,
-    },
     /// Ask the world to stop the run (the `STOP` action).
     RequestStop { reason: String },
 }
@@ -78,7 +71,6 @@ pub struct Context<'a> {
     /// The world's effect stack; this callback's effects go on top.
     pub(crate) effects: &'a mut Vec<Option<Effect>>,
     pub(crate) charged: SimDuration,
-    pub(crate) trace_enabled: bool,
 }
 
 impl<'a> Context<'a> {
@@ -170,32 +162,6 @@ impl<'a> Context<'a> {
     /// Total time charged so far in this callback.
     pub fn charged(&self) -> SimDuration {
         self.charged
-    }
-
-    /// Appends a free-form note to the world trace. `note` only runs — and
-    /// its text is only built — while tracing is enabled.
-    pub fn trace_note(&mut self, note: impl FnOnce() -> String) {
-        if !self.trace_enabled {
-            return;
-        }
-        self.push(Effect::Trace {
-            kind: TraceKind::Note,
-            frame: None,
-            note: note(),
-        });
-    }
-
-    /// Appends a trace record carrying a frame. With tracing disabled the
-    /// frame is not cloned and `note` does not run.
-    pub fn trace_frame(&mut self, kind: TraceKind, frame: &Frame, note: impl FnOnce() -> String) {
-        if !self.trace_enabled {
-            return;
-        }
-        self.push(Effect::Trace {
-            kind,
-            frame: Some(frame.clone()),
-            note: note(),
-        });
     }
 
     /// Requests that the whole simulation stop (the FSL `STOP` action).

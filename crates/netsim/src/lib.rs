@@ -69,5 +69,5 @@ pub use id::{DeviceId, HandlerRef, HookId, LinkId, PortRef, ProtocolId, TimerId}
 pub use link::LinkConfig;
 pub use protocol::{Binding, Protocol};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Direction, TraceKind, TraceRecord, TraceSink};
+pub use trace::{TraceKind, TraceRecord, TraceSink};
 pub use world::{World, MIN_FRAME_BYTES, WIRE_OVERHEAD_BYTES};

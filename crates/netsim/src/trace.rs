@@ -13,24 +13,6 @@ use vw_packet::Frame;
 use crate::id::DeviceId;
 use crate::time::SimTime;
 
-/// Direction of a host-level frame event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Direction {
-    /// Leaving the protocol stack toward the wire.
-    Send,
-    /// Arriving from the wire toward the protocol stack.
-    Recv,
-}
-
-impl fmt::Display for Direction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Direction::Send => f.write_str("send"),
-            Direction::Recv => f.write_str("recv"),
-        }
-    }
-}
-
 /// What happened to a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceKind {

@@ -860,6 +860,7 @@ impl World {
     fn hook_step(&mut self, node: DeviceId, idx: usize, frame: Frame, then: ChainDir) {
         let base = self.effects.len();
         let handler = HandlerRef::Hook(HookId::from_index(idx));
+        let traced = self.trace.is_enabled();
         let (host, mut ctx) = self
             .host_ctx(node, handler)
             .expect("chain steps run on hosts");
@@ -871,7 +872,7 @@ impl World {
         let charged = ctx.charged;
         // The name is only read by the Consume trace record; skip the
         // per-frame allocation on the overwhelmingly common paths.
-        let name = if ctx.trace_enabled && matches!(verdict, Verdict::Consume) {
+        let name = if traced && matches!(verdict, Verdict::Consume) {
             hook.name().to_string()
         } else {
             String::new()
@@ -1066,10 +1067,6 @@ impl World {
                 Effect::CancelTimer(id) => {
                     self.queue.timers_mut().cancel(id);
                 }
-                Effect::Trace { kind, frame, note } => {
-                    self.trace
-                        .record(self.now, node, kind, frame.as_ref(), || note);
-                }
                 Effect::RequestStop { reason } => {
                     self.request_stop(reason);
                 }
@@ -1095,7 +1092,6 @@ impl World {
             devices,
             queue,
             rng,
-            trace,
             effects,
             now,
             ..
@@ -1111,7 +1107,6 @@ impl World {
             timers: queue.timers_mut(),
             effects,
             charged: SimDuration::ZERO,
-            trace_enabled: trace.is_enabled(),
         };
         Some((host, ctx))
     }

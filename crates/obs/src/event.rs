@@ -1,10 +1,10 @@
 //! The typed event stream behind the flight recorder.
 //!
-//! Every engine decision point emits one [`ObsEvent`] into an [`EventLog`]
-//! when the recorder is enabled. Events are plain `Copy` records built from
-//! table ids — recording never formats or allocates beyond the log's `Vec`
-//! growth, and an [`ObsLevel::Off`] recorder is a single enum compare on
-//! the hot path.
+//! Every engine decision point appends one [`ObsEvent`] to its engine's
+//! event `Vec` when the recorder is enabled. Events are plain `Copy`
+//! records built from table ids — recording never formats or allocates
+//! beyond that `Vec`'s growth, and an [`ObsLevel::Off`] recorder is a
+//! single enum compare on the hot path.
 //!
 //! Every event carries the engine's monotone `frame_seq` (the ordinal of
 //! the classification that triggered the cascade), which is what lets a
@@ -389,75 +389,6 @@ impl SymbolTable {
     }
 }
 
-/// An append-only event log owned by one engine.
-///
-/// The log does not filter: engines check [`EventLog::wants_full`] /
-/// [`EventLog::wants_faults`] *before* constructing an event, so a
-/// disabled recorder costs one branch and no allocation.
-#[derive(Debug, Clone, Default)]
-pub struct EventLog {
-    level: ObsLevel,
-    events: Vec<ObsEvent>,
-}
-
-impl EventLog {
-    /// Creates a log recording at `level`.
-    pub fn new(level: ObsLevel) -> Self {
-        EventLog {
-            level,
-            events: Vec::new(),
-        }
-    }
-
-    /// The configured recording level.
-    pub fn level(&self) -> ObsLevel {
-        self.level
-    }
-
-    /// `true` if full-stream events should be recorded.
-    #[inline]
-    pub fn wants_full(&self) -> bool {
-        self.level.full()
-    }
-
-    /// `true` if fault events should be recorded.
-    #[inline]
-    pub fn wants_faults(&self) -> bool {
-        self.level.faults()
-    }
-
-    /// Appends an event. Callers gate on the level first.
-    #[inline]
-    pub fn push(&mut self, event: ObsEvent) {
-        self.events.push(event);
-    }
-
-    /// All recorded events, in recording order.
-    pub fn events(&self) -> &[ObsEvent] {
-        &self.events
-    }
-
-    /// Iterates the recorded events in recording order.
-    pub fn iter(&self) -> impl Iterator<Item = &ObsEvent> {
-        self.events.iter()
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Discards all recorded events, keeping the level.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-}
-
 /// Merges per-engine event streams into one time-ordered view.
 ///
 /// The sort is stable, so events recorded at the same instant keep their
@@ -589,18 +520,6 @@ mod tests {
         };
         let line = unknown.render(&symbols);
         assert!(line.contains("node#9") && line.contains("counter#7"));
-    }
-
-    #[test]
-    fn log_push_and_clear() {
-        let mut log = EventLog::new(ObsLevel::Full);
-        assert!(log.wants_full() && log.wants_faults());
-        assert!(log.is_empty());
-        log.push(ev(0, 1, 1));
-        assert_eq!(log.len(), 1);
-        log.clear();
-        assert!(log.is_empty());
-        assert_eq!(log.level(), ObsLevel::Full);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! of "manual inspection of packet traces". This crate supplies the three
 //! artifacts that make an engine's decisions inspectable after the fact:
 //!
-//! * **Events** ([`ObsEvent`], [`EventLog`]) — a typed, allocation-free
-//!   stream of every decision point on the Figure 4(b) packet path,
-//!   gated by [`ObsLevel`] *before* any record is built. A shared
+//! * **Events** ([`ObsEvent`]) — a typed, allocation-free stream of
+//!   every decision point on the Figure 4(b) packet path, gated by
+//!   [`ObsLevel`] *before* any record is built. A shared
 //!   `frame_seq` ordinal ties a classification to everything it caused,
 //!   so a fault unwinds into a [`CausalChain`]:
 //!   `Classified → CounterUpdated → TermFlipped → ConditionFired →
@@ -34,7 +34,7 @@ pub mod pcap;
 mod window;
 
 pub use event::{
-    merge_by_time, CausalChain, EventLog, ObsActionKind, ObsEvent, ObsKind, ObsLevel, ProtoAspect,
+    merge_by_time, CausalChain, ObsActionKind, ObsEvent, ObsKind, ObsLevel, ProtoAspect,
     SymbolTable,
 };
 pub use metrics::{labeled_key, Histogram, Metric, MetricsRegistry};

@@ -32,6 +32,9 @@ pub struct Sample {
 #[derive(Debug, Clone)]
 pub struct RollingWindow {
     ring: Vec<Sample>,
+    /// The most samples held. Kept here, not read from `ring.capacity()`:
+    /// a clone of the `Vec` allocates only its length.
+    capacity: usize,
     /// Index of the oldest sample (ring is used circularly once full).
     head: usize,
     len: usize,
@@ -43,8 +46,10 @@ impl RollingWindow {
     /// A window holding at most `capacity` samples. Capacity is clamped
     /// to at least 1.
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         RollingWindow {
-            ring: Vec::with_capacity(capacity.max(1)),
+            ring: Vec::with_capacity(capacity),
+            capacity,
             head: 0,
             len: 0,
             pushed: 0,
@@ -70,14 +75,13 @@ impl RollingWindow {
     /// full. Timestamps are expected to be non-decreasing; a stale
     /// timestamp is stored as-is (queries clamp, they don't panic).
     pub fn push(&mut self, t_ns: u64, value: u64) {
-        let cap = self.ring.capacity();
         let sample = Sample { t_ns, value };
-        if self.ring.len() < cap {
+        if self.ring.len() < self.capacity {
             self.ring.push(sample);
             self.len = self.ring.len();
         } else {
             self.ring[self.head] = sample;
-            self.head = (self.head + 1) % cap;
+            self.head = (self.head + 1) % self.capacity;
         }
         self.pushed += 1;
     }
@@ -228,6 +232,20 @@ mod tests {
         assert_eq!(RollingWindow::new(4).percentile(SEC, SEC, 50.0), None);
         // Horizon excludes everything → None.
         assert_eq!(w.percentile(100 * SEC, SEC, 50.0), None);
+    }
+
+    #[test]
+    fn a_clone_keeps_the_capacity_it_was_built_with() {
+        let mut w = RollingWindow::new(8);
+        for t in 0..3 {
+            w.push(t, 1);
+        }
+        let mut clone = w.clone();
+        for t in 3..11 {
+            clone.push(t, 1);
+        }
+        assert_eq!(clone.len(), 8);
+        assert_eq!(clone.newest_t_ns(), Some(10));
     }
 
     #[test]

@@ -344,13 +344,6 @@ impl RetherNode {
                 ProtoAspect::RingReconfigured,
                 self.ring.len() as u64,
             ));
-            ctx.trace_note(|| {
-                format!(
-                    "rether: {} declared {dst} dead; ring now {} nodes",
-                    self.mac,
-                    self.ring.len()
-                )
-            });
             self.state = TokenState::Idle;
             self.pass_token(ctx);
         }
@@ -367,12 +360,6 @@ impl RetherNode {
                 u64::from(self.generation),
             ));
             self.last_token_seen = ctx.now();
-            ctx.trace_note(|| {
-                format!(
-                    "rether: {} regenerated token (generation {})",
-                    self.mac, self.generation
-                )
-            });
             self.hold_token(ctx);
         }
         ctx.set_timer(self.regen_timeout(), TIMER_REGEN);

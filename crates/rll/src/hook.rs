@@ -239,7 +239,6 @@ impl Hook for RllHook {
         if peer.sender.retries() >= self.config.max_retries {
             let lost = peer.sender.reset() as u64;
             self.stats.gave_up += lost;
-            ctx.trace_note(|| format!("rll gave up on {mac}: {lost} frames dropped"));
             return;
         }
         let ack = peer.receiver.expected();

@@ -102,7 +102,19 @@ fn quotas_reject_with_typed_errors_and_count() {
         },
         ..DaemonConfig::default()
     };
-    let daemon = Daemon::start(config, SetupRegistry::builtin()).expect("daemon starts");
+    // Each instance of the first campaign waits here until the test lets
+    // it build, so that campaign is still live when the second arrives.
+    let (gate, waiting) = std::sync::mpsc::channel::<()>();
+    let waiting = std::sync::Mutex::new(waiting);
+    let mut registry = SetupRegistry::builtin();
+    registry.register(
+        "gated_flood",
+        move |tables: &vw_fsl::TableSet, run: &vw_campaign::RunConfig| {
+            let _ = waiting.lock().unwrap().recv();
+            common::flood_setup(tables, run)
+        },
+    );
+    let daemon = Daemon::start(config, registry).expect("daemon starts");
     let sock = dir.join("vw.sock");
     daemon.bind_unix(&sock).expect("bind");
     let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
@@ -117,6 +129,7 @@ fn quotas_reject_with_typed_errors_and_count() {
     // axes' alternatives) is accepted...
     let mut small = common::submission("svc-small", 2);
     small.axes.truncate(2); // 2 x 2 = 4 instances
+    small.setup = "gated_flood".to_string();
     client.submit(&small).expect("within quota");
 
     // ...but a second live campaign on the same connection trips the
@@ -125,6 +138,9 @@ fn quotas_reject_with_typed_errors_and_count() {
     second.axes.truncate(2);
     expect_server_error(client.submit(&second), ErrorCode::QuotaExceeded);
 
+    for _ in 0..4 {
+        gate.send(()).expect("an instance released");
+    }
     let (lines, _) = common::stream_all(&mut client);
     assert_eq!(lines.len(), 4);
 

@@ -17,7 +17,7 @@
 
 use virtualwire::{compile_script, pcap, EngineConfig, Runner};
 use vw_netsim::apps::{UdpFlooder, UdpSink};
-use vw_netsim::{Binding, LinkConfig, SimDuration, TraceKind, World};
+use vw_netsim::{Binding, LinkConfig, SimDuration, World};
 use vw_packet::EtherType;
 
 const SCRIPT: &str = r#"
@@ -83,18 +83,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&out, &capture)?;
     println!("wrote {} — open it in Wireshark or tcpdump", out.display());
 
-    println!("\n=== packet trace (UDP data + fault events only) ===");
+    println!("\n=== packet trace (UDP data frames only) ===");
     for record in world.trace().records() {
         let is_udp = record
             .frame
             .as_ref()
             .is_some_and(|f| f.udp().is_some_and(|u| u.dst_port() == 0x6363));
-        let is_fault = matches!(record.kind, TraceKind::HookConsume | TraceKind::Note);
-        if is_udp || is_fault {
+        if is_udp {
             // render_record resolves device ids to topology names
             // (node1/node2/sw0) via the sink's registry.
             println!("{}", world.trace().render_record(record));
         }
+    }
+
+    // The faults themselves are the FAE's facts, typed, not trace text.
+    println!("\n=== the FAE's facts beside those frames ===");
+    for (node, stats) in &report.stats {
+        println!("{node}: drops {} dups {}", stats.drops, stats.dups);
+    }
+    for error in &report.errors {
+        println!("flagged {error}");
     }
 
     println!("\n=== and a hexdump of the first parsed pcap packet ===");
