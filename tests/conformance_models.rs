@@ -5,7 +5,7 @@
 //! violation class.
 
 use virtualwire::{compile_script, ConformanceRecord, EngineConfig, Report, Runner};
-use vw_analysis::{conformance_pass, rether_reference, tcp_reference};
+use vw_analysis::{conformance_pass, rether_reference, tcp_reference, ProtocolModel};
 use vw_netsim::{Binding, LinkConfig, SimDuration, World};
 use vw_packet::EtherType;
 use vw_rether::{RetherConfig, RetherNode};
@@ -110,8 +110,9 @@ fn tcp_conformance(seed: u64, script: &str, buggy: bool) -> Report {
 }
 
 /// Builds the §6.2 four-node Rether ring over `script`, runs it, and
-/// returns the conformance records for the Rether reference model.
-fn rether_conformance(seed: u64, script: &str) -> Vec<ConformanceRecord> {
+/// returns the conformance records for `models`. node1 and node4 carry a
+/// `TcpStack` (the flow's ends) as well as a `RetherNode`.
+fn rether_conformance(seed: u64, script: &str, models: &[ProtocolModel]) -> Vec<ConformanceRecord> {
     let tables = compile_script(script).unwrap_or_else(|e| panic!("{e}"));
     let mut world = World::new(seed);
     let nodes = Runner::create_hosts(&mut world, &tables);
@@ -161,7 +162,7 @@ fn rether_conformance(seed: u64, script: &str) -> Vec<ConformanceRecord> {
     );
 
     let mut report = runner.run(&mut world, SimDuration::from_secs(60));
-    conformance_pass(&[rether_reference()], runner.tables(), &world, &mut report);
+    conformance_pass(models, runner.tables(), &world, &mut report);
     report.conformance
 }
 
@@ -245,7 +246,7 @@ fn masked_phase_bug_passes_the_model_but_trips_the_window_ledger() {
 
 #[test]
 fn clean_rether_failover_conforms_to_the_reference_model() {
-    let records = rether_conformance(1, RETHER_SCRIPT);
+    let records = rether_conformance(1, RETHER_SCRIPT, &[rether_reference()]);
     assert!(
         records.len() >= 3,
         "every surviving ring member produces a record: {records:?}"
@@ -260,7 +261,7 @@ fn clean_rether_failover_conforms_to_the_reference_model() {
 
 #[test]
 fn holder_kill_produces_the_token_regeneration_class() {
-    let records = rether_conformance(5, RETHER_HOLDER_KILL_SCRIPT);
+    let records = rether_conformance(5, RETHER_HOLDER_KILL_SCRIPT, &[rether_reference()]);
     assert!(
         records.iter().any(|r| r
             .violations
@@ -279,3 +280,21 @@ fn conformance_records_are_deterministic() {
         "same seed, same records"
     );
 }
+
+/// Both reference models on the §6.2 ring, pinned record by record. node1
+/// and node4 each hold two state logs (TCP and Rether), so their records
+/// read one node's logs together; no other test covers that.
+#[test]
+fn both_models_on_the_ring_render_their_golden_records() {
+    let models = [tcp_reference(), rether_reference()];
+    let records = rether_conformance(1, RETHER_SCRIPT, &models);
+    let text: Vec<String> = records.iter().map(ToString::to_string).collect();
+    assert_eq!(text.join("\n"), RING_GOLDEN, "\n{}", text.join("\n"));
+}
+
+const RING_GOLDEN: &str = "\
+conformance tcp @ node1: ok
+conformance rether @ node1: ok
+conformance rether @ node2: ok
+conformance rether @ node3: ok
+conformance rether @ node4: ok";
