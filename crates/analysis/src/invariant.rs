@@ -28,9 +28,9 @@
 use std::collections::HashMap;
 
 use virtualwire::Report;
-use vw_fsl::{CompiledActionKind, CounterOp, NodeId, TableSet, TermId};
+use vw_fsl::{CompiledActionKind, CounterOp, NodeId, TableSet, Tables, TermId};
 use vw_netsim::SimTime;
-use vw_obs::{ObsActionKind, ObsEvent, ObsKind, SymbolTable};
+use vw_obs::{ObsActionKind, ObsEvent, ObsKind};
 
 use crate::timeline::DistributedTimeline;
 
@@ -74,18 +74,18 @@ impl Violation {
     }
 
     /// Multi-line human rendering: the verdict line plus the causal
-    /// slice, ids resolved through `symbols`.
-    pub fn render(&self, symbols: &SymbolTable) -> String {
+    /// slice, named from the run's `tables`.
+    pub fn render(&self, tables: &Tables) -> String {
         let mut out = format!(
             "{} {} #{} violates {}: {}\n",
             self.time,
-            symbols.node(self.node),
+            tables.node_name(self.node),
             self.frame_seq,
             self.invariant,
             self.message
         );
         for event in &self.slice {
-            out.push_str(&format!("    {}\n", event.render(symbols)));
+            out.push_str(&format!("    {}\n", event.render(tables)));
         }
         out
     }
@@ -593,7 +593,7 @@ mod tests {
         // passes; the orphan remote flip still trips delivery.
         let violations = InvariantChecker::with_builtins().check(&tl, &tables);
         assert_eq!(violations.len(), 1);
-        let text = violations[0].render(&SymbolTable::default());
+        let text = violations[0].render(&tables);
         assert!(text.contains("remote-term-delivery"), "{text}");
         assert!(text.contains("node#1"), "{text}");
     }

@@ -17,12 +17,13 @@
 //!   deliveries, nothing after `STOP`, monotone counters), producing
 //!   typed [`Violation`]s that embed the offending causal slice.
 //! * **Conformance models** ([`ProtocolModel`]) — declarative FSMs over
-//!   the protocol-state events implementations record
-//!   ([`ObsKind::StateChanged`](vw_obs::ObsKind)), checked per node
-//!   against the merged timeline. [`tcp_reference`] and
-//!   [`rether_reference`] encode the fault-free behavior of the bundled
-//!   stacks, so injected faults surface as typed violation classes
-//!   ([`conformance_pass`] is the one-call campaign hook).
+//!   the protocol state changes implementations log
+//!   ([`ProtoAspect`](vw_obs::ProtoAspect) entries), checked per node
+//!   against the state logs the node's `TcpStack` and `RetherNode` keep.
+//!   [`tcp_reference`] and [`rether_reference`] encode the fault-free
+//!   behavior of the bundled stacks, so injected faults surface as typed
+//!   violation classes ([`conformance_pass`] is the one-call campaign
+//!   hook).
 //! * **Campaign analytics** ([`CampaignReport::of`]) — folds each
 //!   completed instance's metrics digest into campaign-wide totals,
 //!   merged histograms and per-axis breakdowns, with
@@ -44,7 +45,6 @@ pub use invariant::{
     NoActionAfterStop, RemoteTermDelivery, Violation,
 };
 pub use model::{
-    attach_state_events, check_conformance, conformance_pass, rether_reference,
-    rether_state_events, state_events, tcp_reference, tcp_state_events, ProtocolModel, StateChange,
+    conformance_pass, rether_reference, state_events, tcp_reference, ProtocolModel, StateChange,
 };
 pub use timeline::{DistributedTimeline, TimelineEntry};

@@ -3,8 +3,9 @@
 //! A [`ProtocolModel`] is a small declarative finite-state machine over
 //! the [`ProtoAspect`] vocabulary: named states, aspect-labelled edges,
 //! observe-only aspects, forbidden aspects, and required states. Checked
-//! per node against the [`DistributedTimeline`]'s `StateChanged` events,
-//! it turns a recorded run into typed [`ConformanceRecord`] verdicts —
+//! per node against the state logs the node's own protocols keep
+//! ([`TcpStack::state_log`], [`RetherNode::state_log`]), it turns a
+//! recorded run into typed [`ConformanceRecord`] verdicts —
 //! `ok`, or a deduplicated list of structural violation strings
 //! (`illegal transition a -> b`, `forbidden event x`, `unexpected x in
 //! s`, `required state s never reached`). Violation strings carry no
@@ -24,16 +25,12 @@
 //!   *regeneration* (the lost-token recovery of last resort) is a
 //!   forbidden event.
 
-use std::collections::{BTreeMap, HashMap};
-
 use virtualwire::{ConformanceRecord, Report};
 use vw_fsl::{NodeId, TableSet};
-use vw_netsim::{DeviceId, SimTime, World};
+use vw_netsim::{SimTime, World};
 use vw_obs::{ObsEvent, ObsKind, ProtoAspect};
 use vw_rether::RetherNode;
 use vw_tcpstack::TcpStack;
-
-use crate::timeline::DistributedTimeline;
 
 /// A protocol state change as recorded by an implementation under test:
 /// the same shape as [`TcpStack::state_log`] and
@@ -284,38 +281,6 @@ impl ProtocolModel {
             violations,
         }
     }
-
-    /// Checks every node that recorded alphabet events against the
-    /// model, in node-id order. Node names resolve through `tables`.
-    pub fn check(
-        &self,
-        timeline: &DistributedTimeline,
-        tables: &TableSet,
-    ) -> Vec<ConformanceRecord> {
-        let mut per_node: BTreeMap<NodeId, Vec<(ProtoAspect, u64)>> = BTreeMap::new();
-        for event in timeline.events() {
-            if let ObsKind::StateChanged { aspect, value } = event.kind {
-                if self.in_alphabet(aspect) {
-                    per_node
-                        .entry(event.node)
-                        .or_default()
-                        .push((aspect, value));
-                }
-            }
-        }
-        per_node
-            .into_iter()
-            .map(|(node, events)| self.check_events(&node_name(tables, node), &events))
-            .collect()
-    }
-}
-
-fn node_name(tables: &TableSet, node: NodeId) -> String {
-    tables
-        .nodes
-        .get(usize::from(node.0))
-        .map(|n| n.name.clone())
-        .unwrap_or_else(|| format!("node#{}", node.0))
 }
 
 /// The fault-free TCP congestion-control reference: slow-start ⇄
@@ -384,8 +349,9 @@ pub fn rether_reference() -> ProtocolModel {
 }
 
 /// Renders a recorded state log as [`ObsKind::StateChanged`] events
-/// attributed to `node`. `frame_seq` is left 0; see
-/// [`attach_state_events`] for the deterministic assignment.
+/// attributed to `node`, in flight-recorder form (`frame_seq` 0), to show
+/// beside the engines' events. The log stays the record:
+/// [`conformance_pass`] reads it directly.
 pub fn state_events(log: &[StateChange], node: NodeId) -> Vec<ObsEvent> {
     log.iter()
         .map(|&(time, aspect, value)| ObsEvent {
@@ -397,109 +363,42 @@ pub fn state_events(log: &[StateChange], node: NodeId) -> Vec<ObsEvent> {
         .collect()
 }
 
-/// Pulls the first [`TcpStack`]'s state log off `device` and renders it
-/// as events attributed to `node`. Empty if no stack is installed.
-pub fn tcp_state_events(world: &World, device: DeviceId, node: NodeId) -> Vec<ObsEvent> {
-    world
-        .find_protocol::<TcpStack>(device)
-        .map(|s| state_events(s.state_log(), node))
-        .unwrap_or_default()
-}
-
-/// Pulls the first [`RetherNode`]'s state log off `device` and renders
-/// it as events attributed to `node`. Empty if none is installed.
-pub fn rether_state_events(world: &World, device: DeviceId, node: NodeId) -> Vec<ObsEvent> {
-    world
-        .find_hook::<RetherNode>(device)
-        .map(|h| state_events(h.state_log(), node))
-        .unwrap_or_default()
-}
-
-/// Appends protocol state events to a report's flight-recorder stream
-/// with deterministic `frame_seq`s: each event anchors to the greatest
-/// engine `frame_seq` its node had reached by the event's time
-/// (strictly increasing across one node's state events, so the timeline
-/// merge preserves recorded order — within a cascade they sort after
-/// the engine's own events, see the timeline rank). A pure function of
-/// the report and the logs, so campaign digests stay byte-identical at
-/// any thread count.
-///
-/// `events` must hold each node's events in recorded (time) order;
-/// interleaving across nodes is fine.
-pub fn attach_state_events(report: &mut Report, events: Vec<ObsEvent>) {
-    // Per-node engine prefix maxima: (time, max frame_seq seen by then).
-    let mut prefix: HashMap<NodeId, Vec<(u64, u64)>> = HashMap::new();
-    for event in &report.events {
-        prefix
-            .entry(event.node)
-            .or_default()
-            .push((event.time.as_nanos(), event.frame_seq));
-    }
-    for points in prefix.values_mut() {
-        points.sort_unstable();
-        let mut max = 0u64;
-        for point in points.iter_mut() {
-            max = max.max(point.1);
-            point.1 = max;
-        }
-    }
-    let mut prev: HashMap<NodeId, u64> = HashMap::new();
-    for mut event in events {
-        if matches!(event.kind, ObsKind::StateChanged { .. }) {
-            let base = prefix
-                .get(&event.node)
-                .map(|points| {
-                    let idx = points.partition_point(|&(t, _)| t <= event.time.as_nanos());
-                    if idx == 0 {
-                        0
-                    } else {
-                        points[idx - 1].1
-                    }
-                })
-                .unwrap_or(0);
-            let seq = match prev.get(&event.node) {
-                Some(&p) => base.max(p + 1),
-                None => base,
-            };
-            event.frame_seq = seq;
-            prev.insert(event.node, seq);
-        }
-        report.events.push(event);
-    }
-}
-
-/// Checks `models` against the report's merged timeline and appends the
-/// verdicts to [`Report::conformance`]. Call after
-/// [`attach_state_events`].
-pub fn check_conformance(models: &[ProtocolModel], tables: &TableSet, report: &mut Report) {
-    let timeline = DistributedTimeline::from_report(report);
-    for model in models {
-        report.conformance.extend(model.check(&timeline, tables));
-    }
-}
-
-/// The standard post-run conformance pass — the body of a
-/// conformance-aware campaign [`Setup::finish`](vw_campaign::Setup):
-/// scrapes the state log of every [`TcpStack`] and [`RetherNode`] found
-/// on the table's nodes (matched by node name), attaches the events to
-/// the report, and checks `models`.
+/// The standard post-run conformance pass, the body of a conformance-aware
+/// [`Setup::finish`](vw_campaign::Setup): per model, per table node with a
+/// device (node-id order), checks the model's alphabet in the first
+/// [`TcpStack`]'s state log then the first [`RetherNode`]'s, and appends a
+/// verdict to [`Report::conformance`] unless the logs hold none of it.
 pub fn conformance_pass(
     models: &[ProtocolModel],
     tables: &TableSet,
     world: &World,
     report: &mut Report,
 ) {
-    let mut events = Vec::new();
-    for (i, compiled) in tables.nodes.iter().enumerate() {
-        let Some(device) = world.device_by_name(&compiled.name) else {
-            continue;
-        };
-        let node = NodeId(i as u16);
-        events.extend(tcp_state_events(world, device, node));
-        events.extend(rether_state_events(world, device, node));
+    for model in models {
+        for node in &tables.nodes {
+            let Some(device) = world.device_by_name(&node.name) else {
+                continue;
+            };
+            let tcp = world
+                .find_protocol::<TcpStack>(device)
+                .map(TcpStack::state_log);
+            let rether = world
+                .find_hook::<RetherNode>(device)
+                .map(RetherNode::state_log);
+            let events: Vec<(ProtoAspect, u64)> = tcp
+                .into_iter()
+                .chain(rether)
+                .flatten()
+                .filter(|&&(_, aspect, _)| model.in_alphabet(aspect))
+                .map(|&(_, aspect, value)| (aspect, value))
+                .collect();
+            if !events.is_empty() {
+                report
+                    .conformance
+                    .push(model.check_events(&node.name, &events));
+            }
+        }
     }
-    attach_state_events(report, events);
-    check_conformance(models, tables, report);
 }
 
 #[cfg(test)]
@@ -645,52 +544,5 @@ mod tests {
             regen.violations,
             vec!["forbidden event token-regenerated".to_string()]
         );
-    }
-
-    #[test]
-    fn attach_assigns_anchored_strictly_increasing_frame_seqs() {
-        use vw_fsl::FilterId;
-        let mut report = Report {
-            scenario: "t".to_string(),
-            stop: virtualwire::StopReason::DeadlineReached,
-            errors: Vec::new(),
-            counters: Vec::new(),
-            duration: vw_netsim::SimDuration::from_secs(1),
-            stats: Vec::new(),
-            events: vec![ObsEvent {
-                time: SimTime::from_nanos(100),
-                node: NodeId(0),
-                frame_seq: 7,
-                kind: ObsKind::Classified {
-                    filter: FilterId(0),
-                    dir: vw_fsl::Dir::Send,
-                    len: 60,
-                },
-            }],
-            symbols: vw_obs::SymbolTable::default(),
-            distributions: Vec::new(),
-            conformance: Vec::new(),
-        };
-        let state = vec![
-            (SimTime::from_nanos(50), ProtoAspect::Cwnd, 1),
-            (SimTime::from_nanos(100), ProtoAspect::Cwnd, 2),
-            (SimTime::from_nanos(100), ProtoAspect::CcPhase, 1),
-            (SimTime::from_nanos(200), ProtoAspect::Cwnd, 3),
-        ];
-        attach_state_events(&mut report, state_events(&state, NodeId(0)));
-        let seqs: Vec<u64> = report.events[1..].iter().map(|e| e.frame_seq).collect();
-        // Before any engine event: 0; at t=100 anchored to 7, then
-        // strictly increasing to preserve recorded order in the merge.
-        assert_eq!(seqs, vec![0, 7, 8, 9]);
-        // The merged timeline keeps the recorded order.
-        let timeline = DistributedTimeline::from_report(&report);
-        let values: Vec<u64> = timeline
-            .events()
-            .filter_map(|e| match e.kind {
-                ObsKind::StateChanged { value, .. } => Some(value),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(values, vec![1, 2, 1, 3]);
     }
 }

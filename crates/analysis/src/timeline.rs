@@ -24,8 +24,8 @@
 use std::collections::HashMap;
 
 use virtualwire::Report;
-use vw_fsl::{Dir, NodeId};
-use vw_obs::{CausalChain, ObsEvent, ObsKind, SymbolTable};
+use vw_fsl::{Dir, NodeId, Tables};
+use vw_obs::{CausalChain, ObsEvent, ObsKind};
 
 /// One event in the merged distributed timeline.
 #[derive(Debug, Clone, Copy)]
@@ -284,12 +284,12 @@ impl DistributedTimeline {
             .collect()
     }
 
-    /// Multi-line human rendering, one event per line, each resolved
-    /// through `symbols`.
-    pub fn render(&self, symbols: &SymbolTable) -> String {
+    /// Multi-line human rendering, one event per line, each named from
+    /// the run's `tables`.
+    pub fn render(&self, tables: &Tables) -> String {
         let mut out = String::new();
         for entry in &self.entries {
-            out.push_str(&entry.event.render(symbols));
+            out.push_str(&entry.event.render(tables));
             out.push('\n');
         }
         out

@@ -102,7 +102,7 @@ pub use suite::{Suite, SuiteReport};
 pub use vw_obs::pcap;
 pub use vw_obs::{
     CausalChain, Histogram, Metric, MetricsRegistry, ObsActionKind, ObsEvent, ObsKind, ObsLevel,
-    ProtoAspect, SymbolTable,
+    ProtoAspect,
 };
 
 /// Error compiling a script source: a parse error or semantic errors.

@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-use vw_fsl::{CondId, NodeId};
+use vw_fsl::{CondId, NodeId, TableSet};
 use vw_netsim::{SimDuration, SimTime};
-use vw_obs::{CausalChain, Histogram, MetricsRegistry, ObsEvent, ObsKind, SymbolTable};
+use vw_obs::{CausalChain, Histogram, MetricsRegistry, ObsEvent, ObsKind};
 
 use crate::engine::{EngineStats, StatKind};
 
@@ -104,8 +104,6 @@ pub struct NodeDistributions {
 /// [`Runner`](crate::Runner).
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Scenario name.
-    pub scenario: String,
     /// Why the run ended.
     pub stop: StopReason,
     /// Every flagged error, across all nodes, in time order.
@@ -122,8 +120,9 @@ pub struct Report {
     /// time order (empty when engines ran at
     /// [`ObsLevel::Off`](vw_obs::ObsLevel::Off)).
     pub events: Vec<ObsEvent>,
-    /// Script names for rendering event ids.
-    pub symbols: SymbolTable,
+    /// The run's compiled tables (the runner's own handle, not a copy):
+    /// where renders read node, filter and counter names and the scenario.
+    pub symbols: TableSet,
     /// Per-node filter hit counts and engine histograms, one entry per
     /// entry of `stats` and in its order.
     pub distributions: Vec<NodeDistributions>,
@@ -218,7 +217,7 @@ impl Report {
         for ((node, _), d) in self.stats.iter().zip(&self.distributions) {
             for (filter, &hits) in self.symbols.filters.iter().zip(&d.filter_hits) {
                 if hits > 0 {
-                    metrics.add_counter(&format!("{node}.filter_hits.{filter}"), hits);
+                    metrics.add_counter(&format!("{node}.filter_hits.{}", filter.name), hits);
                 }
             }
             if !d.cascade_depth.is_empty() {
@@ -258,7 +257,7 @@ impl fmt::Display for Report {
         writeln!(
             f,
             "scenario {}: {} after {}",
-            self.scenario, self.stop, self.duration
+            self.symbols.scenario, self.stop, self.duration
         )?;
         writeln!(
             f,
@@ -312,7 +311,6 @@ mod tests {
 
     fn report(errors: Vec<FlaggedError>, stop: StopReason) -> Report {
         Report {
-            scenario: "t".into(),
             stop,
             errors,
             counters: vec![("node1".into(), "CWND".into(), 5)],
@@ -330,7 +328,18 @@ mod tests {
                 },
             )],
             events: Vec::new(),
-            symbols: SymbolTable::default(),
+            symbols: vw_fsl::Tables {
+                scenario: "t".into(),
+                timeout_ns: None,
+                vars: Vec::new(),
+                filters: Vec::new(),
+                nodes: Vec::new(),
+                counters: Vec::new(),
+                terms: Vec::new(),
+                conditions: Vec::new(),
+                actions: Vec::new(),
+            }
+            .into(),
             distributions: Vec::new(),
             conformance: Vec::new(),
         }

@@ -8,7 +8,7 @@
 
 use vw_fsl::{CounterId, NodeId, TableSet};
 use vw_netsim::{DeviceId, HookId, SimDuration, SimTime, World};
-use vw_obs::{ObsEvent, SymbolTable};
+use vw_obs::ObsEvent;
 use vw_rll::{RllConfig, RllHook};
 
 use crate::engine::{Engine, EngineConfig};
@@ -272,19 +272,7 @@ impl Runner {
             })
             .collect();
 
-        let symbols = SymbolTable {
-            nodes: self.tables.nodes.iter().map(|n| n.name.clone()).collect(),
-            filters: self.tables.filters.iter().map(|p| p.name.clone()).collect(),
-            counters: self
-                .tables
-                .counters
-                .iter()
-                .map(|c| c.name.clone())
-                .collect(),
-        };
-
         Report {
-            scenario: self.tables.scenario.clone(),
             stop,
             errors,
             counters,
@@ -294,7 +282,7 @@ impl Runner {
             // causal order. The analysis layer re-derives per-node streams
             // from this merge, so both sides must share the same primitive.
             events: vw_obs::merge_by_time(&streams),
-            symbols,
+            symbols: TableSet::clone(&self.tables),
             distributions,
             conformance: Vec::new(),
         }

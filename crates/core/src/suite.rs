@@ -92,7 +92,7 @@ impl SuiteReport {
         for report in &self.reports {
             out.push_str(&format!(
                 "{:<32} {:>4}  {} error(s), {} in {}\n",
-                report.scenario,
+                report.symbols.scenario,
                 if report.passed() { "PASS" } else { "FAIL" },
                 report.errors.len(),
                 report.stop,

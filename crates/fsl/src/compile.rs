@@ -15,6 +15,7 @@
 //!   packet faults execute where they act on packets; `FAIL` executes at
 //!   its victim.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -414,6 +415,30 @@ impl Tables {
             .position(|f| f.name == name)
             .map(|i| FilterId(i as u16))
     }
+
+    /// The node's script name, or `node#i` if the table has none.
+    pub fn node_name(&self, id: NodeId) -> Cow<'_, str> {
+        let name = self.nodes.get(id.index()).map(|n| n.name.as_str());
+        name_or_index(name, "node", id.index())
+    }
+
+    /// The filter's script name, or `filter#i` if the table has none.
+    pub fn filter_name(&self, id: FilterId) -> Cow<'_, str> {
+        let name = self.filters.get(id.index()).map(|f| f.name.as_str());
+        name_or_index(name, "filter", id.index())
+    }
+
+    /// The counter's script name, or `counter#i` if the table has none.
+    pub fn counter_name(&self, id: CounterId) -> Cow<'_, str> {
+        let name = self.counters.get(id.index()).map(|c| c.name.as_str());
+        name_or_index(name, "counter", id.index())
+    }
+}
+
+/// A table entry's name, or `kind#index` for an id past the table (terms,
+/// conditions and actions are unnamed in FSL and always render by index).
+fn name_or_index<'a>(name: Option<&'a str>, kind: &str, index: usize) -> Cow<'a, str> {
+    name.map_or_else(|| format!("{kind}#{index}").into(), Cow::Borrowed)
 }
 
 /// Compiles every scenario of a program into its own [`TableSet`].

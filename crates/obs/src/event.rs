@@ -11,10 +11,14 @@
 //! flagged error or injected fault be unwound into its full causal chain:
 //! `Classified → CounterUpdated → TermFlipped → ConditionFired →
 //! ActionTriggered` (see [`CausalChain`]).
+//!
+//! Events hold table ids, not names: the renders name nodes, filters and
+//! counters from the run's compiled [`Tables`] (a report's `symbols` is
+//! the run's own handle on them).
 
 use std::fmt;
 
-use vw_fsl::{ActionId, CondId, CounterId, Dir, FilterId, NodeId, TermId};
+use vw_fsl::{ActionId, CondId, CounterId, Dir, FilterId, NodeId, Tables, TermId};
 use vw_netsim::SimTime;
 
 /// How much the flight recorder captures.
@@ -194,7 +198,8 @@ pub struct ObsEvent {
     /// The node whose engine recorded the event.
     pub node: NodeId,
     /// The engine's monotone classification ordinal the event is causally
-    /// tied to (0 for protocol state appended post-run).
+    /// tied to (0 for a protocol state change, which no classification
+    /// caused).
     pub frame_seq: u64,
     /// What happened.
     pub kind: ObsKind,
@@ -275,9 +280,9 @@ pub enum ObsKind {
         ack: u32,
     },
     /// A protocol implementation under test reported an internal state
-    /// change (congestion-control phase, token circulation, …). These are
-    /// appended to the stream post-run by the conformance layer (protocol
-    /// state is not tied to one engine classification).
+    /// change (congestion-control phase, token circulation, …). No engine
+    /// records one: the protocol's own state log is the record, and
+    /// `vw_analysis::state_events` renders a log in this form on demand.
     StateChanged {
         /// Which protocol quantity changed.
         aspect: ProtoAspect,
@@ -302,17 +307,17 @@ impl ObsEvent {
         }
     }
 
-    /// One-line human rendering, resolving ids through `symbols`.
-    pub fn render(&self, symbols: &SymbolTable) -> String {
+    /// One-line human rendering, naming ids from the run's `tables`.
+    pub fn render(&self, tables: &Tables) -> String {
         let tail = match self.kind {
             ObsKind::Classified { filter, dir, len } => {
                 format!(
                     "classified as {} ({dir:?}, {len} B)",
-                    symbols.filter(filter)
+                    tables.filter_name(filter)
                 )
             }
             ObsKind::CounterUpdated { counter, old, new } => {
-                format!("counter {} {old} -> {new}", symbols.counter(counter))
+                format!("counter {} {old} -> {new}", tables.counter_name(counter))
             }
             ObsKind::TermFlipped { term, status } => format!("term#{} -> {status}", term.index()),
             ObsKind::ConditionFired { cond } => format!("condition#{} fired", cond.index()),
@@ -321,7 +326,7 @@ impl ObsEvent {
             }
             ObsKind::PeerDegraded { peer } => format!(
                 "peer {} stale: remote terms frozen at last-known status",
-                symbols.node(peer)
+                tables.node_name(peer)
             ),
             ObsKind::ControlSent {
                 peer,
@@ -329,7 +334,7 @@ impl ObsEvent {
                 ack,
             } => format!(
                 "control seq {peer_seq} (ack {ack}) -> {}",
-                symbols.node(peer)
+                tables.node_name(peer)
             ),
             ObsKind::ControlDelivered {
                 peer,
@@ -337,55 +342,16 @@ impl ObsEvent {
                 ack,
             } => format!(
                 "control seq {peer_seq} (ack {ack}) delivered from {}",
-                symbols.node(peer)
+                tables.node_name(peer)
             ),
             ObsKind::StateChanged { aspect, value } => format!("state {aspect} -> {value}"),
         };
         format!(
             "{} {} #{} {tail}",
             self.time,
-            symbols.node(self.node),
+            tables.node_name(self.node),
             self.frame_seq
         )
-    }
-}
-
-/// Script-level names used to render events and chains, captured once from
-/// the compiled [`TableSet`](vw_fsl::TableSet) by whoever owns it (terms,
-/// conditions and actions are unnamed in FSL and render by index).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SymbolTable {
-    /// Node names in node-table order.
-    pub nodes: Vec<String>,
-    /// Filter names in filter-table order.
-    pub filters: Vec<String>,
-    /// Counter names in counter-table order.
-    pub counters: Vec<String>,
-}
-
-impl SymbolTable {
-    /// The node's script name, or `node#i` if unknown.
-    pub fn node(&self, id: NodeId) -> String {
-        self.nodes
-            .get(id.index())
-            .cloned()
-            .unwrap_or_else(|| format!("node#{}", id.index()))
-    }
-
-    /// The filter's script name, or `filter#i` if unknown.
-    pub fn filter(&self, id: FilterId) -> String {
-        self.filters
-            .get(id.index())
-            .cloned()
-            .unwrap_or_else(|| format!("filter#{}", id.index()))
-    }
-
-    /// The counter's script name, or `counter#i` if unknown.
-    pub fn counter(&self, id: CounterId) -> String {
-        self.counters
-            .get(id.index())
-            .cloned()
-            .unwrap_or_else(|| format!("counter#{}", id.index()))
     }
 }
 
@@ -441,13 +407,13 @@ impl CausalChain {
         self.events.iter().map(ObsEvent::kind_label).collect()
     }
 
-    /// Multi-line human rendering, one event per line, ids resolved
-    /// through `symbols`.
-    pub fn render(&self, symbols: &SymbolTable) -> String {
+    /// Multi-line human rendering, one event per line, ids named from
+    /// the run's `tables`.
+    pub fn render(&self, tables: &Tables) -> String {
         let mut out = String::new();
         for (i, event) in self.events.iter().enumerate() {
             let connector = if i == 0 { "┌" } else { "└─▶" };
-            out.push_str(&format!("  {connector} {}\n", event.render(symbols)));
+            out.push_str(&format!("  {connector} {}\n", event.render(tables)));
         }
         out
     }
@@ -489,13 +455,29 @@ mod tests {
         assert_eq!(chain.kind_labels(), vec!["condition", "condition"]);
     }
 
+    /// Tables naming nodes `node1` and `node2`, filter `udp_data` and
+    /// counter `Sent`.
+    fn tables() -> vw_fsl::TableSet {
+        let program = vw_fsl::parse(
+            "FILTER_TABLE
+            udp_data: (23 1 0x11)
+            END
+            NODE_TABLE
+            node1 02:00:00:00:00:01 10.0.0.1
+            node2 02:00:00:00:00:02 10.0.0.2
+            END
+            SCENARIO Names
+            Sent: (udp_data, node1, node2, SEND)
+            (TRUE) >> ENABLE_CNTR(Sent);
+            END",
+        )
+        .expect("parses");
+        vw_fsl::compile(&program).expect("compiles").remove(0)
+    }
+
     #[test]
     fn rendering_resolves_symbols_with_fallback() {
-        let symbols = SymbolTable {
-            nodes: vec!["node1".into()],
-            filters: vec!["udp_data".into()],
-            counters: vec!["Sent".into()],
-        };
+        let tables = tables();
         let e = ObsEvent {
             time: SimTime::ZERO,
             node: NodeId(0),
@@ -506,7 +488,7 @@ mod tests {
                 len: 60,
             },
         };
-        let line = e.render(&symbols);
+        let line = e.render(&tables);
         assert!(line.contains("node1") && line.contains("udp_data"));
         let unknown = ObsEvent {
             time: SimTime::ZERO,
@@ -518,7 +500,7 @@ mod tests {
                 new: 1,
             },
         };
-        let line = unknown.render(&symbols);
+        let line = unknown.render(&tables);
         assert!(line.contains("node#9") && line.contains("counter#7"));
     }
 
@@ -541,11 +523,7 @@ mod tests {
 
     #[test]
     fn control_event_labels_and_render() {
-        let symbols = SymbolTable {
-            nodes: vec!["node1".into(), "node2".into()],
-            filters: vec![],
-            counters: vec![],
-        };
+        let tables = tables();
         let sent = ObsEvent {
             time: SimTime::from_nanos(5),
             node: NodeId(0),
@@ -557,7 +535,7 @@ mod tests {
             },
         };
         assert_eq!(sent.kind_label(), "ctrl-sent");
-        let line = sent.render(&symbols);
+        let line = sent.render(&tables);
         assert!(
             line.contains("seq 3") && line.contains("-> node2"),
             "{line}"
@@ -573,7 +551,7 @@ mod tests {
             },
         };
         assert_eq!(delivered.kind_label(), "ctrl-delivered");
-        let line = delivered.render(&symbols);
+        let line = delivered.render(&tables);
         assert!(
             line.contains("delivered from node1") && line.contains("node2"),
             "{line}"

@@ -35,7 +35,6 @@ mod window;
 
 pub use event::{
     merge_by_time, CausalChain, ObsActionKind, ObsEvent, ObsKind, ObsLevel, ProtoAspect,
-    SymbolTable,
 };
 pub use metrics::{labeled_key, Histogram, Metric, MetricsRegistry};
 /// The workspace's one JSON string escaper, re-exported for crates that

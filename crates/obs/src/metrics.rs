@@ -166,7 +166,9 @@ impl Histogram {
     ///
     /// # Errors
     ///
-    /// On truncation, an out-of-range bucket index or an empty bucket.
+    /// On truncation, an out-of-range or empty bucket, bucket indices that
+    /// do not strictly increase, or bucket counts that do not sum to
+    /// `count` (the bytes come from checkpoint logs and telemetry deltas).
     pub fn decode_from(r: &mut Reader<'_>) -> Result<Histogram, ParseError> {
         let mut h = Histogram {
             count: r.u64()?,
@@ -175,14 +177,25 @@ impl Histogram {
             max: r.u64()?,
             ..Histogram::default()
         };
+        // The least index the next bucket may take, and the counts so far.
+        let (mut next, mut total) = (0, 0u64);
         r.list8(9, |r| {
-            let slot = h.buckets.get_mut(usize::from(r.u8()?));
-            match (slot, r.u64()?) {
-                (Some(slot), n) if n > 0 => *slot = n,
+            let i = usize::from(r.u8()?);
+            match (h.buckets.get_mut(i), r.u64()?) {
+                (Some(slot), n) if n > 0 && i >= next => {
+                    *slot = n;
+                    next = i + 1;
+                    total = total
+                        .checked_add(n)
+                        .ok_or_else(|| ParseError::new("histogram bucket counts overflow"))?;
+                }
                 _ => return Err(ParseError::new("bad histogram bucket")),
             }
             Ok(())
         })?;
+        if total != h.count {
+            return Err(ParseError::new("histogram buckets disagree with its count"));
+        }
         Ok(h)
     }
 
@@ -883,6 +896,38 @@ node1_queue_depth -2
         let mut bad = buf.clone();
         bad[idx_at] = 65;
         assert!(Histogram::decode_from(&mut Reader::le(&bad)).is_err());
+    }
+
+    /// An encoded histogram of the observations 4 and 5 (sum 9, both in
+    /// bucket 3), with its count and bucket list as given.
+    fn forged(count: u64, buckets: &[(u8, u64)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = Writer::le(&mut buf);
+        w.u64(count);
+        w.u128(9);
+        w.u64(4);
+        w.u64(5);
+        w.len8(buckets.len());
+        for &(i, n) in buckets {
+            w.u8(i);
+            w.u64(n);
+        }
+        buf
+    }
+
+    #[test]
+    fn histogram_decode_rejects_a_repeated_bucket_index() {
+        let honest = forged(2, &[(3, 2)]);
+        assert!(Histogram::decode_from(&mut Reader::le(&honest)).is_ok());
+        // The second record for bucket 3 would overwrite the first.
+        let repeated = forged(2, &[(3, 1), (3, 1)]);
+        assert!(Histogram::decode_from(&mut Reader::le(&repeated)).is_err());
+    }
+
+    #[test]
+    fn histogram_decode_rejects_a_count_its_buckets_disagree_with() {
+        let wrong = forged(3, &[(3, 2)]);
+        assert!(Histogram::decode_from(&mut Reader::le(&wrong)).is_err());
     }
 
     #[test]

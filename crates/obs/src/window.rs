@@ -26,16 +26,17 @@ pub struct Sample {
 /// A fixed-capacity ring of timestamped samples with windowed rate and
 /// percentile queries.
 ///
-/// When full, pushing evicts the oldest sample; queries only consider
-/// samples inside the caller-supplied horizon, so capacity bounds
-/// memory while the horizon bounds staleness.
+/// When full, pushing evicts the sample pushed longest ago; queries only
+/// consider samples inside the caller-supplied horizon, so capacity
+/// bounds memory while the horizon bounds staleness.
 #[derive(Debug, Clone)]
 pub struct RollingWindow {
     ring: Vec<Sample>,
     /// The most samples held. Kept here, not read from `ring.capacity()`:
     /// a clone of the `Vec` allocates only its length.
     capacity: usize,
-    /// Index of the oldest sample (ring is used circularly once full).
+    /// Index of the sample pushed longest ago (ring is used circularly
+    /// once full).
     head: usize,
     len: usize,
     /// Total samples ever pushed (not capped by capacity).
@@ -71,9 +72,10 @@ impl RollingWindow {
         self.pushed
     }
 
-    /// Records `value` at time `t_ns`, evicting the oldest sample when
-    /// full. Timestamps are expected to be non-decreasing; a stale
-    /// timestamp is stored as-is (queries clamp, they don't panic).
+    /// Records `value` at time `t_ns`, evicting the sample pushed longest
+    /// ago when full. Samples may arrive in any time order (a daemon's
+    /// shards report when they finish, not when their instances did);
+    /// queries read each sample's own timestamp.
     pub fn push(&mut self, t_ns: u64, value: u64) {
         let sample = Sample { t_ns, value };
         if self.ring.len() < self.capacity {
@@ -86,15 +88,10 @@ impl RollingWindow {
         self.pushed += 1;
     }
 
-    /// Iterates samples oldest → newest.
+    /// Iterates samples in push order.
     fn iter(&self) -> impl Iterator<Item = &Sample> {
         let (tail, head) = self.ring.split_at(self.head.min(self.ring.len()));
         head.iter().chain(tail.iter())
-    }
-
-    /// The newest sample's timestamp, or `None` if empty.
-    pub fn newest_t_ns(&self) -> Option<u64> {
-        self.iter().last().map(|s| s.t_ns)
     }
 
     /// Sum of `value` over samples with `t_ns >= since_ns`.
@@ -121,9 +118,10 @@ impl RollingWindow {
         // full horizon yet, so early rates aren't under-reported — a
         // campaign 80 ms old shouldn't divide its count by 5 s. A sample
         // older than the horizon proves full coverage; otherwise the
-        // span runs from the oldest held sample (floored at 1 ms so a
-        // single fresh burst doesn't read as an infinite rate).
-        let oldest = self.iter().map(|s| s.t_ns).next().unwrap_or(since);
+        // span runs from the earliest held timestamp, wherever it sits in
+        // push order (floored at 1 ms so a single fresh burst doesn't
+        // read as an infinite rate).
+        let oldest = self.iter().map(|s| s.t_ns).min().unwrap_or(since);
         let span = if oldest <= since {
             horizon_ns
         } else {
@@ -172,7 +170,6 @@ mod tests {
         assert_eq!(w.len(), 3);
         assert_eq!(w.pushed(), 4);
         assert_eq!(w.sum_since(0), 90);
-        assert_eq!(w.newest_t_ns(), Some(4));
     }
 
     #[test]
@@ -205,6 +202,17 @@ mod tests {
         w.push(SEC, 100);
         let rate = w.rate_per_sec(SEC + 50_000_000, 5 * SEC);
         assert!(rate > 1000.0, "young-window rate {rate} under-reported");
+    }
+
+    #[test]
+    fn a_young_rate_spans_from_the_earliest_sample_not_the_first_pushed() {
+        // Two shards on two workers report out of time order: the sample
+        // stamped at 2 ms arrives after the one stamped at 10 ms, so the
+        // window has covered 2 ms .. 12 ms.
+        let mut w = RollingWindow::new(8);
+        w.push(10_000_000, 1);
+        w.push(2_000_000, 1);
+        assert_eq!(w.rate_per_sec(12_000_000, 5 * SEC), 200.0);
     }
 
     #[test]
@@ -245,7 +253,7 @@ mod tests {
             clone.push(t, 1);
         }
         assert_eq!(clone.len(), 8);
-        assert_eq!(clone.newest_t_ns(), Some(10));
+        assert_eq!(clone.sum_since(10), 1, "the newest sample is held");
     }
 
     #[test]

@@ -195,7 +195,7 @@ fn builtin_invariants_hold_on_recorded_scenarios() {
         assert!(
             violations.is_empty(),
             "clean {} run violated: {:?}",
-            report.scenario,
+            report.symbols.scenario,
             violations
         );
     }
