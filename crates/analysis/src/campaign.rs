@@ -101,10 +101,10 @@ impl CampaignReport {
             }
             let metrics = &digest.metrics;
             for (name, v) in &metrics.counters {
-                *counters.entry(name).or_insert(0) += v;
+                *counters.entry(&**name).or_insert(0) += v;
             }
             for (name, h) in &metrics.histograms {
-                histograms.entry(name).or_default().merge(h);
+                histograms.entry(&**name).or_default().merge(h);
             }
             for (axis, value) in &record.labels {
                 let axes = &mut report.breakdowns;
@@ -134,9 +134,9 @@ impl CampaignReport {
                 group.instances += 1;
                 group.passed += usize::from(digest.passed);
                 for (name, v) in &metrics.counters {
-                    match group.counters.binary_search_by(|(n, _)| n.cmp(name)) {
+                    match group.counters.binary_search_by(|(n, _)| (**n).cmp(&**name)) {
                         Ok(i) => group.counters[i].1 += v,
-                        Err(i) => group.counters.insert(i, (name.clone(), *v)),
+                        Err(i) => group.counters.insert(i, (name.to_string(), *v)),
                     }
                 }
             }
@@ -337,7 +337,7 @@ mod tests {
         let histograms = if latency.is_empty() {
             Vec::new()
         } else {
-            vec![("classify_to_action_ns".to_string(), latency)]
+            vec![("classify_to_action_ns".into(), latency)]
         };
         let digest = OutcomeDigest {
             passed,
@@ -346,7 +346,7 @@ mod tests {
             counters: Vec::new(),
             stats: Vec::new(),
             metrics: MetricsDigest {
-                counters: vec![("drops".to_string(), drops + 1)],
+                counters: vec![("drops".into(), drops + 1)],
                 histograms,
             },
             conformance: Vec::new(),

@@ -218,7 +218,7 @@ fn run_one_inner<S: Setup>(
         };
         let mut report = runner.run(&mut world, deadline);
         setup.finish(&mut world, &mut report);
-        InstanceOutcome::Completed(OutcomeDigest::from_report(&report))
+        InstanceOutcome::Completed(OutcomeDigest::from_owned_report(report))
     }));
     result.unwrap_or_else(|payload| {
         let message = payload

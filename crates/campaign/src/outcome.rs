@@ -11,13 +11,16 @@
 //! keyed and ordered by cross-product index, so the report is
 //! byte-identical regardless of how many worker threads produced it.
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::collections::hash_map::{Entry, HashMap};
+use std::fmt::{self, Write as _};
+use std::mem;
 use std::sync::Arc;
 
-use virtualwire::{EngineStats, Report};
+use virtualwire::{EngineStats, NodeDistributions, Report};
+use vw_fsl::TableSet;
 use vw_obs::Histogram;
-use vw_trace::json_string;
+use vw_trace::{json_escape, json_string};
 
 use crate::spec::Instance;
 
@@ -29,10 +32,11 @@ use crate::spec::Instance;
 /// input campaign-wide analytics aggregate over.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsDigest {
-    /// `(name, summed value)`, ascending by name.
-    pub counters: Vec<(String, u64)>,
+    /// `(name, summed value)`, ascending by name. A fold borrows its
+    /// fixed names; a decoded digest owns the names it read.
+    pub counters: Vec<(Cow<'static, str>, u64)>,
     /// `(name, merged histogram)`, ascending by name.
-    pub histograms: Vec<(String, Histogram)>,
+    pub histograms: Vec<(Cow<'static, str>, Histogram)>,
 }
 
 impl MetricsDigest {
@@ -66,14 +70,11 @@ impl MetricsDigest {
             ("classify_to_action_ns", classify_to_action_ns),
         ];
         MetricsDigest {
-            counters: counters
-                .into_iter()
-                .map(|(name, value)| (name.to_string(), value))
-                .collect(),
+            counters: Vec::from(counters.map(|(name, value)| (Cow::Borrowed(name), value))),
             histograms: histograms
                 .into_iter()
                 .filter(|(_, h)| !h.is_empty())
-                .map(|(name, h)| (name.to_string(), h))
+                .map(|(name, h)| (Cow::Borrowed(name), h))
                 .collect(),
         }
     }
@@ -128,29 +129,49 @@ pub struct OutcomeDigest {
 }
 
 impl OutcomeDigest {
-    /// Digests a finished report.
+    /// Digests a finished report, copying only what the digest keeps.
     pub fn from_report(report: &Report) -> Self {
+        let histograms = |d: &NodeDistributions| NodeDistributions {
+            filter_hits: Vec::new(),
+            cascade_depth: d.cascade_depth.clone(),
+            classify_to_action_ns: d.classify_to_action_ns.clone(),
+        };
+        Self::from_owned_report(Report {
+            stop: report.stop.clone(),
+            errors: report.errors.clone(),
+            counters: report.counters.clone(),
+            duration: report.duration,
+            stats: report.stats.clone(),
+            events: Vec::new(),
+            symbols: TableSet::clone(&report.symbols),
+            distributions: report.distributions.iter().map(histograms).collect(),
+            conformance: report.conformance.clone(),
+        })
+    }
+
+    /// Digests a finished report the caller is done with, moving the
+    /// lists the digest keeps out of it instead of copying them.
+    pub fn from_owned_report(mut report: Report) -> Self {
+        // Fields initialise in order: the report is read whole first.
         OutcomeDigest {
             passed: report.passed(),
-            stop: report.stop.to_string(),
-            errors: report
-                .errors
-                .iter()
-                .map(|e| (e.node_name.clone(), e.message.clone()))
+            stop: render_exact(&report.stop),
+            metrics: MetricsDigest::from_report(&report),
+            errors: mem::take(&mut report.errors)
+                .into_iter()
+                .map(|e| (e.node_name, e.message))
                 .collect(),
-            counters: report.counters.clone(),
-            stats: report.stats.clone(),
-            metrics: MetricsDigest::from_report(report),
-            conformance: report
-                .conformance
-                .iter()
+            counters: mem::take(&mut report.counters),
+            stats: mem::take(&mut report.stats),
+            conformance: mem::take(&mut report.conformance)
+                .into_iter()
                 .map(|c| {
                     let verdict = if c.passed {
                         "ok".to_string()
                     } else {
                         c.violations.join("; ")
                     };
-                    (c.model.clone(), c.node.clone(), verdict)
+                    (c.model, c.node, verdict)
                 })
                 .collect(),
         }
@@ -175,31 +196,41 @@ impl OutcomeDigest {
         self.errors.iter().any(|(_, m)| m.contains(needle))
     }
 
-    /// The canonical key string over the selected fields.
+    /// The canonical key string over the selected fields, in one
+    /// allocation of its final size.
     pub fn key_string(&self, key: &DigestKey) -> String {
-        let mut out = String::new();
+        render_exact(&KeyText(self, key))
+    }
+}
+
+/// The canonical key text of a digest over a key's fields.
+struct KeyText<'a>(&'a OutcomeDigest, &'a DigestKey);
+
+impl fmt::Display for KeyText<'_> {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let KeyText(d, key) = *self;
         if key.stop {
-            let _ = write!(out, "stop={}|", self.stop);
+            write!(out, "stop={}|", d.stop)?;
         }
-        let _ = write!(out, "passed={}|", self.passed);
+        write!(out, "passed={}|", d.passed)?;
         if key.errors {
-            out.push_str("errors=[");
-            for (node, message) in &self.errors {
-                let _ = write!(out, "{node}:{message};");
+            out.write_str("errors=[")?;
+            for (node, message) in &d.errors {
+                write!(out, "{node}:{message};")?;
             }
-            out.push_str("]|");
+            out.write_str("]|")?;
         }
         if key.counters {
-            out.push_str("counters=[");
-            for (node, counter, value) in &self.counters {
-                let _ = write!(out, "{node}.{counter}={value};");
+            out.write_str("counters=[")?;
+            for (node, counter, value) in &d.counters {
+                write!(out, "{node}.{counter}={value};")?;
             }
-            out.push_str("]|");
+            out.write_str("]|")?;
         }
         if key.stats {
-            out.push_str("stats=[");
-            for (node, s) in &self.stats {
-                let _ = write!(
+            out.write_str("stats=[")?;
+            for (node, s) in &d.stats {
+                write!(
                     out,
                     "{node}:cls{}m{}d{}u{}dl{}ro{}mo{}bh{};",
                     s.classified,
@@ -210,33 +241,50 @@ impl OutcomeDigest {
                     s.reorders,
                     s.modifies,
                     s.blackholed,
-                );
+                )?;
             }
-            out.push_str("]|");
+            out.write_str("]|")?;
         }
         if key.conformance {
-            out.push_str("conformance=[");
-            for (model, node, verdict) in &self.conformance {
-                let _ = write!(out, "{model}@{node}:{verdict};");
+            out.write_str("conformance=[")?;
+            for (model, node, verdict) in &d.conformance {
+                write!(out, "{model}@{node}:{verdict};")?;
             }
-            out.push_str("]|");
+            out.write_str("]|")?;
         }
         if key.metrics {
-            out.push_str("metrics=[");
-            for (name, value) in &self.metrics.counters {
-                let _ = write!(out, "{name}={value};");
+            out.write_str("metrics=[")?;
+            for (name, value) in &d.metrics.counters {
+                write!(out, "{name}={value};")?;
             }
-            for (name, h) in &self.metrics.histograms {
-                let _ = write!(out, "{name}:c{}s{}", h.count(), h.sum());
+            for (name, h) in &d.metrics.histograms {
+                write!(out, "{name}:c{}s{}", h.count(), h.sum())?;
                 for (floor, n) in h.nonzero_buckets() {
-                    let _ = write!(out, ",{floor}x{n}");
+                    write!(out, ",{floor}x{n}")?;
                 }
-                out.push(';');
+                out.write_char(';')?;
             }
-            out.push_str("]|");
+            out.write_str("]|")?;
         }
-        out
+        Ok(())
     }
+}
+
+/// `value.to_string()`, in one allocation of its final size: a first
+/// pass only counts the bytes.
+fn render_exact(value: &impl fmt::Display) -> String {
+    struct Measure(usize);
+    impl fmt::Write for Measure {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut len = Measure(0);
+    let _ = write!(len, "{value}");
+    let mut out = String::with_capacity(len.0);
+    let _ = write!(out, "{value}");
+    out
 }
 
 /// Which digest fields participate in equivalence-class membership.
@@ -368,19 +416,30 @@ pub fn instance_jsonl_line(
 ) -> String {
     // A line of the default key runs to 200-300 bytes.
     let mut out = String::with_capacity(256);
-    let _ = write!(out, "{{\"instance\":{index},\"labels\":{{");
-    for (j, (axis, value)) in labels.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
-        json_string(&mut out, axis);
-        out.push(':');
-        json_string(&mut out, value);
-    }
-    out.push('}');
+    let _ = write!(out, "{{\"instance\":{index},\"labels\":");
+    write_labels(&mut out, labels);
     write_outcome_fields(&mut out, outcome, key);
     out.push('}');
     out
+}
+
+/// Appends the `(axis, value)` labels as one JSON object.
+fn write_labels(out: &mut String, labels: &[(Arc<str>, Arc<str>)]) {
+    out.push('{');
+    for (j, (axis, value)) in labels.iter().enumerate() {
+        separate(out, j);
+        json_string(out, axis);
+        out.push(':');
+        json_string(out, value);
+    }
+    out.push('}');
+}
+
+/// Puts a comma before every list item but the first (item `j`).
+fn separate(out: &mut String, j: usize) {
+    if j > 0 {
+        out.push(',');
+    }
 }
 
 /// Appends `,"kind":...` plus the outcome's variant fields (digest
@@ -396,9 +455,7 @@ fn write_outcome_fields(out: &mut String, outcome: &InstanceOutcome, key: &Diges
             json_string(out, &d.stop);
             out.push_str(",\"errors\":[");
             for (j, (node, message)) in d.errors.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
+                separate(out, j);
                 out.push_str("{\"node\":");
                 json_string(out, node);
                 out.push_str(",\"message\":");
@@ -407,19 +464,18 @@ fn write_outcome_fields(out: &mut String, outcome: &InstanceOutcome, key: &Diges
             }
             out.push_str("],\"counters\":{");
             for (j, (node, counter, value)) in d.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                json_string(out, &format!("{node}.{counter}"));
-                let _ = write!(out, ":{value}");
+                separate(out, j);
+                out.push('"');
+                json_escape(out, node);
+                out.push('.');
+                json_escape(out, counter);
+                let _ = write!(out, "\":{value}");
             }
             out.push('}');
             if key.conformance {
                 out.push_str(",\"conformance\":[");
                 for (j, (model, node, verdict)) in d.conformance.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
+                    separate(out, j);
                     out.push_str("{\"model\":");
                     json_string(out, model);
                     out.push_str(",\"node\":");
@@ -433,17 +489,13 @@ fn write_outcome_fields(out: &mut String, outcome: &InstanceOutcome, key: &Diges
             if key.metrics {
                 out.push_str(",\"metrics\":{\"counters\":{");
                 for (j, (name, value)) in d.metrics.counters.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
+                    separate(out, j);
                     json_string(out, name);
                     let _ = write!(out, ":{value}");
                 }
                 out.push_str("},\"histograms\":{");
                 for (j, (name, h)) in d.metrics.histograms.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
+                    separate(out, j);
                     json_string(out, name);
                     let _ = write!(
                         out,
@@ -514,17 +566,16 @@ impl CampaignResult {
         let mut classes: Vec<OutcomeClass> = Vec::new();
         let mut by_key: HashMap<String, usize> = HashMap::new();
         for (instance, (outcome, wall_ns)) in instances.iter().zip(outcomes) {
-            let key_string = outcome.key_string(&key);
-            match by_key.get(&key_string) {
-                Some(&class) => classes[class].members.push(instance.index),
-                None => {
-                    by_key.insert(key_string.clone(), classes.len());
+            match by_key.entry(outcome.key_string(&key)) {
+                Entry::Occupied(class) => classes[*class.get()].members.push(instance.index),
+                Entry::Vacant(slot) => {
                     classes.push(OutcomeClass {
-                        digest: fnv1a64(key_string.as_bytes()),
+                        digest: fnv1a64(slot.key().as_bytes()),
                         representative: instance.index,
                         members: vec![instance.index],
                         outcome: outcome.clone(),
                     });
+                    slot.insert(classes.len() - 1);
                 }
             }
             records.push(InstanceRecord {
@@ -607,16 +658,8 @@ impl CampaignResult {
                 .iter()
                 .find(|r| r.index == class.representative);
             if let Some(rep) = rep {
-                out.push_str(",\"labels\":{");
-                for (j, (axis, value)) in rep.labels.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    json_string(&mut out, axis);
-                    out.push(':');
-                    json_string(&mut out, value);
-                }
-                out.push('}');
+                out.push_str(",\"labels\":");
+                write_labels(&mut out, &rep.labels);
             }
             if self.key.durations {
                 // Members are a subset of `instances`, both ascending by

@@ -348,9 +348,12 @@ pub struct Engine {
     vars: HashMap<String, u64>,
 
     counter_values: Vec<i64>,
-    counter_enabled: Vec<bool>,
-    term_status: Vec<bool>,
-    cond_status: Vec<bool>,
+    /// Which counters are enabled (`..term_base`), then each term's status
+    /// (`term_base..cond_base`) and each condition's: one block, sized at
+    /// install.
+    flags: Vec<bool>,
+    term_base: usize,
+    cond_base: usize,
 
     /// `FAIL`ed: consume everything in both directions.
     blackholed: bool,
@@ -443,9 +446,9 @@ impl Engine {
             me: None,
             vars: HashMap::new(),
             counter_values: Vec::new(),
-            counter_enabled: Vec::new(),
-            term_status: Vec::new(),
-            cond_status: Vec::new(),
+            flags: Vec::new(),
+            term_base: 0,
+            cond_base: 0,
             blackholed: false,
             control_mac: None,
             control_id: None,
@@ -608,9 +611,8 @@ impl Engine {
         self.tables = Some(tables);
         self.me = Some(me);
         self.counter_values = vec![0; ncounters];
-        self.counter_enabled = vec![false; ncounters];
-        self.term_status = vec![false; nterms];
-        self.cond_status = vec![false; nconds];
+        self.flags = vec![false; ncounters + nterms + nconds];
+        (self.term_base, self.cond_base) = (ncounters, ncounters + nterms);
         self.filter_hits = vec![0; nfilters];
         self.last_match = ctx.now();
         self.initial_evaluation(ctx);
@@ -624,7 +626,7 @@ impl Engine {
         for (i, term) in tables.terms.iter().enumerate() {
             if term.eval_node == me {
                 let status = self.eval_term(&tables, TermId(i as u16));
-                self.term_status[i] = status;
+                self.flags[self.term_base + i] = status;
                 // Terms that start out true get a flip record too, so a
                 // replay of the event stream reconstructs the same term
                 // state the engine evaluates conditions against.
@@ -638,8 +640,8 @@ impl Engine {
         fired.clear();
         for (i, cond) in tables.conditions.iter().enumerate() {
             if cond.eval_nodes.contains(&me) {
-                let status = cond.expr.eval(&|t| self.term_status[t.index()]);
-                self.cond_status[i] = status;
+                let status = cond.expr.eval(&|t| self.flags[self.term_base + t.index()]);
+                self.flags[self.cond_base + i] = status;
                 if status {
                     fired.push(CondId(i as u16));
                 }
@@ -740,10 +742,10 @@ impl Engine {
                 }
                 let status =
                     t.op.apply(self.operand_value(t.lhs), self.operand_value(t.rhs));
-                if status == self.term_status[term.index()] {
+                if status == self.flags[self.term_base + term.index()] {
                     continue;
                 }
-                self.term_status[term.index()] = status;
+                self.flags[self.term_base + term.index()] = status;
                 if self.cfg.obs.full() {
                     self.record(ctx.now(), ObsKind::TermFlipped { term, status });
                 }
@@ -1038,9 +1040,9 @@ impl Engine {
     fn reevaluate_condition(&mut self, tables: &TableSet, cond: CondId) -> Option<CondId> {
         let status = tables.conditions[cond.index()]
             .expr
-            .eval(&|t| self.term_status[t.index()]);
-        let previous = self.cond_status[cond.index()];
-        self.cond_status[cond.index()] = status;
+            .eval(&|t| self.flags[self.term_base + t.index()]);
+        let previous = self.flags[self.cond_base + cond.index()];
+        self.flags[self.cond_base + cond.index()] = status;
         (status && !previous).then_some(cond)
     }
 
@@ -1075,7 +1077,7 @@ impl Engine {
                     // re-evaluate the counter's terms.
                     let (new, requeue) = match op {
                         CounterOp::Enable | CounterOp::Disable => {
-                            self.counter_enabled[i] = op == CounterOp::Enable;
+                            self.flags[i] = op == CounterOp::Enable;
                             (old, false)
                         }
                         CounterOp::Assign(value) => (value, value != old),
@@ -1268,13 +1270,13 @@ impl Engine {
                 }
             }
             ControlMsg::TermStatus { term, status } => {
-                if !self.initialized() || term.index() >= self.term_status.len() {
+                if !self.initialized() || self.term_base + term.index() >= self.cond_base {
                     return;
                 }
-                if self.term_status[term.index()] == status {
+                if self.flags[self.term_base + term.index()] == status {
                     return;
                 }
-                self.term_status[term.index()] = status;
+                self.flags[self.term_base + term.index()] = status;
                 let me = self.me.expect("initialized");
                 if self.cfg.obs.full() {
                     self.record(ctx.now(), ObsKind::TermFlipped { term, status });
@@ -1466,7 +1468,7 @@ impl Engine {
                 else {
                     continue;
                 };
-                if self.counter_enabled[counter.index()]
+                if self.flags[counter.index()]
                     && sel.matches(
                         classification.filter,
                         classification.from,
@@ -1524,7 +1526,7 @@ impl Engine {
         let me = self.me.expect("initialized");
         let mut duplicate = false;
         for (ci, cond) in tables.conditions.iter().enumerate() {
-            if !self.cond_status[ci] {
+            if !self.flags[self.cond_base + ci] {
                 continue;
             }
             for (node, action) in &cond.gates {

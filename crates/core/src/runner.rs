@@ -227,20 +227,16 @@ impl Runner {
     /// control node also holds remotely reported copies) and authoritative
     /// counter values read at each counter's home node.
     fn report(&self, world: &World, stop: StopReason, duration: SimDuration) -> Report {
-        let engines: Vec<Option<&Engine>> = self
-            .engines
-            .iter()
-            .map(|&(device, hook)| world.hook::<Engine>(device, hook))
-            .collect();
+        let engine = |i: usize| {
+            let (device, hook) = self.engines[i];
+            world.hook::<Engine>(device, hook)
+        };
+        let installed = || (0..self.engines.len()).filter_map(|i| Some((i, engine(i)?)));
 
         let mut errors = Vec::new();
-        let mut stats = Vec::with_capacity(engines.len());
-        let mut distributions = Vec::with_capacity(engines.len());
-        let mut streams: Vec<&[ObsEvent]> = Vec::with_capacity(engines.len());
-        for (i, engine) in engines.iter().enumerate() {
-            let Some(engine) = engine else {
-                continue;
-            };
+        let mut stats = Vec::with_capacity(self.engines.len());
+        let mut distributions = Vec::with_capacity(self.engines.len());
+        for (i, engine) in installed() {
             // Keep each error once, attributed by its origin node: the
             // copy held by the origin itself (skip control-node copies
             // of remote errors).
@@ -252,25 +248,32 @@ impl Runner {
                 cascade_depth: engine.cascade_hist().clone(),
                 classify_to_action_ns: engine.latency_hist().clone(),
             });
-            streams.push(engine.events());
         }
         errors.sort_by_key(|e| e.time);
 
-        let counters = self
-            .tables
-            .counters
-            .iter()
-            .enumerate()
-            .filter_map(|(ci, counter)| {
-                let home = counter.home.index();
-                let value = engines[home]?.counter(CounterId(ci as u16))?;
-                Some((
-                    self.tables.nodes[home].name.clone(),
-                    counter.name.clone(),
-                    value,
-                ))
-            })
-            .collect();
+        // Sized for every counter: a campaign digest keeps this vector.
+        let mut counters = Vec::with_capacity(self.tables.counters.len());
+        let authoritative = self.tables.counters.iter().enumerate();
+        counters.extend(authoritative.filter_map(|(ci, counter)| {
+            let home = counter.home.index();
+            let value = engine(home)?.counter(CounterId(ci as u16))?;
+            Some((
+                self.tables.nodes[home].name.clone(),
+                counter.name.clone(),
+                value,
+            ))
+        }));
+
+        // The merge is stable, so same-time events keep their per-node
+        // causal order. The analysis layer re-derives per-node streams
+        // from this merge, so both sides must share the same primitive.
+        // A run that recorded nothing skips gathering the streams.
+        let events = if installed().any(|(_, e)| !e.events().is_empty()) {
+            let streams: Vec<&[ObsEvent]> = installed().map(|(_, e)| e.events()).collect();
+            vw_obs::merge_by_time(&streams)
+        } else {
+            Vec::new()
+        };
 
         Report {
             stop,
@@ -278,10 +281,7 @@ impl Runner {
             counters,
             duration,
             stats,
-            // The merge is stable, so same-time events keep their per-node
-            // causal order. The analysis layer re-derives per-node streams
-            // from this merge, so both sides must share the same primitive.
-            events: vw_obs::merge_by_time(&streams),
+            events,
             symbols: TableSet::clone(&self.tables),
             distributions,
             conformance: Vec::new(),

@@ -7,6 +7,7 @@
 //! complains about having to do before VirtualWire existed.
 
 use std::fmt;
+use std::rc::Rc;
 
 use vw_packet::Frame;
 
@@ -109,8 +110,9 @@ impl TraceRecord {
 pub struct TraceSink {
     records: Vec<TraceRecord>,
     enabled: bool,
-    /// Topology names indexed by [`DeviceId`] index; `""` = unregistered.
-    names: Vec<String>,
+    /// Topology names indexed by [`DeviceId`] index, shared with the
+    /// devices that carry them; `None` = unregistered.
+    names: Vec<Option<Rc<str>>>,
 }
 
 impl TraceSink {
@@ -126,20 +128,21 @@ impl TraceSink {
     /// Registers a stable topology name for a device, so renders and
     /// downstream analysis identify it as e.g. `node2` rather than the
     /// construction-order-dependent `dev3`. Identity metadata is kept even
-    /// when capture is disabled and survives [`clear`](Self::clear).
-    pub fn register_device(&mut self, device: DeviceId, name: &str) {
+    /// when capture is disabled and survives [`clear`](Self::clear). A
+    /// name passed as `Rc<str>` is shared, not copied.
+    pub fn register_device(&mut self, device: DeviceId, name: impl Into<Rc<str>>) {
         let index = device.index();
         if self.names.len() <= index {
-            self.names.resize(index + 1, String::new());
+            self.names.resize(index + 1, None);
         }
-        self.names[index] = name.to_string();
+        self.names[index] = Some(name.into());
     }
 
     /// The registered name of a device, if any.
     pub fn device_name(&self, device: DeviceId) -> Option<&str> {
         self.names
-            .get(device.index())
-            .map(String::as_str)
+            .get(device.index())?
+            .as_deref()
             .filter(|n| !n.is_empty())
     }
 

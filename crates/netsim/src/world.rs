@@ -3,6 +3,7 @@
 use std::any::Any;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -132,8 +133,9 @@ impl World {
     /// Adds a host with explicit addresses.
     pub fn add_host_with(&mut self, name: &str, mac: MacAddr, ip: Ipv4Addr) -> DeviceId {
         let id = DeviceId::from_index(self.devices.len());
+        let name: Rc<str> = name.into();
         self.devices.push(Device::Host(Host {
-            name: name.to_string(),
+            name: Rc::clone(&name),
             mac,
             ip,
             port: Port::new(),
@@ -148,8 +150,9 @@ impl World {
     /// Adds a store-and-forward learning switch with `ports` ports.
     pub fn add_switch(&mut self, name: &str, ports: usize) -> DeviceId {
         let id = DeviceId::from_index(self.devices.len());
+        let name: Rc<str> = name.into();
         self.devices.push(Device::Switch(Switch {
-            name: name.to_string(),
+            name: Rc::clone(&name),
             ports: (0..ports).map(|_| Port::new()).collect(),
             fdb: MacMap::default(),
         }));
@@ -161,8 +164,9 @@ impl World {
     /// `ports` ports.
     pub fn add_hub(&mut self, name: &str, ports: usize) -> DeviceId {
         let id = DeviceId::from_index(self.devices.len());
+        let name: Rc<str> = name.into();
         self.devices.push(Device::Hub(Hub {
-            name: name.to_string(),
+            name: Rc::clone(&name),
             ports: (0..ports).map(|_| Port::new()).collect(),
         }));
         self.trace.register_device(id, name);

@@ -312,6 +312,15 @@ pub struct TelemetryDelta {
 /// A journal entry's smallest encoding: seq + t_ms + severity + kind.
 const MIN_JOURNAL_ENTRY: usize = 18;
 
+/// A digest `stats` entry's smallest encoding: an empty node name plus
+/// one `u64` per [`EngineStats`] field.
+const MIN_STATS_ENTRY: usize = 4 + 8 * EngineStats::FIELDS;
+
+/// A digest metrics-histogram entry's smallest encoding: an empty name
+/// plus the histogram's fixed prefix (count, sum, min, max and the
+/// bucket count).
+const MIN_HISTOGRAM_ENTRY: usize = 4 + 8 + 16 + 8 + 8 + 1;
+
 impl TelemetryDelta {
     /// Encodes the payload.
     pub fn encode(&self) -> Vec<u8> {
@@ -599,14 +608,16 @@ fn decode_digest(r: &mut Reader<'_>) -> Result<OutcomeDigest, ParseError> {
         stop: r.str32()?,
         errors: r.list32(8, |r| Ok((r.str32()?, r.str32()?)))?,
         counters: r.list32(16, |r| Ok((r.str32()?, r.str32()?, r.i64()?)))?,
-        stats: r.list32(8, |r| {
+        stats: r.list32(MIN_STATS_ENTRY, |r| {
             let node = r.str32()?;
             let stats = EngineStats::from_values(std::iter::from_fn(|| r.u64().ok()));
             Ok((node, stats.ok_or_else(|| bad("engine stats"))?))
         })?,
         metrics: MetricsDigest {
-            counters: r.list32(12, |r| Ok((r.str32()?, r.u64()?)))?,
-            histograms: r.list32(8, |r| Ok((r.str32()?, Histogram::decode_from(r)?)))?,
+            counters: r.list32(12, |r| Ok((r.str32()?.into(), r.u64()?)))?,
+            histograms: r.list32(MIN_HISTOGRAM_ENTRY, |r| {
+                Ok((r.str32()?.into(), Histogram::decode_from(r)?))
+            })?,
         },
         conformance: r.list32(12, |r| Ok((r.str32()?, r.str32()?, r.str32()?)))?,
     })
@@ -815,6 +826,163 @@ mod tests {
             let bytes = write_payload(|w| encode_timed_outcome(w, &timed));
             assert_eq!(read_payload(&bytes, decode_timed_outcome), Some(timed));
         }
+    }
+
+    /// A finished report carrying a value in every field a digest keeps:
+    /// an error, counters, stats, filled histograms and one passing and
+    /// one failing conformance record.
+    fn rich_report() -> virtualwire::Report {
+        use virtualwire::{ConformanceRecord, FlaggedError, NodeDistributions, StopReason};
+
+        let symbols = virtualwire::compile_script(
+            "FILTER_TABLE
+            p: (12 2 0x4242)
+            END
+            NODE_TABLE
+            node1 02:00:00:00:00:01 10.0.0.1
+            node2 02:00:00:00:00:02 10.0.0.2
+            END
+            SCENARIO rich 100msec
+            Rcvd: (p, node1, node2, RECV)
+            ((Rcvd = 3)) >> STOP;
+            END",
+        )
+        .expect("compiles");
+        let mut cascade_depth = Histogram::new();
+        cascade_depth.observe(2);
+        cascade_depth.observe(5);
+        let mut classify_to_action_ns = Histogram::new();
+        classify_to_action_ns.observe(1_500);
+        let stats = EngineStats {
+            classified: 40,
+            drops: 2,
+            dups: 1,
+            control_retransmits: 3,
+            ..EngineStats::default()
+        };
+        virtualwire::Report {
+            stop: StopReason::StopAction("ring \"healed\"".into()),
+            errors: vec![FlaggedError {
+                node: vw_fsl::NodeId(1),
+                node_name: "node2".into(),
+                condition: None,
+                message: "token lost twice".into(),
+                time: vw_netsim::SimTime::from_nanos(9_000),
+            }],
+            counters: vec![
+                ("node2".into(), "Rcvd".into(), 3),
+                ("node1".into(), "Sent".into(), -4),
+            ],
+            duration: vw_netsim::SimDuration::from_millis(3),
+            stats: vec![("node1".into(), stats), ("node2".into(), stats)],
+            events: Vec::new(),
+            symbols,
+            distributions: vec![
+                NodeDistributions {
+                    filter_hits: vec![7],
+                    cascade_depth,
+                    classify_to_action_ns,
+                },
+                NodeDistributions::default(),
+            ],
+            conformance: vec![
+                ConformanceRecord {
+                    model: "tcp".into(),
+                    node: "node1".into(),
+                    passed: true,
+                    violations: Vec::new(),
+                },
+                ConformanceRecord {
+                    model: "rether".into(),
+                    node: "node2".into(),
+                    passed: false,
+                    violations: vec!["two holders".into(), "token regenerated".into()],
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn owned_and_borrowed_digests_agree_in_bytes_and_lines() {
+        let report = rich_report();
+        let borrowed = OutcomeDigest::from_report(&report);
+        let owned = OutcomeDigest::from_owned_report(report);
+        assert_eq!(owned, borrowed);
+        assert_eq!(owned.errors.len(), 1);
+        assert_eq!(owned.metrics.histograms.len(), 2, "both histograms filled");
+        assert_eq!(owned.conformance[1].2, "two holders; token regenerated");
+
+        let (owned, borrowed) = (
+            (InstanceOutcome::Completed(owned), 77),
+            (InstanceOutcome::Completed(borrowed), 77),
+        );
+        let bytes = write_payload(|w| encode_timed_outcome(w, &owned));
+        assert_eq!(bytes, write_payload(|w| encode_timed_outcome(w, &borrowed)));
+
+        let key = DigestKey {
+            stats: true,
+            metrics: true,
+            conformance: true,
+            ..DigestKey::default()
+        };
+        let labels = vec![("seed".into(), "1".into())];
+        let line = vw_campaign::instance_jsonl_line(3, &labels, &owned.0, &key);
+        assert_eq!(
+            line,
+            vw_campaign::instance_jsonl_line(3, &labels, &borrowed.0, &key)
+        );
+        let decoded = read_payload(&bytes, decode_timed_outcome).expect("decodes");
+        assert_eq!(
+            vw_campaign::instance_jsonl_line(3, &labels, &decoded.0, &key),
+            line
+        );
+    }
+
+    /// A completed outcome whose first `empty` digest lists are empty and
+    /// whose next list claims `count` entries over `count * 8` zero bytes:
+    /// room enough at 8 bytes an entry.
+    fn digest_claiming(empty: usize, count: u32) -> Vec<u8> {
+        write_payload(|w| {
+            w.u64(0);
+            w.u8(0);
+            w.bool(true);
+            w.str32("");
+            for _ in 0..empty {
+                w.u32(0);
+            }
+            w.u32(count);
+            w.bytes(&vec![0; count as usize * 8]);
+        })
+    }
+
+    /// The error decoding `bytes` as one timed outcome.
+    fn refusal(bytes: &[u8]) -> String {
+        let err = Reader::le(bytes)
+            .whole(decode_timed_outcome)
+            .expect_err("refused");
+        err.message().to_string()
+    }
+
+    #[test]
+    fn a_stats_count_must_fit_at_the_full_entry_size() {
+        // Errors and counters come first.
+        let err = refusal(&digest_claiming(2, 64));
+        assert!(err.contains("cannot fit"), "{err}");
+        assert!(
+            err.contains(&format!("at least {MIN_STATS_ENTRY} bytes")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_histogram_count_must_fit_at_the_full_entry_size() {
+        // Errors, counters, stats and metric counters come first.
+        let err = refusal(&digest_claiming(4, 64));
+        assert!(err.contains("cannot fit"), "{err}");
+        assert!(
+            err.contains(&format!("at least {MIN_HISTOGRAM_ENTRY} bytes")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -49,6 +49,13 @@ pub fn chrome_json_many(traces: &[Trace]) -> String {
 /// and JSONL writer in the workspace shares.
 pub fn json_string(out: &mut String, s: &str) {
     out.push('"');
+    json_escape(out, s);
+    out.push('"');
+}
+
+/// Appends `s` to `out` escaped as [`json_string`] escapes it, without
+/// the quotes: for a literal written in pieces.
+pub fn json_escape(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -62,7 +69,6 @@ pub fn json_string(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// A parsed JSON value (validator-grade: numbers are `f64`, object keys

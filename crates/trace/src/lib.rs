@@ -50,5 +50,5 @@ mod export;
 mod record;
 
 pub use collect::{disable, enable, is_enabled, span, SpanGuard};
-pub use export::{chrome_json_many, json_string, validate_chrome_json, Json};
+pub use export::{chrome_json_many, json_escape, json_string, validate_chrome_json, Json};
 pub use record::{Category, CategoryStats, PhaseBreakdown, SpanRecord, Trace};

@@ -184,7 +184,9 @@ fi
 # text, no wrapper stores the recorder level a second time, no field keeps
 # a STOP reason the world already keeps, and the report copies neither the
 # script's names (Report::symbols is the run's tables) nor a state log
-# (conformance_pass reads each protocol's own).
+# (conformance_pass reads each protocol's own). The executor digests the
+# report it owns by moving its lists out, and the metrics digest borrows
+# its fixed names.
 echo "==> each-fact-once gate"
 if grep -rnE 'trace_note|trace_frame|Effect::Trace|EventLog|enum Direction|fn stopped\(|SymbolTable|attach_state_events|tcp_state_events|rether_state_events|check_conformance' crates tests examples; then
     echo "a second record of a typed fact: read the typed owner instead"
@@ -194,11 +196,19 @@ if grep -n 'pub scenario' crates/core/src/report.rs; then
     echo "scenario name copied into Report: read Report::symbols.scenario"
     exit 1
 fi
+if grep -n 'OutcomeDigest::from_report(&report)' crates/campaign/src/exec.rs; then
+    echo "the executor copies a report it owns: use OutcomeDigest::from_owned_report"
+    exit 1
+fi
+if grep -n 'name.to_string(), value)' crates/campaign/src/outcome.rs; then
+    echo "a fixed metric name copied into a String: borrow it"
+    exit 1
+fi
 
 # The size simplicity PRs quote, and its ratchet: lines of every
 # crates/*/src/**/*.rs up to its first #[cfg(test)]. A change that needs
 # more raises the ceiling in its own diff.
-NON_TEST_LINES_CEILING=27557
+NON_TEST_LINES_CEILING=27627
 echo "==> non-test source lines"
 non_test_lines=$(find crates/*/src -name '*.rs' -print0 | sort -z |
     xargs -0 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ }
