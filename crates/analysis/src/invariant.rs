@@ -9,25 +9,21 @@
 //! doctored — both worth flagging before trusting an analysis built on
 //! the timeline.
 //!
-//! Built-ins:
+//! [`check_invariants`] runs four rules, in this order:
 //!
-//! * [`ConditionImpliesTerms`] — every `ConditionFired` is justified by
+//! * `condition-implies-terms` — every `ConditionFired` is justified by
 //!   recorded term state: its expression is satisfiable from the term
 //!   values in force at the firing cascade.
-//! * [`RemoteTermDelivery`] — a term flip recorded away from the term's
+//! * `remote-term-delivery` — a term flip recorded away from the term's
 //!   evaluating node must ride a control delivery from that node in the
 //!   same cascade.
-//! * [`NoActionAfterStop`] — once a node triggers `STOP`, no later
+//! * `no-action-after-stop` — once a node triggers `STOP`, no later
 //!   cascade at that node may trigger actions.
-//! * [`CounterMonotonic`] — a counter never targeted by value-lowering
+//! * `counter-monotonic` — a counter never targeted by value-lowering
 //!   actions (`ASSIGN`/`DECR`/`RESET`/time ops) must never decrease.
-//!
-//! User-defined rules implement [`Invariant`] and are run by the same
-//! [`InvariantChecker`].
 
 use std::collections::HashMap;
 
-use virtualwire::Report;
 use vw_fsl::{CompiledActionKind, CounterOp, NodeId, TableSet, Tables, TermId};
 use vw_netsim::SimTime;
 use vw_obs::{ObsActionKind, ObsEvent, ObsKind};
@@ -91,61 +87,14 @@ impl Violation {
     }
 }
 
-/// A rule that must hold over every merged timeline of a correct run.
-pub trait Invariant {
-    /// Stable name used in [`Violation::invariant`].
-    fn name(&self) -> &'static str;
-    /// Checks the timeline, returning every violation found.
-    fn check(&self, timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation>;
-}
-
-/// Runs a set of invariants over a timeline.
-#[derive(Default)]
-pub struct InvariantChecker {
-    invariants: Vec<Box<dyn Invariant>>,
-}
-
-impl InvariantChecker {
-    /// An empty checker; add rules with [`add`](Self::add).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A checker loaded with all built-in invariants.
-    pub fn with_builtins() -> Self {
-        InvariantChecker {
-            invariants: builtins(),
-        }
-    }
-
-    /// Adds one rule.
-    pub fn add(&mut self, invariant: Box<dyn Invariant>) -> &mut Self {
-        self.invariants.push(invariant);
-        self
-    }
-
-    /// Checks every rule, concatenating violations in rule order.
-    pub fn check(&self, timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
-        self.invariants
-            .iter()
-            .flat_map(|inv| inv.check(timeline, tables))
-            .collect()
-    }
-
-    /// Convenience: merge a report's events and check them.
-    pub fn check_report(&self, report: &Report, tables: &TableSet) -> Vec<Violation> {
-        self.check(&DistributedTimeline::from_report(report), tables)
-    }
-}
-
-/// All built-in invariants, in documentation order.
-pub fn builtins() -> Vec<Box<dyn Invariant>> {
-    vec![
-        Box::new(ConditionImpliesTerms),
-        Box::new(RemoteTermDelivery),
-        Box::new(NoActionAfterStop),
-        Box::new(CounterMonotonic),
-    ]
+/// Checks the four rules of the module docs over `timeline`, in that
+/// order, concatenating their violations.
+pub fn check_invariants(timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
+    let mut violations = condition_implies_terms(timeline, tables);
+    violations.extend(remote_term_delivery(timeline, tables));
+    violations.extend(no_action_after_stop(timeline));
+    violations.extend(counter_monotonic(timeline, tables));
+    violations
 }
 
 /// Tracks one node's replayed term state while walking the timeline.
@@ -190,50 +139,47 @@ impl NodeReplay {
 /// exact firing-time state is any per-term choice between the
 /// pre-cascade value and a recorded flip value — we accept the firing
 /// if any such choice satisfies the expression.)
-pub struct ConditionImpliesTerms;
-
-impl Invariant for ConditionImpliesTerms {
-    fn name(&self) -> &'static str {
-        "condition-implies-terms"
-    }
-
-    fn check(&self, timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
-        let mut violations = Vec::new();
-        let mut replay: HashMap<NodeId, NodeReplay> = HashMap::new();
-        for event in timeline.events() {
-            let state = replay
-                .entry(event.node)
-                .or_insert_with(|| NodeReplay::new(tables.terms.len()));
-            state.enter_frame(event.frame_seq);
-            match event.kind {
-                ObsKind::TermFlipped { term, status } if term.index() < state.status.len() => {
-                    state.flips.push((term, status));
-                    state.status[term.index()] = status;
-                }
-                ObsKind::ConditionFired { cond } => {
-                    let Some(condition) = tables.conditions.get(cond.index()) else {
-                        continue;
-                    };
-                    let mut terms = condition.expr.terms();
-                    terms.sort();
-                    terms.dedup();
-                    if terms.len() > 16 {
-                        continue; // combination space too large to replay
-                    }
-                    if !satisfiable(&condition.expr, &terms, state) {
-                        let message = format!(
-                            "condition#{} fired but no recorded term state satisfies its \
-                             expression",
-                            cond.index()
-                        );
-                        violations.push(Violation::at(self.name(), timeline, event, message));
-                    }
-                }
-                _ => {}
+fn condition_implies_terms(timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    let mut replay: HashMap<NodeId, NodeReplay> = HashMap::new();
+    for event in timeline.events() {
+        let state = replay
+            .entry(event.node)
+            .or_insert_with(|| NodeReplay::new(tables.terms.len()));
+        state.enter_frame(event.frame_seq);
+        match event.kind {
+            ObsKind::TermFlipped { term, status } if term.index() < state.status.len() => {
+                state.flips.push((term, status));
+                state.status[term.index()] = status;
             }
+            ObsKind::ConditionFired { cond } => {
+                let Some(condition) = tables.conditions.get(cond.index()) else {
+                    continue;
+                };
+                let mut terms = condition.expr.terms();
+                terms.sort();
+                terms.dedup();
+                if terms.len() > 16 {
+                    continue; // combination space too large to replay
+                }
+                if !satisfiable(&condition.expr, &terms, state) {
+                    let message = format!(
+                        "condition#{} fired but no recorded term state satisfies its \
+                         expression",
+                        cond.index()
+                    );
+                    violations.push(Violation::at(
+                        "condition-implies-terms",
+                        timeline,
+                        event,
+                        message,
+                    ));
+                }
+            }
+            _ => {}
         }
-        violations
     }
+    violations
 }
 
 /// `true` if some per-term choice between the pre-cascade value and a
@@ -270,136 +216,122 @@ fn satisfiable(expr: &vw_fsl::CondNode, terms: &[TermId], state: &NodeReplay) ->
 /// A term flip recorded at a node other than the term's `eval_node`
 /// can only come from a `TermStatus` control message, so the same
 /// cascade must contain a control delivery from the evaluating node.
-pub struct RemoteTermDelivery;
-
-impl Invariant for RemoteTermDelivery {
-    fn name(&self) -> &'static str {
-        "remote-term-delivery"
-    }
-
-    fn check(&self, timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
-        let mut violations = Vec::new();
-        let mut replay: HashMap<NodeId, NodeReplay> = HashMap::new();
-        for event in timeline.events() {
-            let state = replay
-                .entry(event.node)
-                .or_insert_with(|| NodeReplay::new(tables.terms.len()));
-            state.enter_frame(event.frame_seq);
-            match event.kind {
-                ObsKind::ControlDelivered { peer, .. } => {
-                    state.delivered_from.push(peer);
-                }
-                ObsKind::TermFlipped { term, .. } => {
-                    let Some(compiled) = tables.terms.get(term.index()) else {
-                        continue;
-                    };
-                    if compiled.eval_node == event.node
-                        || state.delivered_from.contains(&compiled.eval_node)
-                    {
-                        continue;
-                    }
-                    let message = format!(
-                        "term#{} flipped remotely with no control delivery from its \
-                         evaluating node in the same cascade",
-                        term.index()
-                    );
-                    violations.push(Violation::at(self.name(), timeline, event, message));
-                }
-                _ => {}
+fn remote_term_delivery(timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    let mut replay: HashMap<NodeId, NodeReplay> = HashMap::new();
+    for event in timeline.events() {
+        let state = replay
+            .entry(event.node)
+            .or_insert_with(|| NodeReplay::new(tables.terms.len()));
+        state.enter_frame(event.frame_seq);
+        match event.kind {
+            ObsKind::ControlDelivered { peer, .. } => {
+                state.delivered_from.push(peer);
             }
+            ObsKind::TermFlipped { term, .. } => {
+                let Some(compiled) = tables.terms.get(term.index()) else {
+                    continue;
+                };
+                if compiled.eval_node == event.node
+                    || state.delivered_from.contains(&compiled.eval_node)
+                {
+                    continue;
+                }
+                let message = format!(
+                    "term#{} flipped remotely with no control delivery from its \
+                     evaluating node in the same cascade",
+                    term.index()
+                );
+                violations.push(Violation::at(
+                    "remote-term-delivery",
+                    timeline,
+                    event,
+                    message,
+                ));
+            }
+            _ => {}
         }
-        violations
     }
+    violations
 }
 
 /// Once a node triggers `STOP`, no cascade with a larger ordinal at
 /// that node may trigger actions (the world stops stepping; a later
 /// action means the stream disagrees with the engine's semantics).
-pub struct NoActionAfterStop;
-
-impl Invariant for NoActionAfterStop {
-    fn name(&self) -> &'static str {
-        "no-action-after-stop"
-    }
-
-    fn check(&self, timeline: &DistributedTimeline, _tables: &TableSet) -> Vec<Violation> {
-        let mut stopped_at: HashMap<NodeId, u64> = HashMap::new();
-        for event in timeline.events() {
-            if let ObsKind::ActionTriggered {
-                kind: ObsActionKind::Stop,
-                ..
-            } = event.kind
-            {
-                let at = stopped_at.entry(event.node).or_insert(event.frame_seq);
-                *at = (*at).min(event.frame_seq);
-            }
+fn no_action_after_stop(timeline: &DistributedTimeline) -> Vec<Violation> {
+    let mut stopped_at: HashMap<NodeId, u64> = HashMap::new();
+    for event in timeline.events() {
+        if let ObsKind::ActionTriggered {
+            kind: ObsActionKind::Stop,
+            ..
+        } = event.kind
+        {
+            let at = stopped_at.entry(event.node).or_insert(event.frame_seq);
+            *at = (*at).min(event.frame_seq);
         }
-        let mut violations = Vec::new();
-        for event in timeline.events() {
-            let ObsKind::ActionTriggered { action, kind } = event.kind else {
-                continue;
-            };
-            let Some(&stop_frame) = stopped_at.get(&event.node) else {
-                continue;
-            };
-            if event.frame_seq > stop_frame {
-                let message = format!(
-                    "action#{} ({kind}) triggered after the node's STOP at cascade #{stop_frame}",
-                    action.index()
-                );
-                violations.push(Violation::at(self.name(), timeline, event, message));
-            }
-        }
-        violations
     }
+    let mut violations = Vec::new();
+    for event in timeline.events() {
+        let ObsKind::ActionTriggered { action, kind } = event.kind else {
+            continue;
+        };
+        let Some(&stop_frame) = stopped_at.get(&event.node) else {
+            continue;
+        };
+        if event.frame_seq > stop_frame {
+            let message = format!(
+                "action#{} ({kind}) triggered after the node's STOP at cascade #{stop_frame}",
+                action.index()
+            );
+            violations.push(Violation::at(
+                "no-action-after-stop",
+                timeline,
+                event,
+                message,
+            ));
+        }
+    }
+    violations
 }
 
 /// Counters only ever bumped by packet counting and non-negative `INCR`
 /// must never decrease, at the home node or at any subscriber (in-order
 /// control delivery forwards a monotone value monotonically).
-pub struct CounterMonotonic;
-
-impl Invariant for CounterMonotonic {
-    fn name(&self) -> &'static str {
-        "counter-monotonic"
-    }
-
-    fn check(&self, timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
-        let mut monotone = vec![true; tables.counters.len()];
-        for action in &tables.actions {
-            let CompiledActionKind::Counter { counter, op } = action.kind else {
-                continue;
-            };
-            let lowering = match op {
-                CounterOp::Assign(_)
-                | CounterOp::Decr(_)
-                | CounterOp::Reset
-                | CounterOp::SetCurTime
-                | CounterOp::ElapsedTime => true,
-                CounterOp::Incr(value) => value < 0,
-                CounterOp::Enable | CounterOp::Disable => false,
-            };
-            if lowering {
-                if let Some(flag) = monotone.get_mut(counter.index()) {
-                    *flag = false;
-                }
+fn counter_monotonic(timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
+    let mut monotone = vec![true; tables.counters.len()];
+    for action in &tables.actions {
+        let CompiledActionKind::Counter { counter, op } = action.kind else {
+            continue;
+        };
+        let lowering = match op {
+            CounterOp::Assign(_)
+            | CounterOp::Decr(_)
+            | CounterOp::Reset
+            | CounterOp::SetCurTime
+            | CounterOp::ElapsedTime => true,
+            CounterOp::Incr(value) => value < 0,
+            CounterOp::Enable | CounterOp::Disable => false,
+        };
+        if lowering {
+            if let Some(flag) = monotone.get_mut(counter.index()) {
+                *flag = false;
             }
         }
-        let mut violations = Vec::new();
-        for event in timeline.events() {
-            let ObsKind::CounterUpdated { counter, old, new } = event.kind else {
-                continue;
-            };
-            if monotone.get(counter.index()).copied().unwrap_or(false) && new < old {
-                let message = format!(
-                    "monotone counter#{} decreased {old} -> {new}",
-                    counter.index()
-                );
-                violations.push(Violation::at(self.name(), timeline, event, message));
-            }
-        }
-        violations
     }
+    let mut violations = Vec::new();
+    for event in timeline.events() {
+        let ObsKind::CounterUpdated { counter, old, new } = event.kind else {
+            continue;
+        };
+        if monotone.get(counter.index()).copied().unwrap_or(false) && new < old {
+            let message = format!(
+                "monotone counter#{} decreased {old} -> {new}",
+                counter.index()
+            );
+            violations.push(Violation::at("counter-monotonic", timeline, event, message));
+        }
+    }
+    violations
 }
 
 #[cfg(test)]
@@ -480,7 +412,7 @@ mod tests {
     fn condition_without_supporting_terms_is_flagged() {
         let tables = tiny_tables();
         let tl = DistributedTimeline::from_events(&[fired(1, 2, 10)]);
-        let violations = ConditionImpliesTerms.check(&tl, &tables);
+        let violations = condition_implies_terms(&tl, &tables);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, "condition-implies-terms");
         assert_eq!(violations[0].node, NodeId(1));
@@ -494,14 +426,14 @@ mod tests {
             flip(1, 2, 9, true),
             fired(1, 2, 10),
         ]);
-        assert!(ConditionImpliesTerms.check(&tl, &tables).is_empty());
+        assert!(condition_implies_terms(&tl, &tables).is_empty());
         // A flip in an *earlier* cascade carries over too.
         let tl = DistributedTimeline::from_events(&[
             delivered(1, 1, 5, 0),
             flip(1, 1, 5, true),
             fired(1, 3, 10),
         ]);
-        assert!(ConditionImpliesTerms.check(&tl, &tables).is_empty());
+        assert!(condition_implies_terms(&tl, &tables).is_empty());
     }
 
     #[test]
@@ -515,7 +447,7 @@ mod tests {
             flip(1, 2, 9, false),
             fired(1, 2, 10),
         ]);
-        assert!(ConditionImpliesTerms.check(&tl, &tables).is_empty());
+        assert!(condition_implies_terms(&tl, &tables).is_empty());
     }
 
     #[test]
@@ -524,21 +456,20 @@ mod tests {
         // Term 0 evaluates at node0; a flip at node1 without a delivery
         // from node0 in the same cascade is an orphan.
         let tl = DistributedTimeline::from_events(&[flip(1, 2, 9, true)]);
-        let violations = RemoteTermDelivery.check(&tl, &tables);
+        let violations = remote_term_delivery(&tl, &tables);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, "remote-term-delivery");
         // With the delivery present it passes.
         let tl = DistributedTimeline::from_events(&[delivered(1, 2, 9, 0), flip(1, 2, 9, true)]);
-        assert!(RemoteTermDelivery.check(&tl, &tables).is_empty());
+        assert!(remote_term_delivery(&tl, &tables).is_empty());
         // A local flip needs no delivery.
         let tl = DistributedTimeline::from_events(&[flip(0, 2, 9, true)]);
-        assert!(RemoteTermDelivery.check(&tl, &tables).is_empty());
+        assert!(remote_term_delivery(&tl, &tables).is_empty());
     }
 
     #[test]
     fn action_after_stop_is_flagged() {
         use vw_fsl::ActionId;
-        let tables = tiny_tables();
         let action = |seq: u64, nanos: u64, kind: ObsActionKind| {
             let action = ActionId(0);
             ev(0, seq, nanos, ObsKind::ActionTriggered { action, kind })
@@ -547,7 +478,7 @@ mod tests {
             action(2, 10, ObsActionKind::Stop),
             action(3, 11, ObsActionKind::Drop),
         ]);
-        let violations = NoActionAfterStop.check(&tl, &tables);
+        let violations = no_action_after_stop(&tl);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, "no-action-after-stop");
         // Same-cascade companions of the STOP are fine.
@@ -555,7 +486,7 @@ mod tests {
             action(2, 10, ObsActionKind::FlagErr),
             action(2, 10, ObsActionKind::Stop),
         ]);
-        assert!(NoActionAfterStop.check(&tl, &tables).is_empty());
+        assert!(no_action_after_stop(&tl).is_empty());
     }
 
     #[test]
@@ -566,12 +497,12 @@ mod tests {
             ev(0, 2, 10, ObsKind::CounterUpdated { counter, old, new })
         };
         let tl = DistributedTimeline::from_events(&[update(3, 2)]);
-        let violations = CounterMonotonic.check(&tl, &tables);
+        let violations = counter_monotonic(&tl, &tables);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, "counter-monotonic");
         // Increases pass.
         let tl = DistributedTimeline::from_events(&[update(2, 3)]);
-        assert!(CounterMonotonic.check(&tl, &tables).is_empty());
+        assert!(counter_monotonic(&tl, &tables).is_empty());
         // A counter targeted by ASSIGN is exempt.
         let mut tables = tiny_tables();
         tables.actions.push(CompiledAction {
@@ -582,7 +513,7 @@ mod tests {
             },
         });
         let tl = DistributedTimeline::from_events(&[update(3, 0)]);
-        assert!(CounterMonotonic.check(&tl, &tables).is_empty());
+        assert!(counter_monotonic(&tl, &tables).is_empty());
     }
 
     #[test]
@@ -591,7 +522,7 @@ mod tests {
         let tl = DistributedTimeline::from_events(&[fired(1, 2, 10), flip(1, 2, 9, true)]);
         // The flip sorts before the firing, so condition-implies-terms
         // passes; the orphan remote flip still trips delivery.
-        let violations = InvariantChecker::with_builtins().check(&tl, &tables);
+        let violations = check_invariants(&tl, &tables);
         assert_eq!(violations.len(), 1);
         let text = violations[0].render(&tables);
         assert!(text.contains("remote-term-delivery"), "{text}");

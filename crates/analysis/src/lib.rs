@@ -1,5 +1,6 @@
 //! VirtualWire fault analysis engine: cross-node timeline merge,
-//! invariant checking, and campaign-wide analytics.
+//! invariant checking, conformance models, scenario scripts, and
+//! campaign-wide analytics.
 //!
 //! The paper's Fault Analysis Engine counts packets and fires rules
 //! *online*; this crate is the offline half that turns recorded runs
@@ -11,11 +12,11 @@
 //!   node's `frame_seq` keeps its local causal order, and all ties
 //!   break deterministically, so the merge is byte-stable under any
 //!   permutation of the input events.
-//! * **Invariants** ([`InvariantChecker`], [`Invariant`]) — replay the
-//!   merged timeline against rules every correct execution satisfies
-//!   (conditions justified by term state, remote flips backed by
-//!   deliveries, nothing after `STOP`, monotone counters), producing
-//!   typed [`Violation`]s that embed the offending causal slice.
+//! * **Invariants** ([`check_invariants`]) — replay the merged timeline
+//!   against four rules every correct execution satisfies (conditions
+//!   justified by term state, remote flips backed by deliveries, nothing
+//!   after `STOP`, monotone counters), producing typed [`Violation`]s
+//!   that embed the offending causal slice.
 //! * **Conformance models** ([`ProtocolModel`]) — declarative FSMs over
 //!   the protocol state changes implementations log
 //!   ([`ProtoAspect`](vw_obs::ProtoAspect) entries), checked per node
@@ -24,12 +25,16 @@
 //!   behavior of the bundled stacks, so injected faults surface as typed
 //!   violation classes ([`conformance_pass`] is the one-call campaign
 //!   hook).
+//! * **Scenario scripts** ([`script`]) — packetdrill-style timed
+//!   stimulus installed into the world before a run, and expectations
+//!   judged against its packet trace and report afterwards.
 //! * **Campaign analytics** ([`CampaignReport::of`]) — folds each
 //!   completed instance's metrics digest into campaign-wide totals,
 //!   merged histograms and per-axis breakdowns, with
 //!   [`CampaignReport::diff`] flagging regressions against a baseline.
 //!
-//! See DESIGN.md §5.11 for the merge order's correctness argument.
+//! See DESIGN.md §5.11 for the merge order's correctness argument and
+//! §5.14 for the script language and the reference models.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,14 +42,10 @@
 mod campaign;
 mod invariant;
 mod model;
+pub mod script;
 mod timeline;
 
 pub use campaign::{AxisBreakdown, AxisGroup, CampaignReport, Regression};
-pub use invariant::{
-    builtins, ConditionImpliesTerms, CounterMonotonic, Invariant, InvariantChecker,
-    NoActionAfterStop, RemoteTermDelivery, Violation,
-};
-pub use model::{
-    conformance_pass, rether_reference, state_events, tcp_reference, ProtocolModel, StateChange,
-};
-pub use timeline::{DistributedTimeline, TimelineEntry};
+pub use invariant::{check_invariants, Violation};
+pub use model::{conformance_pass, rether_reference, state_events, tcp_reference, ProtocolModel};
+pub use timeline::DistributedTimeline;

@@ -27,15 +27,10 @@
 
 use virtualwire::{ConformanceRecord, Report};
 use vw_fsl::{NodeId, TableSet};
-use vw_netsim::{SimTime, World};
+use vw_netsim::World;
 use vw_obs::{ObsEvent, ObsKind, ProtoAspect};
 use vw_rether::RetherNode;
-use vw_tcpstack::TcpStack;
-
-/// A protocol state change as recorded by an implementation under test:
-/// the same shape as [`TcpStack::state_log`] and
-/// [`RetherNode::state_log`] entries.
-pub type StateChange = (SimTime, ProtoAspect, u64);
+use vw_tcpstack::{StateChange, TcpStack};
 
 /// A declarative FSM over [`ProtoAspect`] events — see the module docs.
 ///

@@ -27,15 +27,6 @@ use virtualwire::Report;
 use vw_fsl::{Dir, NodeId, Tables};
 use vw_obs::{CausalChain, ObsEvent, ObsKind};
 
-/// One event in the merged distributed timeline.
-#[derive(Debug, Clone, Copy)]
-pub struct TimelineEntry {
-    /// The event's position in its node's canonical local order.
-    pub local_index: usize,
-    /// The event itself (it names its recording node).
-    pub event: ObsEvent,
-}
-
 /// The causal rank of an event within one `(node, frame_seq)` cascade:
 /// a delivered control message is what *starts* a control-driven
 /// cascade, classification starts a packet-driven one, and the
@@ -110,7 +101,7 @@ fn canonical_key(event: &ObsEvent) -> (u64, u64, u8, (u32, u32, i64, i64)) {
 #[derive(Debug, Clone, Default)]
 pub struct DistributedTimeline {
     nodes: Vec<NodeId>,
-    entries: Vec<TimelineEntry>,
+    events: Vec<ObsEvent>,
 }
 
 impl DistributedTimeline {
@@ -176,9 +167,9 @@ impl DistributedTimeline {
         }
 
         let total: usize = streams.iter().map(Vec::len).sum();
-        let mut entries = Vec::with_capacity(total);
+        let mut events = Vec::with_capacity(total);
         let mut heads = vec![0usize; streams.len()];
-        while entries.len() < total {
+        while events.len() < total {
             let mut best: Option<(u64, usize, usize)> = None;
             let mut fallback: Option<(u64, usize, usize)> = None;
             for (slot, stream) in streams.iter().enumerate() {
@@ -202,14 +193,11 @@ impl DistributedTimeline {
             // `best` can only be None on doctored streams whose
             // dependencies form a cycle; fall back to the earliest head
             // so the merge always terminates.
-            let (_, slot, h) = best.or(fallback).expect("entries remain");
-            entries.push(TimelineEntry {
-                local_index: h,
-                event: streams[slot][h],
-            });
+            let (_, slot, h) = best.or(fallback).expect("events remain");
+            events.push(streams[slot][h]);
             heads[slot] = h + 1;
         }
-        DistributedTimeline { nodes, entries }
+        DistributedTimeline { nodes, events }
     }
 
     /// The nodes that contributed events, ascending.
@@ -217,36 +205,19 @@ impl DistributedTimeline {
         &self.nodes
     }
 
-    /// The merged entries, in global order.
-    pub fn entries(&self) -> &[TimelineEntry] {
-        &self.entries
-    }
-
     /// The merged events, in global order.
     pub fn events(&self) -> impl Iterator<Item = &ObsEvent> {
-        self.entries.iter().map(|e| &e.event)
+        self.events.iter()
     }
 
     /// Number of merged events.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.events.len()
     }
 
     /// `true` if nothing was merged.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// One node's events in their canonical local order.
-    pub fn local_order(&self, node: NodeId) -> Vec<ObsEvent> {
-        let mut events: Vec<(usize, ObsEvent)> = self
-            .entries
-            .iter()
-            .filter(|e| e.event.node == node)
-            .map(|e| (e.local_index, e.event))
-            .collect();
-        events.sort_by_key(|&(i, _)| i);
-        events.into_iter().map(|(_, e)| e).collect()
+        self.events.is_empty()
     }
 
     /// The causal chain of one `(node, frame_seq)` cascade, in global
@@ -288,8 +259,8 @@ impl DistributedTimeline {
     /// the run's `tables`.
     pub fn render(&self, tables: &Tables) -> String {
         let mut out = String::new();
-        for entry in &self.entries {
-            out.push_str(&entry.event.render(tables));
+        for event in &self.events {
+            out.push_str(&event.render(tables));
             out.push('\n');
         }
         out
@@ -376,8 +347,8 @@ mod tests {
         let a: Vec<ObsEvent> = tl.events().copied().collect();
         let b: Vec<ObsEvent> = tl2.events().copied().collect();
         assert_eq!(a, b);
-        // And both agree with each node's canonical local order.
-        assert_eq!(tl.local_order(NodeId(0)).len(), 3);
+        // And each node keeps all of its events.
+        assert_eq!(tl.events().filter(|e| e.node == NodeId(0)).count(), 3);
         assert_eq!(tl.nodes(), &[NodeId(0), NodeId(1)]);
     }
 
@@ -398,7 +369,7 @@ mod tests {
         let events = [delivered(0, 4, 20, 1, 1), flipped(1, 1, 5, 0)];
         let tl = DistributedTimeline::from_events(&events);
         assert_eq!(tl.len(), 2);
-        assert_eq!(tl.entries()[0].event.node, NodeId(1));
+        assert_eq!(tl.events().next().unwrap().node, NodeId(1));
     }
 
     #[test]

@@ -205,11 +205,12 @@ fn scripted_injection_mid_delay_interleaves_deterministically() {
         // The flooder's 10 datagrams arrive over ~20 ms; the scripted
         // frame lands at 10 ms, while the delay line still holds every
         // earlier arrival (none release before 50 ms).
-        let script = vw_script::Script::parse(
+        let script = vw_analysis::script::Script::parse(
             "@10ms inject wire node2 udp node1 -> node2 sport 7777 dport 25443 payload-hex aa\n",
         )
         .unwrap();
-        let scheduled = vw_script::install(&script, &mut bed.world, bed.runner.tables()).unwrap();
+        let scheduled =
+            vw_analysis::script::install(&script, &mut bed.world, bed.runner.tables()).unwrap();
         assert_eq!(scheduled, 1);
         let report = bed
             .runner

@@ -7,12 +7,10 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use vw_packet::MacAddr;
 
 /// A complete FSL program.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     /// `VAR` declarations: run-time-bound filter pattern variables.
     pub vars: Vec<String>,
@@ -26,7 +24,7 @@ pub struct Program {
 
 /// A packet definition: a name bound to the logical AND of byte-match
 /// tuples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilterDef {
     /// The packet type name (`TCP_synack`, `tr_token`, ...).
     pub name: String,
@@ -35,7 +33,7 @@ pub struct FilterDef {
 }
 
 /// One `(offset length [mask] pattern)` tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilterTuple {
     /// Byte offset into the raw frame.
     pub offset: u32,
@@ -48,7 +46,7 @@ pub struct FilterTuple {
 }
 
 /// A pattern operand: a literal or a `VAR` bound at run time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PatternValue {
     /// A literal value (hex or decimal in the source).
     Literal(u64),
@@ -57,7 +55,7 @@ pub enum PatternValue {
 }
 
 /// A node definition: name, hardware address, IP address.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeDef {
     /// The node name used throughout the script (`node1`, ...).
     pub name: String,
@@ -68,7 +66,7 @@ pub struct NodeDef {
 }
 
 /// A test scenario: named counters plus rules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Scenario name.
     pub name: String,
@@ -81,7 +79,7 @@ pub struct Scenario {
 }
 
 /// Which packet direction a counter or fault observes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dir {
     /// Outbound at the acting node.
     Send,
@@ -90,7 +88,7 @@ pub enum Dir {
 }
 
 /// A counter declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CounterDecl {
     /// Counter name.
     pub name: String,
@@ -101,7 +99,7 @@ pub struct CounterDecl {
 /// Which packets a counter counts or a fault acts on: the
 /// `(pkt_type, from, to, SEND|RECV)` 4-tuple that the paper's counter
 /// declarations and its Table II fault primitives share.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacketSelector {
     /// The packet definition name.
     pub pkt: String,
@@ -114,7 +112,7 @@ pub struct PacketSelector {
 }
 
 /// What a counter observes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CounterKind {
     /// Counts send/receive events of a packet type between two nodes:
     /// `NAME: (pkt_type, from, to, SEND|RECV)`.
@@ -127,7 +125,7 @@ pub enum CounterKind {
 }
 
 /// One `{condition >> actions}` rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// The guarding condition.
     pub condition: CondExpr,
@@ -136,7 +134,7 @@ pub struct Rule {
 }
 
 /// A boolean expression over terms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CondExpr {
     /// Always true (fires at scenario start).
     True,
@@ -181,7 +179,7 @@ impl CondExpr {
 }
 
 /// A relational term between two operands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Term {
     /// Left operand.
     pub lhs: Operand,
@@ -192,7 +190,7 @@ pub struct Term {
 }
 
 /// A term operand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Operand {
     /// A counter reference.
     Counter(String),
@@ -201,7 +199,7 @@ pub enum Operand {
 }
 
 /// Relational operators (`>`, `<`, `>=`, `<=`, `=`, `!=`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RelOp {
     /// `>`
     Gt,
@@ -244,7 +242,7 @@ impl RelOp {
 }
 
 /// How a `MODIFY` fault mutates a packet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModifyPattern {
     /// Random perturbation of payload bytes (the paper's default).
     Random,
@@ -262,7 +260,7 @@ pub enum ModifyPattern {
 
 /// A Table I counter manipulation, applied to the counter its action
 /// names. Shared by the AST and the compiled action table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterOp {
     /// `ASSIGN_CNTR(counter[, value])` — set the counter (default 0).
     Assign(i64),
@@ -285,7 +283,7 @@ pub enum CounterOp {
 /// A Table II fault primitive, applied to every packet its action's
 /// selector matches while the rule's condition holds. Shared by the AST
 /// and the compiled action table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Fault {
     /// `DROP(pkt, from, to, SEND|RECV)`.
     Drop,
@@ -310,7 +308,7 @@ pub enum Fault {
 /// An action: one of the paper's two families — a Table I counter
 /// manipulation or a Table II fault primitive — or one of the three
 /// scenario-level actions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// A Table I action on a counter.
     Counter {

@@ -22,8 +22,6 @@ use std::net::Ipv4Addr;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Weak};
 
-use serde::{Deserialize, Serialize};
-
 use vw_packet::MacAddr;
 
 use crate::ast::*;
@@ -32,9 +30,7 @@ use crate::error::FslError;
 macro_rules! table_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u16);
 
         impl $name {
@@ -78,7 +74,7 @@ table_id!(
 );
 
 /// Filter-table entry: a named packet definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledFilter {
     /// Packet type name.
     pub name: String,
@@ -104,7 +100,7 @@ impl CompiledFilter {
 }
 
 /// Node-table entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledNode {
     /// Node name.
     pub name: String,
@@ -116,7 +112,7 @@ pub struct CompiledNode {
 
 /// A [`PacketSelector`] after name resolution: the packets a counter
 /// counts or a fault acts on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketSel {
     /// The packet definition.
     pub filter: FilterId,
@@ -153,7 +149,7 @@ impl PacketSel {
 }
 
 /// What a compiled counter observes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompiledCounterKind {
     /// Send/receive events of a packet type between two nodes.
     Packet(PacketSel),
@@ -162,7 +158,7 @@ pub enum CompiledCounterKind {
 }
 
 /// Counter-table entry, with the dependency tags of Section 5.1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledCounter {
     /// Counter name.
     pub name: String,
@@ -178,7 +174,7 @@ pub struct CompiledCounter {
 }
 
 /// A term operand after name resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompiledOperand {
     /// A counter's current value.
     Counter(CounterId),
@@ -187,7 +183,7 @@ pub enum CompiledOperand {
 }
 
 /// Term-table entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledTerm {
     /// Left operand.
     pub lhs: CompiledOperand,
@@ -202,7 +198,7 @@ pub struct CompiledTerm {
 }
 
 /// A condition expression over term ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CondNode {
     /// Always true (fires once at scenario start).
     True,
@@ -252,7 +248,7 @@ impl CondNode {
 }
 
 /// Condition-table entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledCondition {
     /// The boolean expression.
     pub expr: CondNode,
@@ -267,7 +263,7 @@ pub struct CompiledCondition {
 }
 
 /// Action-table entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledAction {
     /// The node executing the action.
     pub node: NodeId,
@@ -276,7 +272,7 @@ pub struct CompiledAction {
 }
 
 /// Resolved action kinds: [`Action`] with names replaced by table ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CompiledActionKind {
     /// A Table I action on a counter.
     Counter {
@@ -318,7 +314,7 @@ pub enum CompiledActionKind {
 /// allocation of their own if another handle, strong or
 /// [weak](TableSet::downgrade), names this one — so whatever was derived
 /// from a set and keyed by its allocation never describes a changed set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableSet(Arc<Tables>);
 
 impl TableSet {
@@ -369,7 +365,7 @@ impl DerefMut for TableSet {
 }
 
 /// The six tables (and the scenario header) behind a [`TableSet`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tables {
     /// Scenario name.
     pub scenario: String,

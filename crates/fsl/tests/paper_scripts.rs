@@ -1,5 +1,7 @@
 //! Golden tests: the paper's own scripts (Figures 2, 5 and 6) must parse,
-//! analyze, and compile.
+//! analyze, and compile. And the parser never panics: arbitrary bytes,
+//! every truncation of Figures 5 and 6 and single-byte mutations of them
+//! all come back as a program or a typed error.
 //!
 //! The scripts are transcribed from the paper with only mechanical fixes:
 //! the figures' line numbers are removed, the duplicated line label "21."
@@ -9,6 +11,7 @@
 //! shows only the filter table; the node definitions follow Figure 2's
 //! format).
 
+use proptest::prelude::*;
 use vw_fsl::{
     analyze, compile, parse, print, CompiledActionKind, CounterId, CounterKind, CounterOp, Dir,
     Fault, FilterId, ModifyPattern, NodeId, PacketSel,
@@ -317,5 +320,37 @@ fn script_sizes_match_the_papers_claim() {
             "scenario {} has {logical_lines} logical lines",
             s.name
         );
+    }
+}
+
+#[test]
+fn every_truncation_of_the_paper_scripts_parses_or_errs() {
+    for src in [FIGURE_5, FIGURE_6] {
+        for end in (0..=src.len()).filter(|&end| src.is_char_boundary(end)) {
+            let _ = parse(&src[..end]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_parser(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let _ = parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn byte_mutations_of_the_paper_scripts_never_panic_the_parser(
+        figure_6 in any::<bool>(),
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = if figure_6 { FIGURE_6 } else { FIGURE_5 }.as_bytes().to_vec();
+        let i = at.index(bytes.len());
+        bytes[i] = byte;
+        let _ = parse(&String::from_utf8_lossy(&bytes));
     }
 }

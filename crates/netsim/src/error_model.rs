@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use vw_packet::Frame;
 
@@ -35,7 +34,7 @@ pub enum LinkOutcome {
 /// let lossy = ErrorModel::lossy(0.1);
 /// assert_eq!(lossy.loss_probability(), 0.1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorModel {
     /// Probability that a frame is lost outright.
     loss: f64,
@@ -158,7 +157,7 @@ impl Default for ErrorModel {
 /// impairment consumes no randomness and leaves a seeded run's RNG stream
 /// — and therefore its whole schedule — bit-identical to an unimpaired
 /// run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlImpairment {
     /// Probability a control frame is dropped outright.
     pub drop: f64,

@@ -2,14 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub(crate) u32);
 
         impl $name {
@@ -68,14 +64,14 @@ id_type!(
 /// cell's successive tenants this timer is. Once the timer fires or is
 /// cancelled the id matches nothing, so cancelling it again is a no-op
 /// even after the cell is reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId {
     pub(crate) index: u32,
     pub(crate) generation: u32,
 }
 
 /// A specific port on a specific device — one end of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PortRef {
     /// The device owning the port.
     pub device: DeviceId,
@@ -98,7 +94,7 @@ impl fmt::Display for PortRef {
 
 /// The handler a timer or start event is addressed to: a protocol above the
 /// stack or a hook in the interposition chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HandlerRef {
     /// A protocol handler.
     Protocol(ProtocolId),

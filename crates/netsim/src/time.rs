@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated clock, in nanoseconds since the start of the
 /// run.
 ///
@@ -14,9 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_nanos(), 10_000_000);
 /// assert_eq!(t - SimTime::ZERO, SimDuration::from_millis(10));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -87,9 +83,7 @@ impl fmt::Display for SimTime {
 /// assert_eq!(SimDuration::from_secs(2) / 4, SimDuration::from_millis(500));
 /// assert_eq!(SimDuration::from_millis(3) * 2, SimDuration::from_millis(6));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

@@ -34,6 +34,9 @@ pub enum TraceKind {
     HookEmit,
     /// A frame arrived at a host whose destination filter rejected it.
     AddrFilterDrop,
+    /// A switch dropped a frame whose destination it learned on the port
+    /// the frame came in on.
+    SwitchFilter,
     /// Free-form annotation from a hook or protocol.
     Note,
 }
@@ -49,6 +52,7 @@ impl fmt::Display for TraceKind {
             TraceKind::HookConsume => "hook-consume",
             TraceKind::HookEmit => "hook-emit",
             TraceKind::AddrFilterDrop => "addr-filter-drop",
+            TraceKind::SwitchFilter => "switch-filter",
             TraceKind::Note => "note",
         };
         f.write_str(s)

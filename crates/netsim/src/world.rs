@@ -603,8 +603,14 @@ impl World {
             Some(p) if p != ingress.port => {
                 self.port_send(PortRef::new(ingress.device, p), frame);
             }
-            Some(_) => {
-                // Destination is on the ingress port: filter (drop).
+            Some(p) => {
+                self.trace.record(
+                    self.now,
+                    ingress.device,
+                    TraceKind::SwitchFilter,
+                    Some(&frame),
+                    || format!("destination on ingress port {p}"),
+                );
             }
             None => {
                 // Flood to all other connected ports.

@@ -645,3 +645,32 @@ fn timer_cancellation_prevents_firing() {
     world.run_for(SimDuration::from_millis(20));
     assert!(!world.protocol::<CancelOnFrame>(b, id).unwrap().fired);
 }
+
+#[test]
+fn a_switch_traces_the_frame_it_filters() {
+    // a's first frame teaches the switch that a sits behind port 0, so a
+    // frame a then sends to its own MAC has its destination on the port
+    // it came in on, and the switch filters it.
+    let mut world = World::new(3);
+    let a = world.add_host("node1");
+    let b = world.add_host("node2");
+    let sw = world.add_switch("sw0", 4);
+    world.connect(a, sw, LinkConfig::fast_ethernet());
+    world.connect(b, sw, LinkConfig::fast_ethernet());
+    let (mac_a, mac_b) = (world.host_mac(a), world.host_mac(b));
+    world.inject_from_stack(a, test_frame(mac_a, mac_b));
+    world.run_for(SimDuration::from_millis(1));
+    let looped = test_frame(mac_a, mac_a);
+    world.inject_from_stack(a, looped.clone());
+    world.run_for(SimDuration::from_millis(1));
+
+    let at_switch: Vec<_> = world
+        .trace()
+        .records()
+        .iter()
+        .filter(|r| r.device == sw && r.frame.as_ref() == Some(&looped))
+        .collect();
+    assert_eq!(at_switch.len(), 1, "{}", world.trace().render());
+    assert_eq!(at_switch[0].kind, TraceKind::SwitchFilter);
+    assert_eq!(at_switch[0].note, "destination on ingress port 0");
+}

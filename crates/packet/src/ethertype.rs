@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A 16-bit EtherType identifying the protocol carried in an Ethernet frame.
 ///
 /// Besides the standard [`IPV4`](EtherType::IPV4) value, the reproduction
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(EtherType::RETHER.value(), 0x9900);
 /// assert_eq!(format!("{}", EtherType::IPV4), "0x0800");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EtherType(pub u16);
 
 impl EtherType {

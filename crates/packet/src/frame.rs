@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ethernet::{EthernetHeader, ETHERNET_HEADER_LEN};
 use crate::ipv4::Ipv4Header;
 use crate::tcp::TcpHeader;
@@ -34,7 +32,7 @@ use crate::{EtherType, MacAddr, ParseError};
 /// assert_eq!(frame.ethertype(), EtherType::RETHER);
 /// assert!(frame.dst().is_broadcast());
 /// ```
-#[derive(PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct Frame {
     bytes: Vec<u8>,
 }

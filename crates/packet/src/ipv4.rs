@@ -3,8 +3,6 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::checksum;
 use crate::ethernet::ETHERNET_HEADER_LEN;
 use crate::{EtherType, ParseError};
@@ -20,7 +18,7 @@ pub const IPV4_HEADER_LEN: usize = 20;
 /// assert_eq!(IpProtocol::TCP.value(), 6);
 /// assert_eq!(IpProtocol::UDP.value(), 17);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IpProtocol(pub u8);
 
 impl IpProtocol {

@@ -5,8 +5,6 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ParseError;
 
 /// A 48-bit IEEE 802 MAC address.
@@ -24,7 +22,7 @@ use crate::ParseError;
 /// assert!(!mac.is_broadcast());
 /// assert!(MacAddr::BROADCAST.is_broadcast());
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MacAddr([u8; 6]);
 
 impl MacAddr {

@@ -4,8 +4,6 @@ use std::fmt;
 use std::net::Ipv4Addr;
 use std::ops::{BitOr, BitOrAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::checksum;
 use crate::ethernet::ETHERNET_HEADER_LEN;
 use crate::ipv4::{IpProtocol, Ipv4Builder, Ipv4Header, IPV4_HEADER_LEN};
@@ -28,7 +26,7 @@ pub const TCP_HEADER_LEN: usize = 20;
 /// assert!(!synack.contains(TcpFlags::FIN));
 /// assert_eq!(synack.bits(), 0x12);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags(u8);
 
 impl TcpFlags {

@@ -10,7 +10,7 @@
 //! ```
 
 use virtualwire::{compile_script, EngineConfig, ObsEvent, ObsKind, ObsLevel, Runner};
-use vw_analysis::{DistributedTimeline, InvariantChecker};
+use vw_analysis::{check_invariants, DistributedTimeline};
 use vw_netsim::apps::{UdpFlooder, UdpSink};
 use vw_netsim::{Binding, LinkConfig, SimDuration, World};
 use vw_packet::EtherType;
@@ -86,12 +86,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     print!("{}", timeline.render(&report.symbols));
 
-    let checker = InvariantChecker::with_builtins();
-    let violations = checker.check(&timeline, &tables);
+    let violations = check_invariants(&timeline, &tables);
     println!("\n=== invariant check (clean run) ===");
     println!(
-        "{} invariants over {} events: {} violations",
-        vw_analysis::builtins().len(),
+        "4 invariants over {} events: {} violations",
         timeline.len(),
         violations.len()
     );
@@ -111,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .cloned()
         .collect();
     let doctored_timeline = DistributedTimeline::from_events(&doctored);
-    let seeded = checker.check(&doctored_timeline, &tables);
+    let seeded = check_invariants(&doctored_timeline, &tables);
     println!("\n=== invariant check (deliveries erased) ===");
     for violation in &seeded {
         print!("{}", violation.render(&report.symbols));

@@ -17,6 +17,7 @@
 //! fully conformant.
 
 use virtualwire::{compile_script, EngineConfig, Report, Runner, ScriptError};
+use vw_analysis::script::{evaluate, install, Script};
 use vw_analysis::{conformance_pass, tcp_reference};
 use vw_campaign::{
     run_campaign, Axis, CampaignSpec, DigestKey, ExecConfig, InstanceOutcome, RunConfig, Setup,
@@ -25,7 +26,6 @@ use vw_fsl::TableSet;
 use vw_netsim::apps::UdpSink;
 use vw_netsim::{Binding, LinkConfig, SimDuration, World};
 use vw_packet::EtherType;
-use vw_script::{evaluate, install, Script};
 use vw_tcpstack::{Endpoint, TcpConfig, TcpStack};
 
 /// Part 1: a UDP echo bed where the only traffic is script-injected.

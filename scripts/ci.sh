@@ -178,6 +178,32 @@ if grep -rnE 'ProgressSink|run_campaign_with_progress|InstanceMetrics' crates te
     exit 1
 fi
 
+# One-judge gate: a finished run is judged in one crate, vw-analysis (its
+# timeline, invariants, conformance models and, as vw_analysis::script, the
+# packetdrill-style scripts). The invariants are four rules run by
+# check_invariants, not an extension point; the timeline holds the merged
+# events themselves. The workspace keeps at most 13 crates.
+echo "==> one-judge gate"
+if grep -rnE 'vw_script|vw-script|dyn Invariant|InvariantChecker|TimelineEntry|local_order' \
+    crates tests examples; then
+    echo "a second judge or an unused checker extension point: use vw_analysis"
+    exit 1
+fi
+crate_count=$(find crates -mindepth 1 -maxdepth 1 -type d | wc -l)
+echo "$crate_count crates under crates/ (at most 13)"
+if [ "$crate_count" -gt 13 ]; then
+    echo "more than 13 crates: fold the new one into an existing crate"
+    exit 1
+fi
+
+# Serde gate: vendor/serde_derive expands its derives to nothing and no
+# code bounds on the marker traits, so no source type carries one.
+echo "==> serde gate"
+if grep -rnE 'Serialize, Deserialize' crates/*/src; then
+    echo "inert serde derive: nothing serializes through serde"
+    exit 1
+fi
+
 # Each-fact-once gate: a fact about a run has one typed owner (an engine's
 # FlaggedError, EngineStats or ObsEvent; RllStats; a protocol's state log;
 # the compiled tables), so no handler copies one into the packet trace as
@@ -208,7 +234,7 @@ fi
 # The size simplicity PRs quote, and its ratchet: lines of every
 # crates/*/src/**/*.rs up to its first #[cfg(test)]. A change that needs
 # more raises the ceiling in its own diff.
-NON_TEST_LINES_CEILING=27627
+NON_TEST_LINES_CEILING=27506
 echo "==> non-test source lines"
 non_test_lines=$(find crates/*/src -name '*.rs' -print0 | sort -z |
     xargs -0 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ }
@@ -236,11 +262,11 @@ cargo build --release
 # - campaign (campaign_smoke, determinism): a small sweep dedups into
 #   several outcome classes, the shrinker halves a failing instance's rule
 #   count, and the JSONL is byte-identical across thread counts;
-# - script + conformance (vw-script, conformance_models,
-#   conformance_determinism): parser and runtime suites with their
-#   round-trip and robustness properties, the reference-model scenarios on
-#   the paper's §6.1/§6.2 testbeds, thread-count determinism of
-#   conformance-keyed digests;
+# - script + conformance (vw-analysis's script_prop, script_run and
+#   conformance_determinism, conformance_models): parser and runtime suites
+#   with their round-trip and robustness properties, the reference-model
+#   scenarios on the paper's §6.1/§6.2 testbeds, thread-count determinism
+#   of conformance-keyed digests;
 # - trace (vw-trace): span collection, export and self-time partitioning;
 # - serve (vw-serve, daemon_smoke, kill_resume, telemetry): the protocol
 #   robustness corpus, typed service errors, quota + backpressure, and the
@@ -336,12 +362,13 @@ rm -rf "$VW_TELE_SOCK" target/vw-ci-telemetry-state
 # and the span bookkeeping; then every workload runs once in quick mode
 # and must pass its output checks (fault_storm's include frame
 # conservation) with no failed operation. The result is the last line of
-# standard output.
+# standard output. `--locked`: vwbench/Cargo.lock records every crate
+# edge vwbench builds, so a change that moves one fails here.
 echo "==> bench-smoke"
-cargo test --release -q --manifest-path vwbench/Cargo.toml
+cargo test --release -q --locked --manifest-path vwbench/Cargo.toml
 for workload in tower_tcp_lossy udp_min_forward paper_overhead fault_storm \
     campaign_sweep serve_stream; do
-    result=$(cargo run --release --quiet --manifest-path vwbench/Cargo.toml -- \
+    result=$(cargo run --release --quiet --locked --manifest-path vwbench/Cargo.toml -- \
         --workload "$workload" --quick --seed 1 --trace 0 | tail -n 1)
     if ! grep -q '"correct":true' <<<"$result" || ! grep -q '"failed":0' <<<"$result"; then
         echo "vwbench $workload: $result"

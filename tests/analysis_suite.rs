@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use virtualwire::{
     compile_script, EngineConfig, ObsActionKind, ObsEvent, ObsKind, ObsLevel, Report, Runner,
 };
-use vw_analysis::{CampaignReport, DistributedTimeline, InvariantChecker};
+use vw_analysis::{check_invariants, CampaignReport, DistributedTimeline};
 use vw_campaign::{run_campaign, Axis, CampaignSpec, ExecConfig, RunConfig};
 use vw_fsl::{NodeId, TableSet};
 use vw_netsim::apps::{UdpFlooder, UdpSink};
@@ -188,10 +188,9 @@ fn golden_chain_reproduced_from_the_merged_timeline() {
 
 #[test]
 fn builtin_invariants_hold_on_recorded_scenarios() {
-    let checker = InvariantChecker::with_builtins();
     for (script, seed, datagrams) in [(REMOTE_FAIL, 2, 10), (DROP_AFTER_THREE, 7, 20)] {
         let (report, tables) = run_full(script, seed, datagrams);
-        let violations = checker.check_report(&report, &tables);
+        let violations = check_invariants(&DistributedTimeline::from_report(&report), &tables);
         assert!(
             violations.is_empty(),
             "clean {} run violated: {:?}",
@@ -213,7 +212,7 @@ fn erasing_deliveries_orphans_the_remote_flip() {
         .cloned()
         .collect();
     let timeline = DistributedTimeline::from_events(&doctored);
-    let violations = InvariantChecker::with_builtins().check(&timeline, &tables);
+    let violations = check_invariants(&timeline, &tables);
     assert!(
         violations
             .iter()

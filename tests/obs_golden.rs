@@ -6,13 +6,13 @@
 //! the record.
 
 use virtualwire::{compile_script, EngineConfig, ObsEvent, ObsLevel, Report, Runner};
+use vw_analysis::script::{evaluate, Script, ScriptVerdict};
 use vw_analysis::{state_events, DistributedTimeline};
 use vw_fsl::{NodeId, TableSet};
 use vw_netsim::apps::{UdpFlooder, UdpSink};
 use vw_netsim::{Binding, ControlImpairment, LinkConfig, SimDuration, SimTime, World};
 use vw_obs::ProtoAspect;
 use vw_packet::EtherType;
-use vw_script::{evaluate, Script, ScriptVerdict};
 
 const DROP_AFTER_THREE: &str = r#"
     FILTER_TABLE
