@@ -74,6 +74,16 @@ pub(crate) struct Host {
     pub failed: bool,
 }
 
+impl Host {
+    /// The NIC's address filter: a frame addressed to this host, to
+    /// broadcast or to a multicast group passes; every other frame a
+    /// shared segment carries past the host is refused.
+    pub fn accepts(&self, frame: &Frame) -> bool {
+        let dst = frame.dst();
+        dst == self.mac || dst.is_broadcast() || dst.is_multicast()
+    }
+}
+
 impl std::fmt::Debug for Host {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Host")

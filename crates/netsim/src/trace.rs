@@ -21,7 +21,9 @@ pub enum TraceKind {
     HostSend,
     /// A frame was delivered up to a host's protocol stack.
     HostRecv,
-    /// The physical link lost the frame.
+    /// The frame never reached the far end of its link: the link lost it,
+    /// the control-plane impairment dropped it, or the port it was sent
+    /// on has no link at all (note `port not connected`).
     LinkLoss,
     /// The physical link flipped bits in the frame.
     LinkCorrupt,
@@ -32,7 +34,11 @@ pub enum TraceKind {
     /// A hook emitted a frame (e.g. an injected DUP copy or a control
     /// message).
     HookEmit,
-    /// A frame arrived at a host whose destination filter rejected it.
+    /// A host's address filter refused a frame addressed to another host.
+    /// A copy from a link is refused where it crosses into the host,
+    /// without an arrival event, so this record is captured up to one
+    /// hop's delay ahead of its stamp, the time the frame arrives; a run
+    /// cut short can hold one stamped past the cut.
     AddrFilterDrop,
     /// A switch dropped a frame whose destination it learned on the port
     /// the frame came in on.
@@ -103,6 +109,10 @@ impl TraceRecord {
 }
 
 /// An append-only capture of trace records with query helpers.
+///
+/// Records are kept in capture order, which is time order except for
+/// [`TraceKind::AddrFilterDrop`]: such a record is captured when its frame
+/// leaves the last link, up to one hop's delay before the time it carries.
 ///
 /// ```
 /// use vw_netsim::{TraceSink, TraceKind};
@@ -196,7 +206,7 @@ impl TraceSink {
         });
     }
 
-    /// All records, in order.
+    /// All records, in capture order.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
     }

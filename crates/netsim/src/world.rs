@@ -558,17 +558,11 @@ impl World {
                     );
                     return;
                 }
-                let accept = frame.dst() == h.mac
-                    || frame.dst().is_broadcast()
-                    || frame.dst().is_multicast();
-                if !accept {
-                    self.trace.record(
-                        self.now,
-                        to.device,
-                        TraceKind::AddrFilterDrop,
-                        Some(&frame),
-                        || "not addressed to host".into(),
-                    );
+                // Only a frame injected on the wire meets the filter here;
+                // `cross_link` refuses a copy from a link before it is an
+                // event.
+                if !h.accepts(&frame) {
+                    self.refuse(self.now, to.device, &frame);
                     return;
                 }
                 let chain_len = h.hooks.len();
@@ -707,6 +701,8 @@ impl World {
                         || format!("{bits_flipped} bits flipped on {link_id}"),
                     );
                 }
+                let mut arrive = self.now.saturating_add(propagation);
+                let mut duplicate = false;
                 // Control-plane impairment: applied only to 0x88B5 frames
                 // and only on their final hop (the receiving peer is a
                 // host), so per-frame rates are exact across multi-switch
@@ -728,34 +724,49 @@ impl World {
                             return;
                         }
                         ControlFate::Deliver {
-                            duplicate,
+                            duplicate: twice,
                             extra_ns,
                         } => {
-                            let arrive = self
-                                .now
-                                .saturating_add(propagation)
-                                .saturating_add(SimDuration::from_nanos(extra_ns));
-                            if duplicate {
-                                self.queue.push(
-                                    arrive.saturating_add(SimDuration::from_nanos(1)),
-                                    EventKind::Arrive {
-                                        to: peer,
-                                        frame: frame.clone(),
-                                    },
-                                );
-                            }
-                            self.queue
-                                .push(arrive, EventKind::Arrive { to: peer, frame });
-                            return;
+                            arrive = arrive.saturating_add(SimDuration::from_nanos(extra_ns));
+                            duplicate = twice;
                         }
                     }
                 }
-                self.queue.push(
-                    self.now.saturating_add(propagation),
-                    EventKind::Arrive { to: peer, frame },
-                );
+                let copy_arrives = arrive.saturating_add(SimDuration::from_nanos(1));
+                // The address filter sees the bytes that arrive, after every
+                // draw. A copy it refuses is recorded now and never
+                // scheduled; a refused duplicate's record follows, as its
+                // arrival would have.
+                let refused = self.devices[peer.device.index()]
+                    .as_host()
+                    .is_some_and(|h| !h.accepts(&frame));
+                if refused {
+                    self.refuse(arrive, peer.device, &frame);
+                    if duplicate {
+                        self.refuse(copy_arrives, peer.device, &frame);
+                    }
+                } else {
+                    if duplicate {
+                        let copy = EventKind::Arrive {
+                            to: peer,
+                            frame: frame.clone(),
+                        };
+                        self.queue.push(copy_arrives, copy);
+                    }
+                    self.queue
+                        .push(arrive, EventKind::Arrive { to: peer, frame });
+                }
             }
         }
+    }
+
+    /// Records a frame `host`'s address filter refused, stamped `at` the
+    /// time it arrived or would have arrived.
+    fn refuse(&mut self, at: SimTime, host: DeviceId, frame: &Frame) {
+        self.trace
+            .record(at, host, TraceKind::AddrFilterDrop, Some(frame), || {
+                "not addressed to host".into()
+            });
     }
 
     /// Enqueues a frame on a port's transmitter, beginning transmission if
@@ -764,20 +775,19 @@ impl World {
         enum Outcome {
             StartTx(Frame),
             Queued,
-            Overflow(Frame),
-            NoLink,
+            Dropped(Frame, TraceKind, &'static str),
         }
         let outcome = {
             let Some(port) = self.devices[at.device.index()].port_mut(at.port) else {
                 return;
             };
             if port.link.is_none() {
-                Outcome::NoLink
+                Outcome::Dropped(frame, TraceKind::LinkLoss, "port not connected")
             } else if !port.busy {
                 Outcome::StartTx(frame)
             } else if port.queue.len() >= port.queue_cap {
                 port.dropped += 1;
-                Outcome::Overflow(frame)
+                Outcome::Dropped(frame, TraceKind::QueueDrop, "tx queue overflow")
             } else {
                 port.queue.push_back(frame);
                 Outcome::Queued
@@ -785,15 +795,10 @@ impl World {
         };
         match outcome {
             Outcome::StartTx(frame) => self.begin_tx(at, frame),
-            Outcome::Queued | Outcome::NoLink => {}
-            Outcome::Overflow(frame) => {
-                self.trace.record(
-                    self.now,
-                    at.device,
-                    TraceKind::QueueDrop,
-                    Some(&frame),
-                    || "tx queue overflow".into(),
-                );
+            Outcome::Queued => {}
+            Outcome::Dropped(frame, kind, note) => {
+                self.trace
+                    .record(self.now, at.device, kind, Some(&frame), || note.into());
             }
         }
     }

@@ -2,7 +2,10 @@
 //! hook chains, every frame a protocol sends is delivered, dropped for one
 //! of five traced reasons (`LinkLoss`, `QueueDrop`, `AddrFilterDrop`,
 //! `SwitchFilter`, `HookConsume`) or still in the system when the run
-//! ends.
+//! ends. Every host here has a link, so `LinkLoss` is always the link's
+//! (`world_behavior.rs` covers a port without one), and a copy a host's
+//! address filter refuses is recorded as it crosses the downlink, with no
+//! arrival event.
 //!
 //! A case is one seed: 2–6 hosts on a hub or a switch, a random loss rate
 //! and sometimes bit errors per case, a random chain of pass-through,

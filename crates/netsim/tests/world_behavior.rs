@@ -3,8 +3,8 @@
 
 use vw_netsim::apps::{UdpEcho, UdpFlooder, UdpPinger, UdpSink};
 use vw_netsim::{
-    Binding, Context, ErrorModel, Hook, LinkConfig, PassThrough, Protocol, SimDuration, SimTime,
-    TraceKind, Verdict, World,
+    Binding, Context, ControlImpairment, DeviceId, ErrorModel, Hook, LinkConfig, PassThrough,
+    Protocol, SimDuration, SimTime, TraceKind, Verdict, World,
 };
 use vw_packet::{EtherType, EthernetBuilder, Frame, MacAddr, UdpBuilder};
 
@@ -673,4 +673,99 @@ fn a_switch_traces_the_frame_it_filters() {
     assert_eq!(at_switch.len(), 1, "{}", world.trace().render());
     assert_eq!(at_switch[0].kind, TraceKind::SwitchFilter);
     assert_eq!(at_switch[0].note, "destination on ingress port 0");
+}
+
+/// `a`, `b` and `c` on a 10 Mb/s hub, with a recorder on `b` that has
+/// started: the event queue is empty.
+fn three_hosts_on_a_hub(world: &mut World) -> [DeviceId; 3] {
+    let hosts = ["node1", "node2", "node3"].map(|name| world.add_host(name));
+    let hub = world.add_hub("hub0", 4);
+    for h in hosts {
+        world.connect(h, hub, LinkConfig::ethernet_10m());
+    }
+    world.add_protocol(hosts[1], Binding::All, Box::new(Recorder::default()));
+    assert!(world.run_until_idle(SimTime::ZERO));
+    hosts
+}
+
+/// The times of `node`'s `kind` records, in capture order.
+fn times_of(world: &World, kind: TraceKind, node: DeviceId) -> Vec<SimTime> {
+    world
+        .trace()
+        .of_kind(kind)
+        .filter(|r| r.device == node)
+        .map(|r| r.time)
+        .collect()
+}
+
+#[test]
+fn a_hub_copy_the_address_filter_refuses_is_not_an_event() {
+    let mut world = World::new(36);
+    let [a, b, c] = three_hosts_on_a_hub(&mut world);
+    let before = world.events_processed();
+    world.inject_from_stack(a, test_frame(world.host_mac(a), world.host_mac(b)));
+    assert!(world.run_until_idle(SimTime::from_nanos(10_000_000)));
+
+    // The outbound chain, the uplink's TxComplete, the arrival at the hub,
+    // one TxComplete per repeated copy, and the arrival at b. The copy to
+    // c ends at c's address filter without an event of its own.
+    assert_eq!(world.events_processed() - before, 6);
+    let received = times_of(&world, TraceKind::HostRecv, b);
+    assert_eq!(received.len(), 1);
+    let refused: Vec<_> = world.trace().of_kind(TraceKind::AddrFilterDrop).collect();
+    assert_eq!(refused.len(), 1, "{}", world.trace().render());
+    assert_eq!(refused[0].device, c);
+    assert_eq!(refused[0].note, "not addressed to host");
+    // Both copies leave the hub together and cross links alike.
+    assert_eq!(refused[0].time, received[0]);
+}
+
+#[test]
+fn a_refused_control_frame_and_its_duplicate_are_two_records() {
+    let mut world = World::with_impairment(36, ControlImpairment::duplicating(1.0));
+    let [a, b, c] = three_hosts_on_a_hub(&mut world);
+    let before = world.events_processed();
+    let control = EthernetBuilder::new()
+        .src(world.host_mac(a))
+        .dst(world.host_mac(b))
+        .ethertype(EtherType::VW_CONTROL)
+        .payload(&[1, 2, 3, 4])
+        .build();
+    world.inject_from_stack(a, control);
+    assert!(world.run_until_idle(SimTime::from_nanos(10_000_000)));
+
+    // As above, with two arrivals at b: the frame and its duplicate.
+    assert_eq!(world.events_processed() - before, 7);
+    let received = times_of(&world, TraceKind::HostRecv, b);
+    assert_eq!(received.len(), 2);
+    // c refuses both, the original first and then the copy 1 ns later:
+    // the order in which their arrivals would have popped.
+    let refused = times_of(&world, TraceKind::AddrFilterDrop, c);
+    assert_eq!(refused, received, "{}", world.trace().render());
+    assert_eq!(
+        refused[1],
+        refused[0].saturating_add(SimDuration::from_nanos(1))
+    );
+}
+
+#[test]
+fn a_frame_sent_on_a_port_without_a_link_is_traced() {
+    let mut world = World::new(36);
+    let a = world.add_host("node1");
+    let frame = test_frame(world.host_mac(a), MacAddr::BROADCAST);
+    world.inject_from_stack(a, frame.clone());
+    world.run_for(SimDuration::from_millis(1));
+
+    let records: Vec<_> = world.trace().records().iter().collect();
+    let kinds: Vec<_> = records.iter().map(|r| r.kind).collect();
+    assert_eq!(
+        kinds,
+        [TraceKind::HostSend, TraceKind::LinkLoss],
+        "{}",
+        world.trace().render()
+    );
+    let lost = records[1];
+    assert_eq!((lost.device, lost.time), (a, SimTime::ZERO));
+    assert_eq!(lost.frame.as_ref(), Some(&frame));
+    assert_eq!(lost.note, "port not connected");
 }

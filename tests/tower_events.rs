@@ -16,5 +16,7 @@ fn the_tower_processes_a_pinned_number_of_events() {
     runner.run(&mut world, SimDuration::from_secs(60));
     let refused = world.trace().of_kind(TraceKind::AddrFilterDrop).count() as u64;
     assert_eq!(refused, 776);
-    assert_eq!(world.events_processed(), 5549);
+    // A refused copy is not an event: with the refusals counted back in,
+    // the run does the work of one event per arrival.
+    assert_eq!(world.events_processed() + refused, 5549);
 }
