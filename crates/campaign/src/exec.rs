@@ -102,20 +102,26 @@ impl ExecConfig {
     }
 }
 
-/// Instances per shard: the grain [`run_campaign`] hands to a worker, and
-/// the `vw-serve` daemon's default for submissions that leave it open.
+/// Instances per shard after the first: the grain [`run_campaign`] hands
+/// to a worker, and the `vw-serve` daemon's default for submissions that
+/// leave it open.
 pub const SHARD_SIZE: usize = 8;
 
-/// A deterministic decomposition of an instance list into contiguous,
-/// equal-sized shards — the unit of scheduling, checkpointing, and
-/// resumption for streaming executors (the `vw-serve` daemon).
+/// A deterministic decomposition of an instance list into contiguous
+/// shards — the unit of scheduling, checkpointing, and resumption for
+/// streaming executors (the `vw-serve` daemon).
+///
+/// Shard 0 holds the first instance alone and every later shard
+/// `shard_size` (the last may be shorter): a streaming executor emits a
+/// line only once its shard is durable, so a campaign's first verdict
+/// waits for one instance, not a whole shard.
 ///
 /// Contiguity is what makes shards *streamable*: once shards `0..k` have
-/// completed, the outcomes for instance positions `0..k·size` are final
-/// and can be emitted in order, regardless of how many shards beyond `k`
-/// are still in flight. The plan depends only on `(total, shard_size)`,
-/// never on worker count, so a campaign killed and resumed under a
-/// different pool size still partitions identically.
+/// completed, the outcomes for instance positions `0..range(k-1).end`
+/// are final and can be emitted in order, regardless of how many shards
+/// beyond `k` are still in flight. The plan depends only on
+/// `(total, shard_size)`, never on worker count, so a campaign killed and
+/// resumed under a different pool size still partitions identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {
     total: usize,
@@ -123,8 +129,8 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// A plan over `total` instances in chunks of `shard_size`
-    /// (clamped to at least 1).
+    /// A plan over `total` instances: the first alone, the rest in chunks
+    /// of `shard_size` (clamped to at least 1).
     pub fn new(total: usize, shard_size: usize) -> Self {
         ShardPlan {
             total,
@@ -132,14 +138,12 @@ impl ShardPlan {
         }
     }
 
-    /// Instances per shard (the last shard may be shorter).
-    pub fn shard_size(&self) -> usize {
-        self.shard_size
-    }
-
     /// Number of shards (`0` for an empty campaign).
     pub fn count(&self) -> usize {
-        self.total.div_ceil(self.shard_size)
+        match self.total {
+            0 => 0,
+            total => 1 + (total - 1).div_ceil(self.shard_size),
+        }
     }
 
     /// The instance-position range of shard `shard`.
@@ -149,8 +153,25 @@ impl ShardPlan {
     /// Panics if `shard >= count()`.
     pub fn range(&self, shard: usize) -> std::ops::Range<usize> {
         assert!(shard < self.count(), "shard {shard} out of range");
-        let start = shard * self.shard_size;
+        if shard == 0 {
+            return 0..1;
+        }
+        let start = 1 + (shard - 1) * self.shard_size;
         start..(start + self.shard_size).min(self.total)
+    }
+
+    /// The shard holding instance position `pos`, and `pos`'s offset
+    /// within it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= total`.
+    pub fn locate(&self, pos: usize) -> (usize, usize) {
+        assert!(pos < self.total, "position {pos} out of range");
+        match pos {
+            0 => (0, 0),
+            pos => (1 + (pos - 1) / self.shard_size, (pos - 1) % self.shard_size),
+        }
     }
 }
 
@@ -233,11 +254,11 @@ fn run_one_inner<S: Setup>(
 /// Runs every instance of `spec` through `setup` and aggregates the
 /// deduped [`CampaignResult`].
 ///
-/// The instances are cut into [`SHARD_SIZE`] shards; `cfg.threads`
-/// workers (the caller's thread among them) each take the next unclaimed
-/// shard until none is left. Shards land in plan order whoever ran them,
-/// so the result (and its JSONL rendering) is identical for any
-/// `cfg.threads`.
+/// The instances are cut into a [`ShardPlan`] of [`SHARD_SIZE`];
+/// `cfg.threads` workers (the caller's thread among them) each take the
+/// next unclaimed shard until none is left. Shards land in plan order
+/// whoever ran them, so the result (and its JSONL rendering) is identical
+/// for any `cfg.threads`.
 pub fn run_campaign<S: Setup>(
     spec: &CampaignSpec,
     setup: &S,
@@ -374,16 +395,43 @@ mod tests {
     #[test]
     fn shard_plan_partitions_contiguously() {
         let plan = ShardPlan::new(13, 5);
-        assert_eq!(plan.count(), 3);
-        assert_eq!(plan.range(0), 0..5);
-        assert_eq!(plan.range(1), 5..10);
-        assert_eq!(plan.range(2), 10..13);
+        assert_eq!(plan.count(), 4);
+        assert_eq!(plan.range(0), 0..1);
+        assert_eq!(plan.range(1), 1..6);
+        assert_eq!(plan.range(2), 6..11);
+        assert_eq!(plan.range(3), 11..13);
+        assert_eq!(plan.locate(0), (0, 0));
+        assert_eq!(plan.locate(5), (1, 4));
+        assert_eq!(plan.locate(6), (2, 0));
         assert_eq!(ShardPlan::new(0, 5).count(), 0);
-        // Exact fit: no empty trailing shard.
-        assert_eq!(ShardPlan::new(10, 5).count(), 2);
+        assert_eq!(ShardPlan::new(1, 5).count(), 1);
+        // Exact fit after the first: no empty trailing shard.
+        assert_eq!(ShardPlan::new(11, 5).count(), 3);
         // Zero shard size is clamped rather than dividing by zero.
-        assert_eq!(ShardPlan::new(3, 0).shard_size(), 1);
+        assert_eq!(ShardPlan::new(3, 0), ShardPlan::new(3, 1));
         assert_eq!(ShardPlan::new(3, 0).count(), 3);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn shard_plan_tiles_every_position_once(total in 0usize..200, size in 0usize..20) {
+            let plan = ShardPlan::new(total, size);
+            let mut next = 0;
+            for shard in 0..plan.count() {
+                let range = plan.range(shard);
+                proptest::prop_assert_eq!(range.start, next);
+                proptest::prop_assert!(range.end > range.start);
+                for (offset, pos) in range.clone().enumerate() {
+                    proptest::prop_assert_eq!(plan.locate(pos), (shard, offset));
+                }
+                next = range.end;
+            }
+            proptest::prop_assert_eq!(next, total);
+            if total > 0 {
+                proptest::prop_assert_eq!(plan.locate(total - 1).0 + 1, plan.count());
+                proptest::prop_assert_eq!(plan.range(0), 0..1);
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,15 @@
 //!   [len u32][type u8][crc32 u32][payload; len bytes]
 //!
 //!   type 1  header    the full Submission (spec re-created on resume)
-//!   type 2  shard     shard index + every (outcome, wall_ns) in it
+//!   type 4  shard     shard index + every (outcome, wall_ns) in it
 //!   type 3  complete  campaign finished (summary is derivable)
 //! ```
+//!
+//! Shard indices follow [`vw_campaign::ShardPlan`], whose first shard
+//! holds one instance. Type 2 was the shard record of the earlier plan of
+//! equal shards, whose shard k ≥ 1 has the same length at a different
+//! start; a reader takes it for an unknown type and stops there, so such
+//! a log resumes from its header and its shards run again.
 //!
 //! Because shards carry their *full* outcomes — not just watermarks — a
 //! resumed daemon never re-runs completed work, and the final report is
@@ -34,7 +40,7 @@ use crate::frame::crc32;
 use crate::payload::{decode_timed_outcome, encode_timed_outcome, Submission};
 
 const REC_HEADER: u8 = 1;
-const REC_SHARD: u8 = 2;
+const REC_SHARD: u8 = 4;
 const REC_COMPLETE: u8 = 3;
 
 /// Everything a checkpoint log held when it was read back.

@@ -96,7 +96,8 @@ pub struct Submission {
     pub key: DigestKey,
     /// Per-instance simulated-time deadline in nanoseconds.
     pub deadline_ns: u64,
-    /// Requested shard size (`0` = daemon default). Part of the
+    /// Requested size of every shard after the one-instance first
+    /// ([`vw_campaign::ShardPlan`]; `0` = daemon default). Part of the
     /// submission so a resumed campaign re-partitions identically.
     pub shard_size: u32,
 }
@@ -177,7 +178,8 @@ pub struct Accepted {
     pub campaign: String,
     /// Total instances in the enumeration.
     pub total: u64,
-    /// Shard count under the effective shard size.
+    /// Shard count of the campaign's [`vw_campaign::ShardPlan`]: the
+    /// one-instance first shard, then shards of the effective size.
     pub shards: u64,
     /// Instances already final (non-zero when attaching to a resumed or
     /// running campaign).

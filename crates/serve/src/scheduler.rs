@@ -19,7 +19,10 @@
 //! Shards are contiguous ([`ShardPlan`]), so the campaign's *completed
 //! prefix* — the leading run of finished shards — is exactly the set of
 //! instances whose outcomes are final and emittable. Each subscriber
-//! has a `sent` watermark into that prefix.
+//! has a `sent` watermark into that prefix. The plan's first shard holds
+//! one instance, so a campaign's first line waits for one instance and
+//! one sync, not a whole shard; the plan alone maps a position to its
+//! shard ([`ShardPlan::locate`]).
 //!
 //! ## Backpressure
 //!
@@ -335,12 +338,6 @@ struct Subscriber {
     done_sent: bool,
 }
 
-enum ShardSlot {
-    Pending,
-    Running,
-    Done(Outcomes),
-}
-
 enum Phase {
     /// The log writer is making the header durable; `Accepted` answers
     /// request `id` of the submitting connection then.
@@ -370,8 +367,13 @@ struct Campaign {
     setup: SetupHandle,
     deadline: SimDuration,
     key: DigestKey,
-    /// Emptied when the campaign finishes.
-    shards: Vec<ShardSlot>,
+    /// Per shard, its outcomes once its record is durable. Emptied when
+    /// the campaign finishes.
+    shards: Vec<Option<Outcomes>>,
+    /// The first shard no worker has taken and the log did not hold. Every
+    /// shard before it is running or done, so it only moves forward and
+    /// dispatch stays linear in the campaign's shards.
+    next_pending: usize,
     /// Leading run of completed shards.
     prefix_shards: usize,
     /// Instances covered by the completed prefix (final + emittable).
@@ -410,7 +412,8 @@ impl Campaign {
             name: submission.campaign.clone(),
             conn,
             instances: Arc::new(instances),
-            shards: (0..plan.count()).map(|_| ShardSlot::Pending).collect(),
+            shards: (0..plan.count()).map(|_| None).collect(),
+            next_pending: 0,
             plan,
             setup,
             deadline: SimDuration::from_nanos(submission.deadline_ns),
@@ -431,7 +434,15 @@ impl Campaign {
             }
         }
         campaign.reported = campaign.completed;
+        campaign.skip_done();
         (campaign, submission)
+    }
+
+    /// Moves `next_pending` past the shards the log already holds.
+    fn skip_done(&mut self) {
+        while matches!(self.shards.get(self.next_pending), Some(Some(_))) {
+            self.next_pending += 1;
+        }
     }
 
     fn finished(&self) -> bool {
@@ -453,10 +464,8 @@ impl Campaign {
     /// whether the campaign finished.
     fn complete(&mut self, shard: usize, outcomes: Outcomes) -> bool {
         self.completed += outcomes.len();
-        self.shards[shard] = ShardSlot::Done(outcomes);
-        while self.prefix_shards < self.plan.count()
-            && matches!(self.shards[self.prefix_shards], ShardSlot::Done(_))
-        {
+        self.shards[shard] = Some(outcomes);
+        while self.prefix_shards < self.plan.count() && self.shards[self.prefix_shards].is_some() {
             self.prefix_instances = self.plan.range(self.prefix_shards).end;
             self.prefix_shards += 1;
         }
@@ -466,10 +475,7 @@ impl Campaign {
         let timed = self
             .shards
             .drain(..)
-            .flat_map(|slot| match slot {
-                ShardSlot::Done(outcomes) => outcomes,
-                _ => unreachable!("finishing with a shard not done"),
-            })
+            .flat_map(|slot| slot.expect("a campaign finishes with every shard done"))
             .collect();
         let result = CampaignResult::build(&self.name, &self.instances, timed, self.key);
         self.phase = Phase::Finished(result);
@@ -480,10 +486,11 @@ impl Campaign {
     fn line(&self, pos: usize) -> Vec<u8> {
         let outcome = match &self.phase {
             Phase::Finished(result) => &result.instances[pos].outcome,
-            _ => match &self.shards[pos / self.plan.shard_size()] {
-                ShardSlot::Done(outcomes) => &outcomes[pos % self.plan.shard_size()].0,
-                _ => unreachable!("emitting instance {pos} before its shard"),
-            },
+            _ => {
+                let (shard, offset) = self.plan.locate(pos);
+                let outcomes = self.shards[shard].as_ref();
+                &outcomes.expect("a line is emitted only once its shard is done")[offset].0
+            }
         };
         let instance = &self.instances[pos];
         let line = instance_jsonl_line(instance.index, &instance.labels, outcome, &self.key);
@@ -978,12 +985,9 @@ impl Scheduler {
                 return;
             };
             let campaign = self.campaigns.get_mut(&name).expect("a picked campaign");
-            let shard = campaign
-                .shards
-                .iter()
-                .position(|s| matches!(s, ShardSlot::Pending));
-            let shard = shard.expect("a picked campaign has a pending shard");
-            campaign.shards[shard] = ShardSlot::Running;
+            let shard = campaign.next_pending;
+            campaign.next_pending += 1;
+            campaign.skip_done();
             let job = Job {
                 instances: Arc::clone(&campaign.instances),
                 range: campaign.plan.range(shard),
@@ -1015,8 +1019,7 @@ impl Scheduler {
             ..
         } = self;
         let mut ready = |name: &String, c: &mut Campaign| {
-            let pending = c.shards.iter().any(|s| matches!(s, ShardSlot::Pending));
-            if !matches!(c.phase, Phase::Running) || !pending {
+            if !matches!(c.phase, Phase::Running) || c.next_pending == c.shards.len() {
                 return None;
             }
             let campaign = name.clone();
@@ -1263,12 +1266,9 @@ mod tests {
         /// A worker's report on the shard it ran: its record, as the log
         /// writer posts it back, and the effects after the append.
         fn ran(&mut self, worker: usize, instances: usize) -> (Record, Vec<String>) {
-            let outcomes = (0..instances)
-                .map(|i| (InstanceOutcome::Crashed(format!("probe {i}")), 1))
-                .collect();
             let input = Input::ShardRan {
                 worker,
-                outcomes,
+                outcomes: probes(instances),
                 metrics: MetricsRegistry::new(),
                 samples: Vec::new(),
             };
@@ -1288,7 +1288,15 @@ mod tests {
         }
     }
 
-    /// A submission named `name` sweeping `axes`, in shards of 2.
+    /// `instances` distinct outcomes, as a worker reports them.
+    fn probes(instances: usize) -> Outcomes {
+        (0..instances)
+            .map(|i| (InstanceOutcome::Crashed(format!("probe {i}")), 1))
+            .collect()
+    }
+
+    /// A submission named `name` sweeping `axes`, in shards of 2 after the
+    /// one-instance first.
     fn submission(name: &str, axes: Vec<Axis>) -> Submission {
         Submission {
             campaign: name.to_string(),
@@ -1303,13 +1311,27 @@ mod tests {
         }
     }
 
-    /// A submission of `instances` seeds named `name` on `conn`, in shards
-    /// of 2.
-    fn submit(conn: u64, id: u64, name: &str, instances: u64) -> Input {
-        let submission = submission(name, vec![Axis::seeds((1..=instances).collect())]);
+    /// `submission`, checked and enumerated.
+    fn prepare(submission: Submission) -> Box<Prepared> {
         let prepared = Prepared::new(submission, &SetupRegistry::builtin(), 2, usize::MAX);
-        let request = Request::Submit(Box::new(prepared.expect("the submission prepares")));
+        Box::new(prepared.expect("the submission prepares"))
+    }
+
+    /// A submission of `instances` seeds named `name`, in shards of 2
+    /// after the one-instance first.
+    fn seeds(name: &str, instances: u64) -> Submission {
+        submission(name, vec![Axis::seeds((1..=instances).collect())])
+    }
+
+    /// `submission` submitted on `conn` as request `id`.
+    fn submit_on(conn: u64, id: u64, submission: Submission) -> Input {
+        let request = Request::Submit(prepare(submission));
         Input::Request { conn, id, request }
+    }
+
+    /// [`seeds`] submitted on `conn` as request `id`.
+    fn submit(conn: u64, id: u64, name: &str, instances: u64) -> Input {
+        submit_on(conn, id, seeds(name, instances))
     }
 
     fn opened(name: &str, result: Result<(), String>) -> Input {
@@ -1368,8 +1390,8 @@ mod tests {
             [
                 "journal campaign_submitted",
                 "send 1 Accepted",
-                "run 0 0..2",
-                "run 1 2..4"
+                "run 0 0..1",
+                "run 1 1..3"
             ]
         );
     }
@@ -1429,8 +1451,9 @@ mod tests {
         sim.connect(1);
         sim.run(submit(1, 7, "order", 4));
         sim.run(opened("order", Ok(())));
-        let (second, _) = sim.ran(1, 2);
-        let (first, _) = sim.ran(0, 2);
+        let (second, next) = sim.ran(1, 2);
+        assert_eq!(next, ["run 1 3..4"]);
+        let (first, _) = sim.ran(0, 1);
         assert_eq!(sim.durable(vec![second]), ["journal campaign_checkpointed"]);
         assert_eq!(
             sim.durable(vec![first]),
@@ -1438,7 +1461,14 @@ mod tests {
                 "journal campaign_checkpointed",
                 "send 1 Outcome 0",
                 "send 1 Outcome 1",
-                "send 1 Outcome 2",
+                "send 1 Outcome 2"
+            ]
+        );
+        let (last, _) = sim.ran(1, 1);
+        assert_eq!(
+            sim.durable(vec![last]),
+            [
+                "journal campaign_checkpointed",
                 "send 1 Outcome 3",
                 "send 1 Done 4",
                 "complete order",
@@ -1456,16 +1486,19 @@ mod tests {
         sim.connect(1);
         sim.run(submit(1, 7, "slow", 12));
         let accepted = sim.run(opened("slow", Ok(())));
-        assert_eq!(accepted[1..], ["send 1 Accepted", "run 0 0..2"]);
-        let (shard, next) = sim.ran(0, 2);
-        assert_eq!(next, ["run 0 2..4"]);
-        // The second line waits: `Accepted` and the first line hold both
-        // credits, and nothing has drained.
+        assert_eq!(accepted[1..], ["send 1 Accepted", "run 0 0..1"]);
+        let (shard, next) = sim.ran(0, 1);
+        assert_eq!(next, ["run 0 1..3"]);
+        // `Accepted` and the first line hold both credits.
         assert_eq!(
             sim.durable(vec![shard]),
             ["journal campaign_checkpointed", "send 1 Outcome 0"]
         );
-        // Three lines unsent, over the limit of two: the two of the shard
+        let (shard, next) = sim.ran(0, 2);
+        assert_eq!(next, ["run 0 3..5"]);
+        // The next two lines wait: nothing has drained.
+        assert_eq!(sim.durable(vec![shard]), ["journal campaign_checkpointed"]);
+        // Four lines unsent, over the limit of two: the two of the shard
         // not yet durable count, so a worker cannot outrun the disk past a
         // stalled subscriber.
         let (shard, next) = sim.ran(0, 2);
@@ -1477,13 +1510,15 @@ mod tests {
         };
         assert_eq!(
             sim.run(drained()),
-            ["send 1 Outcome 1", "journal campaign_resumed", "run 0 4..6"]
+            [
+                "send 1 Outcome 1",
+                "send 1 Outcome 2",
+                "journal campaign_resumed",
+                "run 0 5..7"
+            ]
         );
-        assert_eq!(
-            sim.durable(vec![shard]),
-            ["journal campaign_checkpointed", "send 1 Outcome 2"]
-        );
-        assert_eq!(sim.run(drained()), ["send 1 Outcome 3"]);
+        assert_eq!(sim.durable(vec![shard]), ["journal campaign_checkpointed"]);
+        assert_eq!(sim.run(drained()), ["send 1 Outcome 3", "send 1 Outcome 4"]);
         let pauses = sim.scheduler.metrics.counter("serve.backpressure_pauses");
         assert_eq!(pauses, Some(1));
     }
@@ -1531,21 +1566,20 @@ mod tests {
         sim.connect(1);
         sim.run(submit(1, 7, "orphan", 4));
         sim.run(opened("orphan", Ok(())));
-        let (shard, next) = sim.ran(0, 2);
-        assert_eq!(next, ["run 0 2..4"]);
+        let (shard, next) = sim.ran(0, 1);
+        assert_eq!(next, ["run 0 1..3"]);
         assert_eq!(
             sim.durable(vec![shard]),
-            [
-                "journal campaign_checkpointed",
-                "send 1 Outcome 0",
-                "send 1 Outcome 1"
-            ]
+            ["journal campaign_checkpointed", "send 1 Outcome 0"]
         );
         assert_eq!(
             sim.run(Input::ConnClosed { conn: 1 }),
             ["journal conn_closed", "close 1"]
         );
-        let (shard, _) = sim.ran(0, 2);
+        let (shard, next) = sim.ran(0, 2);
+        assert_eq!(next, ["run 0 3..4"]);
+        assert_eq!(sim.durable(vec![shard]), ["journal campaign_checkpointed"]);
+        let (shard, _) = sim.ran(0, 1);
         assert_eq!(
             sim.durable(vec![shard]),
             [
@@ -1555,5 +1589,55 @@ mod tests {
             ]
         );
         assert_eq!(sim.run(Input::Stop), ["exit"]);
+    }
+
+    #[test]
+    fn the_first_line_waits_for_one_instance_not_a_whole_shard() {
+        let mut sim = Sim::new(config(1));
+        sim.connect(1);
+        let mut sub = seeds("first", 48);
+        sub.shard_size = 16;
+        assert_eq!(sim.run(submit_on(1, 7, sub)), ["open first"]);
+        assert_eq!(
+            sim.run(opened("first", Ok(()))),
+            [
+                "journal campaign_submitted",
+                "send 1 Accepted",
+                "run 0 0..1"
+            ]
+        );
+        let (shard, next) = sim.ran(0, 1);
+        assert_eq!(next, ["run 0 1..17"]);
+        assert_eq!(
+            sim.durable(vec![shard]),
+            ["journal campaign_checkpointed", "send 1 Outcome 0"]
+        );
+    }
+
+    #[test]
+    fn a_resumed_campaign_dispatches_only_the_shards_its_log_lacks() {
+        let mut sim = Sim::new(config(1));
+        // Seven instances: shards 0..1, 1..3, 3..5 and 5..7.
+        let campaign = prepare(seeds("resumed", 7));
+        let shards = BTreeMap::from([(0, probes(1)), (2, probes(2))]);
+        let resumed = Input::Resumed {
+            campaign,
+            shards,
+            complete: false,
+        };
+        assert_eq!(sim.run(resumed), ["run 0 1..3"]);
+        let (first, next) = sim.ran(0, 2);
+        assert_eq!(next, ["run 0 5..7"]);
+        let (last, next) = sim.ran(0, 2);
+        assert!(next.is_empty(), "nothing is left to run: {next:?}");
+        assert_eq!(
+            sim.durable(vec![first, last]),
+            [
+                "journal campaign_checkpointed",
+                "journal campaign_checkpointed",
+                "complete resumed",
+                "journal campaign_done"
+            ]
+        );
     }
 }

@@ -51,8 +51,8 @@ use crate::setup::SetupRegistry;
 pub struct DaemonConfig {
     /// Worker threads in the shared shard pool.
     pub workers: usize,
-    /// Default shard size for submissions that pass `0`
-    /// ([`vw_campaign::SHARD_SIZE`]).
+    /// Default size of every shard after the one-instance first, for
+    /// submissions that pass `0` ([`vw_campaign::SHARD_SIZE`]).
     pub shard_size: usize,
     /// Directory for checkpoint logs (created if missing).
     pub state_dir: PathBuf,

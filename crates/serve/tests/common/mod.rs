@@ -10,7 +10,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use virtualwire::{EngineConfig, Runner, ScriptError};
-use vw_campaign::{run_campaign, Axis, CampaignSpec, DigestKey, ExecConfig, RunConfig, Sampling};
+use vw_campaign::{
+    run_campaign, Axis, CampaignResult, CampaignSpec, DigestKey, ExecConfig, RunConfig, Sampling,
+};
 use vw_fsl::TableSet;
 use vw_netsim::apps::{UdpFlooder, UdpSink};
 use vw_netsim::{Binding, ControlImpairment, LinkConfig, SimDuration, World};
@@ -149,6 +151,11 @@ pub fn flood_setup(tables: &TableSet, run: &RunConfig) -> Result<(World, Runner)
 /// Runs the submission in-process (one thread, no daemon) and renders
 /// the summary JSONL the daemon's `Done` frame must match byte for byte.
 pub fn direct_summary(sub: &Submission) -> String {
+    direct_result(sub).to_jsonl()
+}
+
+/// The submission's result, run in-process on one thread.
+pub fn direct_result(sub: &Submission) -> CampaignResult {
     let spec = CampaignSpec {
         name: sub.campaign.clone(),
         base: vw_fsl::parse(&sub.program).expect("fixture program parses"),
@@ -161,9 +168,7 @@ pub fn direct_summary(sub: &Submission) -> String {
         deadline: SimDuration::from_nanos(sub.deadline_ns),
         key: sub.key,
     };
-    run_campaign(&spec, &flood_setup, &cfg)
-        .expect("direct run succeeds")
-        .to_jsonl()
+    run_campaign(&spec, &flood_setup, &cfg).expect("direct run succeeds")
 }
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);

@@ -86,7 +86,7 @@ fn a_campaign_a_duplicate_and_an_over_quota_submission_pin_counters_and_journal(
     let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
 
     let mut sub = common::submission("golden-two", 2);
-    sub.axes.truncate(2); // 2 x 2 = 4 instances in 2 shards
+    sub.axes.truncate(2); // 2 x 2 = 4 instances in shards of 1, 2 and 1
     client.submit(&sub).expect("submit");
     let (lines, summary) = common::stream_all(&mut client);
     assert_eq!(lines.len(), 4);
@@ -117,7 +117,7 @@ serve_frames_decoded 3
 serve_instances_completed 4
 serve_lines_streamed 4
 serve_quota_rejections 1
-serve_shards_completed 2
+serve_shards_completed 3
 serve_telemetry_dropped 0
 serve_telemetry_ticks 0
 serve_worker_stalls 0
@@ -126,6 +126,7 @@ serve_worker_stalls 0
 const JOURNAL: &str = r#"1 campaign_submitted campaign "golden-two" submitted (4 instances)
 2 campaign_checkpointed campaign "golden-two" checkpointed shard 0
 3 campaign_checkpointed campaign "golden-two" checkpointed shard 1
-4 campaign_done campaign "golden-two" done
-5 quota_bounced campaign "golden-big" bounced by quota: max_instances_per_campaign
+4 campaign_checkpointed campaign "golden-two" checkpointed shard 2
+5 campaign_done campaign "golden-two" done
+6 quota_bounced campaign "golden-big" bounced by quota: max_instances_per_campaign
 "#;

@@ -13,7 +13,8 @@ fn daemon_config(state_dir: std::path::PathBuf, workers: usize) -> DaemonConfig 
     DaemonConfig {
         workers,
         // Small shards (8 per shard would be half the sweep) so a stop
-        // mid-sweep actually lands between checkpoints.
+        // mid-sweep actually lands between checkpoints: the one-instance
+        // first shard, then seven of 2 and one of 1.
         shard_size: 2,
         state_dir,
         ..DaemonConfig::default()
@@ -71,7 +72,7 @@ fn interrupted(
     let mut client = common::connect_unix_retry(&sock2, Duration::from_secs(5));
     let accepted = client.attach(&sub.campaign).expect("attach after restart");
     assert_eq!(accepted.total, 16);
-    assert_eq!(accepted.shards, 8);
+    assert_eq!(accepted.shards, 9);
     let result = common::stream_all(&mut client);
 
     let stats = client.stats().expect("stats");

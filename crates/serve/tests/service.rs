@@ -9,7 +9,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use vw_serve::checkpoint::{log_file_name, read_log};
+use vw_campaign::ShardPlan;
+use vw_serve::checkpoint::{log_file_name, read_log, CheckpointWriter};
 use vw_serve::{
     Accepted, Client, ClientError, Daemon, DaemonConfig, ErrorCode, QuotaConfig, SetupRegistry,
     Severity, Submission, Subscribe,
@@ -311,7 +312,7 @@ fn slow_reader_triggers_backpressure_then_completes() {
     // ~600 KiB of outcome lines — far more than a kernel socket buffer
     // plus the outbox can absorb while the client refuses to read.
     let sub = common::padded_submission("svc-slow", 1024, 8);
-    let shards = 1024 / 8;
+    let shards = ShardPlan::new(1024, 8).count() as u64;
     let mut slow = common::connect_unix_retry(&sock, Duration::from_secs(5));
     slow.submit(&sub).expect("submit");
 
@@ -551,14 +552,16 @@ fn every_streamed_line_is_already_in_the_log() {
     let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
 
     let sub = common::submission("svc-durable", 2);
+    let plan = ShardPlan::new(16, 2);
     let log = state.join(log_file_name(&sub.campaign));
     client.submit(&sub).expect("submit");
     let mut lines = 0;
     client
         .stream(|index, _| {
             let on_disk = read_log(&log).expect("log reads");
+            let (shard, _) = plan.locate(index as usize);
             assert!(
-                on_disk.shards.contains_key(&(index / 2)),
+                on_disk.shards.contains_key(&(shard as u64)),
                 "line {index} ahead of its record: {:?}",
                 on_disk.shards.keys()
             );
@@ -566,7 +569,7 @@ fn every_streamed_line_is_already_in_the_log() {
         })
         .expect("stream to completion");
     assert_eq!(lines, 16);
-    assert_eq!(read_log(&log).expect("log reads").shards.len(), 8);
+    assert_eq!(read_log(&log).expect("log reads").shards.len(), 9);
 
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
@@ -614,7 +617,7 @@ fn sixty_four_shards_from_eight_workers_are_each_logged_once() {
 
     // Stopped, the log writer has written the marker too.
     daemon.stop();
-    let mut expected = vec![2u8; 64];
+    let mut expected = vec![4u8; 64];
     expected.insert(0, 1);
     expected.push(3);
     let log = state.join(log_file_name(&sub.campaign));
@@ -669,7 +672,7 @@ fn a_stop_at_the_last_line_leaves_nothing_to_re_run() {
         .expect("`Done` was queued with the last line");
     assert_eq!(built.load(Ordering::SeqCst), 16);
     let log = read_log(&state.join(log_file_name(&sub.campaign))).expect("log reads");
-    assert_eq!(log.shards.len(), 8);
+    assert_eq!(log.shards.len(), 9);
     assert!(
         log.complete,
         "the marker was still queued when stop returned"
@@ -733,7 +736,7 @@ fn a_campaign_resumed_after_a_torn_tail_is_complete_on_the_next_restart() {
     daemon.stop();
     assert_eq!(built.load(Ordering::SeqCst), 16);
 
-    // Keep the header, shard 0 and half of shard 1.
+    // Keep the header, shard 0 (one instance) and half of shard 1.
     let ends: Vec<usize> = records(&log).iter().map(|&(_, end)| end).collect();
     let bytes = std::fs::read(&log).expect("log reads");
     std::fs::write(&log, &bytes[..(ends[1] + ends[2]) / 2]).expect("tear the log");
@@ -752,11 +755,11 @@ fn a_campaign_resumed_after_a_torn_tail_is_complete_on_the_next_restart() {
     daemon.stop();
     assert_eq!(
         built.load(Ordering::SeqCst),
-        16 + 14,
-        "shards 1 to 7 ran again"
+        16 + 15,
+        "shards 1 to 8 ran again"
     );
     let resumed = read_log(&log).expect("log reads");
-    assert_eq!(resumed.shards.len(), 8);
+    assert_eq!(resumed.shards.len(), 9);
     assert!(resumed.complete);
 
     let sock = dir.join("three.sock");
@@ -768,7 +771,70 @@ fn a_campaign_resumed_after_a_torn_tail_is_complete_on_the_next_restart() {
     );
     assert_eq!(common::stream_all(&mut client), (lines, summary));
     daemon.stop();
-    assert_eq!(built.load(Ordering::SeqCst), 30, "an instance ran again");
+    assert_eq!(built.load(Ordering::SeqCst), 31, "an instance ran again");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A log written under the earlier plan of equal shards is never resumed
+/// in the wrong place: its shard k ≥ 1 has the same length as the current
+/// plan's at a different start, so its shard records carry type 2, which a
+/// reader takes for unknown. The resumed daemon runs every instance again
+/// and streams `run_campaign`'s lines and summary byte for byte.
+#[test]
+fn a_log_of_equal_shards_resumes_from_its_header_and_matches_a_direct_run() {
+    let dir = common::scratch_dir("service-equal-shards");
+    let state = dir.join("state");
+    let built = Arc::new(AtomicUsize::new(0));
+    let mut sub = common::submission("svc-equal-shards", 2);
+    sub.setup = "counted_flood".to_string();
+    let direct = common::direct_result(&sub);
+    let lines: Vec<String> = direct
+        .instances
+        .iter()
+        .map(|record| record.to_jsonl_line(&sub.key))
+        .collect();
+
+    // The whole campaign in the equal shards of 2 the log used to hold,
+    // each record retyped from the current shard type to 2, then the
+    // completion marker.
+    std::fs::create_dir_all(&state).expect("state dir");
+    let log = state.join(log_file_name(&sub.campaign));
+    let mut writer = CheckpointWriter::open(&log).expect("log opens");
+    writer.append_header(&sub).expect("header");
+    for (shard, chunk) in direct.instances.chunks(2).enumerate() {
+        let outcomes: Vec<_> = chunk.iter().map(|r| (r.outcome.clone(), 0)).collect();
+        writer.append_shard(shard as u64, &outcomes).expect("shard");
+    }
+    writer
+        .write_complete()
+        .and_then(|()| writer.sync())
+        .expect("marker");
+    drop(writer);
+    let mut bytes = std::fs::read(&log).expect("log reads");
+    // Each record starts where the one before it ends.
+    let starts: Vec<usize> = records(&log).iter().map(|&(_, end)| end).collect();
+    for &start in &starts[..8] {
+        assert_eq!(bytes[start + 4], 4, "a shard record");
+        bytes[start + 4] = 2;
+    }
+    std::fs::write(&log, &bytes).expect("log writes");
+    let old = read_log(&log).expect("log reads");
+    assert_eq!(old.submission.as_ref(), Some(&sub));
+    assert!(old.shards.is_empty() && !old.complete);
+
+    let sock = dir.join("vw.sock");
+    let daemon = counted_daemon(&state, &sock, &built);
+    let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
+    assert_eq!(
+        client.attach(&sub.campaign).expect("attach").already_done,
+        0
+    );
+    assert_eq!(common::stream_all(&mut client), (lines, direct.to_jsonl()));
+    daemon.stop();
+    assert_eq!(built.load(Ordering::SeqCst), 16, "every instance ran again");
+    let resumed = read_log(&log).expect("log reads");
+    assert_eq!(resumed.shards.len(), 9);
+    assert!(resumed.complete);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -783,7 +849,7 @@ fn appends_failing_mid_campaign_still_stream_to_done() {
     let sock = dir.join("vw.sock");
     // `ulimit -f` counts 512-byte blocks in dash and 1024-byte ones in
     // bash: 4 or 8 KiB, above the 1.2 KiB header and far below the 40 KiB
-    // the 32 shard records come to.
+    // the 33 shard records come to.
     let mut child = std::process::Command::new("sh")
         .arg("-c")
         .arg("trap '' XFSZ; ulimit -f 8; exec \"$0\" \"$@\"")
@@ -807,7 +873,7 @@ fn appends_failing_mid_campaign_still_stream_to_done() {
     let log = read_log(&state.join(log_file_name(&sub.campaign))).expect("log reads");
     assert_eq!(log.submission, Some(sub));
     assert!(
-        (1..32).contains(&log.shards.len()),
+        (1..33).contains(&log.shards.len()),
         "the limit never bit: {} shards on disk",
         log.shards.len()
     );

@@ -127,10 +127,10 @@ fn observe(sub: &Submission) -> String {
 }
 
 #[test]
-fn two_shards_stream_in_order_and_land_in_the_log() {
+fn three_shards_stream_in_order_and_land_in_the_log() {
     let mut sub = common::submission("golden-two", 2);
-    sub.axes.truncate(2); // 2 x 2 = 4 instances in 2 shards
-    assert_eq!(observe(&sub), TWO_SHARDS);
+    sub.axes.truncate(2); // 2 x 2 = 4 instances in shards of 1, 2 and 1
+    assert_eq!(observe(&sub), THREE_SHARDS);
 }
 
 #[test]
@@ -140,8 +140,8 @@ fn a_campaign_that_would_hold_no_instance_is_refused_and_leaves_nothing() {
     assert_eq!(observe(&sub), NO_INSTANCE);
 }
 
-const TWO_SHARDS: &str = r##"frames:
-  Accepted total=4 shards=2 already_done=0
+const THREE_SHARDS: &str = r##"frames:
+  Accepted total=4 shards=3 already_done=0
   Outcome 0 {"instance":0,"labels":{"threshold.Sent#0":"5","threshold.Sent#1":"15"},"kind":"completed","passed":false,"stop":"stopped: STOP fired at node1 (condition 4)","errors":[{"node":"node1","message":"double fault"}],"counters":{"node1.Sent":30,"node2.Rcvd":27,"node1.Drops":2}}
   Outcome 1 {"instance":1,"labels":{"threshold.Sent#0":"5","threshold.Sent#1":"45"},"kind":"completed","passed":true,"stop":"stopped: STOP fired at node1 (condition 4)","errors":[],"counters":{"node1.Sent":30,"node2.Rcvd":28,"node1.Drops":1}}
   Outcome 2 {"instance":2,"labels":{"threshold.Sent#0":"40","threshold.Sent#1":"15"},"kind":"completed","passed":true,"stop":"stopped: STOP fired at node1 (condition 4)","errors":[],"counters":{"node1.Sent":30,"node2.Rcvd":28,"node1.Drops":1}}
@@ -150,12 +150,12 @@ const TWO_SHARDS: &str = r##"frames:
     {"class":0,"digest":"dc263903174d8981","members":1,"representative":0,"labels":{"threshold.Sent#0":"5","threshold.Sent#1":"15"},"kind":"completed","passed":false,"stop":"stopped: STOP fired at node1 (condition 4)","errors":[{"node":"node1","message":"double fault"}],"counters":{"node1.Sent":30,"node2.Rcvd":27,"node1.Drops":2}}
     {"class":1,"digest":"20a130891a87dcab","members":2,"representative":1,"labels":{"threshold.Sent#0":"5","threshold.Sent#1":"45"},"kind":"completed","passed":true,"stop":"stopped: STOP fired at node1 (condition 4)","errors":[],"counters":{"node1.Sent":30,"node2.Rcvd":28,"node1.Drops":1}}
     {"class":2,"digest":"b4154a2471adf7db","members":1,"representative":3,"labels":{"threshold.Sent#0":"40","threshold.Sent#1":"45"},"kind":"completed","passed":true,"stop":"stopped: STOP fired at node1 (condition 4)","errors":[],"counters":{"node1.Sent":30,"node2.Rcvd":29,"node1.Drops":0}}
-journal: campaign_submitted campaign_checkpointed campaign_checkpointed campaign_done
-log: header=true shards=[0, 1] complete=true
+journal: campaign_submitted campaign_checkpointed campaign_checkpointed campaign_checkpointed campaign_done
+log: header=true shards=[0, 1, 2] complete=true
   shard 0: {"instance":0,"labels":{},"kind":"completed","passed":false,"stop":"stopped: STOP fired at node1 (condition 4)","errors":[{"node":"node1","message":"double fault"}],"counters":{"node1.Sent":30,"node2.Rcvd":27,"node1.Drops":2}}
-  shard 0: {"instance":1,"labels":{},"kind":"completed","passed":true,"stop":"stopped: STOP fired at node1 (condition 4)","errors":[],"counters":{"node1.Sent":30,"node2.Rcvd":28,"node1.Drops":1}}
   shard 1: {"instance":0,"labels":{},"kind":"completed","passed":true,"stop":"stopped: STOP fired at node1 (condition 4)","errors":[],"counters":{"node1.Sent":30,"node2.Rcvd":28,"node1.Drops":1}}
-  shard 1: {"instance":1,"labels":{},"kind":"completed","passed":true,"stop":"stopped: STOP fired at node1 (condition 4)","errors":[],"counters":{"node1.Sent":30,"node2.Rcvd":29,"node1.Drops":0}}
+  shard 1: {"instance":1,"labels":{},"kind":"completed","passed":true,"stop":"stopped: STOP fired at node1 (condition 4)","errors":[],"counters":{"node1.Sent":30,"node2.Rcvd":28,"node1.Drops":1}}
+  shard 2: {"instance":0,"labels":{},"kind":"completed","passed":true,"stop":"stopped: STOP fired at node1 (condition 4)","errors":[],"counters":{"node1.Sent":30,"node2.Rcvd":29,"node1.Drops":0}}
 "##;
 
 const NO_INSTANCE: &str = r##"frames:

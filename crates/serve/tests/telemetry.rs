@@ -97,11 +97,13 @@ fn live_subscription_reports_campaigns_workers_and_journal() {
             assert_eq!(m.counter("serve.instances_completed"), Some(256 + 16));
             // Worker utilization as a cumulative fact, which this delta
             // must carry (a `serve.workers_busy` sample above zero is luck
-            // at 20 ms ticks over a 70 ms run): 32 + 4 shards were timed.
+            // at 20 ms ticks over a 70 ms run): (1 + 32) + (1 + 4) shards
+            // were timed, each campaign's one-instance first shard among
+            // them.
             let busy = m
                 .histogram("serve.shard_wall_us")
                 .expect("shard wall times");
-            assert_eq!(busy.count(), 256 / 8 + 16 / 4);
+            assert_eq!(busy.count(), (1 + 32) + (1 + 4));
             assert!(busy.sum() > 0, "workers were never busy");
             break;
         }
@@ -306,7 +308,8 @@ fn a_shard_past_the_stall_threshold_is_journaled_once_and_completes() {
     let sock = dir.join("vw.sock");
     daemon.bind_unix(&sock).expect("bind");
 
-    // Two instances in one shard.
+    // Two instances in two shards: the one-instance first shard and one
+    // more.
     let mut sub = common::padded_submission("tele-stall", 2, 8);
     sub.setup = "slow_flood".to_string();
     let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
@@ -326,12 +329,15 @@ fn a_shard_past_the_stall_threshold_is_journaled_once_and_completes() {
     assert!(
         matches!(
             stalls[..],
-            [JournalEvent::WorkerStalled { worker: 0, campaign, .. }] if campaign == "tele-stall"
+            [
+                JournalEvent::WorkerStalled { worker: 0, campaign: first, .. },
+                JournalEvent::WorkerStalled { worker: 0, campaign: second, .. },
+            ] if first == "tele-stall" && second == "tele-stall"
         ),
         "one per shard: {stalls:?}"
     );
     let stats = client.stats().expect("stats");
-    assert!(stats.contains("serve_worker_stalls 1\n"), "{stats}");
+    assert!(stats.contains("serve_worker_stalls 2\n"), "{stats}");
 
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
