@@ -1,9 +1,10 @@
 //! Semantic analysis: name resolution and well-formedness checks run
 //! before a script is compiled to tables.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use crate::ast::*;
+use crate::compile::{CounterId, FilterId, NodeId};
 use crate::error::FslError;
 
 /// Longest name a script may declare (scenario, `VAR`, packet definition,
@@ -26,6 +27,21 @@ pub const MAX_WIRE_LEN: usize = u16::MAX as usize;
 /// names, messages or `REORDER` batches too long for the control plane
 /// ([`MAX_NAME_LEN`], [`MAX_WIRE_LEN`]).
 pub fn analyze(program: &Program) -> Result<(), Vec<FslError>> {
+    resolve(program).map(drop)
+}
+
+/// The names a checked program defines, each with the table index it
+/// compiles to: what [`analyze`] resolves references against, kept for
+/// the compiler.
+pub(crate) struct Names<'p> {
+    pub(crate) filters: HashMap<&'p str, FilterId>,
+    pub(crate) nodes: HashMap<&'p str, NodeId>,
+    /// One map per scenario, in program order.
+    pub(crate) counters: Vec<HashMap<&'p str, CounterId>>,
+}
+
+/// [`analyze`], returning the name tables of a valid program.
+pub(crate) fn resolve(program: &Program) -> Result<Names<'_>, Vec<FslError>> {
     let mut errors = Vec::new();
 
     // ---- declared-name lengths ---------------------------------------
@@ -56,39 +72,38 @@ pub fn analyze(program: &Program) -> Result<(), Vec<FslError>> {
     }
 
     // ---- duplicate definitions ---------------------------------------
-    let mut seen = HashSet::new();
-    for filter in &program.filters {
-        if !seen.insert(&filter.name) {
+    let mut filters = HashMap::with_capacity(program.filters.len());
+    for (i, filter) in program.filters.iter().enumerate() {
+        if filters.insert(&*filter.name, FilterId(i as u16)).is_some() {
             errors.push(FslError::general(format!(
                 "duplicate packet definition `{}`",
                 filter.name
             )));
         }
     }
-    let mut seen = HashSet::new();
-    for node in &program.nodes {
-        if !seen.insert(&node.name) {
+    let mut nodes = HashMap::with_capacity(program.nodes.len());
+    for (i, node) in program.nodes.iter().enumerate() {
+        if nodes.insert(&*node.name, NodeId(i as u16)).is_some() {
             errors.push(FslError::general(format!(
                 "duplicate node definition `{}`",
                 node.name
             )));
         }
     }
-    let mut seen = HashSet::new();
+    let mut seen = HashSet::with_capacity(program.nodes.len());
     for mac in program.nodes.iter().map(|n| n.mac) {
         if !seen.insert(mac) {
             errors.push(FslError::general(format!("duplicate node MAC `{mac}`")));
         }
     }
-    let mut seen = HashSet::new();
+    let mut vars = HashSet::with_capacity(program.vars.len());
     for var in &program.vars {
-        if !seen.insert(var) {
+        if !vars.insert(var.as_str()) {
             errors.push(FslError::general(format!("duplicate VAR `{var}`")));
         }
     }
 
     // ---- filter tuples -----------------------------------------------
-    let vars: HashSet<&str> = program.vars.iter().map(String::as_str).collect();
     for filter in &program.filters {
         if filter.tuples.is_empty() {
             errors.push(FslError::general(format!(
@@ -133,12 +148,11 @@ pub fn analyze(program: &Program) -> Result<(), Vec<FslError>> {
     }
 
     // ---- scenarios ----------------------------------------------------
-    let filters: HashSet<&str> = program.filters.iter().map(|f| f.name.as_str()).collect();
-    let nodes: HashSet<&str> = program.nodes.iter().map(|n| n.name.as_str()).collect();
     if program.scenarios.is_empty() {
         errors.push(FslError::general("no SCENARIO defined"));
     }
-    let mut scenario_names = HashSet::new();
+    let mut scenario_names = HashSet::with_capacity(program.scenarios.len());
+    let mut counters = Vec::with_capacity(program.scenarios.len());
     for scenario in &program.scenarios {
         if !scenario_names.insert(&scenario.name) {
             errors.push(FslError::general(format!(
@@ -146,26 +160,31 @@ pub fn analyze(program: &Program) -> Result<(), Vec<FslError>> {
                 scenario.name
             )));
         }
-        analyze_scenario(scenario, &filters, &nodes, &mut errors);
+        counters.push(analyze_scenario(scenario, &filters, &nodes, &mut errors));
     }
 
     if errors.is_empty() {
-        Ok(())
+        Ok(Names {
+            filters,
+            nodes,
+            counters,
+        })
     } else {
         Err(errors)
     }
 }
 
-fn analyze_scenario(
-    scenario: &Scenario,
-    filters: &HashSet<&str>,
-    nodes: &HashSet<&str>,
+/// Checks one scenario and returns its counters by name.
+fn analyze_scenario<'p>(
+    scenario: &'p Scenario,
+    filters: &HashMap<&str, FilterId>,
+    nodes: &HashMap<&str, NodeId>,
     errors: &mut Vec<FslError>,
-) {
+) -> HashMap<&'p str, CounterId> {
     let scen = &scenario.name;
-    let mut counters: HashSet<&str> = HashSet::new();
-    for decl in &scenario.counters {
-        if !counters.insert(&decl.name) {
+    let mut counters = HashMap::with_capacity(scenario.counters.len());
+    for (i, decl) in scenario.counters.iter().enumerate() {
+        if counters.insert(&*decl.name, CounterId(i as u16)).is_some() {
             errors.push(FslError::general(format!(
                 "{scen}: duplicate counter `{}`",
                 decl.name
@@ -183,7 +202,7 @@ fn analyze_scenario(
                 }
             }
             CounterKind::NodeLocal { node } => {
-                if !nodes.contains(node.as_str()) {
+                if !nodes.contains_key(node.as_str()) {
                     errors.push(FslError::general(format!(
                         "{scen}: counter `{}` lives on undefined node `{node}`",
                         decl.name
@@ -198,7 +217,7 @@ fn analyze_scenario(
     }
 
     let check_counter = |name: &str, errors: &mut Vec<FslError>| {
-        if !counters.contains(name) {
+        if !counters.contains_key(name) {
             errors.push(FslError::general(format!(
                 "{scen}: reference to undefined counter `{name}`"
             )));
@@ -206,9 +225,8 @@ fn analyze_scenario(
     };
 
     for (i, rule) in scenario.rules.iter().enumerate() {
-        for counter in rule.condition.counters() {
-            check_counter(counter, errors);
-        }
+        rule.condition
+            .for_each_counter(&mut |counter| check_counter(counter, errors));
         if rule.actions.is_empty() {
             errors.push(FslError::general(format!(
                 "{scen}: rule {i} has no actions"
@@ -221,7 +239,7 @@ fn analyze_scenario(
                     check_selector(scen, "fault", on, filters, nodes, errors);
                     check_fault(scen, fault, errors);
                 }
-                Action::Fail { node } if !nodes.contains(node.as_str()) => {
+                Action::Fail { node } if !nodes.contains_key(node.as_str()) => {
                     errors.push(FslError::general(format!(
                         "{scen}: FAIL references undefined node `{node}`"
                     )));
@@ -238,6 +256,7 @@ fn analyze_scenario(
             }
         }
     }
+    counters
 }
 
 /// Checks that a selector's packet type and endpoints are defined; `who`
@@ -246,18 +265,18 @@ fn check_selector(
     scen: &str,
     who: impl std::fmt::Display,
     selector: &PacketSelector,
-    filters: &HashSet<&str>,
-    nodes: &HashSet<&str>,
+    filters: &HashMap<&str, FilterId>,
+    nodes: &HashMap<&str, NodeId>,
     errors: &mut Vec<FslError>,
 ) {
-    if !filters.contains(selector.pkt.as_str()) {
+    if !filters.contains_key(selector.pkt.as_str()) {
         errors.push(FslError::general(format!(
             "{scen}: {who} references undefined packet type `{}`",
             selector.pkt
         )));
     }
     for node in [&selector.from, &selector.to] {
-        if !nodes.contains(node.as_str()) {
+        if !nodes.contains_key(node.as_str()) {
             errors.push(FslError::general(format!(
                 "{scen}: {who} references undefined node `{node}`"
             )));

@@ -151,29 +151,24 @@ pub enum CondExpr {
 }
 
 impl CondExpr {
-    /// All counter names referenced by the expression.
-    pub fn counters(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_counters(&mut out);
-        out
-    }
-
-    fn collect_counters<'a>(&'a self, out: &mut Vec<&'a str>) {
+    /// Calls `f` with every counter name the expression references, in
+    /// source order.
+    pub fn for_each_counter<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
             CondExpr::True | CondExpr::False => {}
             CondExpr::Term(t) => {
                 if let Operand::Counter(c) = &t.lhs {
-                    out.push(c);
+                    f(c);
                 }
                 if let Operand::Counter(c) = &t.rhs {
-                    out.push(c);
+                    f(c);
                 }
             }
             CondExpr::And(a, b) | CondExpr::Or(a, b) => {
-                a.collect_counters(out);
-                b.collect_counters(out);
+                a.for_each_counter(f);
+                b.for_each_counter(f);
             }
-            CondExpr::Not(a) => a.collect_counters(out),
+            CondExpr::Not(a) => a.for_each_counter(f),
         }
     }
 }
@@ -367,6 +362,8 @@ mod tests {
                 rhs: Operand::Counter("C".into()),
             })))),
         );
-        assert_eq!(e.counters(), vec!["A", "B", "C"]);
+        let mut names = Vec::new();
+        e.for_each_counter(&mut |name| names.push(name));
+        assert_eq!(names, ["A", "B", "C"]);
     }
 }

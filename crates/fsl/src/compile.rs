@@ -24,6 +24,7 @@ use std::sync::{Arc, Weak};
 
 use vw_packet::MacAddr;
 
+use crate::analyze::Names;
 use crate::ast::*;
 use crate::error::FslError;
 
@@ -444,15 +445,21 @@ fn name_or_index<'a>(name: Option<&'a str>, kind: &str, index: usize) -> Cow<'a,
 /// Returns the semantic errors from [`analyze`](crate::analyze) if the
 /// program is invalid.
 pub fn compile(program: &Program) -> Result<Vec<TableSet>, Vec<FslError>> {
-    crate::analyze(program)?;
+    let names = crate::analyze::resolve(program)?;
     Ok(program
         .scenarios
         .iter()
-        .map(|scenario| compile_scenario(program, scenario))
+        .zip(&names.counters)
+        .map(|(scenario, counter_ids)| compile_scenario(program, scenario, &names, counter_ids))
         .collect())
 }
 
-fn compile_scenario(program: &Program, scenario: &Scenario) -> TableSet {
+fn compile_scenario(
+    program: &Program,
+    scenario: &Scenario,
+    names: &Names<'_>,
+    counter_ids: &HashMap<&str, CounterId>,
+) -> TableSet {
     let filters: Vec<CompiledFilter> = program
         .filters
         .iter()
@@ -472,29 +479,15 @@ fn compile_scenario(program: &Program, scenario: &Scenario) -> TableSet {
         })
         .collect();
 
-    let filter_ids: HashMap<&str, FilterId> = program
-        .filters
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.as_str(), FilterId(i as u16)))
-        .collect();
-    let node_ids: HashMap<&str, NodeId> = program
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.name.as_str(), NodeId(i as u16)))
-        .collect();
-
     let resolve = |selector: &PacketSelector| PacketSel {
-        filter: filter_ids[selector.pkt.as_str()],
-        from: node_ids[selector.from.as_str()],
-        to: node_ids[selector.to.as_str()],
+        filter: names.filters[selector.pkt.as_str()],
+        from: names.nodes[selector.from.as_str()],
+        to: names.nodes[selector.to.as_str()],
         dir: selector.dir,
     };
 
     // ---- counter table --------------------------------------------
     let mut counters: Vec<CompiledCounter> = Vec::new();
-    let mut counter_ids: HashMap<&str, CounterId> = HashMap::new();
     for decl in &scenario.counters {
         let (kind, home) = match &decl.kind {
             CounterKind::PacketEvent(selector) => {
@@ -502,10 +495,9 @@ fn compile_scenario(program: &Program, scenario: &Scenario) -> TableSet {
                 (CompiledCounterKind::Packet(sel), sel.home())
             }
             CounterKind::NodeLocal { node } => {
-                (CompiledCounterKind::Local, node_ids[node.as_str()])
+                (CompiledCounterKind::Local, names.nodes[node.as_str()])
             }
         };
-        counter_ids.insert(decl.name.as_str(), CounterId(counters.len() as u16));
         counters.push(CompiledCounter {
             name: decl.name.clone(),
             kind,
@@ -525,7 +517,7 @@ fn compile_scenario(program: &Program, scenario: &Scenario) -> TableSet {
         let cond_id = CondId(conditions.len() as u16);
         let expr = compile_cond(
             &rule.condition,
-            &counter_ids,
+            counter_ids,
             &counters,
             &mut terms,
             &mut term_dedup,
@@ -534,12 +526,12 @@ fn compile_scenario(program: &Program, scenario: &Scenario) -> TableSet {
 
         // Fallback home for STOP / FLAG_ERR: the first counter referenced
         // by the condition, else node 0.
-        let fallback_home = rule
-            .condition
-            .counters()
-            .first()
-            .map(|name| counters[counter_ids[*name].index()].home)
-            .unwrap_or(NodeId(0));
+        let mut first_counter = None;
+        rule.condition.for_each_counter(&mut |name| {
+            first_counter.get_or_insert(name);
+        });
+        let fallback_home =
+            first_counter.map_or(NodeId(0), |name| counters[counter_ids[name].index()].home);
 
         let mut triggers = Vec::new();
         let mut gates = Vec::new();
@@ -559,7 +551,7 @@ fn compile_scenario(program: &Program, scenario: &Scenario) -> TableSet {
                     (on.home(), CompiledActionKind::Fault { on, fault })
                 }
                 Action::Fail { node } => {
-                    let node = node_ids[node.as_str()];
+                    let node = names.nodes[node.as_str()];
                     (node, CompiledActionKind::Fail { node })
                 }
                 Action::Stop => (fallback_home, CompiledActionKind::Stop),

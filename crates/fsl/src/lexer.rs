@@ -11,31 +11,34 @@ use crate::token::{Span, Token, TokenKind};
 ///
 /// Returns [`FslError`] on malformed literals, unterminated comments or
 /// strings, and unknown characters.
-pub fn lex(source: &str) -> Result<Vec<Token>, FslError> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, FslError> {
     Lexer::new(source).run()
 }
 
 struct Lexer<'a> {
+    source: &'a str,
     bytes: &'a [u8],
     pos: usize,
     line: u32,
-    col: u32,
+    /// Where the current line starts: a column counts bytes from there.
+    line_start: usize,
 }
 
 impl<'a> Lexer<'a> {
     fn new(source: &'a str) -> Self {
         Lexer {
+            source,
             bytes: source.as_bytes(),
             pos: 0,
             line: 1,
-            col: 1,
+            line_start: 0,
         }
     }
 
     fn span(&self) -> Span {
         Span {
             line: self.line,
-            col: self.col,
+            col: (self.pos - self.line_start + 1) as u32,
         }
     }
 
@@ -52,15 +55,20 @@ impl<'a> Lexer<'a> {
         self.pos += 1;
         if b == b'\n' {
             self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+            self.line_start = self.pos;
         }
         Some(b)
     }
 
-    fn run(mut self) -> Result<Vec<Token>, FslError> {
-        let mut out = Vec::new();
+    /// The source text from `start` to the current position.
+    fn since(&self, start: usize) -> &'a str {
+        &self.source[start..self.pos]
+    }
+
+    fn run(mut self) -> Result<Vec<Token<'a>>, FslError> {
+        // Scripts run three to six source bytes a token: one reservation
+        // covers most of them.
+        let mut out = Vec::with_capacity(self.bytes.len() / 4);
         loop {
             self.skip_trivia()?;
             let span = self.span();
@@ -228,33 +236,26 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_string(&mut self, span: Span) -> Result<TokenKind, FslError> {
+    fn lex_string(&mut self, span: Span) -> Result<TokenKind<'a>, FslError> {
         self.bump(); // opening quote
-        let mut s = String::new();
-        loop {
-            match self.bump() {
-                Some(b'"') => return Ok(TokenKind::Str(s)),
-                Some(b'\n') | None => {
-                    return Err(FslError::at(span, "unterminated string literal"))
-                }
-                Some(b) => s.push(b as char),
+        let start = self.pos;
+        while self.peek() != Some(b'"') {
+            if matches!(self.peek(), Some(b'\n') | None) {
+                return Err(FslError::at(span, "unterminated string literal"));
             }
+            self.bump();
         }
+        let text = self.since(start);
+        self.bump(); // closing quote
+        Ok(TokenKind::Str(text))
     }
 
     /// Numbers are the thorniest part of the grammar: `25`, `0x6000`,
     /// `1sec`, `500msec`, and `192.168.1.1` all start with a digit.
-    fn lex_number(&mut self, span: Span) -> Result<TokenKind, FslError> {
+    fn lex_number(&mut self, span: Span) -> Result<TokenKind<'a>, FslError> {
         // MAC address starting with digits (`00:46:...`).
         if self.is_mac_at(self.pos) {
-            let first = format!(
-                "{}{}",
-                self.bytes[self.pos] as char,
-                self.bytes[self.pos + 1] as char
-            );
-            self.bump();
-            self.bump();
-            return self.lex_mac_tail(span, &first);
+            return self.lex_mac(span);
         }
         // Hex?
         if self.peek() == Some(b'0') && matches!(self.peek2(), Some(b'x') | Some(b'X')) {
@@ -290,51 +291,53 @@ impl<'a> Lexer<'a> {
                 .ok_or_else(|| FslError::at(span, "integer literal overflows 64 bits"))?;
             self.bump();
         }
-        // Dotted quad → IP address.
+        // Dotted quad → IP address: exactly four parts of 0..=255.
         if self.peek() == Some(b'.') {
-            let mut octets = vec![value];
-            while self.peek() == Some(b'.') {
-                self.bump();
-                let mut octet: i64 = -1;
+            let malformed = || FslError::at(span, "malformed IP address");
+            let mut octets = [u8::try_from(value).map_err(|_| malformed())?; 4];
+            for octet in &mut octets[1..] {
+                if self.bump() != Some(b'.') || !matches!(self.peek(), Some(b'0'..=b'9')) {
+                    return Err(malformed());
+                }
+                let mut part: u32 = 0;
                 while let Some(b @ b'0'..=b'9') = self.peek() {
-                    octet = octet.max(0) * 10 + i64::from(b - b'0');
+                    part = part.saturating_mul(10).saturating_add(u32::from(b - b'0'));
                     self.bump();
                 }
-                if octet < 0 {
-                    return Err(FslError::at(span, "malformed IP address"));
-                }
-                octets.push(octet);
+                *octet = u8::try_from(part).map_err(|_| malformed())?;
             }
-            if octets.len() != 4 || octets.iter().any(|&o| !(0..=255).contains(&o)) {
-                return Err(FslError::at(span, "malformed IP address"));
+            if self.peek() == Some(b'.') {
+                return Err(malformed());
             }
-            return Ok(TokenKind::Ip(Ipv4Addr::new(
-                octets[0] as u8,
-                octets[1] as u8,
-                octets[2] as u8,
-                octets[3] as u8,
-            )));
+            return Ok(TokenKind::Ip(Ipv4Addr::from(octets)));
         }
         // Unit suffix → duration.
         if matches!(self.peek(), Some(b'a'..=b'z' | b'A'..=b'Z')) {
-            let mut unit = String::new();
-            while let Some(b @ (b'a'..=b'z' | b'A'..=b'Z')) = self.peek() {
-                unit.push(b as char);
+            let start = self.pos;
+            while let Some(b'a'..=b'z' | b'A'..=b'Z') = self.peek() {
                 self.bump();
             }
-            let nanos = match unit.to_ascii_lowercase().as_str() {
-                "sec" | "s" => value.checked_mul(1_000_000_000),
-                "msec" | "ms" => value.checked_mul(1_000_000),
-                "usec" | "us" => value.checked_mul(1_000),
-                "nsec" | "ns" => Some(value),
-                other => {
-                    return Err(FslError::at(
-                        span,
-                        format!("unknown duration unit `{other}` (use sec/msec/usec/nsec)"),
-                    ));
-                }
-            }
-            .ok_or_else(|| FslError::at(span, "duration overflows"))?;
+            let unit = self.since(start);
+            let units = [
+                ("sec", "s", 1_000_000_000),
+                ("msec", "ms", 1_000_000),
+                ("usec", "us", 1_000),
+                ("nsec", "ns", 1),
+            ];
+            let Some((.., scale)) = units.into_iter().find(|(long, short, _)| {
+                unit.eq_ignore_ascii_case(long) || unit.eq_ignore_ascii_case(short)
+            }) else {
+                return Err(FslError::at(
+                    span,
+                    format!(
+                        "unknown duration unit `{}` (use sec/msec/usec/nsec)",
+                        unit.to_ascii_lowercase()
+                    ),
+                ));
+            };
+            let nanos = value
+                .checked_mul(scale)
+                .ok_or_else(|| FslError::at(span, "duration overflows"))?;
             return Ok(TokenKind::Duration(nanos as u64));
         }
         Ok(TokenKind::Int(value))
@@ -344,16 +347,9 @@ impl<'a> Lexer<'a> {
     /// hex digit but MACs in the node table always contain `:` after two
     /// hex chars — we detect them from identifier-like starts too, e.g.
     /// `ab:cd:...`).
-    fn lex_ident_or_mac(&mut self, span: Span) -> Result<TokenKind, FslError> {
+    fn lex_ident_or_mac(&mut self, span: Span) -> Result<TokenKind<'a>, FslError> {
         if self.is_mac_at(self.pos) {
-            let first = format!(
-                "{}{}",
-                self.bytes[self.pos] as char,
-                self.bytes[self.pos + 1] as char
-            );
-            self.bump();
-            self.bump();
-            return self.lex_mac_tail(span, &first);
+            return self.lex_mac(span);
         }
         let start = self.pos;
         while let Some(b) = self.peek() {
@@ -363,31 +359,17 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        let word = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii")
-            .to_string();
-        Ok(TokenKind::Ident(word))
+        Ok(TokenKind::Ident(self.since(start)))
     }
 
-    fn lex_mac_tail(&mut self, span: Span, first: &str) -> Result<TokenKind, FslError> {
-        let mut text = first.to_string();
-        for _ in 0..5 {
-            if self.peek() != Some(b':') {
-                return Err(FslError::at(span, "malformed MAC address"));
-            }
+    /// The MAC literal [`is_mac_at`](Self::is_mac_at) found here.
+    fn lex_mac(&mut self, span: Span) -> Result<TokenKind<'a>, FslError> {
+        let start = self.pos;
+        for _ in 0..17 {
             self.bump();
-            text.push(':');
-            for _ in 0..2 {
-                match self.peek() {
-                    Some(b) if b.is_ascii_hexdigit() => {
-                        text.push(b as char);
-                        self.bump();
-                    }
-                    _ => return Err(FslError::at(span, "malformed MAC address")),
-                }
-            }
         }
-        text.parse()
+        self.since(start)
+            .parse()
             .map(TokenKind::Mac)
             .map_err(|e| FslError::at(span, e.to_string()))
     }
@@ -398,7 +380,7 @@ mod tests {
     use super::*;
     use vw_packet::MacAddr;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -463,6 +445,10 @@ mod tests {
         );
         assert!(lex("1.2.3").is_err());
         assert!(lex("1.2.3.444").is_err());
+        assert!(lex("1.2.3.4.5").is_err());
+        assert!(lex("1..3.4").is_err());
+        // A part too long for any integer is refused, not overflowed.
+        assert!(lex("1.99999999999999999999.3.4").is_err());
     }
 
     #[test]
@@ -488,7 +474,7 @@ mod tests {
         // An identifier of two hex letters before a colon stays an ident.
         assert_eq!(
             kinds("aA: x")[..2],
-            [TokenKind::Ident("aA".into()), TokenKind::Colon]
+            [TokenKind::Ident("aA"), TokenKind::Colon]
         );
     }
 
@@ -497,8 +483,8 @@ mod tests {
         assert_eq!(
             kinds("/* hello */ STOP // trailing\nEND"),
             vec![
-                TokenKind::Ident("STOP".into()),
-                TokenKind::Ident("END".into()),
+                TokenKind::Ident("STOP"),
+                TokenKind::Ident("END"),
                 TokenKind::Eof
             ]
         );
@@ -509,7 +495,7 @@ mod tests {
     fn strings() {
         assert_eq!(
             kinds(r#""a message""#),
-            vec![TokenKind::Str("a message".into()), TokenKind::Eof]
+            vec![TokenKind::Str("a message"), TokenKind::Eof]
         );
         assert!(lex("\"unterminated").is_err());
     }
@@ -519,9 +505,9 @@ mod tests {
         assert_eq!(
             kinds("TCP_data_rt1 node1 SeqNoAck"),
             vec![
-                TokenKind::Ident("TCP_data_rt1".into()),
-                TokenKind::Ident("node1".into()),
-                TokenKind::Ident("SeqNoAck".into()),
+                TokenKind::Ident("TCP_data_rt1"),
+                TokenKind::Ident("node1"),
+                TokenKind::Ident("SeqNoAck"),
                 TokenKind::Eof
             ]
         );

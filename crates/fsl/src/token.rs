@@ -20,20 +20,21 @@ impl fmt::Display for Span {
     }
 }
 
-/// One lexical token with its position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+/// One lexical token with its position. Its text borrows from the source
+/// it was lexed from, so a token is a small `Copy` value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'src> {
     /// The token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Where it starts in the source.
     pub span: Span,
 }
 
 /// The kinds of FSL tokens.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'src> {
     /// An identifier or keyword (`SCENARIO`, `TCP_data`, `node1`, ...).
-    Ident(String),
+    Ident(&'src str),
     /// A decimal integer literal.
     Int(i64),
     /// A hexadecimal literal (`0x6000`), value and digit count preserved.
@@ -45,8 +46,8 @@ pub enum TokenKind {
     /// An IPv4 address literal (`192.168.1.1`).
     Ip(Ipv4Addr),
     /// A double-quoted string literal (extension, used by FLAG_ERR
-    /// messages).
-    Str(String),
+    /// messages), without its quotes.
+    Str(&'src str),
     /// `(`
     LParen,
     /// `)`
@@ -83,7 +84,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "`{s}`"),
