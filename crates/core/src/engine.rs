@@ -835,7 +835,9 @@ impl Engine {
     /// still outstanding, resets the peer's RTO.
     fn process_ack(&mut self, src: MacAddr, now: SimTime, ack: u32) {
         let initial_rto = self.cfg.control.initial_rto;
-        let Some(tx) = self.peer_tx.get_mut(&src) else {
+        // A control payload carries no checksum: an ack past the last
+        // sequence number sent is forged or garbled, and acks nothing.
+        let Some(tx) = self.peer_tx.get_mut(&src).filter(|tx| ack < tx.next_seq) else {
             return;
         };
         let mut progressed = false;

@@ -88,7 +88,7 @@ fn digest(report: &Report, world: &World, runner: &Runner) -> Digest {
         errors,
         blackholed: NODES
             .iter()
-            .map(|&n| (n, runner.engine(world, n).unwrap().is_blackholed()))
+            .filter_map(|&n| Some((n, runner.engine(world, n)?.is_blackholed())))
             .collect(),
         passed: report.passed(),
     }
@@ -461,4 +461,103 @@ fn sweep_completion_rate_vs_loss() {
             stale as f64 / 20.0
         );
     }
+}
+
+/// Two nodes and a remote term: `Sent > 2` is evaluated at node1, the
+/// condition at node2 (`Rcvd`'s home), so node1 sends the term's status
+/// to node2 as a sequenced update.
+const SCRIPT_TWO_NODE_FLAG: &str = r#"
+    FILTER_TABLE
+    udp_data: (23 1 0x11), (36 2 0x6363)
+    END
+    NODE_TABLE
+    node1 02:00:00:00:00:01 192.168.1.2
+    node2 02:00:00:00:00:02 192.168.1.3
+    END
+    SCENARIO RemoteTerm
+    Sent: (udp_data, node1, node2, SEND)
+    Rcvd: (udp_data, node1, node2, RECV)
+    (TRUE) >> ENABLE_CNTR(Sent); ENABLE_CNTR(Rcvd);
+    ((Rcvd > 2) && (Sent > 2)) >> FLAG_ERR "both past two";
+    END
+"#;
+
+/// Runs [`SCRIPT_TWO_NODE_FLAG`] with node1's control frames to node2
+/// held for the first 6 ms of a 10-datagram flood, across the update.
+/// With `forge`, node1 is handed a control `Ack` from node2's MAC for
+/// sequence number 1000, which node1 never sent, while the update is held.
+fn run_held_update(forge: bool) -> Run {
+    let tables = compile_script(SCRIPT_TWO_NODE_FLAG).unwrap_or_else(|e| panic!("{e}"));
+    let mut world = World::new(77);
+    let nodes = Runner::create_hosts(&mut world, &tables);
+    let sw = world.add_switch("sw0", 4);
+    for &n in &nodes {
+        world.connect(n, sw, LinkConfig::fast_ethernet());
+    }
+    let runner = Runner::install(&mut world, tables, EngineConfig::default());
+    assert!(runner.settle(&mut world), "init handshake must complete");
+    world.add_protocol(
+        nodes[1],
+        Binding::EtherType(EtherType::IPV4),
+        Box::new(UdpSink::new(0x6363)),
+    );
+    let flooder = UdpFlooder::new(
+        world.host_mac(nodes[1]),
+        world.host_ip(nodes[1]),
+        0x6363,
+        9000,
+        1_000_000,
+        200,
+        10 * 200,
+    );
+    world.add_protocol(
+        nodes[0],
+        Binding::EtherType(EtherType::IPV4),
+        Box::new(flooder),
+    );
+    world.set_control_impairment(ControlImpairment {
+        drop: 1.0,
+        ..ControlImpairment::none()
+    });
+    world.run_for(SimDuration::from_millis(5));
+    let sent = runner.engine(&world, "node1").unwrap().stats().control_sent;
+    assert!(sent > 0, "the update left node1 while the hold was on");
+    if forge {
+        let ack = virtualwire::wire::build_sequenced_frame(
+            world.host_mac(nodes[1]),
+            world.host_mac(nodes[0]),
+            0,
+            1000,
+            &virtualwire::wire::ControlMsg::Ack,
+        );
+        world.inject_from_wire(nodes[0], ack);
+    }
+    world.run_for(SimDuration::from_millis(1));
+    world.set_control_impairment(ControlImpairment::none());
+    let report = runner.run(&mut world, SimDuration::from_secs(1));
+    Run {
+        report,
+        world,
+        runner,
+    }
+}
+
+#[test]
+fn an_ack_for_a_sequence_number_never_sent_is_ignored() {
+    let clean = run_held_update(false);
+    assert!(
+        clean
+            .report
+            .errors
+            .iter()
+            .any(|e| e.message == "both past two"),
+        "a retransmission delivers the held update: {:?}",
+        clean.report.errors
+    );
+    let forged = run_held_update(true);
+    assert_eq!(
+        forged.digest(),
+        clean.digest(),
+        "a forged ack must not drop node1's queued update"
+    );
 }

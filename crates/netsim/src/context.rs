@@ -6,10 +6,9 @@ use rand::rngs::StdRng;
 
 use vw_packet::{Frame, MacAddr};
 
-use crate::event::TimerFire;
+use crate::event::EventQueue;
 use crate::id::{DeviceId, HandlerRef, TimerId};
 use crate::time::{SimDuration, SimTime};
-use crate::timer_heap::TimerHeap;
 
 /// Who is currently being dispatched, which determines how emitted frames
 /// are routed through the hook chain.
@@ -33,11 +32,13 @@ pub(crate) enum Effect {
     DeliverUp { frame: Frame, after: SimDuration },
     /// Hand a frame straight to the NIC, bypassing the remaining chain.
     TransmitRaw { frame: Frame, after: SimDuration },
-    /// Arm a timer for this handler.
+    /// Arm a timer: `handler` on the dispatched node gets
+    /// `on_timer(token)` at `at`.
     SetTimer {
         id: TimerId,
         at: SimTime,
-        fire: TimerFire,
+        handler: HandlerRef,
+        token: u64,
     },
     /// Disarm a previously set timer.
     CancelTimer(TimerId),
@@ -67,7 +68,7 @@ pub struct Context<'a> {
     pub(crate) handler: HandlerRef,
     pub(crate) rng: &'a mut StdRng,
     /// Where [`set_timer`](Context::set_timer) reserves the timer's cell.
-    pub(crate) timers: &'a mut TimerHeap<TimerFire>,
+    pub(crate) queue: &'a mut EventQueue,
     /// The world's effect stack; this callback's effects go on top.
     pub(crate) effects: &'a mut Vec<Option<Effect>>,
     pub(crate) charged: SimDuration,
@@ -133,15 +134,12 @@ impl<'a> Context<'a> {
     /// after `delay`. Returns an id usable with
     /// [`cancel_timer`](Context::cancel_timer).
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
-        let id = self.timers.reserve();
+        let id = self.queue.reserve();
         self.push(Effect::SetTimer {
             id,
             at: self.now.saturating_add(self.charged.saturating_add(delay)),
-            fire: TimerFire {
-                node: self.node,
-                handler: self.handler,
-                token,
-            },
+            handler: self.handler,
+            token,
         });
         id
     }

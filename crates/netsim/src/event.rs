@@ -1,13 +1,9 @@
 //! The discrete-event queue.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
-
 use vw_packet::Frame;
 
-use crate::id::{DeviceId, HandlerRef, PortRef, TimerId};
-use crate::time::SimTime;
-use crate::timer_heap::TimerHeap;
+use crate::heap::IndexedHeap;
+use crate::id::{DeviceId, HandlerRef, PortRef};
 
 /// The kinds of events the simulator processes.
 #[derive(Debug)]
@@ -16,8 +12,12 @@ pub(crate) enum EventKind {
     Arrive { to: PortRef, frame: Frame },
     /// A port finished serializing its in-flight frame.
     TxComplete { port: PortRef },
-    /// A handler's timer fired.
-    Timer(TimerFire),
+    /// A handler's timer fired: `handler` on `node` gets `on_timer(token)`.
+    Timer {
+        node: DeviceId,
+        handler: HandlerRef,
+        token: u64,
+    },
     /// Deliver a start/poke callback to a handler.
     Start { node: DeviceId, handler: HandlerRef },
     /// Continue an outbound frame at hook index `idx` of `node`'s chain.
@@ -35,185 +35,27 @@ pub(crate) enum EventKind {
     },
 }
 
-/// What an armed timer delivers when it fires: `handler` on `node` gets
-/// `on_timer(token)`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TimerFire {
-    pub node: DeviceId,
-    pub handler: HandlerRef,
-    pub token: u64,
-}
-
-#[derive(Debug)]
-pub(crate) struct Event {
-    pub time: SimTime,
-    pub seq: u64,
-    pub kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    // Reverse ordering: the BinaryHeap is a max-heap, we want earliest
-    // first, ties broken by insertion order for determinism.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A deterministic priority queue of events: earliest time first, FIFO
-/// within a timestamp.
+/// The event queue: earliest time first, FIFO within a timestamp.
 ///
-/// Internally three lanes share one sequence counter, so the merged pop
-/// order is byte-identical to a single heap's:
-///
-/// - a **ready lane** (`VecDeque`) for events pushed at the queue's
-///   current time — zero-delay injections land here with O(1) push/pop
-///   instead of churning the heap (pushed times are nondecreasing because
-///   the clock is monotone, so the front is always the lane's minimum);
-/// - a **timer heap** for handler timers, which are numerous and almost
-///   always cancelled before firing, and leave the timer heap when they
-///   are — a cancelled timer is never an event (see [`TimerHeap`]);
-/// - the **heap** for everything else in the future.
-#[derive(Debug, Default)]
-pub(crate) struct EventQueue {
-    heap: BinaryHeap<Event>,
-    ready: VecDeque<Event>,
-    timers: TimerHeap<TimerFire>,
-    next_seq: u64,
-    /// Time of the most recent pop: the queue's notion of "now", used to
-    /// route at-or-before-now pushes into the ready lane.
-    now: SimTime,
-}
-
-impl EventQueue {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn push(&mut self, time: SimTime, kind: EventKind) {
-        self.next_seq += 1;
-        let event = Event {
-            time,
-            seq: self.next_seq,
-            kind,
-        };
-        if time <= self.now {
-            self.ready.push_back(event);
-        } else {
-            self.heap.push(event);
-        }
-    }
-
-    /// The timer heap: where `Context::set_timer` reserves the cell that
-    /// [`arm_timer`](Self::arm_timer) fills in, and where a timer is
-    /// cancelled.
-    pub fn timers_mut(&mut self) -> &mut TimerHeap<TimerFire> {
-        &mut self.timers
-    }
-
-    /// Arms the reserved timer `id` in the timer heap instead of pushing
-    /// an event on the event heap. Pop order is unaffected (the lanes share
-    /// the sequence counter); the timer can be cancelled in place. Every
-    /// timer goes to the timer heap, a zero-delay one too, so every timer
-    /// cancels the same way.
-    pub fn arm_timer(&mut self, id: TimerId, time: SimTime, fire: TimerFire) {
-        self.next_seq += 1;
-        self.timers.arm(id, time, self.next_seq, fire);
-    }
-
-    /// Which lane holds the next event, by `(time, seq)`.
-    fn min_lane(&self) -> Option<(Lane, SimTime)> {
-        let mut best: Option<(Lane, SimTime, u64)> = None;
-        if let Some(e) = self.ready.front() {
-            best = Some((Lane::Ready, e.time, e.seq));
-        }
-        if let Some(e) = self.heap.peek() {
-            if best.is_none_or(|(_, t, s)| (e.time, e.seq) < (t, s)) {
-                best = Some((Lane::Heap, e.time, e.seq));
-            }
-        }
-        if let Some((time, seq)) = self.timers.peek() {
-            if best.is_none_or(|(_, t, s)| (time, seq) < (t, s)) {
-                best = Some((Lane::Timers, time, seq));
-            }
-        }
-        best.map(|(lane, t, _)| (lane, t))
-    }
-
-    fn pop_lane(&mut self, lane: Lane) -> Option<Event> {
-        let event = match lane {
-            Lane::Ready => self.ready.pop_front()?,
-            Lane::Heap => self.heap.pop()?,
-            Lane::Timers => {
-                let (time, seq, fire) = self.timers.pop()?;
-                let kind = EventKind::Timer(fire);
-                Event { time, seq, kind }
-            }
-        };
-        self.now = event.time;
-        Some(event)
-    }
-
-    pub fn pop(&mut self) -> Option<Event> {
-        let (lane, _) = self.min_lane()?;
-        self.pop_lane(lane)
-    }
-
-    /// Pops the next event only if it is due at `time` exactly — the
-    /// run loops use this to drain a whole timestamp batch after a single
-    /// [`peek_time`](Self::peek_time). One lane scan per event.
-    pub fn pop_at(&mut self, time: SimTime) -> Option<Event> {
-        let (lane, t) = self.min_lane()?;
-        if t != time {
-            return None;
-        }
-        self.pop_lane(lane)
-    }
-
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.min_lane().map(|(_, t)| t)
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len() + self.ready.len() + self.timers.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Lane {
-    Ready,
-    Heap,
-    Timers,
-}
+/// Every pending event, handler timers included, is one cell of the
+/// [`IndexedHeap`]. Most events are reserved and armed in one
+/// [`push`](IndexedHeap::push). A timer's cell is
+/// [reserved](IndexedHeap::reserve) when `Context::set_timer` hands out
+/// its id and [armed](IndexedHeap::arm) when the world applies the
+/// `SetTimer` effect, so a cancel takes the timer out of the heap on the
+/// spot: a cancelled timer is never an event.
+pub(crate) type EventQueue = IndexedHeap<EventKind>;
 
 #[cfg(test)]
 mod tests {
     use std::cmp::Reverse;
-    use std::collections::HashSet;
+    use std::collections::{BinaryHeap, HashSet};
 
     use proptest::prelude::*;
 
     use super::*;
+    use crate::id::TimerId;
+    use crate::time::SimTime;
 
     fn start(node: usize) -> EventKind {
         EventKind::Start {
@@ -222,41 +64,45 @@ mod tests {
         }
     }
 
-    fn fire() -> TimerFire {
-        TimerFire {
+    fn timer(token: u64) -> EventKind {
+        EventKind::Timer {
             node: DeviceId::from_index(0),
             handler: HandlerRef::Protocol(crate::id::ProtocolId::from_index(0)),
-            token: 0,
+            token,
         }
     }
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(SimTime::from_nanos(30), start(3));
         q.push(SimTime::from_nanos(10), start(1));
         q.push(SimTime::from_nanos(20), start(2));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| e.time.as_nanos())
+            .map(|(time, _)| time.as_nanos())
             .collect();
         assert_eq!(order, vec![10, 20, 30]);
     }
 
     #[test]
     fn fifo_within_a_timestamp() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         for i in 0..10 {
             q.push(SimTime::from_nanos(5), start(i));
         }
-        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-        let mut sorted = seqs.clone();
-        sorted.sort_unstable();
-        assert_eq!(seqs, sorted, "same-time events must pop in insertion order");
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(_, kind)| tag(&kind))
+            .collect();
+        assert_eq!(
+            order,
+            (0..10).collect::<Vec<_>>(),
+            "same-time events must pop in insertion order"
+        );
     }
 
     #[test]
     fn peek_time_sees_earliest() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_nanos(7), start(0));
         q.push(SimTime::from_nanos(3), start(0));
@@ -316,8 +162,19 @@ mod tests {
         }
     }
 
-    fn key(event: Option<Event>) -> Option<(u64, u64)> {
-        event.map(|e| (e.time.as_nanos(), e.seq))
+    /// The number an event was tagged with: a start event's node, a
+    /// timer's token. The property tags each event with its reference
+    /// `seq`.
+    fn tag(kind: &EventKind) -> u64 {
+        match *kind {
+            EventKind::Start { node, .. } => node.index() as u64,
+            EventKind::Timer { token, .. } => token,
+            _ => unreachable!("the tests push only starts and timers"),
+        }
+    }
+
+    fn key(event: Option<(SimTime, EventKind)>) -> Option<(u64, u64)> {
+        event.map(|(time, kind)| (time.as_nanos(), tag(&kind)))
     }
 
     /// Armed timers as `(seq, id)`, and the ids that fired or were cancelled.
@@ -339,34 +196,34 @@ mod tests {
         }
     }
 
-    /// Push offsets from the queue's `now`, one range per choice: zero
-    /// (the ready lane), then ranges from 1 ns up to 2^40 ns (≈18 min), so
-    /// deadlines near and far mix in every lane.
+    /// Push offsets from the clock, one range per choice: zero, then
+    /// ranges from 1 ns up to 2^40 ns (≈18 min), so deadlines near and far
+    /// mix among plain events and timers alike.
     const OFFSET_BOUNDS: [u64; 7] = [0, 1, 1 << 19, 1 << 25, 1 << 31, 1 << 37, 1 << 40];
 
     proptest! {
-        /// The three lanes are an optimisation, not a semantics: whatever
-        /// the interleaving of `push`, timer set and cancel, `pop` and
+        /// The indexed heap keeps a plain heap's semantics: whatever the
+        /// interleaving of `push`, timer set and cancel, `pop` and
         /// `pop_at`, events leave in the `(time, seq)` order one plain
         /// heap gives, and a cancelled timer is neither popped, peeked
         /// nor counted. Cancels hit live timers, timers that already
         /// popped, timers already cancelled, and — a vacated cell being
-        /// the next one reserved — ids whose cell has a new tenant.
-        /// Times are drawn at or after `now`: the world's clock is
-        /// monotone, and the ready lane's FIFO relies on it.
+        /// the next one reserved — ids whose cell has a new tenant, a
+        /// plain event or a timer. Times are drawn at or after the time
+        /// of the last pop: the world's clock is monotone.
         #[test]
-        fn lanes_pop_like_one_plain_heap(
+        fn the_queue_pops_like_one_plain_heap(
             ops in proptest::collection::vec((0u8..10, 0usize..7, any::<u64>()), 1..300),
         ) {
             let at = SimTime::from_nanos;
-            let mut q = EventQueue::new();
+            let mut q = EventQueue::default();
             let mut reference = PlainHeap::default();
             let mut last_pushed = 0;
             let mut timers = Timers::default();
             for (op, span, r) in ops {
                 match op {
-                    // Pushes: 0 and 1 through the ready lane or the heap,
-                    // 2 and 3 through the wheel.
+                    // Pushes: 0 and 1 plain events, 2 and 3 timers
+                    // (reserved, then armed).
                     0..=3 => {
                         let time = match span {
                             6 => last_pushed.max(reference.now),
@@ -378,10 +235,10 @@ mod tests {
                         last_pushed = time;
                         let seq = reference.push(time);
                         if op < 2 {
-                            q.push(at(time), start(0));
+                            q.push(at(time), start(seq as usize));
                         } else {
-                            let id = q.timers_mut().reserve();
-                            q.arm_timer(id, at(time), fire());
+                            let id = q.reserve();
+                            q.arm(id, at(time), timer(seq));
                             prop_assert!(
                                 timers.live.iter().all(|l| l.1 != id),
                                 "a live id handed out twice"
@@ -394,7 +251,8 @@ mod tests {
                     // time asked for, and leaves the queue alone otherwise.
                     5 => match reference.peek_time() {
                         Some(head) => {
-                            prop_assert_eq!(timers.popped(key(q.pop_at(at(head)))), reference.pop())
+                            let popped = q.pop_at(at(head)).map(|kind| (at(head), kind));
+                            prop_assert_eq!(timers.popped(key(popped)), reference.pop())
                         }
                         None => prop_assert!(q.pop_at(at(reference.now)).is_none()),
                     },
@@ -406,14 +264,14 @@ mod tests {
                     7 | 8 if !timers.live.is_empty() => {
                         let (seq, id) = timers.live.swap_remove(r as usize % timers.live.len());
                         reference.cancel(seq);
-                        q.timers_mut().cancel(id);
+                        q.cancel(id);
                         timers.spent.push(id);
                     }
                     // Cancel a spent id: nothing may change, whoever
                     // holds the cell now.
                     _ => {
                         if !timers.spent.is_empty() {
-                            q.timers_mut().cancel(timers.spent[r as usize % timers.spent.len()]);
+                            q.cancel(timers.spent[r as usize % timers.spent.len()]);
                         }
                     }
                 }

@@ -60,7 +60,7 @@ id_type!(
 /// [`Context::set_timer`](crate::Context::set_timer) and usable with
 /// [`Context::cancel_timer`](crate::Context::cancel_timer).
 ///
-/// A handle into the timer heap's slab: the cell, and which of the
+/// A handle into the event queue's slab: the cell, and which of the
 /// cell's successive tenants this timer is. Once the timer fires or is
 /// cancelled the id matches nothing, so cancelling it again is a no-op
 /// even after the cell is reused.

@@ -52,12 +52,12 @@ mod context;
 mod device;
 mod error_model;
 mod event;
+mod heap;
 mod hook;
 mod id;
 mod link;
 mod protocol;
 pub mod time;
-mod timer_heap;
 mod trace;
 mod world;
 

@@ -43,8 +43,6 @@ pub enum TraceKind {
     /// A switch dropped a frame whose destination it learned on the port
     /// the frame came in on.
     SwitchFilter,
-    /// Free-form annotation from a hook or protocol.
-    Note,
 }
 
 impl fmt::Display for TraceKind {
@@ -59,7 +57,6 @@ impl fmt::Display for TraceKind {
             TraceKind::HookEmit => "hook-emit",
             TraceKind::AddrFilterDrop => "addr-filter-drop",
             TraceKind::SwitchFilter => "switch-filter",
-            TraceKind::Note => "note",
         };
         f.write_str(s)
     }
@@ -74,7 +71,8 @@ pub struct TraceRecord {
     pub device: DeviceId,
     /// What happened.
     pub kind: TraceKind,
-    /// The frame involved, if any ([`TraceKind::Note`] records may omit it).
+    /// The frame involved, if any ([`TraceKind::HookConsume`] records may
+    /// omit it).
     pub frame: Option<Frame>,
     /// Free-form annotation (hook name, drop reason, ...).
     pub note: String,
@@ -288,7 +286,7 @@ mod tests {
         sink.record(
             SimTime::ZERO,
             DeviceId::from_index(0),
-            TraceKind::Note,
+            TraceKind::HookConsume,
             None,
             || "x".into(),
         );
@@ -296,7 +294,7 @@ mod tests {
         sink.record(
             SimTime::ZERO,
             DeviceId::from_index(0),
-            TraceKind::Note,
+            TraceKind::HookConsume,
             None,
             || "y".into(),
         );
@@ -317,7 +315,7 @@ mod tests {
         sink.record(
             SimTime::ZERO,
             DeviceId::from_index(2),
-            TraceKind::Note,
+            TraceKind::HookConsume,
             None,
             || "hello".into(),
         );
@@ -335,14 +333,14 @@ mod tests {
         sink.record(
             SimTime::ZERO,
             DeviceId::from_index(2),
-            TraceKind::Note,
+            TraceKind::HookConsume,
             None,
             || "named".into(),
         );
         sink.record(
             SimTime::ZERO,
             DeviceId::from_index(5),
-            TraceKind::Note,
+            TraceKind::HookConsume,
             None,
             || "anon".into(),
         );
@@ -350,8 +348,8 @@ mod tests {
         assert_eq!(sink.device_name(DeviceId::from_index(5)), None);
         assert_eq!(sink.device_label(DeviceId::from_index(5)), "dev5");
         let text = sink.render();
-        assert!(text.contains("node2 note named"));
-        assert!(text.contains("dev5 note anon"));
+        assert!(text.contains("node2 hook-consume named"));
+        assert!(text.contains("dev5 hook-consume anon"));
         // The raw per-record render keeps the id-based fallback.
         assert!(sink.records()[0].render().contains("dev2"));
     }

@@ -12,7 +12,7 @@ use vw_packet::{EtherType, Frame, MacAddr, MacMap};
 
 use crate::context::{Context, CtxOrigin, Effect};
 use crate::device::{Device, Host, Hub, Port, PortStats, Switch};
-use crate::event::{EventKind, EventQueue, TimerFire};
+use crate::event::{EventKind, EventQueue};
 use crate::hook::{Hook, Verdict};
 use crate::id::{DeviceId, HandlerRef, HookId, LinkId, PortRef, ProtocolId};
 use crate::link::{Link, LinkConfig};
@@ -102,7 +102,7 @@ impl World {
         World {
             devices: Vec::new(),
             links: Vec::new(),
-            queue: EventQueue::new(),
+            queue: EventQueue::default(),
             now: SimTime::ZERO,
             rng: StdRng::seed_from_u64(seed),
             trace: TraceSink::new(),
@@ -432,13 +432,13 @@ impl World {
         if self.stop_reason.is_some() {
             return false;
         }
-        let Some(event) = self.queue.pop() else {
+        let Some((time, kind)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(event.time >= self.now, "time went backwards");
-        self.now = event.time;
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
         self.events_processed += 1;
-        self.handle(event.kind);
+        self.handle(kind);
         true
     }
 
@@ -448,13 +448,13 @@ impl World {
     fn step_batch(&mut self, time: SimTime) {
         let _span = vw_trace::span("event_batch", vw_trace::Category::Event);
         while self.stop_reason.is_none() {
-            let Some(event) = self.queue.pop_at(time) else {
+            let Some(kind) = self.queue.pop_at(time) else {
                 return;
             };
-            debug_assert!(event.time >= self.now, "time went backwards");
-            self.now = event.time;
+            debug_assert!(time >= self.now, "time went backwards");
+            self.now = time;
             self.events_processed += 1;
-            self.handle(event.kind);
+            self.handle(kind);
         }
     }
 
@@ -531,11 +531,11 @@ impl World {
         match kind {
             EventKind::Arrive { to, frame } => self.handle_arrival(to, frame),
             EventKind::TxComplete { port } => self.handle_tx_complete(port),
-            EventKind::Timer(TimerFire {
+            EventKind::Timer {
                 node,
                 handler,
                 token,
-            }) => {
+            } => {
                 let _span = vw_trace::span("timer_dispatch", vw_trace::Category::Event);
                 self.dispatch_timer(node, handler, token);
             }
@@ -1078,9 +1078,22 @@ impl World {
                         );
                     }
                 }
-                Effect::SetTimer { id, at, fire } => self.queue.arm_timer(id, at, fire),
+                Effect::SetTimer {
+                    id,
+                    at,
+                    handler,
+                    token,
+                } => self.queue.arm(
+                    id,
+                    at,
+                    EventKind::Timer {
+                        node,
+                        handler,
+                        token,
+                    },
+                ),
                 Effect::CancelTimer(id) => {
-                    self.queue.timers_mut().cancel(id);
+                    self.queue.cancel(id);
                 }
                 Effect::RequestStop { reason } => {
                     self.request_stop(reason);
@@ -1095,7 +1108,7 @@ impl World {
     // ------------------------------------------------------------------
 
     /// Borrows the host `node` in place, beside a fresh [`Context`] for its
-    /// `handler` over the world's other fields (clock, RNG, timer heap,
+    /// `handler` over the world's other fields (clock, RNG, event queue,
     /// effect stack): a handler is called where it lives and never leaves
     /// its slot. `None` if `node` is not a host.
     fn host_ctx(
@@ -1119,7 +1132,7 @@ impl World {
             ip: host.ip,
             handler,
             rng,
-            timers: queue.timers_mut(),
+            queue,
             effects,
             charged: SimDuration::ZERO,
         };

@@ -76,9 +76,9 @@ fn trace_sink_round_trip_byte_for_byte() {
     sink.record(
         SimTime::from_nanos(10_000),
         DeviceId::from_index(0),
-        TraceKind::Note,
+        TraceKind::HookConsume,
         None,
-        || "just a note".into(),
+        || "fie".into(),
     );
 
     let capture = pcap::export_trace(&sink);
@@ -90,7 +90,7 @@ fn trace_sink_round_trip_byte_for_byte() {
     }
 
     // export_records keeps every frame-carrying record, including the
-    // HostRecv delivery, but still skips the frameless note.
+    // HostRecv delivery, but still skips the frameless hook-consume record.
     let all = pcap::parse(&pcap::export_records(sink.records())).unwrap();
     assert_eq!(all.len(), 4);
 }
