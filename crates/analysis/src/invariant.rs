@@ -1,13 +1,14 @@
-//! Invariant checking over the merged distributed timeline.
+//! Invariant checking over a run's timeline,
+//! [`Report::events`](virtualwire::Report::events).
 //!
 //! The paper's Fault Analysis Engine promises *online* detection of
 //! protocol violations; this module adds the offline complement — a
-//! replay of the merged event stream against rules that must hold for
+//! replay of the recorded event stream against rules that must hold for
 //! *any* correct execution of the engine protocol itself, regardless of
 //! scenario. A failing invariant means either the recorder captured an
 //! impossible execution (an engine bug) or the stream was truncated or
 //! doctored — both worth flagging before trusting an analysis built on
-//! the timeline.
+//! the stream.
 //!
 //! [`check_invariants`] runs four rules, in this order:
 //!
@@ -26,9 +27,7 @@ use std::collections::HashMap;
 
 use vw_fsl::{CompiledActionKind, CounterOp, NodeId, TableSet, Tables, TermId};
 use vw_netsim::SimTime;
-use vw_obs::{ObsActionKind, ObsEvent, ObsKind};
-
-use crate::timeline::DistributedTimeline;
+use vw_obs::{CausalChain, ObsActionKind, ObsEvent, ObsKind};
 
 /// One invariant violation, anchored to the offending event and
 /// carrying the cross-node causal slice behind it.
@@ -45,27 +44,21 @@ pub struct Violation {
     /// What went wrong.
     pub message: String,
     /// The offending cascade plus the sender cascades of any control
-    /// deliveries it consumed, in timeline order (see
-    /// [`DistributedTimeline::causal_slice`]).
+    /// deliveries it consumed, in timeline order.
     pub slice: Vec<ObsEvent>,
 }
 
 impl Violation {
     /// A violation of `invariant` by `event`, carrying the event's causal
-    /// slice from `timeline`.
-    fn at(
-        invariant: &'static str,
-        timeline: &DistributedTimeline,
-        event: &ObsEvent,
-        message: String,
-    ) -> Self {
+    /// slice from `events`.
+    fn at(invariant: &'static str, events: &[ObsEvent], event: &ObsEvent, message: String) -> Self {
         Violation {
             invariant,
             node: event.node,
             frame_seq: event.frame_seq,
             time: event.time,
             message,
-            slice: timeline.causal_slice(event.node, event.frame_seq),
+            slice: causal_slice(events, event.node, event.frame_seq),
         }
     }
 
@@ -87,17 +80,41 @@ impl Violation {
     }
 }
 
-/// Checks the four rules of the module docs over `timeline`, in that
-/// order, concatenating their violations.
-pub fn check_invariants(timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
-    let mut violations = condition_implies_terms(timeline, tables);
-    violations.extend(remote_term_delivery(timeline, tables));
-    violations.extend(no_action_after_stop(timeline));
-    violations.extend(counter_monotonic(timeline, tables));
+/// Checks the four rules of the module docs over a run's `events`, in
+/// that order, concatenating their violations.
+pub fn check_invariants(events: &[ObsEvent], tables: &TableSet) -> Vec<Violation> {
+    let mut violations = condition_implies_terms(events, tables);
+    violations.extend(remote_term_delivery(events, tables));
+    violations.extend(no_action_after_stop(events));
+    violations.extend(counter_monotonic(events, tables));
     violations
 }
 
-/// Tracks one node's replayed term state while walking the timeline.
+/// The cross-node causal slice behind one cascade: the cascade's own
+/// events plus, for each control delivery it consumed, the sender
+/// cascade that produced the first matching send, in `events` order.
+fn causal_slice(events: &[ObsEvent], node: NodeId, frame_seq: u64) -> Vec<ObsEvent> {
+    let mut frames = vec![(node, frame_seq)];
+    for delivery in CausalChain::extract(events, node, frame_seq).events {
+        let ObsKind::ControlDelivered { peer, peer_seq, .. } = delivery.kind else {
+            continue;
+        };
+        if let Some(send) = events.iter().find(|e| {
+            e.node == peer
+                && matches!(e.kind, ObsKind::ControlSent { peer: p, peer_seq: q, .. }
+                    if p == node && q == peer_seq)
+        }) {
+            frames.push((send.node, send.frame_seq));
+        }
+    }
+    events
+        .iter()
+        .filter(|e| frames.contains(&(e.node, e.frame_seq)))
+        .copied()
+        .collect()
+}
+
+/// Tracks one node's replayed term state while walking the events.
 #[derive(Default)]
 struct NodeReplay {
     status: Vec<bool>,
@@ -139,10 +156,10 @@ impl NodeReplay {
 /// exact firing-time state is any per-term choice between the
 /// pre-cascade value and a recorded flip value — we accept the firing
 /// if any such choice satisfies the expression.)
-fn condition_implies_terms(timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
+fn condition_implies_terms(events: &[ObsEvent], tables: &TableSet) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut replay: HashMap<NodeId, NodeReplay> = HashMap::new();
-    for event in timeline.events() {
+    for event in events {
         let state = replay
             .entry(event.node)
             .or_insert_with(|| NodeReplay::new(tables.terms.len()));
@@ -170,7 +187,7 @@ fn condition_implies_terms(timeline: &DistributedTimeline, tables: &TableSet) ->
                     );
                     violations.push(Violation::at(
                         "condition-implies-terms",
-                        timeline,
+                        events,
                         event,
                         message,
                     ));
@@ -216,10 +233,10 @@ fn satisfiable(expr: &vw_fsl::CondNode, terms: &[TermId], state: &NodeReplay) ->
 /// A term flip recorded at a node other than the term's `eval_node`
 /// can only come from a `TermStatus` control message, so the same
 /// cascade must contain a control delivery from the evaluating node.
-fn remote_term_delivery(timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
+fn remote_term_delivery(events: &[ObsEvent], tables: &TableSet) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut replay: HashMap<NodeId, NodeReplay> = HashMap::new();
-    for event in timeline.events() {
+    for event in events {
         let state = replay
             .entry(event.node)
             .or_insert_with(|| NodeReplay::new(tables.terms.len()));
@@ -244,7 +261,7 @@ fn remote_term_delivery(timeline: &DistributedTimeline, tables: &TableSet) -> Ve
                 );
                 violations.push(Violation::at(
                     "remote-term-delivery",
-                    timeline,
+                    events,
                     event,
                     message,
                 ));
@@ -258,9 +275,9 @@ fn remote_term_delivery(timeline: &DistributedTimeline, tables: &TableSet) -> Ve
 /// Once a node triggers `STOP`, no cascade with a larger ordinal at
 /// that node may trigger actions (the world stops stepping; a later
 /// action means the stream disagrees with the engine's semantics).
-fn no_action_after_stop(timeline: &DistributedTimeline) -> Vec<Violation> {
+fn no_action_after_stop(events: &[ObsEvent]) -> Vec<Violation> {
     let mut stopped_at: HashMap<NodeId, u64> = HashMap::new();
-    for event in timeline.events() {
+    for event in events {
         if let ObsKind::ActionTriggered {
             kind: ObsActionKind::Stop,
             ..
@@ -271,7 +288,7 @@ fn no_action_after_stop(timeline: &DistributedTimeline) -> Vec<Violation> {
         }
     }
     let mut violations = Vec::new();
-    for event in timeline.events() {
+    for event in events {
         let ObsKind::ActionTriggered { action, kind } = event.kind else {
             continue;
         };
@@ -285,7 +302,7 @@ fn no_action_after_stop(timeline: &DistributedTimeline) -> Vec<Violation> {
             );
             violations.push(Violation::at(
                 "no-action-after-stop",
-                timeline,
+                events,
                 event,
                 message,
             ));
@@ -297,7 +314,7 @@ fn no_action_after_stop(timeline: &DistributedTimeline) -> Vec<Violation> {
 /// Counters only ever bumped by packet counting and non-negative `INCR`
 /// must never decrease, at the home node or at any subscriber (in-order
 /// control delivery forwards a monotone value monotonically).
-fn counter_monotonic(timeline: &DistributedTimeline, tables: &TableSet) -> Vec<Violation> {
+fn counter_monotonic(events: &[ObsEvent], tables: &TableSet) -> Vec<Violation> {
     let mut monotone = vec![true; tables.counters.len()];
     for action in &tables.actions {
         let CompiledActionKind::Counter { counter, op } = action.kind else {
@@ -319,7 +336,7 @@ fn counter_monotonic(timeline: &DistributedTimeline, tables: &TableSet) -> Vec<V
         }
     }
     let mut violations = Vec::new();
-    for event in timeline.events() {
+    for event in events {
         let ObsKind::CounterUpdated { counter, old, new } = event.kind else {
             continue;
         };
@@ -328,7 +345,7 @@ fn counter_monotonic(timeline: &DistributedTimeline, tables: &TableSet) -> Vec<V
                 "monotone counter#{} decreased {old} -> {new}",
                 counter.index()
             );
-            violations.push(Violation::at("counter-monotonic", timeline, event, message));
+            violations.push(Violation::at("counter-monotonic", events, event, message));
         }
     }
     violations
@@ -408,11 +425,20 @@ mod tests {
         ev(node, seq, nanos, kind)
     }
 
+    fn sent(node: u16, seq: u64, nanos: u64, peer: u16) -> ObsEvent {
+        let kind = ObsKind::ControlSent {
+            peer: NodeId(peer),
+            peer_seq: 1,
+            ack: 0,
+        };
+        ev(node, seq, nanos, kind)
+    }
+
     #[test]
     fn condition_without_supporting_terms_is_flagged() {
         let tables = tiny_tables();
-        let tl = DistributedTimeline::from_events(&[fired(1, 2, 10)]);
-        let violations = condition_implies_terms(&tl, &tables);
+        let events = [fired(1, 2, 10)];
+        let violations = condition_implies_terms(&events, &tables);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, "condition-implies-terms");
         assert_eq!(violations[0].node, NodeId(1));
@@ -421,19 +447,11 @@ mod tests {
     #[test]
     fn condition_backed_by_a_flip_passes() {
         let tables = tiny_tables();
-        let tl = DistributedTimeline::from_events(&[
-            delivered(1, 2, 9, 0),
-            flip(1, 2, 9, true),
-            fired(1, 2, 10),
-        ]);
-        assert!(condition_implies_terms(&tl, &tables).is_empty());
+        let events = [delivered(1, 2, 9, 0), flip(1, 2, 9, true), fired(1, 2, 10)];
+        assert!(condition_implies_terms(&events, &tables).is_empty());
         // A flip in an *earlier* cascade carries over too.
-        let tl = DistributedTimeline::from_events(&[
-            delivered(1, 1, 5, 0),
-            flip(1, 1, 5, true),
-            fired(1, 3, 10),
-        ]);
-        assert!(condition_implies_terms(&tl, &tables).is_empty());
+        let events = [delivered(1, 1, 5, 0), flip(1, 1, 5, true), fired(1, 3, 10)];
+        assert!(condition_implies_terms(&events, &tables).is_empty());
     }
 
     #[test]
@@ -442,12 +460,8 @@ mod tests {
         // justified by the intermediate true value even though the final
         // cascade state is false.
         let tables = tiny_tables();
-        let tl = DistributedTimeline::from_events(&[
-            flip(1, 2, 9, true),
-            flip(1, 2, 9, false),
-            fired(1, 2, 10),
-        ]);
-        assert!(condition_implies_terms(&tl, &tables).is_empty());
+        let events = [flip(1, 2, 9, true), flip(1, 2, 9, false), fired(1, 2, 10)];
+        assert!(condition_implies_terms(&events, &tables).is_empty());
     }
 
     #[test]
@@ -455,16 +469,16 @@ mod tests {
         let tables = tiny_tables();
         // Term 0 evaluates at node0; a flip at node1 without a delivery
         // from node0 in the same cascade is an orphan.
-        let tl = DistributedTimeline::from_events(&[flip(1, 2, 9, true)]);
-        let violations = remote_term_delivery(&tl, &tables);
+        let events = [flip(1, 2, 9, true)];
+        let violations = remote_term_delivery(&events, &tables);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, "remote-term-delivery");
         // With the delivery present it passes.
-        let tl = DistributedTimeline::from_events(&[delivered(1, 2, 9, 0), flip(1, 2, 9, true)]);
-        assert!(remote_term_delivery(&tl, &tables).is_empty());
+        let events = [delivered(1, 2, 9, 0), flip(1, 2, 9, true)];
+        assert!(remote_term_delivery(&events, &tables).is_empty());
         // A local flip needs no delivery.
-        let tl = DistributedTimeline::from_events(&[flip(0, 2, 9, true)]);
-        assert!(remote_term_delivery(&tl, &tables).is_empty());
+        let events = [flip(0, 2, 9, true)];
+        assert!(remote_term_delivery(&events, &tables).is_empty());
     }
 
     #[test]
@@ -474,19 +488,19 @@ mod tests {
             let action = ActionId(0);
             ev(0, seq, nanos, ObsKind::ActionTriggered { action, kind })
         };
-        let tl = DistributedTimeline::from_events(&[
+        let events = [
             action(2, 10, ObsActionKind::Stop),
             action(3, 11, ObsActionKind::Drop),
-        ]);
-        let violations = no_action_after_stop(&tl);
+        ];
+        let violations = no_action_after_stop(&events);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, "no-action-after-stop");
         // Same-cascade companions of the STOP are fine.
-        let tl = DistributedTimeline::from_events(&[
+        let events = [
             action(2, 10, ObsActionKind::FlagErr),
             action(2, 10, ObsActionKind::Stop),
-        ]);
-        assert!(no_action_after_stop(&tl).is_empty());
+        ];
+        assert!(no_action_after_stop(&events).is_empty());
     }
 
     #[test]
@@ -496,13 +510,13 @@ mod tests {
             let counter = CounterId(0);
             ev(0, 2, 10, ObsKind::CounterUpdated { counter, old, new })
         };
-        let tl = DistributedTimeline::from_events(&[update(3, 2)]);
-        let violations = counter_monotonic(&tl, &tables);
+        let events = [update(3, 2)];
+        let violations = counter_monotonic(&events, &tables);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, "counter-monotonic");
         // Increases pass.
-        let tl = DistributedTimeline::from_events(&[update(2, 3)]);
-        assert!(counter_monotonic(&tl, &tables).is_empty());
+        let events = [update(2, 3)];
+        assert!(counter_monotonic(&events, &tables).is_empty());
         // A counter targeted by ASSIGN is exempt.
         let mut tables = tiny_tables();
         tables.actions.push(CompiledAction {
@@ -512,20 +526,36 @@ mod tests {
                 op: CounterOp::Assign(0),
             },
         });
-        let tl = DistributedTimeline::from_events(&[update(3, 0)]);
-        assert!(counter_monotonic(&tl, &tables).is_empty());
+        let events = [update(3, 0)];
+        assert!(counter_monotonic(&events, &tables).is_empty());
     }
 
     #[test]
     fn checker_runs_all_builtins_and_renders() {
         let tables = tiny_tables();
-        let tl = DistributedTimeline::from_events(&[fired(1, 2, 10), flip(1, 2, 9, true)]);
-        // The flip sorts before the firing, so condition-implies-terms
+        let events = [flip(1, 2, 9, true), fired(1, 2, 10)];
+        // The flip precedes the firing, so condition-implies-terms
         // passes; the orphan remote flip still trips delivery.
-        let violations = check_invariants(&tl, &tables);
+        let violations = check_invariants(&events, &tables);
         assert_eq!(violations.len(), 1);
         let text = violations[0].render(&tables);
         assert!(text.contains("remote-term-delivery"), "{text}");
         assert!(text.contains("node#1"), "{text}");
+    }
+
+    #[test]
+    fn causal_slice_pulls_in_the_sender_cascade() {
+        let events = [
+            flip(0, 2, 5, true),
+            sent(0, 2, 6, 1),
+            sent(0, 5, 8, 1),
+            delivered(1, 3, 9, 0),
+            flip(1, 3, 9, true),
+            flip(1, 9, 30, false),
+        ];
+        let slice = causal_slice(&events, NodeId(1), 3);
+        let kinds: Vec<&str> = slice.iter().map(ObsEvent::kind_label).collect();
+        // The retransmission at cascade 5 is not the first send.
+        assert_eq!(kinds, ["term", "ctrl-sent", "ctrl-delivered", "term"]);
     }
 }

@@ -1,18 +1,13 @@
-//! VirtualWire fault analysis engine: cross-node timeline merge,
-//! invariant checking, conformance models, scenario scripts, and
-//! campaign-wide analytics.
+//! VirtualWire fault analysis engine: invariant checking, conformance
+//! models, scenario scripts, and campaign-wide analytics.
 //!
 //! The paper's Fault Analysis Engine counts packets and fires rules
 //! *online*; this crate is the offline half that turns recorded runs
-//! into answers:
+//! into answers. Each reads the run's one timeline,
+//! [`Report::events`](virtualwire::Report::events): every engine's
+//! flight-recorder events, in the order it recorded them, merged by time.
 //!
-//! * **Timeline** ([`DistributedTimeline`]) — merges per-engine flight
-//!   recorder streams into one globally ordered view. Sequenced
-//!   control-plane `(seq, ack)` pairs become happens-before edges, each
-//!   node's `frame_seq` keeps its local causal order, and all ties
-//!   break deterministically, so the merge is byte-stable under any
-//!   permutation of the input events.
-//! * **Invariants** ([`check_invariants`]) — replay the merged timeline
+//! * **Invariants** ([`check_invariants`]) — replay the timeline
 //!   against four rules every correct execution satisfies (conditions
 //!   justified by term state, remote flips backed by deliveries, nothing
 //!   after `STOP`, monotone counters), producing typed [`Violation`]s
@@ -33,7 +28,7 @@
 //!   merged histograms and per-axis breakdowns, with
 //!   [`CampaignReport::diff`] flagging regressions against a baseline.
 //!
-//! See DESIGN.md §5.11 for the merge order's correctness argument and
+//! See DESIGN.md §5.11 for why that order respects happens-before and
 //! §5.14 for the script language and the reference models.
 
 #![forbid(unsafe_code)]
@@ -43,9 +38,7 @@ mod campaign;
 mod invariant;
 mod model;
 pub mod script;
-mod timeline;
 
 pub use campaign::{AxisBreakdown, AxisGroup, CampaignReport, Regression};
 pub use invariant::{check_invariants, Violation};
 pub use model::{conformance_pass, rether_reference, state_events, tcp_reference, ProtocolModel};
-pub use timeline::DistributedTimeline;

@@ -116,9 +116,12 @@ pub struct Report {
     /// Per-node engine hot-path counters, in node-table order:
     /// `(node_name, stats)`.
     pub stats: Vec<(String, EngineStats)>,
-    /// The merged flight-recorder event stream across all engines, in
-    /// time order (empty when engines ran at
-    /// [`ObsLevel::Off`](vw_obs::ObsLevel::Off)).
+    /// The run's distributed timeline: every engine's flight-recorder
+    /// events, non-decreasing in time, each node's in the order its
+    /// engine recorded them (empty when engines ran at
+    /// [`ObsLevel::Off`](vw_obs::ObsLevel::Off)). It respects
+    /// happens-before: a frame takes at least 1 ns to cross a link, so a
+    /// control delivery is stamped after the send it answers.
     pub events: Vec<ObsEvent>,
     /// The run's compiled tables (the runner's own handle, not a copy):
     /// where renders read node, filter and counter names and the scenario.

@@ -264,16 +264,13 @@ impl Runner {
             ))
         }));
 
-        // The merge is stable, so same-time events keep their per-node
-        // causal order. The analysis layer re-derives per-node streams
-        // from this merge, so both sides must share the same primitive.
-        // A run that recorded nothing skips gathering the streams.
-        let events = if installed().any(|(_, e)| !e.events().is_empty()) {
-            let streams: Vec<&[ObsEvent]> = installed().map(|(_, e)| e.events()).collect();
-            vw_obs::merge_by_time(&streams)
-        } else {
-            Vec::new()
-        };
+        // The run's one timeline (see `Report::events`): the engines'
+        // streams in node order, stably sorted by time, so same-time
+        // events keep their engine's order.
+        let recorded = installed().map(|(_, e)| e.events().len()).sum();
+        let mut events = Vec::with_capacity(recorded);
+        events.extend(installed().flat_map(|(_, e)| e.events().iter().copied()));
+        events.sort_by_key(|e: &ObsEvent| e.time);
 
         Report {
             stop,

@@ -41,6 +41,8 @@ struct EngineView {
     stats: EngineStats,
     counters: Vec<Option<i64>>,
     events: Vec<ObsEvent>,
+    /// The node's events as the run's timeline holds them, in its order.
+    in_timeline: Vec<ObsEvent>,
 }
 
 /// Runs `tables` on three hosts whose control plane loses a fifth of its
@@ -69,7 +71,8 @@ fn run(tables: TableSet, seed: u64, obs: ObsLevel, port: u16) -> (Vec<EngineView
         world.add_protocol(nodes[0], ipv4, Box::new(flooder));
         (to, sink)
     });
-    runner.run(&mut world, SimDuration::from_secs(1));
+    let report = runner.run(&mut world, SimDuration::from_secs(1));
+    let timeline = &report.events;
 
     let views = tables
         .nodes
@@ -78,12 +81,14 @@ fn run(tables: TableSet, seed: u64, obs: ObsLevel, port: u16) -> (Vec<EngineView
             let engine = runner
                 .engine(&world, &node.name)
                 .expect("an engine per node");
+            let id = tables.node_by_name(&node.name).expect("a node id");
             EngineView {
                 stats: engine.stats(),
                 counters: (0..tables.counters.len())
                     .map(|c| engine.counter(vw_fsl::CounterId(c as u16)))
                     .collect(),
                 events: engine.events().to_vec(),
+                in_timeline: timeline.iter().filter(|e| e.node == id).copied().collect(),
             }
         })
         .collect();
@@ -112,6 +117,36 @@ fn runners_sharing_one_table_set_on_one_thread_match_fresh_compiles() {
             let (views, _) = &shared;
             assert!(views[1].stats.drops > 0 && views[2].stats.drops > 0);
             assert_eq!(views[0].events.is_empty(), obs == ObsLevel::Off);
+        }
+    }
+}
+
+/// The run's timeline holds each node's events in the order its engine
+/// recorded them. With a lossy control plane a node can record two flips
+/// of one term in one cascade, true then false, at one instant; a timeline
+/// that re-sorted a node's events by their payload put the false first and
+/// so ended the term on the wrong value.
+#[test]
+fn each_node_keeps_its_engines_order_in_the_timeline() {
+    let tables = compile_script(SCRIPT).unwrap();
+    for seed in [1, 2, 3] {
+        let (views, _) = run(TableSet::clone(&tables), seed, ObsLevel::Full, 0x6363);
+        for (node, view) in tables.nodes.iter().zip(&views) {
+            assert!(
+                !view.events.is_empty(),
+                "seed {seed}: {} recorded nothing",
+                node.name
+            );
+            let first_apart = view
+                .in_timeline
+                .iter()
+                .zip(&view.events)
+                .position(|(a, b)| a != b);
+            assert!(
+                view.in_timeline.len() == view.events.len() && first_apart.is_none(),
+                "seed {seed}: {}'s events leave its engine's order at {first_apart:?}",
+                node.name
+            );
         }
     }
 }

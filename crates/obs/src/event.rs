@@ -162,24 +162,6 @@ impl ProtoAspect {
             ProtoAspect::TokenRegenerated => "token-regenerated",
         }
     }
-
-    /// A stable small integer for canonical ordering (timeline merge) and
-    /// digest folding.
-    pub fn code(self) -> u32 {
-        match self {
-            ProtoAspect::CcPhase => 0,
-            ProtoAspect::Cwnd => 1,
-            ProtoAspect::Ssthresh => 2,
-            ProtoAspect::FastRetransmit => 3,
-            ProtoAspect::RtoTimeout => 4,
-            ProtoAspect::TokenReceived => 5,
-            ProtoAspect::TokenPassed => 6,
-            ProtoAspect::TokenAcked => 7,
-            ProtoAspect::TokenRetransmit => 8,
-            ProtoAspect::RingReconfigured => 9,
-            ProtoAspect::TokenRegenerated => 10,
-        }
-    }
 }
 
 impl fmt::Display for ProtoAspect {
@@ -355,19 +337,6 @@ impl ObsEvent {
     }
 }
 
-/// Merges per-engine event streams into one time-ordered view.
-///
-/// The sort is stable, so events recorded at the same instant keep their
-/// per-stream (= per-node causal) order, and streams are concatenated in
-/// the order given, so the merge is deterministic for a fixed stream
-/// list. This is the hook report assembly and the analysis layer share:
-/// both views of "the run's events" come from the same merge.
-pub fn merge_by_time(streams: &[&[ObsEvent]]) -> Vec<ObsEvent> {
-    let mut merged: Vec<ObsEvent> = streams.iter().flat_map(|s| s.iter().copied()).collect();
-    merged.sort_by_key(|e| e.time);
-    merged
-}
-
 /// The causal chain of one classification: every event a single frame's
 /// processing produced at one node, in causal order.
 #[derive(Debug, Clone)]
@@ -502,23 +471,6 @@ mod tests {
         };
         let line = unknown.render(&tables);
         assert!(line.contains("node#9") && line.contains("counter#7"));
-    }
-
-    #[test]
-    fn merge_by_time_is_stable_per_stream() {
-        let a = [ev(0, 1, 10), ev(0, 2, 10), ev(0, 3, 30)];
-        let b = [ev(1, 1, 10), ev(1, 2, 20)];
-        let merged = merge_by_time(&[&a, &b]);
-        assert_eq!(merged.len(), 5);
-        assert!(merged.windows(2).all(|w| w[0].time <= w[1].time));
-        // Same-time events keep stream order: all of a's t=10 events
-        // precede b's, and a's #1 precedes a's #2.
-        let seqs_at_10: Vec<(u16, u64)> = merged
-            .iter()
-            .filter(|e| e.time == SimTime::from_nanos(10))
-            .map(|e| (e.node.0, e.frame_seq))
-            .collect();
-        assert_eq!(seqs_at_10, vec![(0, 1), (0, 2), (1, 1)]);
     }
 
     #[test]

@@ -33,9 +33,7 @@ mod metrics;
 pub mod pcap;
 mod window;
 
-pub use event::{
-    merge_by_time, CausalChain, ObsActionKind, ObsEvent, ObsKind, ObsLevel, ProtoAspect,
-};
+pub use event::{CausalChain, ObsActionKind, ObsEvent, ObsKind, ObsLevel, ProtoAspect};
 pub use metrics::{labeled_key, Histogram, Metric, MetricsRegistry};
 /// The workspace's one JSON string escaper, re-exported for crates that
 /// write JSON beside a [`MetricsRegistry`] without a `vw-trace` edge.

@@ -693,12 +693,23 @@ fn a_stop_at_the_last_line_leaves_nothing_to_re_run() {
 
 /// A daemon on `state` with one worker, 2-instance shards, and a
 /// `counted_flood` setup that counts the worlds it builds in `built`.
-fn counted_daemon(state: &Path, sock: &Path, built: &Arc<AtomicUsize>) -> Daemon {
+/// With a `gate`, every setup first waits until the gate's sender is
+/// dropped.
+fn counted_daemon(
+    state: &Path,
+    sock: &Path,
+    built: &Arc<AtomicUsize>,
+    gate: Option<std::sync::mpsc::Receiver<()>>,
+) -> Daemon {
     let built = Arc::clone(built);
+    let gate = gate.map(std::sync::Mutex::new);
     let mut registry = SetupRegistry::builtin();
     registry.register(
         "counted_flood",
         move |tables: &vw_fsl::TableSet, run: &vw_campaign::RunConfig| {
+            if let Some(gate) = &gate {
+                let _ = gate.lock().unwrap().recv();
+            }
             built.fetch_add(1, Ordering::SeqCst);
             common::flood_setup(tables, run)
         },
@@ -729,7 +740,7 @@ fn a_campaign_resumed_after_a_torn_tail_is_complete_on_the_next_restart() {
     let log = state.join(log_file_name(&sub.campaign));
 
     let sock = dir.join("one.sock");
-    let daemon = counted_daemon(&state, &sock, &built);
+    let daemon = counted_daemon(&state, &sock, &built, None);
     let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
     client.submit(&sub).expect("submit");
     let (lines, summary) = common::stream_all(&mut client);
@@ -745,7 +756,7 @@ fn a_campaign_resumed_after_a_torn_tail_is_complete_on_the_next_restart() {
     assert!(!torn.complete);
 
     let sock = dir.join("two.sock");
-    let daemon = counted_daemon(&state, &sock, &built);
+    let daemon = counted_daemon(&state, &sock, &built, None);
     let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
     client.attach(&sub.campaign).expect("attach");
     assert_eq!(
@@ -763,7 +774,7 @@ fn a_campaign_resumed_after_a_torn_tail_is_complete_on_the_next_restart() {
     assert!(resumed.complete);
 
     let sock = dir.join("three.sock");
-    let daemon = counted_daemon(&state, &sock, &built);
+    let daemon = counted_daemon(&state, &sock, &built, None);
     let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
     assert_eq!(
         client.attach(&sub.campaign).expect("attach").already_done,
@@ -822,13 +833,17 @@ fn a_log_of_equal_shards_resumes_from_its_header_and_matches_a_direct_run() {
     assert_eq!(old.submission.as_ref(), Some(&sub));
     assert!(old.shards.is_empty() && !old.complete);
 
+    // The resumed daemon builds no world before the client has attached,
+    // so no shard is done by then.
     let sock = dir.join("vw.sock");
-    let daemon = counted_daemon(&state, &sock, &built);
+    let (open, gate) = std::sync::mpsc::channel();
+    let daemon = counted_daemon(&state, &sock, &built, Some(gate));
     let mut client = common::connect_unix_retry(&sock, Duration::from_secs(5));
     assert_eq!(
         client.attach(&sub.campaign).expect("attach").already_done,
         0
     );
+    drop(open);
     assert_eq!(common::stream_all(&mut client), (lines, direct.to_jsonl()));
     daemon.stop();
     assert_eq!(built.load(Ordering::SeqCst), 16, "every instance ran again");

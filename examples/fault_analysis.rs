@@ -1,24 +1,23 @@
-//! The offline half of the Fault Analysis Engine: merge the per-node
-//! flight recorder streams of a three-node distributed run into one
-//! globally ordered timeline, check it against the built-in causal
-//! invariants, and then demonstrate a detection by seeding a violation —
-//! erasing the control-plane deliveries so a remote term flip loses the
-//! message that justified it.
+//! The offline half of the Fault Analysis Engine: print the timeline of a
+//! three-node distributed run (every engine's flight-recorder events,
+//! merged by time), check it against the built-in causal invariants, and
+//! then demonstrate a detection by seeding a violation — erasing the
+//! control-plane deliveries so a remote term flip loses the message that
+//! justified it.
 //!
 //! ```text
 //! cargo run --example fault_analysis
 //! ```
 
 use virtualwire::{compile_script, EngineConfig, ObsEvent, ObsKind, ObsLevel, Runner};
-use vw_analysis::{check_invariants, DistributedTimeline};
+use vw_analysis::check_invariants;
 use vw_netsim::apps::{UdpFlooder, UdpSink};
 use vw_netsim::{Binding, LinkConfig, SimDuration, World};
 use vw_packet::EtherType;
 
 // The Figure 6 pattern: the counter lives on node2, the action it
 // triggers executes on node3 — forcing a TERM_STATUS control message
-// across the wire, which is exactly the happens-before edge the merge
-// needs to order the two engines' streams.
+// across the wire, a happens-before edge between the two engines.
 const SCRIPT: &str = r#"
     FILTER_TABLE
     udp_data: (23 1 0x11), (36 2 0x6363)
@@ -75,22 +74,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let report = runner.run(&mut world, SimDuration::from_secs(1));
 
-    // One globally ordered view of all three engines: control-plane
-    // (seq, ack) pairs become happens-before edges, so node2's term flip
-    // and send come before node3's delivery and FAIL — regardless of how
-    // the per-node streams were interleaved on arrival.
-    let timeline = DistributedTimeline::from_report(&report);
-    println!(
-        "=== merged distributed timeline ({} nodes) ===",
-        timeline.nodes().len()
-    );
-    print!("{}", timeline.render(&report.symbols));
+    // One view of all three engines, ordered by time: a control frame
+    // takes time to cross the wire, so node2's term flip and send come
+    // before node3's delivery and FAIL.
+    println!("=== distributed timeline ===");
+    for event in &report.events {
+        println!("{}", event.render(&report.symbols));
+    }
 
-    let violations = check_invariants(&timeline, &tables);
+    let violations = check_invariants(&report.events, &tables);
     println!("\n=== invariant check (clean run) ===");
     println!(
         "4 invariants over {} events: {} violations",
-        timeline.len(),
+        report.events.len(),
         violations.len()
     );
     assert!(
@@ -108,8 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .filter(|e| !matches!(e.kind, ObsKind::ControlDelivered { .. }))
         .cloned()
         .collect();
-    let doctored_timeline = DistributedTimeline::from_events(&doctored);
-    let seeded = check_invariants(&doctored_timeline, &tables);
+    let seeded = check_invariants(&doctored, &tables);
     println!("\n=== invariant check (deliveries erased) ===");
     for violation in &seeded {
         print!("{}", violation.render(&report.symbols));

@@ -1,5 +1,5 @@
 //! Golden text for everything the flight recorder renders: one line per
-//! event kind, a causal chain, the merged distributed timeline and the
+//! event kind, a causal chain, the run's timeline (`Report::events`) and the
 //! report's `Display` with the chain embedded under its error. The events
 //! come from real runs and are picked by `kind_label`, so this file names
 //! no event constructor and pins the rendered bytes across any reshape of
@@ -7,7 +7,7 @@
 
 use virtualwire::{compile_script, EngineConfig, ObsEvent, ObsLevel, Report, Runner};
 use vw_analysis::script::{evaluate, Script, ScriptVerdict};
-use vw_analysis::{state_events, DistributedTimeline};
+use vw_analysis::state_events;
 use vw_fsl::{NodeId, TableSet};
 use vw_netsim::apps::{UdpFlooder, UdpSink};
 use vw_netsim::{Binding, ControlImpairment, LinkConfig, SimDuration, SimTime, World};
@@ -224,7 +224,11 @@ fn chain_timeline_and_report_render_their_golden_text() {
     let rendered = chain.render(&report.symbols);
     assert_eq!(rendered, golden(GOLDEN_CHAIN), "\n{rendered}");
 
-    let timeline = DistributedTimeline::from_report(&report).render(&report.symbols);
+    let timeline: String = report
+        .events
+        .iter()
+        .map(|e| e.render(&report.symbols) + "\n")
+        .collect();
     assert_eq!(timeline, golden(GOLDEN_TIMELINE), "\n{timeline}");
 
     // The report embeds the chain, unchanged, under its error line.
@@ -279,8 +283,8 @@ engine node1: classified 6 matched 6 rules-scanned 6 index-hits 6 residual 0 max
 engine node2: classified 4 matched 4 rules-scanned 4 index-hits 4 residual 0 max-cascade 0 ctrl-sent 1/31B ctrl-recv 1/300B retx 0 dup-suppressed 0 reorder-buffered 0 stale-degradations 0
 ";
 
-/// The report, the merged timeline and a script verdict each hand out the
-/// cascade of one `(node, frame_seq)`; all three are the same event list.
+/// The report's timeline and a script verdict each hand out the cascade
+/// of one `(node, frame_seq)`; both are the same event list.
 #[test]
 fn explain_seq_timeline_chain_and_verdict_slice_agree() {
     let (report, world, tables) = drop_after_three();
@@ -301,8 +305,6 @@ fn explain_seq_timeline_chain_and_verdict_slice_agree() {
 
     let seq = dropped.frame_seq + 1;
     assert_eq!(&report.explain_seq(node1, seq).events, causal);
-    let timeline = DistributedTimeline::from_report(&report);
-    assert_eq!(&timeline.chain(node1, seq).events, causal);
     assert_eq!(
         report.explain_seq(node1, seq).kind_labels(),
         ["classified", "counter", "term"]
