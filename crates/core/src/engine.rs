@@ -44,6 +44,7 @@ use vw_fsl::{
 use vw_netsim::{Context, Hook, SimDuration, SimTime, Verdict};
 use vw_obs::{Histogram, ObsActionKind, ObsEvent, ObsKind, ObsLevel};
 use vw_packet::{EtherType, Frame, MacAddr, MacMap};
+use vw_rll::window::{ReceiverWindow, RecvAction, SendAction, SenderWindow};
 
 use crate::classify::{Classification, ClassifierMode, ClassifierScratch};
 use crate::plan::{dispatch_slot, InstallPlan};
@@ -227,7 +228,8 @@ engine_stats! {
     max_cascade_depth: u32 => HighWater,
     /// Control messages retransmitted (unacknowledged past their RTO).
     control_retransmits: u64 => Counter,
-    /// Sequenced control messages suppressed as duplicates.
+    /// Sequenced control messages suppressed as duplicates, or refused
+    /// for arriving beyond the reorder window.
     control_dup_suppressed: u64 => Counter,
     /// Sequenced control messages parked in the reorder buffer because
     /// they arrived ahead of a gap.
@@ -266,27 +268,24 @@ const MAX_UNACKED: usize = 1024;
 /// Receiver-side reorder window: sequenced messages more than this far
 /// ahead of the next expected sequence number are refused.
 const REORDER_WINDOW: u32 = 1024;
+/// Wire seq 0 marks an unsequenced control frame, so a window's sequence
+/// number `n` travels as wire seq `n + 1`. The wire's cumulative ack `k`
+/// ("wire seqs up to `k` arrived") is the receiver's `expected()` as is.
+const WIRE_SEQ_OFFSET: u32 = 1;
 /// DELAY-action tokens live above this base, clear of the control-plane
 /// tokens.
 const TIMER_DELAY_BASE: u64 = 1 << 32;
 
-/// One sequenced message awaiting acknowledgment.
-#[derive(Debug)]
-struct RetxEntry {
-    seq: u32,
-    msg: ControlMsg,
-    /// When the message was first sent — staleness keys off this.
-    first_sent: SimTime,
-}
-
-/// Sender-side reliability state toward one peer. Retransmission is
+/// Sender-side reliability state toward one peer: the ARQ window of
+/// sequenced messages, each beside the time it was first sent (staleness
+/// keys off that), under the pump's timer policy. Retransmission is
 /// head-of-line: only the oldest unacknowledged message is resent (the
 /// cumulative ack it provokes covers everything the peer already
 /// buffered), with one RTO per peer doubling up to the cap.
 #[derive(Debug)]
 struct PeerTx {
-    next_seq: u32,
-    queue: std::collections::VecDeque<RetxEntry>,
+    /// Never holds a message back: past [`MAX_UNACKED`] the peer is stale.
+    window: SenderWindow<(SimTime, ControlMsg)>,
     rto: SimDuration,
     /// Next retransmission check; `None` while nothing is outstanding.
     next_at: Option<SimTime>,
@@ -297,8 +296,7 @@ struct PeerTx {
 impl PeerTx {
     fn new(initial_rto: SimDuration) -> Self {
         PeerTx {
-            next_seq: 1,
-            queue: std::collections::VecDeque::new(),
+            window: SenderWindow::new(u32::MAX),
             rto: initial_rto,
             next_at: None,
             stale_flagged: false,
@@ -309,7 +307,7 @@ impl PeerTx {
 /// Receiver-side reliability state from one peer.
 #[derive(Debug)]
 struct PeerRx {
-    recv: wire::SequenceReceiver,
+    window: ReceiverWindow<ControlMsg>,
     /// When the current reorder-buffer gap opened; staleness keys off
     /// this.
     gap_since: Option<SimTime>,
@@ -322,9 +320,9 @@ struct PeerRx {
 }
 
 impl PeerRx {
-    fn new(window: u32) -> Self {
+    fn new() -> Self {
         PeerRx {
-            recv: wire::SequenceReceiver::new(window),
+            window: ReceiverWindow::with_window(REORDER_WINDOW),
             gap_since: None,
             frozen: false,
             ack_owed: false,
@@ -785,42 +783,26 @@ impl Engine {
     // Control-plane reliability: sequencing, acks, retransmission
     // ------------------------------------------------------------------
 
-    /// Sends a sequenced control message to `dst`: assigns the peer's
-    /// next sequence number, piggybacks the cumulative ack we owe that
-    /// peer, and enqueues the message for retransmission until acked.
+    /// Sends a sequenced control message to `dst`: offers it to the
+    /// peer's window, which keeps it for retransmission until acked.
     fn send_sequenced(&mut self, ctx: &mut Context<'_>, dst: MacAddr, msg: ControlMsg) {
         let now = ctx.now();
-        let cfg = self.cfg.control;
-        let ack = match self.peer_rx.get_mut(&dst) {
-            Some(rx) => {
-                rx.ack_owed = false;
-                rx.recv.cumulative_ack()
-            }
-            None => 0,
-        };
+        let initial_rto = self.cfg.control.initial_rto;
         let tx = self
             .peer_tx
             .entry(dst)
-            .or_insert_with(|| PeerTx::new(cfg.initial_rto));
-        let seq = tx.next_seq;
-        tx.next_seq += 1;
-        tx.queue.push_back(RetxEntry {
-            seq,
-            msg: msg.clone(),
-            first_sent: now,
-        });
+            .or_insert_with(|| PeerTx::new(initial_rto));
+        let SendAction::Transmit { seq } = tx.window.offer((now, msg.clone())) else {
+            unreachable!("the control plane's send window holds nothing back");
+        };
         if tx.next_at.is_none() {
-            tx.rto = cfg.initial_rto;
-            tx.next_at = Some(now.saturating_add(cfg.initial_rto));
+            tx.rto = initial_rto;
+            tx.next_at = Some(now.saturating_add(initial_rto));
         }
         let next_at = tx.next_at;
-        let overloaded = !tx.stale_flagged && tx.queue.len() > MAX_UNACKED;
-        if overloaded {
-            tx.stale_flagged = true;
-        }
-        let frame = wire::build_sequenced_frame(ctx.mac(), dst, seq, ack, &msg);
-        self.send_control(ctx, frame);
-        self.record_control_sent(now, dst, seq, ack);
+        let overloaded = !tx.stale_flagged && tx.window.in_flight_len() > MAX_UNACKED;
+        tx.stale_flagged |= overloaded;
+        self.transmit_seq(ctx, dst, seq, &msg);
         if overloaded {
             self.flag_stale_sender(ctx, dst);
         }
@@ -830,22 +812,38 @@ impl Engine {
         self.arm_pump_timer(ctx);
     }
 
-    /// Applies a cumulative ack from `src`: drops every covered
-    /// retransmission entry and, if the ack made progress with messages
-    /// still outstanding, resets the peer's RTO.
+    /// Puts `dst`'s message numbered `seq` on the wire, with the
+    /// cumulative ack owed to `dst` riding along.
+    fn transmit_seq(&mut self, ctx: &mut Context<'_>, dst: MacAddr, seq: u32, msg: &ControlMsg) {
+        let (ack, _) = self.settle_ack(dst);
+        let wire_seq = seq + WIRE_SEQ_OFFSET;
+        let frame = wire::build_sequenced_frame(ctx.mac(), dst, wire_seq, ack, msg);
+        self.send_control(ctx, frame);
+        self.record_control_sent(ctx.now(), dst, wire_seq, ack);
+    }
+
+    /// The cumulative ack of `peer`'s messages, now riding a frame to
+    /// `peer`, and whether one was owed (a sequenced message arrived since
+    /// the last ack to `peer` went out).
+    fn settle_ack(&mut self, peer: MacAddr) -> (u32, bool) {
+        self.peer_rx.get_mut(&peer).map_or((0, false), |rx| {
+            (rx.window.expected(), std::mem::take(&mut rx.ack_owed))
+        })
+    }
+
+    /// Applies a cumulative ack from `src` to its window (which ignores a
+    /// stale ack, and a forged or garbled one past the last message sent:
+    /// a control payload carries no checksum) and, if the ack made
+    /// progress with messages still outstanding, resets the peer's RTO.
     fn process_ack(&mut self, src: MacAddr, now: SimTime, ack: u32) {
         let initial_rto = self.cfg.control.initial_rto;
-        // A control payload carries no checksum: an ack past the last
-        // sequence number sent is forged or garbled, and acks nothing.
-        let Some(tx) = self.peer_tx.get_mut(&src).filter(|tx| ack < tx.next_seq) else {
+        let Some(tx) = self.peer_tx.get_mut(&src) else {
             return;
         };
-        let mut progressed = false;
-        while tx.queue.front().is_some_and(|e| e.seq <= ack) {
-            tx.queue.pop_front();
-            progressed = true;
-        }
-        if tx.queue.is_empty() {
+        let base = tx.window.base();
+        tx.window.on_ack(ack);
+        let progressed = tx.window.base() != base;
+        if tx.window.is_idle() {
             tx.next_at = None;
         } else if progressed {
             tx.rto = initial_rto;
@@ -878,23 +876,16 @@ impl Engine {
             if !due {
                 continue;
             }
-            let Some(front) = tx.queue.front() else {
+            let Some((seq, (first_sent, msg))) = tx.window.on_timeout().next() else {
                 tx.next_at = None;
                 continue;
             };
-            if !tx.stale_flagged && now.saturating_since(front.first_sent) >= cfg.staleness {
+            if !tx.stale_flagged && now.saturating_since(*first_sent) >= cfg.staleness {
                 tx.stale_flagged = true;
                 self.flag_stale_sender(ctx, mac);
             }
-            let ack = self.peer_rx.get_mut(&mac).map_or(0, |rx| {
-                rx.ack_owed = false;
-                rx.recv.cumulative_ack()
-            });
-            let frame = wire::build_sequenced_frame(ctx.mac(), mac, front.seq, ack, &front.msg);
-            let retx_seq = front.seq;
             self.stats.control_retransmits += 1;
-            self.send_control(ctx, frame);
-            self.record_control_sent(now, mac, retx_seq, ack);
+            self.transmit_seq(ctx, mac, seq, msg);
             tx.rto = tx.rto.saturating_add(tx.rto).min(cfg.max_rto);
             tx.next_at = Some(now.saturating_add(tx.rto));
         }
@@ -1157,14 +1148,12 @@ impl Engine {
             Err(_) => return, // corrupted/legacy control frame: refuse, never misparse
         };
         let src = frame.src();
-        if cf.ack > 0 {
-            self.process_ack(src, ctx.now(), cf.ack);
-        }
+        self.process_ack(src, ctx.now(), cf.ack);
         self.pump_control(ctx);
-        if cf.seq == 0 {
+        let Some(seq) = cf.seq.checked_sub(WIRE_SEQ_OFFSET) else {
             self.dispatch_control(ctx, src, cf.msg);
             return;
-        }
+        };
 
         // Sequenced message: admit through the per-peer receiver so
         // remote term evaluation stays exactly-once and in-order.
@@ -1175,39 +1164,23 @@ impl Engine {
             return;
         }
         let now = ctx.now();
-        let mut released = std::mem::take(&mut self.scratch_ctrl);
-        released.clear();
-        let delivered_base;
-        {
-            let rx = self
-                .peer_rx
-                .entry(src)
-                .or_insert_with(|| PeerRx::new(REORDER_WINDOW));
-            if rx.frozen {
-                // Degraded peer: its remote terms are frozen; ignore
-                // without acking.
-                self.scratch_ctrl = released;
-                return;
-            }
-            // Released messages carry the consecutive sequence numbers
-            // following the pre-admission cumulative ack; remember the
-            // base so each applied message can be recorded with its seq.
-            delivered_base = rx.recv.cumulative_ack();
-            match rx.recv.admit(cf.seq, cf.msg, &mut released) {
-                wire::Admission::Applied(_) => {}
-                wire::Admission::Buffered => self.stats.control_reorder_buffered += 1,
-                wire::Admission::Duplicate => self.stats.control_dup_suppressed += 1,
-                wire::Admission::Rejected => self.stats.control_dup_suppressed += 1,
-            }
-            if rx.recv.has_gap() {
-                if rx.gap_since.is_none() {
-                    rx.gap_since = Some(now);
-                }
-            } else {
-                rx.gap_since = None;
-            }
-            rx.ack_owed = true;
+        let rx = self.peer_rx.entry(src).or_insert_with(PeerRx::new);
+        if rx.frozen {
+            // Degraded peer: its remote terms are frozen; ignore without
+            // acking.
+            return;
         }
+        // Released messages carry consecutive sequence numbers from the
+        // one expected before this admission.
+        let first = rx.window.expected();
+        let mut released = std::mem::take(&mut self.scratch_ctrl);
+        match rx.window.admit(seq, cf.msg, &mut released) {
+            RecvAction::Deliver { .. } => {}
+            RecvAction::Buffered { .. } => self.stats.control_reorder_buffered += 1,
+            RecvAction::AckOnly { .. } => self.stats.control_dup_suppressed += 1,
+        }
+        rx.gap_since = rx.window.has_gap().then(|| rx.gap_since.unwrap_or(now));
+        rx.ack_owed = true;
         self.recompute_pump_next();
         let recorded_peer = if self.cfg.obs.full() {
             self.peer_node_id(src)
@@ -1218,7 +1191,7 @@ impl Engine {
             if let Some(peer) = recorded_peer {
                 let kind = ObsKind::ControlDelivered {
                     peer,
-                    peer_seq: delivered_base + 1 + i as u32,
+                    peer_seq: first + WIRE_SEQ_OFFSET + i as u32,
                     ack: cf.ack,
                 };
                 self.record(now, kind);
@@ -1228,14 +1201,7 @@ impl Engine {
         self.scratch_ctrl = released;
         // Ack what we've cumulatively received — as a pure Ack frame
         // unless a sequenced send back to this peer already carried it.
-        let owed = match self.peer_rx.get_mut(&src) {
-            Some(rx) if rx.ack_owed => {
-                rx.ack_owed = false;
-                Some(rx.recv.cumulative_ack())
-            }
-            _ => None,
-        };
-        if let Some(ack) = owed {
+        if let (ack, true) = self.settle_ack(src) {
             let frame = wire::build_sequenced_frame(ctx.mac(), src, 0, ack, &ControlMsg::Ack);
             self.send_control(ctx, frame);
         }

@@ -35,13 +35,13 @@
 //! ```
 //!
 //! `COUNTER_UPDATE` and `TERM_STATUS` travel sequenced (seq > 0) so
-//! receivers can dedupe and reorder-buffer them; everything else is
+//! receivers can dedupe and reorder-buffer them (the engine runs each
+//! peer's stream through a `vw_rll::window` ARQ session); everything else is
 //! unsequenced. Old (v1, unsequenced) payloads start with a tag byte in
 //! `1..=7` and are rejected with the typed
 //! [`ControlDecodeError::Legacy`] instead of being misparsed.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -483,98 +483,6 @@ pub fn parse_frame(frame: &Frame) -> Result<ControlMsg, ParseError> {
     parse_control(frame)
         .map(|cf| cf.msg)
         .map_err(ParseError::from)
-}
-
-// ---------------------------------------------------------------------
-// Receiver-side sequencing: dedupe + reorder buffer + cumulative ack
-// ---------------------------------------------------------------------
-
-/// What [`SequenceReceiver::admit`] did with a sequenced message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// The message (and `n - 1` previously buffered successors) were
-    /// released in order.
-    Applied(usize),
-    /// Out of order: buffered until the gap before it fills.
-    Buffered,
-    /// Already delivered or already buffered: suppressed.
-    Duplicate,
-    /// Beyond the reorder window: refused (bounds buffer memory against
-    /// a peer that jumps its sequence space).
-    Rejected,
-}
-
-/// Per-peer receive state for sequenced control messages: exactly-once,
-/// in-order delivery over a duplicating, reordering wire.
-///
-/// Sequence numbers start at 1 and are monotone per sender;
-/// [`SequenceReceiver::cumulative_ack`] names the highest seq below which
-/// everything has been delivered (0 = nothing yet). The type is pure —
-/// no clocks, no I/O — so property tests can drive it with arbitrary
-/// interleavings.
-#[derive(Debug, Clone)]
-pub struct SequenceReceiver {
-    next: u32,
-    window: u32,
-    pending: BTreeMap<u32, ControlMsg>,
-}
-
-impl Default for SequenceReceiver {
-    fn default() -> Self {
-        SequenceReceiver::new(1024)
-    }
-}
-
-impl SequenceReceiver {
-    /// A fresh receiver expecting seq 1, buffering at most `window`
-    /// out-of-order messages ahead of the next expected seq.
-    pub fn new(window: u32) -> Self {
-        SequenceReceiver {
-            next: 1,
-            window: window.max(1),
-            pending: BTreeMap::new(),
-        }
-    }
-
-    /// Admits one sequenced message. In-order deliverable messages (the
-    /// admitted one plus any buffered successors it unblocks) are pushed
-    /// onto `out` in sequence order.
-    pub fn admit(&mut self, seq: u32, msg: ControlMsg, out: &mut Vec<ControlMsg>) -> Admission {
-        if seq < self.next || self.pending.contains_key(&seq) {
-            return Admission::Duplicate;
-        }
-        if seq >= self.next.saturating_add(self.window) {
-            return Admission::Rejected;
-        }
-        if seq != self.next {
-            self.pending.insert(seq, msg);
-            return Admission::Buffered;
-        }
-        out.push(msg);
-        self.next += 1;
-        let mut released = 1;
-        while let Some(m) = self.pending.remove(&self.next) {
-            out.push(m);
-            self.next += 1;
-            released += 1;
-        }
-        Admission::Applied(released)
-    }
-
-    /// The cumulative ack: every seq `<=` this value has been delivered.
-    pub fn cumulative_ack(&self) -> u32 {
-        self.next - 1
-    }
-
-    /// `true` while out-of-order messages are waiting on a gap.
-    pub fn has_gap(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
-    /// Number of messages parked in the reorder buffer.
-    pub fn buffered(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -647,8 +647,8 @@ proptest! {
 mod versioned {
     use proptest::prelude::*;
     use virtualwire::wire::{
-        decode_sequenced, encode, encode_sequenced, Admission, ControlDecodeError, ControlMsg,
-        SequenceReceiver, HEADER_LEN, WIRE_MAGIC, WIRE_VERSION,
+        decode_sequenced, encode, encode_sequenced, ControlDecodeError, ControlMsg, HEADER_LEN,
+        WIRE_MAGIC, WIRE_VERSION,
     };
     use vw_fsl::{CounterId, NodeId, TermId};
 
@@ -752,89 +752,7 @@ mod versioned {
         ));
     }
 
-    fn updates(n: u32) -> Vec<ControlMsg> {
-        (0..n)
-            .map(|i| ControlMsg::CounterUpdate {
-                counter: CounterId((i % 5) as u16),
-                value: i64::from(i),
-            })
-            .collect()
-    }
-
     proptest! {
-        /// The receiver's exactly-once, in-order contract: any
-        /// interleaving of duplicated and reordered sequenced messages
-        /// yields the same applied sequence as clean in-order delivery.
-        #[test]
-        fn interleavings_converge_to_in_order_delivery(
-            n in 1u32..24,
-            shuffle in proptest::collection::vec(any::<u32>(), 0..64),
-            dup_mask in any::<u64>(),
-        ) {
-            let msgs = updates(n);
-            // Build an arrival order: a shuffled copy of 1..=n (driven by
-            // the `shuffle` entropy) with some seqs delivered twice.
-            let mut order: Vec<u32> = (1..=n).collect();
-            for (i, &s) in shuffle.iter().enumerate() {
-                let a = i % order.len();
-                let b = (s as usize) % order.len();
-                order.swap(a, b);
-            }
-            let dups: Vec<u32> = order
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| dup_mask & (1 << (i % 64)) != 0)
-                .map(|(_, &s)| s)
-                .collect();
-            order.extend(dups);
-
-            let mut rx = SequenceReceiver::new(64);
-            let mut applied = Vec::new();
-            let mut out = Vec::new();
-            for &seq in &order {
-                out.clear();
-                let adm = rx.admit(seq, msgs[(seq - 1) as usize].clone(), &mut out);
-                if let Admission::Applied(k) = adm {
-                    prop_assert_eq!(k, out.len());
-                }
-                applied.append(&mut out);
-            }
-            // Every message applied exactly once, in sequence order.
-            prop_assert_eq!(&applied, &msgs);
-            prop_assert_eq!(rx.cumulative_ack(), n);
-            prop_assert!(!rx.has_gap());
-        }
-
-        /// Duplicates are always suppressed: re-admitting any already
-        /// delivered sequence number releases nothing.
-        #[test]
-        fn duplicates_release_nothing(n in 1u32..16, dup in 1u32..16) {
-            let msgs = updates(n.max(dup));
-            let mut rx = SequenceReceiver::new(64);
-            let mut out = Vec::new();
-            for seq in 1..=n {
-                rx.admit(seq, msgs[(seq - 1) as usize].clone(), &mut out);
-            }
-            out.clear();
-            if dup <= n {
-                let adm = rx.admit(dup, msgs[(dup - 1) as usize].clone(), &mut out);
-                prop_assert_eq!(adm, Admission::Duplicate);
-                prop_assert!(out.is_empty());
-            }
-        }
-
-        /// Messages beyond the reorder window are refused, bounding
-        /// buffer memory against a peer that jumps its sequence space.
-        #[test]
-        fn window_overflow_is_rejected(jump in 64u32..10_000) {
-            let mut rx = SequenceReceiver::new(8);
-            let mut out = Vec::new();
-            let adm = rx.admit(1 + 8 + jump, ControlMsg::Ack, &mut out);
-            prop_assert_eq!(adm, Admission::Rejected);
-            prop_assert!(out.is_empty());
-            prop_assert_eq!(rx.buffered(), 0);
-        }
-
         /// Truncating a versioned payload anywhere never panics and —
         /// except at full length — never succeeds.
         #[test]

@@ -8,10 +8,11 @@
 //! guarantees delivery of every frame handed to it.
 //!
 //! This crate implements that layer as a [`RllHook`] for the simulator's
-//! hook chain, built on pure go-back-N [`window`] state machines and a
-//! checksummed [`wire`] format (the checksum stands in for the Ethernet FCS
-//! so corrupted frames are detected and retransmitted rather than silently
-//! delivered).
+//! hook chain and a checksummed [`wire`] format (the checksum stands in for
+//! the Ethernet FCS so corrupted frames are detected and retransmitted
+//! rather than silently delivered). The hook runs go-back-N on [`window`],
+//! the workspace's one sans-IO ARQ core, which the engine's control plane
+//! runs too, with a reorder window.
 //!
 //! # Example
 //!
