@@ -220,3 +220,38 @@ fn stats_account_for_duplicates() {
     );
     assert_eq!(stats.delivered, 20);
 }
+
+#[test]
+fn a_session_recovers_after_a_give_up() {
+    // The peer goes dark long enough for the sender to give frame 1 up.
+    // The frames after it must still get through: the sender's numbering
+    // moved past the abandoned frame, and the peer has to move with it.
+    let mut world = World::new(71);
+    let (a, b, ha, hb) = rll_pair(
+        &mut world,
+        LinkConfig::fast_ethernet(),
+        RllConfig {
+            max_retries: 3,
+            rto: SimDuration::from_millis(1),
+            ..RllConfig::default()
+        },
+    );
+    let rec = world.add_protocol(b, Binding::All, Box::new(TagRecorder::default()));
+    let (mac_a, mac_b) = (world.host_mac(a), world.host_mac(b));
+    world.inject_from_stack(a, tag_frame(mac_a, mac_b, 0));
+    world.run_for(SimDuration::from_millis(10));
+    world.set_host_failed(b, true);
+    world.inject_from_stack(a, tag_frame(mac_a, mac_b, 1));
+    world.run_for(SimDuration::from_millis(50));
+    world.set_host_failed(b, false);
+    for i in 2..5 {
+        world.inject_from_stack(a, tag_frame(mac_a, mac_b, i));
+    }
+    world.run_for(SimDuration::from_millis(100));
+    let tags = &world.protocol::<TagRecorder>(b, rec).unwrap().tags;
+    let sent = world.hook::<RllHook>(a, ha).unwrap().stats();
+    let got = world.hook::<RllHook>(b, hb).unwrap().stats();
+    assert_eq!(*tags, vec![0, 2, 3, 4], "sender {sent:?}, receiver {got:?}");
+    assert_eq!(sent.gave_up, 1);
+    assert_eq!(got.delivered, 4);
+}
