@@ -63,6 +63,22 @@ if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { print FIL
     exit 1
 fi
 
+# One-ARQ gate: both reliable channels, the RLL and the control plane,
+# run on the one ARQ core in vw_rll::window. The engine and the control
+# wire format keep no queue or reorder buffer of their own (outside their
+# tests), and the engine's old private copy is not named anywhere.
+echo "==> one-arq gate"
+if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { print FILENAME ":" FNR ": " $0 }' \
+    crates/core/src/engine.rs crates/core/src/wire.rs |
+    grep -E 'VecDeque|BTreeMap'; then
+    echo "a second ARQ queue in the engine: sequence through vw_rll::window"
+    exit 1
+fi
+if grep -rnE 'SequenceReceiver|RetxEntry' crates tests examples; then
+    echo "the engine's old ARQ copy: use vw_rll::window::{SenderWindow, ReceiverWindow}"
+    exit 1
+fi
+
 # Dispatch gate: a handler is called where it lives (World::host_ctx
 # borrows it beside the context) and its effects go on the world's one
 # effect stack; nothing takes a handler out of its slot or pools effect
@@ -290,7 +306,7 @@ fi
 # The size simplicity PRs quote, and its ratchet: lines of every
 # crates/*/src/**/*.rs up to its first #[cfg(test)]. A change that needs
 # more raises the ceiling in its own diff.
-NON_TEST_LINES_CEILING=27143
+NON_TEST_LINES_CEILING=27119
 echo "==> non-test source lines"
 non_test_lines=$(find crates/*/src -name '*.rs' -print0 | sort -z |
     xargs -0 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ }
