@@ -10,23 +10,12 @@ use crate::event::EventQueue;
 use crate::id::{DeviceId, HandlerRef, TimerId};
 use crate::time::{SimDuration, SimTime};
 
-/// Who is currently being dispatched, which determines how emitted frames
-/// are routed through the hook chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CtxOrigin {
-    /// A protocol handler: [`Context::send`] enters the chain at the stack
-    /// end.
-    Protocol,
-    /// The hook at this chain index: [`Context::send`] continues wire-ward
-    /// from it, [`Context::deliver_up`] continues stack-ward.
-    Hook(usize),
-}
-
 /// A deferred side effect collected during a handler call and applied by the
 /// [`World`](crate::World) afterwards.
 #[derive(Debug)]
 pub(crate) enum Effect {
-    /// Send a frame toward the wire (routed by origin).
+    /// Send a frame toward the wire: from a protocol into the chain's
+    /// stack end, from a hook on past it.
     Send { frame: Frame, after: SimDuration },
     /// Deliver a frame toward the protocol stack (hooks only).
     DeliverUp { frame: Frame, after: SimDuration },

@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
 use vw_packet::{Frame, MacAddr, MacMap};
 
@@ -62,7 +61,7 @@ pub struct PortStats {
 /// A simulated end host: one NIC, a chain of hooks, and a set of protocol
 /// handlers.
 pub(crate) struct Host {
-    pub name: Rc<str>,
+    pub name: Box<str>,
     pub mac: MacAddr,
     pub ip: Ipv4Addr,
     pub port: Port,
@@ -100,7 +99,7 @@ impl std::fmt::Debug for Host {
 /// A store-and-forward learning switch.
 #[derive(Debug)]
 pub(crate) struct Switch {
-    pub name: Rc<str>,
+    pub name: Box<str>,
     pub ports: Vec<Port>,
     /// MAC learning table: address → port index.
     pub fdb: MacMap<u16>,
@@ -115,7 +114,7 @@ pub(crate) struct Switch {
 /// intended use.
 #[derive(Debug)]
 pub(crate) struct Hub {
-    pub name: Rc<str>,
+    pub name: Box<str>,
     pub ports: Vec<Port>,
 }
 

@@ -20,19 +20,26 @@ pub(crate) enum EventKind {
     },
     /// Deliver a start/poke callback to a handler.
     Start { node: DeviceId, handler: HandlerRef },
-    /// Continue an outbound frame at hook index `idx` of `node`'s chain.
-    OutboundChain {
+    /// A frame's next [`Hop`] on host `node`, due after a charge or an
+    /// effect's delay.
+    Hop {
         node: DeviceId,
-        idx: usize,
+        hop: Hop,
         frame: Frame,
     },
-    /// Continue an inbound frame; the next hook to visit is `next - 1`,
-    /// and `next == 0` delivers to the protocol stack.
-    InboundChain {
-        node: DeviceId,
-        next: usize,
-        frame: Frame,
-    },
+}
+
+/// Where a frame goes next on a host: the one value `World::forward`
+/// routes, now or through the queue.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Hop {
+    /// Into hook `idx`'s `on_outbound`; past the last hook, out of the NIC
+    /// as a host send.
+    Outbound(u32),
+    /// Into hook `next - 1`'s `on_inbound`; at 0, up to the protocols.
+    Inbound(u32),
+    /// Straight to the NIC, past the hooks left (`Context::transmit_raw`).
+    Raw,
 }
 
 /// The event queue: earliest time first, FIFO within a timestamp.
@@ -70,6 +77,12 @@ mod tests {
             handler: HandlerRef::Protocol(crate::id::ProtocolId::from_index(0)),
             token,
         }
+    }
+
+    /// A cell holds an `EventKind`; a frame and its hop fit in 40 bytes.
+    #[test]
+    fn an_event_is_at_most_40_bytes() {
+        assert!(std::mem::size_of::<EventKind>() <= 40);
     }
 
     #[test]

@@ -141,20 +141,19 @@ fn run_bed() -> (World, Vec<DeviceId>) {
 }
 
 fn render(world: &World, hosts: &[DeviceId]) -> String {
-    let trace = world.trace();
     let mut text = String::new();
     let mut refused = Vec::new();
-    for record in trace.records() {
+    for record in world.trace().records() {
         if record.kind == TraceKind::AddrFilterDrop {
             refused.push(record);
         } else {
-            writeln!(text, "{}", trace.render_record(record)).unwrap();
+            writeln!(text, "{}", world.render_trace_record(record)).unwrap();
         }
     }
-    refused.sort_by_key(|r| (r.time, r.device, trace.render_record(r)));
+    refused.sort_by_key(|r| (r.time, r.device, world.render_trace_record(r)));
     text.push_str("-- addr-filter-drop, by (time, device, text) --\n");
     for record in refused {
-        writeln!(text, "{}", trace.render_record(record)).unwrap();
+        writeln!(text, "{}", world.render_trace_record(record)).unwrap();
     }
     for &h in hosts {
         let chatter = world.find_protocol::<Chatter>(h).expect("installed");

@@ -500,7 +500,7 @@ fn identical_seeds_produce_identical_traces() {
         );
         world.add_protocol(a, Binding::EtherType(EtherType::IPV4), Box::new(pinger));
         world.run_for(SimDuration::from_millis(100));
-        world.trace().render()
+        world.render_trace()
     };
     assert_eq!(run(99), run(99));
     // And the trace is not trivially empty.
@@ -670,7 +670,7 @@ fn a_switch_traces_the_frame_it_filters() {
         .iter()
         .filter(|r| r.device == sw && r.frame.as_ref() == Some(&looped))
         .collect();
-    assert_eq!(at_switch.len(), 1, "{}", world.trace().render());
+    assert_eq!(at_switch.len(), 1, "{}", world.render_trace());
     assert_eq!(at_switch[0].kind, TraceKind::SwitchFilter);
     assert_eq!(at_switch[0].note, "destination on ingress port 0");
 }
@@ -713,7 +713,7 @@ fn a_hub_copy_the_address_filter_refuses_is_not_an_event() {
     let received = times_of(&world, TraceKind::HostRecv, b);
     assert_eq!(received.len(), 1);
     let refused: Vec<_> = world.trace().of_kind(TraceKind::AddrFilterDrop).collect();
-    assert_eq!(refused.len(), 1, "{}", world.trace().render());
+    assert_eq!(refused.len(), 1, "{}", world.render_trace());
     assert_eq!(refused[0].device, c);
     assert_eq!(refused[0].note, "not addressed to host");
     // Both copies leave the hub together and cross links alike.
@@ -741,7 +741,7 @@ fn a_refused_control_frame_and_its_duplicate_are_two_records() {
     // c refuses both, the original first and then the copy 1 ns later:
     // the order in which their arrivals would have popped.
     let refused = times_of(&world, TraceKind::AddrFilterDrop, c);
-    assert_eq!(refused, received, "{}", world.trace().render());
+    assert_eq!(refused, received, "{}", world.render_trace());
     assert_eq!(
         refused[1],
         refused[0].saturating_add(SimDuration::from_nanos(1))
@@ -762,7 +762,7 @@ fn a_frame_sent_on_a_port_without_a_link_is_traced() {
         kinds,
         [TraceKind::HostSend, TraceKind::LinkLoss],
         "{}",
-        world.trace().render()
+        world.render_trace()
     );
     let lost = records[1];
     assert_eq!((lost.device, lost.time), (a, SimTime::ZERO));

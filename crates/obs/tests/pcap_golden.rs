@@ -46,7 +46,7 @@ fn golden_header_and_one_record() {
 
 #[test]
 fn trace_sink_round_trip_byte_for_byte() {
-    let mut sink = TraceSink::new();
+    let mut sink = TraceSink::default();
     let frames = [
         frame(1, 2, EtherType::IPV4, &[0u8; 46]),
         frame(3, 1, EtherType::VW_CONTROL, &[0x11; 7]),

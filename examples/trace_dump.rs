@@ -90,9 +90,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .as_ref()
             .is_some_and(|f| f.udp().is_some_and(|u| u.dst_port() == 0x6363));
         if is_udp {
-            // render_record resolves device ids to topology names
-            // (node1/node2/sw0) via the sink's registry.
-            println!("{}", world.trace().render_record(record));
+            // The world renders a record with its own device and hook
+            // names (node1/node2/sw0).
+            println!("{}", world.render_trace_record(record));
         }
     }
 
