@@ -2,8 +2,11 @@
 //! under loss and corruption, bypass semantics, give-up behavior.
 
 use vw_netsim::apps::{UdpFlooder, UdpSink};
-use vw_netsim::{Binding, Context, ErrorModel, LinkConfig, Protocol, SimDuration, World};
+use vw_netsim::{
+    Binding, Context, ErrorModel, LinkConfig, Protocol, SimDuration, TraceKind, World,
+};
 use vw_packet::{EtherType, EthernetBuilder, Frame, MacAddr};
+use vw_rll::wire::{self, RllOpcode};
 use vw_rll::{RllConfig, RllHook};
 
 /// Records payload tags of received frames on a custom ethertype.
@@ -254,4 +257,35 @@ fn a_session_recovers_after_a_give_up() {
     assert_eq!(*tags, vec![0, 2, 3, 4], "sender {sent:?}, receiver {got:?}");
     assert_eq!(sent.gave_up, 1);
     assert_eq!(got.delivered, 4);
+}
+
+#[test]
+fn an_ack_sent_after_a_charge_is_traced_as_a_raw_emit() {
+    // An ACK is a link-level frame: charged for or not, it goes straight
+    // to the NIC as a `HookEmit`, never as a `HostSend`, the kind an
+    // `expect send` script counts.
+    let mut world = World::new(5);
+    let config = RllConfig {
+        cost_per_frame: SimDuration::from_nanos(300),
+        ..RllConfig::default()
+    };
+    let (a, b, ha, hb) = rll_pair(&mut world, LinkConfig::fast_ethernet(), config);
+    let (mac_a, mac_b) = (world.host_mac(a), world.host_mac(b));
+    for i in 0..5 {
+        world.inject_from_stack(a, tag_frame(mac_a, mac_b, i));
+        world.inject_from_stack(b, tag_frame(mac_b, mac_a, i));
+    }
+    world.run_for(SimDuration::from_millis(20));
+    let acks_as = |kind| {
+        let ack = |f: &Frame| wire::parse(f).is_ok_and(|(shim, _)| shim.opcode == RllOpcode::Ack);
+        let records = world.trace().of_kind(kind);
+        records
+            .filter(|r| r.frame.as_ref().is_some_and(ack))
+            .count() as u64
+    };
+    let stats = |node, hook| world.hook::<RllHook>(node, hook).unwrap().stats();
+    let acks_sent = stats(a, ha).acks_sent + stats(b, hb).acks_sent;
+    assert!(acks_sent >= 10, "{acks_sent} acks");
+    assert_eq!(acks_as(TraceKind::HostSend), 0);
+    assert_eq!(acks_as(TraceKind::HookEmit), acks_sent);
 }
