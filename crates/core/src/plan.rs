@@ -1,11 +1,11 @@
 //! What an engine derives from its tables when it installs them, built
 //! once per table set per thread.
 //!
-//! The classifier, the counter dispatch and the node identities are
-//! functions of `(tables, classifier mode, node id)` alone, so the engines
-//! of a campaign's instances — the control node on its program point's
-//! tables, every peer on the set its thread decoded off the wire — would
-//! each rebuild the same ones. An [`InstallPlan`] holds them, immutable
+//! The classifier and the counter dispatch are functions of `(tables,
+//! classifier mode, node id)` alone, so the engines of a campaign's
+//! instances — the control node on its program point's tables, every peer
+//! on the set its thread decoded off the wire — would each rebuild the
+//! same ones. An [`InstallPlan`] holds them, immutable
 //! and shared; a thread keeps the plans it built, keyed by the identity of
 //! the table allocation. It names that allocation weakly: a finished
 //! campaign's tables drop with their last owner, and the plans built for
@@ -15,7 +15,6 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use vw_fsl::{CompiledCounterKind, CounterId, Dir, FilterId, NodeId, TableSet, WeakTableSet};
-use vw_packet::MacAddr;
 
 use crate::classify::{Classifier, ClassifierMode};
 
@@ -33,8 +32,6 @@ pub(crate) struct InstallPlan {
     /// per-packet scan of the whole counter table. Empty when no packet
     /// counter is homed here.
     pub(crate) counter_dispatch: Vec<Vec<CounterId>>,
-    /// Every scripted node's MAC and name, indexed by [`NodeId`].
-    pub(crate) nodes: Vec<(MacAddr, String)>,
     /// Length of the `Init` frames sent from these tables, once the first
     /// has been built; 0 before.
     pub(crate) init_frame_len: Cell<usize>,
@@ -70,7 +67,6 @@ impl InstallPlan {
             let plan = Rc::new(InstallPlan {
                 classifier: Classifier::build(mode, tables),
                 counter_dispatch: build_counter_dispatch(tables, me),
-                nodes: node_identities(tables),
                 init_frame_len: Cell::new(0),
             });
             plans.push(Cached {
@@ -107,13 +103,4 @@ fn build_counter_dispatch(tables: &TableSet, me: NodeId) -> Vec<Vec<CounterId>> 
         }
     }
     dispatch
-}
-
-/// Every scripted node's MAC and name, in node-table order.
-fn node_identities(tables: &TableSet) -> Vec<(MacAddr, String)> {
-    tables
-        .nodes
-        .iter()
-        .map(|n| (n.mac, n.name.clone()))
-        .collect()
 }
