@@ -47,7 +47,8 @@ pub struct RllStats {
     pub delivered: u64,
     /// Duplicate/out-of-order DATA frames discarded.
     pub discarded: u64,
-    /// Frames arriving corrupted (checksum failure) and treated as lost.
+    /// Frames arriving corrupted (checksum failure, or a unicast frame
+    /// from a session peer that is not RLL) and treated as lost.
     pub corrupted: u64,
     /// Frames abandoned after `max_retries` consecutive timeouts.
     pub gave_up: u64,
@@ -197,6 +198,13 @@ impl Hook for RllHook {
     fn on_inbound(&mut self, ctx: &mut Context<'_>, frame: Frame) -> Verdict {
         ctx.charge(self.config.cost_per_frame);
         if frame.ethertype() != vw_packet::EtherType::RLL {
+            // A session peer sends this host nothing but RLL frames, so a
+            // unicast one that is not is an RLL frame whose EtherType the
+            // wire garbled: lost, and the sender retransmits it.
+            if frame.dst() == ctx.mac() && self.peers.contains_key(&frame.src()) {
+                self.stats.corrupted += 1;
+                return Verdict::Consume;
+            }
             // Broadcast bypass traffic or a host without RLL peering.
             self.stats.bypassed += 1;
             return Verdict::Accept(frame);

@@ -164,3 +164,16 @@ fn a_mangling_hook_under_the_rll_delivers_exactly_once_in_order() {
     }
     assert!(discarded > 0, "no seed made the RLL discard a duplicate");
 }
+
+/// Seed 2 flips a bit in the EtherType of one RLL frame each way. The
+/// receiver knows its sender, so the frame is counted corrupted and
+/// retransmitted, not passed up as foreign traffic.
+#[test]
+fn a_frame_whose_ethertype_the_wire_garbled_is_retransmitted_not_bypassed() {
+    let sent: Vec<u8> = (0..FRAMES).collect();
+    for (host, (tags, stats)) in run(2).into_iter().enumerate() {
+        assert_eq!(stats.bypassed, 0, "host {host}: {stats:?}");
+        assert!(stats.corrupted > 0, "host {host}: {stats:?}");
+        assert_eq!(tags, sent, "host {host}: {stats:?}");
+    }
+}
