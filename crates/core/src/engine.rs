@@ -37,6 +37,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use rand::rngs::StdRng;
 use vw_fsl::{
     ActionId, CompiledActionKind, CompiledCounterKind, CompiledOperand, CondId, CounterId,
     CounterOp, Dir, Fault, ModifyPattern, NodeId, TableSet, TermId,
@@ -330,6 +331,43 @@ impl PeerRx {
     }
 }
 
+/// Everything the engine takes from its host. The simulator's context
+/// forwards each call; a test can drive an [`Engine`] through a recorder.
+/// Generic, never `dyn`: the packet path is monomorphised per host type.
+pub trait EngineIo {
+    /// The current simulated time.
+    fn now(&self) -> SimTime;
+    /// This host's MAC address.
+    fn mac(&self) -> MacAddr;
+    /// Charges CPU time: it delays the frame and every later effect.
+    fn charge(&mut self, cost: SimDuration);
+    /// Time charged so far in this call.
+    fn charged(&self) -> SimDuration;
+    /// Sends a frame on toward the wire, past the engine.
+    fn send(&mut self, frame: Frame);
+    /// Delivers a frame on toward the protocol stack, past the engine.
+    fn deliver_up(&mut self, frame: Frame);
+    /// Arms a timer that calls [`Engine::timer`] with `token` after `delay`.
+    fn set_timer(&mut self, delay: SimDuration, token: u64);
+    /// Asks the whole run to stop (the `STOP` action).
+    fn request_stop(&mut self, reason: String);
+    /// The run's deterministic random source.
+    fn rng(&mut self) -> &mut StdRng;
+
+    /// Passes on a frame the engine held or made, unclassified, its way.
+    fn release(&mut self, frame: Frame, dir: Dir) {
+        match dir {
+            Dir::Send => self.send(frame),
+            Dir::Recv => self.deliver_up(frame),
+        }
+    }
+
+    /// The clock as a counter value, saturating past `i64::MAX` ns.
+    fn now_ns(&self) -> i64 {
+        i64::try_from(self.now().as_nanos()).unwrap_or(i64::MAX)
+    }
+}
+
 /// The per-node Fault Injection and Analysis Engine.
 pub struct Engine {
     /// Where the engine is in its lifecycle, and — once installed —
@@ -382,11 +420,8 @@ impl Installed {
     /// Resolves a peer MAC to its script node id without allocating, if
     /// the MAC belongs to a scripted node.
     fn peer_node_id(&self, mac: MacAddr) -> Option<NodeId> {
-        let nodes = &self.tables.nodes;
-        nodes
-            .iter()
-            .position(|n| n.mac == mac)
-            .map(|i| NodeId(i as u16))
+        let i = self.tables.nodes.iter().position(|n| n.mac == mac)?;
+        Some(NodeId(i as u16))
     }
 
     /// Resolves a peer MAC to its script node id and name; an unscripted
@@ -590,15 +625,97 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
+    // Entry points: the host drives the engine through these
+    // ------------------------------------------------------------------
+
+    /// Starts the engine: the control node installs the tables it holds
+    /// and sends each peer its `Init`; a peer goes on waiting for its own.
+    pub fn start(&mut self, io: &mut impl EngineIo) {
+        match std::mem::replace(&mut self.phase, Phase::Waiting) {
+            Phase::Holding { tables, me } => {
+                let role = Role::Control {
+                    acked: Vec::new(),
+                    init_rto: INIT_RTO,
+                };
+                self.install(io, tables, me, role);
+            }
+            phase => self.phase = phase,
+        }
+    }
+
+    /// Runs Fig 4(b) on a frame the stack sends: classify, count, cascade,
+    /// then the gated faults. Until the tables are installed frames pass
+    /// untouched, as the engine's own control traffic always does.
+    pub fn outbound(&mut self, io: &mut impl EngineIo, frame: Frame) -> Verdict {
+        match &self.phase {
+            Phase::Installed(at) if frame.ethertype() != EtherType::VW_CONTROL => {
+                self.run.process_packet(io, at, frame, Dir::Send)
+            }
+            _ => Verdict::Accept(frame),
+        }
+    }
+
+    /// [`outbound`](Self::outbound) for a frame off the wire, except that
+    /// a control frame is consumed by the control plane.
+    pub fn inbound(&mut self, io: &mut impl EngineIo, frame: Frame) -> Verdict {
+        if frame.ethertype() == EtherType::VW_CONTROL {
+            self.handle_control(io, &frame);
+            return Verdict::Consume;
+        }
+        let Phase::Installed(at) = &self.phase else {
+            return Verdict::Accept(frame);
+        };
+        self.run.process_packet(io, at, frame, Dir::Recv)
+    }
+
+    /// Handles the timer armed with `token`: the control-plane pump, an `Init`
+    /// retransmission, or a delayed frame's release, unclassified (Fig 4(b)).
+    pub fn timer(&mut self, io: &mut impl EngineIo, token: u64) {
+        let run = &mut self.run;
+        match token {
+            TIMER_RETX => {
+                run.pump_armed_for = None;
+                if let Phase::Installed(at) = &self.phase {
+                    run.run_pump(io, at);
+                }
+            }
+            TIMER_INIT_RETX => self.retransmit_inits(io),
+            _ => {
+                if let Some((frame, dir)) = run.held.remove(&token) {
+                    run.stats.faults_in_limbo = run.stats.faults_in_limbo.saturating_sub(1);
+                    io.release(frame, dir);
+                }
+            }
+        }
+    }
+
+    /// Releases what DELAY timers and unfilled REORDER buffers still hold,
+    /// so nothing vanishes at run end: delayed frames in token order (they
+    /// allocate monotonically), then each REORDER buffer in action order.
+    pub fn teardown(&mut self, io: &mut impl EngineIo) {
+        let run = &mut self.run;
+        let mut held: Vec<_> = run.held.drain().collect();
+        held.sort_by_key(|(token, _)| *token);
+        let batches = run.reorder_bufs.iter_mut().flat_map(|b| b.drain(..));
+        let mut flushed = 0u64;
+        for (frame, dir) in held.into_iter().map(|(_, entry)| entry).chain(batches) {
+            flushed += 1;
+            io.release(frame, dir);
+        }
+        run.stats.teardown_flushed += flushed;
+        run.stats.faults_in_limbo = run.stats.faults_in_limbo.saturating_sub(flushed);
+    }
+
+    // ------------------------------------------------------------------
     // Initialization
     // ------------------------------------------------------------------
 
     /// Installs `tables` as node `me`: builds (or finds) the plan and
     /// sizes the run's vectors; the control node then sends every peer its
     /// `Init`; last, the initial evaluation fires what starts out true.
-    fn install(&mut self, ctx: &mut Context<'_>, tables: TableSet, me: NodeId, role: Role) {
+    fn install(&mut self, io: &mut impl EngineIo, tables: TableSet, me: NodeId, role: Role) {
         let plan = InstallPlan::cached(&tables, self.run.cfg.classifier, me);
-        self.run.size_for(&tables, ctx.now());
+        self.run.size_for(&tables, io.now());
         let at = Installed {
             tables,
             plan,
@@ -606,28 +723,28 @@ impl Engine {
             role,
         };
         if let Role::Control { .. } = at.role {
-            self.run.send_inits(ctx, &at);
+            self.run.send_inits(io, &at);
             if at.tables.nodes.len() > 1 {
-                ctx.set_timer(INIT_RTO, TIMER_INIT_RETX);
+                io.set_timer(INIT_RTO, TIMER_INIT_RETX);
             }
         }
-        self.run.initial_evaluation(ctx, &at);
+        self.run.initial_evaluation(io, &at);
         self.phase = Phase::Installed(at);
     }
 
     /// Retransmits `Init` to peers that have not acknowledged it yet,
     /// backing off up to the RTO cap; stops rearming once every peer has
     /// acked.
-    fn retransmit_inits(&mut self, ctx: &mut Context<'_>) {
+    fn retransmit_inits(&mut self, io: &mut impl EngineIo) {
         let Phase::Installed(at) = &mut self.phase else {
             return;
         };
-        let resent = self.run.send_inits(ctx, at);
+        let resent = self.run.send_inits(io, at);
         self.run.stats.control_retransmits += resent;
         if let (Role::Control { init_rto, .. }, true) = (&mut at.role, resent > 0) {
             let cap = self.run.cfg.control.staleness.max(INIT_RTO);
             *init_rto = init_rto.saturating_add(*init_rto).min(cap);
-            ctx.set_timer(*init_rto, TIMER_INIT_RETX);
+            io.set_timer(*init_rto, TIMER_INIT_RETX);
         }
     }
 
@@ -635,7 +752,7 @@ impl Engine {
     // Control plane
     // ------------------------------------------------------------------
 
-    fn handle_control(&mut self, ctx: &mut Context<'_>, frame: &Frame) {
+    fn handle_control(&mut self, io: &mut impl EngineIo, frame: &Frame) {
         let run = &mut self.run;
         run.stats.control_received += 1;
         run.stats.control_received_bytes += frame.len() as u64;
@@ -644,12 +761,12 @@ impl Engine {
             Err(_) => return, // corrupted/legacy control frame: refuse, never misparse
         };
         let src = frame.src();
-        run.process_ack(src, ctx.now(), cf.ack);
+        run.process_ack(src, io.now(), cf.ack);
         if let Phase::Installed(at) = &self.phase {
-            run.pump_control(ctx, at);
+            run.pump_control(io, at);
         }
         let Some(seq) = cf.seq.checked_sub(WIRE_SEQ_OFFSET) else {
-            self.dispatch_control(ctx, src, cf.msg);
+            self.dispatch_control(io, src, cf.msg);
             return;
         };
 
@@ -667,7 +784,7 @@ impl Engine {
         } else {
             None
         };
-        let now = ctx.now();
+        let now = io.now();
         let run = &mut self.run;
         let rx = run.peer_rx.entry(src).or_insert_with(PeerRx::new);
         if rx.frozen {
@@ -696,33 +813,33 @@ impl Engine {
                 };
                 self.run.record(me, now, kind);
             }
-            self.dispatch_control(ctx, src, msg);
+            self.dispatch_control(io, src, msg);
         }
         let run = &mut self.run;
         run.scratch_ctrl = released;
         // Ack what we've cumulatively received — as a pure Ack frame
         // unless a sequenced send back to this peer already carried it.
         if let (ack, true) = run.settle_ack(src) {
-            let frame = wire::build_sequenced_frame(ctx.mac(), src, 0, ack, &ControlMsg::Ack);
-            run.send_control(ctx, frame);
+            let frame = wire::build_sequenced_frame(io.mac(), src, 0, ack, &ControlMsg::Ack);
+            run.send_control(io, frame);
         }
-        run.arm_pump_timer(ctx);
+        run.arm_pump_timer(io);
     }
 
     /// Applies one in-order control message from `src`.
-    fn dispatch_control(&mut self, ctx: &mut Context<'_>, src: MacAddr, msg: ControlMsg) {
+    fn dispatch_control(&mut self, io: &mut impl EngineIo, src: MacAddr, msg: ControlMsg) {
         match msg {
             ControlMsg::Init { tables, you_are } => {
                 // A retransmitted Init never reinstalls (that would reset
                 // counters)...
                 if !self.initialized() {
-                    self.install(ctx, tables, you_are, Role::Peer { control: src });
+                    self.install(io, tables, you_are, Role::Peer { control: src });
                 }
                 // ...but always re-acks, in case the first InitAck was
                 // lost.
                 let ack = ControlMsg::InitAck { node: you_are };
                 self.run
-                    .send_control(ctx, wire::build_frame(ctx.mac(), src, &ack));
+                    .send_control(io, wire::build_frame(io.mac(), src, &ack));
             }
             ControlMsg::InitAck { node } => {
                 if let Phase::Installed(Installed {
@@ -742,13 +859,13 @@ impl Engine {
             ControlMsg::CounterUpdate { counter, value } => {
                 if let Phase::Installed(at) = &self.phase {
                     if counter.index() < self.run.counter_values.len() {
-                        self.run.set_counter(ctx, at, counter, value);
+                        self.run.set_counter(io, at, counter, value);
                     }
                 }
             }
             ControlMsg::TermStatus { term, status } => {
                 if let Phase::Installed(at) = &self.phase {
-                    self.run.term_status(ctx, at, term, status);
+                    self.run.term_status(io, at, term, status);
                 }
             }
             ControlMsg::FlagError {
@@ -765,11 +882,11 @@ impl Engine {
                     node_name,
                     condition: Some(condition),
                     message,
-                    time: ctx.now(),
+                    time: io.now(),
                 });
             }
             ControlMsg::Stop { reason, .. } => {
-                ctx.request_stop(reason);
+                io.request_stop(reason);
             }
         }
     }
@@ -817,7 +934,7 @@ impl Run {
 
     /// Evaluates every term and condition from the all-zero counter state
     /// and fires conditions that start out true (`(TRUE) >> ...` rules).
-    fn initial_evaluation(&mut self, ctx: &mut Context<'_>, at: &Installed) {
+    fn initial_evaluation(&mut self, io: &mut impl EngineIo, at: &Installed) {
         let me = at.me;
         for (i, term) in at.tables.terms.iter().enumerate() {
             if term.eval_node == me {
@@ -830,7 +947,7 @@ impl Run {
                 // state the engine evaluates conditions against.
                 if status && self.cfg.obs.full() {
                     let term = TermId(i as u16);
-                    self.record(me, ctx.now(), ObsKind::TermFlipped { term, status });
+                    self.record(me, io.now(), ObsKind::TermFlipped { term, status });
                 }
             }
         }
@@ -845,17 +962,17 @@ impl Run {
                 }
             }
         }
-        self.fire_all(ctx, at, &mut fired);
+        self.fire_all(io, at, &mut fired);
     }
 
     /// Fires each condition in `fired`, running the cascade of each before
     /// the next, and puts the buffer back as scratch.
-    fn fire_all(&mut self, ctx: &mut Context<'_>, at: &Installed, fired: &mut Vec<CondId>) {
+    fn fire_all(&mut self, io: &mut impl EngineIo, at: &Installed, fired: &mut Vec<CondId>) {
         let mut worklist = std::mem::take(&mut self.cascade_worklist);
         worklist.clear();
         for &cond in fired.iter() {
-            self.fire_condition(ctx, at, cond, &mut worklist);
-            self.run_cascade(ctx, at, &mut worklist);
+            self.fire_condition(io, at, cond, &mut worklist);
+            self.run_cascade(io, at, &mut worklist);
         }
         self.scratch_fired = std::mem::take(fired);
         self.cascade_worklist = worklist;
@@ -879,7 +996,7 @@ impl Run {
     #[inline(always)]
     fn set_counter(
         &mut self,
-        ctx: &mut Context<'_>,
+        io: &mut impl EngineIo,
         at: &Installed,
         counter: CounterId,
         value: i64,
@@ -895,25 +1012,25 @@ impl Run {
                 old,
                 new: value,
             };
-            self.record(at.me, ctx.now(), kind);
+            self.record(at.me, io.now(), kind);
         }
         let mut worklist = std::mem::take(&mut self.cascade_worklist);
         worklist.clear();
         worklist.push(counter);
-        self.run_cascade(ctx, at, &mut worklist);
+        self.run_cascade(io, at, &mut worklist);
         self.cascade_worklist = worklist;
     }
 
     /// Applies a remote term's new status: re-evaluates the local
     /// conditions over it and fires those that became true.
-    fn term_status(&mut self, ctx: &mut Context<'_>, at: &Installed, term: TermId, status: bool) {
+    fn term_status(&mut self, io: &mut impl EngineIo, at: &Installed, term: TermId, status: bool) {
         let i = self.term_base + term.index();
         if i >= self.cond_base || self.flags[i] == status {
             return;
         }
         self.flags[i] = status;
         if self.cfg.obs.full() {
-            self.record(at.me, ctx.now(), ObsKind::TermFlipped { term, status });
+            self.record(at.me, io.now(), ObsKind::TermFlipped { term, status });
         }
         let mut fired = std::mem::take(&mut self.scratch_fired);
         fired.clear();
@@ -925,7 +1042,7 @@ impl Run {
                 }
             }
         }
-        self.fire_all(ctx, at, &mut fired);
+        self.fire_all(io, at, &mut fired);
     }
 
     /// Drains the cascade worklist: for each mutated counter, notifies
@@ -936,7 +1053,7 @@ impl Run {
     /// performs no per-invocation allocation.
     fn run_cascade(
         &mut self,
-        ctx: &mut Context<'_>,
+        io: &mut impl EngineIo,
         at: &Installed,
         worklist: &mut Vec<CounterId>,
     ) {
@@ -947,7 +1064,7 @@ impl Run {
         while let Some(cid) = worklist.pop() {
             if budget == 0 {
                 let message = "evaluation cascade exceeded its budget (cyclic rules?)";
-                self.flag(at, ctx.now(), None, message.into());
+                self.flag(at, io.now(), None, message.into());
                 worklist.clear();
                 break;
             }
@@ -962,8 +1079,8 @@ impl Run {
                         value: self.counter_values[cid.index()],
                     };
                     let dst = tables.nodes[subscriber.index()].mac;
-                    ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
-                    self.send_sequenced(ctx, at, dst, msg);
+                    io.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
+                    self.send_sequenced(io, at, dst, msg);
                 }
             }
             // Re-evaluate locally hosted terms over this counter.
@@ -979,7 +1096,7 @@ impl Run {
                 }
                 self.flags[self.term_base + term.index()] = status;
                 if self.cfg.obs.full() {
-                    self.record(me, ctx.now(), ObsKind::TermFlipped { term, status });
+                    self.record(me, io.now(), ObsKind::TermFlipped { term, status });
                 }
                 // Propagate the term status to interested parties.
                 for &cond in &t.conditions {
@@ -988,13 +1105,13 @@ impl Run {
                             if let Some(fired) = self.reevaluate_condition(at, cond) {
                                 // Fire edge triggers; counter mutations
                                 // they perform re-enter the worklist.
-                                self.fire_condition(ctx, at, fired, worklist);
+                                self.fire_condition(io, at, fired, worklist);
                             }
                         } else {
                             let msg = ControlMsg::TermStatus { term, status };
                             let dst = tables.nodes[eval_node.index()].mac;
-                            ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
-                            self.send_sequenced(ctx, at, dst, msg);
+                            io.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
+                            self.send_sequenced(io, at, dst, msg);
                         }
                     }
                 }
@@ -1020,23 +1137,23 @@ impl Run {
     /// mutates are pushed onto the cascade worklist.
     fn fire_condition(
         &mut self,
-        ctx: &mut Context<'_>,
+        io: &mut impl EngineIo,
         at: &Installed,
         cond: CondId,
         worklist: &mut Vec<CounterId>,
     ) {
         let (tables, me) = (&at.tables, at.me);
         if self.cfg.obs.faults() {
-            self.record(me, ctx.now(), ObsKind::ConditionFired { cond });
+            self.record(me, io.now(), ObsKind::ConditionFired { cond });
         }
         for &(node, action) in &tables.conditions[cond.index()].triggers {
             if node != me {
                 continue;
             }
-            ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
+            io.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
             let kind = &tables.actions[action.index()].kind;
             if self.cfg.obs.faults() {
-                self.record_action(me, ctx, action, kind);
+                self.record_action(me, io, action, kind);
             }
             match kind {
                 &CompiledActionKind::Counter { counter, op } => {
@@ -1054,8 +1171,8 @@ impl Run {
                         CounterOp::Reset => (0, old != 0),
                         CounterOp::Incr(value) => (old.saturating_add(value), true),
                         CounterOp::Decr(value) => (old.saturating_sub(value), true),
-                        CounterOp::SetCurTime => (now_ns(ctx), true),
-                        CounterOp::ElapsedTime => (now_ns(ctx).saturating_sub(old), true),
+                        CounterOp::SetCurTime => (io.now_ns(), true),
+                        CounterOp::ElapsedTime => (io.now_ns().saturating_sub(old), true),
                     };
                     self.counter_values[i] = new;
                     if requeue {
@@ -1077,21 +1194,21 @@ impl Run {
                         node: me,
                         reason: reason.clone(),
                     };
-                    self.send_control(ctx, wire::build_frame(ctx.mac(), MacAddr::BROADCAST, &msg));
-                    ctx.request_stop(reason);
+                    self.send_control(io, wire::build_frame(io.mac(), MacAddr::BROADCAST, &msg));
+                    io.request_stop(reason);
                 }
                 CompiledActionKind::FlagError { message } => {
                     let message = message
                         .clone()
                         .unwrap_or_else(|| format!("FLAG_ERR fired (condition {})", cond.index()));
-                    self.flag(at, ctx.now(), Some(cond), message.clone());
+                    self.flag(at, io.now(), Some(cond), message.clone());
                     if let Role::Peer { control } = at.role {
                         let msg = ControlMsg::FlagError {
                             node: me,
                             condition: cond,
                             message,
                         };
-                        self.send_control(ctx, wire::build_frame(ctx.mac(), control, &msg));
+                        self.send_control(io, wire::build_frame(io.mac(), control, &msg));
                     }
                 }
                 // Packet faults are level-gated, never edge-triggered: the
@@ -1108,20 +1225,20 @@ impl Run {
     fn record_action(
         &mut self,
         me: NodeId,
-        ctx: &Context<'_>,
+        io: &impl EngineIo,
         action: ActionId,
         kind: &CompiledActionKind,
     ) {
         let kind = obs_action_kind(kind);
-        self.record(me, ctx.now(), ObsKind::ActionTriggered { action, kind });
-        self.latency_hist.observe(ctx.charged().as_nanos());
+        self.record(me, io.now(), ObsKind::ActionTriggered { action, kind });
+        self.latency_hist.observe(io.charged().as_nanos());
     }
 
     /// Sends a control-plane frame, accounting messages and bytes.
-    fn send_control(&mut self, ctx: &mut Context<'_>, frame: Frame) {
+    fn send_control(&mut self, io: &mut impl EngineIo, frame: Frame) {
         self.stats.control_sent += 1;
         self.stats.control_sent_bytes += frame.len() as u64;
-        ctx.send(frame);
+        io.send(frame);
     }
 
     /// Sends `Init` to every peer (every scripted node but this one) that
@@ -1129,7 +1246,7 @@ impl Run {
     /// this engine's own table allocation; the receiver's copy is the one
     /// it decodes off the wire. The frames are sized by the `plan`, which
     /// remembers how long the first one built from `tables` was.
-    fn send_inits(&mut self, ctx: &mut Context<'_>, at: &Installed) -> u64 {
+    fn send_inits(&mut self, io: &mut impl EngineIo, at: &Installed) -> u64 {
         let (tables, plan) = (&at.tables, &at.plan);
         let acked = match &at.role {
             Role::Control { acked, .. } => acked.as_slice(),
@@ -1146,9 +1263,9 @@ impl Run {
                 you_are,
             };
             let frame_len = plan.init_frame_len.get();
-            let frame = wire::build_init_frame(ctx.mac(), node.mac, &msg, frame_len);
+            let frame = wire::build_init_frame(io.mac(), node.mac, &msg, frame_len);
             plan.init_frame_len.set(frame.len());
-            self.send_control(ctx, frame);
+            self.send_control(io, frame);
             sent += 1;
         }
         sent
@@ -1162,12 +1279,12 @@ impl Run {
     /// peer's window, which keeps it for retransmission until acked.
     fn send_sequenced(
         &mut self,
-        ctx: &mut Context<'_>,
+        io: &mut impl EngineIo,
         at: &Installed,
         dst: MacAddr,
         msg: ControlMsg,
     ) {
-        let now = ctx.now();
+        let now = io.now();
         let initial_rto = self.cfg.control.initial_rto;
         let tx = self
             .peer_tx
@@ -1183,14 +1300,14 @@ impl Run {
         let next_at = tx.next_at;
         let overloaded = !tx.stale_flagged && tx.window.in_flight_len() > MAX_UNACKED;
         tx.stale_flagged |= overloaded;
-        self.transmit_seq(ctx, at, dst, seq, &msg);
+        self.transmit_seq(io, at, dst, seq, &msg);
         if overloaded {
-            self.flag_stale_sender(ctx, at, dst);
+            self.flag_stale_sender(io, at, dst);
         }
         if let Some(at) = next_at {
             self.pump_next = Some(self.pump_next.map_or(at, |p| p.min(at)));
         }
-        self.arm_pump_timer(ctx);
+        self.arm_pump_timer(io);
     }
 
     /// Puts `dst`'s message numbered `seq` on the wire, with the
@@ -1199,7 +1316,7 @@ impl Run {
     /// the distributed timeline (a retransmission repeats it).
     fn transmit_seq(
         &mut self,
-        ctx: &mut Context<'_>,
+        io: &mut impl EngineIo,
         at: &Installed,
         dst: MacAddr,
         seq: u32,
@@ -1207,8 +1324,8 @@ impl Run {
     ) {
         let (ack, _) = self.settle_ack(dst);
         let wire_seq = seq + WIRE_SEQ_OFFSET;
-        let frame = wire::build_sequenced_frame(ctx.mac(), dst, wire_seq, ack, msg);
-        self.send_control(ctx, frame);
+        let frame = wire::build_sequenced_frame(io.mac(), dst, wire_seq, ack, msg);
+        self.send_control(io, frame);
         if !self.cfg.obs.full() {
             return;
         }
@@ -1218,7 +1335,7 @@ impl Run {
                 peer_seq: wire_seq,
                 ack,
             };
-            self.record(at.me, ctx.now(), kind);
+            self.record(at.me, io.now(), kind);
         }
     }
 
@@ -1258,17 +1375,17 @@ impl Run {
     /// earliest pending control-plane deadline, the full pump only when
     /// something is actually due.
     #[inline]
-    fn pump_control(&mut self, ctx: &mut Context<'_>, at: &Installed) {
-        if self.pump_next.is_some_and(|t| ctx.now() >= t) {
-            self.run_pump(ctx, at);
+    fn pump_control(&mut self, io: &mut impl EngineIo, at: &Installed) {
+        if self.pump_next.is_some_and(|t| io.now() >= t) {
+            self.run_pump(io, at);
         }
     }
 
     /// Runs due retransmissions (head-of-line, capped exponential
     /// backoff) and staleness checks, then recomputes and re-arms the
     /// next deadline.
-    fn run_pump(&mut self, ctx: &mut Context<'_>, at: &Installed) {
-        let now = ctx.now();
+    fn run_pump(&mut self, io: &mut impl EngineIo, at: &Installed) {
+        let now = io.now();
         let cfg = self.cfg.control;
         let mut txs = std::mem::take(&mut self.peer_tx);
         for (&mac, tx) in txs.iter_mut() {
@@ -1282,10 +1399,10 @@ impl Run {
             };
             if !tx.stale_flagged && now.saturating_since(*first_sent) >= cfg.staleness {
                 tx.stale_flagged = true;
-                self.flag_stale_sender(ctx, at, mac);
+                self.flag_stale_sender(io, at, mac);
             }
             self.stats.control_retransmits += 1;
-            self.transmit_seq(ctx, at, mac, seq, msg);
+            self.transmit_seq(io, at, mac, seq, msg);
             tx.rto = tx.rto.saturating_add(tx.rto).min(cfg.max_rto);
             tx.next_at = Some(now.saturating_add(tx.rto));
         }
@@ -1296,13 +1413,13 @@ impl Run {
             let gap = rx.gap_since.filter(|_| !rx.frozen);
             if gap.is_some_and(|g| now.saturating_since(g) >= cfg.staleness) {
                 (rx.frozen, rx.gap_since, rx.ack_owed) = (true, None, false);
-                self.freeze_peer(ctx, at, mac);
+                self.freeze_peer(io, at, mac);
             }
         }
         self.peer_rx = rxs;
 
         self.recompute_pump_next();
-        self.arm_pump_timer(ctx);
+        self.arm_pump_timer(io);
     }
 
     /// Recomputes the earliest pending control-plane deadline across all
@@ -1318,27 +1435,27 @@ impl Run {
     /// Arms the pump timer for the next deadline, unless one is already
     /// armed at least as early. A timer that fires with nothing due is a
     /// harmless no-op, so early timers never need cancelling.
-    fn arm_pump_timer(&mut self, ctx: &mut Context<'_>) {
+    fn arm_pump_timer(&mut self, io: &mut impl EngineIo) {
         let Some(next) = self.pump_next else {
             return;
         };
         if self.pump_armed_for.is_some_and(|t| t <= next) {
             return;
         }
-        let delay = next.saturating_since(ctx.now());
-        ctx.set_timer(delay, TIMER_RETX);
+        let delay = next.saturating_since(io.now());
+        io.set_timer(delay, TIMER_RETX);
         self.pump_armed_for = Some(next);
     }
 
     /// Flags sender-side staleness: the peer has stopped acknowledging
     /// our sequenced updates. Retransmission continues (capped backoff),
     /// but the run's report now carries the degradation.
-    fn flag_stale_sender(&mut self, ctx: &mut Context<'_>, at: &Installed, peer: MacAddr) {
+    fn flag_stale_sender(&mut self, io: &mut impl EngineIo, at: &Installed, peer: MacAddr) {
         let (_, peer_name) = at.peer_identity(peer);
         self.stats.control_stale_degradations += 1;
         self.flag(
             at,
-            ctx.now(),
+            io.now(),
             None,
             format!(
                 "control-plane staleness: {peer_name} is not acknowledging sequenced \
@@ -1351,17 +1468,17 @@ impl Run {
     /// sequence stream has a gap older than the staleness threshold, so its
     /// remote terms stay at last-known status and further sequenced
     /// messages are ignored (and deliberately not acked).
-    fn freeze_peer(&mut self, ctx: &mut Context<'_>, at: &Installed, peer: MacAddr) {
+    fn freeze_peer(&mut self, io: &mut impl EngineIo, at: &Installed, peer: MacAddr) {
         self.stats.control_stale_degradations += 1;
         let (peer_id, peer_name) = at.peer_identity(peer);
         if self.cfg.obs.faults() {
             if let Some(peer) = peer_id {
-                self.record(at.me, ctx.now(), ObsKind::PeerDegraded { peer });
+                self.record(at.me, io.now(), ObsKind::PeerDegraded { peer });
             }
         }
         self.flag(
             at,
-            ctx.now(),
+            io.now(),
             None,
             format!(
                 "control-plane staleness: sequenced updates from {peer_name} stalled on a \
@@ -1376,7 +1493,7 @@ impl Run {
 
     fn process_packet(
         &mut self,
-        ctx: &mut Context<'_>,
+        io: &mut impl EngineIo,
         at: &Installed,
         frame: Frame,
         dir: Dir,
@@ -1388,7 +1505,7 @@ impl Run {
         }
         // Retransmission checks ride the per-frame path: one compare
         // against the earliest pending deadline when nothing is due.
-        self.pump_control(ctx, at);
+        self.pump_control(io, at);
         let (tables, plan, me) = (&at.tables, &*at.plan, at.me);
         self.stats.classified += 1;
         self.frame_seq += 1;
@@ -1406,7 +1523,7 @@ impl Run {
         let scan = self.scratch.last;
         self.stats.rules_scanned += u64::from(scan.rules_scanned);
         self.stats.residual_scans += u64::from(scan.residual_visited);
-        ctx.charge(SimDuration::from_nanos(
+        io.charge(SimDuration::from_nanos(
             self.cfg.cost.per_filter_ns * u64::from(scan.rules_scanned),
         ));
         let classification = match result {
@@ -1417,7 +1534,7 @@ impl Run {
             self.stats.index_hits += 1;
         }
         self.stats.matched += 1;
-        self.last_match = ctx.now();
+        self.last_match = io.now();
         if let Some(hits) = self.filter_hits.get_mut(classification.filter.index()) {
             *hits += 1;
         }
@@ -1427,7 +1544,7 @@ impl Run {
                 dir,
                 len: u32::try_from(frame.len()).unwrap_or(u32::MAX),
             };
-            self.record(me, ctx.now(), kind);
+            self.record(me, io.now(), kind);
         }
 
         // ---- counter updates (Figure 4(b): update_counter) ----------
@@ -1457,9 +1574,9 @@ impl Run {
         }
         for &counter in &bump {
             self.stats.counter_increments += 1;
-            ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
+            io.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
             let value = self.counter_values[counter.index()] + 1;
-            self.set_counter(ctx, at, counter, value);
+            self.set_counter(io, at, counter, value);
         }
         self.scratch_bump = bump;
 
@@ -1471,12 +1588,12 @@ impl Run {
         }
 
         // ---- gated faults --------------------------------------------
-        self.apply_gates(ctx, at, frame, dir, &classification)
+        self.apply_gates(io, at, frame, dir, &classification)
     }
 
     fn apply_gates(
         &mut self,
-        ctx: &mut Context<'_>,
+        io: &mut impl EngineIo,
         at: &Installed,
         mut frame: Frame,
         dir: Dir,
@@ -1511,9 +1628,9 @@ impl Run {
                 ) {
                     continue;
                 }
-                ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
+                io.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
                 if self.cfg.obs.faults() {
-                    self.record_action(me, ctx, *action, kind);
+                    self.record_action(me, io, *action, kind);
                 }
                 match fault {
                     Fault::Drop => {
@@ -1533,10 +1650,10 @@ impl Run {
                                 use rand::Rng;
                                 let len = frame.len();
                                 if len > 14 {
-                                    let flips = ctx.rng().random_range(1..=3u32);
+                                    let flips = io.rng().random_range(1..=3u32);
                                     for _ in 0..flips {
-                                        let byte = ctx.rng().random_range(14..len);
-                                        let bit = ctx.rng().random_range(0..8u8);
+                                        let byte = io.rng().random_range(14..len);
+                                        let bit = io.rng().random_range(0..8u8);
                                         frame.flip_bit(byte, bit);
                                     }
                                 }
@@ -1560,7 +1677,7 @@ impl Run {
                                              outside the {}-byte frame; write skipped",
                                             frame.len()
                                         );
-                                        self.flag(at, ctx.now(), None, message);
+                                        self.flag(at, io.now(), None, message);
                                     }
                                 }
                             }
@@ -1574,7 +1691,7 @@ impl Run {
                         let token = TIMER_DELAY_BASE + self.next_delay_token;
                         self.stats.faults_in_limbo += 1;
                         self.held.insert(token, (frame, dir));
-                        ctx.set_timer(delay, token);
+                        io.set_timer(delay, token);
                         return Verdict::Replace(Vec::new());
                     }
                     Fault::Reorder { count, order } => {
@@ -1588,7 +1705,7 @@ impl Run {
                         buffer.push((frame, dir));
                         if buffer.len() >= *count as usize {
                             let slots = &mut self.scratch_reorder;
-                            release_reorder_batch(ctx, buffer, slots, order, &mut self.stats);
+                            release_reorder_batch(io, buffer, slots, order, &mut self.stats);
                         }
                         return Verdict::Replace(Vec::new());
                     }
@@ -1598,18 +1715,9 @@ impl Run {
         if duplicate {
             // The copy leaves through the context, a step ahead of the
             // original; a two-frame `Replace` would allocate its `Vec`.
-            release(ctx, frame.clone(), dir);
+            io.release(frame.clone(), dir);
         }
         Verdict::Accept(frame)
-    }
-}
-
-/// Sends a frame the engine held, or made, on along the path it was
-/// travelling, without classifying it again.
-fn release(ctx: &mut Context<'_>, frame: Frame, dir: Dir) {
-    match dir {
-        Dir::Send => ctx.send(frame),
-        Dir::Recv => ctx.deliver_up(frame),
     }
 }
 
@@ -1640,7 +1748,7 @@ fn obs_action_kind(kind: &CompiledActionKind) -> ObsActionKind {
 /// filled the batch included; its verdict is an empty `Replace`), and
 /// `batch` and `slots` — the engine's scratch — keep their capacity.
 fn release_reorder_batch(
-    ctx: &mut Context<'_>,
+    io: &mut impl EngineIo,
     batch: &mut Vec<(Frame, Dir)>,
     slots: &mut Vec<Option<(Frame, Dir)>>,
     order: &[u32],
@@ -1651,12 +1759,12 @@ fn release_reorder_batch(
     let mut malformed = false;
     for &i in order {
         match slots.get_mut(i as usize).and_then(Option::take) {
-            Some((frame, dir)) => release(ctx, frame, dir),
+            Some((frame, dir)) => io.release(frame, dir),
             None => malformed = true,
         }
     }
     for (frame, dir) in slots.drain(..).flatten() {
-        release(ctx, frame, dir);
+        io.release(frame, dir);
         malformed = true;
     }
     if malformed {
@@ -1664,97 +1772,27 @@ fn release_reorder_batch(
     }
 }
 
-/// Converts the simulated clock into the engine's signed counter domain
-/// without wrapping; times past `i64::MAX` nanoseconds saturate.
-fn now_ns(ctx: &Context<'_>) -> i64 {
-    i64::try_from(ctx.now().as_nanos()).unwrap_or(i64::MAX)
+// The simulator adapter, the only place the engine meets `Context`.
+
+#[rustfmt::skip]
+impl EngineIo for Context<'_> {
+    fn now(&self) -> SimTime { Context::now(self) }
+    fn mac(&self) -> MacAddr { Context::mac(self) }
+    fn charge(&mut self, cost: SimDuration) { Context::charge(self, cost) }
+    fn charged(&self) -> SimDuration { Context::charged(self) }
+    fn send(&mut self, frame: Frame) { Context::send(self, frame) }
+    fn deliver_up(&mut self, frame: Frame) { Context::deliver_up(self, frame) }
+    fn set_timer(&mut self, delay: SimDuration, token: u64) { Context::set_timer(self, delay, token); }
+    fn request_stop(&mut self, reason: String) { Context::request_stop(self, reason) }
+    fn rng(&mut self) -> &mut StdRng { Context::rng(self) }
 }
 
+#[rustfmt::skip]
 impl Hook for Engine {
-    fn name(&self) -> &str {
-        "virtualwire"
-    }
-
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        match std::mem::replace(&mut self.phase, Phase::Waiting) {
-            // The control node distributes its tables and installs them.
-            Phase::Holding { tables, me } => {
-                let role = Role::Control {
-                    acked: Vec::new(),
-                    init_rto: INIT_RTO,
-                };
-                self.install(ctx, tables, me, role);
-            }
-            phase => self.phase = phase,
-        }
-    }
-
-    fn on_outbound(&mut self, ctx: &mut Context<'_>, frame: Frame) -> Verdict {
-        if frame.ethertype() == EtherType::VW_CONTROL {
-            // Our own control traffic (sent via ctx.send it bypasses this
-            // hook; this is a stack-originated oddity) passes through.
-            return Verdict::Accept(frame);
-        }
-        let Phase::Installed(at) = &self.phase else {
-            return Verdict::Accept(frame);
-        };
-        self.run.process_packet(ctx, at, frame, Dir::Send)
-    }
-
-    fn on_inbound(&mut self, ctx: &mut Context<'_>, frame: Frame) -> Verdict {
-        if frame.ethertype() == EtherType::VW_CONTROL {
-            self.handle_control(ctx, &frame);
-            return Verdict::Consume;
-        }
-        let Phase::Installed(at) = &self.phase else {
-            return Verdict::Accept(frame);
-        };
-        self.run.process_packet(ctx, at, frame, Dir::Recv)
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        let run = &mut self.run;
-        match token {
-            TIMER_RETX => {
-                run.pump_armed_for = None;
-                if let Phase::Installed(at) = &self.phase {
-                    run.run_pump(ctx, at);
-                }
-            }
-            TIMER_INIT_RETX => self.retransmit_inits(ctx),
-            _ => {
-                if let Some((frame, dir)) = run.held.remove(&token) {
-                    // Release a delayed packet without re-classifying it
-                    // (Figure 4(b): "[released packet]").
-                    run.stats.faults_in_limbo = run.stats.faults_in_limbo.saturating_sub(1);
-                    release(ctx, frame, dir);
-                }
-            }
-        }
-    }
-
-    fn on_teardown(&mut self, ctx: &mut Context<'_>) {
-        // Flush frames still parked by DELAY timers or never-filled
-        // REORDER buffers so nothing silently vanishes at run end.
-        // Iteration is sorted (delay tokens allocate monotonically; the
-        // REORDER buffers are in action-id order) so the flush order is
-        // deterministic.
-        let run = &mut self.run;
-        let mut held: Vec<(u64, (Frame, Dir))> = run.held.drain().collect();
-        held.sort_by_key(|(token, _)| *token);
-
-        let mut flushed = 0u64;
-        let batches = run
-            .reorder_bufs
-            .iter_mut()
-            .flat_map(|batch| batch.drain(..));
-        for (frame, dir) in held.into_iter().map(|(_, entry)| entry).chain(batches) {
-            flushed += 1;
-            release(ctx, frame, dir);
-        }
-        if flushed > 0 {
-            run.stats.teardown_flushed += flushed;
-            run.stats.faults_in_limbo = run.stats.faults_in_limbo.saturating_sub(flushed);
-        }
-    }
+    fn name(&self) -> &str { "virtualwire" }
+    fn on_start(&mut self, ctx: &mut Context<'_>) { self.start(ctx) }
+    fn on_outbound(&mut self, ctx: &mut Context<'_>, frame: Frame) -> Verdict { self.outbound(ctx, frame) }
+    fn on_inbound(&mut self, ctx: &mut Context<'_>, frame: Frame) -> Verdict { self.inbound(ctx, frame) }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) { self.timer(ctx, token) }
+    fn on_teardown(&mut self, ctx: &mut Context<'_>) { self.teardown(ctx) }
 }

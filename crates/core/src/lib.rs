@@ -92,7 +92,9 @@ pub use classify::{
     classify, Classification, Classifier, ClassifierIndex, ClassifierMode, ClassifierScratch,
     ScanStats,
 };
-pub use engine::{ControlPlaneConfig, CostModel, Engine, EngineConfig, EngineStats, StatKind};
+pub use engine::{
+    ControlPlaneConfig, CostModel, Engine, EngineConfig, EngineIo, EngineStats, StatKind,
+};
 pub use report::{ConformanceRecord, FlaggedError, NodeDistributions, Report, StopReason};
 pub use runner::Runner;
 pub use suite::{Suite, SuiteReport};
