@@ -15,11 +15,11 @@
 //! (The checksum field sits at a 16-bit-aligned offset so that a correct
 //! frame sums to zero under RFC 1071 verification.)
 //!
-//! The checksum is the RFC 1071 sum over the whole shim (checksum field
-//! zeroed) plus payload. It stands in for the Ethernet FCS the simulator's
-//! error models corrupt: a frame failing it is treated as lost, which is
-//! exactly the guarantee VirtualWire needs — "MAC layer bit errors" must
-//! surface as retransmissions, not silent drops (Section 3.3).
+//! The checksum is the RFC 1071 sum over the whole frame, Ethernet header
+//! included (checksum field zeroed): it stands in for the Ethernet FCS the
+//! simulator's error models corrupt, and covers what the FCS covers. A frame
+//! failing it is treated as lost — "MAC layer bit errors" must surface as
+//! retransmissions, not silent drops (Section 3.3).
 
 use vw_packet::{
     checksum, EtherType, EthernetBuilder, Frame, MacAddr, ParseError, ETHERNET_HEADER_LEN,
@@ -118,7 +118,7 @@ fn build(src: MacAddr, dst: MacAddr, shim: RllShim, payload: &[u8]) -> Frame {
         out.extend_from_slice(&shim.inner_ethertype.value().to_be_bytes());
         out.extend_from_slice(&[0, 0]); // checksum placeholder
         out.extend_from_slice(payload);
-        let sum = checksum::checksum(&out[ETHERNET_HEADER_LEN..]);
+        let sum = checksum::checksum(out);
         out[SUM_AT..SUM_AT + 2].copy_from_slice(&sum.to_be_bytes());
     })
 }
@@ -129,7 +129,7 @@ fn build(src: MacAddr, dst: MacAddr, shim: RllShim, payload: &[u8]) -> Frame {
 /// # Errors
 ///
 /// Returns [`ParseError`] if the frame is not RLL, is truncated, has an
-/// unknown opcode, or fails the shim checksum (i.e. was corrupted on the
+/// unknown opcode, or fails the frame checksum (i.e. was corrupted on the
 /// wire).
 pub fn parse(frame: &Frame) -> Result<(RllShim, &[u8]), ParseError> {
     if frame.ethertype() != EtherType::RLL {
@@ -139,7 +139,7 @@ pub fn parse(frame: &Frame) -> Result<(RllShim, &[u8]), ParseError> {
     if body.len() < SHIM_LEN {
         return Err(ParseError::new("RLL frame truncated"));
     }
-    if checksum::checksum(body) != 0 {
+    if checksum::checksum(frame.bytes()) != 0 {
         return Err(ParseError::new("RLL checksum mismatch (corrupted frame)"));
     }
     let opcode = RllOpcode::from_byte(body[0])
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn corruption_is_detected() {
         let data = build_data(&inner(), 1, 0);
-        for byte in 14..data.len() {
+        for byte in 0..data.len() {
             let mut bad = data.clone();
             bad.flip_bit(byte, 2);
             assert!(parse(&bad).is_err(), "flip at byte {byte} went undetected");
