@@ -103,6 +103,6 @@ fn rll_frames_on_a_lossy_pair_hash_to_their_golden_digests() {
         .collect();
     assert_eq!(
         digests,
-        ["6ceee1e07507524c", "adafa7dd792d80f6", "b39e86e743c4ed8f"]
+        ["8ddf1e26d0505b0c", "4c90006bee1752bf", "b4f0f4529991e984"]
     );
 }

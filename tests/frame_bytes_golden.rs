@@ -91,7 +91,7 @@ fn rll_data_and_ack() {
         hex(&data),
         golden(
             "020000000002 020000000001 88b6
-             01 00 01020304 0a0b0c0d 0800 605b
+             01 00 01020304 0a0b0c0d 0800 d3a1
              4500 0031 0102 4000 40 06 b66f c0a80102 c0a80103
              6000 4000 deadbeef 12345678 50 18 1000 58bf 0000
              6f6464206279746573"
@@ -108,7 +108,7 @@ fn rll_data_and_ack() {
         hex(&ack),
         golden(
             "020000000001 020000000002 88b6
-             02 00 00000000 01020305 0000 f9f8"
+             02 00 00000000 01020305 0000 6d3f"
         )
     );
     assert!(vw_rll::wire::parse(&ack).is_ok());
