@@ -208,6 +208,21 @@ if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { print FIL
     exit 1
 fi
 
+# Sans-IO engine gate: the engine reaches the simulator through one seam.
+# Outside its test module and the adapter (`impl EngineIo for Context`,
+# `impl Hook for Engine`), engine.rs names no `Context` but in its imports
+# and comments: the packet path, cascade and control plane take any
+# `EngineIo`, so a test drives them with no World.
+echo "==> sans-io engine gate"
+if awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+        /^impl (EngineIo for Context|Hook for Engine)/ { adapter = 1 }
+        !test && !adapter && !/^ *(\/\/|use )/ { print FILENAME ":" FNR ": " $0 }
+        adapter && /^}/ { adapter = 0 }' crates/core/src/engine.rs |
+    grep -wE 'Context'; then
+    echo "the engine names Context outside its adapter: take io: &mut impl EngineIo"
+    exit 1
+fi
+
 # Sans-IO gate: the daemon's decisions have one owner. Outside its test
 # module, scheduler.rs names no lock, thread, file, clock or checkpoint call —
 # the owner thread in server.rs carries out what it decides, and only
@@ -343,7 +358,7 @@ fi
 # The size simplicity PRs quote, and its ratchet: lines of every
 # crates/*/src/**/*.rs up to its first #[cfg(test)]. A change that needs
 # more raises the ceiling in its own diff.
-NON_TEST_LINES_CEILING=26937
+NON_TEST_LINES_CEILING=26977
 echo "==> non-test source lines"
 non_test_lines=$(find crates/*/src -name '*.rs' -print0 | sort -z |
     xargs -0 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ }
