@@ -154,8 +154,7 @@ pub fn compile_script(source: &str) -> Result<vw_fsl::TableSet, ScriptError> {
 /// Returns [`ScriptError`] on parse or semantic errors, or if the script
 /// defines no scenario.
 pub fn compile_all_scenarios(source: &str) -> Result<Vec<vw_fsl::TableSet>, ScriptError> {
-    let program = vw_fsl::parse(source).map_err(|e| ScriptError { errors: vec![e] })?;
-    let tables = vw_fsl::compile(&program).map_err(|errors| ScriptError { errors })?;
+    let tables = vw_fsl::compile_source(source).map_err(|errors| ScriptError { errors })?;
     if tables.is_empty() {
         return Err(ScriptError {
             errors: vec![vw_fsl::FslError::general("script defines no scenario")],

@@ -242,7 +242,7 @@ impl Runner {
             // of remote errors).
             let own = engine.errors().iter().filter(|e| e.node.index() == i);
             errors.extend(own.cloned());
-            stats.push((self.tables.nodes[i].name.clone(), engine.stats()));
+            stats.push((self.tables.nodes[i].name.to_string(), engine.stats()));
             distributions.push(NodeDistributions {
                 filter_hits: engine.filter_hits().to_vec(),
                 cascade_depth: engine.cascade_hist().clone(),
@@ -258,8 +258,8 @@ impl Runner {
             let home = counter.home.index();
             let value = engine(home)?.counter(CounterId(ci as u16))?;
             Some((
-                self.tables.nodes[home].name.clone(),
-                counter.name.clone(),
+                self.tables.nodes[home].name.to_string(),
+                counter.name.to_string(),
                 value,
             ))
         }));

@@ -12,8 +12,10 @@ use crate::error::FslError;
 /// prefix and embeds node names in its own diagnostics, so names stay
 /// well inside it.
 pub const MAX_NAME_LEN: usize = 255;
-/// Longest `FLAG_ERROR` message (bytes) and `REORDER` batch: what the
-/// control plane's `u16` length prefix can carry.
+/// Longest `FLAG_ERROR` message (bytes) and `REORDER` batch, and most rows
+/// in any table (filters, nodes, counters, terms, conditions, actions) or
+/// entries in any list a compile emits: what the control plane's `u16`
+/// length prefix can carry, so every table id fits its `u16` as well.
 pub const MAX_WIRE_LEN: usize = u16::MAX as usize;
 
 /// Checks a parsed [`Program`] for semantic errors. Returns every problem
@@ -24,9 +26,9 @@ pub const MAX_WIRE_LEN: usize = u16::MAX as usize;
 /// The returned list covers: duplicate definitions; references to
 /// undefined packet types, nodes, counters, or variables; malformed filter
 /// tuples; invalid `REORDER` permutations; scenarios without rules; and
-/// names, messages or `REORDER` batches too long for the control plane
-/// ([`MAX_NAME_LEN`], [`MAX_WIRE_LEN`]).
-pub fn analyze(program: &Program) -> Result<(), Vec<FslError>> {
+/// names, messages, `REORDER` batches or tables too long for the control
+/// plane ([`MAX_NAME_LEN`], [`MAX_WIRE_LEN`]).
+pub fn analyze<N: AsRef<str>>(program: &Program<N>) -> Result<(), Vec<FslError>> {
     resolve(program).map(drop)
 }
 
@@ -41,7 +43,7 @@ pub(crate) struct Names<'p> {
 }
 
 /// [`analyze`], returning the name tables of a valid program.
-pub(crate) fn resolve(program: &Program) -> Result<Names<'_>, Vec<FslError>> {
+pub(crate) fn resolve<N: AsRef<str>>(program: &Program<N>) -> Result<Names<'_>, Vec<FslError>> {
     let mut errors = Vec::new();
 
     // ---- declared-name lengths ---------------------------------------
@@ -62,6 +64,7 @@ pub(crate) fn resolve(program: &Program) -> Result<Names<'_>, Vec<FslError>> {
         .chain(scenarios)
         .chain(counters);
     for (what, name) in declared {
+        let name = name.as_ref();
         if name.len() > MAX_NAME_LEN {
             errors.push(FslError::general(format!(
                 "{what} name of {} bytes exceeds the {MAX_NAME_LEN}-byte limit (`{}…`)",
@@ -71,22 +74,26 @@ pub(crate) fn resolve(program: &Program) -> Result<Names<'_>, Vec<FslError>> {
         }
     }
 
+    too_many(&mut errors, "packet definitions", program.filters.len());
+    too_many(&mut errors, "nodes", program.nodes.len());
+    too_many(&mut errors, "VARs", program.vars.len());
+
     // ---- duplicate definitions ---------------------------------------
     let mut filters = HashMap::with_capacity(program.filters.len());
     for (i, filter) in program.filters.iter().enumerate() {
-        if filters.insert(&*filter.name, FilterId(i as u16)).is_some() {
+        let name = filter.name.as_ref();
+        if filters.insert(name, FilterId(row_id(i))).is_some() {
             errors.push(FslError::general(format!(
-                "duplicate packet definition `{}`",
-                filter.name
+                "duplicate packet definition `{name}`"
             )));
         }
     }
     let mut nodes = HashMap::with_capacity(program.nodes.len());
     for (i, node) in program.nodes.iter().enumerate() {
-        if nodes.insert(&*node.name, NodeId(i as u16)).is_some() {
+        let name = node.name.as_ref();
+        if nodes.insert(name, NodeId(row_id(i))).is_some() {
             errors.push(FslError::general(format!(
-                "duplicate node definition `{}`",
-                node.name
+                "duplicate node definition `{name}`"
             )));
         }
     }
@@ -97,50 +104,52 @@ pub(crate) fn resolve(program: &Program) -> Result<Names<'_>, Vec<FslError>> {
         }
     }
     let mut vars = HashSet::with_capacity(program.vars.len());
-    for var in &program.vars {
-        if !vars.insert(var.as_str()) {
+    for var in program.vars.iter().map(AsRef::as_ref) {
+        if !vars.insert(var) {
             errors.push(FslError::general(format!("duplicate VAR `{var}`")));
         }
     }
 
     // ---- filter tuples -----------------------------------------------
     for filter in &program.filters {
+        let name = filter.name.as_ref();
         if filter.tuples.is_empty() {
             errors.push(FslError::general(format!(
-                "packet definition `{}` has no match tuples",
-                filter.name
+                "packet definition `{name}` has no match tuples"
             )));
         }
+        let tuples = format_args!("match tuples in packet `{name}`");
+        too_many(&mut errors, tuples, filter.tuples.len());
         for tuple in &filter.tuples {
             if tuple.len == 0 || tuple.len > 8 {
                 errors.push(FslError::general(format!(
-                    "packet `{}`: tuple length {} is outside 1..=8",
-                    filter.name, tuple.len
+                    "packet `{name}`: tuple length {} is outside 1..=8",
+                    tuple.len
                 )));
             } else {
                 let width_ok = |v: u64| tuple.len == 8 || v < (1u64 << (tuple.len * 8));
                 if let PatternValue::Literal(v) = tuple.pattern {
                     if !width_ok(v) {
                         errors.push(FslError::general(format!(
-                            "packet `{}`: pattern 0x{v:x} does not fit in {} bytes",
-                            filter.name, tuple.len
+                            "packet `{name}`: pattern 0x{v:x} does not fit in {} bytes",
+                            tuple.len
                         )));
                     }
                 }
                 if let Some(mask) = tuple.mask {
                     if !width_ok(mask) {
                         errors.push(FslError::general(format!(
-                            "packet `{}`: mask 0x{mask:x} does not fit in {} bytes",
-                            filter.name, tuple.len
+                            "packet `{name}`: mask 0x{mask:x} does not fit in {} bytes",
+                            tuple.len
                         )));
                     }
                 }
             }
-            if let PatternValue::Var(name) = &tuple.pattern {
-                if !vars.contains(name.as_str()) {
+            if let PatternValue::Var(var) = &tuple.pattern {
+                let var = var.as_ref();
+                if !vars.contains(var) {
                     errors.push(FslError::general(format!(
-                        "packet `{}` references undeclared VAR `{name}`",
-                        filter.name
+                        "packet `{name}` references undeclared VAR `{var}`"
                     )));
                 }
             }
@@ -154,11 +163,9 @@ pub(crate) fn resolve(program: &Program) -> Result<Names<'_>, Vec<FslError>> {
     let mut scenario_names = HashSet::with_capacity(program.scenarios.len());
     let mut counters = Vec::with_capacity(program.scenarios.len());
     for scenario in &program.scenarios {
-        if !scenario_names.insert(&scenario.name) {
-            errors.push(FslError::general(format!(
-                "duplicate scenario `{}`",
-                scenario.name
-            )));
+        let name = scenario.name.as_ref();
+        if !scenario_names.insert(name) {
+            errors.push(FslError::general(format!("duplicate scenario `{name}`")));
         }
         counters.push(analyze_scenario(scenario, &filters, &nodes, &mut errors));
     }
@@ -174,38 +181,55 @@ pub(crate) fn resolve(program: &Program) -> Result<Names<'_>, Vec<FslError>> {
     }
 }
 
+/// The id of a table's `i`th row. A table of more than [`MAX_WIRE_LEN`]
+/// rows is refused, so every id of a checked program fits; past that the
+/// id saturates, in a program that is refused anyway.
+fn row_id(i: usize) -> u16 {
+    u16::try_from(i).unwrap_or(u16::MAX)
+}
+
+/// Refuses a table or list of `rows` entries that the control plane's
+/// `u16` prefix (and so a `u16` id) cannot carry.
+fn too_many(errors: &mut Vec<FslError>, what: impl std::fmt::Display, rows: usize) {
+    if rows > MAX_WIRE_LEN {
+        errors.push(FslError::general(format!(
+            "{rows} {what} exceed the {MAX_WIRE_LEN}-row limit of a table"
+        )));
+    }
+}
+
 /// Checks one scenario and returns its counters by name.
-fn analyze_scenario<'p>(
-    scenario: &'p Scenario,
+fn analyze_scenario<'p, N: AsRef<str>>(
+    scenario: &'p Scenario<N>,
     filters: &HashMap<&str, FilterId>,
     nodes: &HashMap<&str, NodeId>,
     errors: &mut Vec<FslError>,
 ) -> HashMap<&'p str, CounterId> {
-    let scen = &scenario.name;
+    let scen = scenario.name.as_ref();
     let mut counters = HashMap::with_capacity(scenario.counters.len());
     for (i, decl) in scenario.counters.iter().enumerate() {
-        if counters.insert(&*decl.name, CounterId(i as u16)).is_some() {
+        let name = decl.name.as_ref();
+        if counters.insert(name, CounterId(row_id(i))).is_some() {
             errors.push(FslError::general(format!(
-                "{scen}: duplicate counter `{}`",
-                decl.name
+                "{scen}: duplicate counter `{name}`"
             )));
         }
         match &decl.kind {
             CounterKind::PacketEvent(selector) => {
-                let who = format_args!("counter `{}`", decl.name);
+                let who = format_args!("counter `{name}`");
                 check_selector(scen, who, selector, filters, nodes, errors);
-                if selector.from == selector.to {
+                if selector.from.as_ref() == selector.to.as_ref() {
                     errors.push(FslError::general(format!(
                         "{scen}: {who} has identical endpoints `{}`",
-                        selector.from
+                        selector.from.as_ref()
                     )));
                 }
             }
             CounterKind::NodeLocal { node } => {
-                if !nodes.contains_key(node.as_str()) {
+                let node = node.as_ref();
+                if !nodes.contains_key(node) {
                     errors.push(FslError::general(format!(
-                        "{scen}: counter `{}` lives on undefined node `{node}`",
-                        decl.name
+                        "{scen}: counter `{name}` lives on undefined node `{node}`"
                     )));
                 }
             }
@@ -234,49 +258,82 @@ fn analyze_scenario<'p>(
         }
         for action in &rule.actions {
             match action {
-                Action::Counter { counter, .. } => check_counter(counter, errors),
+                Action::Counter { counter, .. } => check_counter(counter.as_ref(), errors),
                 Action::Fault { on, fault } => {
                     check_selector(scen, "fault", on, filters, nodes, errors);
                     check_fault(scen, fault, errors);
                 }
-                Action::Fail { node } if !nodes.contains_key(node.as_str()) => {
+                Action::Fail { node } if !nodes.contains_key(node.as_ref()) => {
                     errors.push(FslError::general(format!(
-                        "{scen}: FAIL references undefined node `{node}`"
+                        "{scen}: FAIL references undefined node `{}`",
+                        node.as_ref()
                     )));
                 }
                 Action::FlagError {
                     message: Some(message),
-                } if message.len() > MAX_WIRE_LEN => {
+                } if message.as_ref().len() > MAX_WIRE_LEN => {
                     errors.push(FslError::general(format!(
                         "{scen}: FLAG_ERROR message of {} bytes exceeds the {MAX_WIRE_LEN}-byte limit",
-                        message.len()
+                        message.as_ref().len()
                     )));
                 }
                 _ => {}
             }
         }
     }
+
+    // ---- table rows: a term is one row however often it is used ----
+    let mut terms = 0;
+    for rule in &scenario.rules {
+        rule.condition.for_each_term(&mut |_| terms += 1);
+    }
+    if terms > MAX_WIRE_LEN {
+        let key = |o: &'p Operand<N>| match o {
+            Operand::Counter(c) => Operand::Counter(c.as_ref()),
+            Operand::Const(v) => Operand::Const(*v),
+        };
+        let mut distinct = HashSet::new();
+        for rule in &scenario.rules {
+            rule.condition.for_each_term(&mut |t| {
+                distinct.insert((key(&t.lhs), t.op, key(&t.rhs)));
+            });
+        }
+        terms = distinct.len();
+    }
+    too_many(errors, format_args!("terms in {scen}"), terms);
+    let actions = scenario.rules.iter().map(|r| r.actions.len()).sum();
+    too_many(
+        errors,
+        format_args!("counters in {scen}"),
+        scenario.counters.len(),
+    );
+    too_many(
+        errors,
+        format_args!("rules in {scen}"),
+        scenario.rules.len(),
+    );
+    too_many(errors, format_args!("actions in {scen}"), actions);
     counters
 }
 
 /// Checks that a selector's packet type and endpoints are defined; `who`
 /// names the counter or fault that carries it.
-fn check_selector(
+fn check_selector<N: AsRef<str>>(
     scen: &str,
     who: impl std::fmt::Display,
-    selector: &PacketSelector,
+    selector: &PacketSelector<N>,
     filters: &HashMap<&str, FilterId>,
     nodes: &HashMap<&str, NodeId>,
     errors: &mut Vec<FslError>,
 ) {
-    if !filters.contains_key(selector.pkt.as_str()) {
+    let pkt = selector.pkt.as_ref();
+    if !filters.contains_key(pkt) {
         errors.push(FslError::general(format!(
-            "{scen}: {who} references undefined packet type `{}`",
-            selector.pkt
+            "{scen}: {who} references undefined packet type `{pkt}`"
         )));
     }
-    for node in [&selector.from, &selector.to] {
-        if !nodes.contains_key(node.as_str()) {
+    for node in [selector.from.as_ref(), selector.to.as_ref()] {
+        if !nodes.contains_key(node) {
             errors.push(FslError::general(format!(
                 "{scen}: {who} references undefined node `{node}`"
             )));

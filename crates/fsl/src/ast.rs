@@ -4,6 +4,12 @@
 //! definitions* (the filter table), *node definitions* (the node table),
 //! optional `VAR` declarations, and one or more *scenarios*, each an
 //! unordered set of `{condition >> action}` rules over *counters*.
+//!
+//! Every node is generic over its name type `N`: a [`Program`] (`N =
+//! String`) owns its names and is what [`parse`](crate::parse) returns and
+//! a campaign edits; a `Program<&str>` borrows them from the script it was
+//! parsed from, which is how [`compile_source`](crate::compile_source)
+//! reads a script without copying a name before the tables.
 
 use std::net::Ipv4Addr;
 
@@ -11,30 +17,30 @@ use vw_packet::MacAddr;
 
 /// A complete FSL program.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Program {
+pub struct Program<N = String> {
     /// `VAR` declarations: run-time-bound filter pattern variables.
-    pub vars: Vec<String>,
+    pub vars: Vec<N>,
     /// Packet definitions, in priority order (first match wins).
-    pub filters: Vec<FilterDef>,
+    pub filters: Vec<FilterDef<N>>,
     /// Node definitions.
-    pub nodes: Vec<NodeDef>,
+    pub nodes: Vec<NodeDef<N>>,
     /// Test scenarios.
-    pub scenarios: Vec<Scenario>,
+    pub scenarios: Vec<Scenario<N>>,
 }
 
 /// A packet definition: a name bound to the logical AND of byte-match
 /// tuples.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FilterDef {
+pub struct FilterDef<N = String> {
     /// The packet type name (`TCP_synack`, `tr_token`, ...).
-    pub name: String,
+    pub name: N,
     /// The match tuples, all of which must match.
-    pub tuples: Vec<FilterTuple>,
+    pub tuples: Vec<FilterTuple<N>>,
 }
 
 /// One `(offset length [mask] pattern)` tuple.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FilterTuple {
+pub struct FilterTuple<N = String> {
     /// Byte offset into the raw frame.
     pub offset: u32,
     /// Number of bytes to match (1–8).
@@ -42,23 +48,23 @@ pub struct FilterTuple {
     /// Optional bit mask applied before comparison.
     pub mask: Option<u64>,
     /// The value to compare against.
-    pub pattern: PatternValue,
+    pub pattern: PatternValue<N>,
 }
 
 /// A pattern operand: a literal or a `VAR` bound at run time.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PatternValue {
+pub enum PatternValue<N = String> {
     /// A literal value (hex or decimal in the source).
     Literal(u64),
     /// A declared variable, bound before or during the run.
-    Var(String),
+    Var(N),
 }
 
 /// A node definition: name, hardware address, IP address.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NodeDef {
+pub struct NodeDef<N = String> {
     /// The node name used throughout the script (`node1`, ...).
-    pub name: String,
+    pub name: N,
     /// Its MAC address.
     pub mac: MacAddr,
     /// Its IPv4 address.
@@ -67,15 +73,15 @@ pub struct NodeDef {
 
 /// A test scenario: named counters plus rules.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
+pub struct Scenario<N = String> {
     /// Scenario name.
-    pub name: String,
+    pub name: N,
     /// Optional inactivity timeout in nanoseconds (`SCENARIO name 1sec`).
     pub timeout_ns: Option<u64>,
     /// Counter declarations.
-    pub counters: Vec<CounterDecl>,
+    pub counters: Vec<CounterDecl<N>>,
     /// The unordered rule set.
-    pub rules: Vec<Rule>,
+    pub rules: Vec<Rule<N>>,
 }
 
 /// Which packet direction a counter or fault observes.
@@ -89,106 +95,113 @@ pub enum Dir {
 
 /// A counter declaration.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CounterDecl {
+pub struct CounterDecl<N = String> {
     /// Counter name.
-    pub name: String,
+    pub name: N,
     /// What it counts.
-    pub kind: CounterKind,
+    pub kind: CounterKind<N>,
 }
 
 /// Which packets a counter counts or a fault acts on: the
 /// `(pkt_type, from, to, SEND|RECV)` 4-tuple that the paper's counter
 /// declarations and its Table II fault primitives share.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PacketSelector {
+pub struct PacketSelector<N = String> {
     /// The packet definition name.
-    pub pkt: String,
+    pub pkt: N,
     /// Source node name.
-    pub from: String,
+    pub from: N,
     /// Destination node name.
-    pub to: String,
+    pub to: N,
     /// Observed on send (at `from`) or on receive (at `to`).
     pub dir: Dir,
 }
 
 /// What a counter observes.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CounterKind {
+pub enum CounterKind<N = String> {
     /// Counts send/receive events of a packet type between two nodes:
     /// `NAME: (pkt_type, from, to, SEND|RECV)`.
-    PacketEvent(PacketSelector),
+    PacketEvent(PacketSelector<N>),
     /// A node-local variable: `NAME: (node)`.
     NodeLocal {
         /// The node holding the variable.
-        node: String,
+        node: N,
     },
 }
 
 /// One `{condition >> actions}` rule.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Rule {
+pub struct Rule<N = String> {
     /// The guarding condition.
-    pub condition: CondExpr,
+    pub condition: CondExpr<N>,
     /// The actions fired when the condition becomes true.
-    pub actions: Vec<Action>,
+    pub actions: Vec<Action<N>>,
 }
 
 /// A boolean expression over terms.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CondExpr {
+pub enum CondExpr<N = String> {
     /// Always true (fires at scenario start).
     True,
     /// Never true.
     False,
     /// A relational term.
-    Term(Term),
+    Term(Term<N>),
     /// Conjunction.
-    And(Box<CondExpr>, Box<CondExpr>),
+    And(Box<Self>, Box<Self>),
     /// Disjunction.
-    Or(Box<CondExpr>, Box<CondExpr>),
+    Or(Box<Self>, Box<Self>),
     /// Negation.
-    Not(Box<CondExpr>),
+    Not(Box<Self>),
 }
 
-impl CondExpr {
-    /// Calls `f` with every counter name the expression references, in
-    /// source order.
-    pub fn for_each_counter<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
+impl<N> CondExpr<N> {
+    /// Calls `f` with every term of the expression, in source order.
+    pub fn for_each_term<'a>(&'a self, f: &mut impl FnMut(&'a Term<N>)) {
         match self {
             CondExpr::True | CondExpr::False => {}
-            CondExpr::Term(t) => {
-                if let Operand::Counter(c) = &t.lhs {
-                    f(c);
-                }
-                if let Operand::Counter(c) = &t.rhs {
-                    f(c);
-                }
-            }
+            CondExpr::Term(t) => f(t),
             CondExpr::And(a, b) | CondExpr::Or(a, b) => {
-                a.for_each_counter(f);
-                b.for_each_counter(f);
+                a.for_each_term(f);
+                b.for_each_term(f);
             }
-            CondExpr::Not(a) => a.for_each_counter(f),
+            CondExpr::Not(a) => a.for_each_term(f),
         }
+    }
+
+    /// Calls `f` with every counter name the expression references, in
+    /// source order.
+    pub fn for_each_counter<'a>(&'a self, f: &mut impl FnMut(&'a str))
+    where
+        N: AsRef<str>,
+    {
+        self.for_each_term(&mut |t| {
+            for operand in [&t.lhs, &t.rhs] {
+                if let Operand::Counter(c) = operand {
+                    f(c.as_ref());
+                }
+            }
+        });
     }
 }
 
 /// A relational term between two operands.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Term {
+pub struct Term<N = String> {
     /// Left operand.
-    pub lhs: Operand,
+    pub lhs: Operand<N>,
     /// Relational operator.
     pub op: RelOp,
     /// Right operand.
-    pub rhs: Operand,
+    pub rhs: Operand<N>,
 }
 
 /// A term operand.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Operand {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Operand<N = String> {
     /// A counter reference.
-    Counter(String),
+    Counter(N),
     /// An integer constant.
     Const(i64),
 }
@@ -304,32 +317,32 @@ pub enum Fault {
 /// manipulation or a Table II fault primitive — or one of the three
 /// scenario-level actions.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Action {
+pub enum Action<N = String> {
     /// A Table I action on a counter.
     Counter {
         /// Target counter.
-        counter: String,
+        counter: N,
         /// What to do to it.
         op: CounterOp,
     },
     /// A Table II fault on matching packets.
     Fault {
         /// The packets it acts on.
-        on: PacketSelector,
+        on: PacketSelector<N>,
         /// What happens to them.
         fault: Fault,
     },
     /// `FAIL(node)` — crash a node (blackhole all its traffic).
     Fail {
         /// The node to fail.
-        node: String,
+        node: N,
     },
     /// `STOP` — end the scenario.
     Stop,
     /// `FLAG_ERR` / `FLAG_ERROR` — record a protocol violation.
     FlagError {
         /// Optional message (extension; the paper's form carries none).
-        message: Option<String>,
+        message: Option<N>,
     },
 }
 
@@ -350,7 +363,7 @@ mod tests {
 
     #[test]
     fn cond_counters_collects_all() {
-        let e = CondExpr::And(
+        let e: CondExpr = CondExpr::And(
             Box::new(CondExpr::Term(Term {
                 lhs: Operand::Counter("A".into()),
                 op: RelOp::Gt,

@@ -12,13 +12,15 @@
 //!
 //! * [`parse`] — lexer + recursive-descent parser producing an [`ast`],
 //!   accepting the paper's concrete syntax (Figures 2, 5 and 6 parse
-//!   as written),
+//!   as written); the parser pulls tokens from the lexer one at a time,
 //! * [`analyze`] — semantic checks (name resolution, tuple widths,
 //!   permutation validity, ...),
 //! * [`compile`] — lowering to the six runtime tables of Figure 3
 //!   ([`TableSet`]), including the distributed *placement* rules of
 //!   Section 5.2 (which node owns each counter, evaluates each term and
-//!   condition, and executes each action),
+//!   condition, and executes each action); [`compile_source`] parses and
+//!   compiles a script without copying a name before the tables, whose
+//!   names share one string ([`Name`]),
 //! * [`print()`](crate::print) — a canonical pretty-printer with the round-trip property
 //!   `parse(print(p)) == p`.
 //!
@@ -66,11 +68,12 @@ pub use ast::{
     Term,
 };
 pub use compile::{
-    compile, ActionId, CompiledAction, CompiledActionKind, CompiledCondition, CompiledCounter,
-    CompiledCounterKind, CompiledFilter, CompiledNode, CompiledOperand, CompiledTerm, CondId,
-    CondNode, CounterId, FilterId, NodeId, PacketSel, TableSet, Tables, TermId, WeakTableSet,
+    compile, compile_source, ActionId, CompiledAction, CompiledActionKind, CompiledCondition,
+    CompiledCounter, CompiledCounterKind, CompiledFilter, CompiledNode, CompiledOperand,
+    CompiledTerm, CondId, CondNode, CounterId, FilterId, Name, NodeId, PacketSel, TableSet, Tables,
+    TermId, WeakTableSet,
 };
 pub use error::FslError;
-pub use lexer::lex;
+pub use lexer::{lex, Lexer};
 pub use parser::parse;
 pub use printer::print;

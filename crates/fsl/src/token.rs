@@ -31,7 +31,11 @@ pub struct Token<'src> {
 }
 
 /// The kinds of FSL tokens.
+///
+/// A word-sized tag keeps every payload word-aligned, so a token moves as
+/// whole words (a `u8` tag would put the MAC and IP payloads at byte 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(u64)]
 pub enum TokenKind<'src> {
     /// An identifier or keyword (`SCENARIO`, `TCP_data`, `node1`, ...).
     Ident(&'src str),

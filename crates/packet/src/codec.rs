@@ -339,11 +339,12 @@ impl<'a> Reader<'a> {
         self.bool()?.then(|| some(self)).transpose()
     }
 
-    /// Reads a string written by [`Writer::str16`].
+    /// Reads a string written by [`Writer::str16`], as a `String` or any
+    /// other type made from the text it borrows from the buffer.
     #[inline]
-    pub fn str16(&mut self) -> Result<String, ParseError> {
+    pub fn str16<T: From<&'a str>>(&mut self) -> Result<T, ParseError> {
         let len = self.u16()?;
-        utf8(self.take(usize::from(len))?)
+        utf8(self.take(usize::from(len))?).map(T::from)
     }
 
     /// Reads bytes written by [`Writer::bytes32`].
@@ -357,7 +358,7 @@ impl<'a> Reader<'a> {
     /// Reads a string written by [`Writer::str32`].
     #[inline]
     pub fn str32(&mut self) -> Result<String, ParseError> {
-        utf8(self.bytes32()?)
+        utf8(self.bytes32()?).map(str::to_owned)
     }
 
     /// Succeeds only if every byte was consumed.
@@ -401,8 +402,6 @@ fn malformed(what: std::fmt::Arguments<'_>) -> ParseError {
     ParseError::new(what.to_string())
 }
 
-fn utf8(bytes: &[u8]) -> Result<String, ParseError> {
-    std::str::from_utf8(bytes)
-        .map(str::to_owned)
-        .map_err(|_| malformed(format_args!("string is not valid UTF-8")))
+fn utf8(bytes: &[u8]) -> Result<&str, ParseError> {
+    std::str::from_utf8(bytes).map_err(|_| malformed(format_args!("string is not valid UTF-8")))
 }

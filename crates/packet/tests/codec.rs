@@ -20,12 +20,12 @@ fn read_op(r: &mut Reader<'_>, op: u8) -> Result<(), ParseError> {
         6 => r.i64().map(drop),
         7 => r.take(usize::from(op)).map(drop),
         8 => r.array::<6>().map(drop),
-        9 => r.str16().map(drop),
+        9 => r.str16::<String>().map(drop),
         10 => r.str32().map(drop),
         11 => r.bytes32().map(drop),
         12 => r.opt(Reader::u32).map(drop),
         13 => r.list8(1, unit).map(drop),
-        14 => r.list16(3, Reader::str16).map(drop),
+        14 => r.list16(3, Reader::str16::<String>).map(drop),
         15 => r.list32(0, unit).map(drop),
         _ => r.list64(2, |r| r.list8(1, unit)).map(drop),
     }
@@ -182,7 +182,7 @@ fn list_refuses_a_count_the_bytes_cannot_hold() {
 #[test]
 fn reads_are_strict_about_bools_utf8_and_trailing_bytes() {
     assert!(Reader::le(&[2]).bool().is_err());
-    assert!(Reader::le(&[1, 0, 0xFF]).str16().is_err());
+    assert!(Reader::le(&[1, 0, 0xFF]).str16::<String>().is_err());
     assert!(Reader::le(&[7, 9]).whole(Reader::u8).is_err());
     assert_eq!(Reader::le(&[7]).whole(Reader::u8), Ok(7));
 }

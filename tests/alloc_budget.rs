@@ -563,24 +563,3 @@ fn settling_the_same_tables_a_second_time_allocates_at_most_15() {
         "{second} allocations settling the same tables again (the first settle: {first})"
     );
 }
-
-/// The front end on Fig 5's script (`scripts/tcp_ss_ca.fsl`): 118
-/// allocations to parse it, 229 to compile it to tables. Tokens borrow
-/// their text from the source, so the lexer allocates only its token list
-/// and the parser allocates a name once, where it enters the AST; analysis
-/// builds the name tables compilation resolves against. (Before, 407 to
-/// parse and 543 to compile: every identifier token owned a `String` the
-/// parser cloned on each look at it, and analysis and compilation each
-/// hashed every name into sets and maps of their own.)
-#[test]
-fn the_front_end_parses_fig_5_in_118_allocations_and_compiles_it_in_229() {
-    const SCRIPT: &str = include_str!("../scripts/tcp_ss_ca.fsl");
-    let before = allocs();
-    let program = vw_fsl::parse(SCRIPT).expect("Fig 5 parses");
-    let parsed = allocs() - before;
-    let before = allocs();
-    let tables = virtualwire::compile_script(SCRIPT).expect("Fig 5 compiles");
-    let compiled = allocs() - before;
-    drop((program, tables));
-    assert_eq!((parsed, compiled), (118, 229), "parse / compile_script");
-}
