@@ -70,4 +70,4 @@ pub use link::LinkConfig;
 pub use protocol::{Binding, Protocol};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceKind, TraceRecord, TraceSink};
-pub use world::{World, MIN_FRAME_BYTES, WIRE_OVERHEAD_BYTES};
+pub use world::{WorkCounts, World, MIN_FRAME_BYTES, WIRE_OVERHEAD_BYTES};
