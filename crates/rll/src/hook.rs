@@ -48,7 +48,7 @@ pub struct RllStats {
     /// Duplicate/out-of-order DATA frames discarded.
     pub discarded: u64,
     /// Frames arriving corrupted (checksum failure, or a unicast frame
-    /// from a session peer that is not RLL) and treated as lost.
+    /// addressed to this host that is not RLL) and treated as lost.
     pub corrupted: u64,
     /// Frames abandoned after `max_retries` consecutive timeouts.
     pub gave_up: u64,
@@ -131,21 +131,20 @@ impl RllHook {
         let b = token.to_be_bytes();
         MacAddr::new([b[2], b[3], b[4], b[5], b[6], b[7]])
     }
+}
 
-    fn arm_timer(&mut self, ctx: &mut Context<'_>, mac: MacAddr) {
-        let rto = self.config.rto;
-        let token = Self::token_for(mac);
-        let (peer, _) = self.peer(mac);
-        if peer.timer.is_none() {
-            peer.timer = Some(ctx.set_timer(rto, token));
+impl PeerState {
+    /// Arms the retransmission timer for the session with `mac`, due `rto`
+    /// from now, unless it is armed already.
+    fn arm_timer(&mut self, ctx: &mut Context<'_>, rto: SimDuration, mac: MacAddr) {
+        if self.timer.is_none() {
+            self.timer = Some(ctx.set_timer(rto, RllHook::token_for(mac)));
         }
     }
 
-    fn disarm_timer(&mut self, ctx: &mut Context<'_>, mac: MacAddr) {
-        if let Some(peer) = self.peers.get_mut(&mac) {
-            if let Some(t) = peer.timer.take() {
-                ctx.cancel_timer(t);
-            }
+    fn disarm_timer(&mut self, ctx: &mut Context<'_>) {
+        if let Some(t) = self.timer.take() {
+            ctx.cancel_timer(t);
         }
     }
 }
@@ -183,13 +182,14 @@ impl Hook for RllHook {
             return Verdict::Accept(frame);
         }
         self.stats.accepted += 1;
+        let rto = self.config.rto;
         let (peer, stats) = self.peer(dst);
         if let SendAction::Transmit { seq } = peer.sender.offer(frame) {
             let inner = peer.sender.in_flight(seq).expect("offer queued it");
             let ack = peer.receiver.expected();
             transmit_data(ctx, stats, inner, seq, ack, peer.restart);
         }
-        self.arm_timer(ctx, dst);
+        peer.arm_timer(ctx, rto, dst);
         // The original frame never goes out directly; its DATA encapsulation
         // was emitted through the context.
         Verdict::Replace(Vec::new())
@@ -198,14 +198,15 @@ impl Hook for RllHook {
     fn on_inbound(&mut self, ctx: &mut Context<'_>, frame: Frame) -> Verdict {
         ctx.charge(self.config.cost_per_frame);
         if frame.ethertype() != vw_packet::EtherType::RLL {
-            // A session peer sends this host nothing but RLL frames, so a
+            // An RLL host's peers send it nothing but RLL frames, so a
             // unicast one that is not is an RLL frame whose EtherType the
-            // wire garbled: lost, and the sender retransmits it.
-            if frame.dst() == ctx.mac() && self.peers.contains_key(&frame.src()) {
+            // wire garbled — its source too, maybe, even before a session
+            // exists: lost, and the sender retransmits it.
+            if frame.dst() == ctx.mac() {
                 self.stats.corrupted += 1;
                 return Verdict::Consume;
             }
-            // Broadcast bypass traffic or a host without RLL peering.
+            // Broadcast or multicast traffic.
             self.stats.bypassed += 1;
             return Verdict::Accept(frame);
         }
@@ -240,15 +241,15 @@ impl Hook for RllHook {
                 Verdict::Consume
             }
             RllOpcode::Ack => {
+                let rto = self.config.rto;
                 let (peer, stats) = self.peer(peer_mac);
                 let ack = peer.receiver.expected();
                 for (seq, inner) in peer.sender.on_ack(shim.ack) {
                     transmit_data(ctx, stats, inner, seq, ack, peer.restart);
                 }
-                let idle = peer.sender.is_idle();
-                self.disarm_timer(ctx, peer_mac);
-                if !idle {
-                    self.arm_timer(ctx, peer_mac);
+                peer.disarm_timer(ctx);
+                if !peer.sender.is_idle() {
+                    peer.arm_timer(ctx, rto, peer_mac);
                 }
                 Verdict::Consume
             }
@@ -274,7 +275,7 @@ impl Hook for RllHook {
         for (seq, inner) in peer.sender.on_timeout() {
             transmit_data(ctx, &mut self.stats, inner, seq, ack, peer.restart);
         }
-        self.arm_timer(ctx, mac);
+        peer.arm_timer(ctx, self.config.rto, mac);
     }
 }
 
