@@ -21,6 +21,9 @@ pub(crate) struct Port {
     pub queue: VecDeque<Frame>,
     pub queue_cap: usize,
     pub busy: bool,
+    /// The link's [`ns_per_byte`](crate::time::ns_per_byte); 0 while the
+    /// port is not connected.
+    pub ns_per_byte: u32,
     pub in_flight: Option<Frame>,
     /// Frames dropped due to queue overflow.
     pub dropped: u64,
@@ -37,6 +40,7 @@ impl Port {
             queue: VecDeque::new(),
             queue_cap: DEFAULT_TX_QUEUE_CAP,
             busy: false,
+            ns_per_byte: 0,
             in_flight: None,
             dropped: 0,
             tx_frames: 0,
@@ -135,12 +139,17 @@ impl Device {
         }
     }
 
-    pub fn port(&self, port: u16) -> Option<&Port> {
+    /// The device's ports; a host has one.
+    pub fn ports(&self) -> &[Port] {
         match self {
-            Device::Host(h) => (port == 0).then_some(&h.port),
-            Device::Switch(s) => s.ports.get(port as usize),
-            Device::Hub(h) => h.ports.get(port as usize),
+            Device::Host(h) => std::slice::from_ref(&h.port),
+            Device::Switch(s) => &s.ports,
+            Device::Hub(h) => &h.ports,
         }
+    }
+
+    pub fn port(&self, port: u16) -> Option<&Port> {
+        self.ports().get(port as usize)
     }
 
     pub fn name(&self) -> &str {
@@ -167,19 +176,8 @@ impl Device {
 
     /// Index of the first unconnected port, if any.
     pub fn free_port(&self) -> Option<u16> {
-        match self {
-            Device::Host(h) => h.port.link.is_none().then_some(0),
-            Device::Switch(s) => s
-                .ports
-                .iter()
-                .position(|p| p.link.is_none())
-                .map(|i| i as u16),
-            Device::Hub(h) => h
-                .ports
-                .iter()
-                .position(|p| p.link.is_none())
-                .map(|i| i as u16),
-        }
+        let free = self.ports().iter().position(|p| p.link.is_none());
+        free.map(|i| i as u16)
     }
 }
 

@@ -218,21 +218,6 @@ impl ControlImpairment {
         }
     }
 
-    /// Reorders each control frame with probability `p` by holding it up
-    /// to `window_ns` extra nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn reordering(p: f64, window_ns: u64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "reorder must be a probability");
-        ControlImpairment {
-            reorder: p,
-            reorder_window_ns: window_ns,
-            ..Self::none()
-        }
-    }
-
     /// `true` for an impairment that can never touch a frame.
     pub fn is_inert(&self) -> bool {
         self.drop == 0.0 && self.dup == 0.0 && self.reorder == 0.0 && self.delay == 0.0

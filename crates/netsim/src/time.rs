@@ -252,6 +252,24 @@ pub fn serialization_time(bytes: usize, bits_per_sec: u64) -> SimDuration {
     SimDuration::from_nanos(nanos as u64)
 }
 
+/// The nanoseconds one byte takes at `bits_per_sec`, where 8·10⁹ is a
+/// multiple of the rate (as at every `LinkConfig` preset); 0 where it is
+/// not, or where the quotient needs more than 32 bits.
+pub(crate) fn ns_per_byte(bits_per_sec: u64) -> u32 {
+    match 8_000_000_000u64.checked_rem(bits_per_sec) {
+        Some(0) => u32::try_from(8_000_000_000 / bits_per_sec).unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// [`serialization_time`] at a rate whose [`ns_per_byte`] is `per_byte`,
+/// by one multiply; `None` where the rate needs the division.
+#[inline(always)]
+pub(crate) fn multiplied_serialization_time(bytes: usize, per_byte: u32) -> Option<SimDuration> {
+    let nanos = (bytes as u64).checked_mul(u64::from(per_byte))?;
+    (per_byte != 0).then_some(SimDuration::from_nanos(nanos))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,6 +337,42 @@ mod tests {
         // 1 Gb/s: 1500 bytes take 12 microseconds.
         assert_eq!(serialization_time(1500, 1_000_000_000).as_nanos(), 12_000);
         assert_eq!(serialization_time(0, 100_000_000), SimDuration::ZERO);
+    }
+
+    /// The multiply equals the division for every wire size up to 2 KiB
+    /// at every preset rate; a rate that does not divide 8·10⁹, or whose
+    /// quotient overflows 32 bits, takes the division.
+    #[test]
+    fn the_multiplied_serialization_time_is_exact() {
+        use crate::LinkConfig;
+        let presets = [LinkConfig::fast_ethernet(), LinkConfig::ethernet_10m()];
+        let presets = presets.map(|config| config.rate_bps);
+        let others = [
+            1_000_000_000,
+            8_000_000_000,
+            2,
+            1,
+            3_000_000,
+            7,
+            9_000_000_000,
+        ];
+        for rate in presets.into_iter().chain(others) {
+            let per_byte = ns_per_byte(rate);
+            let divides = 8_000_000_000 % rate == 0 && rate > 1;
+            assert_eq!(per_byte != 0, divides, "rate {rate}");
+            for bytes in 0..=2048 {
+                let multiplied = multiplied_serialization_time(bytes, per_byte);
+                assert_eq!(multiplied.is_some(), divides, "{bytes} bytes at {rate} b/s");
+                let time = multiplied.unwrap_or_else(|| serialization_time(bytes, rate));
+                assert_eq!(
+                    time,
+                    serialization_time(bytes, rate),
+                    "{bytes} bytes at {rate} b/s"
+                );
+            }
+        }
+        assert_eq!(presets.map(ns_per_byte), [80, 800]);
+        assert_eq!(ns_per_byte(0), 0);
     }
 
     #[test]
