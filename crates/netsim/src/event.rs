@@ -48,7 +48,7 @@ pub(crate) enum Hop {
 /// [`IndexedHeap`]. Most events are reserved and armed in one
 /// [`push`](IndexedHeap::push). A timer's cell is
 /// [reserved](IndexedHeap::reserve) when `Context::set_timer` hands out
-/// its id and [armed](IndexedHeap::arm) when the world applies the
+/// its id and [armed](IndexedHeap::arm_with) when the world applies the
 /// `SetTimer` effect, so a cancel takes the timer out of the heap on the
 /// spot: a cancelled timer is never an event.
 pub(crate) type EventQueue = IndexedHeap<EventKind>;
