@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 use vw_fsl::{CompiledActionKind, CounterOp, NodeId, TableSet, Tables, TermId};
 use vw_netsim::SimTime;
-use vw_obs::{CausalChain, ObsActionKind, ObsEvent, ObsKind};
+use vw_obs::{action_label, CausalChain, ObsEvent, ObsKind};
 
 /// One invariant violation, anchored to the offending event and
 /// carrying the cross-node causal slice behind it.
@@ -85,7 +85,7 @@ impl Violation {
 pub fn check_invariants(events: &[ObsEvent], tables: &TableSet) -> Vec<Violation> {
     let mut violations = condition_implies_terms(events, tables);
     violations.extend(remote_term_delivery(events, tables));
-    violations.extend(no_action_after_stop(events));
+    violations.extend(no_action_after_stop(events, tables));
     violations.extend(counter_monotonic(events, tables));
     violations
 }
@@ -274,22 +274,20 @@ fn remote_term_delivery(events: &[ObsEvent], tables: &TableSet) -> Vec<Violation
 
 /// Once a node triggers `STOP`, no cascade with a larger ordinal at
 /// that node may trigger actions (the world stops stepping; a later
-/// action means the stream disagrees with the engine's semantics).
-fn no_action_after_stop(events: &[ObsEvent]) -> Vec<Violation> {
+/// action means the stream disagrees with the engine's semantics). An
+/// action's kind is read from `tables`; an id they do not hold is no
+/// `STOP`.
+fn no_action_after_stop(events: &[ObsEvent], tables: &Tables) -> Vec<Violation> {
     let mut stopped_at: HashMap<NodeId, u64> = HashMap::new();
     for event in events {
-        if let ObsKind::ActionTriggered {
-            kind: ObsActionKind::Stop,
-            ..
-        } = event.kind
-        {
+        if let Some(CompiledActionKind::Stop) = event.action_kind(tables) {
             let at = stopped_at.entry(event.node).or_insert(event.frame_seq);
             *at = (*at).min(event.frame_seq);
         }
     }
     let mut violations = Vec::new();
     for event in events {
-        let ObsKind::ActionTriggered { action, kind } = event.kind else {
+        let ObsKind::ActionTriggered { action } = event.kind else {
             continue;
         };
         let Some(&stop_frame) = stopped_at.get(&event.node) else {
@@ -297,8 +295,9 @@ fn no_action_after_stop(events: &[ObsEvent]) -> Vec<Violation> {
         };
         if event.frame_seq > stop_frame {
             let message = format!(
-                "action#{} ({kind}) triggered after the node's STOP at cascade #{stop_frame}",
-                action.index()
+                "action#{} ({}) triggered after the node's STOP at cascade #{stop_frame}",
+                action.index(),
+                event.action_kind(tables).map_or("?", action_label)
             );
             violations.push(Violation::at(
                 "no-action-after-stop",
@@ -483,24 +482,42 @@ mod tests {
 
     #[test]
     fn action_after_stop_is_flagged() {
-        use vw_fsl::ActionId;
-        let action = |seq: u64, nanos: u64, kind: ObsActionKind| {
-            let action = ActionId(0);
-            ev(0, seq, nanos, ObsKind::ActionTriggered { action, kind })
+        use vw_fsl::{ActionId, Dir, Fault, FilterId, PacketSel};
+        // Actions 0, 1 and 2 are STOP, DROP and FLAG_ERR.
+        let mut tables = tiny_tables();
+        let on = PacketSel {
+            filter: FilterId(0),
+            from: NodeId(0),
+            to: NodeId(1),
+            dir: Dir::Send,
         };
-        let events = [
-            action(2, 10, ObsActionKind::Stop),
-            action(3, 11, ObsActionKind::Drop),
-        ];
-        let violations = no_action_after_stop(&events);
+        for kind in [
+            CompiledActionKind::Stop,
+            CompiledActionKind::Fault {
+                on,
+                fault: Fault::Drop,
+            },
+            CompiledActionKind::FlagError { message: None },
+        ] {
+            let node = NodeId(0);
+            tables.actions.push(CompiledAction { node, kind });
+        }
+        let action = |seq: u64, nanos: u64, id: u16| {
+            let action = ActionId(id);
+            ev(0, seq, nanos, ObsKind::ActionTriggered { action })
+        };
+        let events = [action(2, 10, 0), action(3, 11, 1)];
+        let violations = no_action_after_stop(&events, &tables);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, "no-action-after-stop");
+        assert!(
+            violations[0].message.contains("(DROP)"),
+            "{}",
+            violations[0].message
+        );
         // Same-cascade companions of the STOP are fine.
-        let events = [
-            action(2, 10, ObsActionKind::FlagErr),
-            action(2, 10, ObsActionKind::Stop),
-        ];
-        assert!(no_action_after_stop(&events).is_empty());
+        let events = [action(2, 10, 2), action(2, 10, 0)];
+        assert!(no_action_after_stop(&events, &tables).is_empty());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use vw_netsim::SimDuration;
 
 use crate::exec::{run_one, Setup};
 use crate::outcome::OutcomeDigest;
-use crate::spec::{apply_delay_ns, apply_threshold, Axis, CampaignError, Instance, RunConfig};
+use crate::spec::{Axis, CampaignError, Instance, RunConfig};
 
 /// Shrinker knobs.
 #[derive(Debug, Clone)]
@@ -273,113 +273,34 @@ where
     removed
 }
 
-/// Binary-searches one numeric axis toward its minimum value. Returns the
-/// final value's label if the axis applies to this program and bisection
-/// settled on a value (even if that value is the starting one).
+/// Binary-searches one program axis toward its minimum value: its first
+/// spot from where it stands down to the axis's smallest point, every spot
+/// rewritten together. Returns the final value's label if the axis applies
+/// to this program and bisection settled on a value (even if that value is
+/// the starting one).
 fn bisect_axis<S: Setup, P: Fn(&OutcomeDigest) -> bool>(
     best: &mut Program,
     axis: &Axis,
     oracle: &mut Oracle<'_, S, P>,
 ) -> Option<String> {
-    match axis {
-        Axis::Threshold {
-            counter,
-            occurrence,
-            values,
-        } => {
-            let floor = *values.iter().min()?;
-            let current = current_threshold(best, counter, *occurrence)?;
-            let applied = bisect_i64(
-                floor,
-                current,
-                |v| {
-                    let mut candidate = best.clone();
-                    if apply_threshold(&mut candidate, counter, *occurrence, v) == 0 {
-                        return None;
-                    }
-                    Some(candidate)
-                },
-                oracle,
-            )?;
-            apply_threshold(best, counter, *occurrence, applied);
-            Some(applied.to_string())
-        }
-        Axis::DelayNs { values } => {
-            let floor = *values.iter().min()? as i64;
-            let current = current_delay_ns(best)? as i64;
-            let applied = bisect_i64(
-                floor,
-                current,
-                |v| {
-                    if v < 0 {
-                        return None;
-                    }
-                    let mut candidate = best.clone();
-                    if apply_delay_ns(&mut candidate, v as u64) == 0 {
-                        return None;
-                    }
-                    Some(candidate)
-                },
-                oracle,
-            )?;
-            apply_delay_ns(best, applied as u64);
-            Some(applied.to_string())
-        }
-        Axis::Seed { .. } | Axis::Impairment { .. } => None,
-    }
-}
-
-/// The constant of the (first) targeted `counter <op> CONST` term.
-fn current_threshold(p: &Program, counter: &str, occurrence: Option<usize>) -> Option<i64> {
-    // Probe by rewriting a clone with a sentinel and diffing is overkill;
-    // reuse the rewrite machinery's ordering by scanning the same way.
-    let mut seen = 0usize;
-    for scenario in &p.scenarios {
-        for rule in &scenario.rules {
-            if let Some(v) = find_threshold(&rule.condition, counter, occurrence, &mut seen) {
-                return Some(v);
-            }
-        }
-    }
-    None
-}
-
-fn find_threshold(
-    cond: &vw_fsl::CondExpr,
-    counter: &str,
-    occurrence: Option<usize>,
-    seen: &mut usize,
-) -> Option<i64> {
-    use vw_fsl::{CondExpr, Operand};
-    match cond {
-        CondExpr::True | CondExpr::False => None,
-        CondExpr::Term(term) => {
-            let value = match (&term.lhs, &term.rhs) {
-                (Operand::Counter(c), Operand::Const(v)) if c == counter => Some(*v),
-                (Operand::Const(v), Operand::Counter(c)) if c == counter => Some(*v),
-                _ => None,
-            }?;
-            let idx = *seen;
-            *seen += 1;
-            (occurrence.is_none() || occurrence == Some(idx)).then_some(value)
-        }
-        CondExpr::And(a, b) | CondExpr::Or(a, b) => find_threshold(a, counter, occurrence, seen)
-            .or_else(|| find_threshold(b, counter, occurrence, seen)),
-        CondExpr::Not(a) => find_threshold(a, counter, occurrence, seen),
-    }
-}
-
-/// The hold time of the first `DELAY` action in the program.
-fn current_delay_ns(p: &Program) -> Option<u64> {
-    p.scenarios.iter().flat_map(|s| &s.rules).find_map(|r| {
-        r.actions.iter().find_map(|a| match a {
-            vw_fsl::Action::Fault {
-                fault: vw_fsl::Fault::Delay { duration_ns },
-                ..
-            } => Some(*duration_ns),
-            _ => None,
-        })
-    })
+    let floor = (0..axis.len())
+        .filter_map(|i| axis.program_value(i))
+        .min()?;
+    let mut current = None;
+    axis.spots(best, &mut |spot| {
+        current.get_or_insert(spot.get());
+    });
+    let applied = bisect_i64(
+        floor,
+        current?,
+        |v| {
+            let mut candidate = best.clone();
+            (axis.spots(&mut candidate, &mut |spot| spot.set(v)) > 0).then_some(candidate)
+        },
+        oracle,
+    )?;
+    axis.spots(best, &mut |spot| spot.set(applied));
+    Some(applied.to_string())
 }
 
 /// Classic predicate bisection: finds the smallest `v` in `[floor, hi]`

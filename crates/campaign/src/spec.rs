@@ -213,18 +213,59 @@ impl Axis {
         }
     }
 
-    /// Applies point `i` of a program axis to a program. Returns how many
-    /// spots were touched: 0 means the axis is dead (or a run-config axis).
-    fn apply_program(&self, i: usize, program: &mut Program) -> usize {
+    /// Point `i` of a program axis, as the number its spots hold (a hold
+    /// time keeps its bits); `None` for a run-config axis.
+    pub(crate) fn program_value(&self, i: usize) -> Option<i64> {
+        match self {
+            Axis::Threshold { values, .. } => Some(values[i]),
+            Axis::DelayNs { values } => Some(values[i] as i64),
+            Axis::Seed { .. } | Axis::Impairment { .. } => None,
+        }
+    }
+
+    /// Visits, in rule order, every spot of `program` this axis rewrites:
+    /// the constant of each targeted `counter <op> CONST` (or
+    /// `CONST <op> counter`) term — only the `occurrence`th when one is
+    /// set — or every `DELAY` hold time. A run-config axis has none.
+    /// Returns how many were visited: 0 means the axis is dead.
+    pub(crate) fn spots(&self, program: &mut Program, visit: &mut dyn FnMut(Spot<'_>)) -> usize {
+        let mut count = 0;
+        let mut visit = |spot: Spot<'_>| {
+            count += 1;
+            visit(spot);
+        };
+        let rules = program.scenarios.iter_mut().flat_map(|s| &mut s.rules);
         match self {
             Axis::Threshold {
                 counter,
                 occurrence,
-                values,
-            } => apply_threshold(program, counter, *occurrence, values[i]),
-            Axis::DelayNs { values } => apply_delay_ns(program, values[i]),
-            Axis::Seed { .. } | Axis::Impairment { .. } => 0,
+                ..
+            } => {
+                let mut seen = 0;
+                for rule in rules {
+                    term_spots(
+                        &mut rule.condition,
+                        counter,
+                        *occurrence,
+                        &mut seen,
+                        &mut visit,
+                    );
+                }
+            }
+            Axis::DelayNs { .. } => {
+                for action in rules.flat_map(|r| &mut r.actions) {
+                    if let Action::Fault {
+                        fault: Fault::Delay { duration_ns },
+                        ..
+                    } = action
+                    {
+                        visit(Spot::Hold(duration_ns));
+                    }
+                }
+            }
+            Axis::Seed { .. } | Axis::Impairment { .. } => {}
         }
+        count
     }
 
     /// Applies point `i` of a run-config axis; a program axis leaves the
@@ -243,82 +284,60 @@ impl Axis {
     }
 }
 
-/// Rewrites `counter <op> CONST` (or `CONST <op> counter`) terms.
-pub(crate) fn apply_threshold(
-    program: &mut Program,
-    counter: &str,
-    occurrence: Option<usize>,
-    value: i64,
-) -> usize {
-    let mut seen = 0usize;
-    let mut touched = 0usize;
-    for scenario in &mut program.scenarios {
-        for rule in &mut scenario.rules {
-            rewrite_cond(
-                &mut rule.condition,
-                counter,
-                occurrence,
-                value,
-                &mut seen,
-                &mut touched,
-            );
-        }
-    }
-    touched
+/// One number a program axis rewrites.
+pub(crate) enum Spot<'p> {
+    /// The constant of a targeted `counter <op> CONST` term.
+    Const(&'p mut i64),
+    /// A `DELAY` hold time in nanoseconds.
+    Hold(&'p mut u64),
 }
 
-/// Rewrites every `DELAY` hold time in the program.
-pub(crate) fn apply_delay_ns(program: &mut Program, ns: u64) -> usize {
-    let mut touched = 0;
-    for scenario in &mut program.scenarios {
-        for rule in &mut scenario.rules {
-            for action in &mut rule.actions {
-                if let Action::Fault {
-                    fault: Fault::Delay { duration_ns },
-                    ..
-                } = action
-                {
-                    *duration_ns = ns;
-                    touched += 1;
-                }
-            }
+impl Spot<'_> {
+    pub(crate) fn get(&self) -> i64 {
+        match self {
+            Spot::Const(v) => **v,
+            Spot::Hold(ns) => **ns as i64,
         }
     }
-    touched
+
+    pub(crate) fn set(self, value: i64) {
+        match self {
+            Spot::Const(v) => *v = value,
+            Spot::Hold(ns) => *ns = value as u64,
+        }
+    }
 }
 
-fn rewrite_cond(
+/// Visits the targeted counter-comparison constants of `cond`, left to
+/// right; `seen` counts the matching terms across the whole program.
+fn term_spots(
     cond: &mut CondExpr,
     counter: &str,
     occurrence: Option<usize>,
-    value: i64,
     seen: &mut usize,
-    touched: &mut usize,
+    visit: &mut dyn FnMut(Spot<'_>),
 ) {
     match cond {
         CondExpr::True | CondExpr::False => {}
         CondExpr::Term(term) => {
-            let hit = match (&term.lhs, &mut term.rhs) {
+            let hit = match (&mut term.lhs, &mut term.rhs) {
                 (Operand::Counter(c), Operand::Const(v)) if c == counter => Some(v),
-                _ => match (&mut term.lhs, &term.rhs) {
-                    (Operand::Const(v), Operand::Counter(c)) if c == counter => Some(v),
-                    _ => None,
-                },
+                (Operand::Const(v), Operand::Counter(c)) if c == counter => Some(v),
+                _ => None,
             };
-            if let Some(slot) = hit {
+            if let Some(v) = hit {
                 let idx = *seen;
                 *seen += 1;
                 if occurrence.is_none() || occurrence == Some(idx) {
-                    *slot = value;
-                    *touched += 1;
+                    visit(Spot::Const(v));
                 }
             }
         }
         CondExpr::And(a, b) | CondExpr::Or(a, b) => {
-            rewrite_cond(a, counter, occurrence, value, seen, touched);
-            rewrite_cond(b, counter, occurrence, value, seen, touched);
+            term_spots(a, counter, occurrence, seen, visit);
+            term_spots(b, counter, occurrence, seen, visit);
         }
-        CondExpr::Not(a) => rewrite_cond(a, counter, occurrence, value, seen, touched),
+        CondExpr::Not(a) => term_spots(a, counter, occurrence, seen, visit),
     }
 }
 
@@ -451,7 +470,7 @@ impl CampaignSpec {
                 // rewrites nothing is a dead dimension (usually a typo'd
                 // counter name) and would silently multiply the campaign.
                 let mut probe = self.base.clone();
-                if axis.apply_program(0, &mut probe) == 0 {
+                if axis.spots(&mut probe, &mut |_| ()) == 0 {
                     return Err(CampaignError::new(format!(
                         "axis `{}` does not touch the base program",
                         axis.name()
@@ -524,7 +543,9 @@ impl CampaignSpec {
         let point = points.entry(key).or_insert_with(|| {
             let mut program = self.base.clone();
             for (a, axis) in self.axes.iter().enumerate() {
-                axis.apply_program(pick(a), &mut program);
+                if let Some(value) = axis.program_value(pick(a)) {
+                    axis.spots(&mut program, &mut |spot| spot.set(value));
+                }
             }
             ProgramPoint::new(program)
         });

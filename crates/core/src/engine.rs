@@ -43,7 +43,7 @@ use vw_fsl::{
     CounterOp, Dir, Fault, ModifyPattern, NodeId, TableSet, TermId,
 };
 use vw_netsim::{Context, Hook, SimDuration, SimTime, Verdict};
-use vw_obs::{Histogram, ObsActionKind, ObsEvent, ObsKind, ObsLevel};
+use vw_obs::{Histogram, ObsEvent, ObsKind, ObsLevel};
 use vw_packet::{EtherType, Frame, MacAddr, MacMap};
 use vw_rll::window::{ReceiverWindow, RecvAction, SendAction, SenderWindow};
 
@@ -1153,7 +1153,7 @@ impl Run {
             io.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
             let kind = &tables.actions[action.index()].kind;
             if self.cfg.obs.faults() {
-                self.record_action(me, io, action, kind);
+                self.record_action(me, io, action);
             }
             match kind {
                 &CompiledActionKind::Counter { counter, op } => {
@@ -1222,15 +1222,8 @@ impl Run {
     /// Callers gate on `cfg.obs.faults()` first, so the per-action path with
     /// the recorder off is one compare and no call.
     #[inline(never)]
-    fn record_action(
-        &mut self,
-        me: NodeId,
-        io: &impl EngineIo,
-        action: ActionId,
-        kind: &CompiledActionKind,
-    ) {
-        let kind = obs_action_kind(kind);
-        self.record(me, io.now(), ObsKind::ActionTriggered { action, kind });
+    fn record_action(&mut self, me: NodeId, io: &impl EngineIo, action: ActionId) {
+        self.record(me, io.now(), ObsKind::ActionTriggered { action });
         self.latency_hist.observe(io.charged().as_nanos());
     }
 
@@ -1630,7 +1623,7 @@ impl Run {
                 }
                 io.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
                 if self.cfg.obs.faults() {
-                    self.record_action(me, io, *action, kind);
+                    self.record_action(me, io, *action);
                 }
                 match fault {
                     Fault::Drop => {
@@ -1718,23 +1711,6 @@ impl Run {
             io.release(frame.clone(), dir);
         }
         Verdict::Accept(frame)
-    }
-}
-
-/// Flight-recorder kind of an executed action.
-fn obs_action_kind(kind: &CompiledActionKind) -> ObsActionKind {
-    match kind {
-        CompiledActionKind::Counter { .. } => ObsActionKind::CounterOp,
-        CompiledActionKind::Fault { fault, .. } => match fault {
-            Fault::Drop => ObsActionKind::Drop,
-            Fault::Dup => ObsActionKind::Dup,
-            Fault::Delay { .. } => ObsActionKind::Delay,
-            Fault::Reorder { .. } => ObsActionKind::Reorder,
-            Fault::Modify(_) => ObsActionKind::Modify,
-        },
-        CompiledActionKind::Fail { .. } => ObsActionKind::Fail,
-        CompiledActionKind::Stop => ObsActionKind::Stop,
-        CompiledActionKind::FlagError { .. } => ObsActionKind::FlagErr,
     }
 }
 

@@ -103,7 +103,7 @@ pub use suite::{Suite, SuiteReport};
 // direct vw-obs dependency.
 pub use vw_obs::pcap;
 pub use vw_obs::{
-    CausalChain, Histogram, Metric, MetricsRegistry, ObsActionKind, ObsEvent, ObsKind, ObsLevel,
+    action_label, CausalChain, Histogram, Metric, MetricsRegistry, ObsEvent, ObsKind, ObsLevel,
     ProtoAspect,
 };
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use vw_fsl::{CondId, NodeId, TableSet};
+use vw_fsl::{CompiledActionKind, CondId, NodeId, TableSet};
 use vw_netsim::{SimDuration, SimTime};
 use vw_obs::{CausalChain, Histogram, MetricsRegistry, ObsEvent, ObsKind};
 
@@ -186,9 +186,12 @@ impl Report {
     /// The recorded packet-fault applications (`DROP`/`DUP`/`DELAY`/
     /// `REORDER`/`MODIFY` hitting a concrete packet), in time order.
     pub fn fault_events(&self) -> impl Iterator<Item = &ObsEvent> {
-        self.events.iter().filter(
-            |e| matches!(e.kind, ObsKind::ActionTriggered { kind, .. } if kind.is_packet_fault()),
-        )
+        self.events.iter().filter(|e| {
+            matches!(
+                e.action_kind(&self.symbols),
+                Some(CompiledActionKind::Fault { .. })
+            )
+        })
     }
 
     /// Renders the run's numbers as a metrics registry, for export with

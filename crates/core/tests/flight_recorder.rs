@@ -5,7 +5,7 @@
 //! pcap assertions over the same run.
 
 use virtualwire::{
-    compile_script, pcap, EngineConfig, ObsActionKind, ObsKind, ObsLevel, Report, Runner,
+    action_label, compile_script, pcap, EngineConfig, ObsKind, ObsLevel, Report, Runner,
 };
 use vw_netsim::apps::{UdpFlooder, UdpSink};
 use vw_netsim::{Binding, LinkConfig, SimDuration, World};
@@ -106,15 +106,12 @@ fn explain_reconstructs_the_documented_chain() {
         }
         other => panic!("expected CounterUpdated, got {other:?}"),
     }
-    let kinds: Vec<ObsActionKind> = chain
+    let kinds: Vec<&str> = chain
         .events
         .iter()
-        .filter_map(|e| match e.kind {
-            ObsKind::ActionTriggered { kind, .. } => Some(kind),
-            _ => None,
-        })
+        .filter_map(|e| e.action_kind(&report.symbols).map(action_label))
         .collect();
-    assert_eq!(kinds, vec![ObsActionKind::FlagErr, ObsActionKind::Drop]);
+    assert_eq!(kinds, vec!["FLAG_ERR", "DROP"]);
 
     // Rendering resolves script names.
     let rendered = chain.render(&report.symbols);

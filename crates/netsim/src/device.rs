@@ -1,4 +1,5 @@
-//! Devices: hosts, switches and hubs, and their ports.
+//! Devices: hosts and switches (a hub is a switch that does not learn),
+//! and their ports.
 
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -20,10 +21,11 @@ pub(crate) struct Port {
     pub link: Option<LinkId>,
     pub queue: VecDeque<Frame>,
     pub queue_cap: usize,
-    pub busy: bool,
     /// The link's [`ns_per_byte`](crate::time::ns_per_byte); 0 while the
     /// port is not connected.
     pub ns_per_byte: u32,
+    /// The frame being serialized: the port is busy exactly while it
+    /// holds one.
     pub in_flight: Option<Frame>,
     /// Frames dropped due to queue overflow.
     pub dropped: u64,
@@ -39,7 +41,6 @@ impl Port {
             link: None,
             queue: VecDeque::new(),
             queue_cap: DEFAULT_TX_QUEUE_CAP,
-            busy: false,
             ns_per_byte: 0,
             in_flight: None,
             dropped: 0,
@@ -100,26 +101,14 @@ impl std::fmt::Debug for Host {
     }
 }
 
-/// A store-and-forward learning switch.
+/// A store-and-forward switch; without a learning table it is a hub.
 #[derive(Debug)]
 pub(crate) struct Switch {
     pub name: Box<str>,
     pub ports: Vec<Port>,
-    /// MAC learning table: address → port index.
-    pub fdb: MacMap<u16>,
-}
-
-/// A dumb hub: every inbound frame is repeated on all other ports.
-///
-/// This approximates a shared bus as a star of dedicated links; each output
-/// port serializes independently, so simultaneous senders are queued rather
-/// than collided. Rether's token discipline means at most one station
-/// transmits at a time anyway, making the approximation exact in its
-/// intended use.
-#[derive(Debug)]
-pub(crate) struct Hub {
-    pub name: Box<str>,
-    pub ports: Vec<Port>,
+    /// MAC learning table: address → port index. A hub has none and
+    /// repeats every inbound frame on all other ports.
+    pub fdb: Option<MacMap<u16>>,
 }
 
 /// The device arena entry.
@@ -127,7 +116,6 @@ pub(crate) struct Hub {
 pub(crate) enum Device {
     Host(Host),
     Switch(Switch),
-    Hub(Hub),
 }
 
 impl Device {
@@ -135,7 +123,6 @@ impl Device {
         match self {
             Device::Host(h) => (port == 0).then_some(&mut h.port),
             Device::Switch(s) => s.ports.get_mut(port as usize),
-            Device::Hub(h) => h.ports.get_mut(port as usize),
         }
     }
 
@@ -144,7 +131,6 @@ impl Device {
         match self {
             Device::Host(h) => std::slice::from_ref(&h.port),
             Device::Switch(s) => &s.ports,
-            Device::Hub(h) => &h.ports,
         }
     }
 
@@ -156,7 +142,6 @@ impl Device {
         match self {
             Device::Host(h) => &h.name,
             Device::Switch(s) => &s.name,
-            Device::Hub(h) => &h.name,
         }
     }
 
@@ -190,7 +175,7 @@ mod tests {
         let mut sw = Device::Switch(Switch {
             name: "sw".into(),
             ports: (0..3).map(|_| Port::new()).collect(),
-            fdb: MacMap::default(),
+            fdb: Some(MacMap::default()),
         });
         assert_eq!(sw.free_port(), Some(0));
         sw.port_mut(0).unwrap().link = Some(LinkId::from_index(0));

@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use vw_packet::{EtherType, Frame, MacAddr, MacMap};
 
 use crate::context::{Context, Effect};
-use crate::device::{Device, Host, Hub, Port, PortStats, Switch};
+use crate::device::{Device, Host, Port, PortStats, Switch};
 use crate::event::{EventKind, EventQueue, Hop};
 use crate::hook::{Hook, Verdict};
 use crate::id::{DeviceId, HandlerRef, HookId, LinkId, PortRef, ProtocolId};
@@ -160,22 +160,28 @@ impl World {
 
     /// Adds a store-and-forward learning switch with `ports` ports.
     pub fn add_switch(&mut self, name: &str, ports: usize) -> DeviceId {
+        self.push_switch(name, ports, Some(MacMap::default()))
+    }
+
+    /// Adds a hub with `ports` ports: every inbound frame is repeated on
+    /// all other ports.
+    ///
+    /// This approximates a shared bus as a star of dedicated links; each
+    /// output port serializes independently, so simultaneous senders are
+    /// queued rather than collided. Rether's token discipline means at
+    /// most one station transmits at a time anyway, making the
+    /// approximation exact in its intended use.
+    pub fn add_hub(&mut self, name: &str, ports: usize) -> DeviceId {
+        self.push_switch(name, ports, None)
+    }
+
+    /// Adds a switch, or a hub when it has no learning table.
+    fn push_switch(&mut self, name: &str, ports: usize, fdb: Option<MacMap<u16>>) -> DeviceId {
         let id = DeviceId::from_index(self.devices.len());
         self.devices.push(Device::Switch(Switch {
             name: name.into(),
             ports: (0..ports).map(|_| Port::new()).collect(),
-            fdb: MacMap::default(),
-        }));
-        id
-    }
-
-    /// Adds a hub (shared medium approximated as a repeating star) with
-    /// `ports` ports.
-    pub fn add_hub(&mut self, name: &str, ports: usize) -> DeviceId {
-        let id = DeviceId::from_index(self.devices.len());
-        self.devices.push(Device::Hub(Hub {
-            name: name.into(),
-            ports: (0..ports).map(|_| Port::new()).collect(),
+            fdb,
         }));
         id
     }
@@ -619,23 +625,25 @@ impl World {
                 self.hop(to.device, Hop::Inbound(chain_len), frame);
             }
             Device::Switch(_) => self.switch_forward(to, frame),
-            Device::Hub(_) => self.flood(to, frame),
         }
     }
 
     fn switch_forward(&mut self, ingress: PortRef, frame: Frame) {
-        let (src, dst) = (frame.src(), frame.dst());
         let Device::Switch(sw) = &mut self.devices[ingress.device.index()] else {
             unreachable!("switch_forward on non-switch");
         };
+        let Some(fdb) = &mut sw.fdb else {
+            return self.flood(ingress, frame);
+        };
+        let (src, dst) = (frame.src(), frame.dst());
         if !src.is_multicast() {
-            sw.fdb.insert(src, ingress.port);
+            fdb.insert(src, ingress.port);
         }
         let flooded = dst.is_broadcast() || dst.is_multicast();
         let out_port = if flooded {
             None
         } else {
-            sw.fdb.get(&dst).copied()
+            fdb.get(&dst).copied()
         };
         match out_port {
             Some(p) if p != ingress.port => {
@@ -689,12 +697,11 @@ impl World {
         if let Some(link_id) = port.link {
             self.cross_link(link_id, at, frame);
         }
-        // Start the next transmission, if any.
+        // Start the next transmission, if any; without one the empty
+        // `in_flight` leaves the port idle.
         let port = self.devices[at.device.index()].port_mut(at.port);
-        let port = port.expect("port");
-        match port.queue.pop_front() {
-            Some(next) => self.begin_tx(at, next),
-            None => port.busy = false,
+        if let Some(next) = port.expect("port").queue.pop_front() {
+            self.begin_tx(at, next);
         }
     }
 
@@ -802,7 +809,7 @@ impl World {
         };
         let (kind, note) = if port.link.is_none() {
             (TraceKind::LinkLoss, "port not connected")
-        } else if !port.busy {
+        } else if port.in_flight.is_none() {
             return self.begin_tx(at, frame);
         } else if port.queue.len() < port.queue_cap {
             return port.queue.push_back(frame);
@@ -823,8 +830,11 @@ impl World {
             multiplied_serialization_time(wire_bytes, port.ns_per_byte).unwrap_or_else(|| {
                 serialization_time(wire_bytes, self.links[link.index()].config.rate_bps)
             });
-        port.busy = true;
-        port.in_flight = Some(frame);
+        // `handle_tx_complete` took the last frame, so the slot is empty
+        // and the write needs no drop of an old one.
+        let idle = port.in_flight.replace(frame);
+        debug_assert!(idle.is_none(), "begin_tx on a busy port");
+        std::mem::forget(idle);
         self.queue
             .push_with(self.now.saturating_add(ser), || EventKind::TxComplete {
                 port: at,

@@ -18,7 +18,9 @@
 
 use std::fmt;
 
-use vw_fsl::{ActionId, CondId, CounterId, Dir, FilterId, NodeId, Tables, TermId};
+use vw_fsl::{
+    ActionId, CompiledActionKind, CondId, CounterId, Dir, Fault, FilterId, NodeId, Tables, TermId,
+};
 use vw_netsim::SimTime;
 
 /// How much the flight recorder captures.
@@ -53,57 +55,22 @@ impl ObsLevel {
     }
 }
 
-/// What kind of action an [`ObsKind::ActionTriggered`] refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ObsActionKind {
-    /// `DROP` consumed a packet.
-    Drop,
-    /// `DUP` duplicated a packet.
-    Dup,
-    /// `DELAY` held a packet.
-    Delay,
-    /// `REORDER` buffered or released packets.
-    Reorder,
-    /// `MODIFY` mutated a packet.
-    Modify,
-    /// `FAIL` blackholed a node.
-    Fail,
-    /// `STOP` ended the scenario.
-    Stop,
-    /// `FLAG_ERR` reported a protocol violation.
-    FlagErr,
-    /// A Table I counter-manipulation action
-    /// (`ASSIGN`/`INCR`/`DECR`/`RESET`/`ENABLE`/`DISABLE`/time ops).
-    CounterOp,
-}
-
-impl ObsActionKind {
-    /// `true` for the level-gated Table II packet faults.
-    pub fn is_packet_fault(self) -> bool {
-        matches!(
-            self,
-            ObsActionKind::Drop
-                | ObsActionKind::Dup
-                | ObsActionKind::Delay
-                | ObsActionKind::Reorder
-                | ObsActionKind::Modify
-        )
-    }
-}
-
-impl fmt::Display for ObsActionKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ObsActionKind::Drop => "DROP",
-            ObsActionKind::Dup => "DUP",
-            ObsActionKind::Delay => "DELAY",
-            ObsActionKind::Reorder => "REORDER",
-            ObsActionKind::Modify => "MODIFY",
-            ObsActionKind::Fail => "FAIL",
-            ObsActionKind::Stop => "STOP",
-            ObsActionKind::FlagErr => "FLAG_ERR",
-            ObsActionKind::CounterOp => "COUNTER_OP",
-        })
+/// The keyword a render spells for an action of this kind: the Table II
+/// fault's name, `FAIL`, `STOP`, `FLAG_ERR`, or `COUNTER_OP` for every
+/// Table I counter-manipulation action.
+pub fn action_label(kind: &CompiledActionKind) -> &'static str {
+    match kind {
+        CompiledActionKind::Counter { .. } => "COUNTER_OP",
+        CompiledActionKind::Fault { fault, .. } => match fault {
+            Fault::Drop => "DROP",
+            Fault::Dup => "DUP",
+            Fault::Delay { .. } => "DELAY",
+            Fault::Reorder { .. } => "REORDER",
+            Fault::Modify(_) => "MODIFY",
+        },
+        CompiledActionKind::Fail { .. } => "FAIL",
+        CompiledActionKind::Stop => "STOP",
+        CompiledActionKind::FlagError { .. } => "FLAG_ERR",
     }
 }
 
@@ -224,11 +191,10 @@ pub enum ObsKind {
     },
     /// An action ran — an edge-triggered Table I action or a level-gated
     /// Table II fault applied to a concrete packet.
+    /// Its kind is the action table's ([`ObsEvent::action_kind`]).
     ActionTriggered {
         /// Which action-table entry.
         action: ActionId,
-        /// What kind of action.
-        kind: ObsActionKind,
     },
     /// A peer's sequenced control-plane updates went stale: its remote
     /// terms were frozen at last-known status and a diagnostic flagged.
@@ -289,7 +255,18 @@ impl ObsEvent {
         }
     }
 
-    /// One-line human rendering, naming ids from the run's `tables`.
+    /// The kind of the action an [`ObsKind::ActionTriggered`] names, read
+    /// from the run's `tables`; `None` for any other event, and for an id
+    /// the tables do not hold (a doctored stream).
+    pub fn action_kind<'t>(&self, tables: &'t Tables) -> Option<&'t CompiledActionKind> {
+        let ObsKind::ActionTriggered { action } = self.kind else {
+            return None;
+        };
+        tables.actions.get(action.index()).map(|a| &a.kind)
+    }
+
+    /// One-line human rendering, naming ids from the run's `tables`; an
+    /// action the tables do not hold renders its kind as `?`.
     pub fn render(&self, tables: &Tables) -> String {
         let tail = match self.kind {
             ObsKind::Classified { filter, dir, len } => {
@@ -303,9 +280,11 @@ impl ObsEvent {
             }
             ObsKind::TermFlipped { term, status } => format!("term#{} -> {status}", term.index()),
             ObsKind::ConditionFired { cond } => format!("condition#{} fired", cond.index()),
-            ObsKind::ActionTriggered { action, kind } => {
-                format!("action#{} {kind} triggered", action.index())
-            }
+            ObsKind::ActionTriggered { action } => format!(
+                "action#{} {} triggered",
+                action.index(),
+                self.action_kind(tables).map_or("?", action_label)
+            ),
             ObsKind::PeerDegraded { peer } => format!(
                 "peer {} stale: remote terms frozen at last-known status",
                 tables.node_name(peer)
@@ -508,14 +487,5 @@ mod tests {
             line.contains("delivered from node1") && line.contains("node2"),
             "{line}"
         );
-    }
-
-    #[test]
-    fn packet_fault_kinds() {
-        assert!(ObsActionKind::Drop.is_packet_fault());
-        assert!(ObsActionKind::Modify.is_packet_fault());
-        assert!(!ObsActionKind::FlagErr.is_packet_fault());
-        assert!(!ObsActionKind::CounterOp.is_packet_fault());
-        assert_eq!(ObsActionKind::Drop.to_string(), "DROP");
     }
 }

@@ -33,7 +33,7 @@ mod metrics;
 pub mod pcap;
 mod window;
 
-pub use event::{CausalChain, ObsActionKind, ObsEvent, ObsKind, ObsLevel, ProtoAspect};
+pub use event::{action_label, CausalChain, ObsEvent, ObsKind, ObsLevel, ProtoAspect};
 pub use metrics::{labeled_key, Histogram, Metric, MetricsRegistry};
 /// The workspace's one JSON string escaper, re-exported for crates that
 /// write JSON beside a [`MetricsRegistry`] without a `vw-trace` edge.

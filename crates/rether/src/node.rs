@@ -19,6 +19,10 @@ const TIMER_ACK: u64 = 1;
 const TIMER_REGEN: u64 = 2;
 const TIMER_HOLD: u64 = 3;
 
+/// How long an idle holder keeps the token before passing it on
+/// (throttles rotation speed when nobody has data).
+const IDLE_HOLD: SimDuration = SimDuration::from_millis(1);
+
 /// Configuration for a Rether node.
 #[derive(Debug, Clone)]
 pub struct RetherConfig {
@@ -34,9 +38,6 @@ pub struct RetherConfig {
     /// watchdog is `regen_base × (rank + 2)` so lower-ranked nodes fire
     /// first.
     pub regen_base: SimDuration,
-    /// How long an idle holder keeps the token before passing it on
-    /// (throttles rotation speed when nobody has data).
-    pub idle_hold: SimDuration,
     /// Best-effort (non-real-time) bytes a node may transmit per hold.
     pub nrt_quantum_bytes: u32,
     /// Upper bound on queued outbound data frames.
@@ -51,7 +52,6 @@ impl RetherConfig {
             token_ack_timeout: SimDuration::from_millis(5),
             token_send_limit: 3,
             regen_base: SimDuration::from_millis(250),
-            idle_hold: SimDuration::from_millis(1),
             nrt_quantum_bytes: 16 * 1024,
             queue_cap: 1024,
         }
@@ -205,7 +205,7 @@ impl RetherNode {
 
     /// Becomes the token holder: releases queued data within the per-hold
     /// budget, then either passes immediately (data was waiting) or
-    /// lingers for `idle_hold`. Whatever budget remains is available to
+    /// lingers for [`IDLE_HOLD`]. Whatever budget remains is available to
     /// frames arriving from the stack while the token is still held.
     fn hold_token(&mut self, ctx: &mut Context<'_>) {
         self.hold_budget_left = self.hold_budget();
@@ -223,7 +223,7 @@ impl RetherNode {
         if released {
             self.pass_token(ctx);
         } else {
-            let timer = ctx.set_timer(self.cfg.idle_hold, TIMER_HOLD);
+            let timer = ctx.set_timer(IDLE_HOLD, TIMER_HOLD);
             self.state = TokenState::Holding { timer: Some(timer) };
         }
     }
@@ -231,7 +231,7 @@ impl RetherNode {
     fn pass_token(&mut self, ctx: &mut Context<'_>) {
         let Some(dst) = self.successor() else {
             // Sole survivor: keep holding.
-            let timer = ctx.set_timer(self.cfg.idle_hold, TIMER_HOLD);
+            let timer = ctx.set_timer(IDLE_HOLD, TIMER_HOLD);
             self.state = TokenState::Holding { timer: Some(timer) };
             return;
         };

@@ -15,6 +15,9 @@ use vw_packet::{Frame, MacAddr, TcpBuilder, TcpFlags};
 
 use crate::congestion::{CcPhase, Congestion, RtoEstimator};
 
+/// Floor for the adaptive RTO.
+const MIN_RTO: SimDuration = SimDuration::from_millis(50);
+
 /// TCP connection states (RFC 793).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
@@ -54,8 +57,6 @@ pub struct TcpConfig {
     pub initial_ssthresh: u32,
     /// Initial retransmission timeout before any RTT sample.
     pub initial_rto: SimDuration,
-    /// Floor for the adaptive RTO.
-    pub min_rto: SimDuration,
     /// Receive window advertised to the peer.
     pub recv_window: u16,
     /// Initial send sequence number (deterministic for reproducibility).
@@ -72,7 +73,6 @@ impl Default for TcpConfig {
             initial_cwnd_mss: 1,
             initial_ssthresh: 64 * 1024,
             initial_rto: SimDuration::from_millis(200),
-            min_rto: SimDuration::from_millis(50),
             recv_window: 65535,
             iss: 1000,
             bug_never_enter_ca: false,
@@ -208,7 +208,7 @@ impl TcpSocket {
                 cc.set_bug_never_enter_ca(cfg.bug_never_enter_ca);
                 cc
             },
-            rto: RtoEstimator::new(cfg.initial_rto, cfg.min_rto),
+            rto: RtoEstimator::new(cfg.initial_rto, MIN_RTO),
             rwnd: 65535,
             rtt_probe: None,
             fin_queued: false,

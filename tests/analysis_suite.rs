@@ -3,11 +3,11 @@
 //! clean and doctored records, and campaign-wide analytics end to end.
 
 use virtualwire::{
-    compile_script, EngineConfig, ObsActionKind, ObsEvent, ObsKind, ObsLevel, Report, Runner,
+    action_label, compile_script, EngineConfig, ObsEvent, ObsKind, ObsLevel, Report, Runner,
 };
 use vw_analysis::{check_invariants, CampaignReport};
 use vw_campaign::{run_campaign, Axis, CampaignSpec, ExecConfig, RunConfig};
-use vw_fsl::{NodeId, TableSet};
+use vw_fsl::{ActionId, NodeId, TableSet};
 use vw_netsim::apps::{UdpFlooder, UdpSink};
 use vw_netsim::{Binding, ControlImpairment, LinkConfig, SimDuration, World};
 use vw_packet::EtherType;
@@ -204,13 +204,8 @@ fn merged_timeline_orders_the_cross_node_cascade() {
     });
     let failed = position(timeline, "node3 FAIL", |n, e| {
         n == node3
-            && matches!(
-                e,
-                ObsKind::ActionTriggered {
-                    kind: ObsActionKind::Fail,
-                    ..
-                }
-            )
+            && matches!(e, ObsKind::ActionTriggered { action }
+                if action_label(&tables.actions[action.index()].kind) == "FAIL")
     });
     assert!(
         flip2 < sent && sent < delivered && delivered < flip3 && flip3 < fired && fired < failed,
@@ -244,15 +239,12 @@ fn golden_chain_reproduced_from_the_merged_timeline() {
         merged_chain.render(&report.symbols)
     );
     assert_eq!(merged_chain.events, engine_chain.events);
-    let kinds: Vec<ObsActionKind> = merged_chain
+    let kinds: Vec<&str> = merged_chain
         .events
         .iter()
-        .filter_map(|e| match e.kind {
-            ObsKind::ActionTriggered { kind, .. } => Some(kind),
-            _ => None,
-        })
+        .filter_map(|e| action_label_of(e, &report.symbols))
         .collect();
-    assert_eq!(kinds, vec![ObsActionKind::FlagErr, ObsActionKind::Drop]);
+    assert_eq!(kinds, vec!["FLAG_ERR", "DROP"]);
 }
 
 #[test]
@@ -298,6 +290,52 @@ fn erasing_deliveries_orphans_the_remote_flip() {
             .any(|e| matches!(e.kind, ObsKind::TermFlipped { .. })),
         "slice must contain the orphan flip: {v:?}"
     );
+}
+
+#[test]
+fn an_action_id_outside_the_tables_renders_as_unknown_and_is_no_stop() {
+    let (mut report, tables) = run_full(DROP_AFTER_THREE, 7, 20);
+    let clean_faults = report.fault_events().count();
+    assert!(check_invariants(&report.events, &tables).is_empty());
+    let stop = report
+        .events
+        .iter()
+        .find(|e| action_label_of(e, &tables) == Some("STOP"))
+        .copied()
+        .expect("the run records its STOP");
+    // A doctored action that leads the stream at the STOP's node: read as
+    // a STOP, it would put every later action there after one.
+    let ghost = |frame_seq: u64| ObsEvent {
+        frame_seq,
+        kind: ObsKind::ActionTriggered {
+            action: ActionId(tables.actions.len() as u16),
+        },
+        ..stop
+    };
+    report.events.insert(0, ghost(0));
+    let line = report.events[0].render(&report.symbols);
+    assert!(
+        line.ends_with(&format!("action#{} ? triggered", tables.actions.len())),
+        "{line}"
+    );
+    assert_eq!(report.fault_events().count(), clean_faults);
+    assert!(check_invariants(&report.events, &tables).is_empty());
+    // After the real STOP it is still an action, and the violation names
+    // its kind `?`.
+    report.events.push(ghost(stop.frame_seq + 1));
+    let violations = check_invariants(&report.events, &tables);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!(violations[0].invariant, "no-action-after-stop");
+    assert!(
+        violations[0].message.contains("(?)"),
+        "{}",
+        violations[0].message
+    );
+}
+
+/// The keyword of the action `event` triggered, read from `tables`.
+fn action_label_of(event: &ObsEvent, tables: &TableSet) -> Option<&'static str> {
+    event.action_kind(tables).map(action_label)
 }
 
 /// What every recorded run's timeline satisfies: time never goes back,
