@@ -207,8 +207,8 @@ run seed=7 impairment=none
     END
 "##;
 
-const DELAY: &str = r##"rules 5 -> 3, counters removed 1, filters removed 1, runs 43
-bisected delay_ns=10000001
+const DELAY: &str = r##"rules 5 -> 3, counters removed 1, filters removed 1, runs 20
+bisected delay_ns=20000000
 run seed=3 impairment=none
     FILTER_TABLE
     udp_data: (23 1 0x11), (36 2 0x6363)
@@ -224,7 +224,7 @@ run seed=3 impairment=none
         ENABLE_CNTR(Sent);
         ENABLE_CNTR(Rcvd);
     (Sent = 5) >>
-        DELAY(udp_data, node1, node2, SEND, 10000001nsec);
+        DELAY(udp_data, node1, node2, SEND, 20msec);
     (Rcvd = 9) >>
         STOP;
     END
