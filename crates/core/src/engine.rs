@@ -500,9 +500,6 @@ struct Run {
     /// Flight recorder: typed causal event stream, gated on `cfg.obs`
     /// *before* any record is built.
     events: Vec<ObsEvent>,
-    /// Monotone ordinal of classification attempts; ties every recorded
-    /// event to the frame whose processing caused it.
-    frame_seq: u64,
     /// Distribution of evaluation-cascade depths (recorded at `Faults`+).
     cascade_hist: Histogram,
     /// Distribution of classify-to-action latency in charged sim
@@ -909,14 +906,16 @@ impl Run {
     // ------------------------------------------------------------------
 
     /// Appends one event stamped with node `me` and the current
-    /// `frame_seq`. Every caller checks `cfg.obs.full()` / `.faults()`
-    /// itself, so a site costs one compare and no call with the recorder
-    /// off (checking in here read ~25 ns on `core.cascade_action25_ns`).
+    /// `frame_seq`: the ordinal of the last classified frame, which ties
+    /// every recorded event to the frame whose processing caused it.
+    /// Every caller checks `cfg.obs.full()` / `.faults()` itself, so a
+    /// site costs one compare and no call with the recorder off (checking
+    /// in here read ~25 ns on `core.cascade_action25_ns`).
     fn record(&mut self, me: NodeId, time: SimTime, kind: ObsKind) {
         self.events.push(ObsEvent {
             time,
             node: me,
-            frame_seq: self.frame_seq,
+            frame_seq: self.stats.classified,
             kind,
         });
     }
@@ -1501,7 +1500,6 @@ impl Run {
         self.pump_control(io, at);
         let (tables, plan, me) = (&at.tables, &*at.plan, at.me);
         self.stats.classified += 1;
-        self.frame_seq += 1;
         let result = {
             let _span = vw_trace::span(
                 match dir {
