@@ -306,8 +306,6 @@ pub struct UdpSink {
     port: u16,
     frames: u64,
     payload_bytes: u64,
-    first_at: Option<SimTime>,
-    last_at: Option<SimTime>,
 }
 
 impl UdpSink {
@@ -317,8 +315,6 @@ impl UdpSink {
             port,
             frames: 0,
             payload_bytes: 0,
-            first_at: None,
-            last_at: None,
         }
     }
 
@@ -331,17 +327,6 @@ impl UdpSink {
     pub fn payload_bytes(&self) -> u64 {
         self.payload_bytes
     }
-
-    /// Achieved payload throughput in bits/s between the first and last
-    /// datagram, if at least two arrived.
-    pub fn goodput_bps(&self) -> Option<f64> {
-        let (first, last) = (self.first_at?, self.last_at?);
-        let span = last.saturating_since(first).as_secs_f64();
-        if span <= 0.0 {
-            return None;
-        }
-        Some(self.payload_bytes as f64 * 8.0 / span)
-    }
 }
 
 impl Protocol for UdpSink {
@@ -349,7 +334,7 @@ impl Protocol for UdpSink {
         "udp-sink"
     }
 
-    fn on_frame(&mut self, ctx: &mut Context<'_>, frame: Frame) {
+    fn on_frame(&mut self, _ctx: &mut Context<'_>, frame: Frame) {
         let Some(udp) = frame.udp() else { return };
         if udp.dst_port() != self.port {
             return;
@@ -359,10 +344,6 @@ impl Protocol for UdpSink {
         }
         self.frames += 1;
         self.payload_bytes += udp.payload().len() as u64;
-        if self.first_at.is_none() {
-            self.first_at = Some(ctx.now());
-        }
-        self.last_at = Some(ctx.now());
     }
 }
 
@@ -439,11 +420,6 @@ mod tests {
             .unwrap();
         assert_eq!(sink.frames(), 100);
         assert_eq!(sink.payload_bytes(), 100_000);
-        let goodput = sink.goodput_bps().unwrap();
-        assert!(
-            (goodput - 10_000_000.0).abs() / 10_000_000.0 < 0.2,
-            "goodput {goodput}"
-        );
     }
 
     #[test]

@@ -115,27 +115,9 @@ impl SimDuration {
         SimDuration(secs * 1_000_000_000)
     }
 
-    /// Creates a duration from fractional seconds, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "duration must be a non-negative finite number of seconds"
-        );
-        SimDuration((secs * 1e9).round() as u64)
-    }
-
     /// Nanoseconds in this duration.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Milliseconds in this duration (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Seconds as a float (for reporting).
@@ -307,17 +289,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimDuration::from_millis(1).as_nanos(), 1_000_000);
         assert_eq!(SimDuration::from_micros(1).as_nanos(), 1_000);
-        assert_eq!(
-            SimDuration::from_secs_f64(0.5),
-            SimDuration::from_millis(500)
-        );
-        assert_eq!(SimDuration::from_secs(3).as_millis(), 3000);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_float_duration_panics() {
-        let _ = SimDuration::from_secs_f64(-1.0);
     }
 
     #[test]
